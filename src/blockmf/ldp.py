@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as _rng
 from .errors import (
     AssumptionViolationError,
     InvalidArgumentError,
@@ -474,7 +475,7 @@ def sample_reference_path(colors: ColorGraph, z0: int, T: float,
     if T < 0:
         raise InvalidArgumentError("T must be >= 0")
     gen = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+        else _rng.substream(seed)
     t = 0.0
     z = z0
     jump_times = []

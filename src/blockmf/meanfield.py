@@ -9,9 +9,9 @@ measure vector with the limiting neighborhood proportions (targets):
     peripheral j: alpha_c[j] * <gamma_c, mu_{j,c}>
                   + sum_i q[j][i] * <gamma_p, mu_{i,p}>
 
-plus the state-only beta term, clamped at zero — identical arithmetic
-to the particle simulator, with finite-N proportions replaced by their
-limits.
+plus the state-only beta term, clamped at zero. The affine rows come
+from `rates.affine_rows`, the same builder the particle simulator uses,
+with finite-N neighbourhood weights replaced by the limiting shares.
 """
 
 from __future__ import annotations
@@ -28,7 +28,13 @@ from .errors import (
     NumericalBlowupError,
 )
 from .graph import ProportionTargets
-from .rates import RateSpec, as_block_rates, total_rate, validate_probability
+from .rates import (
+    RateSpec,
+    affine_rows,
+    as_block_rates,
+    total_rate,
+    validate_probability,
+)
 from .simulate import write_component_series
 
 __all__ = [
@@ -154,7 +160,8 @@ class MeanFieldFlow:
 class _VectorField:
     """Precompiled affine rate map and flux scatter for one (family,
     targets) pair. rates = max(W @ y + beta, 0) over flat (component,
-    edge) rows; dy = S @ (rates * y[src])."""
+    edge) rows, W the dense scatter of `affine_rows`; dy = S @ (rates *
+    y[src])."""
 
     def __init__(self, family, targets: ProportionTargets):
         family = as_block_rates(family, targets.r)
@@ -168,28 +175,24 @@ class _VectorField:
         beta = np.zeros(nrow)
         src = np.zeros(nrow, dtype=np.int64)
         S = np.zeros((nc, nrow))
-        p_p = targets.p_p
+        readers = []
         for j in range(r):
-            for cls in (0, 1):
-                g = 2 * j + cls
-                spec = family.spec_for(j, cls)
-                if cls == 0:
-                    shares = {2 * j: (targets.p_c[j], "c"),
-                              2 * j + 1: (p_p[j], "p")}
-                else:
-                    shares = {2 * j: (targets.alpha_c[j], "c")}
-                    for i in range(r):
-                        shares[2 * i + 1] = (targets.q[j][i], "p")
-                for e, (z, zp) in enumerate(cg.edges):
-                    row = g * ne + e
-                    beta[row] = spec.beta[e]
-                    src[row] = g * K + z
-                    S[g * K + zp, row] += 1.0
-                    S[g * K + z, row] -= 1.0
-                    for gi, (w, kind) in shares.items():
-                        tab = spec.gamma_c[e] if kind == "c" else spec.gamma_p[e]
-                        for x in range(K):
-                            W[row, gi * K + x] += w * tab[x]
+            readers.append(((j, 0), {2 * j: (targets.p_c[j], 0),
+                                     2 * j + 1: (targets.p_p[j], 1)}))
+            reads = {2 * j: (targets.alpha_c[j], 0)}
+            for i in range(r):
+                reads[2 * i + 1] = (targets.q[j][i], 1)
+            readers.append(((j, 1), reads))
+        rows, betas = affine_rows(family, readers)
+        for g in range(2 * r):
+            beta[g * ne:(g + 1) * ne] = betas[g]
+            for e, (z, zp) in enumerate(cg.edges):
+                row = g * ne + e
+                for col, w in rows[g][e]:
+                    W[row, col] = w
+                src[row] = g * K + z
+                S[g * K + zp, row] += 1.0
+                S[g * K + z, row] -= 1.0
         self.W, self.beta, self.src, self.S = W, beta, src, S
 
     def rates(self, y_flat: np.ndarray) -> np.ndarray:
@@ -215,13 +218,12 @@ def flow_rates(flow: MeanFieldFlow, spec, targets) -> np.ndarray:
 
 
 def flow_drift(flow: MeanFieldFlow, spec, targets) -> np.ndarray:
-    """A*mu along a flow, component by component: (n_times, 2r, K)."""
+    """A*mu along a flow, component by component: (n_times, 2r, K). Reads
+    the same batched rate evaluation as `flow_rates`."""
     field = _VectorField(spec, targets)
     n = flow.times.size
     flat = np.maximum(flow.values, 0.0).reshape(n, 2 * field.r * field.K)
-    out = np.empty((n, 2 * field.r * field.K))
-    for i in range(n):
-        out[i] = field.rhs(flat[i])
+    out = (field.rates_many(flat) * flat[:, field.src]) @ field.S.T
     return out.reshape(n, 2 * field.r, field.K)
 
 

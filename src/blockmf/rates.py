@@ -54,7 +54,7 @@ def validate_measure(x, K=None):
 
 def validate_probability(x, K=None, tol=1e-9):
     arr = validate_measure(x, K)
-    s = arr.sum()
+    s = float(arr.sum())
     if abs(s - 1.0) > tol:
         raise InvalidArgumentError(f"probability vector sums to {s!r}, not 1")
     return arr
@@ -304,6 +304,38 @@ def as_block_rates(spec, r: int) -> BlockRates:
             )
         return spec
     raise InvalidArgumentError(f"not a rate spec: {type(spec).__name__}")
+
+
+def affine_rows(family: BlockRates, readers):
+    """Compile the affine rate map of each reader into sparse rows.
+
+    readers: iterable of ((block, cls), {read_group: (weight, read_cls)}).
+    A read group is read through gamma_c when read_cls is 0 (central) and
+    through gamma_p when it is 1 (peripheral); weight multiplies whatever
+    vector the caller stores at that group (counts or measures). Returns
+    (rows, beta) with one entry per reader: rows[i][e] is the sorted list
+    of (read_group * K + x, weight * table[e][x]) over the nonzero table
+    entries, beta[i] the spec's per-edge state-only term. (Two lists, not
+    a pair per reader: on large sparse designs such pairs, allocated
+    between the rows and freed after the build, sat on the interpreter's
+    tuple free list and kept the rows' memory from being returned.)
+    """
+    K = family.colors.K
+    rows, beta = [], []
+    for (j, cls), reads in readers:
+        spec = family.spec_for(j, cls)
+        own = []
+        for tabs in zip(spec.gamma_c, spec.gamma_p):
+            nonzero = [[(x, v) for x, v in enumerate(tab) if v]
+                       for tab in tabs]
+            own.append(sorted(
+                (gi * K + x, w * v)
+                for gi, (w, read_cls) in reads.items()
+                for x, v in nonzero[read_cls]
+            ))
+        rows.append(own)
+        beta.append(list(spec.beta))
+    return rows, beta
 
 
 def _affine_rate(spec: RateSpec, edge_idx: int, w0, nu, ws, mus) -> float:

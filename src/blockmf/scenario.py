@@ -9,18 +9,19 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfigurationError
+from .errors import InvalidConfigurationError, ValidationError
 from .graph import (
     BlockGraph,
     ProportionTargets,
     build_complete_peripheral,
     build_regular_peripheral,
 )
-from .rates import RateSpec, queue_spec, sis_spec
+from .rates import RateSpec, queue_spec, sis_spec, validate_probability
 
 __all__ = ["Scenario", "load_scenario"]
 
@@ -39,6 +40,20 @@ def _reject_unknown(obj, allowed, where):
         raise InvalidConfigurationError(
             f"unknown field(s) in {where}: {sorted(unknown)}"
         )
+
+
+@contextmanager
+def _section(where):
+    """Report a missing key or a value of the wrong type or form inside a
+    scenario section as an InvalidConfigurationError naming the section."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except KeyError as exc:
+        raise InvalidConfigurationError(f"{where} missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigurationError(f"malformed {where}: {exc}") from None
 
 
 def _positive(value, name, *, integer=False, minimum=None):
@@ -182,23 +197,25 @@ class Scenario:
             raise InvalidConfigurationError("scenario needs a graph section")
         if not isinstance(obj, dict):
             raise InvalidConfigurationError("graph must be a JSON object")
-        if "file" in obj:
-            _reject_unknown(obj, {"file"}, "graph")
-            with open(self._resolve_file(obj["file"], "graph")) as fp:
-                return BlockGraph.from_json_obj(json.load(fp))
-        if "complete_blocks" in obj:
-            _reject_unknown(obj, {"complete_blocks"}, "graph")
-            return build_complete_peripheral(
-                [tuple(b) for b in obj["complete_blocks"]]
-            )
-        if "regular" in obj:
-            _reject_unknown(obj, {"regular"}, "graph")
-            inner = obj["regular"]
-            _reject_unknown(inner, {"blocks", "fractions"}, "graph.regular")
-            return build_regular_peripheral(
-                [tuple(b) for b in inner["blocks"]], inner["fractions"]
-            )
-        return BlockGraph.from_json_obj(obj)
+        with _section("graph"):
+            if "file" in obj:
+                _reject_unknown(obj, {"file"}, "graph")
+                with open(self._resolve_file(obj["file"], "graph")) as fp:
+                    return BlockGraph.from_json_obj(json.load(fp))
+            if "complete_blocks" in obj:
+                _reject_unknown(obj, {"complete_blocks"}, "graph")
+                return build_complete_peripheral(
+                    [tuple(b) for b in obj["complete_blocks"]]
+                )
+            if "regular" in obj:
+                _reject_unknown(obj, {"regular"}, "graph")
+                inner = obj["regular"]
+                _reject_unknown(inner, {"blocks", "fractions"},
+                                "graph.regular")
+                return build_regular_peripheral(
+                    [tuple(b) for b in inner["blocks"]], inner["fractions"]
+                )
+            return BlockGraph.from_json_obj(obj)
 
     def build_rates(self, obj=None):
         if obj is None:
@@ -207,25 +224,27 @@ class Scenario:
             raise InvalidConfigurationError("scenario needs a rates section")
         if not isinstance(obj, dict):
             raise InvalidConfigurationError("rates must be a JSON object")
-        if "file" in obj:
-            _reject_unknown(obj, {"file"}, "rates")
-            with open(self._resolve_file(obj["file"], "rates")) as fp:
-                return self.build_rates(json.load(fp))
-        model = obj.get("model")
-        if model == "sis":
-            _reject_unknown(obj, {"model", "r", "gamma", "nu", "eta",
-                                  "zeta"}, "rates")
-            r = _positive(obj.get("r", 1), "rates.r", integer=True, minimum=1)
-            return sis_spec(r, obj["gamma"], obj["nu"], obj["eta"],
-                            obj["zeta"])
-        if model == "queue":
-            _reject_unknown(obj, {"model", "colors", "zeta", "vartheta",
-                                  "c0"}, "rates")
-            return queue_spec(obj["colors"], obj["zeta"], obj["vartheta"],
-                              obj["c0"])
-        if model == "tables":
-            _reject_unknown(obj, {"model", "spec"}, "rates")
-            return RateSpec.from_json_obj(obj["spec"])
+        with _section("rates"):
+            if "file" in obj:
+                _reject_unknown(obj, {"file"}, "rates")
+                with open(self._resolve_file(obj["file"], "rates")) as fp:
+                    return self.build_rates(json.load(fp))
+            model = obj.get("model")
+            if model == "sis":
+                _reject_unknown(obj, {"model", "r", "gamma", "nu", "eta",
+                                      "zeta"}, "rates")
+                r = _positive(obj.get("r", 1), "rates.r", integer=True,
+                              minimum=1)
+                return sis_spec(r, obj["gamma"], obj["nu"], obj["eta"],
+                                obj["zeta"])
+            if model == "queue":
+                _reject_unknown(obj, {"model", "colors", "zeta", "vartheta",
+                                      "c0"}, "rates")
+                return queue_spec(obj["colors"], obj["zeta"],
+                                  obj["vartheta"], obj["c0"])
+            if model == "tables":
+                _reject_unknown(obj, {"model", "spec"}, "rates")
+                return RateSpec.from_json_obj(obj["spec"])
         raise InvalidConfigurationError(
             f"unknown rate model {model!r}; choose sis, queue or tables"
         )
@@ -240,26 +259,32 @@ class Scenario:
             raise InvalidConfigurationError(
                 "targets must be an object or \"from_graph\""
             )
-        return ProportionTargets.from_json_obj(obj)
+        with _section("targets"):
+            return ProportionTargets.from_json_obj(obj)
 
     def build_inits(self, r: int):
         obj = self.raw.get("init")
         if obj is None:
             raise InvalidConfigurationError("scenario needs an init section")
+        if not isinstance(obj, dict):
+            raise InvalidConfigurationError("init must be a JSON object")
         _reject_unknown(obj, {"c", "p"}, "init")
-        try:
-            cs, ps = obj["c"], obj["p"]
-        except KeyError as exc:
-            raise InvalidConfigurationError(f"init missing {exc} rows")
-        if len(cs) != r or len(ps) != r:
-            raise InvalidConfigurationError(
-                f"init needs {r} central and {r} peripheral rows"
-            )
-        out = []
-        for j in range(r):
-            out.append(np.asarray(cs[j], dtype=float))
-            out.append(np.asarray(ps[j], dtype=float))
-        return out
+        with _section("init"):
+            rows = {cls: list(obj[cls]) for cls in ("c", "p")}
+            if any(len(v) != r for v in rows.values()):
+                raise InvalidConfigurationError(
+                    f"init needs {r} central and {r} peripheral rows"
+                )
+            out = []
+            for j in range(r):
+                for cls in ("c", "p"):
+                    try:
+                        out.append(validate_probability(rows[cls][j]))
+                    except ValidationError as exc:
+                        raise InvalidConfigurationError(
+                            f"init {cls} row {j}: {exc}"
+                        ) from None
+            return out
 
 
 def load_scenario(path) -> Scenario:

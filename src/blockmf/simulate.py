@@ -27,7 +27,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .graph import CENTRAL, PERIPHERAL, BlockGraph, neighborhood_proportions
-from .rates import as_block_rates
+from .rates import affine_rows, as_block_rates
 
 __all__ = [
     "SystemState",
@@ -192,55 +192,7 @@ class _Kernel:
         self.n_groups = len(self.members)
 
         # coefficient lists: coef[g][e] = [(flat_count_index, weight), ...]
-        self.coef = []
-        self.beta = []
-        for g in range(self.n_groups):
-            j, cls = self.meta[g]
-            spec = family.spec_for(j, cls)
-            if cls == CENTRAL:
-                denom = graph.block_size(j)
-                central_w = {j: 1.0 / denom}
-                perip_nodes = list(graph.peripheral_nodes(j))
-                perip_w = {n: 1.0 / denom for n in perip_nodes}
-            else:
-                node = self.members[g][0]
-                denom = graph.degree(node) + 1
-                central_w = {j: 1.0 / denom}
-                if complete:
-                    perip_w = {
-                        n: 1.0 / denom
-                        for i in range(graph.r)
-                        for n in graph.peripheral_nodes(i)
-                    }
-                else:
-                    perip_w = {n: 1.0 / denom
-                               for n in graph.peripheral_neighbors(node)}
-                    perip_w[node] = 1.0 / denom
-            # collapse per-node weights to per-group weights: an aggregated
-            # group's count vector already sums over its members, and the
-            # members of one group always share one weight here, so the
-            # weight enters once per group, not once per node
-            perip_gw = {}
-            for n, w in perip_w.items():
-                perip_gw[self._peripheral_group(n, complete)] = w
-            rows = []
-            for e in range(self.n_edges):
-                gc, gp = spec.gamma_c[e], spec.gamma_p[e]
-                acc = {}
-                for jj, w in central_w.items():
-                    gi = self._central_group(jj)
-                    for z in range(K):
-                        if gc[z]:
-                            idx = gi * K + z
-                            acc[idx] = acc.get(idx, 0.0) + w * gc[z]
-                for gi, w in perip_gw.items():
-                    for z in range(K):
-                        if gp[z]:
-                            idx = gi * K + z
-                            acc[idx] = acc.get(idx, 0.0) + w * gp[z]
-                rows.append(sorted(acc.items()))
-            self.coef.append(rows)
-            self.beta.append([spec.beta[e] for e in range(self.n_edges)])
+        self.coef, self.beta = affine_rows(family, self._readers(complete))
 
         # reverse dependencies: jump in g0 dirties every group reading g0
         deps = [set() for _ in range(self.n_groups)]
@@ -264,13 +216,28 @@ class _Kernel:
             self.group_of_node[n] = g
         return g
 
-    def _central_group(self, j):
-        return j
-
-    def _peripheral_group(self, n, complete):
-        if complete:
-            return self.graph.r + self.graph.block_of(n)
-        return self.group_of_node[n]
+    def _readers(self, complete):
+        """Yield, group by group, the groups it reads with their weights
+        (streamed: on sparse designs the dicts would outweigh the rows).
+        Every node weighs each neighbour by 1/(neighbourhood size); the
+        members of one group share that weight, so a group's count vector
+        enters once with it. Central groups are 0..r-1."""
+        graph = self.graph
+        for g, (j, cls) in enumerate(self.meta):
+            if cls == CENTRAL:
+                w = 1.0 / graph.block_size(j)
+                seen = graph.peripheral_nodes(j)
+            else:
+                node = self.members[g][0]
+                w = 1.0 / (graph.degree(node) + 1)
+                if complete:
+                    seen = graph.peripheral_nodes_all()
+                else:
+                    seen = [*graph.peripheral_neighbors(node), node]
+            reads = dict.fromkeys((self.group_of_node[n] for n in seen),
+                                  (w, PERIPHERAL))
+            reads[j] = (w, CENTRAL)
+            yield (j, cls), reads
 
     # -- per-run state -------------------------------------------------
 

@@ -210,3 +210,26 @@ def test_entry_point_declared_and_runs_as_module(tmp_path):
     proc = run_blockmf_module(["validate", "--scenario", scen_path(tmp_path)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("scenario OK")
+
+
+def _without(section, key):
+    return {**SCEN, section: {k: v for k, v in SCEN[section].items()
+                              if k != key}}
+
+
+@pytest.mark.parametrize("sub", ["validate", "simulate"])
+@pytest.mark.parametrize("scen", [
+    _without("rates", "gamma"),
+    {**SCEN, "graph": {"complete_blocks": 5}},
+    {**SCEN, "init": {**SCEN["init"], "c": [["x", 0.3], [0.8, 0.2]]}},
+    {**SCEN, "init": {**SCEN["init"], "c": [[0.7, 0.4], [0.8, 0.2]]}},
+], ids=["rates-missing-gamma", "graph-not-a-list", "init-not-numeric",
+        "init-not-a-probability"])
+def test_malformed_scenario_fails_closed(tmp_path, sub, scen):
+    proc = run_blockmf_module([sub, "--scenario", scen_path(tmp_path, scen),
+                               "--out", str(tmp_path / "out")])
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert not (tmp_path / "out" / "trajectory.csv").exists()

@@ -44,7 +44,7 @@ def test_d_bl_hand_values():
 
 def test_d_bl_matches_full_lp_reference():
     gen = np.random.default_rng(77)
-    for K in range(2, 11):   # crosses the enumeration/LP switch at K=8
+    for K in range(2, 25):   # the chain DP against the full LP, any K
         for _ in range(20):
             mu = gen.dirichlet(np.ones(K))
             nu = gen.dirichlet(np.ones(K))

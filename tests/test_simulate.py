@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import blockmf as bm
+from blockmf.meanfield import _VectorField
 from blockmf.rates import total_rate
 from blockmf.simulate import _Kernel, local_empirical
 
@@ -118,6 +119,36 @@ def test_kernel_rates_match_definition(builder, fam):
     for _ in range(6):
         colors = gen.integers(0, family.colors.K, graph.n_total)
         assert kernel_definition_gap(graph, family, colors) <= 1e-12
+
+
+@pytest.mark.parametrize("fam", [
+    SIS,
+    bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.6, h_coefficient=0.4),
+])
+def test_kernel_rates_match_limit_field(fam):
+    # on a complete design the finite graph's proportions are the limit's,
+    # so each aggregated group must read the limit rates at counts/size
+    graph = bm.build_complete_peripheral([(2, 3), (3, 4)])
+    targets = bm.ProportionTargets.from_graph(graph)
+    family = bm.as_block_rates(fam, graph.r)
+    field = _VectorField(family, targets)
+    K, ne = family.colors.K, family.colors.n_edges
+    gen = np.random.default_rng(13)
+    for _ in range(6):
+        colors = gen.integers(0, K, graph.n_total)
+        st = bm.SystemState.from_colors(graph, colors, K)
+        kern = _Kernel(graph, family)
+        kern.load(st.colors)
+        y = np.concatenate([
+            np.asarray(st.counts[j][cls], dtype=float)
+            / graph.block_sizes[j][cls]
+            for j in range(graph.r) for cls in (0, 1)
+        ])
+        want = field.rates(y)
+        for g, (j, cls) in enumerate(kern.meta):
+            comp = 2 * j + cls
+            assert np.abs(np.asarray(kern.rate[g])
+                          - want[comp * ne:(comp + 1) * ne]).max() <= 1e-12
 
 
 def test_kernel_group_totals():
