@@ -88,19 +88,22 @@ def _grid_size(args, sc, default=51):
 def cmd_validate(args):
     sc, seed, _ = _resolve(args, need_seed=False)
     checked = ["schema"]
-    graph = targets = None
+    graph = targets = K = None
     if "graph" in sc.raw:
         graph = sc.build_graph()
         checked.append(f"graph(N={graph.n_total},r={graph.r})")
     if "rates" in sc.raw:
-        sc.build_rates()
+        K = sc.build_rates().colors.K
         checked.append("rates")
     if "targets" in sc.raw or graph is not None:
         targets = sc.build_targets(graph)
         checked.append("targets")
     if "init" in sc.raw and targets is not None:
-        sc.build_inits(targets.r)
+        sc.build_inits(targets.r, K)
         checked.append("init")
+    if "tagged" in sc.raw and targets is not None:
+        sc.tagged(targets.r)
+        checked.append("tagged")
     numeric_checks = {
         "horizon": lambda: sc.horizon,
         "dt": sc.dt,
@@ -124,7 +127,7 @@ def cmd_simulate(args):
     graph = sc.build_graph()
     spec = sc.build_rates()
     targets = sc.build_targets(graph)
-    inits = sc.build_inits(graph.r)
+    inits = sc.build_inits(graph.r, spec.colors.K)
     T = sc.horizon
     gen = substream(seed)
     colors = sample_block_colors(graph, inits, gen)
@@ -144,7 +147,7 @@ def cmd_meanfield(args):
     graph = sc.build_graph() if "graph" in sc.raw else None
     spec = sc.build_rates()
     targets = sc.build_targets(graph)
-    inits = sc.build_inits(targets.r)
+    inits = sc.build_inits(targets.r, spec.colors.K)
     flow = solve_mckean_vlasov(spec, targets, inits, sc.horizon, sc.dt())
     with open(os.path.join(out_dir, "flow.csv"), "w") as fp:
         flow.to_csv(fp)
@@ -158,7 +161,7 @@ def cmd_picard(args):
     graph = sc.build_graph() if "graph" in sc.raw else None
     spec = sc.build_rates()
     targets = sc.build_targets(graph)
-    inits = sc.build_inits(targets.r)
+    inits = sc.build_inits(targets.r, spec.colors.K)
     flow, residuals = picard_iterate(
         spec, targets, inits, sc.horizon, sc.dt(),
         tol=sc.picard_tol, max_iter=sc.picard_max_iter,
@@ -178,7 +181,7 @@ def cmd_chaos(args):
     spec = sc.build_rates()
     targets = sc.build_targets(None if "graph" not in sc.raw
                                else sc.build_graph())
-    inits = sc.build_inits(targets.r)
+    inits = sc.build_inits(targets.r, spec.colors.K)
     report = lln_experiment(
         proportional_family(targets), spec, targets, inits, sc.horizon,
         _grid_size(args, sc, default=31), sc.n_list, sc.replicas(),
@@ -199,7 +202,7 @@ def cmd_multichaos(args):
     spec = sc.build_rates()
     targets = sc.build_targets(None if "graph" not in sc.raw
                                else sc.build_graph())
-    inits = sc.build_inits(targets.r)
+    inits = sc.build_inits(targets.r, spec.colors.K)
     family = proportional_family(targets)
     tagged = sc.tagged(targets.r)
     replicas = sc.replicas()
@@ -231,7 +234,7 @@ def cmd_ldp_cost(args):
             flow = MeanFieldFlow.from_csv(fp)
         source = flow_path
     else:
-        inits = sc.build_inits(targets.r)
+        inits = sc.build_inits(targets.r, spec.colors.K)
         flow = solve_mckean_vlasov(spec, targets, inits, sc.horizon, sc.dt())
         source = "fresh mean-field solve"
     cost = variational_cost(flow, targets, spec)
@@ -246,7 +249,7 @@ def cmd_oracle_check(args):
     graph = sc.build_graph()
     spec = sc.build_rates()
     targets = sc.build_targets(graph)
-    inits = sc.build_inits(graph.r)
+    inits = sc.build_inits(graph.r, spec.colors.K)
     T = sc.horizon
     replicas = sc.replicas(default=20000)
     K = inits[0].size

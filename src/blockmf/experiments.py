@@ -242,7 +242,12 @@ def _resolve_tagged(graph: BlockGraph, tagged_nodes):
         else:
             j, cls = spec_
             if isinstance(cls, str):
-                cls = {"c": 0, "p": 1}[cls]
+                cls = {"c": 0, "p": 1}.get(cls)
+            if not 0 <= j < graph.r or cls not in (0, 1):
+                raise InvalidArgumentError(
+                    f"tagged {tuple(spec_)!r} names no class of a graph "
+                    f"with {graph.r} blocks"
+                )
             nodes = (graph.central_nodes(j) if cls == CENTRAL
                      else graph.peripheral_nodes(j))
             out.append(nodes[0])

@@ -170,37 +170,24 @@ def legendre_cost(flow: MeanFieldFlow, targets, spec,
             f"model rate {lam[i, g, e]:.3g} on edge {e} of component {g} "
             f"at t={flow.times[i]:.6g} is below the floor {rate_floor:.3g}"
         )
-    src = np.fromiter((z for z, _ in family.colors.edges), dtype=int)
     mu = np.clip(flow.values, 0.0, None)       # (n, 2r, K)
-    mu_src = mu[:, :, src]                     # (n, 2r, E)
+    mu_src = mu[:, :, family.colors.src]       # (n, 2r, E)
     integrand = np.sum(mu_src * lam * tau_star(rate_family.values / lam - 1.0),
                        axis=2)
     return _package_cost(flow.times, integrand, targets, flow.r)
 
 
-def _active_components(K, src, dst):
-    """Connected components of the undirected support graph; colors with
-    no incident edge come back as singletons."""
-    adj = [set() for _ in range(K)]
-    for a, b in zip(src, dst):
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = [False] * K
-    comps = []
-    for start in range(K):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            z = stack.pop()
-            comp.append(z)
-            for nb in adj[z]:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
-        comps.append(comp)
-    return comps
+def _component_roots(K, src, dst):
+    """Root of each color's connected component in the undirected support
+    graph: the lowest color it reaches. Boolean reachability (identity
+    plus each edge both ways) squared until paths of length K-1 are in;
+    a color with no incident edge is its own root."""
+    reach = np.eye(K, dtype=bool)
+    reach[src, dst] = True
+    reach[dst, src] = True
+    for _ in range((K - 1).bit_length()):
+        reach = reach @ reach
+    return reach.argmax(axis=1)
 
 
 def variational_norm(theta, mu_point, lambda_table, colors: ColorGraph, *,
@@ -225,32 +212,20 @@ def variational_norm(theta, mu_point, lambda_table, colors: ColorGraph, *,
     if abs(float(theta.sum())) > 1e-10:
         return math.inf
 
-    src_all = np.fromiter((z for z, _ in colors.edges), dtype=int)
-    dst_all = np.fromiter((zp for _, zp in colors.edges), dtype=int)
-    w_all = mu_point[src_all] * lam
+    w_all = mu_point[colors.src] * lam
     act = w_all > 0.0
-    src, dst, w = src_all[act], dst_all[act], w_all[act]
-    if src.size == 0:
-        return 0.0 if float(np.max(np.abs(theta), initial=0.0)) <= grad_tol \
-            else math.inf
+    src, dst, w = colors.src[act], colors.dst[act], w_all[act]
 
     # a direction constant on a support component costs nothing, so any
     # component carrying net theta mass makes the sup infinite; colors
-    # outside the support with negligible theta are frozen at zero
-    comps = _active_components(K, src, dst)
-    free = []
-    for comp in comps:
-        mass = float(theta[comp].sum())
-        if len(comp) == 1:
-            if abs(mass) > grad_tol:
-                return math.inf
-            continue
-        if abs(mass) > grad_tol:
-            return math.inf
-        free.extend(sorted(comp)[1:])  # pin the lowest color of each comp
-    if not free:
+    # outside the support with negligible theta are frozen at zero, and
+    # the root (lowest color) of each component is pinned
+    roots = _component_roots(K, src, dst)
+    if np.any(np.abs(np.bincount(roots, theta, minlength=K)) > grad_tol):
+        return math.inf
+    free = np.flatnonzero(roots != np.arange(K))
+    if free.size == 0:
         return 0.0
-    free = np.array(sorted(free), dtype=int)
 
     phi = np.zeros(K)
 
@@ -391,8 +366,7 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
     times = flow.times
     lam_grid = flow_rates(flow, spec, targets)[:, g, :]  # (n, E)
     excess = np.zeros((times.size, K))  # sum of (lam - 1) over out-edges
-    for e, (z, _) in enumerate(colors.edges):
-        excess[:, z] += lam_grid[:, e] - 1.0
+    np.add.at(excess.T, colors.src, (lam_grid - 1.0).T)
 
     out = np.empty(len(paths))
     for ip, path in enumerate(paths):

@@ -159,9 +159,11 @@ class MeanFieldFlow:
 
 class _VectorField:
     """Precompiled affine rate map and flux scatter for one (family,
-    targets) pair. rates = max(W @ y + beta, 0) over flat (component,
-    edge) rows, W the dense scatter of `affine_rows`; dy = S @ (rates *
-    y[src])."""
+    targets) pair, over flat (component, edge) rate rows and flat
+    (component, color) states. Two evaluators, each over any leading
+    shape (one state or a stack of them): `rates(Y)` = max(Y W^T + beta,
+    0), W the dense scatter of `affine_rows`; `drift(R, Y)` = (R *
+    Y[..., src]) S^T, the forward equation's A*mu at rates R."""
 
     def __init__(self, family, targets: ProportionTargets):
         family = as_block_rates(family, targets.r)
@@ -170,11 +172,6 @@ class _VectorField:
         cg = family.colors
         r, K, ne = targets.r, cg.K, cg.n_edges
         self.r, self.K, self.ne = r, K, ne
-        nc, nrow = 2 * r * K, 2 * r * ne
-        W = np.zeros((nrow, nc))
-        beta = np.zeros(nrow)
-        src = np.zeros(nrow, dtype=np.int64)
-        S = np.zeros((nc, nrow))
         readers = []
         for j in range(r):
             readers.append(((j, 0), {2 * j: (targets.p_c[j], 0),
@@ -184,47 +181,43 @@ class _VectorField:
                 reads[2 * i + 1] = (targets.q[j][i], 1)
             readers.append(((j, 1), reads))
         rows, betas = affine_rows(family, readers)
+        W = np.zeros((2 * r * ne, 2 * r * K))
         for g in range(2 * r):
-            beta[g * ne:(g + 1) * ne] = betas[g]
-            for e, (z, zp) in enumerate(cg.edges):
-                row = g * ne + e
+            for e in range(ne):
                 for col, w in rows[g][e]:
-                    W[row, col] = w
-                src[row] = g * K + z
-                S[g * K + zp, row] += 1.0
-                S[g * K + z, row] -= 1.0
-        self.W, self.beta, self.src, self.S = W, beta, src, S
+                    W[g * ne + e, col] = w
+        base = np.repeat(np.arange(2 * r) * K, ne)
+        src = base + np.tile(cg.src, 2 * r)
+        dst = base + np.tile(cg.dst, 2 * r)
+        S = np.zeros((2 * r * K, 2 * r * ne))
+        S[dst, np.arange(2 * r * ne)] = 1.0
+        S[src, np.arange(2 * r * ne)] = -1.0
+        self.W, self.beta, self.src, self.S = W, np.concatenate(betas), src, S
 
-    def rates(self, y_flat: np.ndarray) -> np.ndarray:
-        return np.maximum(self.W @ y_flat + self.beta, 0.0)
-
-    def rates_many(self, Y: np.ndarray) -> np.ndarray:
-        """Y: (m, 2rK) stacked states -> (m, 2rE) rates."""
+    def rates(self, Y: np.ndarray) -> np.ndarray:
         return np.maximum(Y @ self.W.T + self.beta, 0.0)
 
-    def apply(self, rates: np.ndarray, y_flat: np.ndarray) -> np.ndarray:
-        return self.S @ (rates * y_flat[self.src])
+    def drift(self, R: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return (R * Y.take(self.src, axis=-1)) @ self.S.T
 
     def rhs(self, y_flat: np.ndarray) -> np.ndarray:
-        return self.apply(self.rates(y_flat), y_flat)
+        return self.drift(self.rates(y_flat), y_flat)
 
 
 def flow_rates(flow: MeanFieldFlow, spec, targets) -> np.ndarray:
     """Model jump rates along a flow: (n_times, 2r, n_edges)."""
     field = _VectorField(spec, targets)
-    n = flow.times.size
-    flat = np.maximum(flow.values, 0.0).reshape(n, 2 * field.r * field.K)
-    return field.rates_many(flat).reshape(n, 2 * field.r, field.ne)
+    flat = np.maximum(flow.values, 0.0).reshape(flow.times.size, -1)
+    return field.rates(flat).reshape(flow.times.size, 2 * field.r, field.ne)
 
 
 def flow_drift(flow: MeanFieldFlow, spec, targets) -> np.ndarray:
     """A*mu along a flow, component by component: (n_times, 2r, K). Reads
     the same batched rate evaluation as `flow_rates`."""
     field = _VectorField(spec, targets)
-    n = flow.times.size
-    flat = np.maximum(flow.values, 0.0).reshape(n, 2 * field.r * field.K)
-    out = (field.rates_many(flat) * flat[:, field.src]) @ field.S.T
-    return out.reshape(n, 2 * field.r, field.K)
+    flat = np.maximum(flow.values, 0.0).reshape(flow.times.size, -1)
+    out = field.drift(field.rates(flat), flat)
+    return out.reshape(flow.values.shape)
 
 
 def _grid(T: float, dt: float):
@@ -283,7 +276,7 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
     n1 = frozen.shape[0]
     r, K = field.r, field.K
     flat = frozen.reshape(n1, 2 * r * K)
-    R_grid = field.rates_many(flat)
+    R_grid = field.rates(flat)
     if n1 >= 4:
         mid = np.empty((n1 - 1, flat.shape[1]))
         mid[1:-1] = (-flat[:-3] + 9.0 * flat[1:-2]
@@ -292,15 +285,15 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
         mid[-1] = (3.0 * flat[-1] + 6.0 * flat[-2] - flat[-3]) / 8.0
     else:
         mid = 0.5 * (flat[:-1] + flat[1:])
-    R_mid = field.rates_many(mid)
+    R_mid = field.rates(mid)
     out = np.empty_like(frozen)
     y = y0.copy()
     out[0] = y.reshape(2 * r, K)
     for i in range(n1 - 1):
-        k1 = field.apply(R_grid[i], y)
-        k2 = field.apply(R_mid[i], y + 0.5 * dt * k1)
-        k3 = field.apply(R_mid[i], y + 0.5 * dt * k2)
-        k4 = field.apply(R_grid[i + 1], y + dt * k3)
+        k1 = field.drift(R_grid[i], y)
+        k2 = field.drift(R_mid[i], y + 0.5 * dt * k1)
+        k3 = field.drift(R_mid[i], y + 0.5 * dt * k2)
+        k4 = field.drift(R_grid[i + 1], y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(y)):
             raise NumericalBlowupError("non-finite flow in fixed-point sweep")
@@ -375,9 +368,6 @@ def simulate_limit_particle(spec, targets: ProportionTargets,
     if len(init_colors) != 2 * r:
         raise InvalidArgumentError(f"need 2r={2 * r} initial colors")
     T = flow.T
-    n = flow.times.size - 1
-    dt = flow.dt
-    vals = np.maximum(flow.values, 0.0).reshape(n + 1, 2 * r * K)
     paths = []
     for g in range(2 * r):
         j, cls = divmod(g, 2)
@@ -388,8 +378,6 @@ def simulate_limit_particle(spec, targets: ProportionTargets,
         )
         gen = seed if isinstance(seed, np.random.Generator) else \
             _rng.substream(seed, g)
-        Wg = field.W[g * ne:(g + 1) * ne]
-        bg = field.beta[g * ne:(g + 1) * ne]
         t, z = 0.0, init_colors[g]
         jt, cols = [], [z]
         if bound > 0.0:
@@ -397,11 +385,7 @@ def simulate_limit_particle(spec, targets: ProportionTargets,
                 t += gen.standard_exponential() / bound
                 if t > T:
                     break
-                x = min(t / dt, float(n))
-                i = min(int(x), n - 1)
-                w = x - i
-                y = (1.0 - w) * vals[i] + w * vals[i + 1]
-                rates = np.maximum(Wg @ y + bg, 0.0)
+                rates = field.rates(flow.at(t).ravel())[g * ne:(g + 1) * ne]
                 out = spec_g.colors.out_edges(z)
                 lam = [rates[e] for e in out]
                 s = sum(lam)

@@ -62,7 +62,9 @@ def validate_probability(x, K=None, tol=1e-9):
 
 @dataclass(frozen=True)
 class ColorGraph:
-    """Directed graph of allowed color transitions, colors 0..K-1."""
+    """Directed graph of allowed color transitions, colors 0..K-1. Besides
+    the canonical edge tuple it carries read-only int64 arrays `src` and
+    `dst` of the edge endpoints, in the same order."""
 
     K: int
     edges: tuple
@@ -94,6 +96,10 @@ class ColorGraph:
                 for z in range(K)
             ),
         )
+        ends = np.array(canon, dtype=np.int64).reshape(-1, 2).T.copy()
+        ends.setflags(write=False)
+        object.__setattr__(self, "src", ends[0])
+        object.__setattr__(self, "dst", ends[1])
 
     @property
     def n_edges(self):

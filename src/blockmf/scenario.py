@@ -172,12 +172,14 @@ class Scenario:
                 out.append(item)
                 continue
             if (isinstance(item, list) and len(item) == 2
-                    and isinstance(item[0], int) and item[1] in ("c", "p")):
+                    and isinstance(item[0], int)
+                    and not isinstance(item[0], bool)
+                    and 0 <= item[0] < r and item[1] in ("c", "p")):
                 out.append((item[0], item[1]))
                 continue
             raise InvalidConfigurationError(
-                f"tagged entries are node ids or [block, \"c\"|\"p\"]: "
-                f"{item!r}"
+                f"tagged entries are node ids or [block, \"c\"|\"p\"] "
+                f"with block in 0..{r - 1}: {item!r}"
             )
         return out
 
@@ -262,7 +264,9 @@ class Scenario:
         with _section("targets"):
             return ProportionTargets.from_json_obj(obj)
 
-    def build_inits(self, r: int):
+    def build_inits(self, r: int, K=None):
+        """Initial measures, central then peripheral per block; with K
+        given, every row must have K entries."""
         obj = self.raw.get("init")
         if obj is None:
             raise InvalidConfigurationError("scenario needs an init section")
@@ -279,7 +283,7 @@ class Scenario:
             for j in range(r):
                 for cls in ("c", "p"):
                     try:
-                        out.append(validate_probability(rows[cls][j]))
+                        out.append(validate_probability(rows[cls][j], K))
                     except ValidationError as exc:
                         raise InvalidConfigurationError(
                             f"init {cls} row {j}: {exc}"

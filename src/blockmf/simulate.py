@@ -39,9 +39,6 @@ __all__ = [
     "empirical_process",
 ]
 
-FULL_REFRESH_EVERY = 10_000  # guard against float drift in running sums
-
-
 @dataclass
 class SystemState:
     """Node colors plus the per-(block, class) color count table."""
@@ -248,14 +245,11 @@ class _Kernel:
         self.buckets = [
             [[] for _ in range(K)] for _ in range(self.n_groups)
         ]
-        self.pos = [0] * self.graph.n_total
         for g, members in enumerate(self.members):
             for n in members:
                 z = self.colors[n]
                 self.cnt[g * K + z] += 1
-                b = self.buckets[g][z]
-                self.pos[n] = len(b)
-                b.append(n)
+                self.buckets[g][z].append(n)
         self.rate = [[0.0] * self.n_edges for _ in range(self.n_groups)]
         self.group_total = [0.0] * self.n_groups
         for g in range(self.n_groups):
@@ -288,12 +282,11 @@ class _Kernel:
                 base += c * s
         self.group_total[g] = base
 
-    def run(self, T: float, gen: np.random.Generator, collect=True):
+    def run(self, T: float, gen: np.random.Generator):
         """Advance to horizon T; returns the event list."""
         draws = _rng.BatchedDraws(gen)
-        events = [] if collect else None
+        events = []
         t = 0.0
-        n_events = 0
         K = self.K
         cnt = self.cnt
         while True:
@@ -356,24 +349,15 @@ class _Kernel:
                 if i >= len(bucket):
                     i = len(bucket) - 1
             node = bucket[i]
-            last = bucket[-1]
-            bucket[i] = last
-            self.pos[last] = i
+            bucket[i] = bucket[-1]
             bucket.pop()
-            dest = self.buckets[g_pick][zp]
-            self.pos[node] = len(dest)
-            dest.append(node)
+            self.buckets[g_pick][zp].append(node)
             cnt[gK + z] -= 1
             cnt[gK + zp] += 1
             self.colors[node] = zp
-            if collect:
-                events.append((t, node, z, zp))
+            events.append((t, node, z, zp))
             for g in self.deps[g_pick]:
                 self._refresh(g)
-            n_events += 1
-            if n_events % FULL_REFRESH_EVERY == 0:
-                for g in range(self.n_groups):
-                    self._refresh(g)
         return events
 
     def check_counts(self):

@@ -1,10 +1,14 @@
+import contextlib
+import copy
 import importlib
+import io
 import json
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockmf.cli import main
 from conftest import run_blockmf_module
@@ -217,19 +221,90 @@ def _without(section, key):
                               if k != key}}
 
 
-@pytest.mark.parametrize("sub", ["validate", "simulate"])
-@pytest.mark.parametrize("scen", [
-    _without("rates", "gamma"),
-    {**SCEN, "graph": {"complete_blocks": 5}},
-    {**SCEN, "init": {**SCEN["init"], "c": [["x", 0.3], [0.8, 0.2]]}},
-    {**SCEN, "init": {**SCEN["init"], "c": [[0.7, 0.4], [0.8, 0.2]]}},
-], ids=["rates-missing-gamma", "graph-not-a-list", "init-not-numeric",
-        "init-not-a-probability"])
-def test_malformed_scenario_fails_closed(tmp_path, sub, scen):
-    proc = run_blockmf_module([sub, "--scenario", scen_path(tmp_path, scen),
-                               "--out", str(tmp_path / "out")])
+def assert_fails_closed(proc, artifact, needle):
+    """Exit 1 with exactly one `error:` line naming `needle`, no
+    traceback, and no artifact written."""
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
-    assert not (tmp_path / "out" / "trajectory.csv").exists()
+    assert needle in lines[0]
+    assert not artifact.exists()
+
+
+@pytest.mark.parametrize("sub", ["validate", "simulate"])
+@pytest.mark.parametrize("scen, needle", [
+    (_without("rates", "gamma"), "rates"),
+    ({**SCEN, "graph": {"complete_blocks": 5}}, "graph"),
+    ({**SCEN, "init": {**SCEN["init"], "c": [["x", 0.3], [0.8, 0.2]]}},
+     "init"),
+    ({**SCEN, "init": {**SCEN["init"], "c": [[0.7, 0.4], [0.8, 0.2]]}},
+     "init"),
+    ({**SCEN, "init": {**SCEN["init"], "c": [[1.0], [0.8, 0.2]]}}, "init"),
+    ({**SCEN, "init": {**SCEN["init"], "c": [[0.5, 0.3, 0.2], [0.8, 0.2]]}},
+     "init"),
+], ids=["rates-missing-gamma", "graph-not-a-list", "init-not-numeric",
+        "init-not-a-probability", "init-row-too-short", "init-row-too-long"])
+def test_malformed_scenario_fails_closed(tmp_path, sub, scen, needle):
+    proc = run_blockmf_module([sub, "--scenario", scen_path(tmp_path, scen),
+                               "--out", str(tmp_path / "out")])
+    assert_fails_closed(proc, tmp_path / "out" / "trajectory.csv", needle)
+
+
+@pytest.mark.parametrize("sub", ["validate", "multichaos"])
+@pytest.mark.parametrize("tagged", [[[0, "c"], [-1, "p"]],
+                                    [[0, "c"], [7, "p"]]],
+                         ids=["negative-block", "block-past-r"])
+def test_tagged_outside_blocks_fails_closed(tmp_path, sub, tagged):
+    scen = scen_path(tmp_path, {**SCEN, "tagged": tagged})
+    proc = run_blockmf_module([sub, "--scenario", scen,
+                               "--out", str(tmp_path / "out")])
+    assert_fails_closed(proc, tmp_path / "out" / "multichaos.csv", "tagged")
+
+
+FUZZ_SCEN = {**SCEN, "horizon": 0.5, "grid": 5,
+             "tagged": [[0, "c"], [1, "p"]]}
+FUZZ_VALUES = [None, True, "x", -1, 0, 0.5, 2, [], {}, [0.5, 0.5]]
+DELETE = object()
+
+
+def _paths(obj, prefix=()):
+    """The path from the root to every key and list index of a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutated(path, value):
+    scen = copy.deepcopy(FUZZ_SCEN)
+    parent = scen
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return scen
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(path=st.sampled_from(list(_paths(FUZZ_SCEN))),
+       value=st.sampled_from([DELETE, *FUZZ_VALUES]))
+def test_mutated_scenario_runs_or_fails_closed(tmp_path_factory, path,
+                                               value):
+    # any one-field mutation of a valid scenario either runs, or exits 1
+    # with a single error line; nothing escapes as an exception
+    tmp = tmp_path_factory.mktemp("fuzz")
+    sp = scen_path(tmp, _mutated(path, value))
+    for sub in ("validate", "simulate"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([sub, "--scenario", sp, "--out", str(tmp / "out")])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1), (sub, code, err.getvalue())
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: "), \
+                (sub, err.getvalue())

@@ -142,6 +142,11 @@ def test_multichaos_tagged_resolution():
     with pytest.raises(bm.InvalidArgumentError):
         bm.multichaos_test(g, spec, targets, [g.n_total], 0.5, 50, 3,
                            inits=inits)
+    # a (block, class) request must name a block of the graph and a class
+    for bad in ((-1, "p"), (2, "p"), (0, "x")):
+        with pytest.raises(bm.InvalidArgumentError, match="names no class"):
+            bm.multichaos_test(g, spec, targets, [0, bad], 0.5, 50, 3,
+                               inits=inits)
     # three tagged nodes produce a rank-3 joint table
     j3, p3, _ = bm.multichaos_test(
         g, spec, targets, [0, (0, "p"), (1, "p")], 0.5, 50, 3, inits=inits)

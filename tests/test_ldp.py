@@ -205,6 +205,27 @@ def test_variational_norm_random_sweep_sandwich():
             assert got >= primal_value(theta, mu, lam, cg, phi) - 1e-9
 
 
+def test_variational_norm_two_components_add_up():
+    # two detached 2-cycles: the sup splits into one independent problem
+    # per support component, each with its own pinned potential; mass
+    # moved between the components is not realizable
+    cg = bm.ColorGraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+    pair = bm.ColorGraph(2, [(0, 1), (1, 0)])
+    gen = np.random.default_rng(23)
+    for _ in range(20):
+        mu = gen.dirichlet(np.ones(4))
+        lam = gen.uniform(0.2, 2.0, 4)
+        a, b = gen.uniform(-0.1, 0.1, 2)
+        got = bm.variational_norm(np.array([-a, a, -b, b]), mu, lam, cg)
+        want = (bm.variational_norm(np.array([-a, a]), mu[:2], lam[:2], pair)
+                + bm.variational_norm(np.array([-b, b]), mu[2:], lam[2:],
+                                      pair))
+        assert np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-9)
+        moved = np.array([-a - 0.05, a, -b + 0.05, b])
+        assert bm.variational_norm(moved, mu, lam, cg) == math.inf
+
+
 # --------------------------------------------------------------------------
 # rate families and the Legendre form
 

@@ -174,3 +174,8 @@ def test_tagged_parsing(tmp_path):
     sc2 = load_scenario(write(tmp_path, {**BASE, "tagged": [[1, "x"]]}))
     with pytest.raises(bm.InvalidConfigurationError, match="tagged"):
         sc2.tagged(2)
+    for block in (-1, 2, True):
+        sc3 = load_scenario(write(tmp_path, {
+            **BASE, "tagged": [[0, "c"], [block, "p"]]}))
+        with pytest.raises(bm.InvalidConfigurationError, match="0..1"):
+            sc3.tagged(2)
