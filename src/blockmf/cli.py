@@ -19,9 +19,11 @@ from .experiments import (
     lln_experiment,
     multichaos_test,
     proportional_family,
+    proportional_sizes,
+    resolve_tagged,
     sample_block_colors,
 )
-from .graph import check_regularity
+from .graph import build_complete_peripheral, check_regularity
 from .ldp import variational_cost
 from .meanfield import MeanFieldFlow, picard_iterate, solve_mckean_vlasov
 from .oracle import master_equation_oracle
@@ -71,18 +73,32 @@ def _build_parser():
 
 def _resolve(args, *, need_seed=True):
     sc = load_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else sc.seed
+    # --seed and --grid override the scenario's fields and pass their
+    # checks, also where the subcommand does not use them
+    if args.grid is not None:
+        sc.raw["grid"] = args.grid
+        sc.grid()
+    if args.seed is not None:
+        sc.raw["seed"] = args.seed
+    seed = sc.seed
     if need_seed and seed is None:
         raise InvalidConfigurationError(
             "no seed: set one in the scenario or pass --seed"
         )
+    if args.threads < 1:
+        raise InvalidConfigurationError("--threads must be >= 1")
     out_dir = args.out or sc.out or "."
     os.makedirs(out_dir, exist_ok=True)
     return sc, seed, out_dir
 
 
-def _grid_size(args, sc, default=51):
-    return args.grid if args.grid is not None else sc.grid(default)
+def _n_list_sizes(sc, targets):
+    """Block sizes of the graph chaos and multichaos build for each N of
+    n_list, found without building the graphs."""
+    try:
+        return [proportional_sizes(targets, N) for N in sc.n_list]
+    except ValidationError as exc:
+        raise InvalidConfigurationError(f"n_list: {exc}") from None
 
 
 def cmd_validate(args):
@@ -101,9 +117,6 @@ def cmd_validate(args):
     if "init" in sc.raw and targets is not None:
         sc.build_inits(targets.r, K)
         checked.append("init")
-    if "tagged" in sc.raw and targets is not None:
-        sc.tagged(targets.r)
-        checked.append("tagged")
     numeric_checks = {
         "horizon": lambda: sc.horizon,
         "dt": sc.dt,
@@ -115,6 +128,14 @@ def cmd_validate(args):
         if field in sc.raw:
             check()
             checked.append(field)
+    sizes = None
+    if "n_list" in sc.raw and targets is not None:
+        sizes = _n_list_sizes(sc, targets)
+    if "tagged" in sc.raw and targets is not None:
+        tagged = sc.tagged(targets.r)
+        if sizes is not None:
+            resolve_tagged(build_complete_peripheral(sizes[0]), tagged)
+        checked.append("tagged")
     extra = ""
     if graph is not None and targets is not None:
         rep = check_regularity(graph, targets)
@@ -129,12 +150,12 @@ def cmd_simulate(args):
     targets = sc.build_targets(graph)
     inits = sc.build_inits(graph.r, spec.colors.K)
     T = sc.horizon
+    grid = np.linspace(0.0, T, sc.grid())
     gen = substream(seed)
     colors = sample_block_colors(graph, inits, gen)
     traj = simulate(graph, spec, targets, colors, T, gen)
     with open(os.path.join(out_dir, "trajectory.csv"), "w") as fp:
         traj.to_csv(fp)
-    grid = np.linspace(0.0, T, _grid_size(args, sc))
     emp = empirical_process(traj, graph, grid)
     with open(os.path.join(out_dir, "empirical.csv"), "w") as fp:
         emp.to_csv(fp)
@@ -182,9 +203,10 @@ def cmd_chaos(args):
     targets = sc.build_targets(None if "graph" not in sc.raw
                                else sc.build_graph())
     inits = sc.build_inits(targets.r, spec.colors.K)
+    _n_list_sizes(sc, targets)
     report = lln_experiment(
         proportional_family(targets), spec, targets, inits, sc.horizon,
-        _grid_size(args, sc, default=31), sc.n_list, sc.replicas(),
+        sc.grid(31), sc.n_list, sc.replicas(),
         seed, dt=sc.dt(), threads=args.threads,
     )
     with open(os.path.join(out_dir, "convergence.csv"), "w") as fp:
@@ -203,6 +225,7 @@ def cmd_multichaos(args):
     targets = sc.build_targets(None if "graph" not in sc.raw
                                else sc.build_graph())
     inits = sc.build_inits(targets.r, spec.colors.K)
+    _n_list_sizes(sc, targets)
     family = proportional_family(targets)
     tagged = sc.tagged(targets.r)
     replicas = sc.replicas()

@@ -9,6 +9,7 @@ aggregation always runs in replica order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ from .simulate import empirical_process, simulate
 __all__ = [
     "ConvergenceReport",
     "proportional_family",
+    "proportional_sizes",
+    "resolve_tagged",
     "sample_block_colors",
     "lln_experiment",
     "multichaos_test",
@@ -122,23 +125,29 @@ def _svg_loglog(fp, xs, ys, errs, slope=-0.5):
     fp.write("\n".join(out) + "\n")
 
 
+def proportional_sizes(targets: ProportionTargets, N: int):
+    """(central, peripheral) size of each block of an N-node system whose
+    block and class sizes are exactly proportional to the targets; N
+    values that do not split into integers are rejected."""
+    sizes = []
+    for j in range(targets.r):
+        nj = targets.alpha[j] * N
+        ncj = targets.p_c[j] * nj
+        if abs(nj - round(nj)) > 1e-9 or abs(ncj - round(ncj)) > 1e-9:
+            raise InvalidArgumentError(
+                f"N={N} does not realize the target proportions"
+            )
+        nj, ncj = int(round(nj)), int(round(ncj))
+        sizes.append((ncj, nj - ncj))
+    return sizes
+
+
 def proportional_family(targets: ProportionTargets):
-    """Callable N -> complete-peripheral graph with block and class sizes
-    exactly proportional to the targets; N values that do not split into
-    integers are rejected."""
+    """Callable N -> complete-peripheral graph with the sizes of
+    `proportional_sizes`."""
 
     def build(N: int) -> BlockGraph:
-        sizes = []
-        for j in range(targets.r):
-            nj = targets.alpha[j] * N
-            ncj = targets.p_c[j] * nj
-            if abs(nj - round(nj)) > 1e-9 or abs(ncj - round(ncj)) > 1e-9:
-                raise InvalidArgumentError(
-                    f"N={N} does not realize the target proportions"
-                )
-            nj, ncj = int(round(nj)), int(round(ncj))
-            sizes.append((ncj, nj - ncj))
-        return build_complete_peripheral(sizes)
+        return build_complete_peripheral(proportional_sizes(targets, N))
 
     return build
 
@@ -183,10 +192,13 @@ def _lln_replica(args):
 
 
 def _run_ordered(worker, arg_list, threads):
-    if threads <= 1:
+    """worker over arg_list, in order, on at most `threads` processes and
+    never more than there are items or CPUs."""
+    workers = min(threads, len(arg_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(a) for a in arg_list]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        chunk = max(1, len(arg_list) // (4 * threads))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, len(arg_list) // (4 * workers))
         return list(pool.map(worker, arg_list, chunksize=chunk))
 
 
@@ -229,15 +241,18 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
                              comp_means, dists)
 
 
-def _resolve_tagged(graph: BlockGraph, tagged_nodes):
-    """Accept raw node ids or (block, class) requests; a request picks the
-    first node of that class (exchangeability makes the choice neutral)."""
+def resolve_tagged(graph: BlockGraph, tagged_nodes):
+    """One to three distinct node ids from raw node ids or (block, class)
+    requests; a request picks the first node of that class
+    (exchangeability makes the choice neutral)."""
     out = []
     for spec_ in tagged_nodes:
         if isinstance(spec_, (int, np.integer)):
             n = int(spec_)
             if not 0 <= n < graph.n_total:
-                raise InvalidArgumentError(f"node {n} out of range")
+                raise InvalidArgumentError(
+                    f"tagged node {n} outside 0..{graph.n_total - 1}"
+                )
             out.append(n)
         else:
             j, cls = spec_
@@ -253,6 +268,10 @@ def _resolve_tagged(graph: BlockGraph, tagged_nodes):
             out.append(nodes[0])
     if len(out) != len(set(out)):
         raise InvalidArgumentError("tagged nodes must be distinct")
+    if not 1 <= len(out) <= 3:
+        raise InvalidArgumentError(
+            f"need 1 to 3 tagged nodes, got {len(out)}"
+        )
     return out
 
 
@@ -271,9 +290,7 @@ def multichaos_test(graph: BlockGraph, spec, targets, tagged_nodes, T,
     product of its marginals, and the total-variation distance between
     the two. tagged_nodes entries are node ids or (block, class) pairs
     (resolved to the first node of the class)."""
-    tagged = _resolve_tagged(graph, tagged_nodes)
-    if not 1 <= len(tagged) <= 3:
-        raise InvalidArgumentError("need 1 to 3 tagged nodes")
+    tagged = resolve_tagged(graph, tagged_nodes)
     if replicas < 1:
         raise InvalidArgumentError("need at least 1 replica")
     seed_path = _seed_path(seed)

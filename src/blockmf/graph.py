@@ -111,8 +111,10 @@ class BlockGraph:
                         )
 
         # M_i^n table: peripheral node -> neighbor count in each block,
-        # own block counted as N_j^p (self included, clique).
+        # own block counted as N_j^p (self included, clique). Twins: the
+        # peripherals of one block sharing a closed neighbourhood.
         self._cross = {}
+        twins = {}
         for n in self.peripheral_nodes_all():
             j = int(self._block_of[n])
             counts = [0] * self.r
@@ -122,6 +124,9 @@ class BlockGraph:
             if counts[j] != sizes[j][1]:
                 raise InvalidConfigurationError("clique accounting broken")
             self._cross[n] = tuple(counts)
+            twins.setdefault((j, tuple(sorted(self._nbrs[n] + [n]))),
+                             []).append(n)
+        self.twin_classes = tuple(tuple(c) for c in twins.values())
 
         n_perip = sum(npp for _, npp in sizes)
         self.is_complete_peripheral = (

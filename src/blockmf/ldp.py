@@ -152,7 +152,7 @@ def legendre_cost(flow: MeanFieldFlow, targets, spec,
     edge (the dynamics are assumed uniformly elliptic); anything lower
     raises AssumptionViolationError.
     """
-    family = as_block_rates(spec, flow.r)
+    family = as_block_rates(spec, targets.r)
     if rate_family.r != flow.r:
         raise InvalidArgumentError("rate family and flow disagree on r")
     if rate_family.times.size != flow.times.size or not np.allclose(
@@ -306,7 +306,7 @@ def variational_cost(flow: MeanFieldFlow, targets, spec) -> DeviationCost:
     """Cost of a flow from its own drift residual: at each grid point and
     component, the variational norm of theta = dmu/dt - A*mu, with dmu/dt
     by central differences (second-order one-sided at the ends)."""
-    family = as_block_rates(spec, flow.r)
+    family = as_block_rates(spec, targets.r)
     times = flow.times
     n = times.size
     if n < 3:
@@ -357,7 +357,7 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
     j, cls = which
     if isinstance(cls, str):
         cls = {"c": 0, "p": 1}[cls]
-    family = as_block_rates(spec, flow.r)
+    family = as_block_rates(spec, targets.r)
     if not 0 <= j < flow.r or cls not in (0, 1):
         raise InvalidArgumentError(f"no component (block={j}, class={cls})")
     g = 2 * j + cls

@@ -85,6 +85,9 @@ def generator_p(spec: RateSpec, mu_c, mus, alpha_c, q_row) -> np.ndarray:
     return A
 
 
+_CLASS_INDEX = {"c": 0, "p": 1}
+
+
 @dataclass
 class MeanFieldFlow:
     """Measure vector on a uniform time grid; values[t, g, z] with
@@ -130,24 +133,46 @@ class MeanFieldFlow:
         if header != "t,block,class,color,mass":
             raise InvalidArgumentError(f"unexpected flow header {header!r}")
         rows = []
-        for line in fp:
+        for lineno, line in enumerate(fp, start=2):
             line = line.strip()
             if not line:
                 continue
-            t, j, c, z, m = line.split(",")
-            rows.append((float(t), int(j), 0 if c == "c" else 1, int(z),
-                         float(m)))
+            try:
+                t, j, c, z, m = line.split(",")
+                t, j, z, m = float(t), int(j), int(z), float(m)
+                g = 2 * j + _CLASS_INDEX[c]
+            except (KeyError, ValueError):
+                raise InvalidArgumentError(
+                    f"flow line {lineno}: expected t,block,class,color,mass "
+                    f"with class c or p, got {line!r}"
+                ) from None
+            if j < 0 or z < 0 or not (math.isfinite(t) and math.isfinite(m)):
+                raise InvalidArgumentError(
+                    f"flow line {lineno}: block and color must be >= 0, t "
+                    f"and mass finite, got {line!r}"
+                )
+            rows.append((t, g, z, m, lineno))
         if not rows:
             raise InvalidArgumentError("empty flow file")
         times = sorted({row[0] for row in rows})
-        r = max(row[1] for row in rows) + 1
-        K = max(row[3] for row in rows) + 1
+        r = max(row[1] for row in rows) // 2 + 1
+        K = max(row[2] for row in rows) + 1
+        if len(times) * 2 * r * K > len(rows):
+            raise InvalidArgumentError("flow file has missing cells")
         t_index = {t: i for i, t in enumerate(times)}
         vals = np.full((len(times), 2 * r, K), np.nan)
-        for t, j, cls_, z, m in rows:
-            vals[t_index[t], 2 * j + cls_, z] = m
-        if np.isnan(vals).any():
-            raise InvalidArgumentError("flow file has missing cells")
+        for t, g, z, m, _ in rows:
+            vals[t_index[t], g, z] = m
+        if len(rows) > vals.size or np.isnan(vals).any():
+            # at least as many rows as cells: some cell came twice
+            seen = set()
+            for t, g, z, _, lineno in rows:
+                if (t, g, z) in seen:
+                    raise InvalidArgumentError(
+                        f"flow line {lineno}: repeats the (t, block, class, "
+                        f"color) cell of an earlier line"
+                    )
+                seen.add((t, g, z))
         times = np.asarray(times)
         steps = np.diff(times)
         if times.size < 2 or np.any(
@@ -204,10 +229,21 @@ class _VectorField:
         return self.drift(self.rates(y_flat), y_flat)
 
 
+def _flow_states(flow: MeanFieldFlow, field: _VectorField) -> np.ndarray:
+    """The flow's clipped states, one flat row per grid point; its block
+    and colour counts must be the model's."""
+    if flow.values.shape[1:] != (2 * field.r, field.K):
+        raise InvalidArgumentError(
+            f"flow has r={flow.r}, K={flow.K}; the model has r={field.r}, "
+            f"K={field.K}"
+        )
+    return np.maximum(flow.values, 0.0).reshape(flow.times.size, -1)
+
+
 def flow_rates(flow: MeanFieldFlow, spec, targets) -> np.ndarray:
     """Model jump rates along a flow: (n_times, 2r, n_edges)."""
     field = _VectorField(spec, targets)
-    flat = np.maximum(flow.values, 0.0).reshape(flow.times.size, -1)
+    flat = _flow_states(flow, field)
     return field.rates(flat).reshape(flow.times.size, 2 * field.r, field.ne)
 
 
@@ -215,7 +251,7 @@ def flow_drift(flow: MeanFieldFlow, spec, targets) -> np.ndarray:
     """A*mu along a flow, component by component: (n_times, 2r, K). Reads
     the same batched rate evaluation as `flow_rates`."""
     field = _VectorField(spec, targets)
-    flat = np.maximum(flow.values, 0.0).reshape(flow.times.size, -1)
+    flat = _flow_states(flow, field)
     out = field.drift(field.rates(flat), flat)
     return out.reshape(flow.values.shape)
 

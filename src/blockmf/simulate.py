@@ -8,11 +8,10 @@ normalized block structure makes all weights equal to table value over
 neighborhood size).
 
 The sampler is the direct method: exponential waiting time at the total
-rate, then category sampling. Nodes sharing an identical neighborhood
-(all centrals of a block; all peripherals of a block when the
-peripheral graph is complete) are aggregated into one group, so the
-per-event work is O(groups * K * edges) instead of O(N). Non-complete
-peripheral designs fall back to one group per peripheral node.
+rate, then category sampling. Nodes of one (block, class) sharing a
+closed neighbourhood jump at the same rates, so each such twin class
+(all centrals of a block; the graph's peripheral twin classes) is one
+group, and the per-event work is O(groups * K * edges) instead of O(N).
 """
 
 from __future__ import annotations
@@ -156,11 +155,12 @@ def local_empirical(state: SystemState, graph: BlockGraph, node: int,
 class _Kernel:
     """Aggregated-group Gillespie state machine.
 
-    Groups: (block, CENTRAL) aggregates always; (block, PERIPHERAL)
-    aggregates when the peripheral graph is complete, else one singleton
-    group per peripheral node. Each group's per-edge rate is a clamped
-    affine function of the flat count vector; the coefficient lists are
-    precomputed so a group refresh is a few multiply-adds.
+    Groups: one per block's centrals, then the graph's peripheral twin
+    classes in order of their first node. Closed neighbourhoods are
+    symmetric, so each one is a union of twin classes and reads whole
+    groups. Each group's per-edge rate is a clamped affine function of
+    the flat count vector; the coefficient lists are precomputed so a
+    group refresh is a few multiply-adds.
     """
 
     def __init__(self, graph: BlockGraph, family):
@@ -172,24 +172,17 @@ class _Kernel:
         self.edges = cg.edges
         self.n_edges = len(cg.edges)
 
-        complete = graph.is_complete_peripheral
-        # group tables
-        self.members = []    # node id list per group
-        self.meta = []       # (block, cls) per group
-        self.group_of_node = {}
-        for j in range(graph.r):
-            self._add_group(j, CENTRAL, list(graph.central_nodes(j)))
-        if complete:
-            for j in range(graph.r):
-                self._add_group(j, PERIPHERAL, list(graph.peripheral_nodes(j)))
-        else:
-            for j in range(graph.r):
-                for n in graph.peripheral_nodes(j):
-                    self._add_group(j, PERIPHERAL, [n])
+        # group tables: members (node ids), meta (block, cls) per group
+        self.members = [list(graph.central_nodes(j)) for j in range(graph.r)]
+        self.members += [list(c) for c in graph.twin_classes]
+        self.meta = [(graph.block_of(m[0]), graph.class_of(m[0]))
+                     for m in self.members]
+        self.group_of_node = {n: g for g, members in enumerate(self.members)
+                              for n in members}
         self.n_groups = len(self.members)
 
         # coefficient lists: coef[g][e] = [(flat_count_index, weight), ...]
-        self.coef, self.beta = affine_rows(family, self._readers(complete))
+        self.coef, self.beta = affine_rows(family, self._readers())
 
         # reverse dependencies: jump in g0 dirties every group reading g0
         deps = [set() for _ in range(self.n_groups)]
@@ -205,15 +198,7 @@ class _Kernel:
         self.edge_src = [e[0] for e in cg.edges]
         self.edge_dst = [e[1] for e in cg.edges]
 
-    def _add_group(self, j, cls, members):
-        g = len(self.members)
-        self.members.append(members)
-        self.meta.append((j, cls))
-        for n in members:
-            self.group_of_node[n] = g
-        return g
-
-    def _readers(self, complete):
+    def _readers(self):
         """Yield, group by group, the groups it reads with their weights
         (streamed: on sparse designs the dicts would outweigh the rows).
         Every node weighs each neighbour by 1/(neighbourhood size); the
@@ -227,10 +212,7 @@ class _Kernel:
             else:
                 node = self.members[g][0]
                 w = 1.0 / (graph.degree(node) + 1)
-                if complete:
-                    seen = graph.peripheral_nodes_all()
-                else:
-                    seen = [*graph.peripheral_neighbors(node), node]
+                seen = [*graph.peripheral_neighbors(node), node]
             reads = dict.fromkeys((self.group_of_node[n] for n in seen),
                                   (w, PERIPHERAL))
             reads[j] = (w, CENTRAL)

@@ -253,13 +253,82 @@ def test_malformed_scenario_fails_closed(tmp_path, sub, scen, needle):
 
 @pytest.mark.parametrize("sub", ["validate", "multichaos"])
 @pytest.mark.parametrize("tagged", [[[0, "c"], [-1, "p"]],
-                                    [[0, "c"], [7, "p"]]],
-                         ids=["negative-block", "block-past-r"])
+                                    [[0, "c"], [7, "p"]],
+                                    [0, 999],
+                                    [0, 1, 2, 3]],
+                         ids=["negative-block", "block-past-r",
+                              "node-past-n", "four-nodes"])
 def test_tagged_outside_blocks_fails_closed(tmp_path, sub, tagged):
     scen = scen_path(tmp_path, {**SCEN, "tagged": tagged})
     proc = run_blockmf_module([sub, "--scenario", scen,
                                "--out", str(tmp_path / "out")])
     assert_fails_closed(proc, tmp_path / "out" / "multichaos.csv", "tagged")
+
+
+@pytest.mark.parametrize("sub, artifact", [("validate", "convergence.csv"),
+                                           ("chaos", "convergence.csv"),
+                                           ("multichaos", "multichaos.csv")])
+def test_n_list_off_the_target_sizes_fails_closed(tmp_path, sub, artifact):
+    # N=42 splits into two blocks of 21, whose 40% central share is 8.4
+    scen = scen_path(tmp_path, {**SCEN, "n_list": [42, 160]})
+    proc = run_blockmf_module([sub, "--scenario", scen,
+                               "--out", str(tmp_path / "out")])
+    assert_fails_closed(proc, tmp_path / "out" / artifact, "n_list")
+
+
+@pytest.mark.parametrize("sub, artifact", [("simulate", "trajectory.csv"),
+                                           ("meanfield", "flow.csv")])
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"), ("--seed", str(2 ** 64)), ("--grid", "-3"),
+    ("--grid", "1"), ("--threads", "-2"), ("--threads", "0"),
+])
+def test_bad_flag_fails_closed(tmp_path, sub, artifact, flag, value):
+    # checked also where the subcommand does not use the flag
+    proc = run_blockmf_module([sub, "--scenario", scen_path(tmp_path),
+                               "--out", str(tmp_path / "out"), flag, value])
+    assert_fails_closed(proc, tmp_path / "out" / artifact, flag.lstrip("-"))
+
+
+def _flow_lines(r=2, K=2):
+    """A constant flow.csv on the grid 0, 0.5, 1, one list item a line."""
+    return ["t,block,class,color,mass"] + [
+        f"{t},{j},{c},{z},{1 / K}" for t in (0.0, 0.5, 1.0)
+        for j in range(r) for c in "cp" for z in range(K)
+    ]
+
+
+def _with_line_8(row):
+    # line 8 holds the cell t=0, block 1, class p, color 0
+    lines = _flow_lines()
+    lines[7] = row
+    return lines
+
+
+def test_flow_csv_reference_runs(tmp_path, capsys):
+    (tmp_path / "flow.csv").write_text("\n".join(_flow_lines()) + "\n")
+    sp = scen_path(tmp_path, {**SCEN, "flow_csv": "flow.csv"})
+    code, out, _ = run(["ldp-cost", "--scenario", sp,
+                        "--out", str(tmp_path / "out")], capsys)
+    assert code == 0 and "flow.csv" in out
+
+
+@pytest.mark.parametrize("lines", [
+    _with_line_8("0,1,x,0,0.5"),
+    _with_line_8("0,-1,p,0,0.5"),
+    _with_line_8("0,1,p,0,abc"),
+    _with_line_8("0,1,p,0"),
+    _with_line_8("0,1,p,0,nan"),
+    _flow_lines() + ["0,1,p,0,0.25"],
+    _flow_lines(K=3),
+    _flow_lines(r=1),
+], ids=["class-x", "block-negative", "mass-not-numeric", "four-fields",
+        "mass-nan", "duplicate-cell", "three-colors", "one-block"])
+def test_malformed_flow_csv_fails_closed(tmp_path, lines):
+    (tmp_path / "flow.csv").write_text("\n".join(lines) + "\n")
+    scen = scen_path(tmp_path, {**SCEN, "flow_csv": "flow.csv"})
+    proc = run_blockmf_module(["ldp-cost", "--scenario", scen,
+                               "--out", str(tmp_path / "out")])
+    assert_fails_closed(proc, tmp_path / "out" / "cost.csv", "flow")
 
 
 FUZZ_SCEN = {**SCEN, "horizon": 0.5, "grid": 5,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import blockmf as bm
+from blockmf import experiments
 
 
 def make_targets():
@@ -152,3 +153,36 @@ def test_multichaos_tagged_resolution():
         g, spec, targets, [0, (0, "p"), (1, "p")], 0.5, 50, 3, inits=inits)
     assert j3.shape == (2, 2, 2)
     assert p3.sum() == pytest.approx(1.0)
+
+
+def test_pool_never_outnumbers_items_or_cpus(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor and starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    square = (lambda x: x * x)
+    assert experiments._run_ordered(square, range(5), 10 ** 6) == \
+        [0, 1, 4, 9, 16]
+    assert experiments._run_ordered(square, range(2), 10 ** 6) == [0, 1]
+    assert experiments._run_ordered(square, range(5), 2) == [0, 1, 4, 9, 16]
+    assert started == [3, 2, 2]
+    # one item, or one CPU, runs in this process
+    assert experiments._run_ordered(square, [4], 8) == [16]
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+    assert experiments._run_ordered(square, range(5), 8) == \
+        [0, 1, 4, 9, 16]
+    assert started == [3, 2, 2]

@@ -103,3 +103,25 @@ def test_oracle_vs_simulator_small_sis():
     # per-component SE of a bounded [0,1] average across 4000 replicas
     se = 0.5 / np.sqrt(reps)
     assert np.all(np.abs(acc - want) <= 4 * se)
+
+
+def test_oracle_vs_simulator_regular_design():
+    # a non-complete design with twin pairs {1,3}, {2,4}, {6,7}, {8,9}:
+    # each node's law at T must match the exact product-space solution
+    g = bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5)
+    fam = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
+                      zeta=[0.9, 0.7])
+    T = 1.0
+    init_colors = [0, 1, 0, 1, 1, 1, 0, 0, 1, 0]
+    init = np.zeros((g.n_total, 2))
+    init[range(g.n_total), init_colors] = 1.0
+    dist = master_equation_oracle(g, fam, None, init, T)
+    want = np.array([dist.node_marginal(n)[1] for n in range(g.n_total)])
+
+    reps = 4000
+    hits = np.zeros(g.n_total)
+    for rep in range(reps):
+        tr = bm.simulate(g, fam, None, init_colors, T, seed=60_000 + rep)
+        hits += tr.final_colors
+    se = np.sqrt(want * (1.0 - want) / reps)
+    assert np.all(np.abs(hits / reps - want) <= 4 * se)

@@ -104,6 +104,7 @@ def kernel_definition_gap(graph, family, colors):
     lambda: bm.build_complete_peripheral([(2, 3), (2, 3)]),
     lambda: bm.build_regular_peripheral([(2, 4), (2, 4)],
                                         ((0.5, 0.5), (0.5, 0.5))),
+    lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.25),
 ])
 @pytest.mark.parametrize("fam", [
     SIS,
@@ -111,8 +112,8 @@ def kernel_definition_gap(graph, family, colors):
 ])
 def test_kernel_rates_match_definition(builder, fam):
     # aggregated-group rates must agree with the per-node neighborhood
-    # definition in both aggregation regimes (complete peripheral graphs
-    # aggregate whole blocks; regular designs fall back to singletons)
+    # definition whatever the twin classes are: whole blocks (complete
+    # design), pairs (f=0.5) or singletons (f=0.25, cross degree 1)
     graph = builder()
     family = bm.as_block_rates(fam, graph.r)
     gen = np.random.default_rng(5)
@@ -149,6 +150,35 @@ def test_kernel_rates_match_limit_field(fam):
             comp = 2 * j + cls
             assert np.abs(np.asarray(kern.rate[g])
                           - want[comp * ne:(comp + 1) * ne]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("builder, n_groups", [
+    (lambda: bm.build_complete_peripheral([(2, 3), (3, 4)]), 4),
+    (lambda: bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5), 6),
+    (lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.25), 10),
+], ids=["complete", "regular-f0.5", "regular-f0.25"])
+def test_kernel_groups_are_twin_classes(builder, n_groups):
+    # a group is a maximal set of nodes sharing block, class and closed
+    # neighbourhood
+    graph = builder()
+    kern = _Kernel(graph, SIS)
+    assert kern.n_groups == n_groups
+
+    def closed(n):
+        if not graph.is_peripheral(n):
+            return ("central", graph.block_of(n))
+        return tuple(sorted([*graph.peripheral_neighbors(n), n]))
+
+    seen = set()
+    for g, members in enumerate(kern.members):
+        keys = {(graph.block_of(n), graph.class_of(n), closed(n))
+                for n in members}
+        assert len(keys) == 1
+        assert kern.meta[g] == next(iter(keys))[:2]
+        assert all(kern.group_of_node[n] == g for n in members)
+        seen |= keys
+    assert len(seen) == n_groups
+    assert sorted(kern.group_of_node) == list(range(graph.n_total))
 
 
 def test_kernel_group_totals():
