@@ -172,9 +172,11 @@ def test_pool_never_outnumbers_items_or_cpus(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
+    def square(x):
+        return x * x
+
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-    square = (lambda x: x * x)
     assert experiments._run_ordered(square, range(5), 10 ** 6) == \
         [0, 1, 4, 9, 16]
     assert experiments._run_ordered(square, range(2), 10 ** 6) == [0, 1]
