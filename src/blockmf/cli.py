@@ -101,6 +101,16 @@ def _n_list_sizes(sc, targets):
         raise InvalidConfigurationError(f"n_list: {exc}") from None
 
 
+def _resolve_tagged_for_every_n(tagged, n_list, sizes):
+    """Resolve the tagged requests on the graph of every N, so that a
+    request that some N cannot honour fails before any run."""
+    for N, s in zip(n_list, sizes):
+        try:
+            resolve_tagged(build_complete_peripheral(s), tagged)
+        except ValidationError as exc:
+            raise InvalidConfigurationError(f"N={N}: {exc}") from None
+
+
 def cmd_validate(args):
     sc, seed, _ = _resolve(args, need_seed=False)
     checked = ["schema"]
@@ -134,7 +144,7 @@ def cmd_validate(args):
     if "tagged" in sc.raw and targets is not None:
         tagged = sc.tagged(targets.r)
         if sizes is not None:
-            resolve_tagged(build_complete_peripheral(sizes[0]), tagged)
+            _resolve_tagged_for_every_n(tagged, sc.n_list, sizes)
         checked.append("tagged")
     extra = ""
     if graph is not None and targets is not None:
@@ -225,9 +235,10 @@ def cmd_multichaos(args):
     targets = sc.build_targets(None if "graph" not in sc.raw
                                else sc.build_graph())
     inits = sc.build_inits(targets.r, spec.colors.K)
-    _n_list_sizes(sc, targets)
-    family = proportional_family(targets)
+    sizes = _n_list_sizes(sc, targets)
     tagged = sc.tagged(targets.r)
+    _resolve_tagged_for_every_n(tagged, sc.n_list, sizes)
+    family = proportional_family(targets)
     replicas = sc.replicas()
     rows = []
     for idx, N in enumerate(sc.n_list):

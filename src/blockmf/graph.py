@@ -3,10 +3,13 @@
 A graph is r blocks; every block is a clique over its own nodes. Each
 block splits into central nodes (no links outside the block) and
 peripheral nodes (additionally linked to peripheral nodes of other
-blocks). Central adjacency is implicit; only the peripheral edge set is
-materialized (intra-block peripheral pairs are required to be present —
-the block is a clique — and cross-block pairs are whatever the design
-says).
+blocks). Central adjacency is implicit. The peripherals are stored as
+their twin quotient: the twin classes (peripherals of one block sharing a
+closed neighbourhood) and, per class, the classes its neighbourhood is
+made of. Its size depends on the design's fractions, not on N; the
+peripheral edge list is expanded from it on request. Intra-block
+peripheral pairs must be present (the block is a clique); cross-block
+pairs are whatever the design says.
 
 Node ids are global, contiguous, 0-based: block 0 centrals, block 0
 peripherals, block 1 centrals, ... Class and block of a node are O(1)
@@ -42,16 +45,36 @@ __all__ = [
 ]
 
 
+def _integer(value, what) -> int:
+    """value as an int; bools, floats and other non-integers raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidConfigurationError(
+            f"{what} must be an integer, got {value!r}"
+        )
+    return int(value)
+
+
 class BlockGraph:
     """Immutable block graph; see module docstring for the node layout.
 
     peripheral_edges: iterable of (a, b) global node id pairs. Must
     contain every intra-block peripheral pair (clique property) and no
     self-loops or central endpoints.
+
+    twin_classes[c]: the peripherals of one block sharing a closed
+    neighbourhood, members ascending, classes in order of first node.
+    twin_links[c]: the classes whose union is class c's closed
+    neighbourhood. These two are the stored form of the design.
     """
 
-    def __init__(self, block_sizes, peripheral_edges):
-        sizes = [(int(nc), int(npp)) for nc, npp in block_sizes]
+    def _layout(self, block_sizes):
+        """Sizes and node tables; the builders lay out a bare instance,
+        then hand `_quotient` their own key and adjacency."""
+        sizes = [
+            (_integer(nc, f"block {j} central size"),
+             _integer(npp, f"block {j} peripheral size"))
+            for j, (nc, npp) in enumerate(block_sizes)
+        ]
         if not sizes:
             raise InvalidConfigurationError("need at least one block")
         for j, (nc, npp) in enumerate(sizes):
@@ -78,9 +101,12 @@ class BlockGraph:
             self._class_of[pos + nc : pos + nc + npp] = PERIPHERAL
             pos += nc + npp
 
-        edges = set()
+    def __init__(self, block_sizes, peripheral_edges):
+        self._layout(block_sizes)
+        closed = {n: {n} for n in self.peripheral_nodes_all()}
         for a, b in peripheral_edges:
-            a, b = int(a), int(b)
+            a = _integer(a, "peripheral edge endpoint")
+            b = _integer(b, "peripheral edge endpoint")
             if a == b:
                 raise InvalidConfigurationError(f"self-loop at node {a}")
             if not (0 <= a < self.n_total and 0 <= b < self.n_total):
@@ -89,60 +115,57 @@ class BlockGraph:
                 raise InvalidConfigurationError(
                     f"edge ({a},{b}) touches a central node"
                 )
-            edges.add((min(a, b), max(a, b)))
-        self.peripheral_edges = tuple(sorted(edges))
+            closed[a].add(b)
+            closed[b].add(a)
+        self._quotient(lambda n: frozenset(closed[n]),
+                       lambda m, n: n in closed[m])
 
-        self._nbrs = {n: [] for n in self.peripheral_nodes_all()}
-        for a, b in self.peripheral_edges:
-            self._nbrs[a].append(b)
-            self._nbrs[b].append(a)
-        for n in self._nbrs:
-            self._nbrs[n].sort()
-
-        # clique property: all intra-block peripheral pairs present
+    def _quotient(self, key, adjacent):
+        """Group each block's peripherals by key(n) into twin classes and
+        link classes c, d when adjacent(first of c, first of d). A closed
+        neighbourhood is a union of whole classes, so a first node stands
+        for its class; adjacent must hold within a block (the clique)."""
+        classes = []
         for j in range(self.r):
-            lo, hi = self._peripheral_range[j]
-            for a in range(lo, hi):
-                for b in range(a + 1, hi):
-                    if (a, b) not in edges:
-                        raise InvalidConfigurationError(
-                            f"block {j} peripherals {a},{b} not adjacent; "
-                            "intra-block peripheral pairs are mandatory"
-                        )
-
-        # M_i^n table: peripheral node -> neighbor count in each block,
-        # own block counted as N_j^p (self included, clique). Twins: the
-        # peripherals of one block sharing a closed neighbourhood.
-        self._cross = {}
-        twins = {}
-        for n in self.peripheral_nodes_all():
-            j = int(self._block_of[n])
-            counts = [0] * self.r
-            for m in self._nbrs[n]:
-                counts[int(self._block_of[m])] += 1
-            counts[j] += 1  # self
-            if counts[j] != sizes[j][1]:
-                raise InvalidConfigurationError("clique accounting broken")
-            self._cross[n] = tuple(counts)
-            twins.setdefault((j, tuple(sorted(self._nbrs[n] + [n]))),
-                             []).append(n)
-        self.twin_classes = tuple(tuple(c) for c in twins.values())
-
-        n_perip = sum(npp for _, npp in sizes)
-        self.is_complete_peripheral = (
-            len(self.peripheral_edges) == n_perip * (n_perip - 1) // 2
+            groups = {}
+            for n in self.peripheral_nodes(j):
+                groups.setdefault(key(n), []).append(n)
+            classes += groups.values()
+        self.twin_classes = tuple(tuple(c) for c in classes)
+        firsts = [c[0] for c in classes]
+        self.twin_links = tuple(
+            tuple(d for d, n in enumerate(firsts) if adjacent(m, n))
+            for m in firsts
         )
-        # realized cross-degree matrix when the design is regular, else None
-        self.cross_degree_matrix = self._regular_cross_matrix()
+        self._twin_of = np.full(self.n_total, -1, dtype=np.int64)
+        # M_i^n per class: neighbour count in each block, own block counted
+        # as N_j^p (self included), which holds iff the block is a clique
+        blocks = [self.block_of(n) for n in firsts]
+        cross = []
+        for c, links in enumerate(self.twin_links):
+            self._twin_of[classes[c]] = c
+            counts = [0] * self.r
+            for d in links:
+                counts[blocks[d]] += len(classes[d])
+            j = blocks[c]
+            if counts[j] != self.block_sizes[j][1]:
+                raise InvalidConfigurationError(
+                    f"block {j} peripheral {firsts[c]} is not adjacent to "
+                    "its whole block; intra-block peripheral pairs are "
+                    "mandatory"
+                )
+            cross.append(tuple(counts))
+        self._cross = tuple(cross)
 
-    def _regular_cross_matrix(self):
-        mat = []
-        for j in range(self.r):
-            rows = {self._cross[n] for n in self.peripheral_nodes(j)}
-            if len(rows) != 1:
-                return None
-            mat.append(rows.pop())
-        return tuple(mat)
+        perips = tuple(npp for _, npp in self.block_sizes)
+        self.is_complete_peripheral = all(row == perips for row in cross)
+        # realized cross-degree matrix when the design is regular, else None
+        rows = [{row for row, i in zip(cross, blocks) if i == j}
+                for j in range(self.r)]
+        self.cross_degree_matrix = (
+            tuple(s.pop() for s in rows) if all(len(s) == 1 for s in rows)
+            else None
+        )
 
     # --- queries -----------------------------------------------------
 
@@ -166,8 +189,22 @@ class BlockGraph:
     def peripheral_nodes_all(self):
         return [n for j in range(self.r) for n in self.peripheral_nodes(j)]
 
+    def _twin(self, n) -> int:
+        if not self.is_peripheral(n):
+            raise WrongClassError(f"node {n} is central")
+        return int(self._twin_of[n])
+
     def peripheral_neighbors(self, n):
-        return self._nbrs[n]
+        """Peripheral neighbours of peripheral node n, ascending."""
+        return sorted(m for d in self.twin_links[self._twin(n)]
+                      for m in self.twin_classes[d] if m != n)
+
+    @property
+    def peripheral_edges(self):
+        """Every adjacent peripheral pair (a, b), a < b, ascending; the
+        intra-block cliques included. Expanded from the twin quotient."""
+        return tuple((a, b) for a in self.peripheral_nodes_all()
+                     for b in self.peripheral_neighbors(a) if a < b)
 
     def block_size(self, j) -> int:
         nc, npp = self.block_sizes[j]
@@ -176,9 +213,7 @@ class BlockGraph:
     def cross_counts(self, n):
         """Per-block peripheral neighbor counts of peripheral node n, own
         block counted with self (so entry j equals N_j^p)."""
-        if not self.is_peripheral(n):
-            raise WrongClassError(f"node {n} is central")
-        return self._cross[n]
+        return self._cross[self._twin(n)]
 
     def degree(self, n) -> int:
         """Graph degree: block clique plus cross-block peripheral links."""
@@ -186,7 +221,7 @@ class BlockGraph:
         if not self.is_peripheral(n):
             return self.block_size(j) - 1
         cross = sum(
-            c for i, c in enumerate(self._cross[n]) if i != j
+            c for i, c in enumerate(self.cross_counts(n)) if i != j
         )
         return self.block_size(j) - 1 + cross
 
@@ -194,16 +229,17 @@ class BlockGraph:
         return (
             isinstance(other, BlockGraph)
             and self.block_sizes == other.block_sizes
-            and self.peripheral_edges == other.peripheral_edges
+            and self.twin_classes == other.twin_classes
+            and self.twin_links == other.twin_links
         )
 
     def __hash__(self):
-        return hash((self.block_sizes, self.peripheral_edges))
+        return hash((self.block_sizes, self.twin_classes, self.twin_links))
 
     def __repr__(self):
         return (
             f"BlockGraph(r={self.r}, sizes={list(self.block_sizes)}, "
-            f"edges={len(self.peripheral_edges)})"
+            f"twin_classes={len(self.twin_classes)})"
         )
 
     # --- serialization ------------------------------------------------
@@ -241,18 +277,12 @@ class BlockGraph:
 
 
 def build_complete_peripheral(block_sizes) -> BlockGraph:
-    """All pairs of peripheral nodes (any blocks) adjacent."""
-    perips = []
-    pos = 0
-    for nc, npp in block_sizes:
-        perips.extend(range(pos + nc, pos + nc + npp))
-        pos += nc + npp
-    edges = [
-        (perips[a], perips[b])
-        for a in range(len(perips))
-        for b in range(a + 1, len(perips))
-    ]
-    return BlockGraph(block_sizes, edges)
+    """All pairs of peripheral nodes (any blocks) adjacent: one twin class
+    per block, each linked to all."""
+    graph = BlockGraph.__new__(BlockGraph)
+    graph._layout(block_sizes)
+    graph._quotient(lambda n: None, lambda m, n: True)
+    return graph
 
 
 def _round_half_up(x: float) -> int:
@@ -269,8 +299,9 @@ def build_regular_peripheral(block_sizes, cross_degree_fractions) -> BlockGraph:
     sides count the same bipartite edge set); violations raise. Realized
     counts end up in graph.cross_degree_matrix.
     """
-    sizes = [(int(nc), int(npp)) for nc, npp in block_sizes]
-    r = len(sizes)
+    graph = BlockGraph.__new__(BlockGraph)
+    graph._layout(block_sizes)
+    sizes, r = graph.block_sizes, graph.r
     f = np.asarray(cross_degree_fractions, dtype=float)
     if f.ndim == 0:
         f = np.full((r, r), float(f))
@@ -290,23 +321,10 @@ def build_regular_peripheral(block_sizes, cross_degree_fractions) -> BlockGraph:
                     f"got {f[j, i]}"
                 )
 
-    offsets = []
-    pos = 0
-    for nc, npp in sizes:
-        offsets.append(pos + nc)
-        pos += nc + npp
-
-    def perip(j, a):
-        return offsets[j] + a
-
-    edges = []
-    # own-block cliques
-    for j, (_, npp) in enumerate(sizes):
-        edges.extend(
-            (perip(j, a), perip(j, b))
-            for a in range(npp)
-            for b in range(a + 1, npp)
-        )
+    # consecutive-runs biregular bipartite construction: row a of block j
+    # takes columns (a*mu .. a*mu+mu-1) mod v of block i; columns receive
+    # u*mu/v = mv each since the run ends tile 0..u*mu-1.
+    runs = {}  # (j, i), j < i -> (mu, v, gcd(mu, v))
     for j in range(r):
         for i in range(j + 1, r):
             u, v = sizes[j][1], sizes[i][1]
@@ -322,14 +340,30 @@ def build_regular_peripheral(block_sizes, cross_degree_fractions) -> BlockGraph:
                     f"blocks ({j},{i}): degrees ({mu},{mv}) infeasible: "
                     f"{u}*{mu} != {v}*{mv}"
                 )
-            # consecutive-runs biregular bipartite construction: rows take
-            # columns (a*mu .. a*mu+mu-1) mod v; columns receive u*mu/v = mv
-            # each since the run ends tile 0..u*mu-1.
-            for a in range(u):
-                for t in range(mu):
-                    b = (a * mu + t) % v
-                    edges.append((perip(j, a), perip(i, b)))
-    return BlockGraph(sizes, edges)
+            runs[j, i] = (mu, v, math.gcd(mu, v))
+
+    def local(n):
+        j = graph.block_of(n)
+        return j, n - graph.peripheral_nodes(j).start
+
+    def key(n):
+        # A row's run starts at a*mu % v. Runs start and end on multiples
+        # of g = gcd(mu, v), so a column's rows are fixed by its g-aligned
+        # chunk b // g. Distinct keys see distinct sets unless mu == v.
+        j, a = local(n)
+        return tuple(a * mu % v if j == lo else a // g
+                     for (lo, hi), (mu, v, g) in runs.items()
+                     if j in (lo, hi) and mu < v)
+
+    def adjacent(m, n):
+        (j, a), (i, b) = sorted((local(m), local(n)))
+        if j == i:
+            return True
+        mu, v, _ = runs[j, i]
+        return (b - a * mu) % v < mu
+
+    graph._quotient(key, adjacent)
+    return graph
 
 
 def neighborhood_proportions(graph: BlockGraph, node: int) -> np.ndarray:
@@ -481,7 +515,9 @@ def check_regularity(graph: BlockGraph, targets: ProportionTargets):
         share_res = max(
             share_res, abs((nc + npp) / graph.n_total - targets.alpha[j])
         )
-        for n in graph.peripheral_nodes(j):
+        # twins share their ratios, so a class's first node stands for it
+        for n in (c[0] for c in graph.twin_classes
+                  if graph.block_of(c[0]) == j):
             denom = graph.degree(n) + 1
             alpha_c_res = max(alpha_c_res, abs(nc / denom - targets.alpha_c[j]))
             counts = graph.cross_counts(n)

@@ -156,10 +156,10 @@ class _Kernel:
     """Aggregated-group Gillespie state machine.
 
     Groups: one per block's centrals, then the graph's peripheral twin
-    classes in order of their first node. Closed neighbourhoods are
-    symmetric, so each one is a union of twin classes and reads whole
-    groups. Each group's per-edge rate is a clamped affine function of
-    the flat count vector; the coefficient lists are precomputed so a
+    classes in order of their first node. A closed neighbourhood is a
+    union of twin classes (the graph's twin links), so each group reads
+    whole groups. Each group's per-edge rate is a clamped affine function
+    of the flat count vector; the coefficient lists are precomputed so a
     group refresh is a few multiply-adds.
     """
 
@@ -208,13 +208,12 @@ class _Kernel:
         for g, (j, cls) in enumerate(self.meta):
             if cls == CENTRAL:
                 w = 1.0 / graph.block_size(j)
-                seen = graph.peripheral_nodes(j)
+                seen = [h for h, m in enumerate(self.meta)
+                        if m == (j, PERIPHERAL)]
             else:
-                node = self.members[g][0]
-                w = 1.0 / (graph.degree(node) + 1)
-                seen = [*graph.peripheral_neighbors(node), node]
-            reads = dict.fromkeys((self.group_of_node[n] for n in seen),
-                                  (w, PERIPHERAL))
+                w = 1.0 / (graph.degree(self.members[g][0]) + 1)
+                seen = [graph.r + d for d in graph.twin_links[g - graph.r]]
+            reads = dict.fromkeys(seen, (w, PERIPHERAL))
             reads[j] = (w, CENTRAL)
             yield (j, cls), reads
 

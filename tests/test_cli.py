@@ -232,6 +232,22 @@ def assert_fails_closed(proc, artifact, needle):
     assert not artifact.exists()
 
 
+# Graph files for the cases below. Each is a valid two-block complete
+# design once its one non-integer field is truncated.
+_PERIPHERAL_PAIRS = [[1, 2], [1, 4], [1, 5], [2, 4], [2, 5], [4, 5]]
+BAD_GRAPH_FILES = {
+    "edge-float.json": {
+        "blocks": [{"central": 1, "peripheral": 2}] * 2,
+        "peripheral_edges": [[1.9, 2]] + _PERIPHERAL_PAIRS[1:],
+    },
+    "central-bool.json": {
+        "blocks": [{"central": True, "peripheral": 2},
+                   {"central": 1, "peripheral": 2}],
+        "peripheral_edges": _PERIPHERAL_PAIRS,
+    },
+}
+
+
 @pytest.mark.parametrize("sub", ["validate", "simulate"])
 @pytest.mark.parametrize("scen, needle", [
     (_without("rates", "gamma"), "rates"),
@@ -243,9 +259,18 @@ def assert_fails_closed(proc, artifact, needle):
     ({**SCEN, "init": {**SCEN["init"], "c": [[1.0], [0.8, 0.2]]}}, "init"),
     ({**SCEN, "init": {**SCEN["init"], "c": [[0.5, 0.3, 0.2], [0.8, 0.2]]}},
      "init"),
+    ({**SCEN, "graph": {"file": "edge-float.json"}}, "integer"),
+    ({**SCEN, "graph": {"file": "central-bool.json"}}, "integer"),
+    ({**SCEN, "graph": {"regular": {"blocks": [[1, 4.9], [1, 4]],
+                                    "fractions": 0.5}}}, "integer"),
+    ({**SCEN, "graph": {"complete_blocks": [[2.5, 3], [2, 3]]}}, "integer"),
 ], ids=["rates-missing-gamma", "graph-not-a-list", "init-not-numeric",
-        "init-not-a-probability", "init-row-too-short", "init-row-too-long"])
+        "init-not-a-probability", "init-row-too-short", "init-row-too-long",
+        "graph-file-edge-float", "graph-file-central-bool",
+        "regular-size-float", "complete-size-float"])
 def test_malformed_scenario_fails_closed(tmp_path, sub, scen, needle):
+    for name, obj in BAD_GRAPH_FILES.items():
+        (tmp_path / name).write_text(json.dumps(obj))
     proc = run_blockmf_module([sub, "--scenario", scen_path(tmp_path, scen),
                                "--out", str(tmp_path / "out")])
     assert_fails_closed(proc, tmp_path / "out" / "trajectory.csv", needle)
@@ -255,9 +280,13 @@ def test_malformed_scenario_fails_closed(tmp_path, sub, scen, needle):
 @pytest.mark.parametrize("tagged", [[[0, "c"], [-1, "p"]],
                                     [[0, "c"], [7, "p"]],
                                     [0, 999],
-                                    [0, 1, 2, 3]],
+                                    [0, 1, 2, 3],
+                                    # node 4 is block 0's first
+                                    # peripheral at N=20, not at N=10
+                                    [4, [0, "p"]]],
                          ids=["negative-block", "block-past-r",
-                              "node-past-n", "four-nodes"])
+                              "node-past-n", "four-nodes",
+                              "same-node-at-larger-n"])
 def test_tagged_outside_blocks_fails_closed(tmp_path, sub, tagged):
     scen = scen_path(tmp_path, {**SCEN, "tagged": tagged})
     proc = run_blockmf_module([sub, "--scenario", scen,

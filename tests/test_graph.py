@@ -1,10 +1,12 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 import blockmf as bm
 from blockmf.graph import build_complete_peripheral, build_regular_peripheral
+from blockmf.simulate import _Kernel
 
 
 def test_complete_peripheral_layout():
@@ -122,6 +124,27 @@ def test_check_regularity_reports_residual():
     assert rep.max_resid == pytest.approx(0.05)
 
 
+@pytest.mark.parametrize("sizes, edges", [
+    ([(1, 3)], [(1, 2), (2, 3)]),  # lacks 1-3
+    ([(1, 2), (1, 3)], [(1, 2), (4, 5), (5, 6), (1, 4), (2, 6)]),  # lacks 4-6
+], ids=["one-block", "two-blocks"])
+def test_block_graph_rejects_missing_clique_pair(sizes, edges):
+    with pytest.raises(bm.InvalidConfigurationError,
+                       match="intra-block peripheral pairs"):
+        bm.BlockGraph(sizes, edges)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_complete_peripheral([(320, 960)] * 2),
+    lambda: build_regular_peripheral([(320, 960)] * 2, 0.5),
+], ids=["complete", "regular"])
+def test_large_design_is_stored_as_its_quotient(build):
+    # N=2560: the 1.4-1.8 million peripheral edges are not stored
+    g = build()
+    assert len(pickle.dumps(g)) < 1_000_000
+    assert len(g.twin_classes) == (2 if g.is_complete_peripheral else 4)
+
+
 def test_block_graph_rejects_bad_edges():
     with pytest.raises(bm.ValidationError):
         bm.BlockGraph([(2, 1)], [(0, 2)])   # node 0 is central
@@ -129,3 +152,87 @@ def test_block_graph_rejects_bad_edges():
         bm.BlockGraph([(2, 1)], [(2, 2)])   # self-loop
     with pytest.raises(bm.ValidationError):
         bm.BlockGraph([(2, 1)], [(2, 9)])   # out of range
+
+
+def _complete_reference_edges(block_sizes):
+    """All pairs of peripheral nodes, listed pair by pair."""
+    perips, pos = [], 0
+    for nc, npp in block_sizes:
+        perips.extend(range(pos + nc, pos + nc + npp))
+        pos += nc + npp
+    return [(perips[a], perips[b]) for a in range(len(perips))
+            for b in range(a + 1, len(perips))]
+
+
+def _regular_reference_edges(block_sizes, fractions):
+    """Own-block cliques plus, for blocks j < i, consecutive runs: row a
+    of block j takes columns (a*mu .. a*mu+mu-1) mod v of block i."""
+    r = len(block_sizes)
+    f = np.asarray(fractions, dtype=float)
+    if f.ndim == 0:
+        f = np.full((r, r), float(f))
+    offsets, pos = [], 0
+    for nc, npp in block_sizes:
+        offsets.append(pos + nc)
+        pos += nc + npp
+    edges = [(offsets[j] + a, offsets[j] + b)
+             for j, (_, npp) in enumerate(block_sizes)
+             for a in range(npp) for b in range(a + 1, npp)]
+    for j in range(r):
+        for i in range(j + 1, r):
+            u, v = block_sizes[j][1], block_sizes[i][1]
+            mu = int(np.floor(f[j, i] * v + 0.5))
+            edges += [(offsets[j] + a, offsets[i] + (a * mu + t) % v)
+                      for a in range(u) for t in range(mu)]
+    return edges
+
+
+_GATE_DESIGNS = [
+    ("complete", [(2, 3), (3, 4)], None),
+    ("complete", [(7, 6)], None),
+    ("complete", [(2, 3), (1, 4), (3, 2)], None),
+    ("regular", [(1, 4), (1, 4)], 0.5),
+    ("regular", [(2, 4), (2, 4)], 0.25),
+    ("regular", [(2, 4), (3, 4)], 0.5),
+    ("regular", [(10, 30), (10, 30)], 0.2),
+    ("regular", [(10, 30), (10, 30)], 1 / 30),
+    ("regular", [(1, 4), (1, 4)], 1.0),
+    ("regular", [(1, 6), (1, 4), (1, 6)],
+     [[0, .5, 1 / 3], [.5, 0, .5], [1 / 3, .5, 0]]),
+]
+
+
+@pytest.mark.parametrize("kind, sizes, fractions", _GATE_DESIGNS, ids=[
+    "complete-2", "complete-1", "complete-3", "regular-1x4-f.5",
+    "regular-2x4-f.25", "regular-2x4-3x4-f.5", "regular-10x30-f.2",
+    "regular-10x30-f1/30", "regular-1x4-f1", "regular-3-blocks",
+])
+def test_builders_match_reference_edges(kind, sizes, fractions):
+    # the builders and the edge-list constructor must agree on every
+    # query and give the simulator the same kernel tables
+    if kind == "complete":
+        built = build_complete_peripheral(sizes)
+        edges = _complete_reference_edges(sizes)
+    else:
+        built = build_regular_peripheral(sizes, fractions)
+        edges = _regular_reference_edges(sizes, fractions)
+    ref = bm.BlockGraph(sizes, edges)
+    assert built.peripheral_edges == ref.peripheral_edges
+    assert built.peripheral_edges == tuple(sorted(set(edges)))
+    assert built.twin_classes == ref.twin_classes
+    assert built.cross_degree_matrix == ref.cross_degree_matrix
+    assert built.is_complete_peripheral == ref.is_complete_peripheral
+    assert built == ref and hash(built) == hash(ref)
+    for n in range(ref.n_total):
+        assert built.degree(n) == ref.degree(n)
+        if ref.is_peripheral(n):
+            assert (list(built.peripheral_neighbors(n))
+                    == list(ref.peripheral_neighbors(n)))
+            assert built.cross_counts(n) == ref.cross_counts(n)
+    r = ref.r
+    for fam in (bm.sis_spec(r, gamma=0.8, nu=0.5, eta=0.6, zeta=0.9),
+                bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.6,
+                              h_coefficient=0.4)):
+        a, b = _Kernel(built, fam), _Kernel(ref, fam)
+        for attr in ("members", "meta", "coef", "beta", "deps"):
+            assert getattr(a, attr) == getattr(b, attr), attr
