@@ -20,11 +20,17 @@ class BatchedDraws:
     """Sequential uniform/exponential draws pulled from numpy in blocks.
 
     Consuming one number at a time through numpy costs ~1us of call
-    overhead; event loops need millions. Blocks are refilled lazily with
-    a fixed block size, so the consumed sequence is a pure function of
-    the generator state — reruns with the same seed are bit-identical.
+    overhead; event loops need millions. Each of the two streams is
+    refilled lazily in blocks of FIRST, 2*FIRST, 4*FIRST, ... numbers,
+    capped at BLOCK (32, 64, ..., 4096, 8192, 8192, ...), so a run of a
+    few events pulls a few dozen numbers and a long run pays the call
+    overhead once per BLOCK. The refills happen in the order of the
+    calls, so the consumed sequence is a pure function of the generator
+    state and that order: reruns with the same seed are bit-identical.
+    `drawn` counts the numbers pulled from the generator so far.
     """
 
+    FIRST = 32
     BLOCK = 8192
 
     def __init__(self, gen: np.random.Generator):
@@ -33,11 +39,16 @@ class BatchedDraws:
         self._exp = ()
         self._iu = 0
         self._ie = 0
+        self._nu = self._ne = self.FIRST  # size of each stream's next block
+        self.drawn = 0
 
     def uniform(self) -> float:
         i = self._iu
         if i >= len(self._uni):
-            self._uni = self._gen.random(self.BLOCK).tolist()
+            n = self._nu
+            self._uni = self._gen.random(n).tolist()
+            self._nu = min(2 * n, self.BLOCK)
+            self.drawn += n
             i = 0
         self._iu = i + 1
         return self._uni[i]
@@ -45,7 +56,10 @@ class BatchedDraws:
     def exponential(self) -> float:
         i = self._ie
         if i >= len(self._exp):
-            self._exp = self._gen.standard_exponential(self.BLOCK).tolist()
+            n = self._ne
+            self._exp = self._gen.standard_exponential(n).tolist()
+            self._ne = min(2 * n, self.BLOCK)
+            self.drawn += n
             i = 0
         self._ie = i + 1
         return self._exp[i]

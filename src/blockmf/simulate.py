@@ -16,7 +16,9 @@ group, and the per-event work is O(groups * K * edges) instead of O(N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +39,9 @@ __all__ = [
     "simulate",
     "empirical_process",
 ]
+
+log = logging.getLogger(__name__)
+
 
 @dataclass
 class SystemState:
@@ -79,9 +84,15 @@ def recount(graph: BlockGraph, colors, K: int):
 
 @dataclass
 class Trajectory:
+    """A run's events; `refreshes` (group rate refreshes after jumps) and
+    `drawn` (random numbers pulled from the generator) are the kernel's
+    work counters and take no part in equality."""
+
     initial: SystemState
     events: list  # (t, node, from_color, to_color), strictly increasing t
     horizon: float
+    refreshes: int = field(default=0, compare=False)
+    drawn: int = field(default=0, compare=False)
 
     @property
     def final_colors(self) -> np.ndarray:
@@ -264,9 +275,11 @@ class _Kernel:
         self.group_total[g] = base
 
     def run(self, T: float, gen: np.random.Generator):
-        """Advance to horizon T; returns the event list."""
+        """Advance to horizon T; returns the event list. Sets `refreshes`
+        and `drawn` for the run."""
         draws = _rng.BatchedDraws(gen)
         events = []
+        refreshes = 0
         t = 0.0
         K = self.K
         cnt = self.cnt
@@ -337,8 +350,12 @@ class _Kernel:
             cnt[gK + zp] += 1
             self.colors[node] = zp
             events.append((t, node, z, zp))
-            for g in self.deps[g_pick]:
+            deps = self.deps[g_pick]
+            for g in deps:
                 self._refresh(g)
+            refreshes += len(deps)
+        self.refreshes = refreshes
+        self.drawn = draws.drawn
         return events
 
     def check_counts(self):
@@ -351,6 +368,21 @@ class _Kernel:
                     raise InternalConsistencyError(
                         f"count table drifted at group {g}, color {z}"
                     )
+
+
+_last_kernel = threading.local()
+
+
+def _kernel(graph: BlockGraph, family) -> _Kernel:
+    """The kernel of the last design this thread ran. Graph and rate
+    family compare by value, so the replicas of one design (pool workers
+    unpickle an equal graph) build it once; `load` resets every per-run
+    field. Per thread, because a kernel holds its run's state."""
+    key = (graph, family)
+    if getattr(_last_kernel, "key", None) != key:
+        _last_kernel.kernel = _Kernel(graph, family)  # may raise: key last
+        _last_kernel.key = key
+    return _last_kernel.kernel
 
 
 def simulate(graph: BlockGraph, spec, targets, init, T: float, seed,
@@ -372,10 +404,13 @@ def simulate(graph: BlockGraph, spec, targets, init, T: float, seed,
     if state.K != family.colors.K:
         raise InvalidArgumentError("init state K does not match rate spec")
     gen = seed if isinstance(seed, np.random.Generator) else _rng.substream(seed)
-    kern = _Kernel(graph, family)
+    kern = _kernel(graph, family)
     kern.load(state.colors)
     events = kern.run(float(T), gen)
-    traj = Trajectory(state, events, float(T))
+    traj = Trajectory(state, events, float(T), kern.refreshes, kern.drawn)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("simulate: %d events, %d refreshes, %d drawn",
+                  len(events), kern.refreshes, kern.drawn)
     if debug:
         kern.check_counts()
         if not np.array_equal(traj.final_colors,

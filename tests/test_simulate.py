@@ -1,4 +1,8 @@
 import io
+import logging
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +10,8 @@ import pytest
 import blockmf as bm
 from blockmf.meanfield import _VectorField
 from blockmf.rates import total_rate
-from blockmf.simulate import _Kernel, local_empirical
+from blockmf.rng import BatchedDraws
+from blockmf.simulate import _Kernel, _kernel, local_empirical
 
 SIS = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
                   zeta=[0.9, 0.7])
@@ -79,6 +84,84 @@ def test_simulate_zero_horizon_and_bad_args():
         q3 = bm.queue_spec(3, 1.0, 0.5, 0.4)
         st = bm.SystemState.from_colors(g, [0, 1], 2)
         bm.simulate(g, q3, None, st, 1.0, seed=3)
+
+
+def test_kernel_reuse_leaks_no_state():
+    # simulate reuses the last design's kernel: runs on other designs in
+    # between must leave no trace in a rerun of the first one
+    graph_a = bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5)
+    init_a = [0, 1, 2, 0, 0, 1, 0, 1, 2, 0, 1, 0]
+    queue = bm.queue_spec(3, zeta=1.0, vartheta=0.8, h_coefficient=0.4)
+    first = bm.simulate(graph_a, queue, None, init_a, 5.0, seed=7)
+    assert len(first.events) > 2 * BatchedDraws.FIRST  # refills mid-run
+    for debug in (False, True):
+        graph_b = bm.build_complete_peripheral([(2, 3), (3, 4)])
+        bm.simulate(graph_b, queue, None, [1] * graph_b.n_total, 5.0,
+                    seed=8, debug=debug)
+        bm.simulate(graph_a, SIS, None, [1] * graph_a.n_total, 5.0, seed=9,
+                    debug=debug)
+        again = bm.simulate(graph_a, queue, None, init_a, 5.0, seed=7,
+                            debug=debug)
+        assert again.events == first.events
+        assert (again.refreshes, again.drawn) == (first.refreshes,
+                                                  first.drawn)
+
+
+def test_kernel_is_shared_by_equal_designs():
+    # an equal graph (a pool worker's unpickled copy) and an equal rate
+    # family hit the one-entry kernel cache; anything else rebuilds
+    graph = bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5)
+    family = bm.as_block_rates(SIS, 2)
+    kern = _kernel(graph, family)
+    assert _kernel(pickle.loads(pickle.dumps(graph)),
+                   bm.as_block_rates(SIS, 2)) is kern
+    other = bm.sis_spec(2, gamma=0.8, nu=0.5, eta=0.6, zeta=0.9)
+    assert _kernel(graph, bm.as_block_rates(other, 2)) is not kern
+
+
+def test_threads_do_not_share_a_kernel():
+    # a kernel holds its run's state, so threads that interleave runs on
+    # one design must still each get the sequential result
+    graph = bm.build_complete_peripheral([(2, 3), (2, 3)])
+    queue = bm.queue_spec(3, zeta=1.0, vartheta=0.8, h_coefficient=0.4)
+    init = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
+    want = {s: bm.simulate(graph, queue, None, init, 3.0, seed=s).events
+            for s in range(4)}
+    got = {}
+
+    def worker(s):
+        got[s] = [bm.simulate(graph, queue, None, init, 3.0, seed=s).events
+                  for _ in range(10)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,))
+                   for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert got == {s: [events] * 10 for s, events in want.items()}
+
+
+def test_trajectory_counters(caplog):
+    g = bm.build_complete_peripheral([(2, 3), (2, 3)])
+    init = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+    with caplog.at_level(logging.DEBUG, logger="blockmf.simulate"):
+        tr = bm.simulate(g, SIS, None, init, 2.0, seed=7)
+    # every jump refreshes at least its own group; each stream's first
+    # block is BatchedDraws.FIRST numbers
+    assert tr.refreshes >= len(tr.events) > 0
+    assert tr.drawn >= 2 * BatchedDraws.FIRST
+    assert tr == bm.Trajectory(tr.initial, tr.events, tr.horizon)
+    assert caplog.messages == [
+        f"simulate: {len(tr.events)} events, {tr.refreshes} refreshes, "
+        f"{tr.drawn} drawn"
+    ]
 
 
 def kernel_definition_gap(graph, family, colors):
