@@ -117,50 +117,33 @@ class BlockGraph:
                 )
             closed[a].add(b)
             closed[b].add(a)
-        ids = {}  # closed neighbourhood -> label, in order of first node
-        self._quotient(
-            lambda j: [ids.setdefault(frozenset(closed[n]), len(ids))
-                       for n in self.peripheral_nodes(j)],
-            lambda m, n: n in closed[m])
+        self._quotient(lambda n: frozenset(closed[n]),
+                       lambda m, n: n in closed[m])
 
-    def _quotient(self, keys, adjacent):
-        """Group each block's peripherals into twin classes by their keys
-        and link classes c, d when adjacent(first of c, first of d).
-        keys(j) is a non-negative integer array with one entry, or one
-        row, per peripheral of block j in node order (numpy throughout, so
-        a builder keys 10^5 nodes without a Python call per node); equal
-        keys make one class. A closed neighbourhood is a union of whole
-        classes, so a first node stands for its class; adjacent must hold
-        within a block (the clique)."""
+    def _quotient(self, key, adjacent):
+        """Group each block's peripherals by key(n) into twin classes and
+        link classes c, d when adjacent(first of c, first of d). A closed
+        neighbourhood is a union of whole classes, so a first node stands
+        for its class; adjacent must hold within a block (the clique)."""
         classes = []
-        self._twin_of = np.full(self.n_total, -1, dtype=np.int64)
         for j in range(self.r):
-            lo, hi = self._peripheral_range[j]
-            label = np.zeros(hi - lo, dtype=np.int64)
-            for col in np.asarray(keys(j)).reshape(hi - lo, -1).T:
-                # one label per distinct row so far, each below hi - lo
-                _, first, label = np.unique(label * (col.max() + 1) + col,
-                                            return_index=True,
-                                            return_inverse=True)
-            # number the classes in order of their first node
-            rank = np.empty_like(first)
-            rank[np.argsort(first)] = np.arange(len(first))
-            label = rank[label]
-            self._twin_of[lo:hi] = len(classes) + label
-            members = np.argsort(label, kind="stable") + lo
-            ends = np.cumsum(np.bincount(label))[:-1]
-            classes += [tuple(c.tolist()) for c in np.split(members, ends)]
-        self.twin_classes = tuple(classes)
+            groups = {}
+            for n in self.peripheral_nodes(j):
+                groups.setdefault(key(n), []).append(n)
+            classes += groups.values()
+        self.twin_classes = tuple(tuple(c) for c in classes)
         firsts = [c[0] for c in classes]
         self.twin_links = tuple(
             tuple(d for d, n in enumerate(firsts) if adjacent(m, n))
             for m in firsts
         )
+        self._twin_of = np.full(self.n_total, -1, dtype=np.int64)
         # M_i^n per class: neighbour count in each block, own block counted
         # as N_j^p (self included), which holds iff the block is a clique
         blocks = [self.block_of(n) for n in firsts]
         cross = []
         for c, links in enumerate(self.twin_links):
+            self._twin_of[classes[c]] = c
             counts = [0] * self.r
             for d in links:
                 counts[blocks[d]] += len(classes[d])
@@ -298,8 +281,7 @@ def build_complete_peripheral(block_sizes) -> BlockGraph:
     per block, each linked to all."""
     graph = BlockGraph.__new__(BlockGraph)
     graph._layout(block_sizes)
-    graph._quotient(lambda j: np.zeros(graph.block_sizes[j][1], np.int64),
-                    lambda m, n: True)
+    graph._quotient(lambda n: None, lambda m, n: True)
     return graph
 
 
@@ -364,15 +346,14 @@ def build_regular_peripheral(block_sizes, cross_degree_fractions) -> BlockGraph:
         j = graph.block_of(n)
         return j, n - graph.peripheral_nodes(j).start
 
-    def keys(j):
+    def key(n):
         # A row's run starts at a*mu % v. Runs start and end on multiples
         # of g = gcd(mu, v), so a column's rows are fixed by its g-aligned
         # chunk b // g. Distinct keys see distinct sets unless mu == v.
-        a = np.arange(sizes[j][1], dtype=np.int64)
-        cols = [a * mu % v if j == lo else a // g
-                for (lo, hi), (mu, v, g) in runs.items()
-                if j in (lo, hi) and mu < v]
-        return np.column_stack(cols) if cols else np.zeros_like(a)
+        j, a = local(n)
+        return tuple(a * mu % v if j == lo else a // g
+                     for (lo, hi), (mu, v, g) in runs.items()
+                     if j in (lo, hi) and mu < v)
 
     def adjacent(m, n):
         (j, a), (i, b) = sorted((local(m), local(n)))
@@ -381,7 +362,7 @@ def build_regular_peripheral(block_sizes, cross_degree_fractions) -> BlockGraph:
         mu, v, _ = runs[j, i]
         return (b - a * mu) % v < mu
 
-    graph._quotient(keys, adjacent)
+    graph._quotient(key, adjacent)
     return graph
 
 

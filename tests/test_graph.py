@@ -187,22 +187,6 @@ def _regular_reference_edges(block_sizes, fractions):
     return edges
 
 
-def _reference_twin_classes(block_sizes, edges):
-    """Peripherals grouped by (block, closed neighbourhood) with a plain
-    dict, node by node: members ascending, classes in order of first
-    node."""
-    graph = build_complete_peripheral(block_sizes)  # for the layout only
-    closed = {n: {n} for n in graph.peripheral_nodes_all()}
-    for a, b in edges:
-        closed[a].add(b)
-        closed[b].add(a)
-    groups = {}
-    for n in graph.peripheral_nodes_all():
-        groups.setdefault((graph.block_of(n), frozenset(closed[n])),
-                          []).append(n)
-    return tuple(tuple(c) for c in groups.values())
-
-
 _GATE_DESIGNS = [
     ("complete", [(2, 3), (3, 4)], None),
     ("complete", [(7, 6)], None),
@@ -236,7 +220,6 @@ def test_builders_match_reference_edges(kind, sizes, fractions):
     assert built.peripheral_edges == ref.peripheral_edges
     assert built.peripheral_edges == tuple(sorted(set(edges)))
     assert built.twin_classes == ref.twin_classes
-    assert ref.twin_classes == _reference_twin_classes(sizes, edges)
     assert built.cross_degree_matrix == ref.cross_degree_matrix
     assert built.is_complete_peripheral == ref.is_complete_peripheral
     assert built == ref and hash(built) == hash(ref)
