@@ -287,9 +287,7 @@ def cmd_oracle_check(args):
     T = sc.horizon
     replicas = sc.replicas(default=20000)
     K = inits[0].size
-    init_mat = np.empty((graph.n_total, K))
-    for n in range(graph.n_total):
-        init_mat[n] = inits[2 * graph.block_of(n) + graph.class_of(n)]
+    init_mat = np.asarray(inits)[graph.component]
     dist = master_equation_oracle(graph, spec, targets, init_mat, T)
     oracle_p = np.stack([dist.node_marginal(n) for n in range(graph.n_total)])
 

@@ -20,6 +20,7 @@ from .graph import CENTRAL, BlockGraph, ProportionTargets, \
     build_complete_peripheral
 from .meanfield import solve_mckean_vlasov
 from .metrics import d_bl
+from .rates import validate_probability
 from .rng import substream
 from .simulate import empirical_process, simulate
 
@@ -153,22 +154,14 @@ def proportional_family(targets: ProportionTargets):
 
 
 def sample_block_colors(graph: BlockGraph, inits, gen) -> np.ndarray:
-    """iid initial colors, one distribution per (block, class)."""
-    inits = [np.asarray(m, dtype=float) for m in inits]
+    """iid initial colors, one distribution per component 2*block+class."""
     if len(inits) != 2 * graph.r:
         raise InvalidArgumentError(f"need 2r={2 * graph.r} initial measures")
-    K = inits[0].size
-    colors = np.empty(graph.n_total, dtype=np.int64)
-    for j in range(graph.r):
-        for cls in (0, 1):
-            nodes = (graph.central_nodes(j) if cls == CENTRAL
-                     else graph.peripheral_nodes(j))
-            cdf = np.cumsum(inits[2 * j + cls])
-            u = gen.random(len(nodes))
-            colors[list(nodes)] = np.minimum(
-                np.searchsorted(cdf, u, side="right"), K - 1
-            )
-    return colors
+    K = validate_probability(inits[0]).size
+    cdf = np.cumsum([validate_probability(m, K) for m in inits], axis=1)
+    # a node's color is the number of its cdf entries at or below u
+    u = gen.random(graph.n_total)
+    return np.minimum((cdf[graph.component] <= u[:, None]).sum(axis=1), K - 1)
 
 
 def _seed_path(seed):

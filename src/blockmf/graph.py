@@ -12,8 +12,10 @@ peripheral pairs must be present (the block is a clique); cross-block
 pairs are whatever the design says.
 
 Node ids are global, contiguous, 0-based: block 0 centrals, block 0
-peripherals, block 1 centrals, ... Class and block of a node are O(1)
-lookups.
+peripherals, block 1 centrals, ... so they run in component order, where
+component g = 2*block + class (class 0 central, 1 peripheral) is the
+index every per-(block, class) table uses. `BlockGraph.component` maps a
+node to it.
 """
 
 from __future__ import annotations
@@ -65,11 +67,14 @@ class BlockGraph:
     neighbourhood, members ascending, classes in order of first node.
     twin_links[c]: the classes whose union is class c's closed
     neighbourhood. These two are the stored form of the design.
+
+    component[n]: read-only int64 array, node n's component 2*block +
+    class; non-decreasing, since ids run in component order.
     """
 
     def _layout(self, block_sizes):
-        """Sizes and node tables; the builders lay out a bare instance,
-        then hand `_quotient` their own key and adjacency."""
+        """Sizes and the node -> component table; the builders lay out a
+        bare instance, then hand `_quotient` their own key and adjacency."""
         sizes = [
             (_integer(nc, f"block {j} central size"),
              _integer(npp, f"block {j} peripheral size"))
@@ -87,19 +92,11 @@ class BlockGraph:
         self.block_sizes = tuple(sizes)
         self.n_total = sum(nc + npp for nc, npp in sizes)
 
-        # node -> (block, class) tables and per-block id ranges
-        self._block_of = np.empty(self.n_total, dtype=np.int64)
-        self._class_of = np.empty(self.n_total, dtype=np.int64)
-        self._central_range = []
-        self._peripheral_range = []
-        pos = 0
-        for j, (nc, npp) in enumerate(sizes):
-            self._central_range.append((pos, pos + nc))
-            self._peripheral_range.append((pos + nc, pos + nc + npp))
-            self._block_of[pos : pos + nc + npp] = j
-            self._class_of[pos : pos + nc] = CENTRAL
-            self._class_of[pos + nc : pos + nc + npp] = PERIPHERAL
-            pos += nc + npp
+        # component g holds nodes _bounds[g] .. _bounds[g + 1] - 1
+        self._bounds = (0, *np.cumsum(np.ravel(sizes)).tolist())
+        self.component = np.repeat(np.arange(2 * self.r, dtype=np.int64),
+                                   np.ravel(sizes))
+        self.component.flags.writeable = False
 
     def __init__(self, block_sizes, peripheral_edges):
         self._layout(block_sizes)
@@ -111,7 +108,7 @@ class BlockGraph:
                 raise InvalidConfigurationError(f"self-loop at node {a}")
             if not (0 <= a < self.n_total and 0 <= b < self.n_total):
                 raise InvalidConfigurationError(f"edge ({a},{b}) out of range")
-            if self._class_of[a] != PERIPHERAL or self._class_of[b] != PERIPHERAL:
+            if not (self.is_peripheral(a) and self.is_peripheral(b)):
                 raise InvalidConfigurationError(
                     f"edge ({a},{b}) touches a central node"
                 )
@@ -167,24 +164,27 @@ class BlockGraph:
             else None
         )
 
+    def __setstate__(self, state):
+        # pickling drops the flag; a pool worker's copy stays read-only too
+        self.__dict__.update(state)
+        self.component.flags.writeable = False
+
     # --- queries -----------------------------------------------------
 
     def block_of(self, n) -> int:
-        return int(self._block_of[n])
+        return int(self.component[n]) // 2
 
     def class_of(self, n) -> int:
-        return int(self._class_of[n])
+        return int(self.component[n]) % 2
 
     def is_peripheral(self, n) -> bool:
-        return self._class_of[n] == PERIPHERAL
+        return self.class_of(n) == PERIPHERAL
 
     def central_nodes(self, j) -> range:
-        lo, hi = self._central_range[j]
-        return range(lo, hi)
+        return range(self._bounds[2 * j], self._bounds[2 * j + 1])
 
     def peripheral_nodes(self, j) -> range:
-        lo, hi = self._peripheral_range[j]
-        return range(lo, hi)
+        return range(self._bounds[2 * j + 1], self._bounds[2 * j + 2])
 
     def peripheral_nodes_all(self):
         return [n for j in range(self.r) for n in self.peripheral_nodes(j)]

@@ -59,16 +59,11 @@ class StateDistribution:
     def mean_empirical(self, graph: BlockGraph) -> np.ndarray:
         """Expected empirical measure vector, shape (2r, K)."""
         out = np.zeros((2 * graph.r, self.K))
+        comp = graph.component
+        size = np.ravel(graph.block_sizes)[comp]
         for idx, p in enumerate(self.probs):
-            if p == 0.0:
-                continue
-            colors = self.decode(idx)
-            for j in range(graph.r):
-                nc, npp = graph.block_sizes[j]
-                for n in graph.central_nodes(j):
-                    out[2 * j, colors[n]] += p / nc
-                for n in graph.peripheral_nodes(j):
-                    out[2 * j + 1, colors[n]] += p / npp
+            if p != 0.0:
+                np.add.at(out, (comp, self.decode(idx)), p / size)
         return out
 
 

@@ -42,12 +42,15 @@ __all__ = [
 
 
 def validate_measure(x, K=None):
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"measure must be numbers, got {x!r}")
     if arr.ndim != 1 or (K is not None and arr.shape[0] != K):
         raise InvalidArgumentError(
             f"measure must be a length-{K} vector, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+    if not (np.isfinite(arr).all() and (arr >= 0).all()):
         raise InvalidArgumentError("measure entries must be finite and >= 0")
     return arr
 

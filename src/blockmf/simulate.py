@@ -45,41 +45,37 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SystemState:
-    """Node colors plus the per-(block, class) color count table."""
+    """Node colors plus their count table counts[g, z], g = 2*block +
+    class: an int array of shape (2r, K), the layout of
+    EmpiricalSeries.values[t]."""
 
     colors: np.ndarray
-    counts: tuple  # counts[j][cls][z], ints
+    counts: np.ndarray
 
     @classmethod
     def from_colors(cls, graph: BlockGraph, colors, K: int) -> "SystemState":
-        colors = np.asarray(colors, dtype=np.int64)
+        colors = np.asarray(colors)
+        if colors.dtype.kind not in "iu":
+            raise InvalidArgumentError(
+                f"colors must be integers, got dtype {colors.dtype}"
+            )
+        colors = colors.astype(np.int64, copy=False)
         if colors.shape != (graph.n_total,):
             raise InvalidArgumentError(
                 f"need {graph.n_total} colors, got shape {colors.shape}"
             )
         if colors.min() < 0 or colors.max() >= K:
             raise InvalidArgumentError(f"colors must lie in 0..{K - 1}")
-        return cls(colors, recount(graph, colors, K))
+        counts = np.bincount(graph.component * K + colors,
+                             minlength=2 * graph.r * K)
+        return cls(colors, counts.reshape(2 * graph.r, K))
 
     @property
     def K(self) -> int:
-        return len(self.counts[0][0])
+        return self.counts.shape[1]
 
     def class_size(self, j: int, cls: int) -> int:
-        return sum(self.counts[j][cls])
-
-
-def recount(graph: BlockGraph, colors, K: int):
-    counts = []
-    for j in range(graph.r):
-        row_c = [0] * K
-        row_p = [0] * K
-        for n in graph.central_nodes(j):
-            row_c[colors[n]] += 1
-        for n in graph.peripheral_nodes(j):
-            row_p[colors[n]] += 1
-        counts.append((tuple(row_c), tuple(row_p)))
-    return tuple(counts)
+        return int(self.counts[2 * j + cls].sum())
 
 
 @dataclass
@@ -136,9 +132,9 @@ def local_empirical(state: SystemState, graph: BlockGraph, node: int,
     K = state.K
     j = graph.block_of(node)
     nc, npp = graph.block_sizes[j]
-    mu_c = np.asarray(state.counts[j][CENTRAL], dtype=float) / nc
+    mu_c = state.counts[2 * j + CENTRAL] / nc
     if not graph.is_peripheral(node):
-        mu_p = np.asarray(state.counts[j][PERIPHERAL], dtype=float) / npp
+        mu_p = state.counts[2 * j + PERIPHERAL] / npp
         nj = nc + npp
         return LocalMeasure(
             (mu_c, mu_p),
@@ -188,8 +184,6 @@ class _Kernel:
         self.members += [list(c) for c in graph.twin_classes]
         self.meta = [(graph.block_of(m[0]), graph.class_of(m[0]))
                      for m in self.members]
-        self.group_of_node = {n: g for g, members in enumerate(self.members)
-                              for n in members}
         self.n_groups = len(self.members)
 
         # coefficient lists: coef[g][e] = [(flat_count_index, weight), ...]
@@ -461,29 +455,21 @@ def empirical_process(trajectory: Trajectory, graph: BlockGraph,
         raise InvalidArgumentError(
             f"grid must lie within [0, {trajectory.horizon}]"
         )
+    # each jump lands on the first grid point at or after it, then counts
+    # accumulate along the grid; jumps after the last point land in an
+    # extra row that is cut off
     K = trajectory.initial.K
-    counts = [
-        [list(trajectory.initial.counts[j][cls]) for cls in (0, 1)]
-        for j in range(graph.r)
-    ]
-    sizes = [
-        [graph.block_sizes[j][0], graph.block_sizes[j][1]]
-        for j in range(graph.r)
-    ]
-    out = np.empty((grid.size, 2 * graph.r, K))
-    ev = trajectory.events
-    ie = 0
-    for it, t in enumerate(grid):
-        while ie < len(ev) and ev[ie][0] <= t:
-            _, node, z, zp = ev[ie]
-            j = graph.block_of(node)
-            cls = graph.class_of(node)
-            counts[j][cls][z] -= 1
-            counts[j][cls][zp] += 1
-            ie += 1
-        for j in range(graph.r):
-            for cls in (0, 1):
-                out[it, 2 * j + cls] = np.asarray(
-                    counts[j][cls], dtype=float
-                ) / sizes[j][cls]
+    width = 2 * graph.r * K
+    rows = (grid.size + 1) * width
+    delta = np.zeros(rows, dtype=np.int64)
+    delta[:width] = trajectory.initial.counts.ravel()
+    if trajectory.events:
+        t, node, z, zp = (np.asarray(col) for col in zip(*trajectory.events))
+        at = (np.searchsorted(grid, t, side="left") * width
+              + graph.component[node] * K)
+        delta += (np.bincount(at + zp, minlength=rows)
+                  - np.bincount(at + z, minlength=rows))
+    counts = np.cumsum(delta[:-width].reshape(grid.size, width), axis=0)
+    out = (counts.reshape(grid.size, 2 * graph.r, K)
+           / np.ravel(graph.block_sizes)[:, None])
     return EmpiricalSeries(grid, out, graph.r)

@@ -46,6 +46,57 @@ def test_sample_block_colors():
     assert np.array_equal(colors, again)
     with pytest.raises(bm.InvalidArgumentError):
         bm.sample_block_colors(g, inits[:3], gen)
+    # every row must be a probability vector of row 0's length: no
+    # clamping of a longer row, no silent top colour for a short sum,
+    # no raw numpy error for a ragged list
+    for bad_row in ([0.2, 0.3, 0.5], [0.1, 0.1], [0.5], [1.2, -0.2],
+                    [[0.5, 0.5]], [[0.5], [0.25, 0.25]]):
+        bad = inits[:3] + [bad_row]
+        with pytest.raises(bm.InvalidArgumentError):
+            bm.sample_block_colors(g, bad, gen)
+    with pytest.raises(bm.InvalidArgumentError):
+        bm.sample_block_colors(g, [[0.5, 0.4]] + inits[1:], gen)
+
+
+def sample_reference(graph, inits, gen):
+    """Reference: one cumsum, draw and searchsorted per (block, class)."""
+    K = len(inits[0])
+    colors = np.empty(graph.n_total, dtype=np.int64)
+    for j in range(graph.r):
+        for cls in (0, 1):
+            nodes = (graph.central_nodes(j) if cls == 0
+                     else graph.peripheral_nodes(j))
+            cdf = np.cumsum(np.asarray(inits[2 * j + cls], dtype=float))
+            u = gen.random(len(nodes))
+            colors[list(nodes)] = np.minimum(
+                np.searchsorted(cdf, u, side="right"), K - 1
+            )
+    return colors
+
+
+@pytest.mark.parametrize("make_gen", [
+    lambda: bm.substream(17, 2, 5),
+    lambda: np.random.default_rng(17),
+], ids=["substream", "default_rng"])
+def test_sample_block_colors_matches_reference(make_gen):
+    graphs = [
+        bm.build_complete_peripheral([(3, 4), (5, 2)]),
+        bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5),
+        bm.build_complete_peripheral([(7, 9), (2, 3), (4, 1)]),
+    ]
+    inits3 = [[0.2, 0.5, 0.3], [1.0, 0.0, 0.0], [0.0, 0.25, 0.75],
+              [1 / 3, 1 / 3, 1 / 3], [0.1, 0.0, 0.9], [0.0, 0.0, 1.0]]
+    for graph in graphs:
+        inits = [np.array(m) for m in inits3[:2 * graph.r]]
+        gen, ref = make_gen(), make_gen()
+        for _ in range(3):
+            got = bm.sample_block_colors(graph, inits, gen)
+            want = sample_reference(graph, inits, ref)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        # the generators are left in the same state
+        assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
+        assert np.array_equal(gen.random(7), ref.random(7))
 
 
 def small_lln(threads=1, n_list=(12, 24), replicas=6):

@@ -21,6 +21,12 @@ def test_complete_peripheral_layout():
     assert not g.is_peripheral(1)
     assert g.is_peripheral(9)
     assert g.is_complete_peripheral
+    # node -> 2*block + class, in id order, read-only even after a pickle
+    assert g.component.tolist() == [0, 0, 1, 1, 1, 2, 2, 2, 2, 3]
+    assert g.component.dtype == np.int64
+    for h in (g, pickle.loads(pickle.dumps(g))):
+        with pytest.raises(ValueError):
+            h.component[0] = 1
     # every peripheral pair adjacent, both directions visible
     perips = list(g.peripheral_nodes_all())
     for n in perips:

@@ -97,8 +97,8 @@ def test_oracle_vs_simulator_small_sis():
     for rep in range(reps):
         tr = bm.simulate(g, fam, None, init_colors, T, seed=50_000 + rep)
         final = bm.SystemState.from_colors(g, tr.final_colors, 2)
-        acc[0] += np.asarray(final.counts[0][0]) / 1.0
-        acc[1] += np.asarray(final.counts[0][1]) / 2.0
+        acc[0] += np.asarray(final.counts[0]) / 1.0
+        acc[1] += np.asarray(final.counts[1]) / 2.0
     acc /= reps
     # per-component SE of a bounded [0,1] average across 4000 replicas
     se = 0.5 / np.sqrt(reps)

@@ -22,14 +22,23 @@ def test_system_state_from_colors():
     colors = [0, 1, 1, 1, 0, 0, 0, 1, 0, 1]
     st = bm.SystemState.from_colors(g, colors, 2)
     assert st.K == 2
-    assert st.counts[0][0] == (1, 1)     # block 0 centrals
-    assert st.counts[0][1] == (1, 2)     # block 0 peripherals
-    assert st.counts[1][1] == (1, 2)
+    assert tuple(st.counts[0]) == (1, 1)     # block 0 centrals
+    assert tuple(st.counts[1]) == (1, 2)     # block 0 peripherals
+    assert tuple(st.counts[3]) == (1, 2)     # block 1 peripherals
     assert st.class_size(1, 0) == 2
     with pytest.raises(bm.InvalidArgumentError, match="colors"):
         bm.SystemState.from_colors(g, colors[:-1], 2)
     with pytest.raises(bm.InvalidArgumentError, match="0..1"):
         bm.SystemState.from_colors(g, [2] + colors[1:], 2)
+    # non-integer colors are refused, not truncated
+    for bad in ([0.7, 1.2] * 5, np.array(colors, dtype=float),
+                [True, False] * 5, np.array(colors, dtype=bool)):
+        with pytest.raises(bm.InvalidArgumentError, match="integer"):
+            bm.SystemState.from_colors(g, bad, 2)
+    one = bm.build_complete_peripheral([(1, 1)])
+    for bad in ([0.7, 1.2], [True, False]):
+        with pytest.raises(bm.InvalidArgumentError, match="integer"):
+            bm.simulate(one, SIS.central[0], None, bad, 1.0, seed=1)
 
 
 def test_trajectory_replay_and_csv():
@@ -170,12 +179,13 @@ def kernel_definition_gap(graph, family, colors):
     st = bm.SystemState.from_colors(graph, colors, family.colors.K)
     kern = _Kernel(graph, family)
     kern.load(st.colors)
+    group = {n: g for g, members in enumerate(kern.members) for n in members}
     worst = 0.0
     for n in range(graph.n_total):
         j, cls = graph.block_of(n), graph.class_of(n)
         spec = family.spec_for(j, cls)
         lm = local_empirical(st, graph, n)
-        g = kern.group_of_node[n]
+        g = group[n]
         for e in range(family.colors.n_edges):
             ref = total_rate(spec, e, lm.proportions[0], lm.parts[0],
                              lm.proportions[1:], lm.parts[1:])
@@ -224,7 +234,7 @@ def test_kernel_rates_match_limit_field(fam):
         kern = _Kernel(graph, family)
         kern.load(st.colors)
         y = np.concatenate([
-            np.asarray(st.counts[j][cls], dtype=float)
+            np.asarray(st.counts[2 * j + cls], dtype=float)
             / graph.block_sizes[j][cls]
             for j in range(graph.r) for cls in (0, 1)
         ])
@@ -258,10 +268,10 @@ def test_kernel_groups_are_twin_classes(builder, n_groups):
                 for n in members}
         assert len(keys) == 1
         assert kern.meta[g] == next(iter(keys))[:2]
-        assert all(kern.group_of_node[n] == g for n in members)
         seen |= keys
     assert len(seen) == n_groups
-    assert sorted(kern.group_of_node) == list(range(graph.n_total))
+    assert sorted(n for m in kern.members for n in m) == list(
+        range(graph.n_total))
 
 
 def test_kernel_group_totals():
@@ -311,7 +321,7 @@ def test_empirical_process_masses_and_alignment():
     assert np.all(series.values >= 0)
     # t=0 row is the initial state
     st = bm.SystemState.from_colors(g, init, 2)
-    assert np.allclose(series.values[0, 0], np.array(st.counts[0][0]) / 2)
+    assert np.allclose(series.values[0, 0], np.array(st.counts[0]) / 2)
     # component accessor matches the flat layout
     assert np.array_equal(series.component(1, 1), series.values[:, 3, :])
 
@@ -323,6 +333,65 @@ def test_empirical_process_right_continuous():
     series = bm.empirical_process(tr, g, [0.5])
     # the grid point sitting exactly on the jump sees the post-jump state
     assert series.values[0, 0, 1] == 1.0
+
+
+def replay_empirical(traj, graph, grid):
+    """Reference: replay the events one by one, walking the grid."""
+    K = traj.initial.K
+    counts = [[[0] * K for _ in (0, 1)] for _ in range(graph.r)]
+    for n, z in enumerate(traj.initial.colors):
+        counts[graph.block_of(n)][graph.class_of(n)][z] += 1
+    out = np.empty((len(grid), 2 * graph.r, K))
+    ev = traj.events
+    ie = 0
+    for it, t in enumerate(grid):
+        while ie < len(ev) and ev[ie][0] <= t:
+            _, node, z, zp = ev[ie]
+            j, cls = graph.block_of(node), graph.class_of(node)
+            counts[j][cls][z] -= 1
+            counts[j][cls][zp] += 1
+            ie += 1
+        for j in range(graph.r):
+            for cls in (0, 1):
+                out[it, 2 * j + cls] = np.asarray(
+                    counts[j][cls], dtype=float
+                ) / graph.block_sizes[j][cls]
+    return out
+
+
+@pytest.mark.parametrize("builder, fam", [
+    (lambda: bm.build_complete_peripheral([(4, 6), (6, 4)]), SIS),
+    (lambda: bm.build_regular_peripheral([(3, 6), (3, 6)], 0.5), SIS),
+    (lambda: bm.build_complete_peripheral([(3, 2), (2, 3)]),
+     bm.queue_spec(6, zeta=(1.2, 1.0, 0.9, 0.7, 0.5, 0.0), vartheta=0.8,
+                   h_coefficient=0.3)),
+], ids=["complete-sis", "regular-sis", "queue-6"])
+def test_empirical_process_matches_event_replay(builder, fam):
+    graph = builder()
+    K = bm.as_block_rates(fam, graph.r).colors.K
+    T = 3.0
+    for seed in (31, 32):
+        init = np.random.default_rng(seed).integers(0, K, graph.n_total)
+        tr = bm.simulate(graph, fam, None, init, T, seed=seed)
+        assert len(tr.events) > 10
+        times = [e[0] for e in tr.events]
+        # grid points on jump times (first, middle, last), repeated points,
+        # both ends of [0, T]
+        grid = np.sort(np.concatenate([
+            np.linspace(0.0, T, 13), times[:1], times[len(times) // 2:][:3],
+            times[-1:], times[-1:], [0.0, 1.5, 1.5, T],
+        ]))
+        got = bm.empirical_process(tr, graph, grid).values
+        want = replay_empirical(tr, graph, grid)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+    # no events: every row is the initial state
+    st = bm.SystemState.from_colors(graph, init, K)
+    quiet = bm.Trajectory(st, [], T)
+    grid = [0.0, 0.0, 1.0, T]
+    assert np.array_equal(bm.empirical_process(quiet, graph, grid).values,
+                          replay_empirical(quiet, graph, grid))
 
 
 def test_empirical_process_grid_validation():
