@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import blockmf as bm
+from conftest import random_inits, random_rate_family, random_targets
 
 R1_TARGETS = bm.ProportionTargets((0.5,), (0.4,), ((0.6,),), (1.0,))
 
@@ -472,3 +473,199 @@ def test_sample_reference_path():
     cg2 = bm.ColorGraph(2, [(0, 1)])
     p = bm.sample_reference_path(cg2, 0, 50.0, seed=1)
     assert p.n_jumps <= 1
+
+
+# --------------------------------------------------------------------------
+# the variational norm against a per-row scalar reference
+
+
+def scalar_norm(theta, mu_point, lam, colors, grad_tol=1e-10, max_iter=200):
+    """Damped Newton on one (theta, mu, lambda) row with Python-level
+    scatter-adds, one row at a time: the reference the batched solver
+    must reproduce, exit for exit."""
+    from blockmf.ldp import PHI_CAP, _component_roots
+
+    K = colors.K
+    if abs(float(theta.sum())) > 1e-10:
+        return math.inf
+    w_all = mu_point[colors.src] * lam
+    act = w_all > 0.0
+    src, dst, w = colors.src[act], colors.dst[act], w_all[act]
+    roots = _component_roots(K, src, dst)
+    if np.any(np.abs(np.bincount(roots, theta, minlength=K)) > grad_tol):
+        return math.inf
+    free = np.flatnonzero(roots != np.arange(K))
+    if free.size == 0:
+        return 0.0
+    phi = np.zeros(K)
+
+    def objective(p):
+        with np.errstate(over="ignore"):
+            d = p[dst] - p[src]
+            t = np.expm1(d) - d
+        if not np.all(np.isfinite(t)):
+            return -math.inf
+        return float(theta @ p - w @ t)
+
+    F = objective(phi)
+    grad_norms = []
+    for _ in range(max_iter):
+        d = phi[dst] - phi[src]
+        ed = np.exp(d)
+        flow_e = w * (ed - 1.0)
+        g = theta.copy()
+        np.subtract.at(g, dst, flow_e)
+        np.add.at(g, src, flow_e)
+        gn = float(np.max(np.abs(g[free])))
+        grad_norms.append(gn)
+        if gn < grad_tol:
+            return max(float(F), 0.0)
+        H = np.zeros((K, K))
+        h = w * ed
+        np.add.at(H, (dst, dst), h)
+        np.add.at(H, (src, src), h)
+        np.subtract.at(H, (dst, src), h)
+        np.subtract.at(H, (src, dst), h)
+        Hr = H[np.ix_(free, free)]
+        gr = g[free]
+        reg = 1e-12 * max(1.0, float(Hr.diagonal().max()))
+        step = np.linalg.solve(Hr + reg * np.eye(free.size), gr)
+        direction = np.zeros(K)
+        direction[free] = step
+        slope = float(g @ direction)
+        stall = 100.0 * np.finfo(float).eps * max(1.0, abs(F))
+        if abs(slope) <= stall:
+            return max(float(F), 0.0)
+        if slope < 0.0:
+            direction = np.zeros(K)
+            direction[free] = gr
+            slope = float(gr @ gr)
+            if slope <= stall:
+                return max(float(F), 0.0)
+        alpha = 1.0
+        accepted = False
+        while alpha > 1e-14:
+            Fn = objective(phi + alpha * direction)
+            if Fn >= F + 1e-4 * alpha * slope:
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            break
+        phi = phi + alpha * direction
+        F = Fn
+        if float(np.max(np.abs(phi))) > PHI_CAP:
+            return math.inf
+    raise bm.NonConvergenceError("reference ascent did not converge",
+                                 residuals=grad_norms)
+
+
+# two-way pair 0<->1, one-way 1->2 into the two-way pair 2<->3, and a
+# colour 4 that only leaks into 0: mixed one- and two-way support
+MIXED_CG = bm.ColorGraph(5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2),
+                             (4, 0)])
+
+
+def mixed_rows(gen, n):
+    """(theta, mu, lambda) rows on MIXED_CG covering every exit of the
+    solver: finite gradient-form fluxes, zero mu and zero lambda entries
+    (so the active-edge pattern changes from row to row), theta mass on a
+    detached colour, reverse flux beyond a one-way edge's capacity, zero
+    theta and theta with net mass."""
+    cg = MIXED_CG
+    rows = []
+    for i in range(n):
+        mu = gen.dirichlet(np.ones(cg.K))
+        lam = gen.uniform(0.1, 3.0, cg.n_edges)
+        kind = i % 8
+        if kind == 1:
+            mu[gen.integers(cg.K)] = 0.0          # zero mu
+        elif kind == 2:
+            lam[gen.integers(cg.n_edges)] = 0.0   # zero lambda
+        w = mu[cg.src] * lam
+        phi = gen.normal(0.0, 0.7, cg.K)
+        flux = w * np.expm1(phi[cg.dst] - phi[cg.src])
+        theta = np.zeros(cg.K)
+        np.add.at(theta, cg.dst, flux)
+        np.subtract.at(theta, cg.src, flux)
+        if kind == 3:                             # detached theta mass
+            mu[4] = 0.0
+            theta = np.array([0.05, 0.0, 0.0, 0.0, -0.05])
+        elif kind == 4:                           # beyond reverse capacity
+            e = cg.edge_index(1, 2)
+            a = w[e] * gen.uniform(1.05, 3.0)
+            theta = np.array([0.0, a, -a, 0.0, 0.0])
+        elif kind == 5:                           # inside reverse capacity
+            e = cg.edge_index(1, 2)
+            a = w[e] * gen.uniform(0.1, 0.9)
+            theta = np.array([0.0, a, -a, 0.0, 0.0])
+        elif kind == 6:
+            theta = np.zeros(cg.K)
+        elif kind == 7:                           # net mass
+            theta[0] += 1e-6 * gen.uniform(1.0, 2.0)
+        elif kind == 0:                           # random zero-sum theta
+            theta = gen.normal(0.0, 0.05, cg.K)
+            theta -= theta.mean()
+        rows.append((theta, mu, lam))
+    return rows
+
+
+def assert_matches_reference(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-12 * np.abs(want[fin]))
+
+
+def test_variational_norm_matches_scalar_reference():
+    rows = mixed_rows(np.random.default_rng(91), 400)
+    want = [scalar_norm(t, m, l, MIXED_CG) for t, m, l in rows]
+    got = [bm.variational_norm(t, m, l, MIXED_CG) for t, m, l in rows]
+    assert_matches_reference(got, want)
+    want = np.asarray(want)
+    assert np.isinf(want).any() and (want == 0.0).any()
+    assert (np.isfinite(want) & (want > 0.0)).sum() > 100
+
+
+def test_variational_norm_max_iter_one_raises():
+    theta, mu, lam = mixed_rows(np.random.default_rng(5), 1)[0]
+    with pytest.raises(bm.NonConvergenceError) as exc:
+        bm.variational_norm(theta, mu, lam, MIXED_CG, max_iter=1)
+    assert len(exc.value.residuals) == 1
+    with pytest.raises(bm.NonConvergenceError):
+        scalar_norm(theta, mu, lam, MIXED_CG, max_iter=1)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_variational_cost_matches_scalar_reference(seed):
+    # a random model's own flow, bent in time and with colours emptied at
+    # some grid points, so one variational_cost call sees finite, zero
+    # and infinite rows under many active-edge patterns
+    gen = np.random.default_rng(seed)
+    r, K = 2, 4
+    fam = random_rate_family(gen, r, K)
+    targets = random_targets(gen, r)
+    flow = bm.solve_mckean_vlasov(fam, targets, random_inits(gen, r, K),
+                                  1.0, 0.05)
+    n = flow.times.size
+    bend = 1.0 + 0.2 * np.sin(np.outer(flow.times, gen.uniform(1, 4, K)))
+    vals = flow.values * bend[:, None, :]
+    empty = gen.random(vals.shape) < 0.15
+    vals[empty] = 0.0
+    vals /= vals.sum(axis=2, keepdims=True)
+    vals[n // 2, 1] *= 1.0 + 1e-6                 # net mass at one point
+    bent = bm.MeanFieldFlow(flow.times, vals, r)
+
+    got = bm.variational_cost(bent, targets, fam).integrand
+    dmu = np.empty_like(vals)
+    dmu[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * bent.dt)
+    dmu[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * bent.dt)
+    dmu[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * bent.dt)
+    theta = dmu - bm.flow_drift(bent, fam, targets)
+    lam = bm.flow_rates(bent, fam, targets)
+    mu = np.clip(vals, 0.0, None)
+    want = np.array([[scalar_norm(theta[i, g], mu[i, g], lam[i, g],
+                                  fam.colors)
+                      for g in range(2 * r)] for i in range(n)])
+    assert_matches_reference(got, want)
+    assert np.isinf(want).any() and np.isfinite(want).sum() > 10

@@ -190,3 +190,92 @@ def test_limit_particle_determinism(sis2):
         assert np.array_equal(pa.colors, pb.colors)
     with pytest.raises(bm.InvalidArgumentError):
         bm.simulate_limit_particle(spec, targets, flow, [0, 1], seed=9)
+
+
+# --------------------------------------------------------------------------
+# the fixed-point sweep against a step-by-step reference
+
+
+def stepwise_frozen_solve(field, frozen, y0, dt):
+    """One sweep as a plain RK4 loop with a `drift` call per stage and the
+    mass renormalised after every step: the reference the batched sweep
+    must reproduce."""
+    from blockmf.meanfield import _renormalize
+
+    n1 = frozen.shape[0]
+    r, K = field.r, field.K
+    flat = frozen.reshape(n1, 2 * r * K)
+    R_grid = field.rates(flat)
+    if n1 >= 4:
+        mid = np.empty((n1 - 1, flat.shape[1]))
+        mid[1:-1] = (-flat[:-3] + 9.0 * flat[1:-2]
+                     + 9.0 * flat[2:-1] - flat[3:]) / 16.0
+        mid[0] = (3.0 * flat[0] + 6.0 * flat[1] - flat[2]) / 8.0
+        mid[-1] = (3.0 * flat[-1] + 6.0 * flat[-2] - flat[-3]) / 8.0
+    else:
+        mid = 0.5 * (flat[:-1] + flat[1:])
+    R_mid = field.rates(mid)
+    out = np.empty_like(frozen)
+    y = y0.copy()
+    out[0] = y.reshape(2 * r, K)
+    for i in range(n1 - 1):
+        k1 = field.drift(R_grid[i], y)
+        k2 = field.drift(R_mid[i], y + 0.5 * dt * k1)
+        k3 = field.drift(R_mid[i], y + 0.5 * dt * k2)
+        k4 = field.drift(R_grid[i + 1], y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise bm.NumericalBlowupError("non-finite flow in fixed-point "
+                                          "sweep")
+        _renormalize(y, r, K)
+        out[i + 1] = y.reshape(2 * r, K)
+    return out
+
+
+def queue6_model():
+    spec = bm.queue_spec(6, zeta=[1.2, 1.1, 1.0, 0.9, 0.8, 0.7],
+                         vartheta=[0.0, 1.0, 1.1, 1.2, 1.3, 1.4],
+                         h_coefficient=0.3)
+    targets = bm.ProportionTargets(
+        p_c=(0.4, 0.6), alpha_c=(0.3, 0.25), q=((0.35, 0.35), (0.3, 0.45)),
+        alpha=(0.5, 0.5))
+    inits = [np.array(m) for m in (
+        [0.5, 0.2, 0.1, 0.1, 0.05, 0.05], [0.6, 0.2, 0.1, 0.05, 0.03, 0.02],
+        [0.3, 0.3, 0.2, 0.1, 0.05, 0.05], [0.2, 0.2, 0.2, 0.2, 0.1, 0.1])]
+    return spec, targets, inits
+
+
+@pytest.mark.parametrize("model", ["sis2", "queue6"])
+@pytest.mark.parametrize("steps", [1, 2, 3, 300, 601])
+def test_frozen_sweep_matches_stepwise_reference(model, steps, request):
+    # 1-3 steps take the linear-midpoint branch (fewer than 4 grid
+    # points) or sit at its edge; 300 and 601 steps are not multiples of
+    # any power-of-two chunk of grid steps
+    from blockmf.meanfield import _frozen_solve, _VectorField
+
+    spec, targets, inits = (request.getfixturevalue("sis2")
+                            if model == "sis2" else queue6_model())
+    T = 0.004 * steps
+    direct = bm.solve_mckean_vlasov(spec, targets, inits, T, 0.004)
+    field = _VectorField(spec, targets)
+    y0 = np.concatenate(inits)
+    gen = np.random.default_rng(steps)
+    # a frozen flow off the fixed point, so the sweep moves it
+    frozen = direct.values * gen.uniform(0.9, 1.1, direct.values.shape)
+    frozen /= frozen.sum(axis=2, keepdims=True)
+    dt = direct.dt
+    want = stepwise_frozen_solve(field, frozen, y0, dt)
+    got = _frozen_solve(field, frozen, y0, dt)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13
+    assert np.array_equal(got[0], y0.reshape(want.shape[1:]))
+
+
+def test_frozen_sweep_overflow_raises(sis2):
+    from blockmf.meanfield import _frozen_solve, _VectorField
+
+    spec, targets, inits = sis2
+    field = _VectorField(spec, targets)
+    frozen = np.full((11, 4, 2), 1e300)
+    with pytest.raises(bm.NumericalBlowupError, match="fixed-point sweep"):
+        _frozen_solve(field, frozen, np.concatenate(inits), 0.01)
