@@ -3,7 +3,9 @@ mean-field flow, and factorization of tagged-node joint laws.
 
 Replica randomness is keyed by (master seed, N index, replica index),
 so results are independent of execution order and worker count;
-aggregation always runs in replica order.
+aggregation always runs in replica order. Multichaos keys end in the
+purpose word MULTICHAOS_WORD, so they never repeat the convergence
+study's streams.
 """
 
 from __future__ import annotations
@@ -268,9 +270,18 @@ def resolve_tagged(graph: BlockGraph, tagged_nodes):
     return out
 
 
+# Closes every multichaos key (seed path, replica index, word). SeedSequence
+# pads keys with zeros, so [s], [s, 0] and [s, 0, 0] are one stream: the
+# word must be nonzero and sit past every other caller's indices. With the
+# CLI's (seed, N index) path, (seed, N index, replica, 1) differs from
+# chaos (seed, N index, replica), oracle-check (seed, replica) and
+# simulate (seed).
+MULTICHAOS_WORD = 1
+
+
 def _chaos_replica(args):
     graph, spec, targets, inits, tagged, T, seed_path, rep = args
-    gen = substream(*seed_path, rep)
+    gen = substream(*seed_path, rep, MULTICHAOS_WORD)
     colors = sample_block_colors(graph, inits, gen)
     traj = simulate(graph, spec, targets, colors, T, gen)
     final = traj.final_colors

@@ -10,8 +10,9 @@ the unit-rate-per-edge reference walk.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +39,8 @@ __all__ = [
     "h_functional",
     "sample_reference_path",
 ]
+
+log = logging.getLogger(__name__)
 
 PHI_CAP = 500.0  # potential spread beyond this means an unbounded ascent
 GRAD_TOL = 1e-10
@@ -105,7 +108,10 @@ class RateFamily:
 class DeviationCost:
     """Cost of a flow: per-grid-point integrand per component, the time
     integrals per component, the class weights used, and the weighted
-    total."""
+    total. The variational form also counts what its solver did: Newton
+    iterations, line-search halvings and stall exits summed over all
+    norms, and the number of infinite norms (zero for the Legendre form;
+    none of them is written to the CSV)."""
 
     times: np.ndarray
     integrand: np.ndarray        # (n, 2r)
@@ -113,6 +119,10 @@ class DeviationCost:
     weights: np.ndarray          # (2r,)
     total: float
     r: int
+    newton_iterations: int = field(default=0, compare=False)
+    halvings: int = field(default=0, compare=False)
+    stall_exits: int = field(default=0, compare=False)
+    infinite: int = field(default=0, compare=False)
 
     def to_csv(self, fp) -> None:
         fp.write("t,block,class,integrand\n")
@@ -133,12 +143,12 @@ def _class_weights(targets, r: int) -> np.ndarray:
     return w
 
 
-def _package_cost(times, integrand, targets, r) -> DeviationCost:
+def _package_cost(times, integrand, targets, r, **counters) -> DeviationCost:
     weights = _class_weights(targets, r)
     class_integrals = np.trapezoid(integrand, times, axis=0)
     total = float(weights @ class_integrals)
     return DeviationCost(times, integrand, class_integrals, weights,
-                         total, r)
+                         total, r, **counters)
 
 
 def legendre_cost(flow: MeanFieldFlow, targets, spec,
@@ -190,6 +200,189 @@ def _component_roots(K, src, dst):
     return reach.argmax(axis=1)
 
 
+_NEWTON_CHUNK = 1024  # rows of one active-edge pattern solved together
+
+
+def _solve_or_lstsq(H, g):
+    try:
+        return np.linalg.solve(H, g)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(H, g, rcond=None)[0]
+
+
+def _newton(theta, w, src, dst, free, grad_tol, max_iter):
+    """Damped Newton ascent of Phi -> theta·Phi - sum_e w_e tau(dPhi_e)
+    for each row of theta (n, K) and edge weights w (n, E), on one
+    active-edge pattern (edges src -> dst, all weights > 0). Only the
+    `free` colours move; the others stay pinned at zero.
+
+    Each row keeps its own exits: gradient norm below grad_tol; the
+    Newton decrement below the resolution of the objective (a stall);
+    the steepest-ascent fallback when the Newton step points downhill;
+    +inf once the potential passes PHI_CAP. Rows leave the batch as they
+    exit. Returns (values, [iterations, halvings, stall exits],
+    failures), failures listing (row, gradient-norm history) for rows
+    whose line search failed or that ran out of iterations (value nan).
+    """
+    n, K = theta.shape
+    E = src.size
+    inc = np.zeros((K, E))  # +1 at an edge's destination, -1 at its source
+    inc[dst, np.arange(E)] = 1.0
+    inc[src, np.arange(E)] = -1.0
+    inc_free = inc[free]
+    eye = np.eye(free.size)
+    stall_scale = 100.0 * np.finfo(float).eps
+
+    def objective(th, ww, p):
+        with np.errstate(over="ignore"):
+            d = p[:, dst] - p[:, src]
+            t = np.expm1(d) - d
+            val = (np.einsum("nk,nk->n", th, p)
+                   - np.einsum("ne,ne->n", ww, t))
+        val[~np.all(np.isfinite(t), axis=1)] = -math.inf
+        return val
+
+    values = np.full(n, np.nan)
+    counts = np.zeros(3, dtype=np.int64)
+    failures = []
+    hist = []  # (live rows, their gradient norms) per iteration
+    ids = np.arange(n)
+    phi = np.zeros((n, K))
+    F = objective(theta, w, phi)
+
+    def fail(rows):
+        for row in rows:
+            failures.append((int(row), [float(gn[np.searchsorted(live, row)])
+                                        for live, gn in hist]))
+
+    for _ in range(max_iter):
+        if ids.size == 0:
+            break
+        ed = np.exp(phi[:, dst] - phi[:, src])
+        g = theta - (w * (ed - 1.0)) @ inc.T  # tau'(dPhi) weighted
+        gf = g[:, free]
+        gn = np.max(np.abs(gf), axis=1)
+        hist.append((ids, gn))
+        counts[0] += ids.size
+        H = (inc_free * (w * ed)[:, None, :]) @ inc_free.T
+        reg = 1e-12 * np.maximum(1.0, H.diagonal(axis1=1, axis2=2).max(1))
+        H += reg[:, None, None] * eye
+        try:
+            step = np.linalg.solve(H, gf[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = np.stack([_solve_or_lstsq(Hk, gk)
+                             for Hk, gk in zip(H, gf)])
+        slope = np.einsum("nf,nf->n", gf, step)
+        # Newton decrement: slope/2 bounds the remaining gain to first
+        # order (concave objective), so once it is below the resolution
+        # of F itself no double-precision step can improve the value.
+        # The raw gradient may still sit above grad_tol here.
+        stall = stall_scale * np.maximum(1.0, np.abs(F))
+        converged = gn < grad_tol
+        stalled = ~converged & (np.abs(slope) <= stall)
+        downhill = ~converged & ~stalled & (slope < 0.0)
+        if downhill.any():
+            step[downhill] = gf[downhill]
+            slope[downhill] = np.einsum("nf,nf->n", gf[downhill],
+                                        gf[downhill])
+            stalled |= downhill & (slope <= stall)
+        done = converged | stalled
+        if done.any():
+            values[ids[done]] = np.maximum(F[done], 0.0)
+            counts[2] += np.count_nonzero(stalled)
+            go = ~done
+            ids, phi, F, theta, w, step, slope = (
+                a[go] for a in (ids, phi, F, theta, w, step, slope))
+
+        # per-row backtracking line search
+        m = ids.size
+        alpha = np.ones(m)
+        Fn = np.empty(m)
+        pending = np.ones(m, dtype=bool)
+        lost = np.zeros(m, dtype=bool)
+        while pending.any():
+            k = np.flatnonzero(pending)
+            trial = phi[k]
+            trial[:, free] += alpha[k, None] * step[k]
+            Fk = objective(theta[k], w[k], trial)
+            ok = Fk >= F[k] + 1e-4 * alpha[k] * slope[k]
+            Fn[k[ok]] = Fk[ok]
+            pending[k[ok]] = False
+            back = k[~ok]
+            alpha[back] *= 0.5
+            counts[1] += back.size
+            out = back[alpha[back] <= 1e-14]
+            pending[out] = False
+            lost[out] = True
+        phi[:, free] += alpha[:, None] * step
+        F = Fn
+        # ascent ran away: theta pushes some edge beyond its reverse
+        # capacity, the sup is infinite
+        runaway = ~lost & (np.max(np.abs(phi), axis=1) > PHI_CAP)
+        if lost.any() or runaway.any():
+            fail(ids[lost])
+            values[ids[runaway]] = math.inf
+            keep = ~lost & ~runaway
+            ids, phi, F, theta, w = (a[keep] for a in (ids, phi, F, theta, w))
+    fail(ids)
+    return values, counts, failures
+
+
+def _variational_norms(theta, mu, lam, colors: ColorGraph, *,
+                       grad_tol: float = GRAD_TOL,
+                       max_iter: int = MAX_NEWTON):
+    """`variational_norm` of every row of theta (n, K), mu (n, K) and
+    lam (n, E) on one colour graph. Rows are grouped by their active-edge
+    pattern, which fixes the support components, the pinned roots and
+    the free colours; each group is solved by `_newton`, _NEWTON_CHUNK
+    rows at a time. Returns (values, [Newton iterations, line-search
+    halvings, stall exits]); raises NonConvergenceError for the first
+    row that does not converge, with its gradient-norm history."""
+    n, K = theta.shape
+    out = np.full(n, math.inf)
+    counts = np.zeros(3, dtype=np.int64)
+    failures = []
+    w_all = mu[:, colors.src] * lam
+    act = w_all > 0.0
+    # net theta mass moves along the constant-shift direction for free
+    bounded = np.flatnonzero(~(np.abs(theta.sum(axis=1)) > 1e-10))
+    # group rows by active-edge pattern, each pattern packed into one
+    # byte-string key (behind a set bit, so that no key is empty)
+    packed = np.packbits(
+        np.c_[np.ones(bounded.size, dtype=bool), act[bounded]], axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    for p, row in enumerate(bounded[first]):
+        pattern = act[row]
+        rows = bounded[which == p]
+        src, dst = colors.src[pattern], colors.dst[pattern]
+        # a direction constant on a support component costs nothing, so
+        # any component carrying net theta mass makes the sup infinite;
+        # colors outside the support with negligible theta are frozen at
+        # zero, and the root (lowest color) of each component is pinned
+        roots = _component_roots(K, src, dst)
+        mass = theta[rows] @ (roots[:, None] == np.arange(K)).astype(float)
+        rows = rows[~np.any(np.abs(mass) > grad_tol, axis=1)]
+        free = np.flatnonzero(roots != np.arange(K))
+        if free.size == 0:
+            out[rows] = 0.0
+            continue
+        for c in range(0, rows.size, _NEWTON_CHUNK):
+            chunk = rows[c:c + _NEWTON_CHUNK]
+            vals, cnt, fails = _newton(theta[chunk], w_all[chunk][:, pattern],
+                                       src, dst, free, grad_tol, max_iter)
+            out[chunk] = vals
+            counts += cnt
+            failures += [(chunk[k], res) for k, res in fails]
+    if failures:
+        _, residuals = min(failures, key=lambda f: f[0])
+        raise NonConvergenceError(
+            "variational norm ascent did not reach the gradient tolerance",
+            residuals=residuals,
+        )
+    return out, counts
+
+
 def variational_norm(theta, mu_point, lambda_table, colors: ColorGraph, *,
                      grad_tol: float = GRAD_TOL,
                      max_iter: int = MAX_NEWTON) -> float:
@@ -199,7 +392,8 @@ def variational_norm(theta, mu_point, lambda_table, colors: ColorGraph, *,
     support (in particular whenever sum(theta) exceeds 1e-10, the
     unbounded constant-shift direction). The smooth concave problem is
     solved by damped Newton with one potential pinned per support
-    component; stops at gradient norm below grad_tol.
+    component; stops at gradient norm below grad_tol. A batch of one
+    through the solver `variational_cost` uses.
     """
     theta = np.asarray(theta, dtype=float)
     mu_point = np.asarray(mu_point, dtype=float)
@@ -209,103 +403,18 @@ def variational_norm(theta, mu_point, lambda_table, colors: ColorGraph, *,
         raise InvalidArgumentError("theta and mu_point must have length K")
     if lam.shape != (colors.n_edges,):
         raise InvalidArgumentError("lambda_table must have one entry per edge")
-    if abs(float(theta.sum())) > 1e-10:
-        return math.inf
-
-    w_all = mu_point[colors.src] * lam
-    act = w_all > 0.0
-    src, dst, w = colors.src[act], colors.dst[act], w_all[act]
-
-    # a direction constant on a support component costs nothing, so any
-    # component carrying net theta mass makes the sup infinite; colors
-    # outside the support with negligible theta are frozen at zero, and
-    # the root (lowest color) of each component is pinned
-    roots = _component_roots(K, src, dst)
-    if np.any(np.abs(np.bincount(roots, theta, minlength=K)) > grad_tol):
-        return math.inf
-    free = np.flatnonzero(roots != np.arange(K))
-    if free.size == 0:
-        return 0.0
-
-    phi = np.zeros(K)
-
-    def objective(p):
-        with np.errstate(over="ignore"):
-            d = p[dst] - p[src]
-            t = np.expm1(d) - d
-        if not np.all(np.isfinite(t)):
-            return -math.inf
-        return float(theta @ p - w @ t)
-
-    F = objective(phi)
-    grad_norms = []
-    for _ in range(max_iter):
-        d = phi[dst] - phi[src]
-        ed = np.exp(d)
-        flow_e = w * (ed - 1.0)  # tau'(d) weighted
-        g = theta.copy()
-        np.subtract.at(g, dst, flow_e)
-        np.add.at(g, src, flow_e)
-        gn = float(np.max(np.abs(g[free])))
-        grad_norms.append(gn)
-        if gn < grad_tol:
-            return max(float(F), 0.0)
-        H = np.zeros((K, K))
-        h = w * ed
-        np.add.at(H, (dst, dst), h)
-        np.add.at(H, (src, src), h)
-        np.subtract.at(H, (dst, src), h)
-        np.subtract.at(H, (src, dst), h)
-        Hr = H[np.ix_(free, free)]
-        gr = g[free]
-        reg = 1e-12 * max(1.0, float(Hr.diagonal().max()))
-        try:
-            step = np.linalg.solve(Hr + reg * np.eye(free.size), gr)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(Hr + reg * np.eye(free.size), gr,
-                                       rcond=None)
-        direction = np.zeros(K)
-        direction[free] = step
-        slope = float(g @ direction)
-        # Newton decrement: slope/2 bounds the remaining gain to first
-        # order (concave objective), so once it is below the resolution
-        # of F itself no double-precision step can improve the value.
-        # The raw gradient may still sit above grad_tol here.
-        stall = 100.0 * np.finfo(float).eps * max(1.0, abs(F))
-        if abs(slope) <= stall:
-            return max(float(F), 0.0)
-        if slope < 0.0:
-            direction = np.zeros(K)
-            direction[free] = gr
-            slope = float(gr @ gr)
-            if slope <= stall:
-                return max(float(F), 0.0)
-        alpha = 1.0
-        accepted = False
-        while alpha > 1e-14:
-            Fn = objective(phi + alpha * direction)
-            if Fn >= F + 1e-4 * alpha * slope:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-        phi = phi + alpha * direction
-        F = Fn
-        if float(np.max(np.abs(phi))) > PHI_CAP:
-            # ascent ran away: theta pushes some edge beyond its reverse
-            # capacity, the sup is infinite
-            return math.inf
-    raise NonConvergenceError(
-        "variational norm ascent did not reach the gradient tolerance",
-        residuals=grad_norms,
-    )
+    values, _ = _variational_norms(theta[None], mu_point[None], lam[None],
+                                   colors, grad_tol=grad_tol,
+                                   max_iter=max_iter)
+    return float(values[0])
 
 
 def variational_cost(flow: MeanFieldFlow, targets, spec) -> DeviationCost:
     """Cost of a flow from its own drift residual: at each grid point and
     component, the variational norm of theta = dmu/dt - A*mu, with dmu/dt
-    by central differences (second-order one-sided at the ends)."""
+    by central differences (second-order one-sided at the ends). All
+    points and components go to the solver as one batch; the returned
+    cost carries its counters, also logged on `blockmf.ldp`."""
     family = as_block_rates(spec, targets.r)
     times = flow.times
     n = times.size
@@ -320,13 +429,20 @@ def variational_cost(flow: MeanFieldFlow, targets, spec) -> DeviationCost:
     theta = dmu - flow_drift(flow, spec, targets)
     lam = flow_rates(flow, spec, targets)
     mu = np.clip(vals, 0.0, None)
-    integrand = np.empty((n, 2 * flow.r))
-    for i in range(n):
-        for g in range(2 * flow.r):
-            integrand[i, g] = variational_norm(
-                theta[i, g], mu[i, g], lam[i, g], family.colors
-            )
-    return _package_cost(times, integrand, targets, flow.r)
+    K, ne = family.colors.K, family.colors.n_edges
+    values, counts = _variational_norms(
+        theta.reshape(-1, K), mu.reshape(-1, K), lam.reshape(-1, ne),
+        family.colors)
+    integrand = values.reshape(n, 2 * flow.r)
+    infinite = int(np.count_nonzero(np.isinf(values)))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("variational_cost: %d norms, %d Newton iterations, "
+                  "%d halvings, %d stall exits, %d infinite", values.size,
+                  *counts, infinite)
+    return _package_cost(times, integrand, targets, flow.r,
+                         newton_iterations=int(counts[0]),
+                         halvings=int(counts[1]),
+                         stall_exits=int(counts[2]), infinite=infinite)
 
 
 def _pl_integral(times, vals, a, b) -> float:

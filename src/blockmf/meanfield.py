@@ -16,6 +16,7 @@ with finite-N neighbourhood weights replaced by the limiting shares.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,8 @@ from .rates import (
     validate_probability,
 )
 from .simulate import write_component_series
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "MeanFieldFlow",
@@ -188,7 +191,10 @@ class _VectorField:
     (component, color) states. Two evaluators, each over any leading
     shape (one state or a stack of them): `rates(Y)` = max(Y W^T + beta,
     0), W the dense scatter of `affine_rows`; `drift(R, Y)` = (R *
-    Y[..., src]) S^T, the forward equation's A*mu at rates R."""
+    Y[..., src]) S^T, the forward equation's A*mu at rates R. The same
+    rates as K x K matrices: `generators(R)` = R G, G scattering each
+    edge's rate to (dst, src) and its negative to (src, src), so that
+    A[g] @ mu_g is component g's drift."""
 
     def __init__(self, family, targets: ProportionTargets):
         family = as_block_rates(family, targets.r)
@@ -218,9 +224,18 @@ class _VectorField:
         S[dst, np.arange(2 * r * ne)] = 1.0
         S[src, np.arange(2 * r * ne)] = -1.0
         self.W, self.beta, self.src, self.S = W, np.concatenate(betas), src, S
+        G = np.zeros((ne, K * K))
+        G[np.arange(ne), cg.dst * K + cg.src] = 1.0
+        G[np.arange(ne), cg.src * K + cg.src] = -1.0
+        self.G = G
 
     def rates(self, Y: np.ndarray) -> np.ndarray:
         return np.maximum(Y @ self.W.T + self.beta, 0.0)
+
+    def generators(self, R: np.ndarray) -> np.ndarray:
+        lead = R.shape[:-1]
+        A = R.reshape(*lead, 2 * self.r, self.ne) @ self.G
+        return A.reshape(*lead, 2 * self.r, self.K, self.K)
 
     def drift(self, R: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return (R * Y.take(self.src, axis=-1)) @ self.S.T
@@ -270,8 +285,10 @@ def _init_vector(init, r: int, K: int) -> np.ndarray:
     return np.concatenate(init)
 
 
-def _renormalize(y: np.ndarray, r: int, K: int):
-    comps = y.reshape(2 * r, K)
+def _renormalize(y: np.ndarray, K: int):
+    """Subtract each component's mass drift in place; y holds whole
+    components of K colours, in any contiguous shape."""
+    comps = y.reshape(-1, K)
     comps -= ((comps.sum(axis=1) - 1.0) / K)[:, None]
 
 
@@ -296,9 +313,12 @@ def solve_mckean_vlasov(spec, targets: ProportionTargets, init, T, dt,
             raise NumericalBlowupError(
                 f"non-finite flow at t={times[i + 1]:.6g}", t=times[i + 1]
             )
-        _renormalize(y, r, K)
+        _renormalize(y, K)
         out[i + 1] = y.reshape(2 * r, K)
     return MeanFieldFlow(times, out, r)
+
+
+_SWEEP_CHUNK = 256  # grid steps whose RK4 propagators are built at once
 
 
 def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
@@ -308,7 +328,14 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
     from a cubic interpolation of the frozen values (quadratic at the
     ends) so the sweep integrator keeps the outer solver's order; a
     linear midpoint would leave an O(dt^2) gap between the fixed point
-    and the directly integrated flow."""
+    and the directly integrated flow.
+
+    With the rates frozen, one RK4 step on component g is the K x K map
+    P = I + dt/6 (A1 + 2 A2 B1 + 2 A2 B2 + A4 B3), B1 = I + dt/2 A1,
+    B2 = I + dt/2 A2 B1, B3 = I + dt A2 B2, with A1, A2, A4 the
+    generators at t_i, the midpoint and t_{i+1}. The propagators are
+    built in batched matmuls, _SWEEP_CHUNK steps at a time, and applied
+    in order; the mass drift is subtracted once from the output."""
     n1 = frozen.shape[0]
     r, K = field.r, field.K
     flat = frozen.reshape(n1, 2 * r * K)
@@ -322,19 +349,24 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
     else:
         mid = 0.5 * (flat[:-1] + flat[1:])
     R_mid = field.rates(mid)
-    out = np.empty_like(frozen)
-    y = y0.copy()
-    out[0] = y.reshape(2 * r, K)
-    for i in range(n1 - 1):
-        k1 = field.drift(R_grid[i], y)
-        k2 = field.drift(R_mid[i], y + 0.5 * dt * k1)
-        k3 = field.drift(R_mid[i], y + 0.5 * dt * k2)
-        k4 = field.drift(R_grid[i + 1], y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+    out = np.empty(frozen.shape)
+    out[0] = y0.reshape(2 * r, K)
+    cols = out[..., None]  # each step maps column vectors (2r, K, 1)
+    eye = np.eye(K)
+    for a in range(0, n1 - 1, _SWEEP_CHUNK):
+        b = min(a + _SWEEP_CHUNK, n1 - 1)
+        A = field.generators(R_grid[a:b + 1])
+        A1, A4 = A[:-1], A[1:]
+        A2 = field.generators(R_mid[a:b])
+        A2B1 = A2 @ (eye + (0.5 * dt) * A1)
+        A2B2 = A2 @ (eye + (0.5 * dt) * A2B1)
+        P = eye + (dt / 6.0) * (A1 + 2.0 * A2B1 + 2.0 * A2B2
+                                + A4 @ (eye + dt * A2B2))
+        for i in range(a, b):
+            np.matmul(P[i - a], cols[i], out=cols[i + 1])
+        if not np.all(np.isfinite(out[a + 1:b + 1])):
             raise NumericalBlowupError("non-finite flow in fixed-point sweep")
-        _renormalize(y, r, K)
-        out[i + 1] = y.reshape(2 * r, K)
+    _renormalize(out[1:], K)
     return out
 
 
@@ -347,6 +379,8 @@ def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
     grid points of the max-component L1 distance between sweeps."""
     if tol <= 0:
         raise InvalidArgumentError("tol must be > 0")
+    if int(max_iter) < 1:
+        raise InvalidArgumentError("max_iter must be >= 1")
     field = _VectorField(spec, targets)
     r, K = field.r, field.K
     times, dt = _grid(float(T), float(dt))
@@ -366,7 +400,12 @@ def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
         residuals.append(res)
         frozen = nxt
         if res < tol:
-            return MeanFieldFlow(times, frozen, r), residuals
+            break
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("picard_iterate: %d sweeps, last residual %.3e",
+                  len(residuals), residuals[-1])
+    if residuals[-1] < tol:
+        return MeanFieldFlow(times, frozen, r), residuals
     raise NonConvergenceError(
         f"fixed-point iteration did not reach {tol} in {max_iter} sweeps "
         f"(last residual {residuals[-1]:.3e})",

@@ -163,6 +163,42 @@ def test_multichaos_csv(tmp_path, capsys):
         assert 0.0 <= float(tv) <= 1.0
 
 
+def test_multichaos_streams_differ_from_other_subcommands(
+        tmp_path, capsys, monkeypatch):
+    # SeedSequence pads keys with zeros, so a key that merely drops a
+    # trailing zero repeats another caller's stream: compare the first
+    # draws of every stream each subcommand pulls
+    import blockmf.cli as cli_mod
+    import blockmf.experiments as exp_mod
+
+    real = exp_mod.substream
+    used = {}
+
+    def recorder(sub):
+        def substream(*path):
+            used.setdefault(sub, set()).add(path)
+            return real(*path)
+        return substream
+
+    sp = scen_path(tmp_path, {**SCEN, "n_list": [10, 20, 30, 40],
+                              "replicas": 4})
+    for sub in ("multichaos", "chaos", "oracle-check", "simulate"):
+        monkeypatch.setattr(cli_mod, "substream", recorder(sub))
+        monkeypatch.setattr(exp_mod, "substream", recorder(sub))
+        code, _, err = run([sub, "--scenario", sp, "--out",
+                            str(tmp_path / sub), "--threads", "1"], capsys)
+        assert code == 0, err
+
+    def first_draws(path):
+        return tuple(real(*path).random(4))
+
+    multi = {first_draws(p) for p in used["multichaos"]}
+    assert len(used["multichaos"]) == len(multi) == 16  # 4 N x 4 replicas
+    others = {first_draws(p) for sub in ("chaos", "oracle-check", "simulate")
+              for p in used[sub]}
+    assert multi.isdisjoint(others)
+
+
 def test_oracle_check(tmp_path, capsys):
     sp = scen_path(tmp_path, ORACLE_SCEN, "oracle.json")
     d = tmp_path / "o"

@@ -669,3 +669,52 @@ def test_variational_cost_matches_scalar_reference(seed):
                       for g in range(2 * r)] for i in range(n)])
     assert_matches_reference(got, want)
     assert np.isinf(want).any() and np.isfinite(want).sum() > 10
+
+
+@pytest.mark.parametrize("chunk", [7, 1024])
+def test_batched_norms_match_scalar_reference(chunk, monkeypatch):
+    # one batch holding every kind of row, split into several chunks per
+    # active-edge pattern when the chunk is small
+    from blockmf import ldp
+
+    monkeypatch.setattr(ldp, "_NEWTON_CHUNK", chunk)
+    rows = mixed_rows(np.random.default_rng(chunk), 300)
+    theta, mu, lam = (np.array(col) for col in zip(*rows))
+    want = [scalar_norm(t, m, l, MIXED_CG) for t, m, l in rows]
+    got, counts = ldp._variational_norms(theta, mu, lam, MIXED_CG)
+    assert_matches_reference(got, want)
+    assert counts[0] > 0 and counts[2] > 0
+    # max_iter=1: rows whose zero potential is already optimal, or that
+    # are infinite before any ascent, still return; the others run out
+    # of iterations, and the error reports the first of them with its
+    # one gradient norm
+    with pytest.raises(bm.NonConvergenceError) as exc:
+        ldp._variational_norms(theta, mu, lam, MIXED_CG, max_iter=1)
+    for row in rows:
+        try:
+            scalar_norm(*row, MIXED_CG, max_iter=1)
+        except bm.NonConvergenceError as ref:
+            assert exc.value.residuals == ref.residuals
+            break
+    else:
+        pytest.fail("no row needs a second iteration")
+
+
+def test_variational_cost_counters(caplog):
+    import logging
+
+    fam, flow = model_flow(T=1.0, dt=0.01)
+    rev = bm.MeanFieldFlow(flow.times, flow.values[::-1].copy(), flow.r)
+    with caplog.at_level(logging.DEBUG, logger="blockmf.ldp"):
+        cost = bm.variational_cost(rev, R1_TARGETS, fam)
+    n = cost.integrand.size
+    assert cost.newton_iterations >= n
+    assert cost.infinite == np.isinf(cost.integrand).sum()
+    assert caplog.messages == [
+        f"variational_cost: {n} norms, {cost.newton_iterations} Newton "
+        f"iterations, {cost.halvings} halvings, {cost.stall_exits} stall "
+        f"exits, {cost.infinite} infinite"]
+    # the counters stay out of the CSV
+    buf = io.StringIO()
+    cost.to_csv(buf)
+    assert buf.getvalue().count("\n") == 2 + n

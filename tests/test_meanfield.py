@@ -200,8 +200,6 @@ def stepwise_frozen_solve(field, frozen, y0, dt):
     """One sweep as a plain RK4 loop with a `drift` call per stage and the
     mass renormalised after every step: the reference the batched sweep
     must reproduce."""
-    from blockmf.meanfield import _renormalize
-
     n1 = frozen.shape[0]
     r, K = field.r, field.K
     flat = frozen.reshape(n1, 2 * r * K)
@@ -227,8 +225,9 @@ def stepwise_frozen_solve(field, frozen, y0, dt):
         if not np.all(np.isfinite(y)):
             raise bm.NumericalBlowupError("non-finite flow in fixed-point "
                                           "sweep")
-        _renormalize(y, r, K)
-        out[i + 1] = y.reshape(2 * r, K)
+        comps = y.reshape(2 * r, K)
+        comps -= ((comps.sum(axis=1) - 1.0) / K)[:, None]
+        out[i + 1] = comps
     return out
 
 
@@ -279,3 +278,15 @@ def test_frozen_sweep_overflow_raises(sis2):
     frozen = np.full((11, 4, 2), 1e300)
     with pytest.raises(bm.NumericalBlowupError, match="fixed-point sweep"):
         _frozen_solve(field, frozen, np.concatenate(inits), 0.01)
+
+
+def test_picard_logs_sweeps(sis2, caplog):
+    import logging
+
+    spec, targets, inits = sis2
+    with caplog.at_level(logging.DEBUG, logger="blockmf.meanfield"):
+        _, res = bm.picard_iterate(spec, targets, inits, 1.0, 0.05, tol=1e-9)
+    assert caplog.messages == [
+        f"picard_iterate: {len(res)} sweeps, last residual {res[-1]:.3e}"]
+    with pytest.raises(bm.InvalidArgumentError, match="max_iter"):
+        bm.picard_iterate(spec, targets, inits, 1.0, 0.05, max_iter=0)
