@@ -7,9 +7,11 @@ import shutil
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blockmf import MeanFieldFlow
 from blockmf.cli import main
 from conftest import run_blockmf_module
 
@@ -377,23 +379,58 @@ def test_flow_csv_reference_runs(tmp_path, capsys):
     assert code == 0 and "flow.csv" in out
 
 
-@pytest.mark.parametrize("lines", [
-    _with_line_8("0,1,x,0,0.5"),
-    _with_line_8("0,-1,p,0,0.5"),
-    _with_line_8("0,1,p,0,abc"),
-    _with_line_8("0,1,p,0"),
-    _with_line_8("0,1,p,0,nan"),
-    _flow_lines() + ["0,1,p,0,0.25"],
-    _flow_lines(K=3),
-    _flow_lines(r=1),
+def _read_flow(lines):
+    return MeanFieldFlow.from_csv(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_flow_csv_rows_in_any_order_and_blank_lines(tmp_path, capsys):
+    # a solved flow, its rows shuffled, with blank and all-space lines
+    sp = scen_path(tmp_path)
+    code, _, _ = run(["meanfield", "--scenario", sp,
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0
+    header, *rows = (tmp_path / "flow.csv").read_text().splitlines()
+    order = np.random.default_rng(5).permutation(len(rows))
+    shuffled = [rows[i] for i in order]
+    shuffled[10:10] = ["", "   "]
+    want = _read_flow([header, *rows])
+    got = _read_flow([header, "", *shuffled])
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.values, want.values) and got.r == want.r
+    (tmp_path / "shuffled.csv").write_text(
+        "\n".join([header, *shuffled]) + "\n")
+    costs = []
+    for flow_csv in ("flow.csv", "shuffled.csv"):
+        out = tmp_path / flow_csv.replace(".", "_")
+        sp = scen_path(tmp_path, {**SCEN, "flow_csv": flow_csv})
+        code, _, err = run(["ldp-cost", "--scenario", sp, "--out", str(out)],
+                           capsys)
+        assert code == 0, err
+        costs.append((out / "cost.csv").read_bytes())
+    assert costs[0] == costs[1]
+
+
+@pytest.mark.parametrize("lines, needle", [
+    (_with_line_8("0,1,x,0,0.5"), "flow line 8"),
+    (_with_line_8("0,-1,p,0,0.5"), "flow line 8"),
+    (_with_line_8("0,1,p,0,abc"), "flow line 8"),
+    (_with_line_8("0,1,p,0"), "flow line 8"),
+    (_with_line_8("0,1,p,0,nan"), "flow line 8"),
+    (_with_line_8("0,1,pp,0,0.5"), "flow line 8"),
+    (_flow_lines()[:1] + ["# a comment"] + _flow_lines()[1:], "flow line 2"),
+    (_flow_lines() + ["0,1,p,0,0.25"], "flow line 26"),
+    (_flow_lines()[:-1], "missing"),
+    (_flow_lines(K=3), "flow"),
+    (_flow_lines(r=1), "flow"),
 ], ids=["class-x", "block-negative", "mass-not-numeric", "four-fields",
-        "mass-nan", "duplicate-cell", "three-colors", "one-block"])
-def test_malformed_flow_csv_fails_closed(tmp_path, lines):
+        "mass-nan", "class-pp", "comment-line", "duplicate-cell",
+        "missing-cell", "three-colors", "one-block"])
+def test_malformed_flow_csv_fails_closed(tmp_path, lines, needle):
     (tmp_path / "flow.csv").write_text("\n".join(lines) + "\n")
     scen = scen_path(tmp_path, {**SCEN, "flow_csv": "flow.csv"})
     proc = run_blockmf_module(["ldp-cost", "--scenario", scen,
                                "--out", str(tmp_path / "out")])
-    assert_fails_closed(proc, tmp_path / "out" / "cost.csv", "flow")
+    assert_fails_closed(proc, tmp_path / "out" / "cost.csv", needle)
 
 
 FUZZ_SCEN = {**SCEN, "horizon": 0.5, "grid": 5,
