@@ -86,7 +86,6 @@ from .simulate import (
     empirical_process,
     local_empirical,
     simulate,
-    write_component_series,
 )
 
 __version__ = "0.1.0"
@@ -162,5 +161,4 @@ __all__ = [
     "variational_cost",
     "variational_norm",
     "w1_discrete",
-    "write_component_series",
 ]

@@ -29,8 +29,8 @@ from .meanfield import MeanFieldFlow, picard_iterate, solve_mckean_vlasov
 from .oracle import master_equation_oracle
 from .rng import substream
 from .simulate import empirical_process, simulate
-
 from .scenario import load_scenario
+from .tables import write_table
 
 log = logging.getLogger("blockmf")
 
@@ -90,6 +90,21 @@ def _resolve(args, *, need_seed=True):
     out_dir = args.out or sc.out or "."
     os.makedirs(out_dir, exist_ok=True)
     return sc, seed, out_dir
+
+
+def _write(out_dir, name, write, *args):
+    """Write the artifact `name` into out_dir through write(fp, *args)."""
+    with open(os.path.join(out_dir, name), "w") as fp:
+        write(fp, *args)
+
+
+def _limit_model(sc):
+    """Rate spec, targets and initial measures of the limit; the graph, if
+    any, only supplies the targets."""
+    graph = sc.build_graph() if "graph" in sc.raw else None
+    spec = sc.build_rates()
+    targets = sc.build_targets(graph)
+    return spec, targets, sc.build_inits(targets.r, spec.colors.K)
 
 
 def _n_list_sizes(sc, targets):
@@ -164,24 +179,18 @@ def cmd_simulate(args):
     gen = substream(seed)
     colors = sample_block_colors(graph, inits, gen)
     traj = simulate(graph, spec, targets, colors, T, gen)
-    with open(os.path.join(out_dir, "trajectory.csv"), "w") as fp:
-        traj.to_csv(fp)
+    _write(out_dir, "trajectory.csv", traj.to_csv)
     emp = empirical_process(traj, graph, grid)
-    with open(os.path.join(out_dir, "empirical.csv"), "w") as fp:
-        emp.to_csv(fp)
+    _write(out_dir, "empirical.csv", emp.to_csv)
     return (f"simulate: N={graph.n_total}, {len(traj.events)} events to "
             f"T={T:g} -> trajectory.csv, empirical.csv")
 
 
 def cmd_meanfield(args):
     sc, seed, out_dir = _resolve(args, need_seed=False)
-    graph = sc.build_graph() if "graph" in sc.raw else None
-    spec = sc.build_rates()
-    targets = sc.build_targets(graph)
-    inits = sc.build_inits(targets.r, spec.colors.K)
+    spec, targets, inits = _limit_model(sc)
     flow = solve_mckean_vlasov(spec, targets, inits, sc.horizon, sc.dt())
-    with open(os.path.join(out_dir, "flow.csv"), "w") as fp:
-        flow.to_csv(fp)
+    _write(out_dir, "flow.csv", flow.to_csv)
     drift = np.abs(flow.values.sum(axis=2) - 1.0).max()
     return (f"meanfield: {flow.times.size} grid points, max mass drift "
             f"{drift:.3g} -> flow.csv")
@@ -189,40 +198,29 @@ def cmd_meanfield(args):
 
 def cmd_picard(args):
     sc, seed, out_dir = _resolve(args, need_seed=False)
-    graph = sc.build_graph() if "graph" in sc.raw else None
-    spec = sc.build_rates()
-    targets = sc.build_targets(graph)
-    inits = sc.build_inits(targets.r, spec.colors.K)
+    spec, targets, inits = _limit_model(sc)
     flow, residuals = picard_iterate(
         spec, targets, inits, sc.horizon, sc.dt(),
         tol=sc.picard_tol, max_iter=sc.picard_max_iter,
     )
-    with open(os.path.join(out_dir, "flow_picard.csv"), "w") as fp:
-        flow.to_csv(fp)
-    with open(os.path.join(out_dir, "residuals.csv"), "w") as fp:
-        fp.write("iter,residual\n")
-        for i, res in enumerate(residuals, start=1):
-            fp.write(f"{i},{res:.17g}\n")
+    _write(out_dir, "flow_picard.csv", flow.to_csv)
+    _write(out_dir, "residuals.csv", write_table, ("iter", "residual"),
+           [range(1, len(residuals) + 1), residuals])
     return (f"picard: {len(residuals)} sweeps, final residual "
             f"{residuals[-1]:.3g} -> flow_picard.csv, residuals.csv")
 
 
 def cmd_chaos(args):
     sc, seed, out_dir = _resolve(args)
-    spec = sc.build_rates()
-    targets = sc.build_targets(None if "graph" not in sc.raw
-                               else sc.build_graph())
-    inits = sc.build_inits(targets.r, spec.colors.K)
+    spec, targets, inits = _limit_model(sc)
     _n_list_sizes(sc, targets)
     report = lln_experiment(
         proportional_family(targets), spec, targets, inits, sc.horizon,
         sc.grid(31), sc.n_list, sc.replicas(),
         seed, dt=sc.dt(), threads=args.threads,
     )
-    with open(os.path.join(out_dir, "convergence.csv"), "w") as fp:
-        report.to_csv(fp)
-    with open(os.path.join(out_dir, "chaos_convergence.svg"), "w") as fp:
-        report.to_svg(fp)
+    _write(out_dir, "convergence.csv", report.to_csv)
+    _write(out_dir, "chaos_convergence.svg", report.to_svg)
     pairs = ", ".join(f"N={n}: {m:.4g}"
                       for n, m in zip(report.n_values, report.means))
     return (f"chaos: mean sup-grid distance {pairs} -> convergence.csv, "
@@ -231,29 +229,25 @@ def cmd_chaos(args):
 
 def cmd_multichaos(args):
     sc, seed, out_dir = _resolve(args)
-    spec = sc.build_rates()
-    targets = sc.build_targets(None if "graph" not in sc.raw
-                               else sc.build_graph())
-    inits = sc.build_inits(targets.r, spec.colors.K)
+    spec, targets, inits = _limit_model(sc)
     sizes = _n_list_sizes(sc, targets)
     tagged = sc.tagged(targets.r)
     _resolve_tagged_for_every_n(tagged, sc.n_list, sizes)
     family = proportional_family(targets)
     replicas = sc.replicas()
-    rows = []
+    tvs = []
     for idx, N in enumerate(sc.n_list):
         graph = family(N)
         _, _, tv = multichaos_test(
             graph, spec, targets, tagged, sc.horizon, replicas,
             (seed, idx), inits=inits, threads=args.threads,
         )
-        rows.append((N, tv))
+        tvs.append(tv)
         log.info("multichaos N=%d tv=%.5g", N, tv)
-    with open(os.path.join(out_dir, "multichaos.csv"), "w") as fp:
-        fp.write("N,replicas,tv_distance\n")
-        for N, tv in rows:
-            fp.write(f"{N},{replicas},{tv:.17g}\n")
-    pairs = ", ".join(f"N={n}: {tv:.4g}" for n, tv in rows)
+    _write(out_dir, "multichaos.csv", write_table,
+           ("N", "replicas", "tv_distance"),
+           [sc.n_list, [replicas] * len(tvs), tvs])
+    pairs = ", ".join(f"N={n}: {tv:.4g}" for n, tv in zip(sc.n_list, tvs))
     return f"multichaos: TV(joint, product) {pairs} -> multichaos.csv"
 
 
@@ -272,8 +266,7 @@ def cmd_ldp_cost(args):
         flow = solve_mckean_vlasov(spec, targets, inits, sc.horizon, sc.dt())
         source = "fresh mean-field solve"
     cost = variational_cost(flow, targets, spec)
-    with open(os.path.join(out_dir, "cost.csv"), "w") as fp:
-        cost.to_csv(fp)
+    _write(out_dir, "cost.csv", cost.to_csv)
     return (f"ldp-cost: S_total={cost.total:.6g} for flow from {source} "
             f"-> cost.csv")
 
@@ -303,12 +296,11 @@ def cmd_oracle_check(args):
     diff = np.abs(mc_p - oracle_p)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.where(diff == 0.0, 0.0, diff / se)
-    with open(os.path.join(out_dir, "oracle_check.csv"), "w") as fp:
-        fp.write("node,color,oracle_p,mc_p,stderr\n")
-        for n in range(graph.n_total):
-            for z in range(K):
-                fp.write(f"{n},{z},{oracle_p[n, z]:.17g},"
-                         f"{mc_p[n, z]:.17g},{se[n, z]:.17g}\n")
+    _write(out_dir, "oracle_check.csv", write_table,
+           ("node", "color", "oracle_p", "mc_p", "stderr"),
+           [np.repeat(np.arange(graph.n_total), K),
+            np.tile(np.arange(K), graph.n_total),
+            oracle_p.ravel(), mc_p.ravel(), se.ravel()])
     return (f"oracle-check: max |MC-oracle| = {diff.max():.5g}, max ratio "
             f"to SE = {ratios.max():.3g} over {replicas} replicas -> "
             f"oracle_check.csv")

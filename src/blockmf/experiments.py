@@ -19,12 +19,13 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import CENTRAL, BlockGraph, ProportionTargets, \
-    build_complete_peripheral
+    build_complete_peripheral, class_index
 from .meanfield import solve_mckean_vlasov
 from .metrics import d_bl
 from .rates import validate_probability
 from .rng import substream
 from .simulate import empirical_process, simulate
+from .tables import write_table
 
 __all__ = [
     "ConvergenceReport",
@@ -55,10 +56,9 @@ class ConvergenceReport:
             raise InvalidArgumentError("standard errors must be >= 0")
 
     def to_csv(self, fp) -> None:
-        fp.write("N,replicas,mean_dist,stderr\n")
-        for i, n in enumerate(self.n_values):
-            fp.write(f"{n},{self.replicas},{self.means[i]:.17g},"
-                     f"{self.stderrs[i]:.17g}\n")
+        write_table(fp, ("N", "replicas", "mean_dist", "stderr"),
+                    [self.n_values, [self.replicas] * len(self.n_values),
+                     self.means, self.stderrs])
 
     def to_svg(self, fp) -> None:
         """Log-log plot of mean distance vs N with a slope -1/2 guide."""
@@ -251,9 +251,8 @@ def resolve_tagged(graph: BlockGraph, tagged_nodes):
             out.append(n)
         else:
             j, cls = spec_
-            if isinstance(cls, str):
-                cls = {"c": 0, "p": 1}.get(cls)
-            if not 0 <= j < graph.r or cls not in (0, 1):
+            cls = class_index(cls)
+            if not 0 <= j < graph.r or cls is None:
                 raise InvalidArgumentError(
                     f"tagged {tuple(spec_)!r} names no class of a graph "
                     f"with {graph.r} blocks"

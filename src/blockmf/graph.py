@@ -33,10 +33,13 @@ from .errors import (
 )
 
 CENTRAL, PERIPHERAL = 0, 1
+CLASS_LABELS = ("c", "p")  # each class's label in CSVs and scenarios
 
 __all__ = [
     "CENTRAL",
     "PERIPHERAL",
+    "CLASS_LABELS",
+    "class_index",
     "BlockGraph",
     "ProportionTargets",
     "RegularityReport",
@@ -45,6 +48,14 @@ __all__ = [
     "neighborhood_proportions",
     "check_regularity",
 ]
+
+
+def class_index(cls):
+    """The class named by `cls`, given as CENTRAL/PERIPHERAL or as its
+    label; None when it names no class."""
+    if isinstance(cls, str):
+        return CLASS_LABELS.index(cls) if cls in CLASS_LABELS else None
+    return cls if cls in (CENTRAL, PERIPHERAL) else None
 
 
 def _integer(value, what) -> int:

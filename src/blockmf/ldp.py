@@ -24,7 +24,9 @@ from .errors import (
     UnknownEdgeError,
 )
 from .meanfield import ColorPath, MeanFieldFlow, flow_drift, flow_rates
+from .graph import class_index
 from .rates import ColorGraph, as_block_rates
+from .tables import write_cost
 
 __all__ = [
     "tau",
@@ -125,14 +127,7 @@ class DeviationCost:
     infinite: int = field(default=0, compare=False)
 
     def to_csv(self, fp) -> None:
-        fp.write("t,block,class,integrand\n")
-        for i, t in enumerate(self.times):
-            for g in range(2 * self.r):
-                cls = "c" if g % 2 == 0 else "p"
-                fp.write(
-                    f"{t:.17g},{g // 2},{cls},{self.integrand[i, g]:.17g}\n"
-                )
-        fp.write(f"S_total,{self.total:.17g}\n")
+        write_cost(fp, self.times, self.integrand, self.total)
 
 
 def _class_weights(targets, r: int) -> np.ndarray:
@@ -470,12 +465,12 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
     interpolated rates. A jump along an edge the model gives rate 0 (or
     that is not an edge at all) sends the density to -inf.
     """
-    j, cls = which
-    if isinstance(cls, str):
-        cls = {"c": 0, "p": 1}[cls]
+    j, label = which
+    cls = class_index(label)
     family = as_block_rates(spec, targets.r)
-    if not 0 <= j < flow.r or cls not in (0, 1):
-        raise InvalidArgumentError(f"no component (block={j}, class={cls})")
+    if not 0 <= j < flow.r or cls is None:
+        raise InvalidArgumentError(
+            f"no component (block={j}, class={label!r})")
     g = 2 * j + cls
     colors = family.colors
     K = colors.K

@@ -36,7 +36,7 @@ from .rates import (
     total_rate,
     validate_probability,
 )
-from .simulate import write_component_series
+from .tables import read_series, write_series
 
 log = logging.getLogger(__name__)
 
@@ -88,9 +88,6 @@ def generator_p(spec: RateSpec, mu_c, mus, alpha_c, q_row) -> np.ndarray:
     return A
 
 
-_CLASS_INDEX = {"c": 0, "p": 1}
-
-
 @dataclass
 class MeanFieldFlow:
     """Measure vector on a uniform time grid; values[t, g, z] with
@@ -128,61 +125,11 @@ class MeanFieldFlow:
         return np.maximum(out, 0.0)
 
     def to_csv(self, fp):
-        write_component_series(fp, self.times, self.values, self.r)
+        write_series(fp, self.times, self.values)
 
     @classmethod
     def from_csv(cls, fp) -> "MeanFieldFlow":
-        header = fp.readline().strip()
-        if header != "t,block,class,color,mass":
-            raise InvalidArgumentError(f"unexpected flow header {header!r}")
-        rows = []
-        for lineno, line in enumerate(fp, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                t, j, c, z, m = line.split(",")
-                t, j, z, m = float(t), int(j), int(z), float(m)
-                g = 2 * j + _CLASS_INDEX[c]
-            except (KeyError, ValueError):
-                raise InvalidArgumentError(
-                    f"flow line {lineno}: expected t,block,class,color,mass "
-                    f"with class c or p, got {line!r}"
-                ) from None
-            if j < 0 or z < 0 or not (math.isfinite(t) and math.isfinite(m)):
-                raise InvalidArgumentError(
-                    f"flow line {lineno}: block and color must be >= 0, t "
-                    f"and mass finite, got {line!r}"
-                )
-            rows.append((t, g, z, m, lineno))
-        if not rows:
-            raise InvalidArgumentError("empty flow file")
-        times = sorted({row[0] for row in rows})
-        r = max(row[1] for row in rows) // 2 + 1
-        K = max(row[2] for row in rows) + 1
-        if len(times) * 2 * r * K > len(rows):
-            raise InvalidArgumentError("flow file has missing cells")
-        t_index = {t: i for i, t in enumerate(times)}
-        vals = np.full((len(times), 2 * r, K), np.nan)
-        for t, g, z, m, _ in rows:
-            vals[t_index[t], g, z] = m
-        if len(rows) > vals.size or np.isnan(vals).any():
-            # at least as many rows as cells: some cell came twice
-            seen = set()
-            for t, g, z, _, lineno in rows:
-                if (t, g, z) in seen:
-                    raise InvalidArgumentError(
-                        f"flow line {lineno}: repeats the (t, block, class, "
-                        f"color) cell of an earlier line"
-                    )
-                seen.add((t, g, z))
-        times = np.asarray(times)
-        steps = np.diff(times)
-        if times.size < 2 or np.any(
-            np.abs(steps - steps[0]) > 1e-9 * max(1.0, steps[0])
-        ):
-            raise InvalidArgumentError("flow grid must be uniform")
-        return cls(times, vals, r)
+        return cls(*read_series(fp))
 
 
 class _VectorField:

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, ValidationError
 from .graph import (
+    CENTRAL,
+    CLASS_LABELS,
+    PERIPHERAL,
     BlockGraph,
     ProportionTargets,
     build_complete_peripheral,
@@ -163,7 +166,8 @@ class Scenario:
         1 (block 0 again when r = 1)."""
         v = self.raw.get("tagged")
         if v is None:
-            return [(0, "c"), (min(1, r - 1), "p")]
+            return [(0, CLASS_LABELS[CENTRAL]),
+                    (min(1, r - 1), CLASS_LABELS[PERIPHERAL])]
         if not isinstance(v, list) or not v:
             raise InvalidConfigurationError("tagged must be a nonempty list")
         out = []
@@ -174,7 +178,7 @@ class Scenario:
             if (isinstance(item, list) and len(item) == 2
                     and isinstance(item[0], int)
                     and not isinstance(item[0], bool)
-                    and 0 <= item[0] < r and item[1] in ("c", "p")):
+                    and 0 <= item[0] < r and item[1] in CLASS_LABELS):
                 out.append((item[0], item[1]))
                 continue
             raise InvalidConfigurationError(
@@ -272,16 +276,16 @@ class Scenario:
             raise InvalidConfigurationError("scenario needs an init section")
         if not isinstance(obj, dict):
             raise InvalidConfigurationError("init must be a JSON object")
-        _reject_unknown(obj, {"c", "p"}, "init")
+        _reject_unknown(obj, set(CLASS_LABELS), "init")
         with _section("init"):
-            rows = {cls: list(obj[cls]) for cls in ("c", "p")}
+            rows = {cls: list(obj[cls]) for cls in CLASS_LABELS}
             if any(len(v) != r for v in rows.values()):
                 raise InvalidConfigurationError(
                     f"init needs {r} central and {r} peripheral rows"
                 )
             out = []
             for j in range(r):
-                for cls in ("c", "p"):
+                for cls in CLASS_LABELS:
                     try:
                         out.append(validate_probability(rows[cls][j], K))
                     except ValidationError as exc:

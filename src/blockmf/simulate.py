@@ -29,6 +29,7 @@ from .errors import (
 )
 from .graph import CENTRAL, PERIPHERAL, BlockGraph, neighborhood_proportions
 from .rates import affine_rows, as_block_rates
+from .tables import write_series, write_table
 
 __all__ = [
     "SystemState",
@@ -98,9 +99,8 @@ class Trajectory:
         return colors
 
     def to_csv(self, fp):
-        fp.write("t,node,from,to\n")
-        for t, node, z, zp in self.events:
-            fp.write(f"{t:.17g},{node},{z},{zp}\n")
+        write_table(fp, ("t", "node", "from", "to"),
+                    list(zip(*self.events)) or [()] * 4)
 
 
 @dataclass
@@ -426,20 +426,7 @@ class EmpiricalSeries:
         return self.values[:, 2 * j + cls, :]
 
     def to_csv(self, fp):
-        write_component_series(fp, self.times, self.values, self.r)
-
-
-def write_component_series(fp, times, values, r):
-    """Shared "t,block,class,color,mass" writer (empirical and flow
-    series use the same schema so files diff column-aligned)."""
-    fp.write("t,block,class,color,mass\n")
-    K = values.shape[2]
-    for it, t in enumerate(times):
-        for j in range(r):
-            for cls, label in ((0, "c"), (1, "p")):
-                row = values[it, 2 * j + cls]
-                for z in range(K):
-                    fp.write(f"{t:.17g},{j},{label},{z},{row[z]:.17g}\n")
+        write_series(fp, self.times, self.values)
 
 
 def empirical_process(trajectory: Trajectory, graph: BlockGraph,
