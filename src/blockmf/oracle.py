@@ -10,8 +10,9 @@ tolerance.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -23,6 +24,8 @@ from .simulate import SystemState, local_empirical
 
 __all__ = ["StateDistribution", "master_equation_oracle"]
 
+log = logging.getLogger(__name__)
+
 STATE_CAP = 4096
 UNIF_TOL = 1e-10
 CHUNK_RATE = 50.0  # max uniformization rate*T per series chunk
@@ -30,11 +33,17 @@ CHUNK_RATE = 50.0  # max uniformization rate*T per series chunk
 
 @dataclass
 class StateDistribution:
-    """Distribution over the full color-tuple space."""
+    """Distribution over the full color-tuple space. The solver's work
+    counters take no part in equality: states, nonzeros of the generator,
+    series chunks and series terms summed over the chunks."""
 
     probs: np.ndarray  # length K^N
     K: int
     n_nodes: int
+    states: int = field(default=0, compare=False)
+    nonzeros: int = field(default=0, compare=False)
+    chunks: int = field(default=0, compare=False)
+    series_terms: int = field(default=0, compare=False)
 
     def decode(self, idx: int):
         out = []
@@ -127,7 +136,7 @@ def master_equation_oracle(graph: BlockGraph, spec, targets, init_dist,
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum()
     if T == 0:
-        return StateDistribution(probs, K, N)
+        return _counted(probs, K, N, n_states, 0, 0, 0)
 
     # assemble the jump matrix column by column
     rows, cols, vals = [], [], []
@@ -154,13 +163,14 @@ def master_equation_oracle(graph: BlockGraph, spec, targets, init_dist,
     )
     lam_max = float(-diag.min())
     if lam_max == 0.0:
-        return StateDistribution(probs, K, N)
+        return _counted(probs, K, N, n_states, Q.nnz, 0, 0)
 
     n_chunks = max(1, int(math.ceil(lam_max * T / CHUNK_RATE)))
     tau = T / n_chunks
     a = lam_max * tau
     P = sparse.identity(n_states, format="csr") + Q.multiply(1.0 / lam_max)
     p = probs
+    terms = 0
     for _ in range(n_chunks):
         weight = math.exp(-a)
         acc = weight * p
@@ -176,7 +186,16 @@ def master_equation_oracle(graph: BlockGraph, spec, targets, init_dist,
             if k > 100_000:
                 raise CapacityError("uniformization series failed to settle")
         p = acc
+        terms += k
     p = np.asarray(p).ravel()
     p = np.maximum(p, 0.0)
     p /= p.sum()
-    return StateDistribution(p, K, N)
+    return _counted(p, K, N, n_states, Q.nnz, n_chunks, terms)
+
+
+def _counted(p, K, N, *counters) -> StateDistribution:
+    """The distribution with its counters, which are logged on
+    `blockmf.oracle` at debug level."""
+    log.debug("oracle: %d states, %d nonzeros, %d chunks, %d series terms",
+              *counters)
+    return StateDistribution(p, K, N, *counters)

@@ -27,6 +27,23 @@ def test_two_state_closed_form():
     assert np.allclose(joint, np.outer(p1, p1), atol=1e-9)
 
 
+def test_oracle_counters(caplog):
+    g, spec = two_state_chain(0.7, 0.4)
+    init = [[1.0, 0.0], [1.0, 0.0]]
+    with caplog.at_level("DEBUG", logger="blockmf.oracle"):
+        dist = master_equation_oracle(g, spec, None, init, 200.0)
+    # 4 states, each with 2 flips and a diagonal entry; the series is cut
+    # into chunks of rate*T <= 50 (rate 1.4 here)
+    assert (dist.states, dist.nonzeros, dist.chunks) == (4, 12, 6)
+    assert dist.series_terms > dist.chunks
+    assert caplog.messages[-1] == (
+        f"oracle: 4 states, 12 nonzeros, 6 chunks, {dist.series_terms} "
+        "series terms")
+    again = master_equation_oracle(g, spec, None, init, 0.0)
+    assert (again.states, again.chunks, again.series_terms) == (4, 0, 0)
+    assert again == bm.StateDistribution(again.probs, 2, 2)
+
+
 def test_product_init_matches_explicit_vector():
     g = bm.build_complete_peripheral([(1, 1)])
     fam = bm.sis_spec(1, gamma=1.0, nu=0.5, eta=0.8, zeta=0.6)
