@@ -98,6 +98,12 @@ def _write(out_dir, name, write, *args):
         write(fp, *args)
 
 
+def _read_flow(path):
+    # undecodable bytes become U+FFFD and fail as a bad row
+    with open(path, errors="replace") as fp:
+        return MeanFieldFlow.from_csv(fp)
+
+
 def _limit_model(sc):
     """Rate spec, targets and initial measures of the limit; the graph, if
     any, only supplies the targets."""
@@ -148,11 +154,21 @@ def cmd_validate(args):
         "grid": sc.grid,
         "replicas": sc.replicas,
         "n_list": lambda: sc.n_list,
+        "picard_tol": lambda: sc.picard_tol,
+        "picard_max_iter": lambda: sc.picard_max_iter,
     }
     for field, check in numeric_checks.items():
         if field in sc.raw:
             check()
             checked.append(field)
+    if "flow_csv" in sc.raw:
+        flow = _read_flow(sc.flow_csv)
+        if targets is not None and K is not None \
+                and (flow.r, flow.K) != (targets.r, K):
+            raise InvalidConfigurationError(
+                f"flow_csv: flow has r={flow.r}, K={flow.K}; the model has "
+                f"r={targets.r}, K={K}")
+        checked.append("flow_csv")
     sizes = None
     if "n_list" in sc.raw and targets is not None:
         sizes = _n_list_sizes(sc, targets)
@@ -257,9 +273,8 @@ def cmd_ldp_cost(args):
     spec = sc.build_rates()
     targets = sc.build_targets(graph)
     flow_path = sc.flow_csv or os.path.join(out_dir, "flow.csv")
-    if os.path.exists(flow_path):
-        with open(flow_path) as fp:
-            flow = MeanFieldFlow.from_csv(fp)
+    if os.path.isfile(flow_path):
+        flow = _read_flow(flow_path)
         source = flow_path
     else:
         inits = sc.build_inits(targets.r, spec.colors.K)

@@ -193,7 +193,7 @@ class Scenario:
         if not isinstance(rel, str):
             raise InvalidConfigurationError(f"{name} must be a path string")
         path = os.path.join(self.base_dir, rel)
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise InvalidConfigurationError(f"{name} file not found: {path}")
         return path
 

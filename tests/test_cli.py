@@ -254,6 +254,16 @@ def test_entry_point_declared_and_runs_as_module(tmp_path):
     assert proc.stdout.startswith("scenario OK")
 
 
+def test_distribution_name_and_test_extra():
+    # the suite imports pytest and hypothesis; the `test` extra declares them
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["name"] == "blockmf"
+    assert sorted(project["optional-dependencies"]["test"]) == [
+        "hypothesis", "pytest"]
+
+
 def _without(section, key):
     return {**SCEN, section: {k: v for k, v in SCEN[section].items()
                               if k != key}}
@@ -431,6 +441,33 @@ def test_malformed_flow_csv_fails_closed(tmp_path, lines, needle):
     proc = run_blockmf_module(["ldp-cost", "--scenario", scen,
                                "--out", str(tmp_path / "out")])
     assert_fails_closed(proc, tmp_path / "out" / "cost.csv", needle)
+
+
+@pytest.mark.parametrize("field, value, sub, artifact, needle", [
+    ("picard_tol", -1, "picard", "flow_picard.csv", "picard_tol"),
+    ("picard_max_iter", 0, "picard", "flow_picard.csv", "picard_max_iter"),
+    ("flow_csv", "nope.csv", "ldp-cost", "cost.csv", "flow_csv"),
+    ("flow_csv", ".", "ldp-cost", "cost.csv", "flow_csv"),
+    ("flow_csv", "three-colors.csv", "ldp-cost", "cost.csv", "K=3"),
+    ("flow_csv", "class-pp.csv", "ldp-cost", "cost.csv", "flow line 8"),
+    ("flow_csv", "binary.csv", "ldp-cost", "cost.csv", "flow line 2"),
+], ids=["picard-tol-negative", "picard-max-iter-zero", "flow-csv-missing",
+        "flow-csv-directory", "flow-csv-three-colors", "flow-csv-class-pp",
+        "flow-csv-binary"])
+def test_limit_fields_fail_closed(tmp_path, field, value, sub, artifact,
+                                  needle):
+    # validate checks what picard and ldp-cost read
+    (tmp_path / "three-colors.csv").write_text(
+        "\n".join(_flow_lines(K=3)) + "\n")
+    (tmp_path / "class-pp.csv").write_text(
+        "\n".join(_with_line_8("0,1,pp,0,0.5")) + "\n")
+    (tmp_path / "binary.csv").write_bytes(
+        b"t,block,class,color,mass\n\xff\xfe,0,c,0,1\n")
+    scen = scen_path(tmp_path, {**SCEN, field: value})
+    for command in ("validate", sub):
+        proc = run_blockmf_module([command, "--scenario", scen,
+                                   "--out", str(tmp_path / "out")])
+        assert_fails_closed(proc, tmp_path / "out" / artifact, needle)
 
 
 FUZZ_SCEN = {**SCEN, "horizon": 0.5, "grid": 5,

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import blockmf as bm
+from blockmf.experiments import resolve_tagged
+from blockmf.graph import CLASS_LABELS, class_index
 from conftest import random_inits, random_rate_family, random_targets
 
 R1_TARGETS = bm.ProportionTargets((0.5,), (0.4,), ((0.6,),), (1.0,))
@@ -430,6 +432,21 @@ def test_girsanov_argument_guards():
         bm.girsanov_log_density(path, flow, R1_TARGETS, spec, (0, 0))
     with pytest.raises(bm.InvalidArgumentError, match="component"):
         bm.girsanov_log_density(path, flow, R1_TARGETS, spec, (1, 0))
+
+
+@pytest.mark.parametrize("cls", ["x", "cp", "", 2, None])
+def test_bad_class_label_is_an_argument_error(small_graph, cls):
+    # the labels are one map, read by the densities, the tagged-node
+    # resolver and the scenario
+    assert [class_index(c) for c in CLASS_LABELS] == [bm.CENTRAL,
+                                                      bm.PERIPHERAL]
+    assert class_index(cls) is None
+    spec, flow = unit_rate_setup()
+    path = bm.ColorPath(np.array([]), np.array([0]), flow.T)
+    with pytest.raises(bm.InvalidArgumentError, match="component"):
+        bm.girsanov_log_densities([path], flow, R1_TARGETS, spec, (0, cls))
+    with pytest.raises(bm.InvalidArgumentError, match="names no class"):
+        resolve_tagged(small_graph, [(0, cls)])
 
 
 def test_h_functional_weighting():
