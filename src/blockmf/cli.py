@@ -27,7 +27,7 @@ from .graph import build_complete_peripheral, check_regularity
 from .ldp import variational_cost
 from .meanfield import MeanFieldFlow, picard_iterate, solve_mckean_vlasov
 from .oracle import master_equation_oracle
-from .rng import substream
+from .rng import ORACLE_CHECK, SIMULATE, substream
 from .simulate import empirical_process, simulate
 from .scenario import load_scenario
 from .tables import write_table
@@ -192,7 +192,7 @@ def cmd_simulate(args):
     inits = sc.build_inits(graph.r, spec.colors.K)
     T = sc.horizon
     grid = np.linspace(0.0, T, sc.grid())
-    gen = substream(seed)
+    gen = substream(seed, 0, 0, SIMULATE)
     colors = sample_block_colors(graph, inits, gen)
     traj = simulate(graph, spec, targets, colors, T, gen)
     _write(out_dir, "trajectory.csv", traj.to_csv)
@@ -301,7 +301,7 @@ def cmd_oracle_check(args):
 
     counts = np.zeros((graph.n_total, K))
     for rep in range(replicas):
-        gen = substream(seed, rep)
+        gen = substream(seed, 0, rep, ORACLE_CHECK)
         colors = sample_block_colors(graph, inits, gen)
         traj = simulate(graph, spec, targets, colors, T, gen)
         final = traj.final_colors

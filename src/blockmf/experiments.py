@@ -1,11 +1,10 @@
 """Statistical experiments: empirical-measure convergence to the
 mean-field flow, and factorization of tagged-node joint laws.
 
-Replica randomness is keyed by (master seed, N index, replica index),
-so results are independent of execution order and worker count;
-aggregation always runs in replica order. Multichaos keys end in the
-purpose word MULTICHAOS_WORD, so they never repeat the convergence
-study's streams.
+Replica randomness is keyed by (master seed, N index, replica index,
+purpose word), so results are independent of execution order and worker
+count; aggregation always runs in replica order. The words of `rng` keep
+the convergence study's streams and the joint-law test's apart.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .graph import CENTRAL, BlockGraph, ProportionTargets, \
 from .meanfield import solve_mckean_vlasov
 from .metrics import d_bl
 from .rates import validate_probability
-from .rng import substream
+from .rng import CHAOS, MULTICHAOS, substream
 from .simulate import empirical_process, simulate
 from .tables import write_table
 
@@ -175,7 +174,7 @@ def _seed_path(seed):
 def _lln_replica(args):
     (graph, spec, targets, inits, T, grid_times, flow_grid, seed_path,
      n_idx, rep) = args
-    gen = substream(*seed_path, n_idx, rep)
+    gen = substream(*seed_path, n_idx, rep, CHAOS)
     colors = sample_block_colors(graph, inits, gen)
     traj = simulate(graph, spec, targets, colors, T, gen)
     emp = empirical_process(traj, graph, grid_times).values
@@ -269,18 +268,9 @@ def resolve_tagged(graph: BlockGraph, tagged_nodes):
     return out
 
 
-# Closes every multichaos key (seed path, replica index, word). SeedSequence
-# pads keys with zeros, so [s], [s, 0] and [s, 0, 0] are one stream: the
-# word must be nonzero and sit past every other caller's indices. With the
-# CLI's (seed, N index) path, (seed, N index, replica, 1) differs from
-# chaos (seed, N index, replica), oracle-check (seed, replica) and
-# simulate (seed).
-MULTICHAOS_WORD = 1
-
-
 def _chaos_replica(args):
     graph, spec, targets, inits, tagged, T, seed_path, rep = args
-    gen = substream(*seed_path, rep, MULTICHAOS_WORD)
+    gen = substream(*seed_path, rep, MULTICHAOS)
     colors = sample_block_colors(graph, inits, gen)
     traj = simulate(graph, spec, targets, colors, T, gen)
     final = traj.final_colors

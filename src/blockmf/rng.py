@@ -3,11 +3,19 @@
 Philox is counter-based, so `substream(seed, k)` is a pure function of
 (seed, k): replicas can be computed in any order, on any number of
 workers, and still consume identical random sequences.
+
+The CLI keys every stream (seed, N index, replica, purpose word).
+`SeedSequence` pads keys with zeros, so (s,), (s, 0) and (s, 0, 0, 0)
+are one stream: the word alone keeps the purposes apart, and chaos's
+word 0 leaves its three-part keys as they were.
 """
 
 import numpy as np
 
-__all__ = ["substream", "BatchedDraws"]
+__all__ = ["substream", "BatchedDraws", "CHAOS", "MULTICHAOS",
+           "ORACLE_CHECK", "SIMULATE"]
+
+CHAOS, MULTICHAOS, ORACLE_CHECK, SIMULATE = range(4)  # purpose words
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
