@@ -15,7 +15,7 @@ from .errors import InvalidArgumentError
 from .graph import CENTRAL, CLASS_LABELS, PERIPHERAL
 
 SERIES_HEADER = ("t", "block", "class", "color", "mass")
-CHUNK_ROWS = 4096  # rows formatted per write: no file is built as one string
+CHUNK_ROWS = 1024  # rows formatted per write: no file is built as one string
 
 
 def write_table(fp, header, columns) -> None:
@@ -33,27 +33,31 @@ def write_table(fp, header, columns) -> None:
                  % tuple(itertools.chain.from_iterable(cells)))
 
 
-def _keys(times, n_components: int, K: int):
-    """The t, block, class and colour columns of a series with K cells
-    per component; each time is formatted once."""
-    t = ["%.17g" % x for x in np.asarray(times).tolist()]
-    g, z = np.divmod(np.arange(n_components * K), K)
-    return (np.repeat(np.array(t, dtype=object), g.size),
-            *(np.tile(c, len(t))
-              for c in (g // 2, np.asarray(CLASS_LABELS)[g % 2], z)))
+def _write_cells(fp, header, times, values) -> None:
+    """Rows (t, block, class, [color,] value) of values[i, g(, z)] at
+    times[i], g = 2*block+class, written whole time points at a time; the
+    colour column is there when values has one. Each time is formatted
+    once."""
+    fp.write(",".join(header) + "\n")
+    cells = values[0].size
+    g, z = np.divmod(np.arange(cells), cells // values.shape[1])
+    keys = [g // 2, np.asarray(CLASS_LABELS)[g % 2], z][:len(header) - 2]
+    step = max(1, CHUNK_ROWS // cells)
+    for a in range(0, len(times), step):
+        t = ["%.17g" % x for x in np.asarray(times[a:a + step]).tolist()]
+        write_table(fp, None, [np.repeat(np.array(t, dtype=object), cells),
+                               *(np.tile(k, len(t)) for k in keys),
+                               values[a:a + step].reshape(-1)])
 
 
 def write_series(fp, times, values) -> None:
-    """A component series values[i, g, z] at times[i], g = 2*block+class."""
-    write_table(fp, SERIES_HEADER,
-                [*_keys(times, *values.shape[1:]), values.reshape(-1)])
+    """A component series values[i, g, z] at times[i]."""
+    _write_cells(fp, SERIES_HEADER, times, values)
 
 
 def write_cost(fp, times, integrand, total) -> None:
     """A cost integrand[i, g] at times[i], then the "S_total" row."""
-    write_table(fp, ("t", "block", "class", "integrand"),
-                [*_keys(times, integrand.shape[1], 1)[:3],
-                 integrand.reshape(-1)])
+    _write_cells(fp, ("t", "block", "class", "integrand"), times, integrand)
     write_table(fp, None, [["S_total"], [total]])
 
 
@@ -87,34 +91,42 @@ def _columns(rows):
 def read_series(fp):
     """(times, values, r) of a flow: rows in any order, blank lines
     skipped. A bad header or row, a duplicate or missing cell or a
-    non-uniform grid raise InvalidArgumentError."""
+    non-uniform grid raise InvalidArgumentError. The rows are parsed
+    CHUNK_ROWS lines at a time."""
     header = fp.readline().strip()
     if header != ",".join(SERIES_HEADER):
         raise InvalidArgumentError(f"unexpected flow header {header!r}")
-    lines = list(map(str.strip, fp.read().split("\n")))
-    lineno = [n for n, line in enumerate(lines, start=2) if line]
-    rows = [line for line in lines if line]
-    if not rows:
+    parts, lineno, first = [], [], 2  # first: file line of the chunk's start
+    while lines := list(map(str.strip, itertools.islice(fp, CHUNK_ROWS))):
+        rows = [line for line in lines if line]
+        lineno.append(first + np.flatnonzero(list(map(bool, lines))))
+        first += len(lines)
+        if not rows:
+            continue
+        try:
+            parts.append(_columns(rows))
+        except ValueError:
+            lo, hi = 0, len(rows)  # rows[:lo] parse, rows[:hi] do not
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    _columns(rows[:mid])
+                    lo = mid
+                except ValueError:
+                    hi = mid
+            raise InvalidArgumentError(
+                f"flow line {lineno[-1][lo]}: expected t,block,class,color,"
+                f"mass with block and color >= 0, class "
+                f"{' or '.join(CLASS_LABELS)}, t and mass finite, got "
+                f"{rows[lo]!r}"
+            ) from None
+    if not parts:
         raise InvalidArgumentError("empty flow file")
-    try:
-        t, g, z, m = _columns(rows)
-    except ValueError:
-        lo, hi = 0, len(rows)  # rows[:lo] parse, rows[:hi] do not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                _columns(rows[:mid])
-                lo = mid
-            except ValueError:
-                hi = mid
-        raise InvalidArgumentError(
-            f"flow line {lineno[lo]}: expected t,block,class,color,mass with "
-            f"block and color >= 0, class {' or '.join(CLASS_LABELS)}, t "
-            f"and mass finite, got {rows[lo]!r}"
-        ) from None
+    lineno = np.concatenate(lineno)
+    t, g, z, m = (np.concatenate(c) for c in zip(*parts))
     times, t_index = np.unique(t, return_inverse=True)
     r, K = int(g.max()) // 2 + 1, int(z.max()) + 1
-    if times.size * 2 * r * K > len(rows):
+    if times.size * 2 * r * K > t.size:
         raise InvalidArgumentError("flow file has missing cells")
     cell = (t_index * 2 * r + g) * K + z
     if np.bincount(cell).max() > 1:  # as many rows as cells, or more

@@ -11,6 +11,7 @@ import pytest
 
 import blockmf as bm
 import blockmf.cli as cli
+import blockmf.tables as tables
 from test_cli import ORACLE_SCEN, SCEN, scen_path
 
 TIMES = np.array([-0.0, 0.1 + 0.2])
@@ -123,3 +124,25 @@ def test_oracle_check_csv_bytes(tmp_path, capsys, monkeypatch):
         "1,0,1,1,0\n1,1,-0,0,-0\n"
         "2,0,1e-300,0,5e-151\n2,1,1,1,0\n")
 
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 5])
+def test_chunking_changes_no_byte_and_no_line_number(monkeypatch, chunk):
+    # rows are formatted and parsed a few at a time; the chunk size shows
+    # neither in the bytes written nor in the lines named by an error
+    monkeypatch.setattr(tables, "CHUNK_ROWS", chunk)
+    flow = bm.MeanFieldFlow(TIMES, VALUES, 2)
+    assert to_text(flow) == SERIES_CSV
+    cost = bm.DeviationCost(TIMES, VALUES[:, :, 0], np.zeros(4), np.ones(4),
+                            np.inf, 2)
+    assert to_text(cost).splitlines()[1::8] == ["-0,0,c,-0", "S_total,inf"]
+    header, *rows = SERIES_CSV.splitlines()
+    text = "\n".join([header, "", *rows[:4], " ", *rows[4:]]) + "\n"
+    back = bm.MeanFieldFlow.from_csv(io.StringIO(text))
+    assert np.array_equal(back.values, VALUES)
+    bad = text.replace("0.30000000000000004,1,c,1,", "0.3,1,x,1,")
+    with pytest.raises(bm.InvalidArgumentError, match="flow line 17:"):
+        bm.MeanFieldFlow.from_csv(io.StringIO(bad))
+    repeat = text + rows[6] + "\n"
+    with pytest.raises(bm.InvalidArgumentError, match="flow line 20:"):
+        bm.MeanFieldFlow.from_csv(io.StringIO(repeat))
