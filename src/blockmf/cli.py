@@ -168,6 +168,9 @@ def cmd_validate(args):
             raise InvalidConfigurationError(
                 f"flow_csv: flow has r={flow.r}, K={flow.K}; the model has "
                 f"r={targets.r}, K={K}")
+        if flow.times.size < 3:  # what ldp-cost's derivative needs
+            raise InvalidConfigurationError(
+                "flow_csv: flow needs at least 3 grid points")
         checked.append("flow_csv")
     sizes = None
     if "n_list" in sc.raw and targets is not None:

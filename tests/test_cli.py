@@ -450,9 +450,10 @@ def test_malformed_flow_csv_fails_closed(tmp_path, lines, needle):
     ("flow_csv", "three-colors.csv", "ldp-cost", "cost.csv", "K=3"),
     ("flow_csv", "class-pp.csv", "ldp-cost", "cost.csv", "flow line 8"),
     ("flow_csv", "binary.csv", "ldp-cost", "cost.csv", "flow line 2"),
+    ("flow_csv", "two-points.csv", "ldp-cost", "cost.csv", "3 grid points"),
 ], ids=["picard-tol-negative", "picard-max-iter-zero", "flow-csv-missing",
         "flow-csv-directory", "flow-csv-three-colors", "flow-csv-class-pp",
-        "flow-csv-binary"])
+        "flow-csv-binary", "flow-csv-two-points"])
 def test_limit_fields_fail_closed(tmp_path, field, value, sub, artifact,
                                   needle):
     # validate checks what picard and ldp-cost read
@@ -460,6 +461,8 @@ def test_limit_fields_fail_closed(tmp_path, field, value, sub, artifact,
         "\n".join(_flow_lines(K=3)) + "\n")
     (tmp_path / "class-pp.csv").write_text(
         "\n".join(_with_line_8("0,1,pp,0,0.5")) + "\n")
+    (tmp_path / "two-points.csv").write_text(
+        "\n".join(_flow_lines()[:-8]) + "\n")
     (tmp_path / "binary.csv").write_bytes(
         b"t,block,class,color,mass\n\xff\xfe,0,c,0,1\n")
     scen = scen_path(tmp_path, {**SCEN, field: value})
