@@ -23,8 +23,8 @@ from .errors import (
     NonConvergenceError,
     UnknownEdgeError,
 )
-from .meanfield import ColorPath, MeanFieldFlow, flow_drift, flow_rates
 from .graph import class_index
+from .meanfield import ColorPath, MeanFieldFlow, flow_drift, flow_rates
 from .rates import ColorGraph, as_block_rates
 from .tables import write_cost
 

@@ -41,7 +41,7 @@ def _write_cells(fp, header, times, values) -> None:
     fp.write(",".join(header) + "\n")
     cells = values[0].size
     g, z = np.divmod(np.arange(cells), cells // values.shape[1])
-    keys = [g // 2, np.asarray(CLASS_LABELS)[g % 2], z][:len(header) - 2]
+    keys = [g // 2, np.asarray(CLASS_LABELS)[g % 2], z][:values.ndim]
     step = max(1, CHUNK_ROWS // cells)
     for a in range(0, len(times), step):
         t = ["%.17g" % x for x in np.asarray(times[a:a + step]).tolist()]

@@ -12,7 +12,7 @@ import pytest
 import blockmf as bm
 import blockmf.cli as cli
 import blockmf.tables as tables
-from test_cli import ORACLE_SCEN, SCEN, scen_path
+from test_cli import ORACLE_SCEN, scen_path
 
 TIMES = np.array([-0.0, 0.1 + 0.2])
 VALUES = np.array([[[-0.0, 1.0], [1e-300, 1.0], [1 / 3, 2 / 3], [0.5, 0.5]]])
