@@ -65,7 +65,8 @@ def _build_parser():
                        help="master seed (overrides scenario)")
         p.add_argument("--threads", type=int,
                        default=os.cpu_count() or 1,
-                       help="worker processes for replica farms")
+                       help="accepted for compatibility; has no effect "
+                            "(every subcommand runs in one process)")
         p.add_argument("--grid", type=int,
                        help="time-grid size (overrides scenario)")
     return parser
@@ -236,7 +237,7 @@ def cmd_chaos(args):
     report = lln_experiment(
         proportional_family(targets), spec, targets, inits, sc.horizon,
         sc.grid(31), sc.n_list, sc.replicas(),
-        seed, dt=sc.dt(), threads=args.threads,
+        seed, dt=sc.dt(),
     )
     _write(out_dir, "convergence.csv", report.to_csv)
     _write(out_dir, "chaos_convergence.svg", report.to_svg)
@@ -259,7 +260,7 @@ def cmd_multichaos(args):
         graph = family(N)
         _, _, tv = multichaos_test(
             graph, spec, targets, tagged, sc.horizon, replicas,
-            (seed, idx), inits=inits, threads=args.threads,
+            (seed, idx), inits=inits,
         )
         tvs.append(tv)
         log.info("multichaos N=%d tv=%.5g", N, tv)

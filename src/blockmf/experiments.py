@@ -1,29 +1,34 @@
 """Statistical experiments: empirical-measure convergence to the
 mean-field flow, and factorization of tagged-node joint laws.
 
-Replica randomness is keyed by (master seed, N index, replica index,
-purpose word), so results are independent of execution order and worker
-count; aggregation always runs in replica order. The words of `rng` keep
-the convergence study's streams and the joint-law test's apart.
+On the designs these experiments build, every member of a group (a
+block's centrals, a peripheral twin class) jumps at the same rates, so
+the system is Kurtz's density-dependent chain on group colour counts.
+Both experiments run it as a count-level farm: all replicas of one N
+advance together in numpy arrays, one jump per replica per lock-step,
+in the calling process. The farm reads the rate map of
+`simulate.GroupTables`, the one the per-node kernel reads.
+
+Each N draws from one stream keyed by (seed path, N index, purpose
+word), so results are a pure function of the seed and the replica
+count; a replica's draws depend on how many replicas share its stream.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InternalConsistencyError, InvalidArgumentError
 from .graph import CENTRAL, BlockGraph, ProportionTargets, \
     build_complete_peripheral, class_index
 from .meanfield import solve_mckean_vlasov
-from .metrics import d_bl
+from .metrics import d_bl_of_differences
 from .rates import validate_probability
 from .rng import CHAOS, MULTICHAOS, substream
-from .simulate import empirical_process, simulate
+from .simulate import GroupTables
 from .tables import write_table
 
 __all__ = [
@@ -171,38 +176,122 @@ def _seed_path(seed):
     return (int(seed),)
 
 
-def _lln_replica(args):
-    (graph, spec, targets, inits, T, grid_times, flow_grid, seed_path,
-     n_idx, rep) = args
-    gen = substream(*seed_path, n_idx, rep, CHAOS)
-    colors = sample_block_colors(graph, inits, gen)
-    traj = simulate(graph, spec, targets, colors, T, gen)
-    emp = empirical_process(traj, graph, grid_times).values
-    per_comp = np.array([
-        max(d_bl(emp[i, g], flow_grid[i, g]) for i in range(len(grid_times)))
-        for g in range(2 * graph.r)
-    ])
-    return float(per_comp.max()), per_comp
+def _count_farm(tables: GroupTables, inits, T: float, replicas: int, gen,
+                *, grid=None, tagged=()):
+    """Run `replicas` copies of the count chain of `tables` to time T in
+    lock-step, from iid initial colours with law inits[2*block + class].
 
+    Each lock-step computes every replica's rates max(0, beta + A n) from
+    the sparse map, draws one exponential and one uniform per replica to
+    pick the jump time and the (group, edge), and applies the jump to the
+    replicas still before T with a positive total rate.
 
-def _run_ordered(worker, arg_list, threads):
-    """worker over arg_list, in order, on at most `threads` processes and
-    never more than there are items or CPUs."""
-    workers = min(threads, len(arg_list), os.cpu_count() or 1)
-    if workers <= 1:
-        return [worker(a) for a in arg_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(arg_list) // (4 * workers))
-        return list(pool.map(worker, arg_list, chunksize=chunk))
+    grid: nondecreasing times in [0, T]. Returns the group counts at each,
+    shape (replicas, len(grid), G, K), taken as the state after the last
+    jump at or before that time (right-continuous, as in
+    `empirical_process`), or None without a grid.
+    tagged: distinct node ids, followed exactly. A bucket's tagged members
+    sit in its first slots and a third uniform u picks slot floor(u *
+    count) as the jumper. Returns their final colours, shape (replicas,
+    len(tagged)).
+    """
+    if T < 0:
+        raise InvalidArgumentError("T must be >= 0")
+    if len(inits) != 2 * tables.graph.r:
+        raise InvalidArgumentError(
+            f"need 2r={2 * tables.graph.r} initial measures")
+    K, G, E = tables.K, tables.n_groups, tables.n_edges
+    law = np.array([validate_probability(m, K) for m in inits])
+    R, GE = replicas, G * E
+
+    # initial state: one multinomial per group for the untagged members,
+    # then each tagged node's colour on its own
+    tag_group = np.array([tables.group_of(n) for n in tagged], dtype=np.int64)
+    free = tables.sizes - np.bincount(tag_group, minlength=G)
+    n = gen.multinomial(free, law[tables.component], size=(R, G))
+    n = n.astype(float).reshape(R, G * K)
+    tag_law = np.cumsum(law[tables.component[tag_group]], axis=1)
+    tag_col = tag_group * K + np.minimum(
+        (tag_law <= gen.random((R, len(tagged)))[..., None]).sum(axis=2),
+        K - 1)
+    np.add.at(n, (np.arange(R)[:, None], tag_col), 1.0)
+
+    # the rate map's rows summed by reduceat over their columns; an empty
+    # row gets one zero-weight entry, so every row has a start
+    row_len = np.bincount(tables.row, minlength=GE)
+    empty = np.flatnonzero(row_len == 0)
+    order = np.argsort(np.concatenate((tables.row, empty)), kind="stable")
+    col = np.concatenate((tables.col, np.zeros(empty.size, np.int64)))[order]
+    weight = np.concatenate((tables.weight, np.zeros(empty.size)))[order]
+    starts = np.cumsum(np.maximum(row_len, 1)) - np.maximum(row_len, 1)
+    beta = tables.beta.ravel()
+    groups = np.arange(G)[:, None] * K
+    src = (groups + tables.edge_src).ravel()  # flat bucket of (g, e)'s source
+    dst = (groups + tables.edge_dst).ravel()
+
+    if grid is not None:
+        grid = np.append(np.asarray(grid, dtype=float), np.inf)
+        rows = np.empty((R, grid.size - 1, G * K))
+        filled_to = np.zeros(R, dtype=np.int64)  # next grid row to write
+        due = np.full(R, grid[0])                # its time
+    every = np.arange(R)
+    t = np.zeros(R)
+    live = np.ones(R, dtype=bool)
+    no_rate = np.full(R, np.inf)
+    while True:
+        rate = np.add.reduceat(n[:, col] * weight, starts, axis=1)
+        rate += beta
+        np.maximum(rate, 0.0, out=rate)
+        rate *= n[:, src]
+        cum = np.cumsum(rate, axis=1)
+        total = cum[:, -1]
+        if not np.isfinite(total.sum()):
+            raise InternalConsistencyError("non-finite rate in the count farm")
+        t_next = t + np.divide(gen.standard_exponential(R), total,
+                               out=no_rate.copy(), where=total > 0.0)
+        u = gen.random(R)
+        slot_u = gen.random(R) if tagged else None
+        if grid is not None:
+            # a grid time before the next jump sees the current state; a
+            # replica that stops here fills all its remaining rows
+            due_now = due < t_next
+            w = due_now.nonzero()[0] if due_now.any() else ()
+            while len(w):
+                rows[w, filled_to[w]] = n[w]
+                filled_to[w] += 1
+                due[w] = grid[filled_to[w]]
+                w = w[due[w] < t_next[w]]
+        live &= t_next <= T
+        if not live.any():
+            break
+        # the first (group, edge) whose cumulated rate exceeds u * total:
+        # u < 1 keeps u * total below cum[-1] == total, so a replica with
+        # a positive total picks an edge of positive rate. Stopped
+        # replicas pick anything and move by 0.
+        k = (cum > (u * total)[:, None]).argmax(axis=1)
+        frm, to = src[k], dst[k]
+        step = live.astype(float)
+        if tagged:
+            count = n[every, frm]
+            slot = np.minimum((slot_u * count).astype(np.int64),
+                              count.astype(np.int64) - 1)
+            here = (tag_col == frm[:, None]) & live[:, None]
+            mover = here & (np.cumsum(here, axis=1) - 1 == slot[:, None])
+            tag_col = np.where(mover, to[:, None], tag_col)
+        n[every, frm] -= step
+        n[every, to] += step
+        t = t_next
+    counts = None if grid is None else rows.reshape(R, -1, G, K)
+    return counts, tag_col % K
 
 
 def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
-                   T, grid, N_list, replicas, seed, *, dt=0.01,
-                   threads=1) -> ConvergenceReport:
+                   T, grid, N_list, replicas, seed, *,
+                   dt=0.01) -> ConvergenceReport:
     """For each N: sample iid initial colors, simulate, and take the sup
     over the grid of the max-component BL distance between the empirical
     measures and the limiting flow. Reports mean and standard error over
-    replicas per N."""
+    replicas per N. All replicas of one N run as one count farm."""
     N_list = [int(n) for n in N_list]
     if N_list != sorted(set(N_list)):
         raise InvalidArgumentError("N_list must be strictly increasing")
@@ -211,6 +300,12 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
     T = float(T)
     grid_times = (np.linspace(0.0, T, int(grid)) if np.ndim(grid) == 0
                   else np.asarray(grid, dtype=float))
+    if (grid_times.ndim != 1 or grid_times.size == 0
+            or np.any(np.diff(grid_times) < 0)
+            or grid_times[0] < 0 or grid_times[-1] > T):
+        raise InvalidArgumentError(
+            f"grid must be a nonempty nondecreasing 1-d array within "
+            f"[0, {T}]")
     flow = solve_mckean_vlasov(spec, targets, inits, T, dt)
     flow_grid = np.stack([flow.at(t) for t in grid_times])
     seed_path = _seed_path(seed)
@@ -224,11 +319,17 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
         graph = graph_family(N)
         if graph.r != r:
             raise InvalidArgumentError("graph family disagrees with targets")
-        args = [(graph, spec, targets, inits, T, grid_times, flow_grid,
-                 seed_path, n_idx, rep) for rep in range(replicas)]
-        results = _run_ordered(_lln_replica, args, threads)
-        dists[n_idx] = [s for s, _ in results]
-        comp_means[n_idx] = np.mean([c for _, c in results], axis=0)
+        tables = GroupTables(graph, spec)
+        counts, _ = _count_farm(tables, inits, T, replicas,
+                                substream(*seed_path, n_idx, CHAOS),
+                                grid=grid_times)
+        to_component = np.zeros((2 * r, tables.n_groups))
+        to_component[tables.component, np.arange(tables.n_groups)] = 1.0
+        emp = ((to_component @ counts)
+               / np.ravel(graph.block_sizes)[:, None])  # (R, grid, 2r, K)
+        per_comp = d_bl_of_differences(emp - flow_grid).max(axis=1)
+        dists[n_idx] = per_comp.max(axis=1)
+        comp_means[n_idx] = per_comp.mean(axis=0)
         means[n_idx] = dists[n_idx].mean()
         stderrs[n_idx] = dists[n_idx].std(ddof=1) / math.sqrt(replicas)
     return ConvergenceReport(tuple(N_list), replicas, means, stderrs,
@@ -268,33 +369,24 @@ def resolve_tagged(graph: BlockGraph, tagged_nodes):
     return out
 
 
-def _chaos_replica(args):
-    graph, spec, targets, inits, tagged, T, seed_path, rep = args
-    gen = substream(*seed_path, rep, MULTICHAOS)
-    colors = sample_block_colors(graph, inits, gen)
-    traj = simulate(graph, spec, targets, colors, T, gen)
-    final = traj.final_colors
-    return tuple(int(final[n]) for n in tagged)
-
-
 def multichaos_test(graph: BlockGraph, spec, targets, tagged_nodes, T,
-                    replicas, seed, *, inits, threads=1):
+                    replicas, seed, *, inits):
     """Estimate the joint law of the tagged nodes' colors at time T, the
     product of its marginals, and the total-variation distance between
     the two. tagged_nodes entries are node ids or (block, class) pairs
-    (resolved to the first node of the class)."""
+    (resolved to the first node of the class). targets is not used: the
+    dynamics run on the graph's own proportions."""
     tagged = resolve_tagged(graph, tagged_nodes)
     if replicas < 1:
         raise InvalidArgumentError("need at least 1 replica")
-    seed_path = _seed_path(seed)
-    args = [(graph, spec, targets, inits, tagged, float(T), seed_path, rep)
-            for rep in range(replicas)]
-    results = _run_ordered(_chaos_replica, args, threads)
-    K = len(inits[0])
+    tables = GroupTables(graph, spec)
+    _, final = _count_farm(tables, inits, float(T), replicas,
+                           substream(*_seed_path(seed), MULTICHAOS),
+                           tagged=tagged)
+    K = tables.K
     m = len(tagged)
     joint = np.zeros((K,) * m)
-    for cell in results:
-        joint[cell] += 1.0
+    np.add.at(joint, tuple(final.T), 1.0)
     joint /= replicas
     product = np.ones(())
     for axis in range(m):

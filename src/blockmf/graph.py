@@ -125,20 +125,21 @@ class BlockGraph:
                 )
             closed[a].add(b)
             closed[b].add(a)
-        self._quotient(lambda n: frozenset(closed[n]),
-                       lambda m, n: n in closed[m])
-
-    def _quotient(self, key, adjacent):
-        """Group each block's peripherals by key(n) into twin classes and
-        link classes c, d when adjacent(first of c, first of d). A closed
-        neighbourhood is a union of whole classes, so a first node stands
-        for its class; adjacent must hold within a block (the clique)."""
         classes = []
         for j in range(self.r):
             groups = {}
             for n in self.peripheral_nodes(j):
-                groups.setdefault(key(n), []).append(n)
+                groups.setdefault(frozenset(closed[n]), []).append(n)
             classes += groups.values()
+        self._quotient(classes, lambda m, n: n in closed[m])
+
+    def _quotient(self, classes, adjacent):
+        """Store the twin classes (each block's peripherals grouped by
+        closed neighbourhood, members ascending, classes in order of first
+        node) and link classes c, d when adjacent(first of c, first of d).
+        A closed neighbourhood is a union of whole classes, so a first
+        node stands for its class; adjacent must hold within a block (the
+        clique)."""
         self.twin_classes = tuple(tuple(c) for c in classes)
         firsts = [c[0] for c in classes]
         self.twin_links = tuple(
@@ -292,7 +293,8 @@ def build_complete_peripheral(block_sizes) -> BlockGraph:
     per block, each linked to all."""
     graph = BlockGraph.__new__(BlockGraph)
     graph._layout(block_sizes)
-    graph._quotient(lambda n: None, lambda m, n: True)
+    graph._quotient([list(graph.peripheral_nodes(j)) for j in range(graph.r)],
+                    lambda m, n: True)
     return graph
 
 
@@ -353,18 +355,34 @@ def build_regular_peripheral(block_sizes, cross_degree_fractions) -> BlockGraph:
                 )
             runs[j, i] = (mu, v, math.gcd(mu, v))
 
+    # A row's run starts at a*mu % v. Runs start and end on multiples of
+    # g = gcd(mu, v), so a column's rows are fixed by its g-aligned chunk
+    # b // g. Peripherals with equal keys over all pairs are twins;
+    # distinct keys see distinct sets unless mu == v.
+    classes = []
+    for j in range(r):
+        nodes = graph.peripheral_nodes(j)
+        a = np.arange(len(nodes), dtype=np.int64)
+        keys = [a * mu % v if j == lo else a // g
+                for (lo, hi), (mu, v, g) in runs.items()
+                if j in (lo, hi) and mu < v]
+        if not keys:
+            classes.append(list(nodes))
+            continue
+        _, first, label = np.unique(np.stack(keys, axis=1), axis=0,
+                                    return_index=True, return_inverse=True)
+        # renumber the classes in order of their first node
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        label = rank[label.reshape(-1)]
+        by_class = np.argsort(label, kind="stable") + nodes.start
+        bounds = np.cumsum(np.bincount(label)).tolist()
+        classes += [by_class[lo:hi].tolist()
+                    for lo, hi in zip([0] + bounds, bounds)]
+
     def local(n):
         j = graph.block_of(n)
         return j, n - graph.peripheral_nodes(j).start
-
-    def key(n):
-        # A row's run starts at a*mu % v. Runs start and end on multiples
-        # of g = gcd(mu, v), so a column's rows are fixed by its g-aligned
-        # chunk b // g. Distinct keys see distinct sets unless mu == v.
-        j, a = local(n)
-        return tuple(a * mu % v if j == lo else a // g
-                     for (lo, hi), (mu, v, g) in runs.items()
-                     if j in (lo, hi) and mu < v)
 
     def adjacent(m, n):
         (j, a), (i, b) = sorted((local(m), local(n)))
@@ -373,7 +391,7 @@ def build_regular_peripheral(block_sizes, cross_degree_fractions) -> BlockGraph:
         mu, v, _ = runs[j, i]
         return (b - a * mu) % v < mu
 
-    graph._quotient(key, adjacent)
+    graph._quotient(classes, adjacent)
     return graph
 
 

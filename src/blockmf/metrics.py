@@ -7,7 +7,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .rates import validate_probability
 
-__all__ = ["w1_discrete", "d_bl", "relative_entropy"]
+__all__ = ["w1_discrete", "d_bl", "d_bl_of_differences", "relative_entropy"]
 
 
 def _check_pair(mu, nu):
@@ -30,23 +30,30 @@ def w1_discrete(mu, nu) -> float:
 
 def d_bl(mu, nu) -> float:
     """Bounded-Lipschitz distance: sup of <g, mu-nu> over |g| <= 1,
-    |g(z)-g(z')| <= |z-z'|.
-
-    On the ordered colors the adjacent constraints |g[k+1]-g[k]| <= 1
-    imply the rest. Box plus path-difference constraints form a network
-    matrix with unit right-hand side, so every LP vertex is integral and
-    the sup runs over chain profiles g in {-1,0,1}^K with |g[k+1]-g[k]|
-    <= 1. A dynamic program keeps the best partial sum ending at each of
-    the three values: exact, O(K), no LP solver."""
+    |g(z)-g(z')| <= |z-z'|; see `d_bl_of_differences`."""
     mu, nu = _check_pair(mu, nu)
-    theta = (mu - nu).tolist()
-    if len(theta) == 1:
-        return 0.0
-    t = theta[0]
-    lo, mid, hi = -t, 0.0, t
-    for t in theta[1:]:
-        lo, mid, hi = max(mid, lo) - t, max(mid, lo, hi), max(mid, hi) + t
-    return max(mid, lo, hi)
+    return float(d_bl_of_differences(mu - nu))
+
+
+def d_bl_of_differences(theta) -> np.ndarray:
+    """Bounded-Lipschitz norm of each signed measure theta[..., :] on the
+    ordered colors, for differences of probability vectors (unchecked).
+
+    The adjacent constraints |g[k+1]-g[k]| <= 1 imply the rest. Box plus
+    path-difference constraints form a network matrix with unit right-hand
+    side, so every LP vertex is integral and the sup runs over chain
+    profiles g in {-1,0,1}^K with |g[k+1]-g[k]| <= 1. A dynamic program
+    keeps the best partial sum ending at each of the three values: exact,
+    O(K) array operations over all leading axes, no LP solver."""
+    theta = np.asarray(theta, dtype=float)
+    t = theta[..., 0]
+    lo, mid, hi = -t, np.zeros_like(t), t
+    for k in range(1, theta.shape[-1]):
+        t = theta[..., k]
+        lo, mid, hi = (np.maximum(mid, lo) - t,
+                       np.maximum(np.maximum(mid, lo), hi),
+                       np.maximum(mid, hi) + t)
+    return np.maximum(np.maximum(mid, lo), hi)
 
 
 def relative_entropy(p, q) -> float:

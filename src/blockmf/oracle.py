@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CapacityError, InvalidArgumentError
 from .graph import BlockGraph
@@ -107,6 +106,8 @@ def master_equation_oracle(graph: BlockGraph, spec, targets, init_dist,
     with large rate*T are split into chunks so the Poisson series never
     underflows.
     """
+    from scipy import sparse  # here, so importing blockmf loads no scipy
+
     family = as_block_rates(spec, graph.r)
     K = family.colors.K
     N = graph.n_total

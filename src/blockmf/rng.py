@@ -1,13 +1,21 @@
-"""Deterministic RNG substreams for replica farms.
+"""Deterministic RNG substreams.
 
 Philox is counter-based, so `substream(seed, k)` is a pure function of
-(seed, k): replicas can be computed in any order, on any number of
-workers, and still consume identical random sequences.
+(seed, k): a stream gives the same numbers whatever ran before it.
 
-The CLI keys every stream (seed, N index, replica, purpose word).
+The CLI keys every stream by its seed path and ends the key with a
+purpose word:
+- `chaos`: (seed, N index, CHAOS), one stream per N. All replicas of
+  that N run as one count farm in the calling process and draw from it
+  in lock-step, so a replica's draws depend on the replica count.
+- `multichaos`: (seed, N index, MULTICHAOS), likewise.
+- `oracle-check`: (seed, 0, replica, ORACLE_CHECK), one stream per
+  per-node run.
+- `simulate`: (seed, 0, 0, SIMULATE).
 `SeedSequence` pads keys with zeros, so (s,), (s, 0) and (s, 0, 0, 0)
-are one stream: the word alone keeps the purposes apart, and chaos's
-word 0 leaves its three-part keys as they were.
+are one stream. Padded to four words, the farms' keys end in 0 and
+differ from each other in the third word; oracle-check's and simulate's
+end in their own nonzero words. No two purposes share a stream.
 """
 
 import numpy as np

@@ -32,6 +32,7 @@ from .rates import affine_rows, as_block_rates
 from .tables import write_series, write_table
 
 __all__ = [
+    "GroupTables",
     "SystemState",
     "Trajectory",
     "LocalMeasure",
@@ -159,15 +160,24 @@ def local_empirical(state: SystemState, graph: BlockGraph, node: int,
 # kernel
 
 
-class _Kernel:
-    """Aggregated-group Gillespie state machine.
+class GroupTables:
+    """The quotient chain of one design: its groups and their affine rate
+    map as arrays, built once per (graph, rate family). The per-node
+    kernel and the count farms of `experiments` read the same object.
 
-    Groups: one per block's centrals, then the graph's peripheral twin
-    classes in order of their first node. A closed neighbourhood is a
-    union of twin classes (the graph's twin links), so each group reads
-    whole groups. Each group's per-edge rate is a clamped affine function
-    of the flat count vector; the coefficient lists are precomputed so a
-    group refresh is a few multiply-adds.
+    Groups: one per block's centrals (0..r-1), then the graph's
+    peripheral twin classes in order of their first node. A closed
+    neighbourhood is a union of twin classes (the graph's twin links), so
+    each group reads whole groups. With n[h*K + x] the count of colour x
+    in group h, edge e of group g fires, for each member of g in the
+    edge's source colour, at rate
+
+        max(0, beta[g, e] + sum over i with row[i] == g*E + e
+                            of weight[i] * n[col[i]]).
+
+    (row, col, weight) are the nonzeros of the rate map in row-major
+    order, columns ascending within a row; memory is O(nnz), never the
+    dense map.
     """
 
     def __init__(self, graph: BlockGraph, family):
@@ -176,32 +186,34 @@ class _Kernel:
         self.graph = graph
         self.family = family
         self.K = K = cg.K
-        self.edges = cg.edges
-        self.n_edges = len(cg.edges)
-
-        # group tables: members (node ids), meta (block, cls) per group
+        self.n_edges = E = len(cg.edges)
         self.members = [list(graph.central_nodes(j)) for j in range(graph.r)]
         self.members += [list(c) for c in graph.twin_classes]
         self.meta = [(graph.block_of(m[0]), graph.class_of(m[0]))
                      for m in self.members]
-        self.n_groups = len(self.members)
+        self.n_groups = G = len(self.members)
+        self.sizes = np.array([len(m) for m in self.members], dtype=np.int64)
+        self.component = np.array([2 * j + cls for j, cls in self.meta],
+                                  dtype=np.int64)
+        self.edge_src, self.edge_dst = cg.src, cg.dst
 
-        # coefficient lists: coef[g][e] = [(flat_count_index, weight), ...]
-        self.coef, self.beta = affine_rows(family, self._readers())
+        rows, beta = affine_rows(family, self._readers())
+        lengths = [len(row) for own in rows for row in own]
+        nnz = sum(lengths)
+        self.row = np.repeat(np.arange(G * E, dtype=np.int64), lengths)
+        self.col = np.fromiter((i for own in rows for row in own
+                                for i, _ in row), np.int64, nnz)
+        self.weight = np.fromiter((w for own in rows for row in own
+                                   for _, w in row), float, nnz)
+        self.beta = np.array(beta, dtype=float).reshape(G, E)
 
-        # reverse dependencies: jump in g0 dirties every group reading g0
-        deps = [set() for _ in range(self.n_groups)]
-        for g in range(self.n_groups):
-            reads = {idx // K for row in self.coef[g] for idx, _ in row}
-            for g0 in reads:
-                deps[g0].add(g)
-        for g0 in range(self.n_groups):
-            deps[g0].add(g0)
-        self.deps = [sorted(s) for s in deps]
-
-        self.out_of = [cg.out_edges(z) for z in range(K)]
-        self.edge_src = [e[0] for e in cg.edges]
-        self.edge_dst = [e[1] for e in cg.edges]
+        # reverse dependencies: a jump in h changes the rates of every
+        # group reading h, and of h itself
+        deps = [{h} for h in range(G)]
+        for g, h in set(zip((self.row // E).tolist(),
+                            (self.col // K).tolist())):
+            deps[h].add(g)
+        self.deps = [sorted(d) for d in deps]
 
     def _readers(self):
         """Yield, group by group, the groups it reads with their weights
@@ -221,6 +233,45 @@ class _Kernel:
             reads = dict.fromkeys(seen, (w, PERIPHERAL))
             reads[j] = (w, CENTRAL)
             yield (j, cls), reads
+
+    def coef_rows(self):
+        """The rate map as nested lists: coef[g][e] is the list of
+        (column, weight) pairs of row g*E + e."""
+        E = self.n_edges
+        bounds = np.searchsorted(
+            self.row, np.arange(self.n_groups * E + 1)).tolist()
+        pairs = list(zip(self.col.tolist(), self.weight.tolist()))
+        flat = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+        return [flat[g * E:(g + 1) * E] for g in range(self.n_groups)]
+
+    def group_of(self, node: int) -> int:
+        """The group holding `node`."""
+        graph = self.graph
+        if graph.is_peripheral(node):
+            return graph.r + graph._twin(node)
+        return graph.block_of(node)
+
+
+class _Kernel:
+    """Aggregated-group Gillespie state machine over a design's
+    `GroupTables`. Each group's per-edge rate is a clamped affine function
+    of the flat count vector; the coefficient lists make a group refresh a
+    few multiply-adds.
+    """
+
+    def __init__(self, graph: BlockGraph, family):
+        tables = GroupTables(graph, family)
+        self.K = K = tables.K
+        self.n_edges = tables.n_edges
+        self.members = tables.members
+        self.meta = tables.meta
+        self.n_groups = tables.n_groups
+        self.coef = tables.coef_rows()
+        self.beta = tables.beta.tolist()
+        self.deps = tables.deps
+        self.out_of = [tables.family.colors.out_edges(z) for z in range(K)]
+        self.edge_src = tables.edge_src.tolist()
+        self.edge_dst = tables.edge_dst.tolist()
 
     # -- per-run state -------------------------------------------------
 
@@ -369,9 +420,9 @@ _last_kernel = threading.local()
 
 def _kernel(graph: BlockGraph, family) -> _Kernel:
     """The kernel of the last design this thread ran. Graph and rate
-    family compare by value, so the replicas of one design (pool workers
-    unpickle an equal graph) build it once; `load` resets every per-run
-    field. Per thread, because a kernel holds its run's state."""
+    family compare by value, so the replicas of one design build it
+    once; `load` resets every per-run field. Per thread, because a kernel
+    holds its run's state."""
     key = (graph, family)
     if getattr(_last_kernel, "key", None) != key:
         _last_kernel.kernel = _Kernel(graph, family)  # may raise: key last

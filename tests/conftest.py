@@ -59,8 +59,8 @@ def random_inits(gen, r, K):
     return [gen.dirichlet(np.ones(K)) for _ in range(2 * r)]
 
 
-def run_blockmf_module(args):
-    """Run ``python -m blockmf <args>`` on the package this process imported.
+def run_python(args):
+    """Run ``python <args>`` on the package this process imported.
 
     The directory holding the imported ``blockmf`` goes first on the child's
     PYTHONPATH, so the child loads the same code from any working directory,
@@ -70,5 +70,10 @@ def run_blockmf_module(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "blockmf", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def run_blockmf_module(args):
+    """Run ``python -m blockmf <args>``; see `run_python`."""
+    return run_python(["-m", "blockmf", *args])

@@ -132,7 +132,7 @@ def test_criterion_04_chaos_scaling():
     report = bm.lln_experiment(family, CHAOS_SPEC, CHAOS_TARGETS,
                                CHAOS_INITS, T=3.0, grid=31,
                                N_list=[40, 160, 640], replicas=100,
-                               seed=20260815, dt=0.01, threads=1)
+                               seed=20260815, dt=0.01)
     decreasing = all(report.means[i + 1] < report.means[i] for i in range(2))
     ratio = float(report.means[0] / report.means[-1])
     elapsed = time.perf_counter() - t0
@@ -149,7 +149,7 @@ def test_criterion_05_multichaos():
     for N in (40, 640):
         _, _, tv[N] = bm.multichaos_test(
             family(N), CHAOS_SPEC, CHAOS_TARGETS, [(0, "c"), (1, "p")],
-            3.0, 2000, (20260815, N), inits=CHAOS_INITS, threads=1)
+            3.0, 2000, (20260815, N), inits=CHAOS_INITS)
     elapsed = time.perf_counter() - t0
     _report(5, tv[40] > tv[640] and tv[640] < 0.1 and elapsed < 300.0,
             f"TV(joint, product) {tv[40]:.4f} @ N=40 -> {tv[640]:.4f} "

@@ -194,10 +194,11 @@ def test_multichaos_streams_differ_from_other_subcommands(
     def first_draws(path):
         return tuple(real(*path).random(4))
 
-    # every stream of every subcommand is its own: 4 N x 4 replicas each
-    # for multichaos and chaos, 4 oracle-check replicas, one simulate run
+    # every stream of every subcommand is its own: one per N for
+    # multichaos and for chaos (a farm of 4 replicas each), 4 oracle-check
+    # replicas, one simulate run
     draws = [first_draws(p) for paths in used.values() for p in paths]
-    assert len(draws) == len(set(draws)) == 37
+    assert len(draws) == len(set(draws)) == 13
 
 
 def test_oracle_check(tmp_path, capsys):

@@ -2,9 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 import blockmf as bm
 from blockmf import experiments
+from blockmf.simulate import GroupTables
 
 
 def make_targets():
@@ -99,14 +101,14 @@ def test_sample_block_colors_matches_reference(make_gen):
         assert np.array_equal(gen.random(7), ref.random(7))
 
 
-def small_lln(threads=1, n_list=(12, 24), replicas=6):
+def small_lln(n_list=(12, 24), replicas=6):
     targets = make_targets()
     spec = bm.sis_spec(2, gamma=0.8, nu=0.5, eta=0.6, zeta=0.7)
     inits = [np.array([0.6, 0.4])] * 4
     return bm.lln_experiment(
         bm.proportional_family(targets), spec, targets, inits,
         T=1.0, grid=11, N_list=list(n_list), replicas=replicas,
-        seed=902, dt=0.01, threads=threads)
+        seed=902, dt=0.01)
 
 
 def test_lln_experiment_shrinks_with_n():
@@ -118,9 +120,9 @@ def test_lln_experiment_shrinks_with_n():
     assert rep.component_means.shape == (2, 4)
 
 
-def test_lln_experiment_deterministic_across_threads():
-    a = small_lln(threads=1)
-    b = small_lln(threads=2)
+def test_lln_experiment_deterministic():
+    a = small_lln()
+    b = small_lln()
     assert np.array_equal(a.distances, b.distances)
     assert np.array_equal(a.means, b.means)
 
@@ -168,10 +170,10 @@ def test_multichaos_joint_and_tv():
     assert 0.0 <= tv <= 1.0
     # the tagged nodes in a 48-node system are already nearly independent
     assert tv < 0.2
-    # determinism across thread counts
+    # a second run with the same seed repeats the first
     j2, p2, tv2 = bm.multichaos_test(
         g, spec, targets, [(0, "c"), (1, "p")], T=1.0, replicas=400,
-        seed=17, inits=inits, threads=2)
+        seed=17, inits=inits)
     assert np.array_equal(joint, j2)
     assert tv == tv2
 
@@ -206,36 +208,65 @@ def test_multichaos_tagged_resolution():
     assert p3.sum() == pytest.approx(1.0)
 
 
-def test_pool_never_outnumbers_items_or_cpus(monkeypatch):
-    started = []
+SIS2 = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
+                   zeta=[0.9, 0.7])
+INITS2 = [[0.7, 0.3], [0.6, 0.4], [0.8, 0.2], [0.5, 0.5]]
 
-    class RecordingPool:
-        # stands in for ProcessPoolExecutor and starts no process
-        def __init__(self, max_workers):
-            started.append(max_workers)
 
-        def __enter__(self):
-            return self
+@pytest.mark.parametrize("graph", [
+    bm.build_complete_peripheral([(3, 5), (4, 4)]),
+    bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
+], ids=["complete", "regular-twins"])
+def test_count_farm_matches_per_node_simulation(graph):
+    # two samples of the final infected count of every group: the count
+    # farm's replicas against independent per-node kernel runs
+    T, reps = 1.5, 2000
+    tables = GroupTables(graph, SIS2)
+    counts, _ = experiments._count_farm(tables, INITS2, T, reps,
+                                        bm.substream(41, 0), grid=[T])
+    farm = counts[:, 0, :, 1]
+    node = np.empty_like(farm)
+    for rep in range(reps):
+        gen = bm.substream(41, 1, rep)
+        colors = bm.sample_block_colors(graph, INITS2, gen)
+        final = bm.simulate(graph, SIS2, None, colors, T, gen).final_colors
+        node[rep] = [final[m].sum() for m in tables.members]
+    # means of each group's count, then the law of the total count
+    z = (farm.mean(0) - node.mean(0)) / np.sqrt(
+        (farm.var(0, ddof=1) + node.var(0, ddof=1)) / reps)
+    assert np.all(np.abs(z) < 4.0), z
+    a, b = farm.sum(1).astype(int), node.sum(1).astype(int)
+    table = np.array([np.bincount(a, minlength=graph.n_total + 1),
+                      np.bincount(b, minlength=graph.n_total + 1)])
+    table = table[:, table.sum(0) > 0]
+    # merge sparse cells from the top until every column holds >= 10
+    while table.shape[1] > 2 and table.sum(0).min() < 10:
+        i = int(np.argmin(table.sum(0)))
+        k = i - 1 if i == table.shape[1] - 1 else i + 1
+        table[:, k] += table[:, i]
+        table = np.delete(table, i, axis=1)
+    assert chi2_contingency(table).pvalue > 1e-3
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    def square(x):
-        return x * x
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-    assert experiments._run_ordered(square, range(5), 10 ** 6) == \
-        [0, 1, 4, 9, 16]
-    assert experiments._run_ordered(square, range(2), 10 ** 6) == [0, 1]
-    assert experiments._run_ordered(square, range(5), 2) == [0, 1, 4, 9, 16]
-    assert started == [3, 2, 2]
-    # one item, or one CPU, runs in this process
-    assert experiments._run_ordered(square, [4], 8) == [16]
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
-    assert experiments._run_ordered(square, range(5), 8) == \
-        [0, 1, 4, 9, 16]
-    assert started == [3, 2, 2]
+def test_count_farm_tagged_law_matches_oracle():
+    # the tagged nodes' joint law, and so their marginals, against the
+    # exact product-space solution on a 10-node design with twin pairs
+    graph = bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5)
+    T, reps = 1.0, 20000
+    tagged = [0, (0, "p"), (1, "p")]
+    joint, _, _ = bm.multichaos_test(graph, SIS2, None, tagged, T, reps, 23,
+                                     inits=INITS2)
+    dist = bm.master_equation_oracle(
+        graph, SIS2, None, np.asarray(INITS2)[graph.component], T)
+    nodes = experiments.resolve_tagged(graph, tagged)
+    exact = np.zeros_like(joint)
+    for idx, p in enumerate(dist.probs):
+        colors = dist.decode(idx)
+        exact[tuple(colors[n] for n in nodes)] += p
+    se = np.sqrt(exact * (1.0 - exact) / reps)
+    assert np.all(np.abs(joint - exact) <= 5 * se)
+    for axis, n in enumerate(nodes):
+        others = tuple(a for a in range(len(nodes)) if a != axis)
+        p = dist.node_marginal(n)
+        marg_se = np.sqrt(p * (1.0 - p) / reps)
+        assert np.all(np.abs(joint.sum(axis=others) - p) <= 5 * marg_se)

@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 
 import numpy as np
@@ -242,3 +243,66 @@ def test_builders_match_reference_edges(kind, sizes, fractions):
         a, b = _Kernel(built, fam), _Kernel(ref, fam)
         for attr in ("members", "meta", "coef", "beta", "deps"):
             assert getattr(a, attr) == getattr(b, attr), attr
+
+
+def _per_node_quotient(block_sizes, fractions):
+    """Twin classes and links of a regular design from one key per
+    peripheral node: a row's run start a*mu % v and a column's g-aligned
+    chunk b // g, grouped in order of first node."""
+    r = len(block_sizes)
+    f = np.asarray(fractions, dtype=float)
+    if f.ndim == 0:
+        f = np.full((r, r), float(f))
+    runs = {}
+    for j in range(r):
+        for i in range(j + 1, r):
+            mu = int(np.floor(f[j, i] * block_sizes[i][1] + 0.5))
+            v = block_sizes[i][1]
+            runs[j, i] = (mu, v, math.gcd(mu, v))
+    classes = []  # of (block, local index) pairs
+    for j, (_, npp) in enumerate(block_sizes):
+        groups = {}
+        for a in range(npp):
+            key = tuple(a * mu % v if j == lo else a // g
+                        for (lo, hi), (mu, v, g) in runs.items()
+                        if j in (lo, hi) and mu < v)
+            groups.setdefault(key, []).append((j, a))
+        classes += groups.values()
+
+    def adjacent(m, n):
+        (j, a), (i, b) = sorted((m, n))
+        if j == i:
+            return True
+        mu, v, _ = runs[j, i]
+        return (b - a * mu) % v < mu
+
+    links = [tuple(d for d, c in enumerate(classes) if adjacent(m[0], c[0]))
+             for m in classes]
+    return classes, links
+
+
+@pytest.mark.parametrize("sizes, fractions", [
+    ([(1, 4), (1, 4)], 0.5),
+    ([(1, 4), (1, 4)], 1.0),
+    ([(2, 4), (2, 4)], 0.5),
+    ([(2, 4), (2, 4)], 0.25),
+    ([(2, 4), (2, 4)], ((0.5, 0.5), (0.5, 0.5))),
+    ([(2, 4), (3, 4)], 0.5),
+    ([(3, 6), (3, 6)], 0.5),
+    ([(10, 30), (10, 30)], 0.2),
+    ([(10, 30), (10, 30)], 1 / 30),
+    ([(1, 6), (1, 4), (1, 6)], [[0, .5, 1 / 3], [.5, 0, .5], [1 / 3, .5, 0]]),
+    ([(80, 240), (80, 240)], 0.5),
+    ([(320, 960)] * 2, 0.5),
+    ([(1250, 3750), (1250, 3750)], 0.5),
+    ([(2500, 7500), (1250, 3750)], 0.2),
+])
+def test_regular_quotient_matches_per_node_keys(sizes, fractions):
+    # the builder keys whole index ranges at once; the classes and links
+    # are the ones a key per peripheral node gives
+    g = build_regular_peripheral(sizes, fractions)
+    classes, links = _per_node_quotient(sizes, fractions)
+    starts = [g.peripheral_nodes(j).start for j in range(g.r)]
+    assert g.twin_classes == tuple(tuple(starts[j] + a for j, a in c)
+                                   for c in classes)
+    assert g.twin_links == tuple(links)

@@ -86,3 +86,15 @@ def test_metric_input_validation():
         bm.d_bl([0.5, 0.6], [0.5, 0.5])
     with pytest.raises(bm.InvalidArgumentError):
         bm.relative_entropy([-0.1, 1.1], [0.5, 0.5])
+
+
+def test_d_bl_of_differences_runs_over_leading_axes():
+    # the batched DP gives d_bl of every pair, whatever the leading shape
+    gen = np.random.default_rng(8)
+    for K in (1, 2, 5):
+        mu = gen.dirichlet(np.ones(K), size=(4, 3))
+        nu = gen.dirichlet(np.ones(K), size=(4, 3))
+        got = bm.metrics.d_bl_of_differences(mu - nu)
+        assert got.shape == (4, 3)
+        assert got.tolist() == [[bm.d_bl(a, b) for a, b in zip(x, y)]
+                                for x, y in zip(mu, nu)]

@@ -3,6 +3,7 @@ import pytest
 
 import blockmf as bm
 from blockmf.oracle import master_equation_oracle
+from conftest import run_python
 
 
 def two_state_chain(a, b):
@@ -142,3 +143,13 @@ def test_oracle_vs_simulator_regular_design():
         hits += tr.final_colors
     se = np.sqrt(want * (1.0 - want) / reps)
     assert np.all(np.abs(hits / reps - want) <= 4 * se)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # only the oracle's solve imports scipy, so every other subcommand
+    # starts without paying for it
+    child = run_python(["-c", "import sys, blockmf.cli; print(sorted("
+                        "m for m in sys.modules if m.split('.')[0] == "
+                        "'scipy'))"])
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"

@@ -9,9 +9,10 @@ import pytest
 
 import blockmf as bm
 from blockmf.meanfield import _VectorField
-from blockmf.rates import total_rate
+from blockmf.graph import CENTRAL, PERIPHERAL
+from blockmf.rates import affine_rows, total_rate
 from blockmf.rng import BatchedDraws
-from blockmf.simulate import _Kernel, _kernel, local_empirical
+from blockmf.simulate import GroupTables, _Kernel, _kernel, local_empirical
 
 SIS = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
                   zeta=[0.9, 0.7])
@@ -272,6 +273,92 @@ def test_kernel_groups_are_twin_classes(builder, n_groups):
     assert len(seen) == n_groups
     assert sorted(n for m in kern.members for n in m) == list(
         range(graph.n_total))
+
+
+def reference_tables(graph, family):
+    """The kernel's group tables compiled as Python lists, one group at a
+    time: members, (block, class), coefficient rows, beta and reverse
+    dependencies. The reference `GroupTables` must reproduce."""
+    K = family.colors.K
+    members = [list(graph.central_nodes(j)) for j in range(graph.r)]
+    members += [list(c) for c in graph.twin_classes]
+    meta = [(graph.block_of(m[0]), graph.class_of(m[0])) for m in members]
+
+    def readers():
+        for g, (j, cls) in enumerate(meta):
+            if cls == CENTRAL:
+                w = 1.0 / graph.block_size(j)
+                seen = [h for h, m in enumerate(meta) if m == (j, PERIPHERAL)]
+            else:
+                w = 1.0 / (graph.degree(members[g][0]) + 1)
+                seen = [graph.r + d for d in graph.twin_links[g - graph.r]]
+            reads = dict.fromkeys(seen, (w, PERIPHERAL))
+            reads[j] = (w, CENTRAL)
+            yield (j, cls), reads
+
+    coef, beta = affine_rows(family, readers())
+    deps = [set() for _ in members]
+    for g in range(len(members)):
+        for g0 in {idx // K for row in coef[g] for idx, _ in row}:
+            deps[g0].add(g)
+    for g0 in range(len(members)):
+        deps[g0].add(g0)
+    return members, meta, coef, beta, [sorted(d) for d in deps]
+
+
+# the designs the tests build, complete and regular
+TABLE_DESIGNS = [
+    lambda: bm.build_complete_peripheral([(1, 1)]),
+    lambda: bm.build_complete_peripheral([(1, 2)]),
+    lambda: bm.build_complete_peripheral([(2, 1)]),
+    lambda: bm.build_complete_peripheral([(7, 6)]),
+    lambda: bm.build_complete_peripheral([(2, 3), (2, 3)]),
+    lambda: bm.build_complete_peripheral([(2, 3), (3, 4)]),
+    lambda: bm.build_complete_peripheral([(2, 3), (4, 1)]),
+    lambda: bm.build_complete_peripheral([(3, 4), (5, 2)]),
+    lambda: bm.build_complete_peripheral([(50, 50), (50, 50)]),
+    lambda: bm.build_complete_peripheral([(320, 960)] * 2),
+    lambda: bm.build_complete_peripheral([(2, 3), (1, 4), (3, 2)]),
+    lambda: bm.build_complete_peripheral([(7, 9), (2, 3), (4, 1)]),
+    lambda: bm.BlockGraph([(1, 2), (1, 2)], [(1, 2), (4, 5), (1, 4)]),
+    lambda: bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5),
+    lambda: bm.build_regular_peripheral([(1, 4), (1, 4)], 1.0),
+    lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
+    lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.25),
+    lambda: bm.build_regular_peripheral([(2, 4), (3, 4)], 0.5),
+    lambda: bm.build_regular_peripheral([(3, 6), (3, 6)], 0.5),
+    lambda: bm.build_regular_peripheral([(10, 30), (10, 30)], 0.2),
+    lambda: bm.build_regular_peripheral([(10, 30), (10, 30)], 1 / 30),
+    lambda: bm.build_regular_peripheral([(320, 960)] * 2, 0.5),
+    lambda: bm.build_regular_peripheral(
+        [(1, 6), (1, 4), (1, 6)],
+        [[0, .5, 1 / 3], [.5, 0, .5], [1 / 3, .5, 0]]),
+]
+
+
+@pytest.mark.parametrize("builder", TABLE_DESIGNS)
+def test_group_tables_match_list_compile(builder):
+    # the array tables give back the list compile's rows, beta and
+    # dependencies bit for bit, and the kernel runs on exactly those
+    graph = builder()
+    for fam in (bm.sis_spec(graph.r, gamma=0.8, nu=0.5, eta=0.6, zeta=0.9),
+                bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.6,
+                              h_coefficient=0.4)):
+        family = bm.as_block_rates(fam, graph.r)
+        members, meta, coef, beta, deps = reference_tables(graph, family)
+        tables = GroupTables(graph, family)
+        assert tables.members == members
+        assert tables.meta == meta
+        assert tables.coef_rows() == coef
+        assert tables.beta.tolist() == beta
+        assert tables.deps == deps
+        assert tables.sizes.tolist() == [len(m) for m in members]
+        assert tables.component.tolist() == [2 * j + c for j, c in meta]
+        assert [tables.group_of(n) for n in range(graph.n_total)] == [
+            g for _, g in sorted((n, g) for g, ms in enumerate(members)
+                                 for n in ms)]
+        kern = _Kernel(graph, family)
+        assert (kern.coef, kern.beta, kern.deps) == (coef, beta, deps)
 
 
 def test_kernel_group_totals():
