@@ -177,7 +177,7 @@ class BlockGraph:
         )
 
     def __setstate__(self, state):
-        # pickling drops the flag; a pool worker's copy stays read-only too
+        # pickling drops the flag; an unpickled copy stays read-only too
         self.__dict__.update(state)
         self.component.flags.writeable = False
 

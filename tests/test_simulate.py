@@ -118,7 +118,7 @@ def test_kernel_reuse_leaks_no_state():
 
 
 def test_kernel_is_shared_by_equal_designs():
-    # an equal graph (a pool worker's unpickled copy) and an equal rate
+    # an equal graph (an unpickled copy) and an equal rate
     # family hit the one-entry kernel cache; anything else rebuilds
     graph = bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5)
     family = bm.as_block_rates(SIS, 2)
