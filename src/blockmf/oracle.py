@@ -96,6 +96,39 @@ def _node_rates(graph, family, colors, K):
     return out
 
 
+def _jump_matrix(graph, family):
+    """The generator on the product space as a CSR matrix: the rate of
+    every admissible one-node jump off the diagonal, minus the state's
+    total rate on it."""
+    from scipy import sparse  # here, so importing blockmf loads no scipy
+
+    K = family.colors.K
+    N = graph.n_total
+    n_states = K ** N
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n_states)
+    powK = [K ** n for n in range(N)]
+    colors = [0] * N
+    for idx in range(n_states):
+        for n, z, zp, lam in _node_rates(graph, family, colors, K):
+            jdx = idx + (zp - z) * powK[n]
+            rows.append(idx)
+            cols.append(jdx)
+            vals.append(lam)
+            diag[idx] -= lam
+        # increment base-K counter
+        for n in range(N):
+            colors[n] += 1
+            if colors[n] < K:
+                break
+            colors[n] = 0
+    return sparse.csr_matrix(
+        (vals + list(diag), (rows + list(range(n_states)),
+                             cols + list(range(n_states)))),
+        shape=(n_states, n_states),
+    )
+
+
 def master_equation_oracle(graph: BlockGraph, spec, targets, init_dist,
                            T: float) -> StateDistribution:
     """Solve the forward equation exactly (to 1e-10) on the product space.
@@ -139,30 +172,8 @@ def master_equation_oracle(graph: BlockGraph, spec, targets, init_dist,
     if T == 0:
         return _counted(probs, K, N, n_states, 0, 0, 0)
 
-    # assemble the jump matrix column by column
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n_states)
-    powK = [K ** n for n in range(N)]
-    colors = [0] * N
-    for idx in range(n_states):
-        for n, z, zp, lam in _node_rates(graph, family, colors, K):
-            jdx = idx + (zp - z) * powK[n]
-            rows.append(idx)
-            cols.append(jdx)
-            vals.append(lam)
-            diag[idx] -= lam
-        # increment base-K counter
-        for n in range(N):
-            colors[n] += 1
-            if colors[n] < K:
-                break
-            colors[n] = 0
-    Q = sparse.csr_matrix(
-        (vals + list(diag), (rows + list(range(n_states)),
-                             cols + list(range(n_states)))),
-        shape=(n_states, n_states),
-    )
-    lam_max = float(-diag.min())
+    Q = _jump_matrix(graph, family)
+    lam_max = float(-Q.diagonal().min())
     if lam_max == 0.0:
         return _counted(probs, K, N, n_states, Q.nnz, 0, 0)
 

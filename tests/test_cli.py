@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockmf import MeanFieldFlow
+from blockmf import MeanFieldFlow, sample_block_colors, simulate
 from blockmf.cli import main
-from conftest import run_blockmf_module
+from blockmf.rng import ORACLE_CHECK, substream
+from blockmf.scenario import load_scenario
+from conftest import reference_marginals, reference_oracle, run_blockmf_module
 
 SCEN = {
     "schema": "blockmf/1",
@@ -215,6 +217,50 @@ def test_oracle_check(tmp_path, capsys):
     for line in lines[1:]:
         _, _, op, mp, se = line.split(",")
         assert abs(float(op) - float(mp)) <= 5.0 * max(float(se), 1e-6)
+
+
+REGULAR_ORACLE_SCEN = {
+    **ORACLE_SCEN, "seed": 41,
+    "graph": {"regular": {"blocks": [[1, 2], [1, 2]], "fractions": 0.5}},
+    "rates": {"model": "sis", "r": 2, "gamma": [0.8, 1.1],
+              "nu": [0.5, 0.4], "eta": 0.6, "zeta": [0.9, 0.7]},
+    "init": {"c": [[0.7, 0.3], [0.8, 0.2]],
+             "p": [[0.6, 0.4], [0.75, 0.25]]},
+    "replicas": 150,
+}
+
+
+@pytest.mark.parametrize("scen", [ORACLE_SCEN, REGULAR_ORACLE_SCEN],
+                         ids=["complete", "regular"])
+def test_oracle_check_csv_matches_reference(tmp_path, capsys, scen):
+    # the whole file against a reference built here: the exact law from
+    # the per-state assembly, the Monte Carlo column from per-replica
+    # colour draws and simulate runs on the subcommand's own streams
+    sp = scen_path(tmp_path, scen, "oracle.json")
+    code, _, err = run(["oracle-check", "--scenario", sp, "--out",
+                        str(tmp_path)], capsys)
+    assert code == 0, err
+    sc = load_scenario(sp)
+    graph, spec = sc.build_graph(), sc.build_rates()
+    inits = sc.build_inits(graph.r, spec.colors.K)
+    N, K, R = graph.n_total, spec.colors.K, scen["replicas"]
+    _, probs, _ = reference_oracle(graph, spec,
+                                   np.asarray(inits)[graph.component],
+                                   scen["horizon"])
+    oracle_p = reference_marginals(probs, K, N)
+    counts = np.zeros((N, K))
+    for rep in range(R):
+        gen = substream(scen["seed"], 0, rep, ORACLE_CHECK)
+        colors = sample_block_colors(graph, inits, gen)
+        final = simulate(graph, spec, None, colors, scen["horizon"],
+                         gen).final_colors
+        counts[np.arange(N), final] += 1.0
+    mc_p = counts / R
+    se = np.sqrt(oracle_p * (1.0 - oracle_p) / R)
+    want = "node,color,oracle_p,mc_p,stderr\n" + "".join(
+        f"{n},{z},{oracle_p[n, z]:.17g},{mc_p[n, z]:.17g},"
+        f"{se[n, z]:.17g}\n" for n in range(N) for z in range(K))
+    assert (tmp_path / "oracle_check.csv").read_text() == want
 
 
 def test_log_level_env(tmp_path, capsys, monkeypatch):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import blockmf as bm
-from blockmf.oracle import master_equation_oracle
-from conftest import run_python
+from blockmf.oracle import _jump_matrix, master_equation_oracle
+from conftest import reference_oracle, run_python
 
 
 def two_state_chain(a, b):
@@ -153,3 +153,64 @@ def test_importing_the_cli_loads_no_scipy():
                         "'scipy'))"])
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
+
+
+# -- the assembly against the per-state definition loop -------------------
+
+def _clamping_queue():
+    """K=3 rates whose negative offsets clamp some rates to zero."""
+    cg = bm.ColorGraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
+    return bm.RateSpec(
+        cg,
+        [(0.0, 1.3, 0.37), (0.9, 0.0, 0.21), (0.11, 0.7, 0.0),
+         (0.45, 0.0, 1.7)],
+        [(0.3, 0.0, 1.1), (0.0, 0.83, 0.4), (1.9, 0.13, 0.0),
+         (0.0, 0.6, 0.29)],
+        beta=(-0.4, 0.35, -0.55, 0.15),
+    )
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(12)
+    sis1 = bm.sis_spec(1, gamma=1.4, nu=0.9, eta=0.7, zeta=0.8)
+    sis2 = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
+                       zeta=[0.9, 0.7])
+    regular = bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5)
+    inits2 = np.array([[0.7, 0.3], [0.8, 0.2], [0.6, 0.4], [0.75, 0.25]])
+    apart = bm.BlockGraph([(1, 2), (2, 1)], [(1, 2)])
+    return {
+        "criterion_1": (bm.build_complete_peripheral([(2, 1)]), sis1,
+                        [[0.65, 0.35], [0.80, 0.20], [0.50, 0.50]], 2.0),
+        "regular_per_block": (regular, sis2, inits2[regular.component],
+                              1.0),
+        "k3_clamped": (bm.build_complete_peripheral([(1, 2), (1, 1)]),
+                       _clamping_queue(), rng.dirichlet(np.ones(3), 5), 1.5),
+        "no_cross_neighbours": (apart, sis2, inits2[apart.component], 1.2),
+        "full_vector": (bm.build_complete_peripheral([(2, 1)]), sis1,
+                        rng.dirichlet(np.ones(8)), 0.7),
+    }
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()))
+def test_oracle_matches_per_state_assembly(case):
+    graph, spec, init, T = _oracle_cases()[case]
+    Q_ref, p_ref, counters = reference_oracle(graph, spec, init, T)
+    Q = _jump_matrix(graph, bm.as_block_rates(spec, graph.r))
+    assert Q.shape == Q_ref.shape and Q.nnz == Q_ref.nnz
+    assert abs(Q - Q_ref).max() <= 1e-15
+    dist = master_equation_oracle(graph, spec, None, init, T)
+    assert np.max(np.abs(dist.probs - p_ref)) <= 1e-15
+    assert (dist.states, dist.nonzeros, dist.chunks,
+            dist.series_terms) == counters
+
+
+def test_oracle_cases_cover_what_they_name():
+    cases = _oracle_cases()
+    # some K=3 rates clamp: fewer positive jumps than admissible ones
+    graph, spec, init, _ = cases["k3_clamped"]
+    Q, _, _ = reference_oracle(graph, spec, init, 0.0)
+    S, E = Q.shape[0], spec.colors.n_edges
+    assert Q.nnz - S < graph.n_total * S * E // 3
+    # a block lends a peripheral node no neighbours
+    graph = cases["no_cross_neighbours"][0]
+    assert 0 in graph.cross_counts(1)
