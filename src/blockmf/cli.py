@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, NumericalError, ValidationError
 from .experiments import (
+    block_color_cdf,
+    draw_colors,
     lln_experiment,
     multichaos_test,
     proportional_family,
@@ -192,13 +194,13 @@ def cmd_simulate(args):
     sc, seed, out_dir = _resolve(args)
     graph = sc.build_graph()
     spec = sc.build_rates()
-    targets = sc.build_targets(graph)
+    sc.build_targets(graph)  # checked; the dynamics read the graph itself
     inits = sc.build_inits(graph.r, spec.colors.K)
     T = sc.horizon
     grid = np.linspace(0.0, T, sc.grid())
     gen = substream(seed, 0, 0, SIMULATE)
     colors = sample_block_colors(graph, inits, gen)
-    traj = simulate(graph, spec, targets, colors, T, gen)
+    traj = simulate(graph, spec, colors, T, gen)
     _write(out_dir, "trajectory.csv", traj.to_csv)
     emp = empirical_process(traj, graph, grid)
     _write(out_dir, "empirical.csv", emp.to_csv)
@@ -294,22 +296,23 @@ def cmd_oracle_check(args):
     sc, seed, out_dir = _resolve(args)
     graph = sc.build_graph()
     spec = sc.build_rates()
-    targets = sc.build_targets(graph)
+    sc.build_targets(graph)  # checked; the dynamics read the graph itself
     inits = sc.build_inits(graph.r, spec.colors.K)
     T = sc.horizon
     replicas = sc.replicas(default=20000)
     K = inits[0].size
     init_mat = np.asarray(inits)[graph.component]
-    dist = master_equation_oracle(graph, spec, targets, init_mat, T)
+    dist = master_equation_oracle(graph, spec, init_mat, T)
     oracle_p = np.stack([dist.node_marginal(n) for n in range(graph.n_total)])
 
+    # the initial laws are checked and cumulated once; each replica draws
+    # its colours from its own stream, as sample_block_colors does
+    cdf = block_color_cdf(graph, inits)
     counts = np.zeros((graph.n_total, K))
     for rep in range(replicas):
         gen = substream(seed, 0, rep, ORACLE_CHECK)
-        colors = sample_block_colors(graph, inits, gen)
-        traj = simulate(graph, spec, targets, colors, T, gen)
-        final = traj.final_colors
-        counts[np.arange(graph.n_total), final] += 1.0
+        traj = simulate(graph, spec, draw_colors(cdf, gen), T, gen)
+        counts[np.arange(graph.n_total), traj.final_colors] += 1.0
     mc_p = counts / replicas
     se = np.sqrt(oracle_p * (1.0 - oracle_p) / replicas)
     diff = np.abs(mc_p - oracle_p)

@@ -159,15 +159,26 @@ def proportional_family(targets: ProportionTargets):
     return build
 
 
-def sample_block_colors(graph: BlockGraph, inits, gen) -> np.ndarray:
-    """iid initial colors, one distribution per component 2*block+class."""
+def block_color_cdf(graph: BlockGraph, inits) -> np.ndarray:
+    """Per-node cumulative initial law, shape (N, K): row n cumulates
+    inits[2*block + class] of node n. Validates the laws."""
     if len(inits) != 2 * graph.r:
         raise InvalidArgumentError(f"need 2r={2 * graph.r} initial measures")
     K = validate_probability(inits[0]).size
     cdf = np.cumsum([validate_probability(m, K) for m in inits], axis=1)
-    # a node's color is the number of its cdf entries at or below u
-    u = gen.random(graph.n_total)
-    return np.minimum((cdf[graph.component] <= u[:, None]).sum(axis=1), K - 1)
+    return cdf[graph.component]
+
+
+def draw_colors(cdf, gen) -> np.ndarray:
+    """One colour per row of a per-node cdf from one gen.random(N) draw: a
+    node's colour is the number of its cdf entries at or below u."""
+    u = gen.random(len(cdf))
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+
+
+def sample_block_colors(graph: BlockGraph, inits, gen) -> np.ndarray:
+    """iid initial colors, one distribution per component 2*block+class."""
+    return draw_colors(block_color_cdf(graph, inits), gen)
 
 
 def _seed_path(seed):

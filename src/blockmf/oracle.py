@@ -1,11 +1,12 @@
 """Exact transient law of tiny systems on the full product state space.
 
 States are color tuples over all N nodes, encoded base K (node n is
-digit n). Rates are evaluated per node through local_empirical — the
-slow definition-style path, deliberately different code from the
-simulator's aggregated tables, so the two can cross-check each other.
-The forward equation is solved by uniformization to a hard absolute
-tolerance.
+digit n). Rates are evaluated node by node over the whole stack of
+states, each node's neighbourhood through local_empirical and its rates
+through total_rate — the definition-style path, deliberately different
+code from the simulator's aggregated tables, so the two can cross-check
+each other. The forward equation is solved by uniformization to a hard
+absolute tolerance.
 """
 
 from __future__ import annotations
@@ -52,11 +53,8 @@ class StateDistribution:
         return tuple(out)
 
     def node_marginal(self, n: int) -> np.ndarray:
-        block = self.K ** n
-        out = np.zeros(self.K)
-        for idx, p in enumerate(self.probs):
-            out[(idx // block) % self.K] += p
-        return out
+        digit = (np.arange(self.probs.size) // self.K ** n) % self.K
+        return np.bincount(digit, weights=self.probs, minlength=self.K)
 
     def expect(self, fn) -> float:
         """Mean of fn(color tuple) under the distribution."""
@@ -66,77 +64,60 @@ class StateDistribution:
 
     def mean_empirical(self, graph: BlockGraph) -> np.ndarray:
         """Expected empirical measure vector, shape (2r, K)."""
-        out = np.zeros((2 * graph.r, self.K))
         comp = graph.component
         size = np.ravel(graph.block_sizes)[comp]
-        for idx, p in enumerate(self.probs):
-            if p != 0.0:
-                np.add.at(out, (comp, self.decode(idx)), p / size)
-        return out
+        cells = comp * self.K + _decode_states(self.K, self.n_nodes)
+        out = np.bincount(cells.ravel(),
+                          weights=(self.probs[:, None] / size).ravel(),
+                          minlength=2 * graph.r * self.K)
+        return out.reshape(2 * graph.r, self.K)
 
 
-def _node_rates(graph, family, colors, K):
-    """All admissible (node, edge) rates in one state; returns a list of
-    (node, from, to, rate)."""
-    state = SystemState.from_colors(graph, colors, K)
-    out = []
-    for n in range(graph.n_total):
-        j = graph.block_of(n)
-        cls = graph.class_of(n)
-        spec = family.spec_for(j, cls)
-        lm = local_empirical(state, graph, n)
-        z = int(colors[n])
-        for e in spec.colors.out_edges(z):
-            lam = total_rate(
-                spec, e, lm.proportions[0], lm.parts[0],
-                lm.proportions[1:], lm.parts[1:],
-            )
-            if lam > 0.0:
-                out.append((n, z, spec.colors.edges[e][1], lam))
-    return out
+def _decode_states(K: int, N: int) -> np.ndarray:
+    """The colour matrix of all K^N states, shape (K^N, N): row idx holds
+    the base-K digits of idx, node 0 fastest."""
+    return (np.arange(K ** N)[:, None] // K ** np.arange(N)) % K
 
 
 def _jump_matrix(graph, family):
     """The generator on the product space as a CSR matrix: the rate of
     every admissible one-node jump off the diagonal, minus the state's
-    total rate on it."""
+    total rate on it. Built node by node over the whole stack of states;
+    each state's diagonal subtracts its rates in node, then edge order."""
     from scipy import sparse  # here, so importing blockmf loads no scipy
 
     K = family.colors.K
     N = graph.n_total
-    n_states = K ** N
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n_states)
-    powK = [K ** n for n in range(N)]
-    colors = [0] * N
-    for idx in range(n_states):
-        for n, z, zp, lam in _node_rates(graph, family, colors, K):
-            jdx = idx + (zp - z) * powK[n]
-            rows.append(idx)
-            cols.append(jdx)
-            vals.append(lam)
-            diag[idx] -= lam
-        # increment base-K counter
-        for n in range(N):
-            colors[n] += 1
-            if colors[n] < K:
-                break
-            colors[n] = 0
+    idx = np.arange(K ** N)
+    colors = _decode_states(K, N)
+    states = SystemState.from_colors(graph, colors, K)
+    rows, cols, vals = [idx], [idx], []
+    diag = np.zeros(idx.size)
+    for n in range(N):
+        spec = family.spec_for(graph.block_of(n), graph.class_of(n))
+        lm = local_empirical(states, graph, n)
+        for e, (z, zp) in enumerate(family.colors.edges):
+            lam = total_rate(spec, e, lm.proportions[0], lm.parts[0],
+                             lm.proportions[1:], lm.parts[1:])
+            jump = (colors[:, n] == z) & (lam > 0.0)
+            rows.append(idx[jump])
+            cols.append(idx[jump] + (zp - z) * K ** n)
+            vals.append(lam[jump])
+            diag[jump] -= lam[jump]
     return sparse.csr_matrix(
-        (vals + list(diag), (rows + list(range(n_states)),
-                             cols + list(range(n_states)))),
-        shape=(n_states, n_states),
+        (np.concatenate([diag, *vals]),
+         (np.concatenate(rows), np.concatenate(cols))),
+        shape=(idx.size, idx.size),
     )
 
 
-def master_equation_oracle(graph: BlockGraph, spec, targets, init_dist,
+def master_equation_oracle(graph: BlockGraph, spec, init_dist,
                            T: float) -> StateDistribution:
     """Solve the forward equation exactly (to 1e-10) on the product space.
 
     init_dist: either a length-K^N vector over encoded states, or an
-    (N, K) array of independent per-node distributions. targets is
-    accepted for signature parity with simulate and not used. Horizons
-    with large rate*T are split into chunks so the Poisson series never
+    (N, K) array of independent per-node distributions. Horizons with
+    large rate*T are split into chunks so the Poisson series never
     underflows.
     """
     from scipy import sparse  # here, so importing blockmf loads no scipy

@@ -347,20 +347,26 @@ def affine_rows(family: BlockRates, readers):
     return rows, beta
 
 
-def _affine_rate(spec: RateSpec, edge_idx: int, w0, nu, ws, mus) -> float:
-    acc = w0 * float(np.dot(spec.gamma_c[edge_idx], nu))
+def _affine_rate(spec: RateSpec, edge_idx: int, w0, nu, ws, mus):
+    # np.vecdot gives each row of a stack exactly what np.dot gives it
+    acc = w0 * np.vecdot(nu, spec.gamma_c[edge_idx])
     gp = spec.gamma_p[edge_idx]
     for w, mu in zip(ws, mus):
         if w != 0.0:
-            acc += w * float(np.dot(gp, mu))
+            acc += w * np.vecdot(mu, gp)
     return acc
 
 
-def total_rate(spec: RateSpec, edge_idx: int, w0, nu, ws, mus) -> float:
+def total_rate(spec: RateSpec, edge_idx: int, w0, nu, ws, mus):
     """Affine rate plus the state-only term, clamped at zero. This is the
-    quantity the dynamics (simulator, generators, cost functionals) use."""
+    quantity the dynamics (simulator, generators, cost functionals) use.
+
+    The measures nu and mus[i] may carry leading stack axes, one state per
+    row, each row taking the arithmetic of a single call: the rates then
+    come back as an array of the stack's shape, else as a float."""
     v = _affine_rate(spec, edge_idx, w0, nu, ws, mus) + spec.beta[edge_idx]
-    return v if v > 0.0 else 0.0
+    v = np.where(v > 0.0, v, 0.0)
+    return float(v) if v.ndim == 0 else v
 
 
 def _check_weights(ws, what):
@@ -383,7 +389,7 @@ def lambda_c(spec: RateSpec, nu, mu, a1, a2, edge) -> float:
     nu = validate_probability(nu, K)
     mu = validate_probability(mu, K)
     idx = spec.colors.edge_index(*edge)
-    return _affine_rate(spec, idx, a1, nu, (a2,), (mu,))
+    return float(_affine_rate(spec, idx, a1, nu, (a2,), (mu,)))
 
 
 def lambda_p(spec: RateSpec, nu, mus, a, b, edge) -> float:
@@ -399,7 +405,7 @@ def lambda_p(spec: RateSpec, nu, mus, a, b, edge) -> float:
             f"got {len(mus)} measures for {len(b)} proportions"
         )
     idx = spec.colors.edge_index(*edge)
-    return _affine_rate(spec, idx, ws[0], nu, ws[1:], mus)
+    return float(_affine_rate(spec, idx, ws[0], nu, ws[1:], mus))
 
 
 def sis_spec(r, gamma, nu, eta, zeta) -> BlockRates:

@@ -49,7 +49,8 @@ log = logging.getLogger(__name__)
 class SystemState:
     """Node colors plus their count table counts[g, z], g = 2*block +
     class: an int array of shape (2r, K), the layout of
-    EmpiricalSeries.values[t]."""
+    EmpiricalSeries.values[t]. A stack of states has colors (..., N) and
+    counts (..., 2r, K), one state per row."""
 
     colors: np.ndarray
     counts: np.ndarray
@@ -62,22 +63,27 @@ class SystemState:
                 f"colors must be integers, got dtype {colors.dtype}"
             )
         colors = colors.astype(np.int64, copy=False)
-        if colors.shape != (graph.n_total,):
+        if colors.ndim == 0 or colors.shape[-1] != graph.n_total:
             raise InvalidArgumentError(
                 f"need {graph.n_total} colors, got shape {colors.shape}"
             )
         if colors.min() < 0 or colors.max() >= K:
             raise InvalidArgumentError(f"colors must lie in 0..{K - 1}")
-        counts = np.bincount(graph.component * K + colors,
-                             minlength=2 * graph.r * K)
-        return cls(colors, counts.reshape(2 * graph.r, K))
+        # state s of a stack counts into cells s*width .. (s+1)*width - 1
+        width = 2 * graph.r * K
+        n_states = colors.size // graph.n_total
+        cells = graph.component * K + colors
+        if colors.ndim > 1:
+            cells += width * np.arange(n_states).reshape(*colors.shape[:-1], 1)
+        counts = np.bincount(cells.ravel(), minlength=n_states * width)
+        return cls(colors, counts.reshape(*colors.shape[:-1], 2 * graph.r, K))
 
     @property
     def K(self) -> int:
-        return self.counts.shape[1]
+        return self.counts.shape[-1]
 
-    def class_size(self, j: int, cls: int) -> int:
-        return int(self.counts[2 * j + cls].sum())
+    def class_size(self, j: int, cls: int):
+        return self.counts[..., 2 * j + cls, :].sum(axis=-1)
 
 
 @dataclass
@@ -128,29 +134,30 @@ def local_empirical(state: SystemState, graph: BlockGraph, node: int,
     measure) with block-share proportions. Peripheral node: (own-block
     central measure, per-block peripheral neighbor measures) with
     deg+1-normalized proportions; a block contributing no neighbors gets
-    a zero part with proportion 0.
+    a zero part with proportion 0. For a stack of states every part
+    carries the stack's leading axes, one measure per state.
     """
     K = state.K
     j = graph.block_of(node)
     nc, npp = graph.block_sizes[j]
-    mu_c = state.counts[2 * j + CENTRAL] / nc
+    mu_c = state.counts[..., 2 * j + CENTRAL, :] / nc
     if not graph.is_peripheral(node):
-        mu_p = state.counts[2 * j + PERIPHERAL] / npp
+        mu_p = state.counts[..., 2 * j + PERIPHERAL, :] / npp
         nj = nc + npp
         return LocalMeasure(
             (mu_c, mu_p),
             np.array([nc / nj, npp / nj]),
             ("central", "peripheral"),
         )
-    # peripheral: per-block neighbor scans (self counts for its own block)
-    nbr_counts = [np.zeros(K) for _ in range(graph.r)]
-    for m in graph.peripheral_neighbors(node):
-        nbr_counts[graph.block_of(m)][state.colors[m]] += 1.0
-    nbr_counts[j][state.colors[node]] += 1.0
+    # peripheral: per-block neighbor counts (self counts for its own block)
+    scan = np.array([*graph.peripheral_neighbors(node), node])
+    seen = state.colors[..., scan, None] == np.arange(K)
+    block = graph.component[scan] // 2
     cross = graph.cross_counts(node)
     parts = [mu_c]
     for i in range(graph.r):
-        parts.append(nbr_counts[i] / cross[i] if cross[i] else nbr_counts[i])
+        counts = seen[..., block == i, :].sum(axis=-2, dtype=float)
+        parts.append(counts / cross[i] if cross[i] else counts)
     props = neighborhood_proportions(graph, node)
     labels = ("central",) + tuple(f"peripheral_{i}" for i in range(graph.r))
     return LocalMeasure(tuple(parts), props, labels)
@@ -430,14 +437,13 @@ def _kernel(graph: BlockGraph, family) -> _Kernel:
     return _last_kernel.kernel
 
 
-def simulate(graph: BlockGraph, spec, targets, init, T: float, seed,
+def simulate(graph: BlockGraph, spec, init, T: float, seed,
              debug: bool = False) -> Trajectory:
     """Exact sample of the N-particle jump process up to time T.
 
-    init: SystemState or a length-N color vector. targets is accepted for
-    signature compatibility and not used — the dynamics always run on the
+    init: SystemState or a length-N color vector. The dynamics run on the
     graph's own finite-N neighborhood proportions. seed: integer or a
-    numpy Generator (farms pass per-replica substreams).
+    numpy Generator (callers pass per-replica substreams).
     """
     family = as_block_rates(spec, graph.r)
     if T < 0:
@@ -448,6 +454,11 @@ def simulate(graph: BlockGraph, spec, targets, init, T: float, seed,
         state = SystemState.from_colors(graph, init, family.colors.K)
     if state.K != family.colors.K:
         raise InvalidArgumentError("init state K does not match rate spec")
+    if state.colors.shape != (graph.n_total,):
+        raise InvalidArgumentError(
+            f"need one state of {graph.n_total} colors, got shape "
+            f"{state.colors.shape}"
+        )
     gen = seed if isinstance(seed, np.random.Generator) else _rng.substream(seed)
     kern = _kernel(graph, family)
     kern.load(state.colors)

@@ -81,7 +81,7 @@ def run_blockmf_module(args):
 
 # -- the product-space oracle as a per-state loop -------------------------
 
-def _scalar_rate(spec, e, w0, nu, ws, mus):
+def reference_rate(spec, e, w0, nu, ws, mus):
     """One node's rate along edge e: the affine part by np.dot, plus beta,
     clamped at zero."""
     acc = w0 * float(np.dot(spec.gamma_c[e], nu))
@@ -119,7 +119,7 @@ def _state_jumps(graph, family, colors):
             props = [nc / (nc + npp), npp / (nc + npp)]
         z = colors[n]
         for e in family.colors.out_edges(z):
-            lam = _scalar_rate(spec, e, props[0], parts[0], props[1:],
+            lam = reference_rate(spec, e, props[0], parts[0], props[1:],
                                parts[1:])
             if lam > 0.0:
                 out.append((n, z, family.colors.edges[e][1], lam))

@@ -70,7 +70,7 @@ def test_criterion_01_oracle_equivalence():
     spec = bm.sis_spec(1, gamma=1.4, nu=0.9, eta=0.7, zeta=0.8)
     init = np.array([[0.65, 0.35], [0.80, 0.20], [0.50, 0.50]])
     T = 2.0
-    dist = bm.master_equation_oracle(graph, spec, None, init, T)
+    dist = bm.master_equation_oracle(graph, spec, init, T)
     p_exact = np.array([dist.node_marginal(n)[1]
                         for n in range(graph.n_total)])
 
@@ -79,7 +79,7 @@ def test_criterion_01_oracle_equivalence():
     for child in np.random.SeedSequence(20260815).spawn(replicas):
         gen = np.random.default_rng(child)
         colors = np.array([gen.choice(2, p=row) for row in init])
-        counts += bm.simulate(graph, spec, None, colors, T, gen).final_colors
+        counts += bm.simulate(graph, spec, colors, T, gen).final_colors
     p_mc = counts / replicas
     se = np.sqrt(p_mc * (1.0 - p_mc) / replicas)
     ratio = float(np.max(np.abs(p_mc - p_exact) / se))

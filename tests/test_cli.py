@@ -228,10 +228,25 @@ REGULAR_ORACLE_SCEN = {
              "p": [[0.6, 0.4], [0.75, 0.25]]},
     "replicas": 150,
 }
+# three colours; the negative offsets clamp some rates to zero
+K3_ORACLE_SCEN = {
+    **ORACLE_SCEN, "seed": 57,
+    "graph": {"complete_blocks": [[1, 3]]},
+    "rates": {"model": "tables", "spec": {
+        "colors": 3, "edges": [[0, 1], [1, 0], [1, 2], [2, 0]],
+        "gamma_c": {"0,1": [0.0, 1.3, 0.37], "1,0": [0.9, 0.0, 0.21],
+                    "1,2": [0.11, 0.7, 0.0], "2,0": [0.45, 0.0, 1.7]},
+        "gamma_p": {"0,1": [0.3, 0.0, 1.1], "1,0": [0.0, 0.83, 0.4],
+                    "1,2": [1.9, 0.13, 0.0], "2,0": [0.0, 0.6, 0.29]},
+        "beta": {"0,1": -0.4, "1,0": 0.35, "1,2": -0.55, "2,0": 0.15}}},
+    "init": {"c": [[0.5, 0.3, 0.2]], "p": [[0.2, 0.5, 0.3]]},
+    "replicas": 150,
+}
 
 
-@pytest.mark.parametrize("scen", [ORACLE_SCEN, REGULAR_ORACLE_SCEN],
-                         ids=["complete", "regular"])
+@pytest.mark.parametrize("scen", [ORACLE_SCEN, REGULAR_ORACLE_SCEN,
+                                  K3_ORACLE_SCEN],
+                         ids=["complete", "regular", "k3-tables"])
 def test_oracle_check_csv_matches_reference(tmp_path, capsys, scen):
     # the whole file against a reference built here: the exact law from
     # the per-state assembly, the Monte Carlo column from per-replica
@@ -252,7 +267,7 @@ def test_oracle_check_csv_matches_reference(tmp_path, capsys, scen):
     for rep in range(R):
         gen = substream(scen["seed"], 0, rep, ORACLE_CHECK)
         colors = sample_block_colors(graph, inits, gen)
-        final = simulate(graph, spec, None, colors, scen["horizon"],
+        final = simulate(graph, spec, colors, scen["horizon"],
                          gen).final_colors
         counts[np.arange(N), final] += 1.0
     mc_p = counts / R

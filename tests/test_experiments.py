@@ -229,7 +229,7 @@ def test_count_farm_matches_per_node_simulation(graph):
     for rep in range(reps):
         gen = bm.substream(41, 1, rep)
         colors = bm.sample_block_colors(graph, INITS2, gen)
-        final = bm.simulate(graph, SIS2, None, colors, T, gen).final_colors
+        final = bm.simulate(graph, SIS2, colors, T, gen).final_colors
         node[rep] = [final[m].sum() for m in tables.members]
     # means of each group's count, then the law of the total count
     z = (farm.mean(0) - node.mean(0)) / np.sqrt(
@@ -257,7 +257,7 @@ def test_count_farm_tagged_law_matches_oracle():
     joint, _, _ = bm.multichaos_test(graph, SIS2, None, tagged, T, reps, 23,
                                      inits=INITS2)
     dist = bm.master_equation_oracle(
-        graph, SIS2, None, np.asarray(INITS2)[graph.component], T)
+        graph, SIS2, np.asarray(INITS2)[graph.component], T)
     nodes = experiments.resolve_tagged(graph, tagged)
     exact = np.zeros_like(joint)
     for idx, p in enumerate(dist.probs):

@@ -18,7 +18,7 @@ def test_two_state_closed_form():
     # constant-rate flip: P(Z_t = 1 | Z_0 = 0) = a/(a+b) (1 - e^{-(a+b)t})
     a, b, T = 0.7, 0.4, 1.3
     g, spec = two_state_chain(a, b)
-    dist = master_equation_oracle(g, spec, None, [[1.0, 0.0], [1.0, 0.0]], T)
+    dist = master_equation_oracle(g, spec, [[1.0, 0.0], [1.0, 0.0]], T)
     want = a / (a + b) * (1.0 - np.exp(-(a + b) * T))
     for n in range(2):
         assert dist.node_marginal(n)[1] == pytest.approx(want, abs=1e-9)
@@ -32,7 +32,7 @@ def test_oracle_counters(caplog):
     g, spec = two_state_chain(0.7, 0.4)
     init = [[1.0, 0.0], [1.0, 0.0]]
     with caplog.at_level("DEBUG", logger="blockmf.oracle"):
-        dist = master_equation_oracle(g, spec, None, init, 200.0)
+        dist = master_equation_oracle(g, spec, init, 200.0)
     # 4 states, each with 2 flips and a diagonal entry; the series is cut
     # into chunks of rate*T <= 50 (rate 1.4 here)
     assert (dist.states, dist.nonzeros, dist.chunks) == (4, 12, 6)
@@ -40,7 +40,7 @@ def test_oracle_counters(caplog):
     assert caplog.messages[-1] == (
         f"oracle: 4 states, 12 nonzeros, 6 chunks, {dist.series_terms} "
         "series terms")
-    again = master_equation_oracle(g, spec, None, init, 0.0)
+    again = master_equation_oracle(g, spec, init, 0.0)
     assert (again.states, again.chunks, again.series_terms) == (4, 0, 0)
     assert again == bm.StateDistribution(again.probs, 2, 2)
 
@@ -54,8 +54,8 @@ def test_product_init_matches_explicit_vector():
         per_node[0][z0] * per_node[1][z1]
         for z1 in range(2) for z0 in range(2)
     ])
-    d1 = master_equation_oracle(g, fam, None, per_node, 0.9)
-    d2 = master_equation_oracle(g, fam, None, explicit, 0.9)
+    d1 = master_equation_oracle(g, fam, per_node, 0.9)
+    d2 = master_equation_oracle(g, fam, explicit, 0.9)
     assert np.allclose(d1.probs, d2.probs, atol=1e-12)
 
 
@@ -63,7 +63,7 @@ def test_long_horizon_chunks_conserve_mass():
     # rate * T far above the single-chunk budget exercises chunking
     a, b = 30.0, 25.0
     g, spec = two_state_chain(a, b)
-    dist = master_equation_oracle(g, spec, None, [[1.0, 0.0], [0.0, 1.0]], 4.0)
+    dist = master_equation_oracle(g, spec, [[1.0, 0.0], [0.0, 1.0]], 4.0)
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
     # equilibrium a/(a+b) reached to well below the solver tolerance
     assert dist.node_marginal(0)[1] == pytest.approx(a / (a + b), abs=1e-8)
@@ -88,14 +88,14 @@ def test_capacity_and_argument_errors():
     g = bm.build_complete_peripheral([(7, 6)])   # 2^13 states
     fam = bm.sis_spec(1, 1.0, 0.5, 0.8, 0.6)
     with pytest.raises(bm.CapacityError):
-        master_equation_oracle(g, fam, None, np.full((13, 2), 0.5), 1.0)
+        master_equation_oracle(g, fam, np.full((13, 2), 0.5), 1.0)
     g2 = bm.build_complete_peripheral([(1, 1)])
     with pytest.raises(bm.InvalidArgumentError):
-        master_equation_oracle(g2, fam, None, np.full((3, 2), 0.5), 1.0)
+        master_equation_oracle(g2, fam, np.full((3, 2), 0.5), 1.0)
     with pytest.raises(bm.InvalidArgumentError, match="distribution"):
-        master_equation_oracle(g2, fam, None, [[0.5, 0.6], [0.5, 0.5]], 1.0)
+        master_equation_oracle(g2, fam, [[0.5, 0.6], [0.5, 0.5]], 1.0)
     with pytest.raises(bm.InvalidArgumentError):
-        master_equation_oracle(g2, fam, None, np.full((2, 2), 0.5), -1.0)
+        master_equation_oracle(g2, fam, np.full((2, 2), 0.5), -1.0)
 
 
 def test_oracle_vs_simulator_small_sis():
@@ -107,13 +107,13 @@ def test_oracle_vs_simulator_small_sis():
     init_colors = [0, 1, 0]
     init = np.zeros((3, 2))
     init[range(3), init_colors] = 1.0
-    dist = master_equation_oracle(g, fam, None, init, T)
+    dist = master_equation_oracle(g, fam, init, T)
     want = dist.mean_empirical(g)
 
     reps = 4000
     acc = np.zeros((2, 2))
     for rep in range(reps):
-        tr = bm.simulate(g, fam, None, init_colors, T, seed=50_000 + rep)
+        tr = bm.simulate(g, fam, init_colors, T, seed=50_000 + rep)
         final = bm.SystemState.from_colors(g, tr.final_colors, 2)
         acc[0] += np.asarray(final.counts[0]) / 1.0
         acc[1] += np.asarray(final.counts[1]) / 2.0
@@ -133,13 +133,13 @@ def test_oracle_vs_simulator_regular_design():
     init_colors = [0, 1, 0, 1, 1, 1, 0, 0, 1, 0]
     init = np.zeros((g.n_total, 2))
     init[range(g.n_total), init_colors] = 1.0
-    dist = master_equation_oracle(g, fam, None, init, T)
+    dist = master_equation_oracle(g, fam, init, T)
     want = np.array([dist.node_marginal(n)[1] for n in range(g.n_total)])
 
     reps = 4000
     hits = np.zeros(g.n_total)
     for rep in range(reps):
-        tr = bm.simulate(g, fam, None, init_colors, T, seed=60_000 + rep)
+        tr = bm.simulate(g, fam, init_colors, T, seed=60_000 + rep)
         hits += tr.final_colors
     se = np.sqrt(want * (1.0 - want) / reps)
     assert np.all(np.abs(hits / reps - want) <= 4 * se)
@@ -198,7 +198,7 @@ def test_oracle_matches_per_state_assembly(case):
     Q = _jump_matrix(graph, bm.as_block_rates(spec, graph.r))
     assert Q.shape == Q_ref.shape and Q.nnz == Q_ref.nnz
     assert abs(Q - Q_ref).max() <= 1e-15
-    dist = master_equation_oracle(graph, spec, None, init, T)
+    dist = master_equation_oracle(graph, spec, init, T)
     assert np.max(np.abs(dist.probs - p_ref)) <= 1e-15
     assert (dist.states, dist.nonzeros, dist.chunks,
             dist.series_terms) == counters

@@ -13,6 +13,7 @@ from blockmf.graph import CENTRAL, PERIPHERAL
 from blockmf.rates import affine_rows, total_rate
 from blockmf.rng import BatchedDraws
 from blockmf.simulate import GroupTables, _Kernel, _kernel, local_empirical
+from conftest import random_rate_family, reference_rate
 
 SIS = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
                   zeta=[0.9, 0.7])
@@ -39,7 +40,7 @@ def test_system_state_from_colors():
     one = bm.build_complete_peripheral([(1, 1)])
     for bad in ([0.7, 1.2], [True, False]):
         with pytest.raises(bm.InvalidArgumentError, match="integer"):
-            bm.simulate(one, SIS.central[0], None, bad, 1.0, seed=1)
+            bm.simulate(one, SIS.central[0], bad, 1.0, seed=1)
 
 
 def test_trajectory_replay_and_csv():
@@ -59,9 +60,9 @@ def test_trajectory_replay_and_csv():
 def test_simulate_determinism_and_horizon():
     g = bm.build_complete_peripheral([(2, 3), (2, 3)])
     init = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
-    a = bm.simulate(g, SIS, None, init, 2.0, seed=7)
-    b = bm.simulate(g, SIS, None, init, 2.0, seed=7)
-    c = bm.simulate(g, SIS, None, init, 2.0, seed=8)
+    a = bm.simulate(g, SIS, init, 2.0, seed=7)
+    b = bm.simulate(g, SIS, init, 2.0, seed=7)
+    c = bm.simulate(g, SIS, init, 2.0, seed=8)
     assert a.events == b.events
     assert a.events != c.events
     assert a.horizon == 2.0
@@ -74,7 +75,7 @@ def test_simulate_events_follow_color_graph():
     g = bm.build_complete_peripheral([(2, 3), (2, 3)])
     q = bm.queue_spec(3, zeta=1.0, vartheta=0.8, h_coefficient=0.4)
     init = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
-    tr = bm.simulate(g, q, None, init, 1.5, seed=11, debug=True)
+    tr = bm.simulate(g, q, init, 1.5, seed=11, debug=True)
     allowed = set(q.colors.edges)
     colors = list(init)
     for _, node, z, zp in tr.events:
@@ -86,14 +87,14 @@ def test_simulate_events_follow_color_graph():
 
 def test_simulate_zero_horizon_and_bad_args():
     g = bm.build_complete_peripheral([(1, 1)])
-    tr = bm.simulate(g, SIS.central[0], None, [0, 1], 0.0, seed=3)
+    tr = bm.simulate(g, SIS.central[0], [0, 1], 0.0, seed=3)
     assert tr.events == []
     with pytest.raises(bm.InvalidArgumentError):
-        bm.simulate(g, SIS.central[0], None, [0, 1], -1.0, seed=3)
+        bm.simulate(g, SIS.central[0], [0, 1], -1.0, seed=3)
     with pytest.raises(bm.InvalidArgumentError, match="K"):
         q3 = bm.queue_spec(3, 1.0, 0.5, 0.4)
         st = bm.SystemState.from_colors(g, [0, 1], 2)
-        bm.simulate(g, q3, None, st, 1.0, seed=3)
+        bm.simulate(g, q3, st, 1.0, seed=3)
 
 
 def test_kernel_reuse_leaks_no_state():
@@ -102,15 +103,15 @@ def test_kernel_reuse_leaks_no_state():
     graph_a = bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5)
     init_a = [0, 1, 2, 0, 0, 1, 0, 1, 2, 0, 1, 0]
     queue = bm.queue_spec(3, zeta=1.0, vartheta=0.8, h_coefficient=0.4)
-    first = bm.simulate(graph_a, queue, None, init_a, 5.0, seed=7)
+    first = bm.simulate(graph_a, queue, init_a, 5.0, seed=7)
     assert len(first.events) > 2 * BatchedDraws.FIRST  # refills mid-run
     for debug in (False, True):
         graph_b = bm.build_complete_peripheral([(2, 3), (3, 4)])
-        bm.simulate(graph_b, queue, None, [1] * graph_b.n_total, 5.0,
+        bm.simulate(graph_b, queue, [1] * graph_b.n_total, 5.0,
                     seed=8, debug=debug)
-        bm.simulate(graph_a, SIS, None, [1] * graph_a.n_total, 5.0, seed=9,
+        bm.simulate(graph_a, SIS, [1] * graph_a.n_total, 5.0, seed=9,
                     debug=debug)
-        again = bm.simulate(graph_a, queue, None, init_a, 5.0, seed=7,
+        again = bm.simulate(graph_a, queue, init_a, 5.0, seed=7,
                             debug=debug)
         assert again.events == first.events
         assert (again.refreshes, again.drawn) == (first.refreshes,
@@ -135,12 +136,12 @@ def test_threads_do_not_share_a_kernel():
     graph = bm.build_complete_peripheral([(2, 3), (2, 3)])
     queue = bm.queue_spec(3, zeta=1.0, vartheta=0.8, h_coefficient=0.4)
     init = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
-    want = {s: bm.simulate(graph, queue, None, init, 3.0, seed=s).events
+    want = {s: bm.simulate(graph, queue, init, 3.0, seed=s).events
             for s in range(4)}
     got = {}
 
     def worker(s):
-        got[s] = [bm.simulate(graph, queue, None, init, 3.0, seed=s).events
+        got[s] = [bm.simulate(graph, queue, init, 3.0, seed=s).events
                   for _ in range(10)]
 
     old = sys.getswitchinterval()
@@ -162,7 +163,7 @@ def test_trajectory_counters(caplog):
     g = bm.build_complete_peripheral([(2, 3), (2, 3)])
     init = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
     with caplog.at_level(logging.DEBUG, logger="blockmf.simulate"):
-        tr = bm.simulate(g, SIS, None, init, 2.0, seed=7)
+        tr = bm.simulate(g, SIS, init, 2.0, seed=7)
     # every jump refreshes at least its own group; each stream's first
     # block is BatchedDraws.FIRST numbers
     assert tr.refreshes >= len(tr.events) > 0
@@ -389,7 +390,7 @@ def test_independent_nodes_exponential_law():
     n_rep = 400
     hits = total = 0
     for rep in range(n_rep):
-        tr = bm.simulate(g, spec, None, [0] * g.n_total, T, seed=1000 + rep)
+        tr = bm.simulate(g, spec, [0] * g.n_total, T, seed=1000 + rep)
         hits += int(tr.final_colors.sum())
         total += g.n_total
     p = 1.0 - np.exp(-b * T)
@@ -400,7 +401,7 @@ def test_independent_nodes_exponential_law():
 def test_empirical_process_masses_and_alignment():
     g = bm.build_complete_peripheral([(2, 3), (2, 3)])
     init = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
-    tr = bm.simulate(g, SIS, None, init, 2.0, seed=21)
+    tr = bm.simulate(g, SIS, init, 2.0, seed=21)
     grid = np.linspace(0.0, 2.0, 41)
     series = bm.empirical_process(tr, g, grid)
     assert series.values.shape == (41, 4, 2)
@@ -459,7 +460,7 @@ def test_empirical_process_matches_event_replay(builder, fam):
     T = 3.0
     for seed in (31, 32):
         init = np.random.default_rng(seed).integers(0, K, graph.n_total)
-        tr = bm.simulate(graph, fam, None, init, T, seed=seed)
+        tr = bm.simulate(graph, fam, init, T, seed=seed)
         assert len(tr.events) > 10
         times = [e[0] for e in tr.events]
         # grid points on jump times (first, middle, last), repeated points,
@@ -483,7 +484,7 @@ def test_empirical_process_matches_event_replay(builder, fam):
 
 def test_empirical_process_grid_validation():
     g = bm.build_complete_peripheral([(1, 1)])
-    tr = bm.simulate(g, SIS.central[0], None, [0, 1], 1.0, seed=2)
+    tr = bm.simulate(g, SIS.central[0], [0, 1], 1.0, seed=2)
     with pytest.raises(bm.InvalidArgumentError):
         bm.empirical_process(tr, g, [])
     with pytest.raises(bm.InvalidArgumentError):
@@ -495,7 +496,7 @@ def test_empirical_process_grid_validation():
 def test_component_series_csv():
     g = bm.build_complete_peripheral([(2, 3), (2, 3)])
     init = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
-    tr = bm.simulate(g, SIS, None, init, 1.0, seed=4)
+    tr = bm.simulate(g, SIS, init, 1.0, seed=4)
     series = bm.empirical_process(tr, g, [0.0, 0.5, 1.0])
     buf = io.StringIO()
     series.to_csv(buf)
@@ -518,3 +519,47 @@ def test_local_empirical_decomposition():
     assert np.allclose(lm_p.proportions, [2 / 8, 3 / 8, 3 / 8])
     # own-block peripheral part includes self
     assert np.allclose(lm_p.parts[1], np.array([1, 2]) / 3)
+
+
+@pytest.mark.parametrize("builder", [
+    lambda: bm.build_complete_peripheral([(3, 5), (3, 7)]),
+    lambda: bm.build_regular_peripheral([(3, 6), (3, 6)], 0.5),
+    lambda: bm.BlockGraph([(1, 2), (2, 1)], [(1, 2)]),
+])
+def test_stacked_states_match_single_calls(builder):
+    # local_empirical and total_rate on a stack of states give, row by
+    # row, what one call per state gives, bit for bit
+    g = builder()
+    gen = np.random.default_rng(5)
+    K = 3
+    fam = random_rate_family(gen, g.r, K)
+    colors = gen.integers(0, K, (2, 4, g.n_total))
+    stack = bm.SystemState.from_colors(g, colors, K)
+    singles = {s: bm.SystemState.from_colors(g, colors[s], K)
+               for s in np.ndindex(colors.shape[:-1])}
+    for s, one in singles.items():
+        assert np.array_equal(stack.counts[s], one.counts)
+    for n in range(g.n_total):
+        spec = fam.spec_for(g.block_of(n), g.class_of(n))
+        many = local_empirical(stack, g, n)
+        for e in range(fam.colors.n_edges):
+            rates = total_rate(spec, e, many.proportions[0], many.parts[0],
+                               many.proportions[1:], many.parts[1:])
+            assert rates.shape == colors.shape[:-1]
+            for s, one in singles.items():
+                lm = local_empirical(one, g, n)
+                assert np.array_equal(lm.proportions, many.proportions)
+                for a, b in zip(many.parts, lm.parts):
+                    assert np.array_equal(a[s], b)
+                single = total_rate(spec, e, lm.proportions[0], lm.parts[0],
+                                    lm.proportions[1:], lm.parts[1:])
+                ref = reference_rate(spec, e, lm.proportions[0], lm.parts[0],
+                                     lm.proportions[1:], lm.parts[1:])
+                assert type(single) is float
+                assert rates[s] == single == ref
+
+
+def test_simulate_takes_one_state():
+    g = bm.build_complete_peripheral([(1, 1)])
+    with pytest.raises(bm.InvalidArgumentError, match="one state"):
+        bm.simulate(g, SIS.central[0], [[0, 1], [1, 0]], 1.0, seed=1)
