@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -270,3 +271,19 @@ def test_count_farm_tagged_law_matches_oracle():
         p = dist.node_marginal(n)
         marg_se = np.sqrt(p * (1.0 - p) / reps)
         assert np.all(np.abs(joint.sum(axis=others) - p) <= 5 * marg_se)
+
+
+def test_count_farm_is_pinned():
+    # the farm's seeded counts and tagged colours, pinned by sha256 of
+    # their bytes: a change to the rate map's layout must keep them
+    graph = bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5)
+    tables = GroupTables(graph, bm.sis_spec(
+        2, gamma=[1.8, 2.1], nu=[1.5, 1.4], eta=1.6, zeta=[0.9, 0.7]))
+    counts, final = experiments._count_farm(
+        tables, INITS2, 2.0, 50, bm.substream(41, 0),
+        grid=np.linspace(0.0, 2.0, 5), tagged=[0, 3])
+    assert counts.shape == (50, 5, 6, 2) and final.dtype == np.int64
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+        "826096d4dcf5ebf45f956fc1bf5e20a7455988db308cff2c3678fbd700b42487")
+    assert hashlib.sha256(final.tobytes()).hexdigest() == (
+        "31bf966a90704d49cf3e154715a008a63afe0d34e2433e107afaf5d3e8fad3b1")
