@@ -90,13 +90,13 @@ def _resolve(args, *, need_seed=True):
         )
     if args.threads < 1:
         raise InvalidConfigurationError("--threads must be >= 1")
-    out_dir = args.out or sc.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return sc, seed, out_dir
+    return sc, seed, args.out or sc.out or "."
 
 
 def _write(out_dir, name, write, *args):
-    """Write the artifact `name` into out_dir through write(fp, *args)."""
+    """Write the artifact `name` into out_dir through write(fp, *args);
+    out_dir is created with the first artifact."""
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w") as fp:
         write(fp, *args)
 
@@ -260,10 +260,8 @@ def cmd_multichaos(args):
     tvs = []
     for idx, N in enumerate(sc.n_list):
         graph = family(N)
-        _, _, tv = multichaos_test(
-            graph, spec, targets, tagged, sc.horizon, replicas,
-            (seed, idx), inits=inits,
-        )
+        _, _, tv = multichaos_test(graph, spec, tagged, sc.horizon,
+                                   replicas, (seed, idx), inits=inits)
         tvs.append(tv)
         log.info("multichaos N=%d tv=%.5g", N, tv)
     _write(out_dir, "multichaos.csv", write_table,

@@ -236,9 +236,7 @@ def _count_farm(tables: GroupTables, inits, T: float, replicas: int, gen,
     weight = np.concatenate((tables.weight, np.zeros(empty.size)))[order]
     starts = np.cumsum(np.maximum(row_len, 1)) - np.maximum(row_len, 1)
     beta = tables.beta.ravel()
-    groups = np.arange(G)[:, None] * K
-    src = (groups + tables.edge_src).ravel()  # flat bucket of (g, e)'s source
-    dst = (groups + tables.edge_dst).ravel()
+    src, dst = tables.family.colors.edge_cells(G)  # flat buckets of (g, e)
 
     if grid is not None:
         grid = np.append(np.asarray(grid, dtype=float), np.inf)
@@ -380,13 +378,13 @@ def resolve_tagged(graph: BlockGraph, tagged_nodes):
     return out
 
 
-def multichaos_test(graph: BlockGraph, spec, targets, tagged_nodes, T,
-                    replicas, seed, *, inits):
+def multichaos_test(graph: BlockGraph, spec, tagged_nodes, T, replicas,
+                    seed, *, inits):
     """Estimate the joint law of the tagged nodes' colors at time T, the
     product of its marginals, and the total-variation distance between
     the two. tagged_nodes entries are node ids or (block, class) pairs
-    (resolved to the first node of the class). targets is not used: the
-    dynamics run on the graph's own proportions."""
+    (resolved to the first node of the class). The dynamics run on the
+    graph's own proportions."""
     tagged = resolve_tagged(graph, tagged_nodes)
     if replicas < 1:
         raise InvalidArgumentError("need at least 1 replica")

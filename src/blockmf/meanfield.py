@@ -158,19 +158,14 @@ class _VectorField:
             for i in range(r):
                 reads[2 * i + 1] = (targets.q[j][i], 1)
             readers.append(((j, 1), reads))
-        rows, betas = affine_rows(family, readers)
+        row, col, weight, beta = affine_rows(family, readers)
         W = np.zeros((2 * r * ne, 2 * r * K))
-        for g in range(2 * r):
-            for e in range(ne):
-                for col, w in rows[g][e]:
-                    W[g * ne + e, col] = w
-        base = np.repeat(np.arange(2 * r) * K, ne)
-        src = base + np.tile(cg.src, 2 * r)
-        dst = base + np.tile(cg.dst, 2 * r)
+        W[row, col] = weight
+        src, dst = cg.edge_cells(2 * r)
         S = np.zeros((2 * r * K, 2 * r * ne))
         S[dst, np.arange(2 * r * ne)] = 1.0
         S[src, np.arange(2 * r * ne)] = -1.0
-        self.W, self.beta, self.src, self.S = W, np.concatenate(betas), src, S
+        self.W, self.beta, self.src, self.S = W, beta.ravel(), src, S
         G = np.zeros((ne, K * K))
         G[np.arange(ne), cg.dst * K + cg.src] = 1.0
         G[np.arange(ne), cg.src * K + cg.src] = -1.0
@@ -250,18 +245,20 @@ def solve_mckean_vlasov(spec, targets: ProportionTargets, init, T, dt,
     y = _init_vector(init, r, K)
     out = np.empty((times.size, 2 * r, K))
     out[0] = y.reshape(2 * r, K)
-    for i in range(times.size - 1):
-        k1 = field.rhs(y)
-        k2 = field.rhs(y + 0.5 * dt * k1)
-        k3 = field.rhs(y + 0.5 * dt * k2)
-        k4 = field.rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise NumericalBlowupError(
-                f"non-finite flow at t={times[i + 1]:.6g}", t=times[i + 1]
-            )
-        _renormalize(y, K)
-        out[i + 1] = y.reshape(2 * r, K)
+    # an overflow surfaces as a non-finite step, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(times.size - 1):
+            k1 = field.rhs(y)
+            k2 = field.rhs(y + 0.5 * dt * k1)
+            k3 = field.rhs(y + 0.5 * dt * k2)
+            k4 = field.rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                raise NumericalBlowupError(
+                    f"non-finite flow at t={times[i + 1]:.6g}", t=times[i + 1]
+                )
+            _renormalize(y, K)
+            out[i + 1] = y.reshape(2 * r, K)
     return MeanFieldFlow(times, out, r)
 
 
@@ -300,19 +297,22 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
     out[0] = y0.reshape(2 * r, K)
     cols = out[..., None]  # each step maps column vectors (2r, K, 1)
     eye = np.eye(K)
-    for a in range(0, n1 - 1, _SWEEP_CHUNK):
-        b = min(a + _SWEEP_CHUNK, n1 - 1)
-        A = field.generators(R_grid[a:b + 1])
-        A1, A4 = A[:-1], A[1:]
-        A2 = field.generators(R_mid[a:b])
-        A2B1 = A2 @ (eye + (0.5 * dt) * A1)
-        A2B2 = A2 @ (eye + (0.5 * dt) * A2B1)
-        P = eye + (dt / 6.0) * (A1 + 2.0 * A2B1 + 2.0 * A2B2
-                                + A4 @ (eye + dt * A2B2))
-        for i in range(a, b):
-            np.matmul(P[i - a], cols[i], out=cols[i + 1])
-        if not np.all(np.isfinite(out[a + 1:b + 1])):
-            raise NumericalBlowupError("non-finite flow in fixed-point sweep")
+    # an overflow surfaces as a non-finite chunk, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, n1 - 1, _SWEEP_CHUNK):
+            b = min(a + _SWEEP_CHUNK, n1 - 1)
+            A = field.generators(R_grid[a:b + 1])
+            A1, A4 = A[:-1], A[1:]
+            A2 = field.generators(R_mid[a:b])
+            A2B1 = A2 @ (eye + (0.5 * dt) * A1)
+            A2B2 = A2 @ (eye + (0.5 * dt) * A2B1)
+            P = eye + (dt / 6.0) * (A1 + 2.0 * A2B1 + 2.0 * A2B2
+                                    + A4 @ (eye + dt * A2B2))
+            for i in range(a, b):
+                np.matmul(P[i - a], cols[i], out=cols[i + 1])
+            if not np.all(np.isfinite(out[a + 1:b + 1])):
+                raise NumericalBlowupError(
+                    "non-finite flow in fixed-point sweep")
     _renormalize(out[1:], K)
     return out
 

@@ -118,6 +118,14 @@ class ColorGraph:
         """Indices into self.edges of transitions leaving color z."""
         return self._out[z]
 
+    def edge_cells(self, n_groups: int):
+        """(src, dst): for each (group, edge) pair, group-major, the flat
+        (group, color) cells g*K + z of the edge's source and target
+        colors in group g."""
+        base = np.repeat(np.arange(n_groups) * self.K, self.n_edges)
+        return (base + np.tile(self.src, n_groups),
+                base + np.tile(self.dst, n_groups))
+
 
 @dataclass(frozen=True)
 class RateSpec:
@@ -316,35 +324,47 @@ def as_block_rates(spec, r: int) -> BlockRates:
 
 
 def affine_rows(family: BlockRates, readers):
-    """Compile the affine rate map of each reader into sparse rows.
+    """Compile the affine rate map of a list of readers.
 
     readers: iterable of ((block, cls), {read_group: (weight, read_cls)}).
     A read group is read through gamma_c when read_cls is 0 (central) and
     through gamma_p when it is 1 (peripheral); weight multiplies whatever
-    vector the caller stores at that group (counts or measures). Returns
-    (rows, beta) with one entry per reader: rows[i][e] is the sorted list
-    of (read_group * K + x, weight * table[e][x]) over the nonzero table
-    entries, beta[i] the spec's per-edge state-only term. (Two lists, not
-    a pair per reader: on large sparse designs such pairs, allocated
-    between the rows and freed after the build, sat on the interpreter's
-    tuple free list and kept the rows' memory from being returned.)
+    vector the caller stores at that group (counts or measures). With E
+    edges and reader i's edge e on row i*E + e, returns the nonzeros
+    (row, col, weight) in row-major order, columns ascending within a
+    row: an entry per nonzero table value table[e][x] of a read group,
+    at column read_group * K + x with weight * table[e][x]. beta, shape
+    (readers, E), holds each reader's per-edge state-only term.
     """
-    K = family.colors.K
-    rows, beta = [], []
-    for (j, cls), reads in readers:
-        spec = family.spec_for(j, cls)
-        own = []
-        for tabs in zip(spec.gamma_c, spec.gamma_p):
-            nonzero = [[(x, v) for x, v in enumerate(tab) if v]
-                       for tab in tabs]
-            own.append(sorted(
-                (gi * K + x, w * v)
-                for gi, (w, read_cls) in reads.items()
-                for x, v in nonzero[read_cls]
-            ))
-        rows.append(own)
-        beta.append(list(spec.beta))
-    return rows, beta
+    K, E = family.colors.K, family.colors.n_edges
+    # one entry per (reader, read group) pair
+    owner, reader, read, scale, read_cls = [], [], [], [], []
+    for i, ((j, cls), reads) in enumerate(readers):
+        owner.append(2 * j + cls)
+        reader += [i] * len(reads)
+        read += reads
+        for w, c in reads.values():
+            scale.append(w)
+            read_cls.append(c)
+    reader = np.array(reader, dtype=np.int64)
+    read = np.array(read, dtype=np.int64)
+    scale = np.array(scale, dtype=float)
+    specs = [family.spec_for(j, cls)
+             for j in range(family.r) for cls in (0, 1)]
+    # table t = 2 * (2*block + cls) + read_cls; pair k reads table uses[k]
+    tables = np.array([(s.gamma_c, s.gamma_p) for s in specs], dtype=float)
+    uses = 2 * np.array(owner, dtype=np.int64)[reader] + read_cls
+    parts = []
+    for t, tab in enumerate(tables.reshape(len(specs) * 2, E, K)):
+        e, x = np.nonzero(tab)
+        use = np.flatnonzero(uses == t)
+        parts.append(((reader[use, None] * E + e).ravel(),
+                      (read[use, None] * K + x).ravel(),
+                      (scale[use, None] * tab[e, x]).ravel()))
+    row, col, weight = (np.concatenate(p) for p in zip(*parts))
+    order = np.lexsort((col, row))
+    beta = np.array([specs[g].beta for g in owner], dtype=float)
+    return row[order], col[order], weight[order], beta.reshape(len(owner), E)
 
 
 def _affine_rate(spec: RateSpec, edge_idx: int, w0, nu, ws, mus):

@@ -17,7 +17,6 @@ group, and the per-event work is O(groups * K * edges) instead of O(N).
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,8 +168,8 @@ def local_empirical(state: SystemState, graph: BlockGraph, node: int,
 
 class GroupTables:
     """The quotient chain of one design: its groups and their affine rate
-    map as arrays, built once per (graph, rate family). The per-node
-    kernel and the count farms of `experiments` read the same object.
+    map, built once per (graph, rate family) and never changed after. The
+    per-node kernel and the count farms of `experiments` read it.
 
     Groups: one per block's centrals (0..r-1), then the graph's
     peripheral twin classes in order of their first node. A closed
@@ -182,9 +181,12 @@ class GroupTables:
         max(0, beta[g, e] + sum over i with row[i] == g*E + e
                             of weight[i] * n[col[i]]).
 
-    (row, col, weight) are the nonzeros of the rate map in row-major
-    order, columns ascending within a row; memory is O(nnz), never the
-    dense map.
+    (row, col, weight, beta) are `rates.affine_rows` as returned: the
+    nonzeros of the rate map in row-major order, columns ascending within
+    a row; memory is O(nnz), never the dense map. `coef` (coef[g][e] the
+    (column, weight) pairs of row g*E + e), `beta_rows`, `deps` (the
+    groups whose rates a jump in g changes, g included), `out_of` and
+    `edges` are the list views the kernel's event loop reads.
     """
 
     def __init__(self, graph: BlockGraph, family):
@@ -193,7 +195,7 @@ class GroupTables:
         self.graph = graph
         self.family = family
         self.K = K = cg.K
-        self.n_edges = E = len(cg.edges)
+        self.n_edges = E = cg.n_edges
         self.members = [list(graph.central_nodes(j)) for j in range(graph.r)]
         self.members += [list(c) for c in graph.twin_classes]
         self.meta = [(graph.block_of(m[0]), graph.class_of(m[0]))
@@ -202,25 +204,21 @@ class GroupTables:
         self.sizes = np.array([len(m) for m in self.members], dtype=np.int64)
         self.component = np.array([2 * j + cls for j, cls in self.meta],
                                   dtype=np.int64)
-        self.edge_src, self.edge_dst = cg.src, cg.dst
+        self.row, self.col, self.weight, self.beta = affine_rows(
+            family, self._readers())
 
-        rows, beta = affine_rows(family, self._readers())
-        lengths = [len(row) for own in rows for row in own]
-        nnz = sum(lengths)
-        self.row = np.repeat(np.arange(G * E, dtype=np.int64), lengths)
-        self.col = np.fromiter((i for own in rows for row in own
-                                for i, _ in row), np.int64, nnz)
-        self.weight = np.fromiter((w for own in rows for row in own
-                                   for _, w in row), float, nnz)
-        self.beta = np.array(beta, dtype=float).reshape(G, E)
-
-        # reverse dependencies: a jump in h changes the rates of every
-        # group reading h, and of h itself
+        bounds = np.searchsorted(self.row, np.arange(G * E + 1)).tolist()
+        pairs = list(zip(self.col.tolist(), self.weight.tolist()))
+        rows = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+        self.coef = [rows[g * E:(g + 1) * E] for g in range(G)]
+        self.beta_rows = self.beta.tolist()
         deps = [{h} for h in range(G)]
         for g, h in set(zip((self.row // E).tolist(),
                             (self.col // K).tolist())):
             deps[h].add(g)
         self.deps = [sorted(d) for d in deps]
+        self.out_of = [cg.out_edges(z) for z in range(K)]
+        self.edges = cg.edges
 
     def _readers(self):
         """Yield, group by group, the groups it reads with their weights
@@ -241,16 +239,6 @@ class GroupTables:
             reads[j] = (w, CENTRAL)
             yield (j, cls), reads
 
-    def coef_rows(self):
-        """The rate map as nested lists: coef[g][e] is the list of
-        (column, weight) pairs of row g*E + e."""
-        E = self.n_edges
-        bounds = np.searchsorted(
-            self.row, np.arange(self.n_groups * E + 1)).tolist()
-        pairs = list(zip(self.col.tolist(), self.weight.tolist()))
-        flat = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
-        return [flat[g * E:(g + 1) * E] for g in range(self.n_groups)]
-
     def group_of(self, node: int) -> int:
         """The group holding `node`."""
         graph = self.graph
@@ -259,182 +247,159 @@ class GroupTables:
         return graph.block_of(node)
 
 
-class _Kernel:
-    """Aggregated-group Gillespie state machine over a design's
-    `GroupTables`. Each group's per-edge rate is a clamped affine function
-    of the flat count vector; the coefficient lists make a group refresh a
-    few multiply-adds.
-    """
+# --------------------------------------------------------------------------
+# the per-node kernel: a Gillespie run over a design's GroupTables. Each
+# group's per-edge rate is a clamped affine function of the flat count
+# vector; the coefficient lists make a group refresh a few multiply-adds.
 
-    def __init__(self, graph: BlockGraph, family):
-        tables = GroupTables(graph, family)
-        self.K = K = tables.K
-        self.n_edges = tables.n_edges
-        self.members = tables.members
-        self.meta = tables.meta
-        self.n_groups = tables.n_groups
-        self.coef = tables.coef_rows()
-        self.beta = tables.beta.tolist()
-        self.deps = tables.deps
-        self.out_of = [tables.family.colors.out_edges(z) for z in range(K)]
-        self.edge_src = tables.edge_src.tolist()
-        self.edge_dst = tables.edge_dst.tolist()
 
-    # -- per-run state -------------------------------------------------
+def _group_rates(tables: GroupTables, cnt, g):
+    """Group g's per-edge rates at the flat counts cnt, and its total jump
+    rate: the sum over colours z of cnt[g*K + z] times the rates of the
+    edges leaving z."""
+    beta = tables.beta_rows[g]
+    rate = []
+    for e, row in enumerate(tables.coef[g]):
+        v = beta[e]
+        for idx, w in row:
+            v += w * cnt[idx]
+        if v < 0.0:
+            v = 0.0
+        if v != v or v == float("inf"):  # non-finite guard
+            raise InternalConsistencyError(
+                f"non-finite rate in group {g} edge {e}"
+            )
+        rate.append(v)
+    gK = g * tables.K
+    total = 0.0
+    for z, out in enumerate(tables.out_of):
+        c = cnt[gK + z]
+        if c:
+            s = 0.0
+            for e in out:
+                s += rate[e]
+            total += c * s
+    return rate, total
 
-    def load(self, colors):
-        K = self.K
-        self.colors = [int(c) for c in colors]
-        self.cnt = [0] * (self.n_groups * K)
-        self.buckets = [
-            [[] for _ in range(K)] for _ in range(self.n_groups)
-        ]
-        for g, members in enumerate(self.members):
-            for n in members:
-                z = self.colors[n]
-                self.cnt[g * K + z] += 1
-                self.buckets[g][z].append(n)
-        self.rate = [[0.0] * self.n_edges for _ in range(self.n_groups)]
-        self.group_total = [0.0] * self.n_groups
-        for g in range(self.n_groups):
-            self._refresh(g)
 
-    def _refresh(self, g):
-        cnt = self.cnt
-        rate = self.rate[g]
-        beta = self.beta[g]
-        K = self.K
-        base = 0.0
-        for e, row in enumerate(self.coef[g]):
-            v = beta[e]
-            for idx, w in row:
-                v += w * cnt[idx]
-            if v < 0.0:
-                v = 0.0
-            if v != v or v == float("inf"):  # non-finite guard
-                raise InternalConsistencyError(
-                    f"non-finite rate in group {g} edge {e}"
-                )
-            rate[e] = v
-        gK = g * K
+def _start(tables: GroupTables, colors: list):
+    """The kernel's state at the node colours `colors`: the flat group
+    counts cnt[g*K + z], each group's per-colour buckets of nodes, and
+    every group's rates and total from `_group_rates`."""
+    K = tables.K
+    cnt = [0] * (tables.n_groups * K)
+    buckets = []
+    for g, members in enumerate(tables.members):
+        own = [[] for _ in range(K)]
+        for n in members:
+            z = colors[n]
+            cnt[g * K + z] += 1
+            own[z].append(n)
+        buckets.append(own)
+    rates = [_group_rates(tables, cnt, g) for g in range(tables.n_groups)]
+    rate, group_total = map(list, zip(*rates))
+    return cnt, buckets, rate, group_total
+
+
+def _run(tables: GroupTables, colors: list, T: float, gen):
+    """Advance the node colours `colors` (changed in place) to horizon T.
+    Returns the events, the group refreshes and the numbers drawn, and
+    the final flat group counts."""
+    draws = _rng.BatchedDraws(gen)
+    cnt, buckets, rate, group_total = _start(tables, colors)
+    K, G = tables.K, tables.n_groups
+    out_of, edges, all_deps = tables.out_of, tables.edges, tables.deps
+    events = []
+    refreshes = 0
+    t = 0.0
+    while True:
+        total = 0.0
+        for g in range(G):
+            total += group_total[g]
+        if total <= 0.0:
+            break
+        t += draws.exponential() / total
+        if t > T:
+            break
+        # category: group, then (color, edge) inside the group
+        target = draws.uniform() * total
+        acc = 0.0
+        g_pick = -1
+        last_pos = -1
+        for g in range(G):
+            gt = group_total[g]
+            if gt > 0.0:
+                last_pos = g
+            acc += gt
+            if target < acc:
+                g_pick = g
+                break
+        if g_pick < 0:  # float slack at the very top of the walk
+            g_pick = last_pos
+        acc -= group_total[g_pick]
+        e_pick = -1
+        gK = g_pick * K
+        g_rate = rate[g_pick]
         for z in range(K):
             c = cnt[gK + z]
-            if c:
-                s = 0.0
-                for e in self.out_of[z]:
-                    s += rate[e]
-                base += c * s
-        self.group_total[g] = base
-
-    def run(self, T: float, gen: np.random.Generator):
-        """Advance to horizon T; returns the event list. Sets `refreshes`
-        and `drawn` for the run."""
-        draws = _rng.BatchedDraws(gen)
-        events = []
-        refreshes = 0
-        t = 0.0
-        K = self.K
-        cnt = self.cnt
-        while True:
-            total = 0.0
-            for g in range(self.n_groups):
-                total += self.group_total[g]
-            if total <= 0.0:
-                break
-            t += draws.exponential() / total
-            if t > T:
-                break
-            # category: group, then (color, edge) inside the group
-            target = draws.uniform() * total
-            acc = 0.0
-            g_pick = -1
-            last_pos = -1
-            for g in range(self.n_groups):
-                gt = self.group_total[g]
-                if gt > 0.0:
-                    last_pos = g
-                acc += gt
+            if not c:
+                continue
+            for e in out_of[z]:
+                acc += c * g_rate[e]
                 if target < acc:
-                    g_pick = g
+                    e_pick = e
                     break
-            if g_pick < 0:  # float slack at the very top of the walk
-                g_pick = last_pos
-            acc -= self.group_total[g_pick]
-            e_pick = -1
-            gK = g_pick * K
-            rate = self.rate[g_pick]
-            for z in range(K):
-                c = cnt[gK + z]
-                if not c:
-                    continue
-                for e in self.out_of[z]:
-                    acc += c * rate[e]
-                    if target < acc:
-                        e_pick = e
-                        break
-                if e_pick >= 0:
-                    break
-            if e_pick < 0:
-                # numerical slack at the top edge of the walk: retake the
-                # last positive-rate category
-                for z in range(K - 1, -1, -1):
-                    if cnt[gK + z]:
-                        for e in reversed(self.out_of[z]):
-                            if rate[e] > 0.0:
-                                e_pick = e
-                                break
-                        if e_pick >= 0:
+            if e_pick >= 0:
+                break
+        if e_pick < 0:
+            # numerical slack at the top edge of the walk: retake the
+            # last positive-rate category
+            for z in range(K - 1, -1, -1):
+                if cnt[gK + z]:
+                    for e in reversed(out_of[z]):
+                        if g_rate[e] > 0.0:
+                            e_pick = e
                             break
-                if e_pick < 0:
-                    raise InternalConsistencyError("category walk fell off")
-            z, zp = self.edge_src[e_pick], self.edge_dst[e_pick]
-            bucket = self.buckets[g_pick][z]
-            i = 0
-            if len(bucket) > 1:
-                i = int(draws.uniform() * len(bucket))
-                if i >= len(bucket):
-                    i = len(bucket) - 1
-            node = bucket[i]
-            bucket[i] = bucket[-1]
-            bucket.pop()
-            self.buckets[g_pick][zp].append(node)
-            cnt[gK + z] -= 1
-            cnt[gK + zp] += 1
-            self.colors[node] = zp
-            events.append((t, node, z, zp))
-            deps = self.deps[g_pick]
-            for g in deps:
-                self._refresh(g)
-            refreshes += len(deps)
-        self.refreshes = refreshes
-        self.drawn = draws.drawn
-        return events
-
-    def check_counts(self):
-        for g, members in enumerate(self.members):
-            expect = [0] * self.K
-            for n in members:
-                expect[self.colors[n]] += 1
-            for z in range(self.K):
-                if self.cnt[g * self.K + z] != expect[z]:
-                    raise InternalConsistencyError(
-                        f"count table drifted at group {g}, color {z}"
-                    )
+                    if e_pick >= 0:
+                        break
+            if e_pick < 0:
+                raise InternalConsistencyError("category walk fell off")
+        z, zp = edges[e_pick]
+        bucket = buckets[g_pick][z]
+        i = 0
+        if len(bucket) > 1:
+            i = int(draws.uniform() * len(bucket))
+            if i >= len(bucket):
+                i = len(bucket) - 1
+        node = bucket[i]
+        bucket[i] = bucket[-1]
+        bucket.pop()
+        buckets[g_pick][zp].append(node)
+        cnt[gK + z] -= 1
+        cnt[gK + zp] += 1
+        colors[node] = zp
+        events.append((t, node, z, zp))
+        deps = all_deps[g_pick]
+        for g in deps:
+            rate[g], group_total[g] = _group_rates(tables, cnt, g)
+        refreshes += len(deps)
+    return events, refreshes, draws.drawn, cnt
 
 
-_last_kernel = threading.local()
+_last_tables = None  # (key, tables) of the last design simulated
 
 
-def _kernel(graph: BlockGraph, family) -> _Kernel:
-    """The kernel of the last design this thread ran. Graph and rate
-    family compare by value, so the replicas of one design build it
-    once; `load` resets every per-run field. Per thread, because a kernel
-    holds its run's state."""
+def _group_tables(graph: BlockGraph, family) -> GroupTables:
+    """The tables of the last design simulated, or of this one. Graph and
+    rate family compare by value, so the replicas of one design build
+    them once. The cache is one (key, tables) tuple, replaced in one
+    assignment; the tables hold no run state, so threads may share them."""
+    global _last_tables
     key = (graph, family)
-    if getattr(_last_kernel, "key", None) != key:
-        _last_kernel.kernel = _Kernel(graph, family)  # may raise: key last
-        _last_kernel.key = key
-    return _last_kernel.kernel
+    last = _last_tables
+    if last is None or last[0] != key:
+        last = _last_tables = (key, GroupTables(graph, family))
+    return last[1]
 
 
 def simulate(graph: BlockGraph, spec, init, T: float, seed,
@@ -460,17 +425,19 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed,
             f"{state.colors.shape}"
         )
     gen = seed if isinstance(seed, np.random.Generator) else _rng.substream(seed)
-    kern = _kernel(graph, family)
-    kern.load(state.colors)
-    events = kern.run(float(T), gen)
-    traj = Trajectory(state, events, float(T), kern.refreshes, kern.drawn)
+    tables = _group_tables(graph, family)
+    colors = state.colors.tolist()
+    events, refreshes, drawn, cnt = _run(tables, colors, float(T), gen)
+    traj = Trajectory(state, events, float(T), refreshes, drawn)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("simulate: %d events, %d refreshes, %d drawn",
-                  len(events), kern.refreshes, kern.drawn)
+                  len(events), refreshes, drawn)
     if debug:
-        kern.check_counts()
+        if cnt != _start(tables, colors)[0]:
+            raise InternalConsistencyError(
+                "count table drifted from the node colors")
         if not np.array_equal(traj.final_colors,
-                              np.asarray(kern.colors, dtype=np.int64)):
+                              np.asarray(colors, dtype=np.int64)):
             raise InternalConsistencyError("replay does not match kernel state")
     return traj
 

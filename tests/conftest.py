@@ -59,6 +59,30 @@ def random_inits(gen, r, K):
     return [gen.dirichlet(np.ones(K)) for _ in range(2 * r)]
 
 
+def list_affine_rows(family, readers):
+    """The affine rate map compiled as Python lists, one reader at a time:
+    rows[i][e] is the sorted list of (read_group * K + x, weight *
+    table[e][x]) over the nonzero table entries of reader i's edge e,
+    beta[i] the reader's per-edge state-only term. `rates.affine_rows`
+    must give the same nonzeros as arrays."""
+    K = family.colors.K
+    rows, beta = [], []
+    for (j, cls), reads in readers:
+        spec = family.spec_for(j, cls)
+        own = []
+        for tabs in zip(spec.gamma_c, spec.gamma_p):
+            nonzero = [[(x, v) for x, v in enumerate(tab) if v]
+                       for tab in tabs]
+            own.append(sorted(
+                (gi * K + x, w * v)
+                for gi, (w, read_cls) in reads.items()
+                for x, v in nonzero[read_cls]
+            ))
+        rows.append(own)
+        beta.append(list(spec.beta))
+    return rows, beta
+
+
 def run_python(args):
     """Run ``python <args>`` on the package this process imported.
 

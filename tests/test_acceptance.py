@@ -148,7 +148,7 @@ def test_criterion_05_multichaos():
     tv = {}
     for N in (40, 640):
         _, _, tv[N] = bm.multichaos_test(
-            family(N), CHAOS_SPEC, CHAOS_TARGETS, [(0, "c"), (1, "p")],
+            family(N), CHAOS_SPEC, [(0, "c"), (1, "p")],
             3.0, 2000, (20260815, N), inits=CHAOS_INITS)
     elapsed = time.perf_counter() - t0
     _report(5, tv[40] > tv[640] and tv[640] < 0.1 and elapsed < 300.0,

@@ -137,6 +137,43 @@ def test_picard_artifacts_and_nonconvergence(tmp_path, capsys):
     assert code == 2 and "numerical error" in err
 
 
+@pytest.mark.parametrize("sub", ["meanfield", "picard", "ldp-cost"])
+def test_numerical_failure_prints_one_line(tmp_path, sub):
+    # rates of 1e200 overflow the limit solvers: the run stops with exit 2
+    # and one stderr line, no numpy warnings before it, and no artifact
+    blowup = {**SCEN, "rates": {"model": "sis", "r": 2, "gamma": 1e200,
+                                "nu": 1e200, "eta": 1e200, "zeta": 0.7}}
+    proc = run_blockmf_module([sub, "--scenario",
+                               scen_path(tmp_path, blowup),
+                               "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical error: "), (
+        proc.stderr)
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_dir_is_created_with_the_first_artifact(tmp_path, capsys):
+    # validate writes nothing, and a rejected run stops before its first
+    # artifact: neither leaves an --out directory behind
+    deeper = tmp_path / "new" / "deeper"
+    code, _, err = run(["validate", "--scenario", scen_path(tmp_path),
+                        "--out", str(deeper)], capsys)
+    assert code == 0 and err == ""
+    assert not (tmp_path / "new").exists()
+    bad = scen_path(tmp_path, {**SCEN, "rates": {"model": "nope"}},
+                    "bad.json")
+    code, _, err = run(["simulate", "--scenario", bad, "--out", str(deeper)],
+                       capsys)
+    assert code == 1 and err.startswith("error: ")
+    assert not (tmp_path / "new").exists()
+    code, _, _ = run(["simulate", "--scenario", scen_path(tmp_path),
+                      "--out", str(deeper)], capsys)
+    assert code == 0
+    assert sorted(p.name for p in deeper.iterdir()) == [
+        "empirical.csv", "trajectory.csv"]
+
+
 def test_chaos_thread_count_invariance(tmp_path, capsys):
     sp = scen_path(tmp_path)
     files = []

@@ -163,7 +163,7 @@ def test_multichaos_joint_and_tv():
     inits = [np.array([0.6, 0.4])] * 4
     g = bm.proportional_family(targets)(48)
     joint, product, tv = bm.multichaos_test(
-        g, spec, targets, [(0, "c"), (1, "p")], T=1.0, replicas=400,
+        g, spec, [(0, "c"), (1, "p")], T=1.0, replicas=400,
         seed=17, inits=inits)
     assert joint.shape == (2, 2) and product.shape == (2, 2)
     assert joint.sum() == pytest.approx(1.0)
@@ -173,7 +173,7 @@ def test_multichaos_joint_and_tv():
     assert tv < 0.2
     # a second run with the same seed repeats the first
     j2, p2, tv2 = bm.multichaos_test(
-        g, spec, targets, [(0, "c"), (1, "p")], T=1.0, replicas=400,
+        g, spec, [(0, "c"), (1, "p")], T=1.0, replicas=400,
         seed=17, inits=inits)
     assert np.array_equal(joint, j2)
     assert tv == tv2
@@ -185,26 +185,26 @@ def test_multichaos_tagged_resolution():
     inits = [np.array([0.6, 0.4])] * 4
     g = bm.proportional_family(targets)(24)
     # node ids and (block, class) requests resolve to the same nodes
-    a = bm.multichaos_test(g, spec, targets, [(0, "c"), (1, "p")], 0.5,
+    a = bm.multichaos_test(g, spec, [(0, "c"), (1, "p")], 0.5,
                            50, 3, inits=inits)
     first_p1 = list(g.peripheral_nodes(1))[0]
-    b = bm.multichaos_test(g, spec, targets, [0, first_p1], 0.5,
+    b = bm.multichaos_test(g, spec, [0, first_p1], 0.5,
                            50, 3, inits=inits)
     assert np.array_equal(a[0], b[0])
     with pytest.raises(bm.InvalidArgumentError, match="distinct"):
-        bm.multichaos_test(g, spec, targets, [0, (0, "c")], 0.5, 50, 3,
+        bm.multichaos_test(g, spec, [0, (0, "c")], 0.5, 50, 3,
                            inits=inits)
     with pytest.raises(bm.InvalidArgumentError):
-        bm.multichaos_test(g, spec, targets, [g.n_total], 0.5, 50, 3,
+        bm.multichaos_test(g, spec, [g.n_total], 0.5, 50, 3,
                            inits=inits)
     # a (block, class) request must name a block of the graph and a class
     for bad in ((-1, "p"), (2, "p"), (0, "x")):
         with pytest.raises(bm.InvalidArgumentError, match="names no class"):
-            bm.multichaos_test(g, spec, targets, [0, bad], 0.5, 50, 3,
+            bm.multichaos_test(g, spec, [0, bad], 0.5, 50, 3,
                                inits=inits)
     # three tagged nodes produce a rank-3 joint table
     j3, p3, _ = bm.multichaos_test(
-        g, spec, targets, [0, (0, "p"), (1, "p")], 0.5, 50, 3, inits=inits)
+        g, spec, [0, (0, "p"), (1, "p")], 0.5, 50, 3, inits=inits)
     assert j3.shape == (2, 2, 2)
     assert p3.sum() == pytest.approx(1.0)
 
@@ -255,7 +255,7 @@ def test_count_farm_tagged_law_matches_oracle():
     graph = bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5)
     T, reps = 1.0, 20000
     tagged = [0, (0, "p"), (1, "p")]
-    joint, _, _ = bm.multichaos_test(graph, SIS2, None, tagged, T, reps, 23,
+    joint, _, _ = bm.multichaos_test(graph, SIS2, tagged, T, reps, 23,
                                      inits=INITS2)
     dist = bm.master_equation_oracle(
         graph, SIS2, np.asarray(INITS2)[graph.component], T)

@@ -7,7 +7,7 @@ import pytest
 
 import blockmf as bm
 from blockmf.graph import build_complete_peripheral, build_regular_peripheral
-from blockmf.simulate import _Kernel
+from blockmf.simulate import GroupTables
 
 
 def test_complete_peripheral_layout():
@@ -240,8 +240,8 @@ def test_builders_match_reference_edges(kind, sizes, fractions):
     for fam in (bm.sis_spec(r, gamma=0.8, nu=0.5, eta=0.6, zeta=0.9),
                 bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.6,
                               h_coefficient=0.4)):
-        a, b = _Kernel(built, fam), _Kernel(ref, fam)
-        for attr in ("members", "meta", "coef", "beta", "deps"):
+        a, b = GroupTables(built, fam), GroupTables(ref, fam)
+        for attr in ("members", "meta", "coef", "beta_rows", "deps"):
             assert getattr(a, attr) == getattr(b, attr), attr
 
 

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import blockmf as bm
+from blockmf.meanfield import _VectorField
+from conftest import (list_affine_rows, random_rate_family,
+                      random_targets)
 
 R1_TARGETS = bm.ProportionTargets((0.5,), (0.4,), ((0.6,),), (1.0,))
 
@@ -250,7 +253,7 @@ def test_frozen_sweep_matches_stepwise_reference(model, steps, request):
     # 1-3 steps take the linear-midpoint branch (fewer than 4 grid
     # points) or sit at its edge; 300 and 601 steps are not multiples of
     # any power-of-two chunk of grid steps
-    from blockmf.meanfield import _frozen_solve, _VectorField
+    from blockmf.meanfield import _frozen_solve
 
     spec, targets, inits = (request.getfixturevalue("sis2")
                             if model == "sis2" else queue6_model())
@@ -270,8 +273,58 @@ def test_frozen_sweep_matches_stepwise_reference(model, steps, request):
     assert np.array_equal(got[0], y0.reshape(want.shape[1:]))
 
 
+def list_vector_field(family, targets):
+    """W, beta, src and S of the limit field from the list compile, W
+    filled entry by entry."""
+    r = targets.r
+    cg = family.colors
+    K, ne = cg.K, cg.n_edges
+    readers = []
+    for j in range(r):
+        readers.append(((j, 0), {2 * j: (targets.p_c[j], 0),
+                                 2 * j + 1: (targets.p_p[j], 1)}))
+        reads = {2 * j: (targets.alpha_c[j], 0)}
+        for i in range(r):
+            reads[2 * i + 1] = (targets.q[j][i], 1)
+        readers.append(((j, 1), reads))
+    rows, betas = list_affine_rows(family, readers)
+    W = np.zeros((2 * r * ne, 2 * r * K))
+    for g in range(2 * r):
+        for e in range(ne):
+            for col, w in rows[g][e]:
+                W[g * ne + e, col] = w
+    src, dst = [], []
+    for g in range(2 * r):
+        for z, zp in cg.edges:
+            src.append(g * K + z)
+            dst.append(g * K + zp)
+    S = np.zeros((2 * r * K, 2 * r * ne))
+    for k, (a, b) in enumerate(zip(src, dst)):
+        S[b, k] = 1.0
+        S[a, k] = -1.0
+    return W, np.concatenate(betas), np.array(src), S
+
+
+def test_vector_field_matches_list_compile(sis2):
+    # the field's matrices, scattered from the array compile, are the
+    # list compile's bit for bit: two-block SIS, the 6-colour queue, a
+    # random per-(block, class) family, and three blocks
+    gen = np.random.default_rng(8)
+    models = [sis2[:2], queue6_model()[:2],
+              (random_rate_family(gen, 2, 3), random_targets(gen, 2)),
+              (random_rate_family(gen, 3, 4), random_targets(gen, 3))]
+    for spec, targets in models:
+        family = bm.as_block_rates(spec, targets.r)
+        field = _VectorField(family, targets)
+        for got, want in zip((field.W, field.beta, field.src, field.S),
+                             list_vector_field(family, targets)):
+            assert got.shape == want.shape
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 def test_frozen_sweep_overflow_raises(sis2):
-    from blockmf.meanfield import _frozen_solve, _VectorField
+    from blockmf.meanfield import _frozen_solve
 
     spec, targets, inits = sis2
     field = _VectorField(spec, targets)

@@ -11,10 +11,11 @@ import pytest
 import blockmf as bm
 from blockmf.meanfield import _VectorField
 from blockmf.graph import CENTRAL, PERIPHERAL
-from blockmf.rates import affine_rows, total_rate
+from blockmf.rates import total_rate
 from blockmf.rng import BatchedDraws
-from blockmf.simulate import GroupTables, _Kernel, _kernel, local_empirical
-from conftest import random_rate_family, reference_rate
+from blockmf.simulate import (GroupTables, _group_tables, _start,
+                              local_empirical)
+from conftest import list_affine_rows, random_rate_family, reference_rate
 
 SIS = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
                   zeta=[0.9, 0.7])
@@ -99,7 +100,7 @@ def test_simulate_zero_horizon_and_bad_args():
 
 
 def test_kernel_reuse_leaks_no_state():
-    # simulate reuses the last design's kernel: runs on other designs in
+    # simulate reuses the last design's tables: runs on other designs in
     # between must leave no trace in a rerun of the first one
     graph_a = bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5)
     init_a = [0, 1, 2, 0, 0, 1, 0, 1, 2, 0, 1, 0]
@@ -121,29 +122,32 @@ def test_kernel_reuse_leaks_no_state():
 
 def test_kernel_is_shared_by_equal_designs():
     # an equal graph (an unpickled copy) and an equal rate
-    # family hit the one-entry kernel cache; anything else rebuilds
+    # family hit the one-entry tables cache; anything else rebuilds
     graph = bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5)
     family = bm.as_block_rates(SIS, 2)
-    kern = _kernel(graph, family)
-    assert _kernel(pickle.loads(pickle.dumps(graph)),
-                   bm.as_block_rates(SIS, 2)) is kern
+    tables = _group_tables(graph, family)
+    assert _group_tables(pickle.loads(pickle.dumps(graph)),
+                         bm.as_block_rates(SIS, 2)) is tables
     other = bm.sis_spec(2, gamma=0.8, nu=0.5, eta=0.6, zeta=0.9)
-    assert _kernel(graph, bm.as_block_rates(other, 2)) is not kern
+    assert _group_tables(graph, bm.as_block_rates(other, 2)) is not tables
 
 
 def test_threads_do_not_share_a_kernel():
-    # a kernel holds its run's state, so threads that interleave runs on
-    # one design must still each get the sequential result
-    graph = bm.build_complete_peripheral([(2, 3), (2, 3)])
+    # threads that interleave runs share the tables of each design, and
+    # swap the cached design under one another: each must still get the
+    # sequential result
     queue = bm.queue_spec(3, zeta=1.0, vartheta=0.8, h_coefficient=0.4)
-    init = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
-    want = {s: bm.simulate(graph, queue, init, 3.0, seed=s).events
-            for s in range(4)}
+    designs = [(bm.build_complete_peripheral([(2, 3), (2, 3)]),
+                [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]),
+               (bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
+                [0, 1, 2, 0, 0, 1, 0, 1, 2, 0, 1, 0])]
+    want = {s: [bm.simulate(graph, queue, init, 3.0, seed=s).events
+                for graph, init in designs] for s in range(4)}
     got = {}
 
     def worker(s):
-        got[s] = [bm.simulate(graph, queue, init, 3.0, seed=s).events
-                  for _ in range(10)]
+        got[s] = [[bm.simulate(graph, queue, init, 3.0, seed=s).events
+                   for graph, init in designs] for _ in range(10)]
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -223,9 +227,9 @@ def kernel_definition_gap(graph, family, colors):
     """Max |kernel rate - definition rate| over nodes and edges."""
     family = bm.as_block_rates(family, graph.r)
     st = bm.SystemState.from_colors(graph, colors, family.colors.K)
-    kern = _Kernel(graph, family)
-    kern.load(st.colors)
-    group = {n: g for g, members in enumerate(kern.members) for n in members}
+    tables = GroupTables(graph, family)
+    _, _, rate, _ = _start(tables, st.colors.tolist())
+    group = {n: g for g, members in enumerate(tables.members) for n in members}
     worst = 0.0
     for n in range(graph.n_total):
         j, cls = graph.block_of(n), graph.class_of(n)
@@ -235,7 +239,7 @@ def kernel_definition_gap(graph, family, colors):
         for e in range(family.colors.n_edges):
             ref = total_rate(spec, e, lm.proportions[0], lm.parts[0],
                              lm.proportions[1:], lm.parts[1:])
-            worst = max(worst, abs(kern.rate[g][e] - ref))
+            worst = max(worst, abs(rate[g][e] - ref))
     return worst
 
 
@@ -277,17 +281,17 @@ def test_kernel_rates_match_limit_field(fam):
     for _ in range(6):
         colors = gen.integers(0, K, graph.n_total)
         st = bm.SystemState.from_colors(graph, colors, K)
-        kern = _Kernel(graph, family)
-        kern.load(st.colors)
+        tables = GroupTables(graph, family)
+        _, _, rate, _ = _start(tables, st.colors.tolist())
         y = np.concatenate([
             np.asarray(st.counts[2 * j + cls], dtype=float)
             / graph.block_sizes[j][cls]
             for j in range(graph.r) for cls in (0, 1)
         ])
         want = field.rates(y)
-        for g, (j, cls) in enumerate(kern.meta):
+        for g, (j, cls) in enumerate(tables.meta):
             comp = 2 * j + cls
-            assert np.abs(np.asarray(kern.rate[g])
+            assert np.abs(np.asarray(rate[g])
                           - want[comp * ne:(comp + 1) * ne]).max() <= 1e-12
 
 
@@ -300,8 +304,8 @@ def test_kernel_groups_are_twin_classes(builder, n_groups):
     # a group is a maximal set of nodes sharing block, class and closed
     # neighbourhood
     graph = builder()
-    kern = _Kernel(graph, SIS)
-    assert kern.n_groups == n_groups
+    tables = GroupTables(graph, SIS)
+    assert tables.n_groups == n_groups
 
     def closed(n):
         if not graph.is_peripheral(n):
@@ -309,14 +313,14 @@ def test_kernel_groups_are_twin_classes(builder, n_groups):
         return tuple(sorted([*graph.peripheral_neighbors(n), n]))
 
     seen = set()
-    for g, members in enumerate(kern.members):
+    for g, members in enumerate(tables.members):
         keys = {(graph.block_of(n), graph.class_of(n), closed(n))
                 for n in members}
         assert len(keys) == 1
-        assert kern.meta[g] == next(iter(keys))[:2]
+        assert tables.meta[g] == next(iter(keys))[:2]
         seen |= keys
     assert len(seen) == n_groups
-    assert sorted(n for m in kern.members for n in m) == list(
+    assert sorted(n for m in tables.members for n in m) == list(
         range(graph.n_total))
 
 
@@ -341,7 +345,7 @@ def reference_tables(graph, family):
             reads[j] = (w, CENTRAL)
             yield (j, cls), reads
 
-    coef, beta = affine_rows(family, readers())
+    coef, beta = list_affine_rows(family, readers())
     deps = [set() for _ in members]
     for g in range(len(members)):
         for g0 in {idx // K for row in coef[g] for idx, _ in row}:
@@ -384,7 +388,8 @@ TABLE_DESIGNS = [
 @pytest.mark.parametrize("builder", TABLE_DESIGNS)
 def test_group_tables_match_list_compile(builder):
     # the array tables give back the list compile's rows, beta and
-    # dependencies bit for bit, and the kernel runs on exactly those
+    # dependencies bit for bit, and the kernel's list views are exactly
+    # those
     graph = builder()
     for fam in (bm.sis_spec(graph.r, gamma=0.8, nu=0.5, eta=0.6, zeta=0.9),
                 bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.6,
@@ -394,7 +399,11 @@ def test_group_tables_match_list_compile(builder):
         tables = GroupTables(graph, family)
         assert tables.members == members
         assert tables.meta == meta
-        assert tables.coef_rows() == coef
+        E = family.colors.n_edges
+        nonzeros = [(g * E + e, col, w) for g, own in enumerate(coef)
+                    for e, row in enumerate(own) for col, w in row]
+        assert list(zip(tables.row.tolist(), tables.col.tolist(),
+                        tables.weight.tolist())) == nonzeros
         assert tables.beta.tolist() == beta
         assert tables.deps == deps
         assert tables.sizes.tolist() == [len(m) for m in members]
@@ -402,8 +411,8 @@ def test_group_tables_match_list_compile(builder):
         assert [tables.group_of(n) for n in range(graph.n_total)] == [
             g for _, g in sorted((n, g) for g, ms in enumerate(members)
                                  for n in ms)]
-        kern = _Kernel(graph, family)
-        assert (kern.coef, kern.beta, kern.deps) == (coef, beta, deps)
+        assert (tables.coef, tables.beta_rows, tables.deps) == (
+            coef, beta, deps)
 
 
 def test_kernel_group_totals():
@@ -411,16 +420,16 @@ def test_kernel_group_totals():
     gen = np.random.default_rng(9)
     colors = gen.integers(0, 2, graph.n_total)
     st = bm.SystemState.from_colors(graph, colors, 2)
-    kern = _Kernel(graph, SIS)
-    kern.load(st.colors)
+    tables = GroupTables(graph, SIS)
+    _, _, rate, group_total = _start(tables, st.colors.tolist())
     cg = SIS.colors
-    for g, members in enumerate(kern.members):
+    for g, members in enumerate(tables.members):
         expect = sum(
-            kern.rate[g][e]
+            rate[g][e]
             for n in members
             for e in cg.out_edges(int(colors[n]))
         )
-        assert kern.group_total[g] == pytest.approx(expect, abs=1e-12)
+        assert group_total[g] == pytest.approx(expect, abs=1e-12)
 
 
 def test_independent_nodes_exponential_law():
