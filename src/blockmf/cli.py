@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidConfigurationError, NumericalError, ValidationError
 from .experiments import (
     block_color_cdf,
-    draw_colors,
+    colors_of_uniforms,
     lln_experiment,
     multichaos_test,
     proportional_family,
@@ -29,8 +29,8 @@ from .graph import build_complete_peripheral, check_regularity
 from .ldp import variational_cost
 from .meanfield import MeanFieldFlow, picard_iterate, solve_mckean_vlasov
 from .oracle import master_equation_oracle
-from .rng import ORACLE_CHECK, SIMULATE, substream
-from .simulate import empirical_process, simulate
+from .rng import ORACLE_CHECK, SIMULATE, at_key, substream, substream_keys
+from .simulate import SystemState, empirical_process, simulate
 from .scenario import load_scenario
 from .tables import write_table
 
@@ -95,10 +95,17 @@ def _resolve(args, *, need_seed=True):
 
 def _write(out_dir, name, write, *args):
     """Write the artifact `name` into out_dir through write(fp, *args);
-    out_dir is created with the first artifact."""
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w") as fp:
-        write(fp, *args)
+    out_dir is created with the first artifact. An out_dir that cannot
+    take it (an existing file, no permission, a full disk) is a
+    configuration error."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, name), "w") as fp:
+            write(fp, *args)
+    except OSError as exc:
+        raise InvalidConfigurationError(
+            f"cannot write {name} to {out_dir}: {exc.strerror or exc}"
+        ) from None
 
 
 def _read_flow(path):
@@ -298,19 +305,31 @@ def cmd_oracle_check(args):
     inits = sc.build_inits(graph.r, spec.colors.K)
     T = sc.horizon
     replicas = sc.replicas(default=20000)
-    K = inits[0].size
+    N, K = graph.n_total, inits[0].size
     init_mat = np.asarray(inits)[graph.component]
     dist = master_equation_oracle(graph, spec, init_mat, T)
-    oracle_p = np.stack([dist.node_marginal(n) for n in range(graph.n_total)])
+    oracle_p = np.stack([dist.node_marginal(n) for n in range(N)])
 
-    # the initial laws are checked and cumulated once; each replica draws
-    # its colours from its own stream, as sample_block_colors does
-    cdf = block_color_cdf(graph, inits)
-    counts = np.zeros((graph.n_total, K))
-    for rep in range(replicas):
-        gen = substream(seed, 0, rep, ORACLE_CHECK)
-        traj = simulate(graph, spec, draw_colors(cdf, gen), T, gen)
-        counts[np.arange(graph.n_total), traj.final_colors] += 1.0
+    # replica k runs on substream(seed, 0, k, ORACLE_CHECK), as if it drew
+    # its colours with sample_block_colors and ran simulate on the rest of
+    # the stream. One generator is reset to each replica's key twice: to
+    # take its N uniforms, from which all colours are drawn and validated
+    # as one stack, and to redraw them and run the kernel from there.
+    keys = substream_keys(seed, 0, np.arange(replicas), ORACLE_CHECK)
+    gen = np.random.Generator(np.random.Philox(key=keys[0]))
+    u = np.empty((replicas, N))
+    for k, key in enumerate(keys):
+        at_key(gen, key).random(N, out=u[k])
+    start = SystemState.from_colors(
+        graph, colors_of_uniforms(block_color_cdf(graph, inits), u), K)
+    final = np.empty((replicas, N), dtype=np.int64)
+    for k, key in enumerate(keys):
+        at_key(gen, key).random(N)
+        final[k] = simulate(graph, spec,
+                            SystemState(start.colors[k], start.counts[k]),
+                            T, gen).final_colors
+    counts = np.bincount((np.arange(N) * K + final).ravel(),
+                         minlength=N * K).reshape(N, K)
     mc_p = counts / replicas
     se = np.sqrt(oracle_p * (1.0 - oracle_p) / replicas)
     diff = np.abs(mc_p - oracle_p)
@@ -318,8 +337,7 @@ def cmd_oracle_check(args):
         ratios = np.where(diff == 0.0, 0.0, diff / se)
     _write(out_dir, "oracle_check.csv", write_table,
            ("node", "color", "oracle_p", "mc_p", "stderr"),
-           [np.repeat(np.arange(graph.n_total), K),
-            np.tile(np.arange(K), graph.n_total),
+           [np.repeat(np.arange(N), K), np.tile(np.arange(K), N),
             oracle_p.ravel(), mc_p.ravel(), se.ravel()])
     return (f"oracle-check: max |MC-oracle| = {diff.max():.5g}, max ratio "
             f"to SE = {ratios.max():.3g} over {replicas} replicas -> "

@@ -169,16 +169,18 @@ def block_color_cdf(graph: BlockGraph, inits) -> np.ndarray:
     return cdf[graph.component]
 
 
-def draw_colors(cdf, gen) -> np.ndarray:
-    """One colour per row of a per-node cdf from one gen.random(N) draw: a
-    node's colour is the number of its cdf entries at or below u."""
-    u = gen.random(len(cdf))
-    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
+def colors_of_uniforms(cdf, u) -> np.ndarray:
+    """Node colours from uniforms u of shape (..., N), one per row of a
+    per-node cdf: a node's colour is the number of its cdf entries at or
+    below its u. Leading axes of u give a stack of colour vectors."""
+    return np.minimum((cdf <= u[..., None]).sum(axis=-1), cdf.shape[1] - 1)
 
 
 def sample_block_colors(graph: BlockGraph, inits, gen) -> np.ndarray:
-    """iid initial colors, one distribution per component 2*block+class."""
-    return draw_colors(block_color_cdf(graph, inits), gen)
+    """iid initial colors, one distribution per component 2*block+class,
+    from one gen.random(N) draw."""
+    cdf = block_color_cdf(graph, inits)
+    return colors_of_uniforms(cdf, gen.random(len(cdf)))
 
 
 def _seed_path(seed):

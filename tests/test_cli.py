@@ -174,6 +174,19 @@ def test_out_dir_is_created_with_the_first_artifact(tmp_path, capsys):
         "empirical.csv", "trajectory.csv"]
 
 
+@pytest.mark.parametrize("sub", ["oracle-check", "simulate"])
+def test_out_naming_a_file_fails_closed(tmp_path, sub):
+    # the run's work is done before the first artifact is written; an
+    # --out that cannot be made a directory then ends in one error line
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    proc = run_blockmf_module([sub, "--scenario",
+                               scen_path(tmp_path, ORACLE_SCEN),
+                               "--out", str(afile)])
+    assert_fails_closed(proc, afile / "oracle_check.csv", "afile")
+    assert afile.read_text() == "kept\n"
+
+
 def test_chaos_thread_count_invariance(tmp_path, capsys):
     sp = scen_path(tmp_path)
     files = []
@@ -208,11 +221,13 @@ def test_multichaos_streams_differ_from_other_subcommands(
         tmp_path, capsys, monkeypatch):
     # SeedSequence pads keys with zeros, so a key that merely drops a
     # trailing zero repeats another caller's stream: compare the first
-    # draws of every stream each subcommand pulls
+    # draws of every stream each subcommand pulls, whether it builds the
+    # stream with substream or replays it from substream_keys
     import blockmf.cli as cli_mod
     import blockmf.experiments as exp_mod
 
     real = exp_mod.substream
+    real_keys = cli_mod.substream_keys
     used = {}
 
     def recorder(sub):
@@ -221,11 +236,20 @@ def test_multichaos_streams_differ_from_other_subcommands(
             return real(*path)
         return substream
 
+    def keys_recorder(sub):
+        def substream_keys(*path):
+            cols = np.broadcast_arrays(*map(np.atleast_1d, path))
+            used.setdefault(sub, set()).update(
+                tuple(int(c[k]) for c in cols) for k in range(cols[0].size))
+            return real_keys(*path)
+        return substream_keys
+
     sp = scen_path(tmp_path, {**SCEN, "n_list": [10, 20, 30, 40],
                               "replicas": 4})
     for sub in ("multichaos", "chaos", "oracle-check", "simulate"):
         monkeypatch.setattr(cli_mod, "substream", recorder(sub))
         monkeypatch.setattr(exp_mod, "substream", recorder(sub))
+        monkeypatch.setattr(cli_mod, "substream_keys", keys_recorder(sub))
         code, _, err = run([sub, "--scenario", sp, "--out",
                             str(tmp_path / sub), "--threads", "1"], capsys)
         assert code == 0, err
@@ -238,6 +262,7 @@ def test_multichaos_streams_differ_from_other_subcommands(
     # replicas, one simulate run
     draws = [first_draws(p) for paths in used.values() for p in paths]
     assert len(draws) == len(set(draws)) == 13
+    assert len(used["oracle-check"]) == 4
 
 
 def test_oracle_check(tmp_path, capsys):

@@ -102,6 +102,22 @@ def test_sample_block_colors_matches_reference(make_gen):
         assert np.array_equal(gen.random(7), ref.random(7))
 
 
+def test_colors_of_a_stack_of_uniforms_match_searchsorted():
+    # every row of a stack gets the colours sample_block_colors gives one
+    # draw: per node, the cdf entries at or below u, capped at K - 1
+    graph = bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5)
+    inits = [[0.2, 0.5, 0.3], [1.0, 0.0, 0.0], [0.0, 0.25, 0.75],
+             [1 / 3, 1 / 3, 1 / 3]]
+    cdf = experiments.block_color_cdf(graph, inits)
+    u = bm.substream(23, 1).random((5, graph.n_total))
+    u[0, :3] = [0.0, 0.2, np.nextafter(1.0, 0.0)]
+    stack = experiments.colors_of_uniforms(cdf, u)
+    want = [[min(np.searchsorted(cdf[n], row[n], side="right"), 2)
+             for n in range(graph.n_total)] for row in u]
+    assert stack.shape == u.shape
+    assert np.array_equal(stack, want)
+
+
 def small_lln(n_list=(12, 24), replicas=6):
     targets = make_targets()
     spec = bm.sis_spec(2, gamma=0.8, nu=0.5, eta=0.6, zeta=0.7)
