@@ -13,8 +13,8 @@ from blockmf.meanfield import _VectorField
 from blockmf.graph import CENTRAL, PERIPHERAL
 from blockmf.rates import total_rate
 from blockmf.rng import BatchedDraws
-from blockmf.simulate import (GroupTables, _group_tables, _start,
-                              local_empirical)
+from blockmf.simulate import (GroupTables, _group_rates, _group_tables,
+                              _run, _start, local_empirical)
 from conftest import list_affine_rows, random_rate_family, reference_rate
 
 SIS = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
@@ -135,33 +135,111 @@ def test_kernel_is_shared_by_equal_designs():
 def test_threads_do_not_share_a_kernel():
     # threads that interleave runs share the tables of each design, and
     # swap the cached design under one another: each must still get the
-    # sequential result
+    # sequential result. Then all four share one design's warm tables.
     queue = bm.queue_spec(3, zeta=1.0, vartheta=0.8, h_coefficient=0.4)
     designs = [(bm.build_complete_peripheral([(2, 3), (2, 3)]),
                 [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]),
                (bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
                 [0, 1, 2, 0, 0, 1, 0, 1, 2, 0, 1, 0])]
-    want = {s: [bm.simulate(graph, queue, init, 3.0, seed=s).events
-                for graph, init in designs] for s in range(4)}
-    got = {}
 
-    def worker(s):
-        got[s] = [[bm.simulate(graph, queue, init, 3.0, seed=s).events
-                   for graph, init in designs] for _ in range(10)]
+    def runs(s, designs):
+        return [bm.simulate(graph, queue, init, 3.0, seed=s).events
+                for graph, init in designs]
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(s,))
-                   for s in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
-    finally:
-        sys.setswitchinterval(old)
-    assert got == {s: [events] * 10 for s, events in want.items()}
+    def in_threads(designs):
+        got = {}
+
+        def worker(s):
+            got[s] = [runs(s, designs) for _ in range(10)]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        return got
+
+    want = {s: runs(s, designs) for s in range(4)}
+    assert in_threads(designs) == {s: [w] * 10 for s, w in want.items()}
+    graph = designs[1][0]
+    tables = _group_tables(graph, bm.as_block_rates(queue, graph.r))
+    want = {s: runs(s, designs[1:]) for s in range(4)}
+    assert in_threads(designs[1:]) == {s: [w] * 10 for s, w in want.items()}
+    assert _group_tables(graph, bm.as_block_rates(queue, graph.r)) is tables
+
+
+# designs whose count states the kernel revisits: the bench oracle design,
+# a regular design with unequal blocks, and the 3-colour queue
+QUEUE3 = bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.6,
+                       h_coefficient=0.4)
+MEMO_DESIGNS = {
+    "oracle": (lambda: bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5),
+               SIS),
+    "regular-f0.5": (
+        lambda: bm.build_regular_peripheral([(2, 4), (3, 6)], 0.5), SIS),
+    "queue3": (lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
+               QUEUE3),
+}
+
+
+def memo_tables(name):
+    builder, fam = MEMO_DESIGNS[name]
+    graph = builder()
+    return GroupTables(graph, bm.as_block_rates(fam, graph.r))
+
+
+def kernel_runs(tables, seeds, T=2.0):
+    """One kernel run per seed from colours drawn with that seed: its
+    initial colours, events, refreshes and numbers drawn."""
+    out = []
+    for s in seeds:
+        gen = np.random.default_rng(s)
+        colors = gen.integers(0, tables.K, tables.graph.n_total).tolist()
+        init = list(colors)
+        out.append((init, *_run(tables, colors, T, gen)[:3]))
+    return out
+
+
+def bits(rate, total):
+    """A group's rates and total as exact bit patterns."""
+    return [x.hex() for x in rate], total.hex()
+
+
+@pytest.mark.parametrize("name", MEMO_DESIGNS)
+def test_memo_matches_fresh_rates(name):
+    # every count state a run visits reads back, group by group, the
+    # rates and totals of _group_rates recomputed there, bit for bit
+    tables = memo_tables(name)
+    states = 0
+    for init, events, _, _ in kernel_runs(tables, range(80)):
+        colors = list(init)
+        for ev in [None, *events]:
+            if ev is not None:
+                colors[ev[1]] = ev[3]
+            cnt, _, rate, total = _start(tables, colors)[:4]
+            for g in range(tables.n_groups):
+                assert bits(rate[g], total[g]) == bits(
+                    *_group_rates(tables, cnt, g))
+            states += 1
+    assert states > 600
+
+
+@pytest.mark.parametrize("name", MEMO_DESIGNS)
+def test_cold_and_warm_memo_give_identical_runs(name):
+    # fresh tables for every run, or one set of tables warmed by other
+    # runs and then by these: the same events, refreshes and draws
+    cold = [kernel_runs(memo_tables(name), [s])[0] for s in range(30)]
+    warm = memo_tables(name)
+    kernel_runs(warm, range(30, 60))
+    assert kernel_runs(warm, range(30)) == cold
+    assert kernel_runs(warm, range(30)) == cold
 
 
 # seeded runs pinned by a sha256 of the event rows (repr of the list of
