@@ -2,7 +2,8 @@
 
 Every subcommand is a pure function of (scenario, flags): rerunning
 with the same inputs rewrites identical files. Exit codes: 0 success,
-1 validation problem, 2 numerical failure.
+1 validation problem (also a size too large to allocate), 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -363,6 +364,11 @@ def main(argv=None) -> int:
         summary = _DISPATCH[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # sizes too large to allocate are bad input too
+        print(f"error: out of memory: {exc or 'allocation failed'}",
+              file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ group, and the per-event work is O(groups * K * edges) instead of O(N).
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +88,9 @@ class SystemState:
 
 @dataclass
 class Trajectory:
-    """A run's events; `refreshes` (group rate refreshes after jumps) and
+    """A run's events; `refreshes` (group rate refreshes after jumps,
+    counted also where the memo answered them), `memo_hits` (count
+    states whose rates the memo answered, the start state included) and
     `drawn` (random numbers pulled from the generator) are the kernel's
     work counters and take no part in equality."""
 
@@ -96,6 +99,7 @@ class Trajectory:
     horizon: float
     refreshes: int = field(default=0, compare=False)
     drawn: int = field(default=0, compare=False)
+    memo_hits: int = field(default=0, compare=False)
 
     @property
     def final_colors(self) -> np.ndarray:
@@ -166,10 +170,17 @@ def local_empirical(state: SystemState, graph: BlockGraph, node: int,
 # kernel
 
 
+# The memo of a design's tables holds at most MEMO_CELLS // (groups * K)
+# count states, that is MEMO_CELLS count cells in its keys. With each
+# cell's share of the stored lists that is 50-65 bytes a cell, about 4 MB
+# when full (measured on N=640 designs of 6 to 18 groups, K = 2 to 6).
+MEMO_CELLS = 1 << 16
+
+
 class GroupTables:
     """The quotient chain of one design: its groups and their affine rate
-    map, built once per (graph, rate family) and never changed after. The
-    per-node kernel and the count farms of `experiments` read it.
+    map, built once per (graph, rate family). The per-node kernel and the
+    count farms of `experiments` read it.
 
     Groups: one per block's centrals (0..r-1), then the graph's
     peripheral twin classes in order of their first node. A closed
@@ -187,6 +198,14 @@ class GroupTables:
     (column, weight) pairs of row g*E + e), `beta_rows`, `deps` (the
     groups whose rates a jump in g changes, g included), `out_of` and
     `edges` are the list views the kernel's event loop reads.
+
+    `memo` maps a flat count tuple to that state's per-group rate lists
+    and group totals, as `_group_rates` gives them. It is the tables'
+    only mutable part, and it only grows: rates are a pure function of
+    the counts, so an entry, once stored, is never changed, and threads
+    that share the tables can at worst store equal values twice. It
+    stops taking entries at `memo_limit` = MEMO_CELLS // (groups * K);
+    a lock makes that check and the store one step.
     """
 
     def __init__(self, graph: BlockGraph, family):
@@ -219,6 +238,16 @@ class GroupTables:
         self.deps = [sorted(d) for d in deps]
         self.out_of = [cg.out_edges(z) for z in range(K)]
         self.edges = cg.edges
+        self.memo = {}
+        self.memo_limit = MEMO_CELLS // (G * K)
+        self._memo_lock = threading.Lock()
+
+    def remember(self, key: tuple, entry: tuple):
+        """Store a count state's (rates, group totals) unless the memo is
+        full."""
+        with self._memo_lock:
+            if len(self.memo) < self.memo_limit:
+                self.memo[key] = entry
 
     def _readers(self):
         """Yield, group by group, the groups it reads with their weights
@@ -250,7 +279,8 @@ class GroupTables:
 # --------------------------------------------------------------------------
 # the per-node kernel: a Gillespie run over a design's GroupTables. Each
 # group's per-edge rate is a clamped affine function of the flat count
-# vector; the coefficient lists make a group refresh a few multiply-adds.
+# vector; the coefficient lists make a group refresh a few multiply-adds,
+# and the tables' memo answers a count state seen before with no refresh.
 
 
 def _group_rates(tables: GroupTables, cnt, g):
@@ -282,10 +312,9 @@ def _group_rates(tables: GroupTables, cnt, g):
     return rate, total
 
 
-def _start(tables: GroupTables, colors: list):
-    """The kernel's state at the node colours `colors`: the flat group
-    counts cnt[g*K + z], each group's per-colour buckets of nodes, and
-    every group's rates and total from `_group_rates`."""
+def _counts(tables: GroupTables, colors: list):
+    """The flat group counts cnt[g*K + z] of the node colours `colors`,
+    and each group's per-colour buckets of nodes."""
     K = tables.K
     cnt = [0] * (tables.n_groups * K)
     buckets = []
@@ -296,21 +325,37 @@ def _start(tables: GroupTables, colors: list):
             cnt[g * K + z] += 1
             own[z].append(n)
         buckets.append(own)
+    return cnt, buckets
+
+
+def _start(tables: GroupTables, colors: list):
+    """The kernel's state at the node colours `colors`: `_counts`, then
+    every group's rates and total, from the memo or else from
+    `_group_rates` (and then remembered), and whether the memo had them.
+    The rate lists may be memo values: never change them in place."""
+    cnt, buckets = _counts(tables, colors)
+    key = tuple(cnt)
+    entry = tables.memo.get(key)
+    if entry is not None:
+        return cnt, buckets, *entry, True
     rates = [_group_rates(tables, cnt, g) for g in range(tables.n_groups)]
     rate, group_total = map(list, zip(*rates))
-    return cnt, buckets, rate, group_total
+    tables.remember(key, (rate, group_total))
+    return cnt, buckets, rate, group_total, False
 
 
 def _run(tables: GroupTables, colors: list, T: float, gen):
     """Advance the node colours `colors` (changed in place) to horizon T.
-    Returns the events, the group refreshes and the numbers drawn, and
-    the final flat group counts."""
+    Returns the events, the group refreshes, the numbers drawn, the final
+    flat group counts and the memo hits."""
     draws = _rng.BatchedDraws(gen)
-    cnt, buckets, rate, group_total = _start(tables, colors)
+    cnt, buckets, rate, group_total, hit = _start(tables, colors)
     K, G = tables.K, tables.n_groups
     out_of, edges, all_deps = tables.out_of, tables.edges, tables.deps
+    memo = tables.memo
     events = []
     refreshes = 0
+    hits = int(hit)
     t = 0.0
     while True:
         total = 0.0
@@ -380,10 +425,20 @@ def _run(tables: GroupTables, colors: list, T: float, gen):
         colors[node] = zp
         events.append((t, node, z, zp))
         deps = all_deps[g_pick]
-        for g in deps:
-            rate[g], group_total[g] = _group_rates(tables, cnt, g)
         refreshes += len(deps)
-    return events, refreshes, draws.drawn, cnt
+        key = tuple(cnt)
+        entry = memo.get(key)
+        if entry is None:
+            # the previous lists may be memo values: refresh copies
+            rate = rate.copy()
+            group_total = group_total.copy()
+            for g in deps:
+                rate[g], group_total[g] = _group_rates(tables, cnt, g)
+            tables.remember(key, (rate, group_total))
+        else:
+            rate, group_total = entry
+            hits += 1
+    return events, refreshes, draws.drawn, cnt, hits
 
 
 _last_tables = None  # (key, tables) of the last design simulated
@@ -392,8 +447,9 @@ _last_tables = None  # (key, tables) of the last design simulated
 def _group_tables(graph: BlockGraph, family) -> GroupTables:
     """The tables of the last design simulated, or of this one. Graph and
     rate family compare by value, so the replicas of one design build
-    them once. The cache is one (key, tables) tuple, replaced in one
-    assignment; the tables hold no run state, so threads may share them."""
+    them once, and their memo serves every replica. The cache is one
+    (key, tables) tuple, replaced in one assignment; the tables hold no
+    run state, so threads may share them."""
     global _last_tables
     key = (graph, family)
     last = _last_tables
@@ -427,13 +483,13 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed,
     gen = seed if isinstance(seed, np.random.Generator) else _rng.substream(seed)
     tables = _group_tables(graph, family)
     colors = state.colors.tolist()
-    events, refreshes, drawn, cnt = _run(tables, colors, float(T), gen)
-    traj = Trajectory(state, events, float(T), refreshes, drawn)
+    events, refreshes, drawn, cnt, hits = _run(tables, colors, float(T), gen)
+    traj = Trajectory(state, events, float(T), refreshes, drawn, hits)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("simulate: %d events, %d refreshes, %d drawn",
-                  len(events), refreshes, drawn)
+        log.debug("simulate: %d events, %d refreshes, %d memo hits, "
+                  "%d drawn", len(events), refreshes, hits, drawn)
     if debug:
-        if cnt != _start(tables, colors)[0]:
+        if cnt != _counts(tables, colors)[0]:
             raise InternalConsistencyError(
                 "count table drifted from the node colors")
         if not np.array_equal(traj.final_colors,

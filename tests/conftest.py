@@ -83,8 +83,9 @@ def list_affine_rows(family, readers):
     return rows, beta
 
 
-def run_python(args):
-    """Run ``python <args>`` on the package this process imported.
+def run_python(args, **kwargs):
+    """Run ``python <args>`` on the package this process imported; other
+    keyword arguments go to `subprocess.run`.
 
     The directory holding the imported ``blockmf`` goes first on the child's
     PYTHONPATH, so the child loads the same code from any working directory,
@@ -95,12 +96,12 @@ def run_python(args):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, **kwargs)
 
 
-def run_blockmf_module(args):
+def run_blockmf_module(args, **kwargs):
     """Run ``python -m blockmf <args>``; see `run_python`."""
-    return run_python(["-m", "blockmf", *args])
+    return run_python(["-m", "blockmf", *args], **kwargs)
 
 
 # -- the product-space oracle as a per-state loop -------------------------

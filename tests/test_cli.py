@@ -3,6 +3,7 @@ import copy
 import importlib
 import io
 import json
+import resource
 import shutil
 import subprocess
 from pathlib import Path
@@ -487,6 +488,30 @@ def test_bad_flag_fails_closed(tmp_path, sub, artifact, flag, value):
     proc = run_blockmf_module([sub, "--scenario", scen_path(tmp_path),
                                "--out", str(tmp_path / "out"), flag, value])
     assert_fails_closed(proc, tmp_path / "out" / artifact, flag.lstrip("-"))
+
+
+def _cap_address_space():
+    # 4 GiB: the child fails at once even where the sizes below could be
+    # allocated
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("sub, field, value, artifact", [
+    ("oracle-check", "replicas", 10 ** 12, "oracle_check.csv"),
+    ("chaos", "replicas", 10 ** 12, "convergence.csv"),
+    ("multichaos", "replicas", 10 ** 12, "multichaos.csv"),
+    ("chaos", "grid", 10 ** 11, "convergence.csv"),
+    ("meanfield", "dt", 1e-13, "flow.csv"),
+], ids=["oracle-check-replicas", "chaos-replicas", "multichaos-replicas",
+        "chaos-grid", "meanfield-dt"])
+def test_huge_sizes_fail_closed(tmp_path, sub, field, value, artifact):
+    # each size asks numpy for one array of 745 GiB to 73 TiB, which
+    # fails at once: one error line, no traceback, no artifact
+    scen = scen_path(tmp_path, {**SCEN, field: value})
+    proc = run_blockmf_module([sub, "--scenario", scen,
+                               "--out", str(tmp_path / "out")],
+                              preexec_fn=_cap_address_space)
+    assert_fails_closed(proc, tmp_path / "out" / artifact, "memory")
 
 
 def _flow_lines(r=2, K=2):
