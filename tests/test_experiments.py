@@ -303,3 +303,31 @@ def test_count_farm_is_pinned():
         "826096d4dcf5ebf45f956fc1bf5e20a7455988db308cff2c3678fbd700b42487")
     assert hashlib.sha256(final.tobytes()).hexdigest() == (
         "31bf966a90704d49cf3e154715a008a63afe0d34e2433e107afaf5d3e8fad3b1")
+
+
+@pytest.mark.parametrize("graph, digest", [
+    (bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
+     "dbb6fa3535916a3a790a4e857dede52ef360a4792d4d1523268677a7becb2a4d"),
+    (bm.build_complete_peripheral([(3, 5), (4, 4)]),
+     "3db1bd1b79fd76b8441930083308ce6f55fedef17b5259fea4f19fa18c120d50"),
+], ids=["regular", "complete"])
+def test_untagged_count_farm_is_pinned(graph, digest):
+    # the grid counts of a farm without tagged nodes, pinned by sha256 of
+    # their bytes: a rewrite of the lock-step must not move a draw
+    tables = GroupTables(graph, bm.sis_spec(
+        2, gamma=[1.8, 2.1], nu=[1.5, 1.4], eta=1.6, zeta=[0.9, 0.7]))
+    counts, _ = experiments._count_farm(
+        tables, INITS2, 2.0, 50, bm.substream(41, 0),
+        grid=np.linspace(0.0, 2.0, 5))
+    assert counts.shape == (50, 5, tables.n_groups, 2)
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
+
+
+def test_count_farm_rejects_non_finite_rates():
+    graph = bm.build_complete_peripheral([(3, 5), (4, 4)])
+    tables = GroupTables(graph, SIS2)
+    tables.weight = np.full_like(tables.weight, np.inf)
+    # inf times a zero count is nan; numpy's warning is not the check
+    with np.errstate(invalid="ignore"), pytest.raises(
+            bm.InternalConsistencyError, match="non-finite"):
+        experiments._count_farm(tables, INITS2, 1.0, 4, bm.substream(41, 0))
