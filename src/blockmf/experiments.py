@@ -7,7 +7,9 @@ the system is Kurtz's density-dependent chain on group colour counts.
 Both experiments run it as a count-level farm: all replicas of one N
 advance together in numpy arrays, one jump per replica per lock-step,
 in the calling process. The farm reads the rate map of
-`simulate.GroupTables`, the one the per-node kernel reads.
+`simulate.GroupTables`, the one the per-node kernel reads. For the
+joint law, the tagged nodes are singleton groups of split tables, so
+the farm follows them with no bookkeeping of its own.
 
 Each N draws from one stream keyed by (seed path, N index, purpose
 word), so results are a pure function of the seed and the replica
@@ -16,8 +18,10 @@ count; a replica's draws depend on how many replicas share its stream.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +34,8 @@ from .rates import validate_probability
 from .rng import CHAOS, MULTICHAOS, substream
 from .simulate import GroupTables
 from .tables import write_table
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "ConvergenceReport",
@@ -189,24 +195,36 @@ def _seed_path(seed):
     return (int(seed),)
 
 
+class FarmRun(NamedTuple):
+    """What `_count_farm` returns: the group counts at T, shape
+    (replicas, G, K); the counts at each grid time, shape (replicas,
+    len(grid), G, K), or None without a grid; and the work counters,
+    lock-steps (the loop's passes that moved a replica) and replica jumps
+    (over all replicas)."""
+
+    final: np.ndarray
+    grid_counts: np.ndarray | None
+    lock_steps: int
+    jumps: int
+
+
 def _count_farm(tables: GroupTables, inits, T: float, replicas: int, gen,
-                *, grid=None, tagged=()):
+                *, grid=None) -> FarmRun:
     """Run `replicas` copies of the count chain of `tables` to time T in
-    lock-step, from iid initial colours with law inits[2*block + class].
+    lock-step, from iid initial colours with law inits[2*block + class]:
+    one multinomial per group, so a singleton group of split tables draws
+    its node's colour.
 
     Each lock-step computes every replica's rates max(0, beta + A n) from
     the sparse map, draws one exponential and one uniform per replica to
-    pick the jump time and the (group, edge), and applies the jump to the
-    replicas still before T with a positive total rate.
+    pick the jump time and the (group, edge), and applies the jump, one
+    row of a move table, to the replicas still before T with a positive
+    total rate.
 
-    grid: nondecreasing times in [0, T]. Returns the group counts at each,
-    shape (replicas, len(grid), G, K), taken as the state after the last
-    jump at or before that time (right-continuous, as in
-    `empirical_process`), or None without a grid.
-    tagged: distinct node ids, followed exactly. A bucket's tagged members
-    sit in its first slots and a third uniform u picks slot floor(u *
-    count) as the jumper. Returns their final colours, shape (replicas,
-    len(tagged)).
+    grid: nondecreasing times in [0, T]. The counts at each are the state
+    after the last jump at or before that time (right-continuous, as in
+    `empirical_process`), built after the loop from the record of every
+    lock-step's jump times and edges.
     """
     if T < 0:
         raise InvalidArgumentError("T must be >= 0")
@@ -215,85 +233,86 @@ def _count_farm(tables: GroupTables, inits, T: float, replicas: int, gen,
             f"need 2r={2 * tables.graph.r} initial measures")
     K, G, E = tables.K, tables.n_groups, tables.n_edges
     law = np.array([validate_probability(m, K) for m in inits])
-    R, GE = replicas, G * E
+    R, GK, GE = replicas, G * K, G * E
 
-    # initial state: one multinomial per group for the untagged members,
-    # then each tagged node's colour on its own
-    tag_group = np.array([tables.group_of(n) for n in tagged], dtype=np.int64)
-    free = tables.sizes - np.bincount(tag_group, minlength=G)
-    n = gen.multinomial(free, law[tables.component], size=(R, G))
-    n = n.astype(float).reshape(R, G * K)
-    tag_law = np.cumsum(law[tables.component[tag_group]], axis=1)
-    tag_col = tag_group * K + np.minimum(
-        (tag_law <= gen.random((R, len(tagged)))[..., None]).sum(axis=2),
-        K - 1)
-    np.add.at(n, (np.arange(R)[:, None], tag_col), 1.0)
+    # the flat counts, then a constant-one column that beta is read from
+    n = gen.multinomial(tables.sizes, law[tables.component], size=(R, G))
+    n = np.concatenate((n.reshape(R, GK), np.ones((R, 1))), axis=1)
+    n0 = n[:, :GK].copy()
 
-    # the rate map's rows summed by reduceat over their columns; an empty
-    # row gets one zero-weight entry, so every row has a start
-    row_len = np.bincount(tables.row, minlength=GE)
-    empty = np.flatnonzero(row_len == 0)
-    order = np.argsort(np.concatenate((tables.row, empty)), kind="stable")
-    col = np.concatenate((tables.col, np.zeros(empty.size, np.int64)))[order]
-    weight = np.concatenate((tables.weight, np.zeros(empty.size)))[order]
-    starts = np.cumsum(np.maximum(row_len, 1)) - np.maximum(row_len, 1)
-    beta = tables.beta.ravel()
+    # the rate map's rows summed by reduceat over their columns, each row
+    # ending in its beta: reduceat adds beta last, and every row has a start
+    row = np.concatenate((tables.row, np.arange(GE)))
+    order = np.argsort(row, kind="stable")
+    col = np.concatenate((tables.col, np.full(GE, GK)))[order]
+    weight = np.concatenate((tables.weight, tables.beta.ravel()))[order]
+    starts = np.searchsorted(row[order], np.arange(GE))
     src, dst = tables.family.colors.edge_cells(G)  # flat buckets of (g, e)
+    move = np.zeros((GE, GK + 1))
+    move[np.arange(GE), src] = -1.0
+    move[np.arange(GE), dst] = 1.0
 
-    if grid is not None:
-        grid = np.append(np.asarray(grid, dtype=float), np.inf)
-        rows = np.empty((R, grid.size - 1, G * K))
-        filled_to = np.zeros(R, dtype=np.int64)  # next grid row to write
-        due = np.full(R, grid[0])                # its time
-    every = np.arange(R)
     t = np.zeros(R)
     live = np.ones(R, dtype=bool)
     no_rate = np.full(R, np.inf)
+    times, picks = [], []
+    lock_steps = jumps = 0
     while True:
         rate = np.add.reduceat(n[:, col] * weight, starts, axis=1)
-        rate += beta
         np.maximum(rate, 0.0, out=rate)
         rate *= n[:, src]
-        cum = np.cumsum(rate, axis=1)
+        cum = np.add.accumulate(rate, axis=1)
         total = cum[:, -1]
-        if not np.isfinite(total.sum()):
+        if not math.isfinite(total.sum()):
             raise InternalConsistencyError("non-finite rate in the count farm")
         t_next = t + np.divide(gen.standard_exponential(R), total,
                                out=no_rate.copy(), where=total > 0.0)
         u = gen.random(R)
-        slot_u = gen.random(R) if tagged else None
-        if grid is not None:
-            # a grid time before the next jump sees the current state; a
-            # replica that stops here fills all its remaining rows
-            due_now = due < t_next
-            w = due_now.nonzero()[0] if due_now.any() else ()
-            while len(w):
-                rows[w, filled_to[w]] = n[w]
-                filled_to[w] += 1
-                due[w] = grid[filled_to[w]]
-                w = w[due[w] < t_next[w]]
         live &= t_next <= T
-        if not live.any():
+        moved = np.count_nonzero(live)
+        if not moved:
             break
         # the first (group, edge) whose cumulated rate exceeds u * total:
         # u < 1 keeps u * total below cum[-1] == total, so a replica with
         # a positive total picks an edge of positive rate. Stopped
-        # replicas pick anything and move by 0.
+        # replicas pick anything and move by 0; their times lie past T.
         k = (cum > (u * total)[:, None]).argmax(axis=1)
-        frm, to = src[k], dst[k]
-        step = live.astype(float)
-        if tagged:
-            count = n[every, frm]
-            slot = np.minimum((slot_u * count).astype(np.int64),
-                              count.astype(np.int64) - 1)
-            here = (tag_col == frm[:, None]) & live[:, None]
-            mover = here & (np.cumsum(here, axis=1) - 1 == slot[:, None])
-            tag_col = np.where(mover, to[:, None], tag_col)
-        n[every, frm] -= step
-        n[every, to] += step
+        n += move[k] * live[:, None]
+        if grid is not None:
+            times.append(t_next)
+            picks.append(k)
+        lock_steps += 1
+        jumps += moved
         t = t_next
-    counts = None if grid is None else rows.reshape(R, -1, G, K)
-    return counts, tag_col % K
+    final = n[:, :GK].reshape(R, G, K)
+    counts = None if grid is None else _grid_counts(
+        n0, np.asarray(grid, dtype=float), times, picks, src, dst
+    ).reshape(R, -1, G, K)
+    return FarmRun(final, counts, lock_steps, jumps)
+
+
+def _grid_counts(n0, grid, times, picks, src, dst):
+    """The flat counts at each grid time, shape (R, len(grid), GK), from
+    the start counts n0 and each lock-step's jump times and edges. Each
+    jump lands on the first grid time at or after it, then counts
+    accumulate along the grid; jumps after the last grid time, stopped
+    replicas' among them, land in an extra row that is cut off."""
+    R, GK = n0.shape
+    rows = grid.size + 1
+    size = R * rows * GK
+    at = np.searchsorted(grid, np.reshape(times, (-1, R)), side="left")
+    at = (at + rows * np.arange(R)) * GK  # (lock-steps, R)
+    k = np.array(picks, dtype=np.intp).reshape(-1, R)
+    delta = (np.bincount((at + dst[k]).ravel(), minlength=size)
+             - np.bincount((at + src[k]).ravel(), minlength=size))
+    delta = delta.reshape(R, rows, GK)[:, :-1]
+    return n0[:, None, :] + np.cumsum(delta, axis=1)
+
+
+def _log_farm(caller, N, run: FarmRun):
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("%s N=%d: %d lock-steps, %d replica jumps", caller, N,
+                  run.lock_steps, run.jumps)
 
 
 def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
@@ -331,9 +350,11 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
         if graph.r != r:
             raise InvalidArgumentError("graph family disagrees with targets")
         tables = GroupTables(graph, spec)
-        counts, _ = _count_farm(tables, inits, T, replicas,
-                                substream(*seed_path, n_idx, CHAOS),
-                                grid=grid_times)
+        run = _count_farm(tables, inits, T, replicas,
+                          substream(*seed_path, n_idx, CHAOS),
+                          grid=grid_times)
+        _log_farm("lln_experiment", N, run)
+        counts = run.grid_counts
         to_component = np.zeros((2 * r, tables.n_groups))
         to_component[tables.component, np.arange(tables.n_groups)] = 1.0
         emp = ((to_component @ counts)
@@ -390,12 +411,14 @@ def multichaos_test(graph: BlockGraph, spec, tagged_nodes, T, replicas,
     tagged = resolve_tagged(graph, tagged_nodes)
     if replicas < 1:
         raise InvalidArgumentError("need at least 1 replica")
-    tables = GroupTables(graph, spec)
-    _, final = _count_farm(tables, inits, float(T), replicas,
-                           substream(*_seed_path(seed), MULTICHAOS),
-                           tagged=tagged)
+    tables = GroupTables(graph, spec, tagged)
+    run = _count_farm(tables, inits, float(T), replicas,
+                      substream(*_seed_path(seed), MULTICHAOS))
+    _log_farm("multichaos_test", graph.n_total, run)
     K = tables.K
     m = len(tagged)
+    # the tagged nodes' singleton groups come last, one count each
+    final = run.final[:, tables.n_groups - m:].argmax(axis=2)
     joint = np.zeros((K,) * m)
     np.add.at(joint, tuple(final.T), 1.0)
     joint /= replicas

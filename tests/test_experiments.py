@@ -1,5 +1,6 @@
 import hashlib
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -144,6 +145,27 @@ def test_lln_experiment_deterministic():
     assert np.array_equal(a.means, b.means)
 
 
+def test_farm_counters_are_logged(caplog):
+    # one debug line per N and experiment, with the farm's counters
+    targets = make_targets()
+    spec = bm.sis_spec(2, gamma=0.8, nu=0.5, eta=0.6, zeta=0.7)
+    inits = [np.array([0.6, 0.4])] * 4
+    graph = bm.proportional_family(targets)(24)
+    with caplog.at_level(logging.DEBUG, logger="blockmf.experiments"):
+        small_lln()
+        bm.multichaos_test(graph, spec, [(0, "c"), (1, "p")], 1.0, 6, 3,
+                           inits=inits)
+    run = experiments._count_farm(
+        GroupTables(graph, spec, tagged=[0, graph.peripheral_nodes(1)[0]]),
+        inits, 1.0, 6, bm.substream(3, bm.rng.MULTICHAOS))
+    assert [m.split(":")[0] for m in caplog.messages] == [
+        "lln_experiment N=12", "lln_experiment N=24", "multichaos_test N=24"]
+    assert caplog.messages[-1] == (
+        f"multichaos_test N=24: {run.lock_steps} lock-steps, "
+        f"{run.jumps} replica jumps")
+    assert 0 < run.lock_steps <= run.jumps <= 6 * run.lock_steps
+
+
 def test_lln_experiment_validation():
     targets = make_targets()
     spec = bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7)
@@ -239,9 +261,9 @@ def test_count_farm_matches_per_node_simulation(graph):
     # farm's replicas against independent per-node kernel runs
     T, reps = 1.5, 2000
     tables = GroupTables(graph, SIS2)
-    counts, _ = experiments._count_farm(tables, INITS2, T, reps,
-                                        bm.substream(41, 0), grid=[T])
-    farm = counts[:, 0, :, 1]
+    run = experiments._count_farm(tables, INITS2, T, reps,
+                                  bm.substream(41, 0), grid=[T])
+    farm = run.grid_counts[:, 0, :, 1]
     node = np.empty_like(farm)
     for rep in range(reps):
         gen = bm.substream(41, 1, rep)
@@ -290,19 +312,24 @@ def test_count_farm_tagged_law_matches_oracle():
 
 
 def test_count_farm_is_pinned():
-    # the farm's seeded counts and tagged colours, pinned by sha256 of
-    # their bytes: a change to the rate map's layout must keep them
+    # a farm over tables split by two tagged nodes: its seeded grid counts
+    # and the tagged colours read from the singletons, pinned by sha256 of
+    # their bytes, and its work counters
     graph = bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5)
     tables = GroupTables(graph, bm.sis_spec(
-        2, gamma=[1.8, 2.1], nu=[1.5, 1.4], eta=1.6, zeta=[0.9, 0.7]))
-    counts, final = experiments._count_farm(
+        2, gamma=[1.8, 2.1], nu=[1.5, 1.4], eta=1.6, zeta=[0.9, 0.7]),
+        tagged=[0, 3])
+    run = experiments._count_farm(
         tables, INITS2, 2.0, 50, bm.substream(41, 0),
-        grid=np.linspace(0.0, 2.0, 5), tagged=[0, 3])
-    assert counts.shape == (50, 5, 6, 2) and final.dtype == np.int64
-    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
-        "826096d4dcf5ebf45f956fc1bf5e20a7455988db308cff2c3678fbd700b42487")
+        grid=np.linspace(0.0, 2.0, 5))
+    final = run.final[:, -2:].argmax(axis=2)
+    assert run.grid_counts.shape == (50, 5, 8, 2) and final.dtype == np.int64
+    assert np.array_equal(run.grid_counts[:, -1], run.final)
+    assert hashlib.sha256(run.grid_counts.tobytes()).hexdigest() == (
+        "4ce8156873409425e3d9241cf2bfee626ef63b3032c1581e3fe7a8509e28dc9c")
     assert hashlib.sha256(final.tobytes()).hexdigest() == (
-        "31bf966a90704d49cf3e154715a008a63afe0d34e2433e107afaf5d3e8fad3b1")
+        "560d85b9d1ea797730b23a74f074f60bf102b2a4ca787e4516dd6de9cd71f6f2")
+    assert (run.lock_steps, run.jumps) == (25, 662)
 
 
 @pytest.mark.parametrize("graph, digest", [
@@ -316,9 +343,9 @@ def test_untagged_count_farm_is_pinned(graph, digest):
     # their bytes: a rewrite of the lock-step must not move a draw
     tables = GroupTables(graph, bm.sis_spec(
         2, gamma=[1.8, 2.1], nu=[1.5, 1.4], eta=1.6, zeta=[0.9, 0.7]))
-    counts, _ = experiments._count_farm(
+    counts = experiments._count_farm(
         tables, INITS2, 2.0, 50, bm.substream(41, 0),
-        grid=np.linspace(0.0, 2.0, 5))
+        grid=np.linspace(0.0, 2.0, 5)).grid_counts
     assert counts.shape == (50, 5, tables.n_groups, 2)
     assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
 
