@@ -338,9 +338,14 @@ def test_count_farm_is_pinned():
     (bm.build_complete_peripheral([(3, 5), (4, 4)]),
      "3db1bd1b79fd76b8441930083308ce6f55fedef17b5259fea4f19fa18c120d50"),
 ], ids=["regular", "complete"])
-def test_untagged_count_farm_is_pinned(graph, digest):
+@pytest.mark.parametrize("record_steps", [1, 3, experiments.RECORD_STEPS])
+def test_untagged_count_farm_is_pinned(graph, digest, record_steps,
+                                       monkeypatch):
     # the grid counts of a farm without tagged nodes, pinned by sha256 of
-    # their bytes: a rewrite of the lock-step must not move a draw
+    # their bytes: a rewrite of the lock-step must not move a draw, and
+    # the grid counts do not depend on how often the jump record is
+    # landed on the grid
+    monkeypatch.setattr(experiments, "RECORD_STEPS", record_steps)
     tables = GroupTables(graph, bm.sis_spec(
         2, gamma=[1.8, 2.1], nu=[1.5, 1.4], eta=1.6, zeta=[0.9, 0.7]))
     counts = experiments._count_farm(
