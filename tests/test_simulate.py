@@ -563,7 +563,8 @@ def group_counts(tables, colors):
 
 SPLIT_DESIGNS = {
     # (design, tagged): one central, two twins of one peripheral class,
-    # the two twins and a central, and a central that empties its group
+    # the two twins and a central, a central that empties its group, and
+    # every node, which empties every unsplit group
     "central": (lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
                 lambda g: [g.central_nodes(1)[0]]),
     "twins": (lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
@@ -576,6 +577,8 @@ SPLIT_DESIGNS = {
     "complete": (lambda: bm.build_complete_peripheral([(2, 3), (3, 4)]),
                  lambda g: [g.peripheral_nodes(0)[1], 0,
                             g.peripheral_nodes(1)[0]]),
+    "all": (lambda: bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5),
+            lambda g: list(range(g.n_total))),
 }
 
 
@@ -601,6 +604,8 @@ def test_split_tables_lump_exactly(name, family):
         for g, ms in enumerate(whole.members)]
     if name == "emptied":
         assert split.sizes[0] == 0
+    if name == "all":
+        assert not split.sizes[:G].any()
     src = np.array([z for z, _ in family.colors.edges])
     gen = np.random.default_rng(5)
     for _ in range(20):
