@@ -17,21 +17,20 @@ import numpy as np
 
 from .errors import InvalidConfigurationError, NumericalError, ValidationError
 from .experiments import (
-    block_color_cdf,
-    colors_of_uniforms,
     lln_experiment,
     multichaos_test,
     proportional_family,
     proportional_sizes,
     resolve_tagged,
     sample_block_colors,
+    tagged_colors,
 )
 from .graph import build_complete_peripheral, check_regularity
 from .ldp import variational_cost
 from .meanfield import MeanFieldFlow, picard_iterate, solve_mckean_vlasov
 from .oracle import master_equation_oracle
-from .rng import ORACLE_CHECK, SIMULATE, at_key, substream, substream_keys
-from .simulate import SystemState, empirical_process, simulate
+from .rng import ORACLE_CHECK, SIMULATE, substream
+from .simulate import empirical_process, simulate
 from .scenario import load_scenario
 from .tables import write_table
 
@@ -310,25 +309,9 @@ def cmd_oracle_check(args):
     init_mat = np.asarray(inits)[graph.component]
     dist = master_equation_oracle(graph, spec, init_mat, T)
     oracle_p = np.stack([dist.node_marginal(n) for n in range(N)])
-
-    # replica k runs on substream(seed, 0, k, ORACLE_CHECK), as if it drew
-    # its colours with sample_block_colors and ran simulate on the rest of
-    # the stream. One generator is reset to each replica's key twice: to
-    # take its N uniforms, from which all colours are drawn and validated
-    # as one stack, and to redraw them and run the kernel from there.
-    keys = substream_keys(seed, 0, np.arange(replicas), ORACLE_CHECK)
-    gen = np.random.Generator(np.random.Philox(key=keys[0]))
-    u = np.empty((replicas, N))
-    for k, key in enumerate(keys):
-        at_key(gen, key).random(N, out=u[k])
-    start = SystemState.from_colors(
-        graph, colors_of_uniforms(block_color_cdf(graph, inits), u), K)
-    final = np.empty((replicas, N), dtype=np.int64)
-    for k, key in enumerate(keys):
-        at_key(gen, key).random(N)
-        final[k] = simulate(graph, spec,
-                            SystemState(start.colors[k], start.counts[k]),
-                            T, gen).final_colors
+    # every node a singleton group of one count farm on one stream
+    final = tagged_colors(graph, spec, range(N), T, replicas,
+                          substream(seed, 0, 0, ORACLE_CHECK), inits=inits)
     counts = np.bincount((np.arange(N) * K + final).ravel(),
                          minlength=N * K).reshape(N, K)
     mc_p = counts / replicas

@@ -1,19 +1,20 @@
 """Statistical experiments: empirical-measure convergence to the
 mean-field flow, and factorization of tagged-node joint laws.
 
-On the designs these experiments build, every member of a group (a
-block's centrals, a peripheral twin class) jumps at the same rates, so
-the system is Kurtz's density-dependent chain on group colour counts.
-Both experiments run it as a count-level farm: all replicas of one N
-advance together in numpy arrays, one jump per replica per lock-step,
-in the calling process. The farm reads the rate map of
-`simulate.GroupTables`, the one the per-node kernel reads. For the
-joint law, the tagged nodes are singleton groups of split tables, so
-the farm follows them with no bookkeeping of its own.
+On every design, each member of a group (a block's centrals, a
+peripheral twin class) jumps at the same rates, so the system is
+Kurtz's density-dependent chain on group colour counts. Both
+experiments run it as a count-level farm: all replicas of one N advance
+together in numpy arrays, one jump per replica per lock-step, in the
+calling process. The farm reads the rate map of `simulate.GroupTables`,
+the one the per-node kernel reads. To follow single nodes
+(`tagged_colors`: the joint law here, every node's marginal law in
+`oracle-check`), the nodes are singleton groups of split tables, so the
+farm follows them with no bookkeeping of its own.
 
-Each N draws from one stream keyed by (seed path, N index, purpose
-word), so results are a pure function of the seed and the replica
-count; a replica's draws depend on how many replicas share its stream.
+Each farm draws from one stream keyed by its seed path and a purpose
+word, so results are a pure function of the seed and the replica count;
+a replica's draws depend on how many replicas share its stream.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalBlowupError
 from .graph import CENTRAL, BlockGraph, ProportionTargets, \
     build_complete_peripheral, class_index
 from .meanfield import solve_mckean_vlasov
 from .metrics import d_bl_of_differences
-from .rates import validate_probability
+from .rates import as_block_rates, validate_probability
 from .rng import CHAOS, MULTICHAOS, substream
 from .simulate import GroupTables
 from .tables import write_table
@@ -44,6 +45,7 @@ __all__ = [
     "resolve_tagged",
     "sample_block_colors",
     "lln_experiment",
+    "tagged_colors",
     "multichaos_test",
 ]
 
@@ -245,7 +247,6 @@ def _count_farm(tables: GroupTables, inits, T: float, replicas: int, gen,
     # the flat counts, then a constant-one column that beta is read from
     n = gen.multinomial(tables.sizes, law[tables.component], size=(R, G))
     n = np.concatenate((n.reshape(R, GK), np.ones((R, 1))), axis=1)
-    n0 = n[:, :GK].copy()
 
     # the rate map's rows summed by reduceat over their columns, each row
     # ending in its beta: reduceat adds beta last, and every row has a start
@@ -262,41 +263,47 @@ def _count_farm(tables: GroupTables, inits, T: float, replicas: int, gen,
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
         landed = np.zeros((R, grid.size + 1, GK), dtype=np.int64)
+        n0 = n[:, :GK].copy()
     t = np.zeros(R)
     live = np.ones(R, dtype=bool)
     no_rate = np.full(R, np.inf)
     times, picks = [], []
     lock_steps = jumps = 0
-    while True:
-        rate = np.add.reduceat(n[:, col] * weight, starts, axis=1)
-        np.maximum(rate, 0.0, out=rate)
-        rate *= n[:, src]
-        cum = np.add.accumulate(rate, axis=1)
-        total = cum[:, -1]
-        if not math.isfinite(total.sum()):
-            raise InternalConsistencyError("non-finite rate in the count farm")
-        t_next = t + np.divide(gen.standard_exponential(R), total,
-                               out=no_rate.copy(), where=total > 0.0)
-        u = gen.random(R)
-        live &= t_next <= T
-        moved = np.count_nonzero(live)
-        if not moved:
-            break
-        # the first (group, edge) whose cumulated rate exceeds u * total:
-        # u < 1 keeps u * total below cum[-1] == total, so a replica with
-        # a positive total picks an edge of positive rate. Stopped
-        # replicas pick anything and move by 0; their times lie past T.
-        k = (cum > (u * total)[:, None]).argmax(axis=1)
-        n += move[k] * live[:, None]
-        if grid is not None:
-            times.append(t_next)
-            picks.append(k)
-            if len(times) == RECORD_STEPS:
-                _land(landed, grid, times, picks, src, dst)
-                times, picks = [], []
-        lock_steps += 1
-        jumps += moved
-        t = t_next
+    # an overflowing rate (inf, or inf x 0 = nan) is caught by the
+    # non-finite check below, not reported by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            rate = n[:, col]
+            rate *= weight
+            rate = np.add.reduceat(rate, starts, axis=1)
+            np.maximum(rate, 0.0, out=rate)
+            rate *= n[:, src]
+            cum = np.add.accumulate(rate, axis=1)
+            total = cum[:, -1]
+            if not math.isfinite(total.sum()):
+                raise NumericalBlowupError("non-finite rate in the count farm")
+            t_next = t + np.divide(gen.standard_exponential(R), total,
+                                   out=no_rate.copy(), where=total > 0.0)
+            u = gen.random(R)
+            live &= t_next <= T
+            moved = np.count_nonzero(live)
+            if not moved:
+                break
+            # the first (group, edge) whose cumulated rate exceeds u * total:
+            # u < 1 keeps u * total below cum[-1] == total, so a replica with
+            # a positive total picks an edge of positive rate. Stopped
+            # replicas pick anything and move by 0; their times lie past T.
+            k = (cum > (u * total)[:, None]).argmax(axis=1)
+            n += move[k] * live[:, None]
+            if grid is not None:
+                times.append(t_next)
+                picks.append(k)
+                if len(times) == RECORD_STEPS:
+                    _land(landed, grid, times, picks, src, dst)
+                    times, picks = [], []
+            lock_steps += 1
+            jumps += moved
+            t = t_next
     final = n[:, :GK].reshape(R, G, K)
     counts = None
     if grid is not None:
@@ -413,6 +420,23 @@ def resolve_tagged(graph: BlockGraph, tagged_nodes):
     return out
 
 
+def tagged_colors(graph: BlockGraph, spec, tagged, T, replicas, gen, *,
+                  inits) -> np.ndarray:
+    """The colours at time T of the nodes `tagged` (distinct node ids) in
+    `replicas` runs from iid initial colours with law inits[2*block +
+    class], shape (replicas, len(tagged)). All runs are one count farm
+    drawing from `gen`, on tables in which each tagged node is a
+    singleton group; its lock-steps and replica jumps are logged on
+    `blockmf.experiments` at debug level."""
+    if replicas < 1:
+        raise InvalidArgumentError("need at least 1 replica")
+    tables = GroupTables(graph, spec, tagged)
+    run = _count_farm(tables, inits, float(T), replicas, gen)
+    _log_farm("tagged_colors", graph.n_total, run)
+    # the singleton groups come last, one count each
+    return run.final[:, tables.n_groups - len(tables.tagged):].argmax(axis=2)
+
+
 def multichaos_test(graph: BlockGraph, spec, tagged_nodes, T, replicas,
                     seed, *, inits):
     """Estimate the joint law of the tagged nodes' colors at time T, the
@@ -421,16 +445,11 @@ def multichaos_test(graph: BlockGraph, spec, tagged_nodes, T, replicas,
     (resolved to the first node of the class). The dynamics run on the
     graph's own proportions."""
     tagged = resolve_tagged(graph, tagged_nodes)
-    if replicas < 1:
-        raise InvalidArgumentError("need at least 1 replica")
-    tables = GroupTables(graph, spec, tagged)
-    run = _count_farm(tables, inits, float(T), replicas,
-                      substream(*_seed_path(seed), MULTICHAOS))
-    _log_farm("multichaos_test", graph.n_total, run)
-    K = tables.K
+    final = tagged_colors(graph, spec, tagged, T, replicas,
+                          substream(*_seed_path(seed), MULTICHAOS),
+                          inits=inits)
+    K = as_block_rates(spec, graph.r).colors.K
     m = len(tagged)
-    # the tagged nodes' singleton groups come last, one count each
-    final = run.final[:, tables.n_groups - m:].argmax(axis=2)
     joint = np.zeros((K,) * m)
     np.add.at(joint, tuple(final.T), 1.0)
     joint /= replicas

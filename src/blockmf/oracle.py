@@ -29,6 +29,9 @@ log = logging.getLogger(__name__)
 STATE_CAP = 4096
 UNIF_TOL = 1e-10
 CHUNK_RATE = 50.0  # max uniformization rate*T per series chunk
+# A chunk takes about 110 series terms, 10-12 ms at STATE_CAP states on
+# 2 vCPUs (numpy 2.4, scipy 1.17), so the cap keeps a solve near a minute.
+MAX_CHUNKS = 5000
 
 
 @dataclass
@@ -118,7 +121,8 @@ def master_equation_oracle(graph: BlockGraph, spec, init_dist,
     init_dist: either a length-K^N vector over encoded states, or an
     (N, K) array of independent per-node distributions. Horizons with
     large rate*T are split into chunks so the Poisson series never
-    underflows.
+    underflows; more than MAX_CHUNKS chunks, or a non-finite rate*T, is
+    a CapacityError.
     """
     from scipy import sparse  # here, so importing blockmf loads no scipy
 
@@ -158,7 +162,13 @@ def master_equation_oracle(graph: BlockGraph, spec, init_dist,
     if lam_max == 0.0:
         return _counted(probs, K, N, n_states, Q.nnz, 0, 0)
 
-    n_chunks = max(1, int(math.ceil(lam_max * T / CHUNK_RATE)))
+    rate_T = lam_max * T
+    if not math.isfinite(rate_T) or rate_T > CHUNK_RATE * MAX_CHUNKS:
+        raise CapacityError(
+            f"uniformization rate x T = {rate_T:.3g} needs more than "
+            f"{MAX_CHUNKS} series chunks of {CHUNK_RATE:g}"
+        )
+    n_chunks = max(1, int(math.ceil(rate_T / CHUNK_RATE)))
     tau = T / n_chunks
     a = lam_max * tau
     P = sparse.identity(n_states, format="csr") + Q.multiply(1.0 / lam_max)

@@ -17,7 +17,6 @@ group, and the per-event work is O(groups * K * edges) instead of O(N).
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,9 +87,7 @@ class SystemState:
 
 @dataclass
 class Trajectory:
-    """A run's events; `refreshes` (group rate refreshes after jumps,
-    counted also where the memo answered them), `memo_hits` (count
-    states whose rates the memo answered, the start state included) and
+    """A run's events; `refreshes` (group rate refreshes after jumps) and
     `drawn` (random numbers pulled from the generator) are the kernel's
     work counters and take no part in equality."""
 
@@ -99,7 +96,6 @@ class Trajectory:
     horizon: float
     refreshes: int = field(default=0, compare=False)
     drawn: int = field(default=0, compare=False)
-    memo_hits: int = field(default=0, compare=False)
 
     @property
     def final_colors(self) -> np.ndarray:
@@ -170,17 +166,10 @@ def local_empirical(state: SystemState, graph: BlockGraph, node: int,
 # kernel
 
 
-# The memo of a design's tables holds at most MEMO_CELLS // (groups * K)
-# count states, that is MEMO_CELLS count cells in its keys. With each
-# cell's share of the stored lists that is 50-65 bytes a cell, about 4 MB
-# when full (measured on N=640 designs of 6 to 18 groups, K = 2 to 6).
-MEMO_CELLS = 1 << 16
-
-
 class GroupTables:
     """The quotient chain of one design: its groups and their affine rate
-    map, built once per (graph, rate family). The per-node kernel and the
-    count farms of `experiments` read it.
+    map, built once per (graph, rate family) and never changed after. The
+    per-node kernel and the count farms of `experiments` read it.
 
     Groups: one per block's centrals (0..r-1), then the graph's
     peripheral twin classes in order of their first node. A closed
@@ -190,8 +179,9 @@ class GroupTables:
     after the others in the order given; a group may be left empty.
     `base[g]` is the unsplit group that group g came from. A singleton
     jumps at its old group's rates, and every read of an old group reads
-    all its parts with the same weight, so the split chain lumps exactly
-    to the unsplit one. With n[h*K + x] the count of colour x in group h,
+    all its nonempty parts with the same weight, so the split chain
+    lumps exactly to the unsplit one; an emptied group has nothing to
+    jump and reads nothing. With n[h*K + x] the count of colour x in group h,
     edge e of group g fires, for each member of g in the edge's source
     colour, at rate
 
@@ -203,15 +193,8 @@ class GroupTables:
     a row; memory is O(nnz), never the dense map. `coef` (coef[g][e] the
     (column, weight) pairs of row g*E + e), `beta_rows`, `deps` (the
     groups whose rates a jump in g changes, g included), `out_of` and
-    `edges` are the list views the kernel's event loop reads.
-
-    `memo` maps a flat count tuple to that state's per-group rate lists
-    and group totals, as `_group_rates` gives them. It is the tables'
-    only mutable part, and it only grows: rates are a pure function of
-    the counts, so an entry, once stored, is never changed, and threads
-    that share the tables can at worst store equal values twice. It
-    stops taking entries at `memo_limit` = MEMO_CELLS // (groups * K);
-    a lock makes that check and the store one step.
+    `edges` are the list views the kernel's event loop reads; the kernel
+    runs on unsplit tables only.
     """
 
     def __init__(self, graph: BlockGraph, family, tagged=()):
@@ -253,16 +236,6 @@ class GroupTables:
         self.deps = [sorted(d) for d in deps]
         self.out_of = [cg.out_edges(z) for z in range(K)]
         self.edges = cg.edges
-        self.memo = {}
-        self.memo_limit = MEMO_CELLS // (G * K)
-        self._memo_lock = threading.Lock()
-
-    def remember(self, key: tuple, entry: tuple):
-        """Store a count state's (rates, group totals) unless the memo is
-        full."""
-        with self._memo_lock:
-            if len(self.memo) < self.memo_limit:
-                self.memo[key] = entry
 
     def _readers(self):
         """Yield, group by group, the groups it reads with their weights
@@ -270,13 +243,17 @@ class GroupTables:
         Every node weighs each neighbour by 1/(neighbourhood size); the
         members of one group share that weight, so a group's count vector
         enters once with it. A group reads what its unsplit group reads,
-        and a read of an unsplit group reads each of its parts. Central
+        and a read of an unsplit group reads each of its nonempty parts;
+        an emptied group has no members to jump and reads nothing. Central
         groups are 0..r-1."""
         graph, r = self.graph, self.graph.r
-        parts = [[h] for h in range(len(self._first))]
+        parts = [[h] if self.sizes[h] else [] for h in range(len(self._first))]
         for g in range(len(parts), self.n_groups):
             parts[self.base[g]].append(g)
         for g, (j, cls) in enumerate(self.meta):
+            if not self.sizes[g]:
+                yield (j, cls), {}
+                continue
             if cls == CENTRAL:
                 w = 1.0 / graph.block_size(j)
                 seen = [h for h in range(r, len(parts))
@@ -319,8 +296,7 @@ def _check_tagged(graph: BlockGraph, tagged) -> tuple:
 # --------------------------------------------------------------------------
 # the per-node kernel: a Gillespie run over a design's GroupTables. Each
 # group's per-edge rate is a clamped affine function of the flat count
-# vector; the coefficient lists make a group refresh a few multiply-adds,
-# and the tables' memo answers a count state seen before with no refresh.
+# vector; the coefficient lists make a group refresh a few multiply-adds.
 
 
 def _group_rates(tables: GroupTables, cnt, g):
@@ -352,9 +328,10 @@ def _group_rates(tables: GroupTables, cnt, g):
     return rate, total
 
 
-def _counts(tables: GroupTables, colors: list):
-    """The flat group counts cnt[g*K + z] of the node colours `colors`,
-    and each group's per-colour buckets of nodes."""
+def _start(tables: GroupTables, colors: list):
+    """The kernel's state at the node colours `colors`: the flat group
+    counts cnt[g*K + z], each group's per-colour buckets of nodes, and
+    every group's rates and total from `_group_rates`."""
     K = tables.K
     cnt = [0] * (tables.n_groups * K)
     buckets = []
@@ -365,37 +342,21 @@ def _counts(tables: GroupTables, colors: list):
             cnt[g * K + z] += 1
             own[z].append(n)
         buckets.append(own)
-    return cnt, buckets
-
-
-def _start(tables: GroupTables, colors: list):
-    """The kernel's state at the node colours `colors`: `_counts`, then
-    every group's rates and total, from the memo or else from
-    `_group_rates` (and then remembered), and whether the memo had them.
-    The rate lists may be memo values: never change them in place."""
-    cnt, buckets = _counts(tables, colors)
-    key = tuple(cnt)
-    entry = tables.memo.get(key)
-    if entry is not None:
-        return cnt, buckets, *entry, True
     rates = [_group_rates(tables, cnt, g) for g in range(tables.n_groups)]
     rate, group_total = map(list, zip(*rates))
-    tables.remember(key, (rate, group_total))
-    return cnt, buckets, rate, group_total, False
+    return cnt, buckets, rate, group_total
 
 
 def _run(tables: GroupTables, colors: list, T: float, gen):
     """Advance the node colours `colors` (changed in place) to horizon T.
-    Returns the events, the group refreshes, the numbers drawn, the final
-    flat group counts and the memo hits."""
+    Returns the events, the group refreshes and the numbers drawn, and
+    the final flat group counts."""
     draws = _rng.BatchedDraws(gen)
-    cnt, buckets, rate, group_total, hit = _start(tables, colors)
+    cnt, buckets, rate, group_total = _start(tables, colors)
     K, G = tables.K, tables.n_groups
     out_of, edges, all_deps = tables.out_of, tables.edges, tables.deps
-    memo = tables.memo
     events = []
     refreshes = 0
-    hits = int(hit)
     t = 0.0
     while True:
         total = 0.0
@@ -465,20 +426,10 @@ def _run(tables: GroupTables, colors: list, T: float, gen):
         colors[node] = zp
         events.append((t, node, z, zp))
         deps = all_deps[g_pick]
+        for g in deps:
+            rate[g], group_total[g] = _group_rates(tables, cnt, g)
         refreshes += len(deps)
-        key = tuple(cnt)
-        entry = memo.get(key)
-        if entry is None:
-            # the previous lists may be memo values: refresh copies
-            rate = rate.copy()
-            group_total = group_total.copy()
-            for g in deps:
-                rate[g], group_total[g] = _group_rates(tables, cnt, g)
-            tables.remember(key, (rate, group_total))
-        else:
-            rate, group_total = entry
-            hits += 1
-    return events, refreshes, draws.drawn, cnt, hits
+    return events, refreshes, draws.drawn, cnt
 
 
 _last_tables = None  # (key, tables) of the last design simulated
@@ -487,9 +438,8 @@ _last_tables = None  # (key, tables) of the last design simulated
 def _group_tables(graph: BlockGraph, family) -> GroupTables:
     """The tables of the last design simulated, or of this one. Graph and
     rate family compare by value, so the replicas of one design build
-    them once, and their memo serves every replica. The cache is one
-    (key, tables) tuple, replaced in one assignment; the tables hold no
-    run state, so threads may share them."""
+    them once. The cache is one (key, tables) tuple, replaced in one
+    assignment; the tables hold no run state, so threads may share them."""
     global _last_tables
     key = (graph, family)
     last = _last_tables
@@ -523,13 +473,13 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed,
     gen = seed if isinstance(seed, np.random.Generator) else _rng.substream(seed)
     tables = _group_tables(graph, family)
     colors = state.colors.tolist()
-    events, refreshes, drawn, cnt, hits = _run(tables, colors, float(T), gen)
-    traj = Trajectory(state, events, float(T), refreshes, drawn, hits)
+    events, refreshes, drawn, cnt = _run(tables, colors, float(T), gen)
+    traj = Trajectory(state, events, float(T), refreshes, drawn)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("simulate: %d events, %d refreshes, %d memo hits, "
-                  "%d drawn", len(events), refreshes, hits, drawn)
+        log.debug("simulate: %d events, %d refreshes, %d drawn",
+                  len(events), refreshes, drawn)
     if debug:
-        if cnt != _counts(tables, colors)[0]:
+        if cnt != _start(tables, colors)[0]:
             raise InternalConsistencyError(
                 "count table drifted from the node colors")
         if not np.array_equal(traj.final_colors,

@@ -3,7 +3,6 @@ and infinite floats, numpy integer ids. Floats are written with 17
 significant digits, integers and class labels as plain text."""
 
 import io
-import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,9 +111,8 @@ def test_oracle_check_csv_bytes(tmp_path, capsys, monkeypatch):
     marginals = np.array([[0.5, 0.5], [1.0, -0.0], [1e-300, 1.0]])
     monkeypatch.setattr(cli, "master_equation_oracle", lambda *a: (
         SimpleNamespace(node_marginal=lambda n: marginals[n])))
-    runs = itertools.count()
-    monkeypatch.setattr(cli, "simulate", lambda *a: SimpleNamespace(
-        final_colors=np.array([next(runs) % 2, 0, 1])))
+    monkeypatch.setattr(cli, "tagged_colors", lambda *a, **k: np.array(
+        [[rep % 2, 0, 1] for rep in range(4)]))
     sp = scen_path(tmp_path, {**ORACLE_SCEN, "replicas": 4})
     run_cli(["oracle-check", "--scenario", sp, "--out", str(tmp_path)],
             capsys)

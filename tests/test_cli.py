@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockmf import MeanFieldFlow, sample_block_colors, simulate
+from blockmf import MeanFieldFlow
 from blockmf.cli import main
+from blockmf.experiments import tagged_colors
 from blockmf.rng import ORACLE_CHECK, substream
 from blockmf.scenario import load_scenario
 from conftest import reference_marginals, reference_oracle, run_blockmf_module
@@ -154,6 +155,32 @@ def test_numerical_failure_prints_one_line(tmp_path, sub):
     assert not (tmp_path / "out").exists()
 
 
+def test_count_farm_overflow_prints_one_line(tmp_path):
+    # rates of 1e308 overflow the multichaos farm's rate sums: exit 2 and
+    # one stderr line, no numpy warnings before it, and no artifact
+    blowup = {**SCEN, "rates": {**SCEN["rates"], "gamma": 1e308,
+                                "nu": 1e308}}
+    proc = run_blockmf_module(["multichaos", "--scenario",
+                               scen_path(tmp_path, blowup),
+                               "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.splitlines() == [
+        "numerical error: non-finite rate in the count farm"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_check_with_huge_rates_fails_closed(tmp_path):
+    # rates of 1e300 would take about 1e298 uniformization chunks: the
+    # oracle refuses them at once
+    huge = {**ORACLE_SCEN, "rates": {**ORACLE_SCEN["rates"],
+                                     "gamma": 1e300, "nu": 1e300}}
+    proc = run_blockmf_module(["oracle-check", "--scenario",
+                               scen_path(tmp_path, huge),
+                               "--out", str(tmp_path / "out")], timeout=30)
+    assert_fails_closed(proc, tmp_path / "out" / "oracle_check.csv",
+                        "series chunks")
+
+
 def test_out_dir_is_created_with_the_first_artifact(tmp_path, capsys):
     # validate writes nothing, and a rejected run stops before its first
     # artifact: neither leaves an --out directory behind
@@ -222,13 +249,11 @@ def test_multichaos_streams_differ_from_other_subcommands(
         tmp_path, capsys, monkeypatch):
     # SeedSequence pads keys with zeros, so a key that merely drops a
     # trailing zero repeats another caller's stream: compare the first
-    # draws of every stream each subcommand pulls, whether it builds the
-    # stream with substream or replays it from substream_keys
+    # draws of every stream each subcommand pulls
     import blockmf.cli as cli_mod
     import blockmf.experiments as exp_mod
 
     real = exp_mod.substream
-    real_keys = cli_mod.substream_keys
     used = {}
 
     def recorder(sub):
@@ -237,20 +262,11 @@ def test_multichaos_streams_differ_from_other_subcommands(
             return real(*path)
         return substream
 
-    def keys_recorder(sub):
-        def substream_keys(*path):
-            cols = np.broadcast_arrays(*map(np.atleast_1d, path))
-            used.setdefault(sub, set()).update(
-                tuple(int(c[k]) for c in cols) for k in range(cols[0].size))
-            return real_keys(*path)
-        return substream_keys
-
     sp = scen_path(tmp_path, {**SCEN, "n_list": [10, 20, 30, 40],
                               "replicas": 4})
     for sub in ("multichaos", "chaos", "oracle-check", "simulate"):
         monkeypatch.setattr(cli_mod, "substream", recorder(sub))
         monkeypatch.setattr(exp_mod, "substream", recorder(sub))
-        monkeypatch.setattr(cli_mod, "substream_keys", keys_recorder(sub))
         code, _, err = run([sub, "--scenario", sp, "--out",
                             str(tmp_path / sub), "--threads", "1"], capsys)
         assert code == 0, err
@@ -259,11 +275,11 @@ def test_multichaos_streams_differ_from_other_subcommands(
         return tuple(real(*path).random(4))
 
     # every stream of every subcommand is its own: one per N for
-    # multichaos and for chaos (a farm of 4 replicas each), 4 oracle-check
-    # replicas, one simulate run
+    # multichaos and for chaos (a farm of 4 replicas each), one for
+    # oracle-check's farm and one for the simulate run
     draws = [first_draws(p) for paths in used.values() for p in paths]
-    assert len(draws) == len(set(draws)) == 13
-    assert len(used["oracle-check"]) == 4
+    assert len(draws) == len(set(draws)) == 10
+    assert len(used["oracle-check"]) == 1
 
 
 def test_oracle_check(tmp_path, capsys):
@@ -312,8 +328,8 @@ K3_ORACLE_SCEN = {
                          ids=["complete", "regular", "k3-tables"])
 def test_oracle_check_csv_matches_reference(tmp_path, capsys, scen):
     # the whole file against a reference built here: the exact law from
-    # the per-state assembly, the Monte Carlo column from per-replica
-    # colour draws and simulate runs on the subcommand's own streams
+    # the per-state assembly, the Monte Carlo column from the count farm,
+    # every node tagged, on the subcommand's own stream
     sp = scen_path(tmp_path, scen, "oracle.json")
     code, _, err = run(["oracle-check", "--scenario", sp, "--out",
                         str(tmp_path)], capsys)
@@ -326,13 +342,12 @@ def test_oracle_check_csv_matches_reference(tmp_path, capsys, scen):
                                    np.asarray(inits)[graph.component],
                                    scen["horizon"])
     oracle_p = reference_marginals(probs, K, N)
+    final = tagged_colors(graph, spec, range(N), scen["horizon"], R,
+                          substream(scen["seed"], 0, 0, ORACLE_CHECK),
+                          inits=inits)
+    assert final.shape == (R, N)
     counts = np.zeros((N, K))
-    for rep in range(R):
-        gen = substream(scen["seed"], 0, rep, ORACLE_CHECK)
-        colors = sample_block_colors(graph, inits, gen)
-        final = simulate(graph, spec, colors, scen["horizon"],
-                         gen).final_colors
-        counts[np.arange(N), final] += 1.0
+    np.add.at(counts, (np.arange(N), final), 1.0)
     mc_p = counts / R
     se = np.sqrt(oracle_p * (1.0 - oracle_p) / R)
     want = "node,color,oracle_p,mc_p,stderr\n" + "".join(

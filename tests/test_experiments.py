@@ -159,9 +159,9 @@ def test_farm_counters_are_logged(caplog):
         GroupTables(graph, spec, tagged=[0, graph.peripheral_nodes(1)[0]]),
         inits, 1.0, 6, bm.substream(3, bm.rng.MULTICHAOS))
     assert [m.split(":")[0] for m in caplog.messages] == [
-        "lln_experiment N=12", "lln_experiment N=24", "multichaos_test N=24"]
+        "lln_experiment N=12", "lln_experiment N=24", "tagged_colors N=24"]
     assert caplog.messages[-1] == (
-        f"multichaos_test N=24: {run.lock_steps} lock-steps, "
+        f"tagged_colors N=24: {run.lock_steps} lock-steps, "
         f"{run.jumps} replica jumps")
     assert 0 < run.lock_steps <= run.jumps <= 6 * run.lock_steps
 
@@ -359,7 +359,6 @@ def test_count_farm_rejects_non_finite_rates():
     graph = bm.build_complete_peripheral([(3, 5), (4, 4)])
     tables = GroupTables(graph, SIS2)
     tables.weight = np.full_like(tables.weight, np.inf)
-    # inf times a zero count is nan; numpy's warning is not the check
-    with np.errstate(invalid="ignore"), pytest.raises(
-            bm.InternalConsistencyError, match="non-finite"):
+    # inf times a zero count is nan: the farm says so without a warning
+    with pytest.raises(bm.NumericalBlowupError, match="non-finite"):
         experiments._count_farm(tables, INITS2, 1.0, 4, bm.substream(41, 0))

@@ -1,10 +1,7 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from blockmf.rng import (ORACLE_CHECK, BatchedDraws, at_key, substream,
-                         substream_keys)
+from blockmf.rng import BatchedDraws, substream
 
 
 def schedule(k):
@@ -83,73 +80,3 @@ def test_streams_refill_independently():
     u = [draws.uniform() for _ in range(40)]
     assert u == (twin.random(32).tolist() + twin.random(64).tolist())[:40]
     assert draws.drawn == 32 + 32 + 64
-
-
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 7]
-# replica ids of one and of two uint32 words, in one call
-REPLICAS = np.array([0, 1, 2, 2**31, 2**32, 2**40 + 3, 2**64 - 1],
-                    dtype=np.uint64)
-
-
-@pytest.mark.parametrize("entries", range(1, 7))
-@pytest.mark.parametrize("seed", SEEDS)
-def test_substream_keys_match_seed_sequence(seed, entries):
-    # the path is the seed, then entries - 2 fixed words, then the
-    # replica; paths of more than 4 words take SeedSequence's branch that
-    # mixes the words beyond its pool in one by one
-    if entries == 1:
-        paths, keys = [(seed,)], substream_keys(seed)
-    else:
-        middle = list(range(5, 3 + entries))
-        paths = [(seed, *middle, int(r)) for r in REPLICAS]
-        keys = substream_keys(seed, *middle, REPLICAS)
-    want = [np.random.SeedSequence(list(p)).generate_state(2, np.uint64)
-            for p in paths]
-    assert keys.dtype == np.uint64 and keys.shape == (len(paths), 2)
-    np.testing.assert_array_equal(keys, want)
-
-
-def test_substream_keys_are_the_philox_keys_of_substream():
-    keys = substream_keys(515, 0, np.arange(6), ORACLE_CHECK)
-    for rep, key in enumerate(keys):
-        gen = substream(515, 0, rep, ORACLE_CHECK)
-        np.testing.assert_array_equal(
-            gen.bit_generator.state["state"]["key"], key)
-
-
-def test_substream_keys_wrap_without_warnings():
-    # SeedSequence's hash wraps uint32 products; the port wraps them as
-    # uint32 arrays do, which raises no RuntimeWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        keys = substream_keys(2**64 - 1, 2**64 - 1, REPLICAS)
-    want = np.random.SeedSequence([2**64 - 1, 2**64 - 1, 2**64 - 1])
-    np.testing.assert_array_equal(keys[-1], want.generate_state(2, np.uint64))
-
-
-@pytest.mark.parametrize("path", [(-1, 0), (3, -2), (3, np.array([0, -1])),
-                                  (3, 0.5)])
-def test_substream_keys_reject_what_seed_sequence_rejects(path):
-    with pytest.raises((ValueError, TypeError)):
-        substream_keys(*path)
-
-
-def test_at_key_resets_to_a_fresh_substream():
-    keys = substream_keys(11, 0, np.arange(3), ORACLE_CHECK)
-    gen = substream(99, 1)
-    for rep in (2, 0, 1):
-        # leave a partial buffer and a cached 32-bit half behind: a
-        # full-range uint32 draw takes one half of a 64-bit output
-        for _ in range(8):
-            gen.integers(0, 2**32, dtype=np.uint32)
-            dirty = gen.bit_generator.state
-            if dirty["has_uint32"] and dirty["buffer_pos"] < 4:
-                break
-        assert dirty["has_uint32"] == 1 and dirty["buffer_pos"] < 4
-        fresh = substream(11, 0, rep, ORACLE_CHECK)
-        assert at_key(gen, keys[rep]) is gen
-        assert same_state(gen, fresh)
-        assert gen.bit_generator.state["has_uint32"] == 0
-        assert np.array_equal(gen.integers(0, 7, 5, dtype=np.uint32),
-                              fresh.integers(0, 7, 5, dtype=np.uint32))
-        assert gen.random() == fresh.random()

@@ -13,8 +13,8 @@ from blockmf.meanfield import _VectorField
 from blockmf.graph import CENTRAL, PERIPHERAL
 from blockmf.rates import total_rate
 from blockmf.rng import BatchedDraws
-from blockmf.simulate import (MEMO_CELLS, GroupTables, _group_rates,
-                              _group_tables, _run, _start, local_empirical)
+from blockmf.simulate import (GroupTables, _group_tables, _start,
+                              local_empirical)
 from conftest import list_affine_rows, random_rate_family, reference_rate
 
 SIS = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
@@ -135,137 +135,19 @@ def test_kernel_is_shared_by_equal_designs():
 def test_threads_do_not_share_a_kernel():
     # threads that interleave runs share the tables of each design, and
     # swap the cached design under one another: each must still get the
-    # sequential result. Then all four share one design's warm tables.
+    # sequential result
     queue = bm.queue_spec(3, zeta=1.0, vartheta=0.8, h_coefficient=0.4)
     designs = [(bm.build_complete_peripheral([(2, 3), (2, 3)]),
                 [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]),
                (bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
                 [0, 1, 2, 0, 0, 1, 0, 1, 2, 0, 1, 0])]
-
-    def runs(s, designs):
-        return [bm.simulate(graph, queue, init, 3.0, seed=s).events
-                for graph, init in designs]
-
-    def in_threads(designs):
-        got = {}
-
-        def worker(s):
-            got[s] = [runs(s, designs) for _ in range(10)]
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(s,))
-                       for s in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(old)
-        return got
-
-    want = {s: runs(s, designs) for s in range(4)}
-    assert in_threads(designs) == {s: [w] * 10 for s, w in want.items()}
-    graph = designs[1][0]
-    tables = _group_tables(graph, bm.as_block_rates(queue, graph.r))
-    want = {s: runs(s, designs[1:]) for s in range(4)}
-    warm = len(tables.memo)
-    assert warm > 0
-    assert in_threads(designs[1:]) == {s: [w] * 10 for s, w in want.items()}
-    assert _group_tables(graph, bm.as_block_rates(queue, graph.r)) is tables
-    # the threads' runs repeat the sequential ones: nothing new to store
-    assert len(tables.memo) == warm
-
-
-# designs whose count states the kernel revisits: the bench oracle design,
-# a regular design with unequal blocks, and the 3-colour queue
-QUEUE3 = bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.6,
-                       h_coefficient=0.4)
-MEMO_DESIGNS = {
-    "oracle": (lambda: bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5),
-               SIS),
-    "regular-f0.5": (
-        lambda: bm.build_regular_peripheral([(2, 4), (3, 6)], 0.5), SIS),
-    "queue3": (lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
-               QUEUE3),
-}
-
-
-def memo_tables(name):
-    builder, fam = MEMO_DESIGNS[name]
-    graph = builder()
-    return GroupTables(graph, bm.as_block_rates(fam, graph.r))
-
-
-def kernel_runs(tables, seeds, T=2.0):
-    """One kernel run per seed from colours drawn with that seed: its
-    initial colours, events, refreshes and numbers drawn."""
-    out = []
-    for s in seeds:
-        gen = np.random.default_rng(s)
-        colors = gen.integers(0, tables.K, tables.graph.n_total).tolist()
-        init = list(colors)
-        out.append((init, *_run(tables, colors, T, gen)[:3]))
-    return out
-
-
-def bits(rate, total):
-    """A group's rates and total as exact bit patterns."""
-    return [x.hex() for x in rate], total.hex()
-
-
-@pytest.mark.parametrize("name", MEMO_DESIGNS)
-def test_memo_matches_fresh_rates(name):
-    # every count state a run visits reads back, group by group, the
-    # rates and totals of _group_rates recomputed there, bit for bit
-    tables = memo_tables(name)
-    states = 0
-    for init, events, _, _ in kernel_runs(tables, range(80)):
-        colors = list(init)
-        for ev in [None, *events]:
-            if ev is not None:
-                colors[ev[1]] = ev[3]
-            cnt, _, rate, total = _start(tables, colors)[:4]
-            for g in range(tables.n_groups):
-                assert bits(rate[g], total[g]) == bits(
-                    *_group_rates(tables, cnt, g))
-            states += 1
-    assert states > 600
-    # and so does every entry the runs stored
-    assert 0 < len(tables.memo) <= states
-    for key, (rate, total) in tables.memo.items():
-        for g in range(tables.n_groups):
-            assert bits(rate[g], total[g]) == bits(
-                *_group_rates(tables, list(key), g))
-
-
-@pytest.mark.parametrize("name", MEMO_DESIGNS)
-def test_cold_and_warm_memo_give_identical_runs(name):
-    # fresh tables for every run, or one set of tables warmed by other
-    # runs and then by these: the same events, refreshes and draws
-    cold = [kernel_runs(memo_tables(name), [s])[0] for s in range(30)]
-    warm = memo_tables(name)
-    kernel_runs(warm, range(30, 60))
-    assert kernel_runs(warm, range(30)) == cold
-    assert kernel_runs(warm, range(30)) == cold
-
-
-def test_memo_stays_within_its_bound():
-    # long N=640 runs in four threads visit far more count states than
-    # the memo holds: it fills up to memo_limit and no further, and runs
-    # on the full memo repeat runs on fresh tables
-    graph = bm.build_regular_peripheral([(80, 240), (80, 240)], 0.5)
-    family = bm.as_block_rates(QUEUE3, graph.r)
-    tables = GroupTables(graph, family)
-    assert tables.memo_limit == MEMO_CELLS // (tables.n_groups * tables.K)
-    n_events = {}
+    want = {s: [bm.simulate(graph, queue, init, 3.0, seed=s).events
+                for graph, init in designs] for s in range(4)}
+    got = {}
 
     def worker(s):
-        colors = (np.arange(graph.n_total) % 2).tolist()
-        n_events[s] = len(_run(tables, colors, 8.0,
-                               np.random.default_rng(s))[0])
+        got[s] = [[bm.simulate(graph, queue, init, 3.0, seed=s).events
+                   for graph, init in designs] for _ in range(10)]
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -279,15 +161,12 @@ def test_memo_stays_within_its_bound():
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(old)
-    assert sum(n_events.values()) > 4 * tables.memo_limit
-    assert len(tables.memo) == tables.memo_limit
-    for s in (2, 3):
-        init = (np.arange(graph.n_total) % 2).tolist()
-        full = _run(tables, list(init), 1.0, np.random.default_rng(s))
-        fresh = _run(GroupTables(graph, family), list(init), 1.0,
-                     np.random.default_rng(s))
-        assert full[:4] == fresh[:4]
-    assert len(tables.memo) == tables.memo_limit
+    assert got == {s: [events] * 10 for s, events in want.items()}
+
+
+# a 3-colour queue
+QUEUE3 = bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.6,
+                       h_coefficient=0.4)
 
 
 # seeded runs pinned by a sha256 of the event rows (repr of the list of
@@ -338,20 +217,14 @@ def test_trajectory_counters(caplog):
     init = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
     with caplog.at_level(logging.DEBUG, logger="blockmf.simulate"):
         tr = bm.simulate(g, SIS, init, 2.0, seed=7)
-        again = bm.simulate(g, SIS, init, 2.0, seed=7)
     # every jump refreshes at least its own group; each stream's first
-    # block is BatchedDraws.FIRST numbers; the rerun finds every count
-    # state it visits (the start one too) in the memo
+    # block is BatchedDraws.FIRST numbers
     assert tr.refreshes >= len(tr.events) > 0
     assert tr.drawn >= 2 * BatchedDraws.FIRST
-    assert tr.memo_hits <= len(tr.events) + 1
-    assert again.memo_hits == len(again.events) + 1
-    assert (again.refreshes, again.drawn) == (tr.refreshes, tr.drawn)
-    for run in (tr, again):
-        assert run == bm.Trajectory(run.initial, run.events, run.horizon)
+    assert tr == bm.Trajectory(tr.initial, tr.events, tr.horizon)
     assert caplog.messages == [
-        f"simulate: {len(run.events)} events, {run.refreshes} refreshes, "
-        f"{run.memo_hits} memo hits, {run.drawn} drawn" for run in (tr, again)
+        f"simulate: {len(tr.events)} events, {tr.refreshes} refreshes, "
+        f"{tr.drawn} drawn"
     ]
 
 
@@ -360,7 +233,7 @@ def kernel_definition_gap(graph, family, colors):
     family = bm.as_block_rates(family, graph.r)
     st = bm.SystemState.from_colors(graph, colors, family.colors.K)
     tables = GroupTables(graph, family)
-    _, _, rate, _, _ = _start(tables, st.colors.tolist())
+    _, _, rate, _ = _start(tables, st.colors.tolist())
     group = {n: g for g, members in enumerate(tables.members) for n in members}
     worst = 0.0
     for n in range(graph.n_total):
@@ -414,7 +287,7 @@ def test_kernel_rates_match_limit_field(fam):
         colors = gen.integers(0, K, graph.n_total)
         st = bm.SystemState.from_colors(graph, colors, K)
         tables = GroupTables(graph, family)
-        _, _, rate, _, _ = _start(tables, st.colors.tolist())
+        _, _, rate, _ = _start(tables, st.colors.tolist())
         y = np.concatenate([
             np.asarray(st.counts[2 * j + cls], dtype=float)
             / graph.block_sizes[j][cls]
@@ -635,7 +508,7 @@ def test_kernel_group_totals():
     colors = gen.integers(0, 2, graph.n_total)
     st = bm.SystemState.from_colors(graph, colors, 2)
     tables = GroupTables(graph, SIS)
-    _, _, rate, group_total, _ = _start(tables, st.colors.tolist())
+    _, _, rate, group_total = _start(tables, st.colors.tolist())
     cg = SIS.colors
     for g, members in enumerate(tables.members):
         expect = sum(
