@@ -31,7 +31,7 @@ from .graph import CENTRAL, BlockGraph, ProportionTargets, \
     build_complete_peripheral, class_index
 from .meanfield import solve_mckean_vlasov
 from .metrics import d_bl_of_differences
-from .rates import as_block_rates, validate_probability
+from .rates import validate_probability
 from .rng import CHAOS, MULTICHAOS, substream
 from .simulate import GroupTables
 from .tables import write_table
@@ -448,7 +448,7 @@ def multichaos_test(graph: BlockGraph, spec, tagged_nodes, T, replicas,
     final = tagged_colors(graph, spec, tagged, T, replicas,
                           substream(*_seed_path(seed), MULTICHAOS),
                           inits=inits)
-    K = as_block_rates(spec, graph.r).colors.K
+    K = len(inits[0])  # the farm checked each law against the spec's K
     m = len(tagged)
     joint = np.zeros((K,) * m)
     np.add.at(joint, tuple(final.T), 1.0)

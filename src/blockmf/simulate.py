@@ -181,9 +181,9 @@ class GroupTables:
     jumps at its old group's rates, and every read of an old group reads
     all its nonempty parts with the same weight, so the split chain
     lumps exactly to the unsplit one; an emptied group has nothing to
-    jump and reads nothing. With n[h*K + x] the count of colour x in group h,
-    edge e of group g fires, for each member of g in the edge's source
-    colour, at rate
+    jump and reads nothing. With n[h*K + x] the count of colour x in
+    group h, edge e of group g fires, for each member of g in the
+    edge's source colour, at rate
 
         max(0, beta[g, e] + sum over i with row[i] == g*E + e
                             of weight[i] * n[col[i]]).
@@ -193,8 +193,7 @@ class GroupTables:
     a row; memory is O(nnz), never the dense map. `coef` (coef[g][e] the
     (column, weight) pairs of row g*E + e), `beta_rows`, `deps` (the
     groups whose rates a jump in g changes, g included), `out_of` and
-    `edges` are the list views the kernel's event loop reads; the kernel
-    runs on unsplit tables only.
+    `edges` are the list views the kernel's event loop reads.
     """
 
     def __init__(self, graph: BlockGraph, family, tagged=()):
