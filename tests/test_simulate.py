@@ -13,8 +13,8 @@ from blockmf.meanfield import _VectorField
 from blockmf.graph import CENTRAL, PERIPHERAL
 from blockmf.rates import total_rate
 from blockmf.rng import BatchedDraws
-from blockmf.simulate import (GroupTables, _group_tables, _start,
-                              local_empirical)
+from blockmf.simulate import (GroupTables, _group_rates, _group_tables,
+                              _run, _start, local_empirical)
 from conftest import list_affine_rows, random_rate_family, reference_rate
 
 SIS = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
@@ -167,6 +167,134 @@ def test_threads_do_not_share_a_kernel():
 # a 3-colour queue
 QUEUE3 = bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.6,
                        h_coefficient=0.4)
+
+# designs whose count states the kernel revisits: the bench oracle design,
+# a regular design with unequal blocks, and the 3-colour queue. The
+# kernel keeps no per-state store of rates (its memo is gone): it
+# refreshes the rates of a jump's dependent groups in place, on arrays of
+# its own run, and the shared tables never change.
+MEMO_DESIGNS = {
+    "oracle": (lambda: bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5),
+               SIS),
+    "regular-f0.5": (
+        lambda: bm.build_regular_peripheral([(2, 4), (3, 6)], 0.5), SIS),
+    "queue3": (lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
+               QUEUE3),
+}
+
+
+def design_tables(name):
+    builder, fam = MEMO_DESIGNS[name]
+    graph = builder()
+    return GroupTables(graph, bm.as_block_rates(fam, graph.r))
+
+
+def kernel_runs(tables, seeds, T=2.0):
+    """One kernel run per seed from colours drawn with that seed: its
+    initial colours, events, refreshes, numbers drawn and final counts."""
+    out = []
+    for s in seeds:
+        gen = np.random.default_rng(s)
+        colors = gen.integers(0, tables.K, tables.graph.n_total).tolist()
+        init = list(colors)
+        out.append((init, *_run(tables, colors, T, gen)))
+    return out
+
+
+def bits(rate, total):
+    """A group's rates and total as exact bit patterns."""
+    return [x.hex() for x in rate], total.hex()
+
+
+def table_state(tables):
+    """What the kernel reads of a design's tables, and their attributes."""
+    return (sorted(vars(tables)), tables.coef, tables.beta_rows, tables.deps,
+            tables.members, tables.sizes.tolist(), tables.out_of,
+            tables.edges)
+
+
+@pytest.mark.parametrize("name", MEMO_DESIGNS)
+def test_memo_matches_fresh_rates(name):
+    # at every count state a run visits, the rates the kernel holds after
+    # refreshing only the jump's dependent groups in place read back,
+    # group by group, the rates and totals of _group_rates recomputed
+    # there, bit for bit
+    tables = design_tables(name)
+    states = 0
+    for init, events, refreshes, _, final in kernel_runs(tables, range(80)):
+        colors = list(init)
+        cnt, _, rate, total = _start(tables, colors)
+        held = 0
+        for ev in [None, *events]:
+            if ev is not None:
+                _, node, z, zp = ev
+                assert colors[node] == z
+                colors[node] = zp
+                g = tables.group_of(node)
+                cnt[g * tables.K + z] -= 1
+                cnt[g * tables.K + zp] += 1
+                for h in tables.deps[g]:
+                    rate[h], total[h] = _group_rates(tables, cnt, h)
+                held += len(tables.deps[g])
+            for h in range(tables.n_groups):
+                assert bits(rate[h], total[h]) == bits(
+                    *_group_rates(tables, cnt, h))
+            states += 1
+        assert (held, cnt) == (refreshes, final)
+    assert states > 600
+
+
+@pytest.mark.parametrize("name", MEMO_DESIGNS)
+def test_cold_and_warm_memo_give_identical_runs(name):
+    # fresh tables for every run, or one set of tables used by other runs
+    # and then by these: the same events, refreshes and draws, and the
+    # used tables read as they were built
+    cold = [kernel_runs(design_tables(name), [s])[0] for s in range(30)]
+    warm = design_tables(name)
+    built = table_state(design_tables(name))
+    kernel_runs(warm, range(30, 60))
+    assert kernel_runs(warm, range(30)) == cold
+    assert kernel_runs(warm, range(30)) == cold
+    assert table_state(warm) == built
+
+
+def test_memo_stays_within_its_bound():
+    # long N=640 runs in four threads on one set of tables visit far more
+    # count states than the tables have rows: the tables stay as they
+    # were built, with nothing stored per state, and runs on them repeat
+    # runs on fresh tables
+    graph = bm.build_regular_peripheral([(80, 240), (80, 240)], 0.5)
+    family = bm.as_block_rates(QUEUE3, graph.r)
+    tables = GroupTables(graph, family)
+    built = table_state(tables)
+    n_events = {}
+
+    def worker(s):
+        colors = (np.arange(graph.n_total) % 2).tolist()
+        n_events[s] = len(_run(tables, colors, 8.0,
+                               np.random.default_rng(s))[0])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,))
+                   for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert sum(n_events.values()) > 4 * tables.n_groups * tables.n_edges
+    assert table_state(tables) == built
+    for s in (2, 3):
+        init = (np.arange(graph.n_total) % 2).tolist()
+        used = _run(tables, list(init), 1.0, np.random.default_rng(s))
+        fresh = _run(GroupTables(graph, family), list(init), 1.0,
+                     np.random.default_rng(s))
+        assert used == fresh
+    assert table_state(tables) == built
 
 
 # seeded runs pinned by a sha256 of the event rows (repr of the list of
