@@ -3,6 +3,7 @@ import pytest
 
 import blockmf as bm
 from blockmf.oracle import _jump_matrix, master_equation_oracle
+from blockmf.simulate import local_empirical
 from conftest import reference_oracle, run_python
 
 
@@ -143,6 +144,59 @@ def test_oracle_vs_simulator_regular_design():
         hits += tr.final_colors
     se = np.sqrt(want * (1.0 - want) / reps)
     assert np.all(np.abs(hits / reps - want) <= 4 * se)
+
+
+def node_laws_within_4_se(graph, fam, init_colors, T, reps, seed0):
+    """Every node's colour law at T over `reps` simulate runs, seeds
+    seed0, seed0 + 1, ..., against the exact product-space solution from
+    the same colours: each (node, colour) share within 4 SE."""
+    K = bm.as_block_rates(fam, graph.r).colors.K
+    init = np.zeros((graph.n_total, K))
+    init[range(graph.n_total), init_colors] = 1.0
+    dist = master_equation_oracle(graph, fam, init, T)
+    want = np.stack([dist.node_marginal(n) for n in range(graph.n_total)])
+    hits = np.zeros_like(want)
+    for rep in range(reps):
+        final = bm.simulate(graph, fam, init_colors, T,
+                            seed=seed0 + rep).final_colors
+        hits[range(graph.n_total), final] += 1
+    se = np.sqrt(want * (1.0 - want) / reps)
+    assert np.all(np.abs(hits / reps - want) <= 4 * se)
+
+
+def test_oracle_vs_simulator_clamped_queue():
+    # a K=3 queue whose colour-1 arrival rate 0.2 - 1.2 (1 - m) clamps at
+    # zero whenever the local mean colour m is below 5/6, as it is at
+    # every node at the start
+    g = bm.build_complete_peripheral([(1, 2), (1, 1)])
+    fam = bm.queue_spec(3, zeta=(0.5, 0.2, 0.0), vartheta=0.6,
+                        h_coefficient=1.2)
+    init_colors = [1, 0, 1, 0, 1]
+    st = bm.SystemState.from_colors(g, init_colors, 3)
+    assert max(local_empirical(st, g, n).combined() @ np.arange(3)
+               for n in range(g.n_total)) < 5 / 6
+    node_laws_within_4_se(g, fam, init_colors, 1.5, 4000, 70_000)
+
+
+def test_oracle_vs_simulator_block_rates():
+    # a per-block family on a regular design: every (block, class) has its
+    # own tables and offsets, so centrals and peripherals of each block
+    # jump by different rules
+    g = bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5)
+    cg = bm.ColorGraph(2, [(0, 1), (1, 0)])
+
+    def spec(gc, gp, beta):
+        return bm.RateSpec(cg, [(0.0, gc[0]), (gc[1], 0.0)],
+                           [(0.0, gp[0]), (gp[1], 0.0)], beta=beta)
+
+    fam = bm.BlockRates(
+        (spec((1.6, 0.0), (0.4, 0.0), (0.1, 0.9)),
+         spec((0.2, 0.5), (1.1, 0.0), (0.0, 0.6))),
+        (spec((0.7, 0.0), (0.9, 0.3), (0.05, 0.8)),
+         spec((0.0, 0.0), (1.8, 0.6), (0.2, 1.1))))
+    assert len({*fam.central, *fam.peripheral}) == 4
+    init_colors = [0, 1, 0, 1, 1, 1, 0, 0, 1, 0]
+    node_laws_within_4_se(g, fam, init_colors, 1.0, 4000, 80_000)
 
 
 def test_importing_the_cli_loads_no_scipy():
