@@ -4,13 +4,13 @@ mean-field flow, and factorization of tagged-node joint laws.
 On every design, each member of a group (a block's centrals, a
 peripheral twin class) jumps at the same rates, so the system is
 Kurtz's density-dependent chain on group colour counts. Both
-experiments run it as a count-level farm: all replicas of one N advance
-together in numpy arrays, one jump per replica per lock-step, in the
-calling process. The farm reads the rate map of `simulate.GroupTables`,
-the one the per-node kernel reads. To follow single nodes
-(`tagged_colors`: the joint law here, every node's marginal law in
-`oracle-check`), the nodes are singleton groups of split tables, so the
-farm follows them with no bookkeeping of its own.
+experiments run it as the count farm of `simulate`: all replicas of one
+N advance together in numpy arrays, one jump per replica per lock-step,
+in the calling process. `lln_experiment` lands the farm's jump record on
+its grid. To follow single nodes (`tagged_colors`: the joint law here,
+every node's marginal law in `oracle-check`), the nodes are singleton
+groups of split tables, so the farm follows them with no bookkeeping of
+its own.
 
 Each farm draws from one stream keyed by its seed path and a purpose
 word, so results are a pure function of the seed and the replica count;
@@ -22,18 +22,18 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalBlowupError
+from .errors import InvalidArgumentError
 from .graph import CENTRAL, BlockGraph, ProportionTargets, \
     build_complete_peripheral, class_index
 from .meanfield import solve_mckean_vlasov
 from .metrics import d_bl_of_differences
 from .rates import validate_probability
 from .rng import CHAOS, MULTICHAOS, substream
-from .simulate import GroupTables
+from .simulate import FarmRun, GroupTables, _check_grid, _check_tagged, \
+    _count_farm, _land
 from .tables import write_table
 
 log = logging.getLogger(__name__)
@@ -167,28 +167,17 @@ def proportional_family(targets: ProportionTargets):
     return build
 
 
-def block_color_cdf(graph: BlockGraph, inits) -> np.ndarray:
-    """Per-node cumulative initial law, shape (N, K): row n cumulates
-    inits[2*block + class] of node n. Validates the laws."""
+def sample_block_colors(graph: BlockGraph, inits, gen) -> np.ndarray:
+    """iid initial colors, one distribution per component 2*block+class,
+    from one gen.random(N) draw: a node's colour is the number of entries
+    of its law's cdf at or below its uniform."""
     if len(inits) != 2 * graph.r:
         raise InvalidArgumentError(f"need 2r={2 * graph.r} initial measures")
     K = validate_probability(inits[0]).size
     cdf = np.cumsum([validate_probability(m, K) for m in inits], axis=1)
-    return cdf[graph.component]
-
-
-def colors_of_uniforms(cdf, u) -> np.ndarray:
-    """Node colours from uniforms u of shape (..., N), one per row of a
-    per-node cdf: a node's colour is the number of its cdf entries at or
-    below its u. Leading axes of u give a stack of colour vectors."""
-    return np.minimum((cdf <= u[..., None]).sum(axis=-1), cdf.shape[1] - 1)
-
-
-def sample_block_colors(graph: BlockGraph, inits, gen) -> np.ndarray:
-    """iid initial colors, one distribution per component 2*block+class,
-    from one gen.random(N) draw."""
-    cdf = block_color_cdf(graph, inits)
-    return colors_of_uniforms(cdf, gen.random(len(cdf)))
+    cdf = cdf[graph.component]
+    u = gen.random(len(cdf))
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), K - 1)
 
 
 def _seed_path(seed):
@@ -197,135 +186,36 @@ def _seed_path(seed):
     return (int(seed),)
 
 
-# The farm lands its record of jump times and edges on the grid every
-# RECORD_STEPS lock-steps, so the record stays O(RECORD_STEPS * replicas):
-# kept whole, it peaked at 2.5 MB (tracemalloc) for the 2046 lock-steps of
-# a 24-replica N=640 farm, against 0.08 MB for the farm without it.
-RECORD_STEPS = 64
-
-
-class FarmRun(NamedTuple):
-    """What `_count_farm` returns: the group counts at T, shape
-    (replicas, G, K); the counts at each grid time, shape (replicas,
-    len(grid), G, K), or None without a grid; and the work counters,
-    lock-steps (the loop's passes that moved a replica) and replica jumps
-    (over all replicas)."""
-
-    final: np.ndarray
-    grid_counts: np.ndarray | None
-    lock_steps: int
-    jumps: int
-
-
-def _count_farm(tables: GroupTables, inits, T: float, replicas: int, gen,
-                *, grid=None) -> FarmRun:
-    """Run `replicas` copies of the count chain of `tables` to time T in
-    lock-step, from iid initial colours with law inits[2*block + class]:
-    one multinomial per group, so a singleton group of split tables draws
-    its node's colour.
-
-    Each lock-step computes every replica's rates max(0, beta + A n) from
-    the sparse map, draws one exponential and one uniform per replica to
-    pick the jump time and the (group, edge), and applies the jump, one
-    row of a move table, to the replicas still before T with a positive
-    total rate.
-
-    grid: nondecreasing times in [0, T]. The counts at each are the state
-    after the last jump at or before that time (right-continuous, as in
-    `empirical_process`), built from a record of each lock-step's jump
-    times and edges.
-    """
-    if T < 0:
-        raise InvalidArgumentError("T must be >= 0")
+def _start_counts(tables: GroupTables, inits, replicas: int, gen):
+    """Group colour counts of `replicas` iid starts with law
+    inits[2*block + class], shape (replicas, G, K): one multinomial per
+    group, so a singleton group of split tables draws its node's
+    colour."""
     if len(inits) != 2 * tables.graph.r:
         raise InvalidArgumentError(
             f"need 2r={2 * tables.graph.r} initial measures")
-    K, G, E = tables.K, tables.n_groups, tables.n_edges
-    law = np.array([validate_probability(m, K) for m in inits])
-    R, GK, GE = replicas, G * K, G * E
-
-    # the flat counts, then a constant-one column that beta is read from
-    n = gen.multinomial(tables.sizes, law[tables.component], size=(R, G))
-    n = np.concatenate((n.reshape(R, GK), np.ones((R, 1))), axis=1)
-
-    # the rate map's rows summed by reduceat over their columns, each row
-    # ending in its beta: reduceat adds beta last, and every row has a start
-    row = np.concatenate((tables.row, np.arange(GE)))
-    order = np.argsort(row, kind="stable")
-    col = np.concatenate((tables.col, np.full(GE, GK)))[order]
-    weight = np.concatenate((tables.weight, tables.beta.ravel()))[order]
-    starts = np.searchsorted(row[order], np.arange(GE))
-    src, dst = tables.family.colors.edge_cells(G)  # flat buckets of (g, e)
-    move = np.zeros((GE, GK + 1))
-    move[np.arange(GE), src] = -1.0
-    move[np.arange(GE), dst] = 1.0
-
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float)
-        landed = np.zeros((R, grid.size + 1, GK), dtype=np.int64)
-        n0 = n[:, :GK].copy()
-    t = np.zeros(R)
-    live = np.ones(R, dtype=bool)
-    no_rate = np.full(R, np.inf)
-    times, picks = [], []
-    lock_steps = jumps = 0
-    # an overflowing rate (inf, or inf x 0 = nan) is caught by the
-    # non-finite check below, not reported by numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            rate = n[:, col]
-            rate *= weight
-            rate = np.add.reduceat(rate, starts, axis=1)
-            np.maximum(rate, 0.0, out=rate)
-            rate *= n[:, src]
-            cum = np.add.accumulate(rate, axis=1)
-            total = cum[:, -1]
-            if not math.isfinite(total.sum()):
-                raise NumericalBlowupError("non-finite rate in the count farm")
-            t_next = t + np.divide(gen.standard_exponential(R), total,
-                                   out=no_rate.copy(), where=total > 0.0)
-            u = gen.random(R)
-            live &= t_next <= T
-            moved = np.count_nonzero(live)
-            if not moved:
-                break
-            # the first (group, edge) whose cumulated rate exceeds u * total:
-            # u < 1 keeps u * total below cum[-1] == total, so a replica with
-            # a positive total picks an edge of positive rate. Stopped
-            # replicas pick anything and move by 0; their times lie past T.
-            k = (cum > (u * total)[:, None]).argmax(axis=1)
-            n += move[k] * live[:, None]
-            if grid is not None:
-                times.append(t_next)
-                picks.append(k)
-                if len(times) == RECORD_STEPS:
-                    _land(landed, grid, times, picks, src, dst)
-                    times, picks = [], []
-            lock_steps += 1
-            jumps += moved
-            t = t_next
-    final = n[:, :GK].reshape(R, G, K)
-    counts = None
-    if grid is not None:
-        _land(landed, grid, times, picks, src, dst)
-        counts = n0[:, None, :] + np.cumsum(landed[:, :-1], axis=1)
-        counts = counts.reshape(R, grid.size, G, K)
-    return FarmRun(final, counts, lock_steps, jumps)
+    law = np.array([validate_probability(m, tables.K) for m in inits])
+    return gen.multinomial(tables.sizes, law[tables.component],
+                           size=(replicas, tables.n_groups))
 
 
-def _land(landed, grid, times, picks, src, dst):
-    """Add recorded jumps to `landed`, the count changes per (replica,
-    grid row, cell). Each jump lands on the first grid time at or after
-    it, so counts accumulated along the grid give the states there;
-    jumps after the last grid time, stopped replicas' among them, land
-    in an extra row that is cut off."""
-    R, rows, GK = landed.shape
-    at = np.searchsorted(grid, np.reshape(times, (-1, R)), side="left")
-    at = (at + rows * np.arange(R)) * GK  # (lock-steps, R)
-    k = np.array(picks, dtype=np.intp).reshape(-1, R)
-    landed += (np.bincount((at + dst[k]).ravel(), minlength=landed.size)
-               - np.bincount((at + src[k]).ravel(), minlength=landed.size)
-               ).reshape(landed.shape)
+def _farm_on_grid(tables: GroupTables, inits, T: float, replicas: int, gen,
+                  grid) -> tuple[FarmRun, np.ndarray]:
+    """A count farm of `replicas` iid starts (`_start_counts`) to time T,
+    and its group counts at each time of `grid` (a grid `_check_grid`
+    passed), shape (replicas, len(grid), G, K): the state after the last
+    jump at or before that time, landed from the farm's jump record."""
+    G, K = tables.n_groups, tables.K
+    start = _start_counts(tables, inits, replicas, gen)
+    landed = np.zeros((replicas, grid.size + 1, G * K), dtype=np.int64)
+
+    def record(times, picks):
+        _land(landed, grid, times, tables.src[picks], tables.dst[picks])
+
+    run = _count_farm(tables, start, T, gen, record)
+    counts = (start.reshape(replicas, 1, G * K).astype(float)
+              + np.cumsum(landed[:, :-1], axis=1))
+    return run, counts.reshape(replicas, grid.size, G, K)
 
 
 def _log_farm(caller, N, run: FarmRun):
@@ -347,14 +237,8 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
     if replicas < 2:
         raise InvalidArgumentError("need at least 2 replicas")
     T = float(T)
-    grid_times = (np.linspace(0.0, T, int(grid)) if np.ndim(grid) == 0
-                  else np.asarray(grid, dtype=float))
-    if (grid_times.ndim != 1 or grid_times.size == 0
-            or np.any(np.diff(grid_times) < 0)
-            or grid_times[0] < 0 or grid_times[-1] > T):
-        raise InvalidArgumentError(
-            f"grid must be a nonempty nondecreasing 1-d array within "
-            f"[0, {T}]")
+    grid_times = _check_grid(
+        np.linspace(0.0, T, int(grid)) if np.ndim(grid) == 0 else grid, T)
     flow = solve_mckean_vlasov(spec, targets, inits, T, dt)
     flow_grid = np.stack([flow.at(t) for t in grid_times])
     seed_path = _seed_path(seed)
@@ -369,11 +253,10 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
         if graph.r != r:
             raise InvalidArgumentError("graph family disagrees with targets")
         tables = GroupTables(graph, spec)
-        run = _count_farm(tables, inits, T, replicas,
-                          substream(*seed_path, n_idx, CHAOS),
-                          grid=grid_times)
+        run, counts = _farm_on_grid(tables, inits, T, replicas,
+                                    substream(*seed_path, n_idx, CHAOS),
+                                    grid_times)
         _log_farm("lln_experiment", N, run)
-        counts = run.grid_counts
         to_component = np.zeros((2 * r, tables.n_groups))
         to_component[tables.component, np.arange(tables.n_groups)] = 1.0
         emp = ((to_component @ counts)
@@ -389,30 +272,26 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
 
 def resolve_tagged(graph: BlockGraph, tagged_nodes):
     """One to three distinct node ids from raw node ids or (block, class)
-    requests; a request picks the first node of that class
-    (exchangeability makes the choice neutral)."""
+    pairs; a pair picks the first node of that class (exchangeability
+    makes the choice neutral). Anything but a pair must be a node id, as
+    `simulate._check_tagged` checks."""
     out = []
     for spec_ in tagged_nodes:
-        if isinstance(spec_, (int, np.integer)):
-            n = int(spec_)
-            if not 0 <= n < graph.n_total:
-                raise InvalidArgumentError(
-                    f"tagged node {n} outside 0..{graph.n_total - 1}"
-                )
-            out.append(n)
-        else:
-            j, cls = spec_
-            cls = class_index(cls)
-            if not 0 <= j < graph.r or cls is None:
-                raise InvalidArgumentError(
-                    f"tagged {tuple(spec_)!r} names no class of a graph "
-                    f"with {graph.r} blocks"
-                )
-            nodes = (graph.central_nodes(j) if cls == CENTRAL
-                     else graph.peripheral_nodes(j))
-            out.append(nodes[0])
-    if len(out) != len(set(out)):
-        raise InvalidArgumentError("tagged nodes must be distinct")
+        if not isinstance(spec_, (tuple, list)):
+            out.append(spec_)
+            continue
+        j, cls = spec_ if len(spec_) == 2 else (None, None)
+        cls = class_index(cls)
+        if (isinstance(j, bool) or not isinstance(j, (int, np.integer))
+                or not 0 <= j < graph.r or cls is None):
+            raise InvalidArgumentError(
+                f"tagged {tuple(spec_)!r} names no class of a graph "
+                f"with {graph.r} blocks"
+            )
+        nodes = (graph.central_nodes(j) if cls == CENTRAL
+                 else graph.peripheral_nodes(j))
+        out.append(nodes[0])
+    out = list(_check_tagged(graph, out))
     if not 1 <= len(out) <= 3:
         raise InvalidArgumentError(
             f"need 1 to 3 tagged nodes, got {len(out)}"
@@ -431,7 +310,8 @@ def tagged_colors(graph: BlockGraph, spec, tagged, T, replicas, gen, *,
     if replicas < 1:
         raise InvalidArgumentError("need at least 1 replica")
     tables = GroupTables(graph, spec, tagged)
-    run = _count_farm(tables, inits, float(T), replicas, gen)
+    run = _count_farm(tables, _start_counts(tables, inits, replicas, gen),
+                      float(T), gen)
     _log_farm("tagged_colors", graph.n_total, run)
     # the singleton groups come last, one count each
     return run.final[:, tables.n_groups - len(tables.tagged):].argmax(axis=2)

@@ -7,17 +7,24 @@ peripheral ones, self included, everything divided by deg+1 — the
 normalized block structure makes all weights equal to table value over
 neighborhood size).
 
-The sampler is the direct method: exponential waiting time at the total
-rate, then category sampling. Nodes of one (block, class) sharing a
-closed neighbourhood jump at the same rates, so each such twin class
-(all centrals of a block; the graph's peripheral twin classes) is one
-group, and the per-event work is O(groups * K * edges) instead of O(N).
+Nodes of one (block, class) sharing a closed neighbourhood jump at the
+same rates, so each such twin class (all centrals of a block; the
+graph's peripheral twin classes) is one group, and the group colour
+counts are one Markov chain, Kurtz's density-dependent chain. The count
+farm samples it by the direct method (exponential waiting time at the
+total rate, then category sampling) for any number of replicas in
+lock-step; the per-event work is O(nonzeros of the rate map), not O(N).
+`simulate` runs the farm with one replica and hands each jump of a group
+to a uniform member of the group in the jump's source colour: twins are
+exchangeable, so that is the per-node law.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +32,7 @@ from . import rng as _rng
 from .errors import (
     InternalConsistencyError,
     InvalidArgumentError,
+    NumericalBlowupError,
 )
 from .graph import CENTRAL, PERIPHERAL, BlockGraph, neighborhood_proportions
 from .rates import affine_rows, as_block_rates
@@ -87,15 +95,11 @@ class SystemState:
 
 @dataclass
 class Trajectory:
-    """A run's events; `refreshes` (group rate refreshes after jumps) and
-    `drawn` (random numbers pulled from the generator) are the kernel's
-    work counters and take no part in equality."""
+    """A run's events."""
 
     initial: SystemState
     events: list  # (t, node, from_color, to_color), strictly increasing t
     horizon: float
-    refreshes: int = field(default=0, compare=False)
-    drawn: int = field(default=0, compare=False)
 
     @property
     def final_colors(self) -> np.ndarray:
@@ -163,13 +167,14 @@ def local_empirical(state: SystemState, graph: BlockGraph, node: int,
 
 
 # --------------------------------------------------------------------------
-# kernel
+# the count chain
 
 
 class GroupTables:
     """The quotient chain of one design: its groups and their affine rate
-    map, built once per (graph, rate family) and never changed after. The
-    per-node kernel and the count farms of `experiments` read it.
+    map, built once per (graph, rate family) and never changed after:
+    every array is read-only, so threads and the `_group_tables` cache
+    share the tables. The count farm reads them.
 
     Groups: one per block's centrals (0..r-1), then the graph's
     peripheral twin classes in order of their first node. A closed
@@ -190,10 +195,13 @@ class GroupTables:
 
     (row, col, weight, beta) are `rates.affine_rows` as returned: the
     nonzeros of the rate map in row-major order, columns ascending within
-    a row; memory is O(nnz), never the dense map. `coef` (coef[g][e] the
-    (column, weight) pairs of row g*E + e), `beta_rows`, `deps` (the
-    groups whose rates a jump in g changes, g included), `out_of` and
-    `edges` are the list views the kernel's event loop reads.
+    a row; memory is O(nnz), never the dense map. The farm reads the same
+    map compiled for `np.add.reduceat`: row g*E + e gathers the counts
+    `gather_col[starts[g*E + e]:starts[g*E + e + 1]]` with weights
+    `gather_weight`, its nonzeros and then its beta, read from a column
+    G*K that holds a constant 1. `src` and `dst` are the flat cells g*K
+    + z of each (group, edge)'s source and target colours, and row g*E +
+    e of `move` (G*E rows, G*K + 1 columns) is that jump's count change.
     """
 
     def __init__(self, graph: BlockGraph, family, tagged=()):
@@ -223,18 +231,21 @@ class GroupTables:
         self.row, self.col, self.weight, self.beta = affine_rows(
             family, self._readers())
 
-        bounds = np.searchsorted(self.row, np.arange(G * E + 1)).tolist()
-        pairs = list(zip(self.col.tolist(), self.weight.tolist()))
-        rows = [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
-        self.coef = [rows[g * E:(g + 1) * E] for g in range(G)]
-        self.beta_rows = self.beta.tolist()
-        deps = [{h} for h in range(G)]
-        for g, h in set(zip((self.row // E).tolist(),
-                            (self.col // K).tolist())):
-            deps[h].add(g)
-        self.deps = [sorted(d) for d in deps]
-        self.out_of = [cg.out_edges(z) for z in range(K)]
-        self.edges = cg.edges
+        # reduceat adds each row's beta last, and every row has a start
+        GK, GE = G * K, G * E
+        row = np.concatenate((self.row, np.arange(GE)))
+        order = np.argsort(row, kind="stable")
+        self.gather_col = np.concatenate((self.col, np.full(GE, GK)))[order]
+        self.gather_weight = np.concatenate((self.weight,
+                                             self.beta.ravel()))[order]
+        self.starts = np.searchsorted(row[order], np.arange(GE))
+        self.src, self.dst = cg.edge_cells(G)
+        self.move = np.zeros((GE, GK + 1))
+        self.move[np.arange(GE), self.src] = -1.0
+        self.move[np.arange(GE), self.dst] = 1.0
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def _readers(self):
         """Yield, group by group, the groups it reads with their weights
@@ -293,142 +304,103 @@ def _check_tagged(graph: BlockGraph, tagged) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# the per-node kernel: a Gillespie run over a design's GroupTables. Each
-# group's per-edge rate is a clamped affine function of the flat count
-# vector; the coefficient lists make a group refresh a few multiply-adds.
+# the count farm: replicas of the count chain of one design's GroupTables,
+# one jump per replica per lock-step
 
 
-def _group_rates(tables: GroupTables, cnt, g):
-    """Group g's per-edge rates at the flat counts cnt, and its total jump
-    rate: the sum over colours z of cnt[g*K + z] times the rates of the
-    edges leaving z."""
-    beta = tables.beta_rows[g]
-    rate = []
-    for e, row in enumerate(tables.coef[g]):
-        v = beta[e]
-        for idx, w in row:
-            v += w * cnt[idx]
-        if v < 0.0:
-            v = 0.0
-        if v != v or v == float("inf"):  # non-finite guard
-            raise InternalConsistencyError(
-                f"non-finite rate in group {g} edge {e}"
-            )
-        rate.append(v)
-    gK = g * tables.K
-    total = 0.0
-    for z, out in enumerate(tables.out_of):
-        c = cnt[gK + z]
-        if c:
-            s = 0.0
-            for e in out:
-                s += rate[e]
-            total += c * s
-    return rate, total
+# The farm hands its record of jump times and edges to its caller every
+# RECORD_STEPS lock-steps, so the record stays O(RECORD_STEPS * replicas):
+# kept whole, it peaked at 2.5 MB (tracemalloc) for the 2046 lock-steps of
+# a 24-replica N=640 farm, against 0.08 MB for the farm without it.
+RECORD_STEPS = 64
 
 
-def _start(tables: GroupTables, colors: list):
-    """The kernel's state at the node colours `colors`: the flat group
-    counts cnt[g*K + z], each group's per-colour buckets of nodes, and
-    every group's rates and total from `_group_rates`."""
-    K = tables.K
-    cnt = [0] * (tables.n_groups * K)
-    buckets = []
-    for g, members in enumerate(tables.members):
-        own = [[] for _ in range(K)]
-        for n in members:
-            z = colors[n]
-            cnt[g * K + z] += 1
-            own[z].append(n)
-        buckets.append(own)
-    rates = [_group_rates(tables, cnt, g) for g in range(tables.n_groups)]
-    rate, group_total = map(list, zip(*rates))
-    return cnt, buckets, rate, group_total
+class FarmRun(NamedTuple):
+    """What `_count_farm` returns: the group counts at T, shape
+    (replicas, G, K), and the work counters, lock-steps (the loop's
+    passes that moved a replica) and replica jumps (over all replicas)."""
+
+    final: np.ndarray
+    lock_steps: int
+    jumps: int
 
 
-def _run(tables: GroupTables, colors: list, T: float, gen):
-    """Advance the node colours `colors` (changed in place) to horizon T.
-    Returns the events, the group refreshes and the numbers drawn, and
-    the final flat group counts."""
-    draws = _rng.BatchedDraws(gen)
-    cnt, buckets, rate, group_total = _start(tables, colors)
-    K, G = tables.K, tables.n_groups
-    out_of, edges, all_deps = tables.out_of, tables.edges, tables.deps
-    events = []
-    refreshes = 0
-    t = 0.0
-    while True:
-        total = 0.0
-        for g in range(G):
-            total += group_total[g]
-        if total <= 0.0:
-            break
-        t += draws.exponential() / total
-        if t > T:
-            break
-        # category: group, then (color, edge) inside the group
-        target = draws.uniform() * total
-        acc = 0.0
-        g_pick = -1
-        last_pos = -1
-        for g in range(G):
-            gt = group_total[g]
-            if gt > 0.0:
-                last_pos = g
-            acc += gt
-            if target < acc:
-                g_pick = g
+def _farm_rates(tables: GroupTables, n) -> np.ndarray:
+    """The rate max(0, beta + A n) of every (group, edge), shape (R, G*E),
+    at the flat counts n of shape (R, G*K + 1), each row ending in the
+    constant 1 that beta is read from."""
+    rate = n[:, tables.gather_col]
+    rate *= tables.gather_weight
+    rate = np.add.reduceat(rate, tables.starts, axis=1)
+    np.maximum(rate, 0.0, out=rate)
+    return rate
+
+
+def _count_farm(tables: GroupTables, counts, T: float, gen,
+                record=None) -> FarmRun:
+    """Run copies of the count chain of `tables` to time T in lock-step,
+    one from each start in `counts`, the group colour counts of shape
+    (replicas, G, K).
+
+    Each lock-step computes every replica's rates (`_farm_rates`), draws
+    one exponential and one uniform per replica to pick the jump time and
+    the (group, edge), and applies the jump, one row of the move table,
+    to the replicas still before T with a positive total rate.
+
+    record: called with each block of at most RECORD_STEPS lock-steps as
+    (times, picks), both of shape (lock-steps, replicas): the jump times
+    and the picked (group, edge) rows g*E + e. A replica that has
+    stopped picks anything at times past T.
+    """
+    if T < 0:
+        raise InvalidArgumentError("T must be >= 0")
+    R = len(counts)
+    GK = tables.n_groups * tables.K
+    # the flat counts, then the constant-one column that beta is read from
+    n = np.concatenate((np.reshape(counts, (R, GK)), np.ones((R, 1))),
+                       axis=1)
+    src, move = tables.src, tables.move
+    t = np.zeros(R)
+    live = np.ones(R, dtype=bool)
+    no_rate = np.full(R, np.inf)
+    times, picks = [], []
+    lock_steps = jumps = 0
+    # an overflowing rate (inf, or inf x 0 = nan) is caught by the
+    # non-finite check below, not reported by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            rate = _farm_rates(tables, n)
+            rate *= n[:, src]
+            cum = np.add.accumulate(rate, axis=1)
+            total = cum[:, -1]
+            if not math.isfinite(total.sum()):
+                raise NumericalBlowupError("non-finite rate in the count farm")
+            t_next = t + np.divide(gen.standard_exponential(R), total,
+                                   out=no_rate.copy(), where=total > 0.0)
+            u = gen.random(R)
+            live &= t_next <= T
+            moved = np.count_nonzero(live)
+            if not moved:
                 break
-        if g_pick < 0:  # float slack at the very top of the walk
-            g_pick = last_pos
-        acc -= group_total[g_pick]
-        e_pick = -1
-        gK = g_pick * K
-        g_rate = rate[g_pick]
-        for z in range(K):
-            c = cnt[gK + z]
-            if not c:
-                continue
-            for e in out_of[z]:
-                acc += c * g_rate[e]
-                if target < acc:
-                    e_pick = e
-                    break
-            if e_pick >= 0:
-                break
-        if e_pick < 0:
-            # numerical slack at the top edge of the walk: retake the
-            # last positive-rate category
-            for z in range(K - 1, -1, -1):
-                if cnt[gK + z]:
-                    for e in reversed(out_of[z]):
-                        if g_rate[e] > 0.0:
-                            e_pick = e
-                            break
-                    if e_pick >= 0:
-                        break
-            if e_pick < 0:
-                raise InternalConsistencyError("category walk fell off")
-        z, zp = edges[e_pick]
-        bucket = buckets[g_pick][z]
-        i = 0
-        if len(bucket) > 1:
-            i = int(draws.uniform() * len(bucket))
-            if i >= len(bucket):
-                i = len(bucket) - 1
-        node = bucket[i]
-        bucket[i] = bucket[-1]
-        bucket.pop()
-        buckets[g_pick][zp].append(node)
-        cnt[gK + z] -= 1
-        cnt[gK + zp] += 1
-        colors[node] = zp
-        events.append((t, node, z, zp))
-        deps = all_deps[g_pick]
-        for g in deps:
-            rate[g], group_total[g] = _group_rates(tables, cnt, g)
-        refreshes += len(deps)
-    return events, refreshes, draws.drawn, cnt
+            # the first (group, edge) whose cumulated rate exceeds u * total:
+            # u < 1 keeps u * total below cum[-1] == total, so a replica with
+            # a positive total picks an edge of positive rate. Stopped
+            # replicas pick anything and move by 0; their times lie past T.
+            k = (cum > (u * total)[:, None]).argmax(axis=1)
+            n += move[k] * live[:, None]
+            if record is not None:
+                times.append(t_next)
+                picks.append(k)
+                if len(times) == RECORD_STEPS:
+                    record(np.array(times), np.array(picks))
+                    times, picks = [], []
+            lock_steps += 1
+            jumps += moved
+            t = t_next
+    if times:
+        record(np.array(times), np.array(picks))
+    return FarmRun(n[:, :GK].reshape(R, tables.n_groups, tables.K),
+                   lock_steps, jumps)
 
 
 _last_tables = None  # (key, tables) of the last design simulated
@@ -454,6 +426,11 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed,
     init: SystemState or a length-N color vector. The dynamics run on the
     graph's own finite-N neighborhood proportions. seed: integer or a
     numpy Generator (callers pass per-replica substreams).
+
+    The run is a count farm with one replica; then one gen.random(jumps)
+    draw gives each jump of group g along edge z -> z' the member of g's
+    colour-z bucket at that uniform's position, which is swapped out to
+    the colour-z' bucket.
     """
     family = as_block_rates(spec, graph.r)
     if T < 0:
@@ -471,19 +448,42 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed,
         )
     gen = seed if isinstance(seed, np.random.Generator) else _rng.substream(seed)
     tables = _group_tables(graph, family)
+    K, E = tables.K, tables.n_edges
     colors = state.colors.tolist()
-    events, refreshes, drawn, cnt = _run(tables, colors, float(T), gen)
-    traj = Trajectory(state, events, float(T), refreshes, drawn)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("simulate: %d events, %d refreshes, %d drawn",
-                  len(events), refreshes, drawn)
+    buckets = [[[] for _ in range(K)] for _ in tables.members]
+    for own, members in zip(buckets, tables.members):
+        for node in members:
+            own[colors[node]].append(node)
+    start = [[len(b) for b in own] for own in buckets]
+    blocks = []
+    run = _count_farm(tables, [start], float(T), gen,
+                      lambda times, picks: blocks.append((times, picks)))
+    events = []
+    if blocks:
+        times, picks = (np.concatenate(b).ravel().tolist()
+                        for b in zip(*blocks))
+        edges = family.colors.edges
+        for t, k, u in zip(times, picks, gen.random(run.jumps).tolist()):
+            g, e = divmod(k, E)
+            z, zp = edges[e]
+            bucket = buckets[g][z]
+            i = min(int(u * len(bucket)), len(bucket) - 1)
+            node = bucket[i]
+            bucket[i] = bucket[-1]
+            bucket.pop()
+            buckets[g][zp].append(node)
+            colors[node] = zp
+            events.append((t, node, z, zp))
+    traj = Trajectory(state, events, float(T))
+    log.debug("simulate: %d events", len(events))
     if debug:
-        if cnt != _start(tables, colors)[0]:
+        final = np.asarray(colors, dtype=np.int64)
+        if not np.array_equal(run.final[0], [np.bincount(final[m], minlength=K)
+                                             for m in tables.members]):
             raise InternalConsistencyError(
                 "count table drifted from the node colors")
-        if not np.array_equal(traj.final_colors,
-                              np.asarray(colors, dtype=np.int64)):
-            raise InternalConsistencyError("replay does not match kernel state")
+        if not np.array_equal(traj.final_colors, final):
+            raise InternalConsistencyError("replay does not match the run")
     return traj
 
 
@@ -503,34 +503,50 @@ class EmpiricalSeries:
         write_series(fp, self.times, self.values)
 
 
+def _check_grid(grid, T: float) -> np.ndarray:
+    """`grid` as a float array, checked to be a nonempty nondecreasing 1-d
+    array of times in [0, T]."""
+    grid = np.asarray(grid, dtype=float)
+    if (grid.ndim != 1 or grid.size == 0 or not np.all(np.diff(grid) >= 0)
+            or not 0 <= grid[0] <= grid[-1] <= T):
+        raise InvalidArgumentError(
+            f"grid must be a nonempty nondecreasing 1-d array within "
+            f"[0, {T}]")
+    return grid
+
+
+def _land(landed, grid, times, source, target):
+    """Add jumps to `landed`, the count changes per (replica, grid row,
+    cell), shape (replicas, len(grid) + 1, cells). times, source and
+    target have replicas as their last axis: a jump at times[..., r]
+    moves one count of replica r from cell source[..., r] to cell
+    target[..., r]. Each jump lands on the first grid time at or after
+    it, so counts accumulated along the grid give the states there
+    (right-continuous: a grid time on a jump sees the post-jump state);
+    jumps after the last grid time land in an extra row that is cut off.
+    """
+    R, rows, cells = landed.shape
+    at = np.searchsorted(grid, times, side="left")
+    at = (at + rows * np.arange(R)) * cells
+    landed += (np.bincount((at + target).ravel(), minlength=landed.size)
+               - np.bincount((at + source).ravel(), minlength=landed.size)
+               ).reshape(landed.shape)
+
+
 def empirical_process(trajectory: Trajectory, graph: BlockGraph,
                       time_grid) -> EmpiricalSeries:
     """Empirical measure vector along the grid, right-continuous in time
     (a grid point lying exactly on a jump time sees the post-jump state)."""
-    grid = np.asarray(time_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise InvalidArgumentError("grid must be a nonempty 1-d array")
-    if np.any(np.diff(grid) < 0):
-        raise InvalidArgumentError("grid must be nondecreasing")
-    if grid[0] < 0 or grid[-1] > trajectory.horizon:
-        raise InvalidArgumentError(
-            f"grid must lie within [0, {trajectory.horizon}]"
-        )
-    # each jump lands on the first grid point at or after it, then counts
-    # accumulate along the grid; jumps after the last point land in an
-    # extra row that is cut off
+    grid = _check_grid(time_grid, trajectory.horizon)
     K = trajectory.initial.K
     width = 2 * graph.r * K
-    rows = (grid.size + 1) * width
-    delta = np.zeros(rows, dtype=np.int64)
-    delta[:width] = trajectory.initial.counts.ravel()
+    landed = np.zeros((1, grid.size + 1, width), dtype=np.int64)
     if trajectory.events:
         t, node, z, zp = (np.asarray(col) for col in zip(*trajectory.events))
-        at = (np.searchsorted(grid, t, side="left") * width
-              + graph.component[node] * K)
-        delta += (np.bincount(at + zp, minlength=rows)
-                  - np.bincount(at + z, minlength=rows))
-    counts = np.cumsum(delta[:-width].reshape(grid.size, width), axis=0)
+        cell = graph.component[node] * K
+        _land(landed, grid, t, cell + z, cell + zp)
+    counts = (trajectory.initial.counts.reshape(width)
+              + np.cumsum(landed[0, :-1], axis=0))
     out = (counts.reshape(grid.size, 2 * graph.r, K)
            / np.ravel(graph.block_sizes)[:, None])
     return EmpiricalSeries(grid, out, graph.r)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import logging
 
@@ -8,7 +9,9 @@ from scipy.stats import chi2_contingency
 
 import blockmf as bm
 from blockmf import experiments
-from blockmf.simulate import GroupTables
+from blockmf.simulate import GroupTables, _count_farm
+
+simulate_module = importlib.import_module("blockmf.simulate")
 
 
 def make_targets():
@@ -103,22 +106,6 @@ def test_sample_block_colors_matches_reference(make_gen):
         assert np.array_equal(gen.random(7), ref.random(7))
 
 
-def test_colors_of_a_stack_of_uniforms_match_searchsorted():
-    # every row of a stack gets the colours sample_block_colors gives one
-    # draw: per node, the cdf entries at or below u, capped at K - 1
-    graph = bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5)
-    inits = [[0.2, 0.5, 0.3], [1.0, 0.0, 0.0], [0.0, 0.25, 0.75],
-             [1 / 3, 1 / 3, 1 / 3]]
-    cdf = experiments.block_color_cdf(graph, inits)
-    u = bm.substream(23, 1).random((5, graph.n_total))
-    u[0, :3] = [0.0, 0.2, np.nextafter(1.0, 0.0)]
-    stack = experiments.colors_of_uniforms(cdf, u)
-    want = [[min(np.searchsorted(cdf[n], row[n], side="right"), 2)
-             for n in range(graph.n_total)] for row in u]
-    assert stack.shape == u.shape
-    assert np.array_equal(stack, want)
-
-
 def small_lln(n_list=(12, 24), replicas=6):
     targets = make_targets()
     spec = bm.sis_spec(2, gamma=0.8, nu=0.5, eta=0.6, zeta=0.7)
@@ -155,9 +142,10 @@ def test_farm_counters_are_logged(caplog):
         small_lln()
         bm.multichaos_test(graph, spec, [(0, "c"), (1, "p")], 1.0, 6, 3,
                            inits=inits)
-    run = experiments._count_farm(
-        GroupTables(graph, spec, tagged=[0, graph.peripheral_nodes(1)[0]]),
-        inits, 1.0, 6, bm.substream(3, bm.rng.MULTICHAOS))
+    tables = GroupTables(graph, spec, tagged=[0, graph.peripheral_nodes(1)[0]])
+    gen = bm.substream(3, bm.rng.MULTICHAOS)
+    run = _count_farm(tables, experiments._start_counts(tables, inits, 6, gen),
+                      1.0, gen)
     assert [m.split(":")[0] for m in caplog.messages] == [
         "lln_experiment N=12", "lln_experiment N=24", "tagged_colors N=24"]
     assert caplog.messages[-1] == (
@@ -247,6 +235,26 @@ def test_multichaos_tagged_resolution():
     assert p3.sum() == pytest.approx(1.0)
 
 
+def test_resolve_tagged_rejects_what_is_no_request():
+    g = bm.proportional_family(make_targets())(24)
+    assert experiments.resolve_tagged(g, [np.int64(3), (1, "c"), [0, 1]]) \
+        == [3, 12, 6]
+    # a bool is no node id, a float neither, and a request that is no
+    # (block, class) pair names nothing
+    for bad, match in (([True, 0], "no node id"), ([2.0], "no node id"),
+                       (["0"], "no node id"), ([None], "no node id"),
+                       ([(0,)], "names no class"),
+                       ([(0, "c", 1)], "names no class"),
+                       ([(True, "c")], "names no class"),
+                       ([(0.0, "c")], "names no class"),
+                       ([("0", "p")], "names no class")):
+        with pytest.raises(bm.InvalidArgumentError, match=match):
+            experiments.resolve_tagged(g, bad)
+    with pytest.raises(bm.InvalidArgumentError, match="no node id"):
+        bm.multichaos_test(g, bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7), [True, 0],
+                           0.5, 10, 3, inits=[[0.6, 0.4]] * 4)
+
+
 SIS2 = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
                    zeta=[0.9, 0.7])
 INITS2 = [[0.7, 0.3], [0.6, 0.4], [0.8, 0.2], [0.5, 0.5]]
@@ -261,9 +269,9 @@ def test_count_farm_matches_per_node_simulation(graph):
     # farm's replicas against independent per-node kernel runs
     T, reps = 1.5, 2000
     tables = GroupTables(graph, SIS2)
-    run = experiments._count_farm(tables, INITS2, T, reps,
-                                  bm.substream(41, 0), grid=[T])
-    farm = run.grid_counts[:, 0, :, 1]
+    _, counts = experiments._farm_on_grid(tables, INITS2, T, reps,
+                                          bm.substream(41, 0), np.array([T]))
+    farm = counts[:, 0, :, 1]
     node = np.empty_like(farm)
     for rep in range(reps):
         gen = bm.substream(41, 1, rep)
@@ -319,13 +327,12 @@ def test_count_farm_is_pinned():
     tables = GroupTables(graph, bm.sis_spec(
         2, gamma=[1.8, 2.1], nu=[1.5, 1.4], eta=1.6, zeta=[0.9, 0.7]),
         tagged=[0, 3])
-    run = experiments._count_farm(
-        tables, INITS2, 2.0, 50, bm.substream(41, 0),
-        grid=np.linspace(0.0, 2.0, 5))
+    run, counts = experiments._farm_on_grid(
+        tables, INITS2, 2.0, 50, bm.substream(41, 0), np.linspace(0.0, 2.0, 5))
     final = run.final[:, -2:].argmax(axis=2)
-    assert run.grid_counts.shape == (50, 5, 8, 2) and final.dtype == np.int64
-    assert np.array_equal(run.grid_counts[:, -1], run.final)
-    assert hashlib.sha256(run.grid_counts.tobytes()).hexdigest() == (
+    assert counts.shape == (50, 5, 8, 2) and final.dtype == np.int64
+    assert np.array_equal(counts[:, -1], run.final)
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
         "4ce8156873409425e3d9241cf2bfee626ef63b3032c1581e3fe7a8509e28dc9c")
     assert hashlib.sha256(final.tobytes()).hexdigest() == (
         "560d85b9d1ea797730b23a74f074f60bf102b2a4ca787e4516dd6de9cd71f6f2")
@@ -338,19 +345,18 @@ def test_count_farm_is_pinned():
     (bm.build_complete_peripheral([(3, 5), (4, 4)]),
      "3db1bd1b79fd76b8441930083308ce6f55fedef17b5259fea4f19fa18c120d50"),
 ], ids=["regular", "complete"])
-@pytest.mark.parametrize("record_steps", [1, 3, experiments.RECORD_STEPS])
+@pytest.mark.parametrize("record_steps", [1, 3, simulate_module.RECORD_STEPS])
 def test_untagged_count_farm_is_pinned(graph, digest, record_steps,
                                        monkeypatch):
     # the grid counts of a farm without tagged nodes, pinned by sha256 of
     # their bytes: a rewrite of the lock-step must not move a draw, and
     # the grid counts do not depend on how often the jump record is
     # landed on the grid
-    monkeypatch.setattr(experiments, "RECORD_STEPS", record_steps)
+    monkeypatch.setattr(simulate_module, "RECORD_STEPS", record_steps)
     tables = GroupTables(graph, bm.sis_spec(
         2, gamma=[1.8, 2.1], nu=[1.5, 1.4], eta=1.6, zeta=[0.9, 0.7]))
-    counts = experiments._count_farm(
-        tables, INITS2, 2.0, 50, bm.substream(41, 0),
-        grid=np.linspace(0.0, 2.0, 5)).grid_counts
+    _, counts = experiments._farm_on_grid(
+        tables, INITS2, 2.0, 50, bm.substream(41, 0), np.linspace(0.0, 2.0, 5))
     assert counts.shape == (50, 5, tables.n_groups, 2)
     assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
 
@@ -358,7 +364,9 @@ def test_untagged_count_farm_is_pinned(graph, digest, record_steps,
 def test_count_farm_rejects_non_finite_rates():
     graph = bm.build_complete_peripheral([(3, 5), (4, 4)])
     tables = GroupTables(graph, SIS2)
-    tables.weight = np.full_like(tables.weight, np.inf)
+    tables.gather_weight = np.full_like(tables.gather_weight, np.inf)
+    gen = bm.substream(41, 0)
+    start = experiments._start_counts(tables, INITS2, 4, gen)
     # inf times a zero count is nan: the farm says so without a warning
     with pytest.raises(bm.NumericalBlowupError, match="non-finite"):
-        experiments._count_farm(tables, INITS2, 1.0, 4, bm.substream(41, 0))
+        _count_farm(tables, start, 1.0, gen)

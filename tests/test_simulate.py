@@ -12,9 +12,8 @@ import blockmf as bm
 from blockmf.meanfield import _VectorField
 from blockmf.graph import CENTRAL, PERIPHERAL
 from blockmf.rates import total_rate
-from blockmf.rng import BatchedDraws
-from blockmf.simulate import (GroupTables, _group_rates, _group_tables,
-                              _run, _start, local_empirical)
+from blockmf.simulate import (RECORD_STEPS, GroupTables, _count_farm,
+                              _farm_rates, _group_tables, local_empirical)
 from conftest import list_affine_rows, random_rate_family, reference_rate
 
 SIS = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
@@ -106,7 +105,7 @@ def test_kernel_reuse_leaks_no_state():
     init_a = [0, 1, 2, 0, 0, 1, 0, 1, 2, 0, 1, 0]
     queue = bm.queue_spec(3, zeta=1.0, vartheta=0.8, h_coefficient=0.4)
     first = bm.simulate(graph_a, queue, init_a, 5.0, seed=7)
-    assert len(first.events) > 2 * BatchedDraws.FIRST  # refills mid-run
+    assert len(first.events) > RECORD_STEPS  # recorded in two blocks
     for debug in (False, True):
         graph_b = bm.build_complete_peripheral([(2, 3), (3, 4)])
         bm.simulate(graph_b, queue, [1] * graph_b.n_total, 5.0,
@@ -116,8 +115,6 @@ def test_kernel_reuse_leaks_no_state():
         again = bm.simulate(graph_a, queue, init_a, 5.0, seed=7,
                             debug=debug)
         assert again.events == first.events
-        assert (again.refreshes, again.drawn) == (first.refreshes,
-                                                  first.drawn)
 
 
 def test_kernel_is_shared_by_equal_designs():
@@ -130,6 +127,12 @@ def test_kernel_is_shared_by_equal_designs():
                          bm.as_block_rates(SIS, 2)) is tables
     other = bm.sis_spec(2, gamma=0.8, nu=0.5, eta=0.6, zeta=0.9)
     assert _group_tables(graph, bm.as_block_rates(other, 2)) is not tables
+    # the shared arrays refuse writes
+    for name in ("sizes", "component", "row", "col", "weight", "beta",
+                 "gather_col", "gather_weight", "starts", "src", "dst",
+                 "move"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tables, name)[0] = 0
 
 
 def test_threads_do_not_share_a_kernel():
@@ -168,11 +171,10 @@ def test_threads_do_not_share_a_kernel():
 QUEUE3 = bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.6,
                        h_coefficient=0.4)
 
-# designs whose count states the kernel revisits: the bench oracle design,
-# a regular design with unequal blocks, and the 3-colour queue. The
-# kernel keeps no per-state store of rates (its memo is gone): it
-# refreshes the rates of a jump's dependent groups in place, on arrays of
-# its own run, and the shared tables never change.
+# designs whose count states the farm revisits: the bench oracle design,
+# a regular design with unequal blocks, and the 3-colour queue. (The
+# test names below are those of the per-node kernel's former rate memo;
+# they now gate the farm on shared tables.)
 MEMO_DESIGNS = {
     "oracle": (lambda: bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5),
                SIS),
@@ -189,72 +191,86 @@ def design_tables(name):
     return GroupTables(graph, bm.as_block_rates(fam, graph.r))
 
 
-def kernel_runs(tables, seeds, T=2.0):
-    """One kernel run per seed from colours drawn with that seed: its
-    initial colours, events, refreshes, numbers drawn and final counts."""
+def start_counts(tables, colors):
+    """Group colour counts of a stack of node colour vectors, shape
+    (..., G, K)."""
+    return np.stack([(colors[..., m, None] == np.arange(tables.K)).sum(-2)
+                     for m in tables.members], axis=-2)
+
+
+def farm_runs(tables, seeds, T=2.0, replicas=3):
+    """One farm run per seed from colours drawn with that seed: its start
+    counts, jump record, final counts and counters, as lists."""
     out = []
     for s in seeds:
         gen = np.random.default_rng(s)
-        colors = gen.integers(0, tables.K, tables.graph.n_total).tolist()
-        init = list(colors)
-        out.append((init, *_run(tables, colors, T, gen)))
+        start = start_counts(tables, gen.integers(
+            0, tables.K, (replicas, tables.graph.n_total)))
+        blocks = []
+        run = _count_farm(tables, start, T, gen, lambda times, picks:
+                          blocks.append((times.tolist(), picks.tolist())))
+        out.append((start.tolist(), blocks, run.final.tolist(),
+                    run.lock_steps, run.jumps))
     return out
 
 
-def bits(rate, total):
-    """A group's rates and total as exact bit patterns."""
-    return [x.hex() for x in rate], total.hex()
+def with_one(cnt):
+    """Flat counts of shape (..., G*K) with the constant-one column the
+    farm reads beta from."""
+    cnt = np.asarray(cnt, dtype=float)
+    return np.concatenate((cnt, np.ones((*cnt.shape[:-1], 1))), axis=-1)
 
 
 def table_state(tables):
-    """What the kernel reads of a design's tables, and their attributes."""
-    return (sorted(vars(tables)), tables.coef, tables.beta_rows, tables.deps,
-            tables.members, tables.sizes.tolist(), tables.out_of,
-            tables.edges)
+    """What the farm reads of a design's tables, and their attributes."""
+    arrays = {k: (v.dtype, v.shape, v.tobytes())
+              for k, v in vars(tables).items() if isinstance(v, np.ndarray)}
+    return sorted(vars(tables)), tables.members, tables.meta, arrays
 
 
 @pytest.mark.parametrize("name", MEMO_DESIGNS)
 def test_memo_matches_fresh_rates(name):
-    # at every count state a run visits, the rates the kernel holds after
-    # refreshing only the jump's dependent groups in place read back,
-    # group by group, the rates and totals of _group_rates recomputed
-    # there, bit for bit
+    # every replica's jump record replays, jump by jump, to the farm's
+    # final counts; at every count state visited, the rates the farm
+    # evaluates for the whole stack of states read back, row by row, the
+    # rates evaluated at that state alone, bit for bit (so a replica's
+    # rates do not depend on the replicas beside it)
     tables = design_tables(name)
-    states = 0
-    for init, events, refreshes, _, final in kernel_runs(tables, range(80)):
-        colors = list(init)
-        cnt, _, rate, total = _start(tables, colors)
-        held = 0
-        for ev in [None, *events]:
-            if ev is not None:
-                _, node, z, zp = ev
-                assert colors[node] == z
-                colors[node] = zp
-                g = tables.group_of(node)
-                cnt[g * tables.K + z] -= 1
-                cnt[g * tables.K + zp] += 1
-                for h in tables.deps[g]:
-                    rate[h], total[h] = _group_rates(tables, cnt, h)
-                held += len(tables.deps[g])
-            for h in range(tables.n_groups):
-                assert bits(rate[h], total[h]) == bits(
-                    *_group_rates(tables, cnt, h))
-            states += 1
-        assert (held, cnt) == (refreshes, final)
-    assert states > 600
+    T, visited = 2.0, []
+    for start, blocks, final, lock_steps, jumps in farm_runs(
+            tables, range(80), T):
+        n = np.array(start, dtype=float).reshape(len(start), -1)
+        visited.append(n.copy())
+        steps = moves = 0
+        for times, picks in blocks:
+            for t_row, k_row in zip(times, picks):
+                for r, (t, k) in enumerate(zip(t_row, k_row)):
+                    if t <= T:
+                        n[r, tables.src[k]] -= 1
+                        n[r, tables.dst[k]] += 1
+                        moves += 1
+                visited.append(n.copy())
+                steps += 1
+        assert (steps, moves) == (lock_steps, jumps)
+        assert n.reshape(np.shape(final)).tolist() == final
+    stack = with_one(np.concatenate(visited))
+    rates = _farm_rates(tables, stack)
+    assert len(stack) > 600
+    for state, rate in zip(stack, rates):
+        assert _farm_rates(tables, state[None])[0].tobytes() == rate.tobytes()
 
 
 @pytest.mark.parametrize("name", MEMO_DESIGNS)
 def test_cold_and_warm_memo_give_identical_runs(name):
     # fresh tables for every run, or one set of tables used by other runs
-    # and then by these: the same events, refreshes and draws, and the
+    # and then by these: the same records, counts and counters, and the
     # used tables read as they were built
-    cold = [kernel_runs(design_tables(name), [s])[0] for s in range(30)]
+    cold = [farm_runs(design_tables(name), [s])[0] for s in range(30)]
     warm = design_tables(name)
     built = table_state(design_tables(name))
-    kernel_runs(warm, range(30, 60))
-    assert kernel_runs(warm, range(30)) == cold
-    assert kernel_runs(warm, range(30)) == cold
+    farm_runs(warm, range(30, 60))
+    assert farm_runs(warm, range(30)) == cold
+    assert farm_runs(warm, range(30)) == cold
     assert table_state(warm) == built
 
 
@@ -267,12 +283,12 @@ def test_memo_stays_within_its_bound():
     family = bm.as_block_rates(QUEUE3, graph.r)
     tables = GroupTables(graph, family)
     built = table_state(tables)
+    start = start_counts(tables, np.arange(graph.n_total)[None] % 2)
     n_events = {}
 
     def worker(s):
-        colors = (np.arange(graph.n_total) % 2).tolist()
-        n_events[s] = len(_run(tables, colors, 8.0,
-                               np.random.default_rng(s))[0])
+        n_events[s] = _count_farm(tables, start, 8.0,
+                                  np.random.default_rng(s)).jumps
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -289,40 +305,37 @@ def test_memo_stays_within_its_bound():
     assert sum(n_events.values()) > 4 * tables.n_groups * tables.n_edges
     assert table_state(tables) == built
     for s in (2, 3):
-        init = (np.arange(graph.n_total) % 2).tolist()
-        used = _run(tables, list(init), 1.0, np.random.default_rng(s))
-        fresh = _run(GroupTables(graph, family), list(init), 1.0,
-                     np.random.default_rng(s))
-        assert used == fresh
+        used = _count_farm(tables, start, 1.0, np.random.default_rng(s))
+        fresh = _count_farm(GroupTables(graph, family), start, 1.0,
+                            np.random.default_rng(s))
+        assert used.final.tobytes() == fresh.final.tobytes()
+        assert used[1:] == fresh[1:]
     assert table_state(tables) == built
 
 
-# seeded runs pinned by a sha256 of the event rows (repr of the list of
-# (t, node, from, to) tuples) and the run's counters
+# seeded runs pinned by their event count and a sha256 of the event rows
+# (repr of the list of (t, node, from, to) tuples)
 PINNED_RUNS = {
     "complete": (
-        lambda: bm.build_complete_peripheral([(3, 5), (4, 4)]), 60, 149, 320,
+        lambda: bm.build_complete_peripheral([(3, 5), (4, 4)]), 60,
         "230ce4f66897d790df48d2fd116018c86ac741e3459ff42ded01c80d8057c5bb"),
     "regular-f0.5": (
-        lambda: bm.build_regular_peripheral([(2, 4), (3, 6)], 0.5),
-        95, 348, 320,
+        lambda: bm.build_regular_peripheral([(2, 4), (3, 6)], 0.5), 95,
         "fdc804e0e01e92a347e0a97d3fef92d77d43d48d28a00b9305d9f66f02a0f2c4"),
     "regular-f0.25": (
-        lambda: bm.build_regular_peripheral([(2, 8), (2, 8)], 0.25),
-        101, 584, 448,
+        lambda: bm.build_regular_peripheral([(2, 8), (2, 8)], 0.25), 101,
         "86898b861d0f5ab4cafd3cecf4c13284a7abca0867368fe646626c24a1270aad"),
     "queue3": (
-        lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
-        101, 368, 448,
+        lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5), 101,
         "79a611d0d891fb348ebab3f79ad223182689455e04f14ce0e91303aaebcb7b85"),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_RUNS)
 def test_seeded_runs_are_pinned(name):
-    # the kernel's arithmetic and draw order are fixed: a rewrite must
+    # the farm's arithmetic and the draw order are fixed: a rewrite must
     # reproduce these runs event for event
-    builder, n_events, refreshes, drawn, digest = PINNED_RUNS[name]
+    builder, n_events, digest = PINNED_RUNS[name]
     graph = builder()
     gen = np.random.default_rng(3)
     if name == "queue3":
@@ -335,8 +348,7 @@ def test_seeded_runs_are_pinned(name):
         init = (gen.random(graph.n_total) < 0.8).astype(np.int64)
     for debug in (False, True):
         tr = bm.simulate(graph, fam, init, 8.0, seed=19, debug=debug)
-        assert (len(tr.events), tr.refreshes, tr.drawn) == (
-            n_events, refreshes, drawn)
+        assert len(tr.events) == n_events
         assert hashlib.sha256(repr(tr.events).encode()).hexdigest() == digest
 
 
@@ -345,23 +357,24 @@ def test_trajectory_counters(caplog):
     init = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
     with caplog.at_level(logging.DEBUG, logger="blockmf.simulate"):
         tr = bm.simulate(g, SIS, init, 2.0, seed=7)
-    # every jump refreshes at least its own group; each stream's first
-    # block is BatchedDraws.FIRST numbers
-    assert tr.refreshes >= len(tr.events) > 0
-    assert tr.drawn >= 2 * BatchedDraws.FIRST
+    assert len(tr.events) > 0
     assert tr == bm.Trajectory(tr.initial, tr.events, tr.horizon)
-    assert caplog.messages == [
-        f"simulate: {len(tr.events)} events, {tr.refreshes} refreshes, "
-        f"{tr.drawn} drawn"
-    ]
+    assert caplog.messages == [f"simulate: {len(tr.events)} events"]
+
+
+def farm_rates_at(tables, colors):
+    """The farm's rate of every (group, edge) at the node colours
+    `colors`, shape (G, E)."""
+    n = with_one(start_counts(tables, np.asarray(colors)).ravel()[None])
+    return _farm_rates(tables, n).reshape(tables.n_groups, tables.n_edges)
 
 
 def kernel_definition_gap(graph, family, colors):
-    """Max |kernel rate - definition rate| over nodes and edges."""
+    """Max |farm rate - definition rate| over nodes and edges."""
     family = bm.as_block_rates(family, graph.r)
     st = bm.SystemState.from_colors(graph, colors, family.colors.K)
     tables = GroupTables(graph, family)
-    _, _, rate, _ = _start(tables, st.colors.tolist())
+    rate = farm_rates_at(tables, st.colors)
     group = {n: g for g, members in enumerate(tables.members) for n in members}
     worst = 0.0
     for n in range(graph.n_total):
@@ -415,7 +428,7 @@ def test_kernel_rates_match_limit_field(fam):
         colors = gen.integers(0, K, graph.n_total)
         st = bm.SystemState.from_colors(graph, colors, K)
         tables = GroupTables(graph, family)
-        _, _, rate, _ = _start(tables, st.colors.tolist())
+        rate = farm_rates_at(tables, st.colors)
         y = np.concatenate([
             np.asarray(st.counts[2 * j + cls], dtype=float)
             / graph.block_sizes[j][cls]
@@ -424,7 +437,7 @@ def test_kernel_rates_match_limit_field(fam):
         want = field.rates(y)
         for g, (j, cls) in enumerate(tables.meta):
             comp = 2 * j + cls
-            assert np.abs(np.asarray(rate[g])
+            assert np.abs(rate[g]
                           - want[comp * ne:(comp + 1) * ne]).max() <= 1e-12
 
 
@@ -458,10 +471,9 @@ def test_kernel_groups_are_twin_classes(builder, n_groups):
 
 
 def reference_tables(graph, family):
-    """The kernel's group tables compiled as Python lists, one group at a
-    time: members, (block, class), coefficient rows, beta and reverse
-    dependencies. The reference `GroupTables` must reproduce."""
-    K = family.colors.K
+    """The group tables compiled as Python lists, one group at a time:
+    members, (block, class), coefficient rows and beta. The reference
+    `GroupTables` must reproduce."""
     members = [list(graph.central_nodes(j)) for j in range(graph.r)]
     members += [list(c) for c in graph.twin_classes]
     meta = [(graph.block_of(m[0]), graph.class_of(m[0])) for m in members]
@@ -479,13 +491,7 @@ def reference_tables(graph, family):
             yield (j, cls), reads
 
     coef, beta = list_affine_rows(family, readers())
-    deps = [set() for _ in members]
-    for g in range(len(members)):
-        for g0 in {idx // K for row in coef[g] for idx, _ in row}:
-            deps[g0].add(g)
-    for g0 in range(len(members)):
-        deps[g0].add(g0)
-    return members, meta, coef, beta, [sorted(d) for d in deps]
+    return members, meta, coef, beta
 
 
 # the designs the tests build, complete and regular
@@ -520,15 +526,15 @@ TABLE_DESIGNS = [
 
 @pytest.mark.parametrize("builder", TABLE_DESIGNS)
 def test_group_tables_match_list_compile(builder):
-    # the array tables give back the list compile's rows, beta and
-    # dependencies bit for bit, and the kernel's list views are exactly
-    # those
+    # the array tables give back the list compile's rows and beta bit for
+    # bit, and so do the farm's gather arrays: each row's columns and
+    # weights, then beta read from the constant-one column
     graph = builder()
     for fam in (bm.sis_spec(graph.r, gamma=0.8, nu=0.5, eta=0.6, zeta=0.9),
                 bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.6,
                               h_coefficient=0.4)):
         family = bm.as_block_rates(fam, graph.r)
-        members, meta, coef, beta, deps = reference_tables(graph, family)
+        members, meta, coef, beta = reference_tables(graph, family)
         tables = GroupTables(graph, family)
         assert tables.members == members
         assert tables.meta == meta
@@ -538,14 +544,18 @@ def test_group_tables_match_list_compile(builder):
         assert list(zip(tables.row.tolist(), tables.col.tolist(),
                         tables.weight.tolist())) == nonzeros
         assert tables.beta.tolist() == beta
-        assert tables.deps == deps
         assert tables.sizes.tolist() == [len(m) for m in members]
         assert tables.component.tolist() == [2 * j + c for j, c in meta]
         assert [tables.group_of(n) for n in range(graph.n_total)] == [
             g for _, g in sorted((n, g) for g, ms in enumerate(members)
                                  for n in ms)]
-        assert (tables.coef, tables.beta_rows, tables.deps) == (
-            coef, beta, deps)
+        GK = len(members) * family.colors.K
+        ends = [*tables.starts[1:].tolist(), tables.gather_col.size]
+        gathered = [list(zip(tables.gather_col[a:b].tolist(),
+                             tables.gather_weight[a:b].tolist()))
+                    for a, b in zip(tables.starts.tolist(), ends)]
+        assert gathered == [[*row, (GK, b)] for own, b_own in zip(coef, beta)
+                            for row, b in zip(own, b_own)]
 
 
 def affine_rates(tables, cnt):
@@ -636,7 +646,11 @@ def test_kernel_group_totals():
     colors = gen.integers(0, 2, graph.n_total)
     st = bm.SystemState.from_colors(graph, colors, 2)
     tables = GroupTables(graph, SIS)
-    _, _, rate, group_total = _start(tables, st.colors.tolist())
+    rate = farm_rates_at(tables, st.colors)
+    # the farm's per-group totals: rate times the source colour's count
+    n = with_one(start_counts(tables, st.colors).ravel()[None])
+    flow = _farm_rates(tables, n) * n[:, tables.src]
+    group_total = flow.reshape(tables.n_groups, -1).sum(axis=1)
     cg = SIS.colors
     for g, members in enumerate(tables.members):
         expect = sum(
