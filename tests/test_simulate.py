@@ -317,17 +317,17 @@ def test_memo_stays_within_its_bound():
 # (repr of the list of (t, node, from, to) tuples)
 PINNED_RUNS = {
     "complete": (
-        lambda: bm.build_complete_peripheral([(3, 5), (4, 4)]), 60,
-        "230ce4f66897d790df48d2fd116018c86ac741e3459ff42ded01c80d8057c5bb"),
+        lambda: bm.build_complete_peripheral([(3, 5), (4, 4)]), 81,
+        "db693544ccb89dc9bb8972b5c0cd77713b3daa27110b5f02b7f8db48667d5af1"),
     "regular-f0.5": (
-        lambda: bm.build_regular_peripheral([(2, 4), (3, 6)], 0.5), 95,
-        "fdc804e0e01e92a347e0a97d3fef92d77d43d48d28a00b9305d9f66f02a0f2c4"),
+        lambda: bm.build_regular_peripheral([(2, 4), (3, 6)], 0.5), 102,
+        "0c332c6c6006575bbc10d845f09a86c7486f08d856ef8bf53e227b4d1d78b0dd"),
     "regular-f0.25": (
-        lambda: bm.build_regular_peripheral([(2, 8), (2, 8)], 0.25), 101,
-        "86898b861d0f5ab4cafd3cecf4c13284a7abca0867368fe646626c24a1270aad"),
+        lambda: bm.build_regular_peripheral([(2, 8), (2, 8)], 0.25), 117,
+        "8f27d3c2914e7a06458b03e8f8cf30df92bbd851769371a1ee7708c242340d60"),
     "queue3": (
-        lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5), 101,
-        "79a611d0d891fb348ebab3f79ad223182689455e04f14ce0e91303aaebcb7b85"),
+        lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5), 107,
+        "b002ec2c071645bef224edd6f353415ed4bd0f2f21150a3fceac640f405c56f2"),
 }
 
 
