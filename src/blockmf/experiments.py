@@ -167,17 +167,22 @@ def proportional_family(targets: ProportionTargets):
     return build
 
 
+def _initial_laws(graph: BlockGraph, inits, K=None) -> np.ndarray:
+    """The initial laws inits[2*block + class] as a (2r, K) array, each
+    checked to be a distribution on K colours (by default inits[0]'s)."""
+    if len(inits) != 2 * graph.r:
+        raise InvalidArgumentError(f"need 2r={2 * graph.r} initial measures")
+    K = validate_probability(inits[0]).size if K is None else K
+    return np.array([validate_probability(m, K) for m in inits])
+
+
 def sample_block_colors(graph: BlockGraph, inits, gen) -> np.ndarray:
     """iid initial colors, one distribution per component 2*block+class,
     from one gen.random(N) draw: a node's colour is the number of entries
     of its law's cdf at or below its uniform."""
-    if len(inits) != 2 * graph.r:
-        raise InvalidArgumentError(f"need 2r={2 * graph.r} initial measures")
-    K = validate_probability(inits[0]).size
-    cdf = np.cumsum([validate_probability(m, K) for m in inits], axis=1)
-    cdf = cdf[graph.component]
+    cdf = np.cumsum(_initial_laws(graph, inits), axis=1)[graph.component]
     u = gen.random(len(cdf))
-    return np.minimum((cdf <= u[:, None]).sum(axis=1), K - 1)
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
 
 
 def _seed_path(seed):
@@ -191,10 +196,7 @@ def _start_counts(tables: GroupTables, inits, replicas: int, gen):
     inits[2*block + class], shape (replicas, G, K): one multinomial per
     group, so a singleton group of split tables draws its node's
     colour."""
-    if len(inits) != 2 * tables.graph.r:
-        raise InvalidArgumentError(
-            f"need 2r={2 * tables.graph.r} initial measures")
-    law = np.array([validate_probability(m, tables.K) for m in inits])
+    law = _initial_laws(tables.graph, inits, tables.K)
     return gen.multinomial(tables.sizes, law[tables.component],
                            size=(replicas, tables.n_groups))
 

@@ -371,7 +371,8 @@ def _count_farm(tables: GroupTables, counts, T: float, gen,
         while True:
             rate = _farm_rates(tables, n)
             rate *= n[:, src]
-            cum = np.add.accumulate(rate, axis=1)
+            # in place, so one (R, G*E) array per lock-step outlives it
+            cum = np.add.accumulate(rate, axis=1, out=rate)
             total = cum[:, -1]
             if not math.isfinite(total.sum()):
                 raise NumericalBlowupError("non-finite rate in the count farm")
@@ -478,8 +479,8 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed,
     log.debug("simulate: %d events", len(events))
     if debug:
         final = np.asarray(colors, dtype=np.int64)
-        if not np.array_equal(run.final[0], [np.bincount(final[m], minlength=K)
-                                             for m in tables.members]):
+        counts = [np.bincount(final[m], minlength=K) for m in tables.members]
+        if not np.array_equal(run.final[0], counts):
             raise InternalConsistencyError(
                 "count table drifted from the node colors")
         if not np.array_equal(traj.final_colors, final):
