@@ -775,6 +775,16 @@ def test_empirical_process_grid_validation():
         bm.empirical_process(tr, g, [0.5, 1.5])
 
 
+def test_grid_check_rejects_nan_times():
+    # NaN compares false with everything, so it must fail the checks
+    # rather than slip past them
+    g = bm.build_complete_peripheral([(1, 1)])
+    tr = bm.simulate(g, SIS.central[0], [0, 1], 1.0, seed=2)
+    for grid in ([np.nan], [0.0, np.nan, 1.0], [0.5, np.nan]):
+        with pytest.raises(bm.InvalidArgumentError, match="grid"):
+            bm.empirical_process(tr, g, grid)
+
+
 def test_component_series_csv():
     g = bm.build_complete_peripheral([(2, 3), (2, 3)])
     init = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
