@@ -3,6 +3,7 @@ and infinite floats, numpy integer ids. Floats are written with 17
 significant digits, integers and class labels as plain text."""
 
 import io
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -144,3 +145,50 @@ def test_chunking_changes_no_byte_and_no_line_number(monkeypatch, chunk):
     repeat = text + rows[6] + "\n"
     with pytest.raises(bm.InvalidArgumentError, match="flow line 20:"):
         bm.MeanFieldFlow.from_csv(io.StringIO(repeat))
+
+
+def reference_write_cells(fp, header, times, values, chunk):
+    """Rows (t, block, class, [color,] value) as object columns zipped
+    `chunk` rows at a time: the reference the cell writer must reproduce
+    byte for byte."""
+    fp.write(",".join(header) + "\n")
+    cells = values[0].size
+    g, z = np.divmod(np.arange(cells), cells // values.shape[1])
+    keys = [g // 2, np.asarray(tables.CLASS_LABELS)[g % 2], z][:values.ndim]
+    step = max(1, chunk // cells)
+    for a in range(0, len(times), step):
+        t = ["%.17g" % x for x in np.asarray(times[a:a + step]).tolist()]
+        columns = [np.repeat(np.array(t, dtype=object), cells),
+                   *(np.tile(k, len(t)) for k in keys),
+                   values[a:a + step].reshape(-1)]
+        row = ",".join("%.17g" if c.dtype.kind == "f" else "%s"
+                       for c in columns) + "\n"
+        n = len(columns[0])
+        for start in range(0, n, chunk):
+            rows = zip(*(c[start:start + chunk].tolist() for c in columns))
+            fp.write(row * min(chunk, n - start)
+                     % tuple(itertools.chain.from_iterable(rows)))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+@pytest.mark.parametrize("shape", [(5, 2, 1), (4, 2, 2), (3, 6, 6), (7, 6),
+                                   (2, 180, 6)])
+def test_cell_writer_matches_reference(monkeypatch, chunk, shape):
+    # random series for r in {1, 3} and K in {1, 2, 6}, a 2-D cost
+    # integrand, and a time point of 1080 cells, more than any chunk;
+    # signed zero, tiny, infinite and NaN values are written
+    monkeypatch.setattr(tables, "CHUNK_ROWS", chunk)
+    gen = np.random.default_rng(sum(shape) * chunk)
+    values = gen.standard_normal(shape) * 10.0 ** gen.integers(-300, 300,
+                                                                shape)
+    flat = values.reshape(-1)
+    flat[gen.choice(flat.size, 4, replace=False)] = [-0.0, 1e-300, np.inf,
+                                                     np.nan]
+    times = np.cumsum(gen.uniform(0.0, 1.0, shape[0])) - 0.5
+    times[0] = -0.0
+    header = tables.SERIES_HEADER[:len(shape) + 1] + ("value",)
+    want, got = io.StringIO(), io.StringIO()
+    reference_write_cells(want, header, times, values, chunk)
+    tables._write_cells(got, header, times, values)
+    assert got.getvalue() == want.getvalue()
+    assert got.getvalue().count("\n") == 1 + values.size

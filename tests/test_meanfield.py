@@ -273,6 +273,71 @@ def test_frozen_sweep_matches_stepwise_reference(model, steps, request):
     assert np.array_equal(got[0], y0.reshape(want.shape[1:]))
 
 
+def stepwise_mckean_vlasov(spec, targets, inits, T, dt):
+    """RK4 as a plain loop, one `rates` and one `drift` call per stage, the
+    finiteness checked and the mass renormalised after every step: the
+    reference the solver must reproduce bit for bit."""
+    from blockmf.meanfield import _grid
+
+    field = _VectorField(spec, targets)
+    r, K = field.r, field.K
+    times, dt = _grid(float(T), float(dt))
+    y = np.concatenate(inits)
+    out = np.empty((times.size, 2 * r, K))
+    out[0] = y.reshape(2 * r, K)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(times.size - 1):
+            k1 = field.drift(field.rates(y), y)
+            y2 = y + 0.5 * dt * k1
+            k2 = field.drift(field.rates(y2), y2)
+            y3 = y + 0.5 * dt * k2
+            k3 = field.drift(field.rates(y3), y3)
+            y4 = y + dt * k3
+            k4 = field.drift(field.rates(y4), y4)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                raise bm.NumericalBlowupError(
+                    f"non-finite flow at t={times[i + 1]:.6g}", t=times[i + 1]
+                )
+            comps = y.reshape(2 * r, K)
+            comps -= ((comps.sum(axis=1) - 1.0) / K)[:, None]
+            out[i + 1] = comps
+    return times, out
+
+
+@pytest.mark.parametrize("model", ["sis2", "queue6"])
+@pytest.mark.parametrize("steps", [1, 2, 3, 300, 601])
+def test_rk4_matches_stepwise_reference(model, steps, request):
+    # 1-3 steps end inside any chunk of rows; 300 and 601 steps are not
+    # multiples of any power-of-two chunk
+    spec, targets, inits = (request.getfixturevalue("sis2")
+                            if model == "sis2" else queue6_model())
+    T = 0.004 * steps
+    got = bm.solve_mckean_vlasov(spec, targets, inits, T, 0.004)
+    times, want = stepwise_mckean_vlasov(spec, targets, inits, T, 0.004)
+    assert np.array_equal(got.times, times)
+    assert got.values.shape == want.shape
+    assert np.array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("zeta, row", [(280.0, 156), (279.0, 406)])
+def test_rk4_overflow_raises(sis2, zeta, row):
+    # a stiff cure rate (dt * zeta about 2.8, past RK4's stability edge)
+    # grows an oscillation until it overflows: the error names the first
+    # non-finite grid point, inside the first or a later chunk of rows
+    _, targets, inits = sis2
+    spec = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
+                       zeta=[zeta, 0.7])
+    with pytest.raises(bm.NumericalBlowupError) as want:
+        stepwise_mckean_vlasov(spec, targets, inits, 8.0, 0.01)
+    times = np.linspace(0.0, 8.0, 801)
+    assert want.value.t == times[row]
+    with pytest.raises(bm.NumericalBlowupError,
+                       match=f"non-finite flow at t={times[row]:.6g}$") as got:
+        bm.solve_mckean_vlasov(spec, targets, inits, 8.0, 0.01)
+    assert got.value.t == times[row]
+
+
 def list_vector_field(family, targets):
     """W, beta, src and S of the limit field from the list compile, W
     filled entry by entry."""
