@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -52,7 +53,10 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, and every subcommand call would otherwise pay for it."""
     parser = argparse.ArgumentParser(
         prog="blockmf",
         description="Simulate and analyze multiclass jump processes on "

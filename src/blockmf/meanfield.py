@@ -182,8 +182,13 @@ class _VectorField:
     def drift(self, R: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return (R * Y.take(self.src, axis=-1)) @ self.S.T
 
-    def rhs(self, y_flat: np.ndarray) -> np.ndarray:
-        return self.drift(self.rates(y_flat), y_flat)
+    def rhs(self, y: np.ndarray) -> np.ndarray:
+        """drift(rates(y), y) of one flat state, in place on one array."""
+        R = y @ self.W.T
+        R += self.beta
+        np.maximum(R, 0.0, out=R)
+        R *= y.take(self.src)
+        return R @ self.S.T
 
 
 def _flow_states(flow: MeanFieldFlow, field: _VectorField) -> np.ndarray:
@@ -234,35 +239,54 @@ def _renormalize(y: np.ndarray, K: int):
     comps -= ((comps.sum(axis=1) - 1.0) / K)[:, None]
 
 
+_STEP_CHUNK = 256  # grid steps per finiteness check; per propagator batch
+
+
 def solve_mckean_vlasov(spec, targets: ProportionTargets, init, T, dt,
                         ) -> MeanFieldFlow:
     """Classical RK4 on the coupled system; dt is shrunk if needed so the
     grid lands exactly on T. Mass drift is subtracted after every step
-    (it is zero up to roundoff — the generator preserves mass)."""
+    (it is zero up to roundoff — the generator preserves mass). The
+    output is checked for non-finite values _STEP_CHUNK steps at a time;
+    the error names the first non-finite grid point."""
     field = _VectorField(spec, targets)
     r, K = field.r, field.K
     times, dt = _grid(float(T), float(dt))
-    y = _init_vector(init, r, K)
-    out = np.empty((times.size, 2 * r, K))
-    out[0] = y.reshape(2 * r, K)
-    # an overflow surfaces as a non-finite step, checked below
+    n = times.size - 1
+    out = np.empty((n + 1, 2 * r * K))
+    out[0] = _init_vector(init, r, K)
+    half, sixth = 0.5 * dt, dt / 6.0
+    # an overflow surfaces as a non-finite chunk, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(times.size - 1):
-            k1 = field.rhs(y)
-            k2 = field.rhs(y + 0.5 * dt * k1)
-            k3 = field.rhs(y + 0.5 * dt * k2)
-            k4 = field.rhs(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise NumericalBlowupError(
-                    f"non-finite flow at t={times[i + 1]:.6g}", t=times[i + 1]
-                )
-            _renormalize(y, K)
-            out[i + 1] = y.reshape(2 * r, K)
-    return MeanFieldFlow(times, out, r)
-
-
-_SWEEP_CHUNK = 256  # grid steps whose RK4 propagators are built at once
+        for a in range(0, n, _STEP_CHUNK):
+            b = min(a + _STEP_CHUNK, n)
+            for i in range(a, b):
+                y = out[i]
+                k1 = field.rhs(y)
+                x = half * k1
+                x += y
+                k2 = field.rhs(x)
+                np.multiply(half, k2, out=x)
+                x += y
+                k3 = field.rhs(x)
+                np.multiply(dt, k3, out=x)
+                x += y
+                k4 = field.rhs(x)
+                # (k1 + 2 k2 + 2 k3 + k4) dt/6, summed left to right
+                k2 *= 2.0
+                k1 += k2
+                k3 *= 2.0
+                k1 += k3
+                k1 += k4
+                k1 *= sixth
+                np.add(y, k1, out=out[i + 1])
+                _renormalize(out[i + 1], K)
+            finite = np.isfinite(out[a + 1:b + 1]).all(axis=1)
+            if not finite.all():
+                t = times[a + 1 + np.argmin(finite)]
+                raise NumericalBlowupError(f"non-finite flow at t={t:.6g}",
+                                           t=t)
+    return MeanFieldFlow(times, out.reshape(n + 1, 2 * r, K), r)
 
 
 def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
@@ -278,7 +302,7 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
     P = I + dt/6 (A1 + 2 A2 B1 + 2 A2 B2 + A4 B3), B1 = I + dt/2 A1,
     B2 = I + dt/2 A2 B1, B3 = I + dt A2 B2, with A1, A2, A4 the
     generators at t_i, the midpoint and t_{i+1}. The propagators are
-    built in batched matmuls, _SWEEP_CHUNK steps at a time, and applied
+    built in batched matmuls, _STEP_CHUNK steps at a time, and applied
     in order; the mass drift is subtracted once from the output."""
     n1 = frozen.shape[0]
     r, K = field.r, field.K
@@ -299,8 +323,8 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
     eye = np.eye(K)
     # an overflow surfaces as a non-finite chunk, checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, n1 - 1, _SWEEP_CHUNK):
-            b = min(a + _SWEEP_CHUNK, n1 - 1)
+        for a in range(0, n1 - 1, _STEP_CHUNK):
+            b = min(a + _STEP_CHUNK, n1 - 1)
             A = field.generators(R_grid[a:b + 1])
             A1, A4 = A[:-1], A[1:]
             A2 = field.generators(R_mid[a:b])

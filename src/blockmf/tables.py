@@ -3,6 +3,9 @@ rows with LF endings; float columns with 17 significant digits (`.17g`,
 which round-trips float64), integer and label columns with `str`. A
 component series (empirical measures, flows) is the table
 "t,block,class,color,mass", one row per (time, block, class, colour) cell.
+A series or cost writer builds the rows of one time point, with every
+cell's block, class and colour fields, as one format string per file,
+and fills in times and values a chunk of whole time points at a time.
 """
 
 from __future__ import annotations
@@ -36,18 +39,25 @@ def write_table(fp, header, columns) -> None:
 def _write_cells(fp, header, times, values) -> None:
     """Rows (t, block, class, [color,] value) of values[i, g(, z)] at
     times[i], g = 2*block+class, written whole time points at a time; the
-    colour column is there when values has one. Each time is formatted
-    once."""
+    colour column is there when values has one. The row format of one
+    time point, each cell's key fields filled in, is built once; each
+    chunk of time points is one `%` over (time, value) pairs, each time
+    formatted once."""
     fp.write(",".join(header) + "\n")
+    n, comps = values.shape[:2]
     cells = values[0].size
-    g, z = np.divmod(np.arange(cells), cells // values.shape[1])
-    keys = [g // 2, np.asarray(CLASS_LABELS)[g % 2], z][:values.ndim]
+    point = "".join(
+        f"%s,{g // 2},{CLASS_LABELS[g % 2]}"
+        + (f",{z}" if values.ndim > 2 else "") + ",%.17g\n"
+        for g in range(comps) for z in range(cells // comps))
+    flat = values.reshape(n, cells)
     step = max(1, CHUNK_ROWS // cells)
-    for a in range(0, len(times), step):
+    for a in range(0, n, step):
         t = ["%.17g" % x for x in np.asarray(times[a:a + step]).tolist()]
-        write_table(fp, None, [np.repeat(np.array(t, dtype=object), cells),
-                               *(np.tile(k, len(t)) for k in keys),
-                               values[a:a + step].reshape(-1)])
+        pairs = [None] * (2 * len(t) * cells)
+        pairs[::2] = [s for s in t for _ in range(cells)]
+        pairs[1::2] = flat[a:a + step].ravel().tolist()
+        fp.write(point * len(t) % tuple(pairs))
 
 
 def write_series(fp, times, values) -> None:

@@ -102,6 +102,27 @@ def test_simulate_needs_seed(tmp_path, capsys):
     assert code == 1 and "seed" in err
 
 
+def test_parser_is_built_once_and_keeps_no_arguments(tmp_path, capsys):
+    # one parser serves every call; an override given to one call does
+    # not carry over to the next
+    from blockmf.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    first = _build_parser().parse_args(
+        ["picard", "--scenario", "a.json", "--seed", "3", "--grid", "5",
+         "--out", "o"])
+    assert (first.seed, first.grid, first.out) == (3, 5, "o")
+    second = _build_parser().parse_args(["meanfield", "--scenario", "b"])
+    assert (second.command, second.seed, second.grid, second.out) == (
+        "meanfield", None, None, None)
+    sp = scen_path(tmp_path, {k: v for k, v in SCEN.items() if k != "seed"})
+    code, _, err = run(["simulate", "--scenario", sp, "--seed", "4",
+                        "--out", str(tmp_path / "s")], capsys)
+    assert code == 0
+    code, _, err = run(["simulate", "--scenario", sp], capsys)
+    assert code == 1 and "seed" in err
+
+
 def test_grid_override(tmp_path, capsys):
     sp = scen_path(tmp_path)
     d = tmp_path / "g"
