@@ -5,7 +5,8 @@ import pytest
 
 import blockmf as bm
 from blockmf.meanfield import _VectorField
-from conftest import (list_affine_rows, random_rate_family,
+from blockmf.rates import total_rate
+from conftest import (list_affine_rows, random_inits, random_rate_family,
                       random_targets)
 
 R1_TARGETS = bm.ProportionTargets((0.5,), (0.4,), ((0.6,),), (1.0,))
@@ -408,3 +409,64 @@ def test_picard_logs_sweeps(sis2, caplog):
         f"picard_iterate: {len(res)} sweeps, last residual {res[-1]:.3e}"]
     with pytest.raises(bm.InvalidArgumentError, match="max_iter"):
         bm.picard_iterate(spec, targets, inits, 1.0, 0.05, max_iter=0)
+
+
+def definition_rates(family, targets, flow):
+    """`total_rate` of every component and edge on a flow's clipped
+    states, each read at its targets' shares: (n_times, 2r, n_edges)."""
+    r, ne = targets.r, family.colors.n_edges
+    comps = [flow.component(j, cls) for j in range(r) for cls in (0, 1)]
+    own = comps[1::2]
+    out = np.empty((flow.times.size, 2 * r, ne))
+    for j in range(r):
+        for e in range(ne):
+            out[:, 2 * j, e] = total_rate(
+                family.spec_for(j, 0), e, targets.p_c[j], comps[2 * j],
+                (targets.p_p[j],), (comps[2 * j + 1],))
+            out[:, 2 * j + 1, e] = total_rate(
+                family.spec_for(j, 1), e, targets.alpha_c[j], comps[2 * j],
+                targets.q[j], own)
+    return out
+
+
+def definition_drift(family, flow, rates):
+    """A*mu from per-edge rates: each edge's flux mu(src)*rate leaves its
+    source colour and enters its target colour. Also returns the sum of
+    the flux magnitudes at each cell, the scale its roundoff lives on."""
+    mu = np.maximum(flow.values, 0.0)
+    drift, scale = np.zeros_like(mu), np.zeros_like(mu)
+    for e, (z, zp) in enumerate(family.colors.edges):
+        flux = mu[:, :, z] * rates[:, :, e]
+        drift[:, :, z] -= flux
+        drift[:, :, zp] += flux
+        scale[:, :, z] += flux
+        scale[:, :, zp] += flux
+    return drift, scale
+
+
+def test_limit_rates_match_definition(sis2):
+    # the compiled limit rates, read on every 5th grid point of RK4 flows,
+    # are the definition-style `total_rate` at the targets' shares, and the
+    # compiled drift is the forward equation built from those rates
+    gen = np.random.default_rng(20)
+    models = [sis2, queue6_model()]
+    for r, K in [(1, 2), (2, 3), (3, 4), (2, 6)]:
+        models.append((random_rate_family(gen, r, K), random_targets(gen, r),
+                       random_inits(gen, r, K)))
+    for spec, targets, inits in models:
+        family = bm.as_block_rates(spec, targets.r)
+        full = bm.solve_mckean_vlasov(family, targets, inits, 1.0, 0.01)
+        flow = bm.MeanFieldFlow(full.times[::5], full.values[::5], full.r)
+        want = definition_rates(family, targets, flow)
+        got = bm.flow_rates(flow, family, targets)
+        assert got.shape == want.shape
+        # the affine part is nonnegative, so a rate of a negative offset
+        # beta is rate - beta minus |beta|: its roundoff scales with
+        # rate + 2|beta| (the queue's clamped arrivals cancel this way)
+        beta = np.array([family.spec_for(j, cls).beta
+                         for j in range(targets.r) for cls in (0, 1)])
+        scale = want + 2.0 * np.maximum(-beta, 0.0)
+        assert (np.abs(got - want) <= 1e-13 * scale).all()
+        drift, scale = definition_drift(family, flow, want)
+        gap = np.abs(bm.flow_drift(flow, family, targets) - drift)
+        assert (gap <= 1e-13 * scale).all()
