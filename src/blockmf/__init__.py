@@ -57,8 +57,6 @@ from .meanfield import (
     MeanFieldFlow,
     flow_drift,
     flow_rates,
-    generator_c,
-    generator_p,
     picard_iterate,
     simulate_limit_particle,
     solve_mckean_vlasov,
@@ -70,11 +68,8 @@ from .rates import (
     ColorGraph,
     RateSpec,
     as_block_rates,
-    lambda_c,
-    lambda_p,
     queue_spec,
     sis_spec,
-    total_rate,
 )
 from .rng import substream
 from .scenario import Scenario, load_scenario
@@ -130,13 +125,9 @@ __all__ = [
     "empirical_process",
     "flow_drift",
     "flow_rates",
-    "generator_c",
-    "generator_p",
     "girsanov_log_densities",
     "girsanov_log_density",
     "h_functional",
-    "lambda_c",
-    "lambda_p",
     "legendre_cost",
     "lln_experiment",
     "load_scenario",
@@ -157,7 +148,6 @@ __all__ = [
     "substream",
     "tau",
     "tau_star",
-    "total_rate",
     "variational_cost",
     "variational_norm",
     "w1_discrete",

@@ -46,6 +46,7 @@ log = logging.getLogger(__name__)
 
 PHI_CAP = 500.0  # potential spread beyond this means an unbounded ascent
 GRAD_TOL = 1e-10
+RATE_FLOOR = 1e-10  # legendre_cost's uniform-ellipticity floor
 MAX_NEWTON = 200
 
 
@@ -147,13 +148,12 @@ def _package_cost(times, integrand, targets, r, **counters) -> DeviationCost:
 
 
 def legendre_cost(flow: MeanFieldFlow, targets, spec,
-                  rate_family: RateFamily, rate_floor: float = 1e-10
-                  ) -> DeviationCost:
+                  rate_family: RateFamily) -> DeviationCost:
     """Cost of running the flow with rates l instead of the model's lam:
     integrate sum_e mu(src)·lam·tau*(l/lam - 1) per component, weight by
     the limiting class proportions.
 
-    The model rates along the flow must stay above rate_floor on every
+    The model rates along the flow must stay above RATE_FLOOR on every
     edge (the dynamics are assumed uniformly elliptic); anything lower
     raises AssumptionViolationError.
     """
@@ -169,11 +169,11 @@ def legendre_cost(flow: MeanFieldFlow, targets, spec,
             f"rate family has {rate_family.n_edges} edges, "
             f"model has {lam.shape[2]}"
         )
-    if lam.min() < rate_floor:
+    if lam.min() < RATE_FLOOR:
         i, g, e = np.unravel_index(int(lam.argmin()), lam.shape)
         raise AssumptionViolationError(
             f"model rate {lam[i, g, e]:.3g} on edge {e} of component {g} "
-            f"at t={flow.times[i]:.6g} is below the floor {rate_floor:.3g}"
+            f"at t={flow.times[i]:.6g} is below the floor {RATE_FLOOR:.3g}"
         )
     mu = np.clip(flow.values, 0.0, None)       # (n, 2r, K)
     mu_src = mu[:, :, family.colors.src]       # (n, 2r, E)

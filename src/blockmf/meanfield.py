@@ -29,13 +29,7 @@ from .errors import (
     NumericalBlowupError,
 )
 from .graph import ProportionTargets
-from .rates import (
-    RateSpec,
-    affine_rows,
-    as_block_rates,
-    total_rate,
-    validate_probability,
-)
+from .rates import affine_rows, as_block_rates, validate_probability
 from .tables import read_series, write_series
 
 log = logging.getLogger(__name__)
@@ -43,49 +37,12 @@ log = logging.getLogger(__name__)
 __all__ = [
     "MeanFieldFlow",
     "ColorPath",
-    "generator_c",
-    "generator_p",
     "solve_mckean_vlasov",
     "picard_iterate",
     "simulate_limit_particle",
     "flow_rates",
     "flow_drift",
 ]
-
-
-def generator_c(spec: RateSpec, mu_c, mu_p, p_c, p_p) -> np.ndarray:
-    """K x K generator of a central node given its block's measures;
-    includes the state-only rate component. Rows sum to zero."""
-    K = spec.colors.K
-    mu_c = validate_probability(mu_c, K)
-    mu_p = validate_probability(mu_p, K)
-    if not (0.0 < p_c < 1.0 and abs(p_c + p_p - 1.0) <= 1e-9):
-        raise InvalidArgumentError(f"bad block proportions ({p_c},{p_p})")
-    A = np.zeros((K, K))
-    for e, (z, zp) in enumerate(spec.colors.edges):
-        A[z, zp] = total_rate(spec, e, p_c, mu_c, (p_p,), (mu_p,))
-    A[np.arange(K), np.arange(K)] = -A.sum(axis=1)
-    return A
-
-
-def generator_p(spec: RateSpec, mu_c, mus, alpha_c, q_row) -> np.ndarray:
-    """K x K generator of a peripheral node given its own-block central
-    measure and all blocks' peripheral measures."""
-    K = spec.colors.K
-    mu_c = validate_probability(mu_c, K)
-    mus = [validate_probability(m, K) for m in mus]
-    q_row = [float(x) for x in q_row]
-    if len(mus) != len(q_row):
-        raise InvalidArgumentError(
-            f"{len(mus)} measures for {len(q_row)} proportions"
-        )
-    if abs(alpha_c + sum(q_row) - 1.0) > 1e-9 or alpha_c <= 0:
-        raise InvalidArgumentError("peripheral proportions must sum to 1")
-    A = np.zeros((K, K))
-    for e, (z, zp) in enumerate(spec.colors.edges):
-        A[z, zp] = total_rate(spec, e, alpha_c, mu_c, q_row, mus)
-    A[np.arange(K), np.arange(K)] = -A.sum(axis=1)
-    return A
 
 
 @dataclass

@@ -31,17 +31,14 @@ __all__ = [
     "RateSpec",
     "BlockRates",
     "as_block_rates",
-    "lambda_c",
-    "lambda_p",
     "total_rate",
     "sis_spec",
     "queue_spec",
-    "validate_measure",
     "validate_probability",
 ]
 
 
-def validate_measure(x, K=None):
+def validate_probability(x, K=None):
     try:
         arr = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
@@ -52,13 +49,8 @@ def validate_measure(x, K=None):
         )
     if not (np.isfinite(arr).all() and (arr >= 0).all()):
         raise InvalidArgumentError("measure entries must be finite and >= 0")
-    return arr
-
-
-def validate_probability(x, K=None, tol=1e-9):
-    arr = validate_measure(x, K)
     s = float(arr.sum())
-    if abs(s - 1.0) > tol:
+    if abs(s - 1.0) > 1e-9:
         raise InvalidArgumentError(f"probability vector sums to {s!r}, not 1")
     return arr
 
@@ -367,65 +359,25 @@ def affine_rows(family: BlockRates, readers):
     return row[order], col[order], weight[order], beta.reshape(len(owner), E)
 
 
-def _affine_rate(spec: RateSpec, edge_idx: int, w0, nu, ws, mus):
-    # np.vecdot gives each row of a stack exactly what np.dot gives it
-    acc = w0 * np.vecdot(nu, spec.gamma_c[edge_idx])
-    gp = spec.gamma_p[edge_idx]
-    for w, mu in zip(ws, mus):
-        if w != 0.0:
-            acc += w * np.vecdot(mu, gp)
-    return acc
-
-
 def total_rate(spec: RateSpec, edge_idx: int, w0, nu, ws, mus):
-    """Affine rate plus the state-only term, clamped at zero. This is the
-    quantity the dynamics (simulator, generators, cost functionals) use.
+    """Affine rate plus the state-only term, clamped at zero, evaluated
+    from the definition: w0 * <gamma_c[e], nu> + sum_i ws[i] * <gamma_p[e],
+    mus[i]> + beta[e]. The simulator and the mean-field solvers read the
+    compiled `affine_rows` instead; this evaluator shares no code with it
+    and serves the product-space oracle, the cross-check.
 
     The measures nu and mus[i] may carry leading stack axes, one state per
     row, each row taking the arithmetic of a single call: the rates then
     come back as an array of the stack's shape, else as a float."""
-    v = _affine_rate(spec, edge_idx, w0, nu, ws, mus) + spec.beta[edge_idx]
+    # np.vecdot gives each row of a stack exactly what np.dot gives it
+    v = w0 * np.vecdot(nu, spec.gamma_c[edge_idx])
+    gp = spec.gamma_p[edge_idx]
+    for w, mu in zip(ws, mus):
+        if w != 0.0:
+            v += w * np.vecdot(mu, gp)
+    v = v + spec.beta[edge_idx]
     v = np.where(v > 0.0, v, 0.0)
     return float(v) if v.ndim == 0 else v
-
-
-def _check_weights(ws, what):
-    ws = [float(w) for w in ws]
-    for w in ws:
-        if not (0.0 < w < 1.0):
-            raise InvalidArgumentError(
-                f"{what} must all be in (0,1), got {ws}"
-            )
-    if abs(sum(ws) - 1.0) > 1e-9:
-        raise InvalidArgumentError(f"{what} must sum to 1, got {sum(ws)!r}")
-    return ws
-
-
-def lambda_c(spec: RateSpec, nu, mu, a1, a2, edge) -> float:
-    """Central-node transition rate along `edge` (affine part only):
-    a1 * <gamma_c, nu> + a2 * <gamma_p, mu>."""
-    a1, a2 = _check_weights((a1, a2), "central proportions (a1,a2)")
-    K = spec.colors.K
-    nu = validate_probability(nu, K)
-    mu = validate_probability(mu, K)
-    idx = spec.colors.edge_index(*edge)
-    return float(_affine_rate(spec, idx, a1, nu, (a2,), (mu,)))
-
-
-def lambda_p(spec: RateSpec, nu, mus, a, b, edge) -> float:
-    """Peripheral-node transition rate along `edge` (affine part only):
-    a * <gamma_c, nu> + sum_i b[i] * <gamma_p, mus[i]>."""
-    b = list(b)
-    ws = _check_weights((a, *b), "peripheral proportions (a, b_1..b_r)")
-    K = spec.colors.K
-    nu = validate_probability(nu, K)
-    mus = [validate_probability(m, K) for m in mus]
-    if len(mus) != len(b):
-        raise InvalidArgumentError(
-            f"got {len(mus)} measures for {len(b)} proportions"
-        )
-    idx = spec.colors.edge_index(*edge)
-    return float(_affine_rate(spec, idx, ws[0], nu, ws[1:], mus))
 
 
 def sis_spec(r, gamma, nu, eta, zeta) -> BlockRates:

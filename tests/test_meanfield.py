@@ -12,27 +12,29 @@ from conftest import (list_affine_rows, random_inits, random_rate_family,
 R1_TARGETS = bm.ProportionTargets((0.5,), (0.4,), ((0.6,),), (1.0,))
 
 
-def test_generator_c_worked_number():
+def constant_flow(*components):
+    """A two-point flow that sits at the given component measures."""
+    values = np.array([components, components], dtype=float)
+    return bm.MeanFieldFlow(np.array([0.0, 1.0]), values, len(components) // 2)
+
+
+def test_central_rates_worked_number():
     fam = bm.sis_spec(1, gamma=2.0, nu=1.0, eta=0.6, zeta=0.9)
-    A = bm.generator_c(fam.central[0], (0.7, 0.3), (0.2, 0.8), 0.5, 0.5)
-    assert np.allclose(A, [[-0.7, 0.7], [0.9, -0.9]])
-    assert np.allclose(A.sum(axis=1), 0.0)
-    with pytest.raises(bm.InvalidArgumentError):
-        bm.generator_c(fam.central[0], (0.7, 0.3), (0.2, 0.8), 0.5, 0.6)
+    flow = constant_flow((0.7, 0.3), (0.2, 0.8))
+    rates = bm.flow_rates(flow, fam, R1_TARGETS)[0, 0]
+    # infection 0.5 * 2 * 0.3 + 0.5 * 1 * 0.8; cure at zeta
+    assert np.allclose(rates, [0.7, 0.9])
 
 
-def test_generator_p_validation():
+def test_peripheral_rates_worked_number():
     fam = bm.sis_spec(2, gamma=1.0, nu=0.5, eta=0.6, zeta=0.3)
-    spec = fam.peripheral[0]
-    mus = [(0.5, 0.5), (0.9, 0.1)]
-    A = bm.generator_p(spec, (0.4, 0.6), mus, 0.5, (0.25, 0.25))
-    assert np.allclose(A.sum(axis=1), 0.0)
-    assert A[0, 1] == pytest.approx(
+    targets = bm.ProportionTargets((0.5, 0.5), (0.5, 0.5),
+                                   ((0.25, 0.25), (0.25, 0.25)), (0.5, 0.5))
+    flow = constant_flow((0.4, 0.6), (0.5, 0.5), (0.5, 0.5), (0.9, 0.1))
+    rates = bm.flow_rates(flow, fam, targets)
+    infect = fam.colors.edge_index(0, 1)
+    assert rates[0, 1, infect] == pytest.approx(
         0.5 * 0.5 * 0.6 + 0.6 * (0.25 * 0.5 + 0.25 * 0.1))
-    with pytest.raises(bm.InvalidArgumentError):
-        bm.generator_p(spec, (0.4, 0.6), mus[:1], 0.5, (0.25, 0.25))
-    with pytest.raises(bm.InvalidArgumentError):
-        bm.generator_p(spec, (0.4, 0.6), mus, 0.6, (0.25, 0.25))
 
 
 def test_solver_conserves_mass(sis2):
@@ -134,10 +136,11 @@ def test_flow_rates_and_drift(sis2):
     assert rates.min() >= 0.0
     # the drift moves mass around without creating any
     assert np.abs(drift.sum(axis=2)).max() <= 1e-12
-    # cross-check one entry against the generator at t=0
-    A = bm.generator_c(spec.central[0], inits[0], inits[1],
-                       targets.p_c[0], targets.p_p[0])
-    assert rates[0, 0, spec.colors.edge_index(0, 1)] == pytest.approx(A[0, 1])
+    # cross-check one entry against the definition-style rate at t=0
+    e = spec.colors.edge_index(0, 1)
+    assert rates[0, 0, e] == pytest.approx(total_rate(
+        spec.central[0], e, targets.p_c[0], inits[0],
+        (targets.p_p[0],), (inits[1],)))
 
 
 def test_grid_validation(sis2):

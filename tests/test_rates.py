@@ -58,30 +58,26 @@ def test_rate_spec_bounds():
 def test_central_rate_worked_number():
     fam = bm.sis_spec(1, gamma=2.0, nu=1.0, eta=0.6, zeta=0.9)
     spec = fam.spec_for(0, 0)
-    v = bm.lambda_c(spec, nu=(0.7, 0.3), mu=(0.2, 0.8),
-                    a1=0.5, a2=0.5, edge=(0, 1))
+    nu, mu = np.array([0.7, 0.3]), np.array([0.2, 0.8])
+    # the infection edge carries no state-only term:
     # 0.5 * 2 * 0.3 + 0.5 * 1 * 0.8
+    infect = spec.colors.edge_index(0, 1)
+    assert spec.beta[infect] == 0.0
+    v = total_rate(spec, infect, 0.5, nu, (0.5,), (mu,))
     assert v == pytest.approx(0.7)
-    # cure edge has no affine part
-    assert bm.lambda_c(spec, (0.7, 0.3), (0.2, 0.8), 0.5, 0.5, (1, 0)) == 0.0
-    assert spec.beta[spec.colors.edge_index(1, 0)] == 0.9
+    # the cure edge has no affine part, only zeta
+    cure = spec.colors.edge_index(1, 0)
+    assert total_rate(spec, cure, 0.5, nu, (0.5,), (mu,)) == 0.9
 
 
-def test_peripheral_rate_and_weight_checks():
+def test_peripheral_rate_worked_number():
     fam = bm.sis_spec(2, gamma=1.0, nu=0.5, eta=0.6, zeta=0.3)
     spec = fam.spec_for(0, 1)
-    mus = [(0.5, 0.5), (0.9, 0.1)]
-    v = bm.lambda_p(spec, nu=(0.4, 0.6), mus=mus, a=0.5, b=(0.25, 0.25),
-                    edge=(0, 1))
+    mus = [np.array([0.5, 0.5]), np.array([0.9, 0.1])]
+    infect = spec.colors.edge_index(0, 1)
+    assert spec.beta[infect] == 0.0
+    v = total_rate(spec, infect, 0.5, np.array([0.4, 0.6]), (0.25, 0.25), mus)
     assert v == pytest.approx(0.5 * 0.5 * 0.6 + 0.6 * (0.25 * 0.5 + 0.25 * 0.1))
-    with pytest.raises(bm.InvalidArgumentError, match="sum to 1"):
-        bm.lambda_p(spec, (0.4, 0.6), mus, 0.5, (0.25, 0.3), (0, 1))
-    with pytest.raises(bm.InvalidArgumentError, match=r"\(0,1\)"):
-        bm.lambda_c(spec, (0.4, 0.6), (0.5, 0.5), 1.0, 0.0, (0, 1))
-    with pytest.raises(bm.InvalidArgumentError, match="measures"):
-        bm.lambda_p(spec, (0.4, 0.6), mus[:1], 0.5, (0.25, 0.25), (0, 1))
-    with pytest.raises(bm.InvalidArgumentError, match="sums to"):
-        bm.lambda_c(spec, (0.4, 0.5), (0.5, 0.5), 0.5, 0.5, (0, 1))
 
 
 def test_total_rate_affine_plus_offset_clamped():
