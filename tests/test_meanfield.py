@@ -251,12 +251,16 @@ def queue6_model():
     return spec, targets, inits
 
 
-@pytest.mark.parametrize("model", ["sis2", "queue6"])
-@pytest.mark.parametrize("steps", [1, 2, 3, 300, 601])
+@pytest.mark.parametrize(
+    "steps, model",
+    [(s, m) for m in ("queue6", "sis2") for s in (1, 2, 3, 300, 601)]
+    + [(s, "queue6") for s in (15, 16, 17, 255, 256, 257, 2000)])
 def test_frozen_sweep_matches_stepwise_reference(model, steps, request):
     # 1-3 steps take the linear-midpoint branch (fewer than 4 grid
     # points) or sit at its edge; 300 and 601 steps are not multiples of
-    # any power-of-two chunk of grid steps
+    # any power-of-two chunk of grid steps; 15-17 and 255-257 straddle
+    # the edges of a 16-step sub-block and a 256-step chunk, and 2000 is
+    # the benchmark's grid
     from blockmf.meanfield import _frozen_solve
 
     spec, targets, inits = (request.getfixturevalue("sis2")
@@ -400,6 +404,25 @@ def test_frozen_sweep_overflow_raises(sis2):
     frozen = np.full((11, 4, 2), 1e300)
     with pytest.raises(bm.NumericalBlowupError, match="fixed-point sweep"):
         _frozen_solve(field, frozen, np.concatenate(inits), 0.01)
+
+
+def test_frozen_sweep_overflow_at_one_grid_point_raises():
+    # the frozen flow is finite except at step 37 of 300, inside a
+    # 16-step sub-block: the sweep stops with one error and no warning
+    import warnings
+
+    from blockmf.meanfield import _frozen_solve
+
+    spec, targets, inits = queue6_model()
+    field = _VectorField(spec, targets)
+    y0 = np.concatenate(inits)
+    frozen = np.repeat(y0.reshape(1, 4, 6), 301, axis=0)
+    frozen[37] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bm.NumericalBlowupError,
+                           match="fixed-point sweep"):
+            _frozen_solve(field, frozen, y0, 0.004)
 
 
 def test_picard_logs_sweeps(sis2, caplog):
