@@ -148,14 +148,18 @@ class _VectorField:
         return R @ self.S.T
 
 
-def _flow_states(flow: MeanFieldFlow, field: _VectorField) -> np.ndarray:
-    """The flow's clipped states, one flat row per grid point; its block
-    and colour counts must be the model's."""
+def _check_layout(flow: MeanFieldFlow, field: _VectorField):
+    """The flow's block and colour counts must be the model's."""
     if flow.values.shape[1:] != (2 * field.r, field.K):
         raise InvalidArgumentError(
             f"flow has r={flow.r}, K={flow.K}; the model has r={field.r}, "
             f"K={field.K}"
         )
+
+
+def _flow_states(flow: MeanFieldFlow, field: _VectorField) -> np.ndarray:
+    """The flow's clipped states, one flat row per grid point."""
+    _check_layout(flow, field)
     return np.maximum(flow.values, 0.0).reshape(flow.times.size, -1)
 
 
@@ -197,6 +201,7 @@ def _renormalize(y: np.ndarray, K: int):
 
 
 _STEP_CHUNK = 256  # grid steps per finiteness check; per propagator batch
+_SUB_BLOCK = 16  # grid steps per running product of the Picard sweep
 
 
 def solve_mckean_vlasov(spec, targets: ProportionTargets, init, T, dt,
@@ -260,7 +265,11 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
     B2 = I + dt/2 A2 B1, B3 = I + dt A2 B2, with A1, A2, A4 the
     generators at t_i, the midpoint and t_{i+1}. The propagators are
     built in batched matmuls, _STEP_CHUNK steps at a time, and applied
-    in order; the mass drift is subtracted once from the output."""
+    as a blocked prefix product: each run of _SUB_BLOCK steps is folded
+    in place into its running products (_SUB_BLOCK - 1 matmuls batched
+    over the chunk's sub-blocks), then one product per sub-block carries
+    the state from its first grid point to the rest. The mass drift is
+    subtracted once from the output."""
     n1 = frozen.shape[0]
     r, K = field.r, field.K
     flat = frozen.reshape(n1, 2 * r * K)
@@ -282,15 +291,36 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, n1 - 1, _STEP_CHUNK):
             b = min(a + _STEP_CHUNK, n1 - 1)
+            m = b - a
             A = field.generators(R_grid[a:b + 1])
             A1, A4 = A[:-1], A[1:]
             A2 = field.generators(R_mid[a:b])
-            A2B1 = A2 @ (eye + (0.5 * dt) * A1)
-            A2B2 = A2 @ (eye + (0.5 * dt) * A2B1)
-            P = eye + (dt / 6.0) * (A1 + 2.0 * A2B1 + 2.0 * A2B2
-                                    + A4 @ (eye + dt * A2B2))
-            for i in range(a, b):
-                np.matmul(P[i - a], cols[i], out=cols[i + 1])
+            # P = I + dt/6 (A1 + 2 A2 B1 + 2 A2 B2 + A4 B3), in place
+            P = A2 @ A1
+            P *= 0.5 * dt
+            P += A2  # A2 B1
+            X = A2 @ P
+            X *= 0.5 * dt
+            X += A2  # A2 B2
+            A4B3 = np.matmul(A4, X, out=A2)  # A2 is not read again
+            A4B3 *= dt
+            A4B3 += A4
+            P *= 2.0
+            P += A1
+            X *= 2.0
+            P += X
+            P += A4B3
+            P *= dt / 6.0
+            P += eye
+            # P[i] becomes the product P[i] ... P[s] of its sub-block,
+            # which starts at step s; one product per sub-block then
+            # carries the state at step s to the sub-block's other steps
+            for j in range(1, min(_SUB_BLOCK, m)):
+                np.matmul(P[j::_SUB_BLOCK], P[j - 1:m - 1:_SUB_BLOCK],
+                          out=P[j::_SUB_BLOCK])
+            for s in range(0, m, _SUB_BLOCK):
+                e = min(s + _SUB_BLOCK, m)
+                np.matmul(P[s:e], cols[a + s], out=cols[a + s + 1:a + e + 1])
             if not np.all(np.isfinite(out[a + 1:b + 1])):
                 raise NumericalBlowupError(
                     "non-finite flow in fixed-point sweep")
@@ -303,7 +333,8 @@ def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
     """Fixed-point iteration for the mean-field system: repeatedly solve
     the linear equations with rates frozen to the previous flow. Starts
     from the constant-in-time flow at `init` unless `initial_flow` is
-    given. Returns (flow, residual history); the residual is the sup over
+    given, on the same time grid and with the model's block and colour
+    counts. Returns (flow, residual history); the residual is the sup over
     grid points of the max-component L1 distance between sweeps."""
     if tol <= 0:
         raise InvalidArgumentError("tol must be > 0")
@@ -318,8 +349,15 @@ def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
             y0.reshape(2 * r, K), (times.size, 2 * r, K)
         ).copy()
     else:
-        if initial_flow.values.shape[0] != times.size:
-            raise InvalidArgumentError("initial_flow grid mismatch")
+        given = np.asarray(initial_flow.times, dtype=float)
+        if (given.shape != times.shape
+                or len(initial_flow.values) != times.size
+                or not np.all(np.abs(given - times) <= 1e-9 * dt)):
+            raise InvalidArgumentError(
+                f"initial_flow grid mismatch: need {times.size} points "
+                f"0, {dt:.6g}, ..., {times[-1]:.6g}"
+            )
+        _check_layout(initial_flow, field)
         frozen = initial_flow.values.copy()
     residuals = []
     for _ in range(int(max_iter)):

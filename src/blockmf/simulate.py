@@ -89,9 +89,6 @@ class SystemState:
     def K(self) -> int:
         return self.counts.shape[-1]
 
-    def class_size(self, j: int, cls: int):
-        return self.counts[..., 2 * j + cls, :].sum(axis=-1)
-
 
 @dataclass
 class Trajectory:
@@ -120,13 +117,6 @@ class LocalMeasure:
     parts: tuple       # group measures, np arrays
     proportions: np.ndarray
     labels: tuple
-
-    def combined(self) -> np.ndarray:
-        out = np.zeros_like(self.parts[0])
-        for w, part in zip(self.proportions, self.parts):
-            if w != 0.0:
-                out += w * part
-        return out
 
 
 def local_empirical(state: SystemState, graph: BlockGraph, node: int,

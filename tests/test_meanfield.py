@@ -87,6 +87,26 @@ def test_picard_matches_rk4(sis2):
     assert len(res2) <= 2
 
 
+def test_picard_initial_flow_on_another_grid_fails_closed(sis2):
+    # 101 points on [0, 2] are as many as the sweep's grid on [0, 1]
+    spec, targets, inits = sis2
+    flow = bm.solve_mckean_vlasov(spec, targets, inits, 2.0, 0.02)
+    with pytest.raises(bm.InvalidArgumentError, match="grid mismatch"):
+        bm.picard_iterate(spec, targets, inits, 1.0, 0.01,
+                          initial_flow=flow)
+
+
+@pytest.mark.parametrize("shape", [(101, 2, 2), (101, 4, 3)])
+def test_picard_initial_flow_with_other_layout_fails_closed(sis2, shape):
+    spec, targets, inits = sis2
+    flow = bm.MeanFieldFlow(np.linspace(0.0, 1.0, 101),
+                            np.full(shape, 1.0 / shape[2]), shape[1] // 2)
+    with pytest.raises(bm.InvalidArgumentError,
+                       match="the model has r=2, K=2"):
+        bm.picard_iterate(spec, targets, inits, 1.0, 0.01,
+                          initial_flow=flow)
+
+
 def test_picard_nonconvergence(sis2):
     spec, targets, inits = sis2
     with pytest.raises(bm.NonConvergenceError) as exc:

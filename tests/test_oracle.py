@@ -173,8 +173,9 @@ def test_oracle_vs_simulator_clamped_queue():
                         h_coefficient=1.2)
     init_colors = [1, 0, 1, 0, 1]
     st = bm.SystemState.from_colors(g, init_colors, 3)
-    assert max(local_empirical(st, g, n).combined() @ np.arange(3)
-               for n in range(g.n_total)) < 5 / 6
+    local = [local_empirical(st, g, n) for n in range(g.n_total)]
+    assert max(lm.proportions @ np.array(lm.parts) @ np.arange(3)
+               for lm in local) < 5 / 6
     node_laws_within_4_se(g, fam, init_colors, 1.5, 4000, 70_000)
 
 

@@ -28,7 +28,7 @@ def test_system_state_from_colors():
     assert tuple(st.counts[0]) == (1, 1)     # block 0 centrals
     assert tuple(st.counts[1]) == (1, 2)     # block 0 peripherals
     assert tuple(st.counts[3]) == (1, 2)     # block 1 peripherals
-    assert st.class_size(1, 0) == 2
+    assert st.counts[2].sum() == 2           # block 1 has 2 centrals
     with pytest.raises(bm.InvalidArgumentError, match="colors"):
         bm.SystemState.from_colors(g, colors[:-1], 2)
     with pytest.raises(bm.InvalidArgumentError, match="0..1"):
@@ -804,7 +804,7 @@ def test_local_empirical_decomposition():
     st = bm.SystemState.from_colors(g, colors, 2)
     lm_c = local_empirical(st, g, 0)
     assert np.allclose(lm_c.proportions, [0.4, 0.6])
-    assert np.allclose(lm_c.combined(),
+    assert np.allclose(lm_c.proportions @ np.array(lm_c.parts),
                        0.4 * np.array([1, 1]) / 2 + 0.6 * np.array([1, 2]) / 3)
     lm_p = local_empirical(st, g, 2)
     assert lm_p.labels == ("central", "peripheral_0", "peripheral_1")
