@@ -152,8 +152,8 @@ def _check_layout(flow: MeanFieldFlow, field: _VectorField):
     """The flow's block and colour counts must be the model's."""
     if flow.values.shape[1:] != (2 * field.r, field.K):
         raise InvalidArgumentError(
-            f"flow has r={flow.r}, K={flow.K}; the model has r={field.r}, "
-            f"K={field.K}"
+            f"flow has r={flow.r}, K={flow.values.shape[-1]}; the model has "
+            f"r={field.r}, K={field.K}"
         )
 
 

@@ -96,11 +96,11 @@ def test_picard_initial_flow_on_another_grid_fails_closed(sis2):
                           initial_flow=flow)
 
 
-@pytest.mark.parametrize("shape", [(101, 2, 2), (101, 4, 3)])
+@pytest.mark.parametrize("shape", [(101, 2, 2), (101, 4, 3), (101, 8)])
 def test_picard_initial_flow_with_other_layout_fails_closed(sis2, shape):
     spec, targets, inits = sis2
     flow = bm.MeanFieldFlow(np.linspace(0.0, 1.0, 101),
-                            np.full(shape, 1.0 / shape[2]), shape[1] // 2)
+                            np.full(shape, 0.5), shape[1] // 2)
     with pytest.raises(bm.InvalidArgumentError,
                        match="the model has r=2, K=2"):
         bm.picard_iterate(spec, targets, inits, 1.0, 0.01,
