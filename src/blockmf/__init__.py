@@ -40,10 +40,10 @@ from .graph import (
     neighborhood_proportions,
 )
 from .ldp import (
+    ColorPath,
     DeviationCost,
     RateFamily,
     girsanov_log_densities,
-    girsanov_log_density,
     h_functional,
     legendre_cost,
     sample_reference_path,
@@ -53,15 +53,13 @@ from .ldp import (
     variational_norm,
 )
 from .meanfield import (
-    ColorPath,
     MeanFieldFlow,
     flow_drift,
     flow_rates,
     picard_iterate,
-    simulate_limit_particle,
     solve_mckean_vlasov,
 )
-from .metrics import d_bl, relative_entropy, w1_discrete
+from .metrics import d_bl, relative_entropy
 from .oracle import StateDistribution, master_equation_oracle
 from .rates import (
     BlockRates,
@@ -126,7 +124,6 @@ __all__ = [
     "flow_drift",
     "flow_rates",
     "girsanov_log_densities",
-    "girsanov_log_density",
     "h_functional",
     "legendre_cost",
     "lln_experiment",
@@ -142,7 +139,6 @@ __all__ = [
     "sample_block_colors",
     "sample_reference_path",
     "simulate",
-    "simulate_limit_particle",
     "sis_spec",
     "solve_mckean_vlasov",
     "substream",
@@ -150,5 +146,4 @@ __all__ = [
     "tau_star",
     "variational_cost",
     "variational_norm",
-    "w1_discrete",
 ]

@@ -230,17 +230,17 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
                    T, grid, N_list, replicas, seed, *,
                    dt=0.01) -> ConvergenceReport:
     """For each N: sample iid initial colors, simulate, and take the sup
-    over the grid of the max-component BL distance between the empirical
-    measures and the limiting flow. Reports mean and standard error over
-    replicas per N. All replicas of one N run as one count farm."""
+    over a uniform grid of `grid` points on [0, T] of the max-component
+    BL distance between the empirical measures and the limiting flow.
+    Reports mean and standard error over replicas per N. All replicas of
+    one N run as one count farm."""
     N_list = [int(n) for n in N_list]
     if N_list != sorted(set(N_list)):
         raise InvalidArgumentError("N_list must be strictly increasing")
     if replicas < 2:
         raise InvalidArgumentError("need at least 2 replicas")
     T = float(T)
-    grid_times = _check_grid(
-        np.linspace(0.0, T, int(grid)) if np.ndim(grid) == 0 else grid, T)
+    grid_times = _check_grid(np.linspace(0.0, T, int(grid)), T)
     flow = solve_mckean_vlasov(spec, targets, inits, T, dt)
     flow_grid = np.stack([flow.at(t) for t in grid_times])
     seed_path = _seed_path(seed)

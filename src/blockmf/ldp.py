@@ -24,19 +24,19 @@ from .errors import (
     UnknownEdgeError,
 )
 from .graph import class_index
-from .meanfield import ColorPath, MeanFieldFlow, flow_drift, flow_rates
+from .meanfield import MeanFieldFlow, flow_drift, flow_rates
 from .rates import ColorGraph, as_block_rates
 from .tables import write_cost
 
 __all__ = [
     "tau",
     "tau_star",
+    "ColorPath",
     "RateFamily",
     "DeviationCost",
     "legendre_cost",
     "variational_norm",
     "variational_cost",
-    "girsanov_log_density",
     "girsanov_log_densities",
     "h_functional",
     "sample_reference_path",
@@ -68,6 +68,17 @@ def tau_star(v):
     w = v[above]
     out[above] = (1.0 + w) * np.log1p(w) - w
     return float(out) if out.ndim == 0 else out
+
+
+@dataclass
+class ColorPath:
+    """Single-particle cadlag color path: colors[i] holds on
+    [jump_times[i-1], jump_times[i]) (colors[0] from time 0), the last
+    color up to the horizon."""
+
+    jump_times: np.ndarray  # strictly increasing, within (0, T]
+    colors: np.ndarray      # length len(jump_times)+1, starting color first
+    horizon: float
 
 
 @dataclass(frozen=True)
@@ -102,9 +113,6 @@ class RateFamily:
     def from_model(cls, flow: MeanFieldFlow, spec, targets) -> "RateFamily":
         """The model's own rates along the flow (the zero-cost family)."""
         return cls(flow.times.copy(), flow_rates(flow, spec, targets), flow.r)
-
-    def scaled(self, factor) -> "RateFamily":
-        return RateFamily(self.times, self.values * factor, self.r)
 
 
 @dataclass(frozen=True)
@@ -509,13 +517,6 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
                                  float(seg_starts[k]), float(seg_ends[k]))
         out[ip] = jump_sum - comp
     return out
-
-
-def girsanov_log_density(path, flow: MeanFieldFlow, targets, spec,
-                         which) -> float:
-    """Log density of one tagged-particle path; see
-    girsanov_log_densities."""
-    return float(girsanov_log_densities([path], flow, targets, spec, which)[0])
 
 
 def h_functional(path_sets, flow: MeanFieldFlow, targets, spec,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as _rng
 from .errors import (
     InvalidArgumentError,
     NonConvergenceError,
@@ -36,10 +35,8 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "MeanFieldFlow",
-    "ColorPath",
     "solve_mckean_vlasov",
     "picard_iterate",
-    "simulate_limit_particle",
     "flow_rates",
     "flow_drift",
 ]
@@ -66,9 +63,6 @@ class MeanFieldFlow:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def component(self, j: int, cls: int) -> np.ndarray:
-        return np.maximum(self.values[:, 2 * j + cls, :], 0.0)
 
     def at(self, t: float) -> np.ndarray:
         """Linear interpolation, clipped on read; shape (2r, K)."""
@@ -148,18 +142,14 @@ class _VectorField:
         return R @ self.S.T
 
 
-def _check_layout(flow: MeanFieldFlow, field: _VectorField):
-    """The flow's block and colour counts must be the model's."""
+def _flow_states(flow: MeanFieldFlow, field: _VectorField) -> np.ndarray:
+    """The flow's clipped states, one flat row per grid point; the flow's
+    block and colour counts must be the model's."""
     if flow.values.shape[1:] != (2 * field.r, field.K):
         raise InvalidArgumentError(
             f"flow has r={flow.r}, K={flow.values.shape[-1]}; the model has "
             f"r={field.r}, K={field.K}"
         )
-
-
-def _flow_states(flow: MeanFieldFlow, field: _VectorField) -> np.ndarray:
-    """The flow's clipped states, one flat row per grid point."""
-    _check_layout(flow, field)
     return np.maximum(flow.values, 0.0).reshape(flow.times.size, -1)
 
 
@@ -179,9 +169,18 @@ def flow_drift(flow: MeanFieldFlow, spec, targets) -> np.ndarray:
     return out.reshape(flow.values.shape)
 
 
+# most float64 grid points numpy can hold in one array (bytes fit in intp)
+_MAX_POINTS = np.iinfo(np.intp).max // 8
+
+
 def _grid(T: float, dt: float):
     if dt <= 0 or T <= 0:
         raise InvalidArgumentError("need T > 0 and dt > 0")
+    if not T / dt < _MAX_POINTS - 1:
+        raise InvalidArgumentError(
+            f"T/dt = {T / dt:.3g} grid steps; numpy holds at most "
+            f"{_MAX_POINTS - 1} in one array"
+        )
     n = max(1, int(math.ceil(T / dt - 1e-9)))
     return np.linspace(0.0, T, n + 1), T / n
 
@@ -329,13 +328,12 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
 
 
 def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
-                   max_iter=50, initial_flow=None):
+                   max_iter=50):
     """Fixed-point iteration for the mean-field system: repeatedly solve
-    the linear equations with rates frozen to the previous flow. Starts
-    from the constant-in-time flow at `init` unless `initial_flow` is
-    given, on the same time grid and with the model's block and colour
-    counts. Returns (flow, residual history); the residual is the sup over
-    grid points of the max-component L1 distance between sweeps."""
+    the linear equations with rates frozen to the previous flow, starting
+    from the constant-in-time flow at `init`. Returns (flow, residual
+    history); the residual is the sup over grid points of the
+    max-component L1 distance between sweeps."""
     if tol <= 0:
         raise InvalidArgumentError("tol must be > 0")
     if int(max_iter) < 1:
@@ -344,21 +342,9 @@ def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
     r, K = field.r, field.K
     times, dt = _grid(float(T), float(dt))
     y0 = _init_vector(init, r, K)
-    if initial_flow is None:
-        frozen = np.broadcast_to(
-            y0.reshape(2 * r, K), (times.size, 2 * r, K)
-        ).copy()
-    else:
-        given = np.asarray(initial_flow.times, dtype=float)
-        if (given.shape != times.shape
-                or len(initial_flow.values) != times.size
-                or not np.all(np.abs(given - times) <= 1e-9 * dt)):
-            raise InvalidArgumentError(
-                f"initial_flow grid mismatch: need {times.size} points "
-                f"0, {dt:.6g}, ..., {times[-1]:.6g}"
-            )
-        _check_layout(initial_flow, field)
-        frozen = initial_flow.values.copy()
+    frozen = np.broadcast_to(
+        y0.reshape(2 * r, K), (times.size, 2 * r, K)
+    ).copy()
     residuals = []
     for _ in range(int(max_iter)):
         nxt = _frozen_solve(field, frozen, y0, dt)
@@ -377,69 +363,3 @@ def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
         f"(last residual {residuals[-1]:.3e})",
         residuals=residuals,
     )
-
-
-@dataclass
-class ColorPath:
-    """Single-particle cadlag color path: color[i] holds on
-    [times[i], times[i+1]), the last color up to the horizon."""
-
-    jump_times: np.ndarray  # strictly increasing, within (0, T]
-    colors: np.ndarray      # length len(jump_times)+1, starting color first
-    horizon: float
-
-    def color_at(self, t: float) -> int:
-        return int(self.colors[np.searchsorted(self.jump_times, t,
-                                               side="right")])
-
-    @property
-    def n_jumps(self) -> int:
-        return len(self.jump_times)
-
-
-def simulate_limit_particle(spec, targets: ProportionTargets,
-                            flow: MeanFieldFlow, init_colors, seed):
-    """Sample one limit particle per component (2r of them), each an
-    independent time-inhomogeneous jump process whose rates read the
-    flow. Thinning against the per-spec rate bound keeps it exact."""
-    field = _VectorField(spec, targets)
-    family = field.family
-    r, K, ne = field.r, field.K, field.ne
-    init_colors = [int(c) for c in init_colors]
-    if len(init_colors) != 2 * r:
-        raise InvalidArgumentError(f"need 2r={2 * r} initial colors")
-    T = flow.T
-    paths = []
-    for g in range(2 * r):
-        j, cls = divmod(g, 2)
-        spec_g = family.spec_for(j, cls)
-        bound = max(
-            sum(spec_g.rate_bound(e) for e in spec_g.colors.out_edges(z))
-            for z in range(K)
-        )
-        gen = seed if isinstance(seed, np.random.Generator) else \
-            _rng.substream(seed, g)
-        t, z = 0.0, init_colors[g]
-        jt, cols = [], [z]
-        if bound > 0.0:
-            while True:
-                t += gen.standard_exponential() / bound
-                if t > T:
-                    break
-                rates = field.rates(flow.at(t).ravel())[g * ne:(g + 1) * ne]
-                out = spec_g.colors.out_edges(z)
-                lam = [rates[e] for e in out]
-                s = sum(lam)
-                u = gen.random() * bound
-                if u < s:
-                    acc = 0.0
-                    for e, l in zip(out, lam):
-                        acc += l
-                        if u < acc:
-                            z = spec_g.colors.edges[e][1]
-                            break
-                    jt.append(t)
-                    cols.append(z)
-        paths.append(ColorPath(np.asarray(jt), np.asarray(cols, dtype=int),
-                               T))
-    return paths

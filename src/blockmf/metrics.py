@@ -7,7 +7,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .rates import validate_probability
 
-__all__ = ["w1_discrete", "d_bl", "d_bl_of_differences", "relative_entropy"]
+__all__ = ["d_bl", "d_bl_of_differences", "relative_entropy"]
 
 
 def _check_pair(mu, nu):
@@ -18,14 +18,6 @@ def _check_pair(mu, nu):
             f"length mismatch: {mu.shape[0]} vs {nu.shape[0]}"
         )
     return mu, nu
-
-
-def w1_discrete(mu, nu) -> float:
-    """Order-1 transport distance for ground metric |z - z'|: the L1
-    distance of the CDFs."""
-    mu, nu = _check_pair(mu, nu)
-    diff = np.cumsum(mu - nu)[:-1]
-    return float(np.abs(diff).sum())
 
 
 def d_bl(mu, nu) -> float:
@@ -58,12 +50,7 @@ def d_bl_of_differences(theta) -> np.ndarray:
 
 def relative_entropy(p, q) -> float:
     """sum p*log(p/q) with 0*log 0 = 0; +inf when p charges a q-null set."""
-    p = validate_probability(p)
-    q = validate_probability(q)
-    if p.shape != q.shape:
-        raise InvalidArgumentError(
-            f"length mismatch: {p.shape[0]} vs {q.shape[0]}"
-        )
+    p, q = _check_pair(p, q)
     if np.any((p > 0) & (q == 0)):
         return math.inf
     mask = p > 0

@@ -48,32 +48,9 @@ class StateDistribution:
     chunks: int = field(default=0, compare=False)
     series_terms: int = field(default=0, compare=False)
 
-    def decode(self, idx: int):
-        out = []
-        for _ in range(self.n_nodes):
-            idx, z = divmod(idx, self.K)
-            out.append(z)
-        return tuple(out)
-
     def node_marginal(self, n: int) -> np.ndarray:
         digit = (np.arange(self.probs.size) // self.K ** n) % self.K
         return np.bincount(digit, weights=self.probs, minlength=self.K)
-
-    def expect(self, fn) -> float:
-        """Mean of fn(color tuple) under the distribution."""
-        return float(
-            sum(p * fn(self.decode(i)) for i, p in enumerate(self.probs))
-        )
-
-    def mean_empirical(self, graph: BlockGraph) -> np.ndarray:
-        """Expected empirical measure vector, shape (2r, K)."""
-        comp = graph.component
-        size = np.ravel(graph.block_sizes)[comp]
-        cells = comp * self.K + _decode_states(self.K, self.n_nodes)
-        out = np.bincount(cells.ravel(),
-                          weights=(self.probs[:, None] / size).ravel(),
-                          minlength=2 * graph.r * self.K)
-        return out.reshape(2 * graph.r, self.K)
 
 
 def _decode_states(K: int, N: int) -> np.ndarray:

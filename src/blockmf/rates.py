@@ -44,8 +44,9 @@ def validate_probability(x, K=None):
     except (TypeError, ValueError):
         raise InvalidArgumentError(f"measure must be numbers, got {x!r}")
     if arr.ndim != 1 or (K is not None and arr.shape[0] != K):
+        want = "1-d" if K is None else f"length-{K}"
         raise InvalidArgumentError(
-            f"measure must be a length-{K} vector, got shape {arr.shape}"
+            f"measure must be a {want} vector, got shape {arr.shape}"
         )
     if not (np.isfinite(arr).all() and (arr >= 0).all()):
         raise InvalidArgumentError("measure entries must be finite and >= 0")
@@ -83,14 +84,10 @@ class ColorGraph:
         canon.sort()
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(
-            self,
-            "_out",
-            tuple(
-                tuple(i for i, (a, _) in enumerate(canon) if a == z)
-                for z in range(K)
-            ),
-        )
+        out = [[] for _ in range(K)]
+        for i, (z, _) in enumerate(canon):
+            out[z].append(i)
+        object.__setattr__(self, "_out", tuple(map(tuple, out)))
         ends = np.array(canon, dtype=np.int64).reshape(-1, 2).T.copy()
         ends.setflags(write=False)
         object.__setattr__(self, "src", ends[0])
@@ -158,26 +155,6 @@ class RateSpec:
                 raise InvalidArgumentError("beta entries must be finite")
             object.__setattr__(self, "beta", tuple(float(x) for x in b))
 
-    @property
-    def gamma_bar(self) -> float:
-        """Recorded bound on the affine part for probability inputs."""
-        flat = [x for row in self.gamma_c for x in row]
-        flat += [x for row in self.gamma_p for x in row]
-        return max(flat) if flat else 0.0
-
-    @property
-    def gamma_span(self) -> float:
-        """Largest within-edge integrand spread; Lipschitz diagnostic."""
-        spans = [max(r) - min(r) for r in self.gamma_c]
-        spans += [max(r) - min(r) for r in self.gamma_p]
-        return max(spans) if spans else 0.0
-
-    def rate_bound(self, edge_idx: int) -> float:
-        """Upper bound of the total rate on this edge over probability
-        measure inputs and convex group weights."""
-        b = max(max(self.gamma_c[edge_idx]), max(self.gamma_p[edge_idx]))
-        return b + max(self.beta[edge_idx], 0.0)
-
     # --- serialization --------------------------------------------------
 
     def to_json_obj(self):
@@ -214,40 +191,33 @@ class RateSpec:
             raise InvalidArgumentError(f"malformed colors/edges: {exc}")
         cg = ColorGraph(K, edges)
 
-        def read_table(name, required=True):
+        keys = [f"{z + base},{zp + base}" for z, zp in cg.edges]
+
+        def read_table(name, default=None):
+            """One value per edge from an object keyed "z,z'"; an edge
+            the object leaves out reads `default`, if one is given."""
             tab = obj.get(name)
-            if tab is None:
-                if required:
-                    raise InvalidArgumentError(f"missing table {name}")
-                return None
-            rows = []
-            for z, zp in cg.edges:
-                key = f"{z + base},{zp + base}"
-                if key not in tab:
+            if tab is None and default is None:
+                raise InvalidArgumentError(f"missing table {name}")
+            if not isinstance(tab, dict):
+                raise InvalidArgumentError(
+                    f"{name} must be a JSON object keyed by edge \"z,z'\""
+                )
+            for key in keys:
+                if key not in tab and default is None:
                     raise InvalidArgumentError(
                         f"{name} missing entry for edge {key}"
                     )
-                rows.append(tab[key])
-            extra = set(tab) - {f"{z + base},{zp + base}" for z, zp in cg.edges}
+            extra = set(tab) - set(keys)
             if extra:
                 raise InvalidArgumentError(
                     f"{name} has entries for unknown edges: {sorted(extra)}"
                 )
-            return rows
+            return [tab.get(key, default) for key in keys]
 
         gc = read_table("gamma_c")
         gp = read_table("gamma_p")
-        beta = None
-        if "beta" in obj:
-            bt = obj["beta"]
-            beta = []
-            for z, zp in cg.edges:
-                beta.append(float(bt.get(f"{z + base},{zp + base}", 0.0)))
-            extra = set(bt) - {f"{z + base},{zp + base}" for z, zp in cg.edges}
-            if extra:
-                raise InvalidArgumentError(
-                    f"beta has entries for unknown edges: {sorted(extra)}"
-                )
+        beta = read_table("beta", 0.0) if "beta" in obj else None
         return cls(cg, gc, gp, beta)
 
     def to_json(self) -> str:
@@ -287,12 +257,6 @@ class BlockRates:
     @property
     def colors(self) -> ColorGraph:
         return self.central[0].colors
-
-    @property
-    def gamma_bar(self) -> float:
-        return max(
-            s.gamma_bar for s in (*self.central, *self.peripheral)
-        )
 
     def spec_for(self, j: int, cls: int) -> RateSpec:
         return self.central[j] if cls == 0 else self.peripheral[j]
@@ -444,16 +408,10 @@ def queue_spec(K, zeta, vartheta, h_coefficient) -> RateSpec:
     edges = [(z, z + 1) for z in range(K - 1)]
     edges += [(z, z - 1) for z in range(1, K)]
     cg = ColorGraph(K, edges)
-    interact = tuple(c0 * x for x in range(K))
-    zero = (0.0,) * K
-    gamma_c, gamma_p, beta = [], [], []
-    for z, zp in cg.edges:
-        if zp == z + 1:
-            gamma_c.append(interact)
-            gamma_p.append(interact)
-            beta.append(zeta[z] - c0 * z)
-        else:
-            gamma_c.append(zero)
-            gamma_p.append(zero)
-            beta.append(vartheta[z])
-    return RateSpec(cg, tuple(gamma_c), tuple(gamma_p), tuple(beta))
+    up = cg.dst > cg.src
+    # one array: a table too large to hold fails here at once
+    table = np.zeros((cg.n_edges, K))
+    table[up] = c0 * np.arange(K)
+    beta = np.where(up, np.array(zeta)[cg.src] - c0 * cg.src,
+                    np.array(vartheta)[cg.src])
+    return RateSpec(cg, table, table, beta)

@@ -234,7 +234,13 @@ class Scenario:
             if "file" in obj:
                 _reject_unknown(obj, {"file"}, "rates")
                 with open(self._resolve_file(obj["file"], "rates")) as fp:
-                    return self.build_rates(json.load(fp))
+                    inner = json.load(fp)
+                # one level deep, as graph files are
+                if isinstance(inner, dict) and "file" in inner:
+                    raise InvalidConfigurationError(
+                        "a rates file may not name another file"
+                    )
+                return self.build_rates(inner)
             model = obj.get("model")
             if model == "sis":
                 _reject_unknown(obj, {"model", "r", "gamma", "nu", "eta",

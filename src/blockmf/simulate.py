@@ -116,7 +116,6 @@ class LocalMeasure:
 
     parts: tuple       # group measures, np arrays
     proportions: np.ndarray
-    labels: tuple
 
 
 def local_empirical(state: SystemState, graph: BlockGraph, node: int,
@@ -140,7 +139,6 @@ def local_empirical(state: SystemState, graph: BlockGraph, node: int,
         return LocalMeasure(
             (mu_c, mu_p),
             np.array([nc / nj, npp / nj]),
-            ("central", "peripheral"),
         )
     # peripheral: per-block neighbor counts (self counts for its own block)
     scan = np.array([*graph.peripheral_neighbors(node), node])
@@ -151,9 +149,7 @@ def local_empirical(state: SystemState, graph: BlockGraph, node: int,
     for i in range(graph.r):
         counts = seen[..., block == i, :].sum(axis=-2, dtype=float)
         parts.append(counts / cross[i] if cross[i] else counts)
-    props = neighborhood_proportions(graph, node)
-    labels = ("central",) + tuple(f"peripheral_{i}" for i in range(graph.r))
-    return LocalMeasure(tuple(parts), props, labels)
+    return LocalMeasure(tuple(parts), neighborhood_proportions(graph, node))
 
 
 # --------------------------------------------------------------------------
@@ -265,12 +261,6 @@ class GroupTables:
             reads = {p: (w, PERIPHERAL) for h in seen for p in parts[h]}
             reads.update((p, (w, CENTRAL)) for p in parts[j])
             yield (j, cls), reads
-
-    def group_of(self, node: int) -> int:
-        """The group holding `node`: its singleton if it is tagged."""
-        if node in self.tagged:
-            return self.n_groups - len(self.tagged) + self.tagged.index(node)
-        return self._unsplit_group(node)
 
     def _unsplit_group(self, node: int) -> int:
         graph = self.graph
@@ -410,8 +400,7 @@ def _group_tables(graph: BlockGraph, family) -> GroupTables:
     return last[1]
 
 
-def simulate(graph: BlockGraph, spec, init, T: float, seed,
-             debug: bool = False) -> Trajectory:
+def simulate(graph: BlockGraph, spec, init, T: float, seed) -> Trajectory:
     """Exact sample of the N-particle jump process up to time T.
 
     init: SystemState or a length-N color vector. The dynamics run on the
@@ -421,7 +410,8 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed,
     The run is a count farm with one replica; then one gen.random(jumps)
     draw gives each jump of group g along edge z -> z' the member of g's
     colour-z bucket at that uniform's position, which is swapped out to
-    the colour-z' bucket.
+    the colour-z' bucket. The farm's final counts must be the counts of
+    the final node colours, or InternalConsistencyError is raised.
     """
     family = as_block_rates(spec, graph.r)
     if T < 0:
@@ -465,17 +455,13 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed,
             buckets[g][zp].append(node)
             colors[node] = zp
             events.append((t, node, z, zp))
-    traj = Trajectory(state, events, float(T))
     log.debug("simulate: %d events", len(events))
-    if debug:
-        final = np.asarray(colors, dtype=np.int64)
-        counts = [np.bincount(final[m], minlength=K) for m in tables.members]
-        if not np.array_equal(run.final[0], counts):
-            raise InternalConsistencyError(
-                "count table drifted from the node colors")
-        if not np.array_equal(traj.final_colors, final):
-            raise InternalConsistencyError("replay does not match the run")
-    return traj
+    final = np.asarray(colors, dtype=np.int64)
+    counts = [np.bincount(final[m], minlength=K) for m in tables.members]
+    if not np.array_equal(run.final[0], counts):
+        raise InternalConsistencyError(
+            "count table drifted from the node colors")
+    return Trajectory(state, events, float(T))
 
 
 @dataclass
@@ -486,9 +472,6 @@ class EmpiricalSeries:
     times: np.ndarray
     values: np.ndarray  # (n_times, 2r, K)
     r: int
-
-    def component(self, j: int, cls: int) -> np.ndarray:
-        return self.values[:, 2 * j + cls, :]
 
     def to_csv(self, fp):
         write_series(fp, self.times, self.values)

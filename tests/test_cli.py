@@ -429,6 +429,16 @@ def _without(section, key):
                               if k != key}}
 
 
+def _with_tables(**tables):
+    """SCEN with its rates as a two-colour `tables` spec, some tables
+    replaced."""
+    spec = {"colors": 2, "edges": [[0, 1], [1, 0]],
+            "gamma_c": {"0,1": [0.0, 1.0], "1,0": [0.0, 0.0]},
+            "gamma_p": {"0,1": [0.0, 0.5], "1,0": [0.0, 0.0]},
+            "beta": {"1,0": 0.9}}
+    return {**SCEN, "rates": {"model": "tables", "spec": {**spec, **tables}}}
+
+
 def assert_fails_closed(proc, artifact, needle):
     """Exit 1 with exactly one `error:` line naming `needle`, no
     traceback, and no artifact written."""
@@ -440,10 +450,12 @@ def assert_fails_closed(proc, artifact, needle):
     assert not artifact.exists()
 
 
-# Graph files for the cases below. Each is a valid two-block complete
-# design once its one non-integer field is truncated.
+# Files for the cases below. Each graph file is a valid two-block
+# complete design once its one non-integer field is truncated; the rates
+# file names itself.
 _PERIPHERAL_PAIRS = [[1, 2], [1, 4], [1, 5], [2, 4], [2, 5], [4, 5]]
-BAD_GRAPH_FILES = {
+BAD_FILES = {
+    "self-rates.json": {"file": "self-rates.json"},
     "edge-float.json": {
         "blocks": [{"central": 1, "peripheral": 2}] * 2,
         "peripheral_edges": [[1.9, 2]] + _PERIPHERAL_PAIRS[1:],
@@ -472,16 +484,29 @@ BAD_GRAPH_FILES = {
     ({**SCEN, "graph": {"regular": {"blocks": [[1, 4.9], [1, 4]],
                                     "fractions": 0.5}}}, "integer"),
     ({**SCEN, "graph": {"complete_blocks": [[2.5, 3], [2, 3]]}}, "integer"),
+    ({**SCEN, "rates": {"file": "self-rates.json"}}, "rates file"),
+    (_with_tables(beta=[1]), "beta must be a JSON object"),
+    (_with_tables(gamma_c=[[0, 1]]), "gamma_c must be a JSON object"),
 ], ids=["rates-missing-gamma", "graph-not-a-list", "init-not-numeric",
         "init-not-a-probability", "init-row-too-short", "init-row-too-long",
         "graph-file-edge-float", "graph-file-central-bool",
-        "regular-size-float", "complete-size-float"])
+        "regular-size-float", "complete-size-float", "rates-file-nested",
+        "tables-beta-a-list", "tables-gamma-c-a-list"])
 def test_malformed_scenario_fails_closed(tmp_path, sub, scen, needle):
-    for name, obj in BAD_GRAPH_FILES.items():
+    for name, obj in BAD_FILES.items():
         (tmp_path / name).write_text(json.dumps(obj))
     proc = run_blockmf_module([sub, "--scenario", scen_path(tmp_path, scen),
                                "--out", str(tmp_path / "out")])
     assert_fails_closed(proc, tmp_path / "out" / "trajectory.csv", needle)
+
+
+def test_nested_init_row_without_rates_fails_closed(tmp_path):
+    # without rates, validate knows no K: the row must still be 1-d
+    scen = {k: v for k, v in SCEN.items() if k != "rates"}
+    scen["init"] = {**SCEN["init"], "c": [[[0.7, 0.3]], [0.8, 0.2]]}
+    proc = run_blockmf_module(["validate", "--scenario",
+                               scen_path(tmp_path, scen)])
+    assert_fails_closed(proc, tmp_path / "out", "must be a 1-d vector")
 
 
 @pytest.mark.parametrize("sub", ["validate", "multichaos"])
@@ -538,16 +563,35 @@ def _cap_address_space():
     ("multichaos", "replicas", 10 ** 12, "multichaos.csv"),
     ("chaos", "grid", 10 ** 11, "convergence.csv"),
     ("meanfield", "dt", 1e-13, "flow.csv"),
+    ("meanfield", "rates", {"model": "queue", "colors": 10 ** 5, "zeta": 1.0,
+                            "vartheta": 0.5, "c0": 0.4}, "flow.csv"),
 ], ids=["oracle-check-replicas", "chaos-replicas", "multichaos-replicas",
-        "chaos-grid", "meanfield-dt"])
+        "chaos-grid", "meanfield-dt", "meanfield-queue-colors"])
 def test_huge_sizes_fail_closed(tmp_path, sub, field, value, artifact):
-    # each size asks numpy for one array of 745 GiB to 73 TiB, which
+    # each size asks numpy for one array of 149 GiB to 73 TiB, which
     # fails at once: one error line, no traceback, no artifact
     scen = scen_path(tmp_path, {**SCEN, field: value})
     proc = run_blockmf_module([sub, "--scenario", scen,
                                "--out", str(tmp_path / "out")],
-                              preexec_fn=_cap_address_space)
+                              preexec_fn=_cap_address_space, timeout=60)
     assert_fails_closed(proc, tmp_path / "out" / artifact, "memory")
+
+
+@pytest.mark.parametrize("sub, field, value, artifact", [
+    ("meanfield", "horizon", 1e300, "flow.csv"),
+    ("meanfield", "dt", 1e-300, "flow.csv"),
+    ("picard", "horizon", 1e300, "flow_picard.csv"),
+    ("chaos", "horizon", 1e300, "convergence.csv"),
+    ("ldp-cost", "dt", 1e-300, "cost.csv"),
+])
+def test_time_grid_past_numpy_fails_closed(tmp_path, sub, field, value,
+                                           artifact):
+    # a step count T/dt that no numpy array can hold is bad input
+    scen = scen_path(tmp_path, {**SCEN, field: value})
+    proc = run_blockmf_module([sub, "--scenario", scen,
+                               "--out", str(tmp_path / "out")],
+                              preexec_fn=_cap_address_space)
+    assert_fails_closed(proc, tmp_path / "out" / artifact, "grid steps")
 
 
 def _flow_lines(r=2, K=2):

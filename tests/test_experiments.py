@@ -9,6 +9,7 @@ from scipy.stats import chi2_contingency
 
 import blockmf as bm
 from blockmf import experiments
+from blockmf.oracle import _decode_states
 from blockmf.simulate import GroupTables, _count_farm
 
 simulate_module = importlib.import_module("blockmf.simulate")
@@ -307,8 +308,7 @@ def test_count_farm_tagged_law_matches_oracle():
         graph, SIS2, np.asarray(INITS2)[graph.component], T)
     nodes = experiments.resolve_tagged(graph, tagged)
     exact = np.zeros_like(joint)
-    for idx, p in enumerate(dist.probs):
-        colors = dist.decode(idx)
+    for p, colors in zip(dist.probs, _decode_states(dist.K, dist.n_nodes)):
         exact[tuple(colors[n] for n in nodes)] += p
     se = np.sqrt(exact * (1.0 - exact) / reps)
     assert np.all(np.abs(joint - exact) <= 5 * se)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import blockmf as bm
-from blockmf.meanfield import _VectorField
+from blockmf.meanfield import _frozen_solve, _VectorField
 from blockmf.rates import total_rate
 from conftest import (list_affine_rows, random_inits, random_rate_family,
                       random_targets)
@@ -81,30 +81,20 @@ def test_picard_matches_rk4(sis2):
     # contraction: strictly decreasing after the first sweep
     for i in range(1, len(residuals) - 1):
         assert residuals[i + 1] < residuals[i]
-    # warm start from the answer converges immediately
-    _, res2 = bm.picard_iterate(spec, targets, inits, 2.0, 0.01, tol=1e-7,
-                                initial_flow=flow)
-    assert len(res2) <= 2
-
-
-def test_picard_initial_flow_on_another_grid_fails_closed(sis2):
-    # 101 points on [0, 2] are as many as the sweep's grid on [0, 1]
-    spec, targets, inits = sis2
-    flow = bm.solve_mckean_vlasov(spec, targets, inits, 2.0, 0.02)
-    with pytest.raises(bm.InvalidArgumentError, match="grid mismatch"):
-        bm.picard_iterate(spec, targets, inits, 1.0, 0.01,
-                          initial_flow=flow)
+    # the answer is a fixed point: one more sweep from it barely moves it
+    nxt = _frozen_solve(_VectorField(spec, targets), flow.values,
+                        flow.values[0], flow.dt)
+    assert np.abs(nxt - flow.values).sum(axis=2).max() < 1e-7
 
 
 @pytest.mark.parametrize("shape", [(101, 2, 2), (101, 4, 3), (101, 8)])
-def test_picard_initial_flow_with_other_layout_fails_closed(sis2, shape):
-    spec, targets, inits = sis2
+def test_flow_with_other_layout_fails_closed(sis2, shape):
+    spec, targets, _ = sis2
     flow = bm.MeanFieldFlow(np.linspace(0.0, 1.0, 101),
                             np.full(shape, 0.5), shape[1] // 2)
     with pytest.raises(bm.InvalidArgumentError,
                        match="the model has r=2, K=2"):
-        bm.picard_iterate(spec, targets, inits, 1.0, 0.01,
-                          initial_flow=flow)
+        bm.flow_rates(flow, spec, targets)
 
 
 def test_picard_nonconvergence(sis2):
@@ -121,11 +111,10 @@ def test_flow_interpolation_and_clipping():
     flow = bm.MeanFieldFlow(times, vals, r=None)
     mid = flow.at(0.5)
     assert np.allclose(mid, [[0.75, 0.25]])
-    assert flow.at(2.0)[0, 0] == 0.0   # clipped on read
+    assert np.array_equal(flow.at(2.0), [[0.0, 1.0]])  # clipped on read
     assert flow.at(-1e-13) is not None  # tolerance at the ends
     with pytest.raises(bm.InvalidArgumentError):
         flow.at(2.5)
-    assert np.allclose(flow.component(0, 0)[2], [0.0, 1.0])
 
 
 def test_flow_csv_round_trip(sis2):
@@ -174,49 +163,6 @@ def test_grid_validation(sis2):
     # dt that does not divide T is shrunk so the grid still ends at T
     flow = bm.solve_mckean_vlasov(spec, targets, inits, 1.0, 0.3)
     assert flow.times[-1] == 1.0 and flow.times.size == 5
-
-
-def test_color_path_accessors():
-    path = bm.ColorPath(np.array([0.5, 1.5]), np.array([0, 1, 0]), 2.0)
-    assert path.n_jumps == 2
-    assert path.color_at(0.0) == 0
-    assert path.color_at(0.5) == 1   # cadlag: jump time reads the new color
-    assert path.color_at(1.0) == 1
-    assert path.color_at(1.9) == 0
-
-
-def test_limit_particle_matches_flow():
-    fam = bm.sis_spec(1, gamma=1.2, nu=0.5, eta=0.8, zeta=0.6)
-    inits = [np.array([1.0, 0.0]), np.array([0.8, 0.2])]
-    T = 1.5
-    flow = bm.solve_mckean_vlasov(fam, R1_TARGETS, inits, T, 0.005)
-    n = 3000
-    hits = np.zeros(2)
-    for s in range(n):
-        paths = bm.simulate_limit_particle(fam, R1_TARGETS, flow, [0, 0],
-                                           seed=s)
-        for g in (0, 1):
-            hits[g] += paths[g].color_at(T)
-    # starting from color 0 (an atom of neither init), compare against the
-    # conditional law: here inits put mass on 0, so the path marginal of a
-    # particle started at 0 is the flow conditioned on starting at 0; for
-    # component 0 the init is a point mass and the flow itself applies
-    p0 = flow.at(T)[0, 1]
-    se0 = np.sqrt(p0 * (1 - p0) / n)
-    assert abs(hits[0] / n - p0) <= 4 * se0
-
-
-def test_limit_particle_determinism(sis2):
-    spec, targets, inits = sis2
-    flow = bm.solve_mckean_vlasov(spec, targets, inits, 1.0, 0.01)
-    a = bm.simulate_limit_particle(spec, targets, flow, [0, 1, 0, 1], seed=9)
-    b = bm.simulate_limit_particle(spec, targets, flow, [0, 1, 0, 1], seed=9)
-    assert len(a) == 4
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.jump_times, pb.jump_times)
-        assert np.array_equal(pa.colors, pb.colors)
-    with pytest.raises(bm.InvalidArgumentError):
-        bm.simulate_limit_particle(spec, targets, flow, [0, 1], seed=9)
 
 
 # --------------------------------------------------------------------------
@@ -461,7 +407,7 @@ def definition_rates(family, targets, flow):
     """`total_rate` of every component and edge on a flow's clipped
     states, each read at its targets' shares: (n_times, 2r, n_edges)."""
     r, ne = targets.r, family.colors.n_edges
-    comps = [flow.component(j, cls) for j in range(r) for cls in (0, 1)]
+    comps = list(np.maximum(flow.values, 0.0).transpose(1, 0, 2))
     own = comps[1::2]
     out = np.empty((flow.times.size, 2 * r, ne))
     for j in range(r):

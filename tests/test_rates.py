@@ -16,6 +16,19 @@ def test_color_graph_canonical_order_and_lookup():
         cg.edge_index(2, 1)
 
 
+def test_out_edges_match_definition():
+    # the one-pass index lists each colour's out-edges in canonical order
+    gen = np.random.default_rng(4)
+    for K in (1, 2, 5, 12):
+        pairs = [(z, zp) for z in range(K) for zp in range(K) if z != zp]
+        for _ in range(10):
+            pick = gen.permutation(len(pairs))[:gen.integers(len(pairs) + 1)]
+            cg = bm.ColorGraph(K, [pairs[i] for i in pick])
+            for z in range(K):
+                assert cg.out_edges(z) == tuple(
+                    i for i, (a, _) in enumerate(cg.edges) if a == z)
+
+
 def test_color_graph_rejects_bad_edges():
     with pytest.raises(bm.InvalidArgumentError):
         bm.ColorGraph(2, [(0, 0)])
@@ -43,16 +56,6 @@ def test_rate_spec_validation():
     spec = bm.RateSpec(cg, [(0.0, 1.0), (0.0, 0.0)],
                        [(0.0, 2.0), (0.0, 0.0)])
     assert spec.beta == (0.0, 0.0)
-
-
-def test_rate_spec_bounds():
-    cg = bm.ColorGraph(2, [(0, 1), (1, 0)])
-    spec = bm.RateSpec(cg, [(0.0, 2.0), (0.0, 0.0)],
-                       [(0.0, 1.0), (0.5, 0.5)], beta=(0.0, 0.9))
-    assert spec.gamma_bar == 2.0
-    assert spec.gamma_span == 2.0
-    assert spec.rate_bound(0) == 2.0
-    assert spec.rate_bound(1) == pytest.approx(0.5 + 0.9)
 
 
 def test_central_rate_worked_number():
@@ -102,7 +105,6 @@ def test_block_rates_family():
     fam = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
                       zeta=[0.9, 0.7])
     assert fam.r == 2
-    assert fam.gamma_bar == 1.1
     assert fam.spec_for(1, 0).gamma_c[0] == (0.0, 1.1)
     assert fam.spec_for(1, 1).gamma_c[0] == (0.0, 0.4)
     assert fam.spec_for(0, 1).gamma_p[0] == (0.0, 0.6)
@@ -154,6 +156,11 @@ def test_rate_spec_json_one_based_and_errors():
     bad_edge["beta"] = {"1,1": 0.9}
     with pytest.raises(bm.InvalidArgumentError, match="unknown edges"):
         bm.RateSpec.from_json_obj(bad_edge)
+    for name, value in [("gamma_c", [[0, 1]]), ("gamma_p", "x"),
+                        ("beta", [1]), ("beta", None)]:
+        with pytest.raises(bm.InvalidArgumentError,
+                           match=f"{name} must be a JSON object"):
+            bm.RateSpec.from_json_obj({**obj, name: value})
 
 
 def test_sis_spec_parameter_validation():
