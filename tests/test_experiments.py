@@ -361,6 +361,64 @@ def test_untagged_count_farm_is_pinned(graph, digest, record_steps,
     assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
 
 
+def oracle_design_farm(replicas):
+    """The oracle-check design with every node tagged, sis2 rates, and
+    iid starts with law INITS2."""
+    graph = bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5)
+    tables = GroupTables(graph, SIS2, tagged=range(graph.n_total))
+    gen = bm.substream(23, 1)
+    start = experiments._start_counts(tables, INITS2, replicas, gen)
+    return tables, start, 1.0, gen
+
+
+def absorbed_farm():
+    """A complete design under the chaos-criterion SIS rates, every third
+    replica starting all-susceptible, where its total rate is 0."""
+    graph = bm.build_complete_peripheral([(3, 5), (4, 4)])
+    tables = GroupTables(graph, bm.sis_spec(2, gamma=1.0, nu=3.0, eta=3.0,
+                                            zeta=2.0))
+    gen = bm.substream(23, 2)
+    start = experiments._start_counts(tables, [[0.75, 0.25]] * 4, 24, gen)
+    start[::3] = 0
+    start[::3, :, 0] = tables.sizes
+    return tables, start, 3.0, gen
+
+
+@pytest.mark.parametrize("farm, pins", [
+    (lambda: oracle_design_farm(300), (
+        "7e4fc12fe16367e1e49899c79ee52d604ac23bf339dcf710df51c696a18793cc",
+        "5942acad66c2ee01da584e09fb81e0174f4011da8546f5389d292877b30510c6",
+        11, 1092)),
+    (absorbed_farm, (
+        "460b0465a0c9b4b8df75fef8bcc70fff89b23f754c590458f98b2077cf68dab1",
+        "77a1130b15075bb34a3a9722e1c4043777564b1f7c61d5a106aa4931bb1f31b1",
+        62, 381)),
+    (lambda: oracle_design_farm(1), (
+        "d81a5bc46af06ee82480cf3df863fe9d92b25750ba92012cd92cd9a2fd5fc404",
+        "6985493f9285b85e5124772d1665ea10219d978d48c85e8135b825d5de4af970",
+        3, 3)),
+], ids=["oracle-design", "absorbed", "one-replica"])
+def test_count_farm_with_stopping_replicas_is_pinned(farm, pins):
+    # farms whose replicas stop at many different lock-steps (or at the
+    # first, with no rate): final counts, the jumps before T (times and
+    # picked rows, in lock-step order) and the counters, pinned. A
+    # replica's record entries after it stopped lie past T.
+    tables, start, T, gen = farm()
+    blocks = []
+    run = _count_farm(tables, start, T, gen,
+                      lambda times, picks: blocks.append((times, picks)))
+    times, picks = (np.concatenate(b) for b in zip(*blocks))
+    jumped = times <= T
+    assert times.shape == picks.shape == (run.lock_steps, len(start))
+    assert np.count_nonzero(jumped) == run.jumps
+    assert np.all(times[~jumped] > T)
+    got = (hashlib.sha256(run.final.tobytes()).hexdigest(),
+           hashlib.sha256(times[jumped].tobytes()
+                          + picks[jumped].tobytes()).hexdigest(),
+           run.lock_steps, run.jumps)
+    assert got == pins
+
+
 def test_count_farm_rejects_non_finite_rates():
     graph = bm.build_complete_peripheral([(3, 5), (4, 4)])
     tables = GroupTables(graph, SIS2)
