@@ -316,71 +316,90 @@ def _farm_rates(tables: GroupTables, n) -> np.ndarray:
     return rate
 
 
+def _farm_picks(tables: GroupTables, n, u):
+    """The total rate of each row of the flat counts n (as `_farm_rates`
+    reads them) and the (group, edge) row g*E + e it picks with its
+    uniform in u: the first whose cumulated rate exceeds u * total. u < 1
+    keeps u * total below the last cumulated rate, total, so a row with a
+    positive total picks an edge of positive rate."""
+    rate = _farm_rates(tables, n)
+    rate *= n[:, tables.src]
+    # in place, so one (rows, G*E) array outlives the rates
+    cum = np.add.accumulate(rate, axis=1, out=rate)
+    total = cum[:, -1].copy()
+    if not math.isfinite(total.sum()):
+        raise NumericalBlowupError("non-finite rate in the count farm")
+    return total, (cum > (u * total)[:, None]).argmax(axis=1)
+
+
 def _count_farm(tables: GroupTables, counts, T: float, gen,
                 record=None) -> FarmRun:
     """Run copies of the count chain of `tables` to time T in lock-step,
     one from each start in `counts`, the group colour counts of shape
     (replicas, G, K).
 
-    Each lock-step computes every replica's rates (`_farm_rates`), draws
-    one exponential and one uniform per replica to pick the jump time and
-    the (group, edge), and applies the jump, one row of the move table,
-    to the replicas still before T with a positive total rate.
+    Each lock-step draws one exponential and then one uniform for every
+    replica, running or not, so no replica's draws depend on when the
+    others stop. Only the running replicas have their rates computed
+    (`_farm_rates`), take their draws to pick the jump time and the
+    (group, edge), and apply the jump, one row of the move table. A
+    replica whose next jump time passes T, or whose total rate is 0,
+    stops: its counts go into the result and its row leaves the working
+    arrays.
 
     record: called with each block of at most RECORD_STEPS lock-steps as
     (times, picks), both of shape (lock-steps, replicas): the jump times
     and the picked (group, edge) rows g*E + e. A replica that has
-    stopped picks anything at times past T.
+    stopped reads time +inf and pick 0.
     """
     if T < 0:
         raise InvalidArgumentError("T must be >= 0")
     R = len(counts)
     GK = tables.n_groups * tables.K
-    # the flat counts, then the constant-one column that beta is read from
-    n = np.concatenate((np.reshape(counts, (R, GK)), np.ones((R, 1))),
-                       axis=1)
-    src, move = tables.src, tables.move
+    # the flat counts, then the constant-one column that beta is read from;
+    # `final` holds every replica's counts, `n` the running replicas' rows,
+    # which are final's own rows until the first replica stops
+    final = n = np.concatenate((np.reshape(counts, (R, GK)), np.ones((R, 1))),
+                               axis=1)
+    del counts
+    move = tables.move
+    running = np.arange(R)
     t = np.zeros(R)
-    live = np.ones(R, dtype=bool)
-    no_rate = np.full(R, np.inf)
-    times, picks = [], []
     lock_steps = jumps = 0
-    # an overflowing rate (inf, or inf x 0 = nan) is caught by the
-    # non-finite check below, not reported by numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            rate = _farm_rates(tables, n)
-            rate *= n[:, src]
-            # in place, so one (R, G*E) array per lock-step outlives it
-            cum = np.add.accumulate(rate, axis=1, out=rate)
-            total = cum[:, -1]
-            if not math.isfinite(total.sum()):
-                raise NumericalBlowupError("non-finite rate in the count farm")
-            t_next = t + np.divide(gen.standard_exponential(R), total,
-                                   out=no_rate.copy(), where=total > 0.0)
-            u = gen.random(R)
-            live &= t_next <= T
+    # an overflowing rate (inf, or inf x 0 = nan) is caught by
+    # `_farm_picks`, not reported by numpy; a zero total rate puts the
+    # next jump at +inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while running.size:
+            e = gen.standard_exponential(R)[running]
+            total, k = _farm_picks(tables, n, gen.random(R)[running])
+            t_next = t + e / total
+            live = t_next <= T
             moved = np.count_nonzero(live)
-            if not moved:
-                break
-            # the first (group, edge) whose cumulated rate exceeds u * total:
-            # u < 1 keeps u * total below cum[-1] == total, so a replica with
-            # a positive total picks an edge of positive rate. Stopped
-            # replicas pick anything and move by 0; their times lie past T.
-            k = (cum > (u * total)[:, None]).argmax(axis=1)
-            n += move[k] * live[:, None]
+            if moved < running.size:
+                final[running[~live]] = n[~live]
+                if not moved:
+                    break
+                running, n, k, t_next = (a[live]
+                                         for a in (running, n, k, t_next))
+            n += move[k]
             if record is not None:
-                times.append(t_next)
-                picks.append(k)
-                if len(times) == RECORD_STEPS:
-                    record(np.array(times), np.array(picks))
-                    times, picks = [], []
+                # a fresh block every RECORD_STEPS lock-steps, handed on full
+                j = lock_steps % RECORD_STEPS
+                if not j:
+                    times = np.full((RECORD_STEPS, R), np.inf)
+                    picks = np.zeros((RECORD_STEPS, R), dtype=k.dtype)
+                times[j][running] = t_next
+                picks[j][running] = k
+                if j == RECORD_STEPS - 1:
+                    record(times, picks)
             lock_steps += 1
             jumps += moved
             t = t_next
-    if times:
-        record(np.array(times), np.array(picks))
-    return FarmRun(n[:, :GK].reshape(R, tables.n_groups, tables.K),
+    j = lock_steps % RECORD_STEPS
+    if record is not None and j:
+        record(times[:j], picks[:j])
+    return FarmRun(final[:, :GK].reshape(R, tables.n_groups, tables.K),
                    lock_steps, jumps)
 
 

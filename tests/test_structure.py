@@ -1,10 +1,13 @@
-"""The rate map has one compiler and one independent cross-check.
+"""The rate map has one compiler and one independent cross-check, and
+the count chain has one event loop.
 
 `rates.affine_rows` compiles the affine rate map for the simulator, the
 count farms and the mean-field solvers. `rates.total_rate` evaluates the
 same rates from their definition for the product-space oracle only, so
-that the oracle shares no rate code with what it checks. These tests read
-the package's syntax trees and fail when either name spreads further.
+that the oracle shares no rate code with what it checks. Every jump time
+of the particle system is drawn in `simulate._count_farm`. These tests
+read the package's syntax trees and fail when any of these spreads
+further.
 """
 
 import ast
@@ -39,3 +42,32 @@ def test_total_rate_serves_only_the_oracle():
 def test_affine_rows_is_the_one_compiler():
     assert modules_referencing("affine_rows") == {
         "rates.py", "simulate.py", "meanfield.py"}
+
+
+def functions_calling(name):
+    """(file name, function name) of every call of `name`, a function or a
+    method, by the innermost function around the call ("" at module
+    level)."""
+    found = set()
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+                continue
+            if isinstance(child, ast.Call) and (
+                    isinstance(child.func, ast.Attribute)
+                    and child.func.attr == name
+                    or isinstance(child.func, ast.Name)
+                    and child.func.id == name):
+                found.add((path.name, function))
+            visit(child, path, function)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, "")
+    return found
+
+
+def test_count_farm_is_the_one_event_loop():
+    assert functions_calling("standard_exponential") == {
+        ("simulate.py", "_count_farm")}
