@@ -56,6 +56,15 @@ def validate_probability(x, K=None):
     return arr
 
 
+def _integer(value, what) -> int:
+    """A rate spec's integer field as an int; bools, floats, strings and
+    the rest raise instead of being truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidArgumentError(
+            f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ColorGraph:
     """Directed graph of allowed color transitions, colors 0..K-1. Besides
@@ -181,15 +190,18 @@ class RateSpec:
             raise InvalidArgumentError(
                 f"unknown rate spec fields: {sorted(unknown)}"
             )
-        base = int(obj.get("base", 0))
+        base = _integer(obj.get("base", 0), "base")
         if base not in (0, 1):
             raise InvalidArgumentError("base must be 0 or 1")
         try:
-            K = int(obj["colors"])
-            edges = [(int(a) - base, int(b) - base) for a, b in obj["edges"]]
+            K = obj["colors"]
+            pairs = [(a, b) for a, b in obj["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"malformed colors/edges: {exc}")
-        cg = ColorGraph(K, edges)
+        cg = ColorGraph(_integer(K, "colors"),
+                        [(_integer(a, "edges endpoint") - base,
+                          _integer(b, "edges endpoint") - base)
+                         for a, b in pairs])
 
         keys = [f"{z + base},{zp + base}" for z, zp in cg.edges]
 

@@ -487,11 +487,19 @@ BAD_FILES = {
     ({**SCEN, "rates": {"file": "self-rates.json"}}, "rates file"),
     (_with_tables(beta=[1]), "beta must be a JSON object"),
     (_with_tables(gamma_c=[[0, 1]]), "gamma_c must be a JSON object"),
+    (_with_tables(colors=3.7), "colors must be an integer"),
+    (_with_tables(colors="3"), "colors must be an integer"),
+    (_with_tables(base=0.5), "base must be an integer"),
+    (_with_tables(base="1"), "base must be an integer"),
+    (_with_tables(edges=[[0.9, 1.2], [1, 0]]),
+     "edges endpoint must be an integer"),
 ], ids=["rates-missing-gamma", "graph-not-a-list", "init-not-numeric",
         "init-not-a-probability", "init-row-too-short", "init-row-too-long",
         "graph-file-edge-float", "graph-file-central-bool",
         "regular-size-float", "complete-size-float", "rates-file-nested",
-        "tables-beta-a-list", "tables-gamma-c-a-list"])
+        "tables-beta-a-list", "tables-gamma-c-a-list", "tables-colors-float",
+        "tables-colors-string", "tables-base-float", "tables-base-string",
+        "tables-edge-floats"])
 def test_malformed_scenario_fails_closed(tmp_path, sub, scen, needle):
     for name, obj in BAD_FILES.items():
         (tmp_path / name).write_text(json.dumps(obj))

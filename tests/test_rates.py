@@ -163,6 +163,35 @@ def test_rate_spec_json_one_based_and_errors():
             bm.RateSpec.from_json_obj({**obj, name: value})
 
 
+@pytest.mark.parametrize("field, value, needle", [
+    ("colors", 3.7, "colors"),
+    ("colors", "3", "colors"),
+    ("colors", True, "colors"),
+    ("base", 0.5, "base"),
+    ("base", "1", "base"),
+    ("base", True, "base"),
+    ("edges", [[0.9, 1.2], [1, 0]], "edges"),
+    ("edges", [[0, "1"], [1, 0]], "edges"),
+    ("edges", [[False, 1], [1, 0]], "edges"),
+], ids=["colors-float", "colors-string", "colors-bool", "base-float",
+        "base-string", "base-bool", "edge-floats", "edge-string",
+        "edge-bool"])
+def test_rate_spec_json_integer_fields(field, value, needle):
+    # each would load if truncated by int(): colors 3.7 as K = 3, base 0.5
+    # as 0, the edge [0.9, 1.2] as (0, 1); base "1" read as 1 and then
+    # failed on edge (-1,0)
+    obj = {
+        "colors": 2,
+        "edges": [[0, 1], [1, 0]],
+        "gamma_c": {"0,1": [0.0, 1.0], "1,0": [0.0, 0.0]},
+        "gamma_p": {"0,1": [0.0, 0.5], "1,0": [0.0, 0.0]},
+        field: value,
+    }
+    with pytest.raises(bm.InvalidArgumentError,
+                       match=f"^{needle}.* must be an integer, got "):
+        bm.RateSpec.from_json_obj(obj)
+
+
 def test_sis_spec_parameter_validation():
     with pytest.raises(bm.InvalidArgumentError, match="scalar or length"):
         bm.sis_spec(2, gamma=[1.0, 2.0, 3.0], nu=0.5, eta=0.6, zeta=0.9)
