@@ -361,7 +361,7 @@ def _count_farm(tables: GroupTables, counts, T: float, gen,
     # which are final's own rows until the first replica stops
     final = n = np.concatenate((np.reshape(counts, (R, GK)), np.ones((R, 1))),
                                axis=1)
-    del counts
+    del counts  # a caller that passed its only reference frees it here
     move = tables.move
     running = np.arange(R)
     t = np.zeros(R)
@@ -377,9 +377,9 @@ def _count_farm(tables: GroupTables, counts, T: float, gen,
             live = t_next <= T
             moved = np.count_nonzero(live)
             if moved < running.size:
-                final[running[~live]] = n[~live]
                 if not moved:
                     break
+                final[running[~live]] = n[~live]
                 running, n, k, t_next = (a[live]
                                          for a in (running, n, k, t_next))
             n += move[k]
@@ -396,6 +396,8 @@ def _count_farm(tables: GroupTables, counts, T: float, gen,
             lock_steps += 1
             jumps += moved
             t = t_next
+    # the replicas that stopped together at the last lock-step
+    final[running] = n
     j = lock_steps % RECORD_STEPS
     if record is not None and j:
         record(times[:j], picks[:j])
