@@ -177,9 +177,8 @@ def test_rate_spec_json_one_based_and_errors():
         "base-string", "base-bool", "edge-floats", "edge-string",
         "edge-bool"])
 def test_rate_spec_json_integer_fields(field, value, needle):
-    # each would load if truncated by int(): colors 3.7 as K = 3, base 0.5
-    # as 0, the edge [0.9, 1.2] as (0, 1); base "1" read as 1 and then
-    # failed on edge (-1,0)
+    # truncated with int(), each would load as another spec: colors 3.7
+    # as K = 3, base 0.5 as 0, the edge [0.9, 1.2] as (0, 1)
     obj = {
         "colors": 2,
         "edges": [[0, 1], [1, 0]],
