@@ -5,145 +5,81 @@ local empirical color measures, the 2rK-dimensional mean-field limit
 (Runge-Kutta and fixed-point solvers), exact small-system forward
 equations for cross-checking, convergence experiments, and pathwise
 deviation costs with their Girsanov machinery.
+
+Importing the package loads only the simulator and what it reads (the
+graph, the rates, the tables and the streams). Every other public name
+loads its module at its first use, so `blockmf.d_bl` imports
+`blockmf.metrics` when it is first read, and `numpy.random` loads at the
+first random stream.
 """
 
-from .errors import (
-    AssumptionViolationError,
-    BlockmfError,
-    CapacityError,
-    InternalConsistencyError,
-    InvalidArgumentError,
-    InvalidConfigurationError,
-    NonConvergenceError,
-    NumericalBlowupError,
-    NumericalError,
-    UnknownEdgeError,
-    ValidationError,
-    WrongClassError,
-)
-from .experiments import (
-    ConvergenceReport,
-    lln_experiment,
-    multichaos_test,
-    proportional_family,
-    sample_block_colors,
-)
-from .graph import (
-    CENTRAL,
-    PERIPHERAL,
-    BlockGraph,
-    ProportionTargets,
-    RegularityReport,
-    build_complete_peripheral,
-    build_regular_peripheral,
-    check_regularity,
-    neighborhood_proportions,
-)
-from .ldp import (
-    ColorPath,
-    DeviationCost,
-    RateFamily,
-    girsanov_log_densities,
-    h_functional,
-    legendre_cost,
-    sample_reference_path,
-    tau,
-    tau_star,
-    variational_cost,
-    variational_norm,
-)
-from .meanfield import (
-    MeanFieldFlow,
-    flow_drift,
-    flow_rates,
-    picard_iterate,
-    solve_mckean_vlasov,
-)
-from .metrics import d_bl, relative_entropy
-from .oracle import StateDistribution, master_equation_oracle
-from .rates import (
-    BlockRates,
-    ColorGraph,
-    RateSpec,
-    as_block_rates,
-    queue_spec,
-    sis_spec,
-)
-from .rng import substream
-from .scenario import Scenario, load_scenario
-from .simulate import (
-    EmpiricalSeries,
-    LocalMeasure,
-    SystemState,
-    Trajectory,
-    empirical_process,
-    local_empirical,
-    simulate,
-)
+import importlib
+
+# `simulate` is both a function and the submodule that defines it. Loading
+# a submodule for the first time binds it as an attribute of the package,
+# so a lazy `simulate` would turn into the module the first time anything
+# imported `blockmf.simulate`. It is imported here, before anything else
+# can load that submodule.
+from .simulate import simulate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionViolationError",
-    "BlockmfError",
-    "BlockRates",
-    "BlockGraph",
-    "CapacityError",
-    "CENTRAL",
-    "ColorGraph",
-    "ColorPath",
-    "ConvergenceReport",
-    "DeviationCost",
-    "EmpiricalSeries",
-    "InternalConsistencyError",
-    "InvalidArgumentError",
-    "InvalidConfigurationError",
-    "LocalMeasure",
-    "MeanFieldFlow",
-    "NonConvergenceError",
-    "NumericalBlowupError",
-    "NumericalError",
-    "PERIPHERAL",
-    "ProportionTargets",
-    "RateFamily",
-    "RateSpec",
-    "RegularityReport",
-    "Scenario",
-    "StateDistribution",
-    "SystemState",
-    "Trajectory",
-    "UnknownEdgeError",
-    "ValidationError",
-    "WrongClassError",
-    "as_block_rates",
-    "build_complete_peripheral",
-    "build_regular_peripheral",
-    "check_regularity",
-    "d_bl",
-    "empirical_process",
-    "flow_drift",
-    "flow_rates",
-    "girsanov_log_densities",
-    "h_functional",
-    "legendre_cost",
-    "lln_experiment",
-    "load_scenario",
-    "local_empirical",
-    "master_equation_oracle",
-    "multichaos_test",
-    "neighborhood_proportions",
-    "picard_iterate",
-    "proportional_family",
-    "queue_spec",
-    "relative_entropy",
-    "sample_block_colors",
-    "sample_reference_path",
-    "simulate",
-    "sis_spec",
-    "solve_mckean_vlasov",
-    "substream",
-    "tau",
-    "tau_star",
-    "variational_cost",
-    "variational_norm",
-]
+# module -> the public names it defines; each module loads at the first
+# access to one of its names
+_EXPORTS = {
+    "errors": (
+        "AssumptionViolationError", "BlockmfError", "CapacityError",
+        "InternalConsistencyError", "InvalidArgumentError",
+        "InvalidConfigurationError", "NonConvergenceError",
+        "NumericalBlowupError", "NumericalError", "UnknownEdgeError",
+        "ValidationError", "WrongClassError",
+    ),
+    "experiments": (
+        "ConvergenceReport", "lln_experiment", "multichaos_test",
+        "proportional_family", "sample_block_colors",
+    ),
+    "graph": (
+        "CENTRAL", "PERIPHERAL", "BlockGraph", "ProportionTargets",
+        "RegularityReport", "build_complete_peripheral",
+        "build_regular_peripheral", "check_regularity",
+        "neighborhood_proportions",
+    ),
+    "ldp": (
+        "ColorPath", "DeviationCost", "RateFamily", "girsanov_log_densities",
+        "h_functional", "legendre_cost", "sample_reference_path", "tau",
+        "tau_star", "variational_cost", "variational_norm",
+    ),
+    "meanfield": (
+        "MeanFieldFlow", "flow_drift", "flow_rates", "picard_iterate",
+        "solve_mckean_vlasov",
+    ),
+    "metrics": ("d_bl", "relative_entropy"),
+    "oracle": ("StateDistribution", "master_equation_oracle"),
+    "rates": (
+        "BlockRates", "ColorGraph", "RateSpec", "as_block_rates",
+        "queue_spec", "sis_spec",
+    ),
+    "rng": ("substream",),
+    "scenario": ("Scenario", "load_scenario"),
+    "simulate": (
+        "EmpiricalSeries", "LocalMeasure", "SystemState", "Trajectory",
+        "empirical_process", "local_empirical", "simulate",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

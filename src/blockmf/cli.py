@@ -4,6 +4,9 @@ Every subcommand is a pure function of (scenario, flags): rerunning
 with the same inputs rewrites identical files. Exit codes: 0 success,
 1 validation problem (also a size too large to allocate), 2 numerical
 failure.
+
+Each subcommand imports the modules it runs in its own body: a call
+loads only its own engine, and `numpy.random` only if it draws.
 """
 
 from __future__ import annotations
@@ -17,21 +20,6 @@ import sys
 import numpy as np
 
 from .errors import InvalidConfigurationError, NumericalError, ValidationError
-from .experiments import (
-    lln_experiment,
-    multichaos_test,
-    proportional_family,
-    proportional_sizes,
-    resolve_tagged,
-    sample_block_colors,
-    tagged_colors,
-)
-from .graph import build_complete_peripheral, check_regularity
-from .ldp import variational_cost
-from .meanfield import MeanFieldFlow, picard_iterate, solve_mckean_vlasov
-from .oracle import master_equation_oracle
-from .rng import ORACLE_CHECK, SIMULATE, substream
-from .simulate import empirical_process, simulate
 from .scenario import load_scenario
 from .tables import write_table
 
@@ -113,6 +101,8 @@ def _write(out_dir, name, write, *args):
 
 
 def _read_flow(path):
+    from .meanfield import MeanFieldFlow
+
     # undecodable bytes become U+FFFD and fail as a bad row
     with open(path, errors="replace") as fp:
         return MeanFieldFlow.from_csv(fp)
@@ -130,6 +120,8 @@ def _limit_model(sc):
 def _n_list_sizes(sc, targets):
     """Block sizes of the graph chaos and multichaos build for each N of
     n_list, found without building the graphs."""
+    from .experiments import proportional_sizes
+
     try:
         return [proportional_sizes(targets, N) for N in sc.n_list]
     except ValidationError as exc:
@@ -139,6 +131,9 @@ def _n_list_sizes(sc, targets):
 def _resolve_tagged_for_every_n(tagged, n_list, sizes):
     """Resolve the tagged requests on the graph of every N, so that a
     request that some N cannot honour fails before any run."""
+    from .experiments import resolve_tagged
+    from .graph import build_complete_peripheral
+
     for N, s in zip(n_list, sizes):
         try:
             resolve_tagged(build_complete_peripheral(s), tagged)
@@ -147,6 +142,8 @@ def _resolve_tagged_for_every_n(tagged, n_list, sizes):
 
 
 def cmd_validate(args):
+    from .graph import check_regularity
+
     sc, seed, _ = _resolve(args, need_seed=False)
     checked = ["schema"]
     graph = targets = K = None
@@ -202,6 +199,10 @@ def cmd_validate(args):
 
 
 def cmd_simulate(args):
+    from .experiments import sample_block_colors
+    from .rng import SIMULATE, substream
+    from .simulate import empirical_process, simulate
+
     sc, seed, out_dir = _resolve(args)
     graph = sc.build_graph()
     spec = sc.build_rates()
@@ -220,6 +221,8 @@ def cmd_simulate(args):
 
 
 def cmd_meanfield(args):
+    from .meanfield import solve_mckean_vlasov
+
     sc, seed, out_dir = _resolve(args, need_seed=False)
     spec, targets, inits = _limit_model(sc)
     flow = solve_mckean_vlasov(spec, targets, inits, sc.horizon, sc.dt())
@@ -230,6 +233,8 @@ def cmd_meanfield(args):
 
 
 def cmd_picard(args):
+    from .meanfield import picard_iterate
+
     sc, seed, out_dir = _resolve(args, need_seed=False)
     spec, targets, inits = _limit_model(sc)
     flow, residuals = picard_iterate(
@@ -244,6 +249,8 @@ def cmd_picard(args):
 
 
 def cmd_chaos(args):
+    from .experiments import lln_experiment, proportional_family
+
     sc, seed, out_dir = _resolve(args)
     spec, targets, inits = _limit_model(sc)
     _n_list_sizes(sc, targets)
@@ -261,6 +268,8 @@ def cmd_chaos(args):
 
 
 def cmd_multichaos(args):
+    from .experiments import multichaos_test, proportional_family
+
     sc, seed, out_dir = _resolve(args)
     spec, targets, inits = _limit_model(sc)
     sizes = _n_list_sizes(sc, targets)
@@ -283,6 +292,9 @@ def cmd_multichaos(args):
 
 
 def cmd_ldp_cost(args):
+    from .ldp import variational_cost
+    from .meanfield import solve_mckean_vlasov
+
     sc, seed, out_dir = _resolve(args, need_seed=False)
     graph = sc.build_graph() if "graph" in sc.raw else None
     spec = sc.build_rates()
@@ -302,6 +314,10 @@ def cmd_ldp_cost(args):
 
 
 def cmd_oracle_check(args):
+    from .experiments import tagged_colors
+    from .oracle import master_equation_oracle
+    from .rng import ORACLE_CHECK, substream
+
     sc, seed, out_dir = _resolve(args)
     graph = sc.build_graph()
     spec = sc.build_rates()

@@ -18,7 +18,12 @@ are one stream. Padded to four words, the farms' keys of `chaos` and
 `multichaos` end in 0 and differ from each other in the third word;
 oracle-check's and simulate's end in their own nonzero words. No two
 purposes share a stream.
+
+`numpy.random` loads at the first `substream` call, not at import: the
+limit subcommands draw nothing and never pay for it.
 """
+
+from __future__ import annotations
 
 import numpy as np
 

@@ -11,6 +11,9 @@ import pytest
 
 import blockmf as bm
 import blockmf.cli as cli
+import blockmf.experiments as experiments
+import blockmf.meanfield as meanfield
+import blockmf.oracle as oracle
 import blockmf.tables as tables
 from test_cli import ORACLE_SCEN, scen_path
 
@@ -89,7 +92,7 @@ def run_cli(argv, capsys):
 
 def test_picard_csv_bytes(tmp_path, capsys, monkeypatch):
     flow = bm.MeanFieldFlow(TIMES, VALUES, 2)
-    monkeypatch.setattr(cli, "picard_iterate",
+    monkeypatch.setattr(meanfield, "picard_iterate",
                         lambda *a, **k: (flow, [0.5, 1e-300, 0.1 + 0.2]))
     run_cli(["picard", "--scenario", scen_path(tmp_path),
              "--out", str(tmp_path)], capsys)
@@ -100,7 +103,7 @@ def test_picard_csv_bytes(tmp_path, capsys, monkeypatch):
 
 def test_multichaos_csv_bytes(tmp_path, capsys, monkeypatch):
     tvs = iter([-0.0, 1e-300])
-    monkeypatch.setattr(cli, "multichaos_test",
+    monkeypatch.setattr(experiments, "multichaos_test",
                         lambda *a, **k: (None, None, next(tvs)))
     run_cli(["multichaos", "--scenario", scen_path(tmp_path),
              "--out", str(tmp_path)], capsys)
@@ -110,9 +113,9 @@ def test_multichaos_csv_bytes(tmp_path, capsys, monkeypatch):
 
 def test_oracle_check_csv_bytes(tmp_path, capsys, monkeypatch):
     marginals = np.array([[0.5, 0.5], [1.0, -0.0], [1e-300, 1.0]])
-    monkeypatch.setattr(cli, "master_equation_oracle", lambda *a: (
+    monkeypatch.setattr(oracle, "master_equation_oracle", lambda *a: (
         SimpleNamespace(node_marginal=lambda n: marginals[n])))
-    monkeypatch.setattr(cli, "tagged_colors", lambda *a, **k: np.array(
+    monkeypatch.setattr(experiments, "tagged_colors", lambda *a, **k: np.array(
         [[rep % 2, 0, 1] for rep in range(4)]))
     sp = scen_path(tmp_path, {**ORACLE_SCEN, "replicas": 4})
     run_cli(["oracle-check", "--scenario", sp, "--out", str(tmp_path)],

@@ -271,8 +271,8 @@ def test_multichaos_streams_differ_from_other_subcommands(
     # SeedSequence pads keys with zeros, so a key that merely drops a
     # trailing zero repeats another caller's stream: compare the first
     # draws of every stream each subcommand pulls
-    import blockmf.cli as cli_mod
     import blockmf.experiments as exp_mod
+    import blockmf.rng as rng_mod
 
     real = exp_mod.substream
     used = {}
@@ -286,7 +286,7 @@ def test_multichaos_streams_differ_from_other_subcommands(
     sp = scen_path(tmp_path, {**SCEN, "n_list": [10, 20, 30, 40],
                               "replicas": 4})
     for sub in ("multichaos", "chaos", "oracle-check", "simulate"):
-        monkeypatch.setattr(cli_mod, "substream", recorder(sub))
+        monkeypatch.setattr(rng_mod, "substream", recorder(sub))
         monkeypatch.setattr(exp_mod, "substream", recorder(sub))
         code, _, err = run([sub, "--scenario", sp, "--out",
                             str(tmp_path / sub), "--threads", "1"], capsys)

@@ -79,3 +79,49 @@ def test_simulate_stays_the_function_after_cli_runs(tmp_path):
         f"{str(tmp_path / 'out')!r}]) == 0\n"
     )
     check_simulate_is_the_function(prelude)
+
+
+# the limit objects only: a queue's flow, fixed point and cost
+LIMIT = {
+    "schema": "blockmf/1",
+    "rates": {"model": "queue", "colors": 3, "zeta": [1.0, 0.8, 0.6],
+              "vartheta": [0.0, 1.0, 1.2], "c0": 0.3},
+    "targets": {"p_c": [0.4], "alpha_c": [0.3], "q": [[0.7]],
+                "alpha": [1.0]},
+    "init": {"c": [[0.5, 0.3, 0.2]], "p": [[0.6, 0.3, 0.1]]},
+    "horizon": 1.0,
+    "dt": 0.05,
+}
+
+FOOTPRINT = """
+import json, sys
+from blockmf.cli import main
+argv = json.loads(sys.argv[1])
+assert not argv or main(argv) == 0
+print(json.dumps([m for m in sys.modules
+                  if m.startswith("blockmf") or m == "numpy.random"]))
+"""
+
+
+def loaded_after(argv):
+    proc = run_python(["-c", FOOTPRINT, json.dumps(argv)], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_engine_and_no_numpy_random():
+    loaded = loaded_after([])
+    assert "blockmf.cli" in loaded
+    assert not loaded & {"blockmf.experiments", "blockmf.oracle",
+                         "blockmf.ldp", "blockmf.meanfield",
+                         "blockmf.metrics", "numpy.random"}
+
+
+def test_limit_subcommands_load_no_particle_engine(tmp_path):
+    scen = tmp_path / "limit.json"
+    scen.write_text(json.dumps(LIMIT))
+    for cmd in ("meanfield", "picard", "ldp-cost", "validate"):
+        loaded = loaded_after([cmd, "--scenario", str(scen),
+                               "--out", str(tmp_path)])
+        assert not loaded & {"blockmf.experiments", "blockmf.oracle",
+                             "blockmf.metrics", "numpy.random"}, cmd

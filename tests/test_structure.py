@@ -8,6 +8,10 @@ that the oracle shares no rate code with what it checks. Every jump time
 of the particle system is drawn in `simulate._count_farm`. These tests
 read the package's syntax trees and fail when any of these spreads
 further.
+
+The CLI imports at module level only what every subcommand needs, so
+that a call loads only its own engine; these tests also keep the engine
+imports inside the subcommands.
 """
 
 import ast
@@ -71,3 +75,20 @@ def functions_calling(name):
 def test_count_farm_is_the_one_event_loop():
     assert functions_calling("standard_exponential") == {
         ("simulate.py", "_count_farm")}
+
+
+def cli_imports():
+    """(module, at module level) of every package module `cli.py`
+    imports."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    top = {node for node in tree.body if isinstance(node, ast.ImportFrom)}
+    return {(node.module, node in top) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_cli_imports_its_engines_inside_the_subcommands():
+    imports = cli_imports()
+    assert {m for m, top in imports if top} == {
+        "errors", "scenario", "tables"}
+    assert {m for m, top in imports if not top} >= {
+        "experiments", "ldp", "meanfield", "oracle", "simulate"}
