@@ -19,6 +19,7 @@ tables use a BlockRates family: one RateSpec per (block, class).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -75,32 +76,46 @@ class ColorGraph:
     edges: tuple
 
     def __post_init__(self):
-        K = int(self.K)
+        K = _integer(self.K, "K")
         if K < 1:
             raise InvalidArgumentError("need K >= 1 colors")
-        seen = set()
-        canon = []
-        for e in self.edges:
-            z, zp = int(e[0]), int(e[1])
-            if z == zp:
+        edges = [(e[0], e[1]) for e in self.edges]
+        types = set(map(type, itertools.chain.from_iterable(edges)))
+        if bool in types or not all(issubclass(t, (int, np.integer))
+                                    for t in types):
+            for e in edges:  # the first non-integer endpoint, in order
+                _integer(e[0], "edge endpoint")
+                _integer(e[1], "edge endpoint")
+        # an endpoint beyond int64 makes an object array; it is out of
+        # range, and -1 stands for it in the duplicate search
+        ends = np.array(edges).reshape(-1, 2)
+        loop = ends[:, 0] == ends[:, 1]
+        inside = ((ends >= 0) & (ends < K)).all(axis=1)
+        ends = np.where(inside[:, None], ends, -1).astype(np.int64)
+        order = np.lexsort((ends[:, 1], ends[:, 0]))  # stable
+        ranked = ends[order]
+        repeat = np.zeros(len(edges), dtype=bool)
+        repeat[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)
+        bad = loop | ~inside | repeat
+        if bad.any():
+            i = int(bad.argmax())  # the first offending edge, in order
+            z, zp = edges[i]
+            if loop[i]:
                 raise InvalidArgumentError(f"self-loop edge ({z},{zp})")
-            if not (0 <= z < K and 0 <= zp < K):
+            if not inside[i]:
                 raise InvalidArgumentError(f"edge ({z},{zp}) outside 0..{K-1}")
-            if (z, zp) in seen:
-                raise InvalidArgumentError(f"duplicate edge ({z},{zp})")
-            seen.add((z, zp))
-            canon.append((z, zp))
-        canon.sort()
+            raise InvalidArgumentError(f"duplicate edge ({z},{zp})")
         object.__setattr__(self, "K", K)
-        object.__setattr__(self, "edges", tuple(canon))
-        out = [[] for _ in range(K)]
-        for i, (z, _) in enumerate(canon):
-            out[z].append(i)
-        object.__setattr__(self, "_out", tuple(map(tuple, out)))
-        ends = np.array(canon, dtype=np.int64).reshape(-1, 2).T.copy()
-        ends.setflags(write=False)
-        object.__setattr__(self, "src", ends[0])
-        object.__setattr__(self, "dst", ends[1])
+        src, dst = ranked.T.copy()
+        object.__setattr__(self, "edges",
+                           tuple(zip(src.tolist(), dst.tolist())))
+        # colour z's out-edges are the canonical edges first[z]..first[z+1]
+        object.__setattr__(self, "_first",
+                           np.searchsorted(src, np.arange(K + 1)).tolist())
+        src.setflags(write=False)
+        dst.setflags(write=False)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
 
     @property
     def n_edges(self):
@@ -114,7 +129,7 @@ class ColorGraph:
 
     def out_edges(self, z):
         """Indices into self.edges of transitions leaving color z."""
-        return self._out[z]
+        return tuple(range(self._first[z], self._first[z + 1]))
 
     def edge_cells(self, n_groups: int):
         """(src, dst): for each (group, edge) pair, group-major, the flat
@@ -406,16 +421,16 @@ def queue_spec(K, zeta, vartheta, h_coefficient) -> RateSpec:
     Returned as a bare RateSpec = family uniform over blocks and classes
     (`as_block_rates` expands it for any r).
     """
-    K = int(K)
+    K = _integer(K, "colors")
     if K < 2:
         raise InvalidArgumentError("queue needs K >= 2 colors")
     try:
-        zeta = [float(x) for x in np.broadcast_to(zeta, (K,))]
-        vartheta = [float(x) for x in np.broadcast_to(vartheta, (K,))]
+        zeta = np.broadcast_to(np.asarray(zeta, dtype=float), (K,))
+        vartheta = np.broadcast_to(np.asarray(vartheta, dtype=float), (K,))
     except ValueError:
         raise InvalidArgumentError("zeta/vartheta must be scalar or length K")
     c0 = float(h_coefficient)
-    if min(zeta) < 0 or min(vartheta) < 0 or c0 < 0:
+    if zeta.min() < 0 or vartheta.min() < 0 or c0 < 0:
         raise InvalidArgumentError("queue parameters must be >= 0")
     edges = [(z, z + 1) for z in range(K - 1)]
     edges += [(z, z - 1) for z in range(1, K)]
@@ -424,6 +439,5 @@ def queue_spec(K, zeta, vartheta, h_coefficient) -> RateSpec:
     # one array: a table too large to hold fails here at once
     table = np.zeros((cg.n_edges, K))
     table[up] = c0 * np.arange(K)
-    beta = np.where(up, np.array(zeta)[cg.src] - c0 * cg.src,
-                    np.array(vartheta)[cg.src])
+    beta = np.where(up, zeta[cg.src] - c0 * cg.src, vartheta[cg.src])
     return RateSpec(cg, table, table, beta)

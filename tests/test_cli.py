@@ -439,6 +439,13 @@ def _with_tables(**tables):
     return {**SCEN, "rates": {"model": "tables", "spec": {**spec, **tables}}}
 
 
+def _with_queue(colors):
+    """SCEN with its rates as a queue of `colors` colours."""
+    return {**SCEN,
+            "rates": {"model": "queue", "colors": colors, "zeta": 1.0,
+                      "vartheta": 0.5, "c0": 0.4}}
+
+
 def assert_fails_closed(proc, artifact, needle):
     """Exit 1 with exactly one `error:` line naming `needle`, no
     traceback, and no artifact written."""
@@ -493,13 +500,17 @@ BAD_FILES = {
     (_with_tables(base="1"), "base must be an integer"),
     (_with_tables(edges=[[0.9, 1.2], [1, 0]]),
      "edges endpoint must be an integer"),
+    (_with_queue(3.5), "colors must be an integer"),
+    (_with_queue("3"), "colors must be an integer"),
+    (_with_queue(True), "colors must be an integer"),
 ], ids=["rates-missing-gamma", "graph-not-a-list", "init-not-numeric",
         "init-not-a-probability", "init-row-too-short", "init-row-too-long",
         "graph-file-edge-float", "graph-file-central-bool",
         "regular-size-float", "complete-size-float", "rates-file-nested",
         "tables-beta-a-list", "tables-gamma-c-a-list", "tables-colors-float",
         "tables-colors-string", "tables-base-float", "tables-base-string",
-        "tables-edge-floats"])
+        "tables-edge-floats", "queue-colors-float", "queue-colors-string",
+        "queue-colors-bool"])
 def test_malformed_scenario_fails_closed(tmp_path, sub, scen, needle):
     for name, obj in BAD_FILES.items():
         (tmp_path / name).write_text(json.dumps(obj))

@@ -205,3 +205,59 @@ def test_queue_spec_validation():
         bm.queue_spec(3, (1.0, 0.8), 0.5, 0.4)
     with pytest.raises(bm.InvalidArgumentError, match=">= 0"):
         bm.queue_spec(3, 1.0, 0.5, -0.4)
+
+
+@pytest.mark.parametrize("colors", [3.5, "3", True],
+                         ids=["float", "string", "bool"])
+def test_queue_spec_rejects_non_integer_colors(colors):
+    # truncated with int(), 3.5 would run as K = 3 and True as K = 1
+    with pytest.raises(bm.InvalidArgumentError,
+                       match="^colors must be an integer, got "):
+        bm.queue_spec(colors, 1.0, 0.5, 0.4)
+
+
+@pytest.mark.parametrize("K, edges, needle", [
+    (2.7, [(0, 1)], "K"),
+    ("2", [(0, 1)], "K"),
+    (True, [], "K"),
+    (2, [(0.9, 1.2)], "edge endpoint"),
+    (3, [(0, 1), (1, np.float64(2.0))], "edge endpoint"),
+    (3, [(0, 1), (True, 2)], "edge endpoint"),
+], ids=["K-float", "K-string", "K-bool", "edge-floats",
+        "edge-numpy-float", "edge-bool"])
+def test_color_graph_rejects_non_integers(K, edges, needle):
+    # truncated with int(), ColorGraph(2.7, [(0.9, 1.2)]) built K = 2
+    # with the edge (0, 1)
+    with pytest.raises(bm.InvalidArgumentError,
+                       match=f"^{needle} must be an integer, got "):
+        bm.ColorGraph(K, edges)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 0), (1, 1), (0, 5), (0, 1)], "self-loop edge (1,1)"),
+    ([(0, 1), (2, 0), (0, 5), (1, 1), (0, 1)], "edge (0,5) outside 0..2"),
+    ([(0, 1), (2, 0), (0, 1), (1, 1), (0, 5)], "duplicate edge (0,1)"),
+    ([(0, 1), (-1, 2), (3, 3)], "edge (-1,2) outside 0..2"),
+    ([(1, 2), (4, 4), (0, 1)], "self-loop edge (4,4)"),
+    ([(1, 2), (5, 1), (5, 1)], "edge (5,1) outside 0..2"),
+    ([(0, 2**70), (0, 1), (0, 1)], f"edge (0,{2**70}) outside 0..2"),
+    ([(2, 0), (np.int64(2), np.int64(0))], "duplicate edge (2,0)"),
+], ids=["self-loop-first", "range-first", "duplicate-first",
+        "negative", "self-loop-outside", "outside-repeated", "past-int64",
+        "numpy-duplicate"])
+def test_color_graph_names_the_first_bad_edge(edges, message):
+    # the first offending edge in input order; for an edge with several
+    # faults the self-loop, then the range, then the duplicate
+    with pytest.raises(bm.InvalidArgumentError) as info:
+        bm.ColorGraph(3, edges)
+    assert str(info.value) == message
+
+
+def test_color_graph_end_arrays_match_the_edges():
+    cg = bm.ColorGraph(4, [(3, 0), (np.int64(0), 2), (1, 0), (0, 1)])
+    assert cg.edges == ((0, 1), (0, 2), (1, 0), (3, 0))
+    assert all(type(z) is int for e in cg.edges for z in e)
+    for ends, column in ((cg.src, 0), (cg.dst, 1)):
+        assert ends.dtype == np.int64 and not ends.flags.writeable
+        assert ends.tolist() == [e[column] for e in cg.edges]
+    assert [cg.out_edges(z) for z in range(4)] == [(0, 1), (2,), (), (3,)]
