@@ -253,11 +253,41 @@ def test_color_graph_names_the_first_bad_edge(edges, message):
     assert str(info.value) == message
 
 
-def test_color_graph_end_arrays_match_the_edges():
-    cg = bm.ColorGraph(4, [(3, 0), (np.int64(0), 2), (1, 0), (0, 1)])
-    assert cg.edges == ((0, 1), (0, 2), (1, 0), (3, 0))
-    assert all(type(z) is int for e in cg.edges for z in e)
-    for ends, column in ((cg.src, 0), (cg.dst, 1)):
-        assert ends.dtype == np.int64 and not ends.flags.writeable
-        assert ends.tolist() == [e[column] for e in cg.edges]
-    assert [cg.out_edges(z) for z in range(4)] == [(0, 1), (2,), (), (3,)]
+def reference_color_graph(K, edges):
+    """The canonical edges by one check per edge in input order: a
+    self-loop, then the range, then a repeat; the message of the first
+    fault, or the sorted edges."""
+    seen = set()
+    for z, zp in edges:
+        if z == zp:
+            return f"self-loop edge ({z},{zp})"
+        if not (0 <= z < K and 0 <= zp < K):
+            return f"edge ({z},{zp}) outside 0..{K-1}"
+        if (z, zp) in seen:
+            return f"duplicate edge ({z},{zp})"
+        seen.add((z, zp))
+    return tuple(sorted(seen))
+
+
+def test_color_graph_matches_the_per_edge_reference():
+    gen = np.random.default_rng(24)
+    for _ in range(400):
+        K = int(gen.integers(1, 5))
+        n = int(gen.integers(0, 9))
+        edges = [tuple(int(v) for v in gen.integers(-1, K + 1, size=2))
+                 for _ in range(n)]
+        if gen.random() < 0.5:  # mostly valid lists too
+            edges = [(z, zp) for z, zp in dict.fromkeys(edges)
+                     if z != zp and 0 <= z < K and 0 <= zp < K]
+        want = reference_color_graph(K, edges)
+        if isinstance(want, str):
+            with pytest.raises(bm.InvalidArgumentError) as info:
+                bm.ColorGraph(K, edges)
+            assert str(info.value) == want
+            continue
+        cg = bm.ColorGraph(K, [(np.int64(z), zp) for z, zp in edges])
+        assert cg.edges == want
+        assert all(type(z) is int for e in cg.edges for z in e)
+        for ends, column in ((cg.src, 0), (cg.dst, 1)):
+            assert ends.dtype == np.int64 and not ends.flags.writeable
+            assert ends.tolist() == [e[column] for e in want]
