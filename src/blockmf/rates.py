@@ -432,12 +432,12 @@ def queue_spec(K, zeta, vartheta, h_coefficient) -> RateSpec:
     c0 = float(h_coefficient)
     if zeta.min() < 0 or vartheta.min() < 0 or c0 < 0:
         raise InvalidArgumentError("queue parameters must be >= 0")
+    # one array, made first: a table too large to hold fails at once
+    table = np.zeros((2 * (K - 1), K))
     edges = [(z, z + 1) for z in range(K - 1)]
     edges += [(z, z - 1) for z in range(1, K)]
     cg = ColorGraph(K, edges)
     up = cg.dst > cg.src
-    # one array: a table too large to hold fails here at once
-    table = np.zeros((cg.n_edges, K))
     table[up] = c0 * np.arange(K)
     beta = np.where(up, zeta[cg.src] - c0 * cg.src, vartheta[cg.src])
     return RateSpec(cg, table, table, beta)
