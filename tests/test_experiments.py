@@ -428,3 +428,38 @@ def test_count_farm_rejects_non_finite_rates():
     # inf times a zero count is nan: the farm says so without a warning
     with pytest.raises(bm.NumericalBlowupError, match="non-finite"):
         _count_farm(tables, start, 1.0, gen)
+
+
+def initial_law_entry_points():
+    """Each library entry point that reads a list of initial laws, as a
+    call on the inits alone."""
+    targets = make_targets()
+    spec = bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7)
+    graph = bm.proportional_family(targets)(12)
+    return {
+        "solve_mckean_vlasov": lambda inits: bm.solve_mckean_vlasov(
+            spec, targets, inits, 1.0, 0.1),
+        "picard_iterate": lambda inits: bm.picard_iterate(
+            spec, targets, inits, 1.0, 0.1),
+        "sample_block_colors": lambda inits: bm.sample_block_colors(
+            graph, inits, bm.substream(5)),
+        "tagged_colors": lambda inits: experiments.tagged_colors(
+            graph, spec, [0], 1.0, 4, bm.substream(5), inits=inits),
+        "lln_experiment": lambda inits: bm.lln_experiment(
+            bm.proportional_family(targets), spec, targets, inits, 1.0, 11,
+            [12], 4, 5),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(initial_law_entry_points()))
+@pytest.mark.parametrize("inits, message", [
+    ([[0.6, 0.4]] * 3, "^need 2r=4 initial measures$"),
+    ([[0.6, 0.4]] * 5, "^need 2r=4 initial measures$"),
+    ([[0.6, 0.4], [0.6, 0.4], [0.6, 0.3], [0.6, 0.4]], "sums to"),
+    ([[0.6, 0.4], [0.6, 0.4], [0.6, 0.4], [1.2, -0.2]], ">= 0"),
+], ids=["three-laws", "five-laws", "short-sum", "negative"])
+def test_initial_laws_fail_closed(entry, inits, message):
+    # one fault per input: a wrong number of laws, or one law that is no
+    # distribution; every entry point names it the same way
+    with pytest.raises(bm.InvalidArgumentError, match=message):
+        initial_law_entry_points()[entry](inits)
