@@ -108,13 +108,23 @@ def _read_flow(path):
         return MeanFieldFlow.from_csv(fp)
 
 
-def _limit_model(sc):
-    """Rate spec, targets and initial measures of the limit; the graph, if
-    any, only supplies the targets."""
+def _limit_rates(sc):
+    """Rate spec and targets of the limit; a graph only supplies targets."""
     graph = sc.build_graph() if "graph" in sc.raw else None
-    spec = sc.build_rates()
-    targets = sc.build_targets(graph)
+    return sc.build_rates(), sc.build_targets(graph)
+
+
+def _limit_model(sc):
+    spec, targets = _limit_rates(sc)
     return spec, targets, sc.build_inits(targets.r, spec.colors.K)
+
+
+def _particle_model(sc):
+    """Graph, rate spec and initial measures; the targets are checked, but
+    the dynamics read the graph itself."""
+    graph, spec = sc.build_graph(), sc.build_rates()
+    sc.build_targets(graph)
+    return graph, spec, sc.build_inits(graph.r, spec.colors.K)
 
 
 def _n_list_sizes(sc, targets):
@@ -204,10 +214,7 @@ def cmd_simulate(args):
     from .simulate import empirical_process, simulate
 
     sc, seed, out_dir = _resolve(args)
-    graph = sc.build_graph()
-    spec = sc.build_rates()
-    sc.build_targets(graph)  # checked; the dynamics read the graph itself
-    inits = sc.build_inits(graph.r, spec.colors.K)
+    graph, spec, inits = _particle_model(sc)
     T = sc.horizon
     grid = np.linspace(0.0, T, sc.grid())
     gen = substream(seed, 0, 0, SIMULATE)
@@ -296,9 +303,7 @@ def cmd_ldp_cost(args):
     from .meanfield import solve_mckean_vlasov
 
     sc, seed, out_dir = _resolve(args, need_seed=False)
-    graph = sc.build_graph() if "graph" in sc.raw else None
-    spec = sc.build_rates()
-    targets = sc.build_targets(graph)
+    spec, targets = _limit_rates(sc)
     flow_path = sc.flow_csv or os.path.join(out_dir, "flow.csv")
     if os.path.isfile(flow_path):
         flow = _read_flow(flow_path)
@@ -319,10 +324,7 @@ def cmd_oracle_check(args):
     from .rng import ORACLE_CHECK, substream
 
     sc, seed, out_dir = _resolve(args)
-    graph = sc.build_graph()
-    spec = sc.build_rates()
-    sc.build_targets(graph)  # checked; the dynamics read the graph itself
-    inits = sc.build_inits(graph.r, spec.colors.K)
+    graph, spec, inits = _particle_model(sc)
     T = sc.horizon
     replicas = sc.replicas(default=20000)
     N, K = graph.n_total, inits[0].size

@@ -30,7 +30,7 @@ from .graph import CENTRAL, BlockGraph, ProportionTargets, \
     build_complete_peripheral, class_index
 from .meanfield import solve_mckean_vlasov
 from .metrics import d_bl_of_differences
-from .rates import validate_probability
+from .rates import _check_horizon, _integer, initial_laws
 from .rng import CHAOS, MULTICHAOS, substream
 from .simulate import FarmRun, GroupTables, _check_grid, _check_tagged, \
     _count_farm, _land
@@ -167,20 +167,11 @@ def proportional_family(targets: ProportionTargets):
     return build
 
 
-def _initial_laws(graph: BlockGraph, inits, K=None) -> np.ndarray:
-    """The initial laws inits[2*block + class] as a (2r, K) array, each
-    checked to be a distribution on K colours (by default inits[0]'s)."""
-    if len(inits) != 2 * graph.r:
-        raise InvalidArgumentError(f"need 2r={2 * graph.r} initial measures")
-    K = validate_probability(inits[0]).size if K is None else K
-    return np.array([validate_probability(m, K) for m in inits])
-
-
 def sample_block_colors(graph: BlockGraph, inits, gen) -> np.ndarray:
     """iid initial colors, one distribution per component 2*block+class,
     from one gen.random(N) draw: a node's colour is the number of entries
     of its law's cdf at or below its uniform."""
-    cdf = np.cumsum(_initial_laws(graph, inits), axis=1)[graph.component]
+    cdf = np.cumsum(initial_laws(inits, graph.r), axis=1)[graph.component]
     u = gen.random(len(cdf))
     return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
 
@@ -196,7 +187,7 @@ def _start_counts(tables: GroupTables, inits, replicas: int, gen):
     inits[2*block + class], shape (replicas, G, K): one multinomial per
     group, so a singleton group of split tables draws its node's
     colour."""
-    law = _initial_laws(tables.graph, inits, tables.K)
+    law = initial_laws(inits, tables.graph.r, tables.K)
     return gen.multinomial(tables.sizes, law[tables.component],
                            size=(replicas, tables.n_groups))
 
@@ -234,13 +225,14 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
     BL distance between the empirical measures and the limiting flow.
     Reports mean and standard error over replicas per N. All replicas of
     one N run as one count farm."""
-    N_list = [int(n) for n in N_list]
+    N_list = [_integer(n, "N_list entry") for n in N_list]
     if N_list != sorted(set(N_list)):
         raise InvalidArgumentError("N_list must be strictly increasing")
-    if replicas < 2:
+    if _integer(replicas, "replicas") < 2:
         raise InvalidArgumentError("need at least 2 replicas")
     T = float(T)
-    grid_times = _check_grid(np.linspace(0.0, T, int(grid)), T)
+    _check_horizon(T)
+    grid_times = _check_grid(np.linspace(0.0, T, _integer(grid, "grid")), T)
     flow = solve_mckean_vlasov(spec, targets, inits, T, dt)
     flow_grid = np.stack([flow.at(t) for t in grid_times])
     seed_path = _seed_path(seed)
@@ -309,7 +301,7 @@ def tagged_colors(graph: BlockGraph, spec, tagged, T, replicas, gen, *,
     drawing from `gen`, on tables in which each tagged node is a
     singleton group; its lock-steps and replica jumps are logged on
     `blockmf.experiments` at debug level."""
-    if replicas < 1:
+    if _integer(replicas, "replicas") < 1:
         raise InvalidArgumentError("need at least 1 replica")
     tables = GroupTables(graph, spec, tagged)
     run = _count_farm(tables, _start_counts(tables, inits, replicas, gen),

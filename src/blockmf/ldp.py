@@ -25,7 +25,7 @@ from .errors import (
 )
 from .graph import class_index
 from .meanfield import MeanFieldFlow, flow_drift, flow_rates
-from .rates import ColorGraph, as_block_rates
+from .rates import ColorGraph, _check_horizon, as_block_rates
 from .tables import write_cost
 
 __all__ = [
@@ -558,8 +558,7 @@ def sample_reference_path(colors: ColorGraph, z0: int, T: float,
     fires at rate 1, independently of everything else."""
     if not 0 <= z0 < colors.K:
         raise InvalidArgumentError(f"initial color {z0} out of range")
-    if T < 0:
-        raise InvalidArgumentError("T must be >= 0")
+    _check_horizon(T)
     gen = seed if isinstance(seed, np.random.Generator) \
         else _rng.substream(seed)
     t = 0.0

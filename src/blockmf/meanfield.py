@@ -28,7 +28,7 @@ from .errors import (
     NumericalBlowupError,
 )
 from .graph import ProportionTargets
-from .rates import affine_rows, as_block_rates, validate_probability
+from .rates import _integer, affine_rows, as_block_rates, initial_laws
 from .tables import read_series, write_series
 
 log = logging.getLogger(__name__)
@@ -89,10 +89,10 @@ class _VectorField:
     (component, color) states. Two evaluators, each over any leading
     shape (one state or a stack of them): `rates(Y)` = max(Y W^T + beta,
     0), W the dense scatter of `affine_rows`; `drift(R, Y)` = (R *
-    Y[..., src]) S^T, the forward equation's A*mu at rates R. The same
-    rates as K x K matrices: `generators(R)` = R G, G scattering each
-    edge's rate to (dst, src) and its negative to (src, src), so that
-    A[g] @ mu_g is component g's drift."""
+    Y[..., src]) S^T, the forward equation's A*mu at rates R, which it
+    leaves unchanged. The same rates as K x K matrices: `generators(R)`
+    = R G, G scattering each edge's rate to (dst, src) and its negative
+    to (src, src), so that A[g] @ mu_g is component g's drift."""
 
     def __init__(self, family, targets: ProportionTargets):
         family = as_block_rates(family, targets.r)
@@ -123,7 +123,9 @@ class _VectorField:
         self.G = G
 
     def rates(self, Y: np.ndarray) -> np.ndarray:
-        return np.maximum(Y @ self.W.T + self.beta, 0.0)
+        R = Y @ self.W.T
+        R += self.beta
+        return np.maximum(R, 0.0, out=R)
 
     def generators(self, R: np.ndarray) -> np.ndarray:
         lead = R.shape[:-1]
@@ -132,14 +134,6 @@ class _VectorField:
 
     def drift(self, R: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return (R * Y.take(self.src, axis=-1)) @ self.S.T
-
-    def rhs(self, y: np.ndarray) -> np.ndarray:
-        """drift(rates(y), y) of one flat state, in place on one array."""
-        R = y @ self.W.T
-        R += self.beta
-        np.maximum(R, 0.0, out=R)
-        R *= y.take(self.src)
-        return R @ self.S.T
 
 
 def _flow_states(flow: MeanFieldFlow, field: _VectorField) -> np.ndarray:
@@ -185,13 +179,6 @@ def _grid(T: float, dt: float):
     return np.linspace(0.0, T, n + 1), T / n
 
 
-def _init_vector(init, r: int, K: int) -> np.ndarray:
-    init = [validate_probability(m, K) for m in init]
-    if len(init) != 2 * r:
-        raise InvalidArgumentError(f"need 2r={2 * r} initial measures")
-    return np.concatenate(init)
-
-
 def _renormalize(y: np.ndarray, K: int):
     """Subtract each component's mass drift in place; y holds whole
     components of K colours, in any contiguous shape."""
@@ -215,7 +202,7 @@ def solve_mckean_vlasov(spec, targets: ProportionTargets, init, T, dt,
     times, dt = _grid(float(T), float(dt))
     n = times.size - 1
     out = np.empty((n + 1, 2 * r * K))
-    out[0] = _init_vector(init, r, K)
+    out[0] = initial_laws(init, r, K).ravel()
     half, sixth = 0.5 * dt, dt / 6.0
     # an overflow surfaces as a non-finite chunk, checked below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -223,16 +210,16 @@ def solve_mckean_vlasov(spec, targets: ProportionTargets, init, T, dt,
             b = min(a + _STEP_CHUNK, n)
             for i in range(a, b):
                 y = out[i]
-                k1 = field.rhs(y)
+                k1 = field.drift(field.rates(y), y)
                 x = half * k1
                 x += y
-                k2 = field.rhs(x)
+                k2 = field.drift(field.rates(x), x)
                 np.multiply(half, k2, out=x)
                 x += y
-                k3 = field.rhs(x)
+                k3 = field.drift(field.rates(x), x)
                 np.multiply(dt, k3, out=x)
                 x += y
-                k4 = field.rhs(x)
+                k4 = field.drift(field.rates(x), x)
                 # (k1 + 2 k2 + 2 k3 + k4) dt/6, summed left to right
                 k2 *= 2.0
                 k1 += k2
@@ -336,17 +323,16 @@ def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
     max-component L1 distance between sweeps."""
     if tol <= 0:
         raise InvalidArgumentError("tol must be > 0")
-    if int(max_iter) < 1:
+    max_iter = _integer(max_iter, "max_iter")
+    if max_iter < 1:
         raise InvalidArgumentError("max_iter must be >= 1")
     field = _VectorField(spec, targets)
     r, K = field.r, field.K
     times, dt = _grid(float(T), float(dt))
-    y0 = _init_vector(init, r, K)
-    frozen = np.broadcast_to(
-        y0.reshape(2 * r, K), (times.size, 2 * r, K)
-    ).copy()
+    y0 = initial_laws(init, r, K)
+    frozen = np.broadcast_to(y0, (times.size, 2 * r, K)).copy()
     residuals = []
-    for _ in range(int(max_iter)):
+    for _ in range(max_iter):
         nxt = _frozen_solve(field, frozen, y0, dt)
         res = float(np.abs(nxt - frozen).sum(axis=2).max())
         residuals.append(res)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError
 from .graph import BlockGraph
-from .rates import as_block_rates, total_rate
+from .rates import _check_horizon, as_block_rates, total_rate
 from .simulate import SystemState, local_empirical
 
 __all__ = ["StateDistribution", "master_equation_oracle"]
@@ -111,8 +111,7 @@ def master_equation_oracle(graph: BlockGraph, spec, init_dist,
         raise CapacityError(
             f"K^N = {n_states} exceeds the oracle cap {STATE_CAP}"
         )
-    if T < 0:
-        raise InvalidArgumentError("T must be >= 0")
+    _check_horizon(T)
 
     init = np.asarray(init_dist, dtype=float)
     if init.shape == (N, K):

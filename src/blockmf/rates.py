@@ -19,8 +19,8 @@ tables use a BlockRates family: one RateSpec per (block, class).
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +36,7 @@ __all__ = [
     "sis_spec",
     "queue_spec",
     "validate_probability",
+    "initial_laws",
 ]
 
 
@@ -55,6 +56,23 @@ def validate_probability(x, K=None):
     if abs(s - 1.0) > 1e-9:
         raise InvalidArgumentError(f"probability vector sums to {s!r}, not 1")
     return arr
+
+
+def initial_laws(inits, r: int, K=None) -> np.ndarray:
+    """The initial laws inits[2*block + class] of an r-block model as a
+    (2r, K) array, each checked to be a distribution on K colours (by
+    default inits[0]'s)."""
+    if len(inits) != 2 * r:
+        raise InvalidArgumentError(f"need 2r={2 * r} initial measures")
+    K = validate_probability(inits[0]).size if K is None else K
+    return np.array([validate_probability(m, K) for m in inits])
+
+
+def _check_horizon(T):
+    """Raise unless the time horizon T is finite and >= 0: a run to a nan
+    or infinite horizon would never stop, or stop at once."""
+    if not 0 <= T < math.inf:
+        raise InvalidArgumentError(f"T must be finite and >= 0, got {T}")
 
 
 def _integer(value, what) -> int:
@@ -79,36 +97,23 @@ class ColorGraph:
         K = _integer(self.K, "K")
         if K < 1:
             raise InvalidArgumentError("need K >= 1 colors")
-        edges = [(e[0], e[1]) for e in self.edges]
-        types = set(map(type, itertools.chain.from_iterable(edges)))
-        if bool in types or not all(issubclass(t, (int, np.integer))
-                                    for t in types):
-            for e in edges:  # the first non-integer endpoint, in order
-                _integer(e[0], "edge endpoint")
-                _integer(e[1], "edge endpoint")
-        # an endpoint beyond int64 makes an object array; it is out of
-        # range, and -1 stands for it in the duplicate search
-        ends = np.array(edges).reshape(-1, 2)
-        loop = ends[:, 0] == ends[:, 1]
-        inside = ((ends >= 0) & (ends < K)).all(axis=1)
-        ends = np.where(inside[:, None], ends, -1).astype(np.int64)
-        order = np.lexsort((ends[:, 1], ends[:, 0]))  # stable
-        ranked = ends[order]
-        repeat = np.zeros(len(edges), dtype=bool)
-        repeat[order[1:]] = (ranked[1:] == ranked[:-1]).all(axis=1)
-        bad = loop | ~inside | repeat
-        if bad.any():
-            i = int(bad.argmax())  # the first offending edge, in order
-            z, zp = edges[i]
-            if loop[i]:
+        # the first fault in input order; for one edge, a non-integer
+        # endpoint, then a self-loop, then the range, then a repeat
+        seen = set()
+        for e in self.edges:
+            z = _integer(e[0], "edge endpoint")
+            zp = _integer(e[1], "edge endpoint")
+            if z == zp:
                 raise InvalidArgumentError(f"self-loop edge ({z},{zp})")
-            if not inside[i]:
+            if not (0 <= z < K and 0 <= zp < K):
                 raise InvalidArgumentError(f"edge ({z},{zp}) outside 0..{K-1}")
-            raise InvalidArgumentError(f"duplicate edge ({z},{zp})")
+            if (z, zp) in seen:
+                raise InvalidArgumentError(f"duplicate edge ({z},{zp})")
+            seen.add((z, zp))
+        edges = tuple(sorted(seen))
         object.__setattr__(self, "K", K)
-        src, dst = ranked.T.copy()
-        object.__setattr__(self, "edges",
-                           tuple(zip(src.tolist(), dst.tolist())))
+        object.__setattr__(self, "edges", edges)
+        src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T.copy()
         # colour z's out-edges are the canonical edges first[z]..first[z+1]
         object.__setattr__(self, "_first",
                            np.searchsorted(src, np.arange(K + 1)).tolist())

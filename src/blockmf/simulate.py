@@ -35,7 +35,7 @@ from .errors import (
     NumericalBlowupError,
 )
 from .graph import CENTRAL, PERIPHERAL, BlockGraph, neighborhood_proportions
-from .rates import affine_rows, as_block_rates
+from .rates import _check_horizon, affine_rows, as_block_rates
 from .tables import write_series, write_table
 
 __all__ = [
@@ -350,10 +350,9 @@ def _count_farm(tables: GroupTables, counts, T: float, gen,
     record: called with each block of at most RECORD_STEPS lock-steps as
     (times, picks), both of shape (lock-steps, replicas): the jump times
     and the picked (group, edge) rows g*E + e. A replica that has
-    stopped reads time +inf and pick 0.
+    stopped reads time +inf and pick 0. T must be finite and >= 0.
     """
-    if T < 0:
-        raise InvalidArgumentError("T must be >= 0")
+    _check_horizon(T)
     R = len(counts)
     GK = tables.n_groups * tables.K
     # the flat counts, then the constant-one column that beta is read from;
@@ -435,8 +434,6 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed) -> Trajectory:
     the final node colours, or InternalConsistencyError is raised.
     """
     family = as_block_rates(spec, graph.r)
-    if T < 0:
-        raise InvalidArgumentError("T must be >= 0")
     if isinstance(init, SystemState):
         state = init
     else:

@@ -463,3 +463,48 @@ def test_initial_laws_fail_closed(entry, inits, message):
     # distribution; every entry point names it the same way
     with pytest.raises(bm.InvalidArgumentError, match=message):
         initial_law_entry_points()[entry](inits)
+
+
+def count_argument_calls():
+    """(argument name, call on its value) for each count argument of the
+    library's solvers and experiments."""
+    targets = make_targets()
+    spec = bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7)
+    inits = [[0.6, 0.4]] * 4
+    fam = bm.proportional_family(targets)
+    graph = fam(12)
+
+    def lln(**kw):
+        args = dict(grid=11, N_list=[12, 24], replicas=4) | kw
+        return bm.lln_experiment(fam, spec, targets, inits, 1.0,
+                                 seed=5, **args)
+
+    return {
+        "picard_iterate-max_iter": ("max_iter", lambda v: bm.picard_iterate(
+            spec, targets, inits, 1.0, 0.1, tol=1e-30, max_iter=v)),
+        "lln_experiment-grid": ("grid", lambda v: lln(grid=v)),
+        "lln_experiment-N_list": ("N_list entry",
+                                  lambda v: lln(N_list=[v, 24])),
+        "lln_experiment-replicas": ("replicas", lambda v: lln(replicas=v)),
+        "tagged_colors-replicas": ("replicas",
+                                   lambda v: experiments.tagged_colors(
+                                       graph, spec, [0], 1.0, v,
+                                       bm.substream(5), inits=inits)),
+        "multichaos_test-replicas": ("replicas",
+                                     lambda v: bm.multichaos_test(
+                                         graph, spec, [0, 1], 1.0, v, 5,
+                                         inits=inits)),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(count_argument_calls()))
+@pytest.mark.parametrize("value", [12.7, np.float64(12.0), True, "12"],
+                         ids=["float", "numpy-float", "bool", "string"])
+def test_count_arguments_take_true_integers(call, value):
+    # picard_iterate(max_iter=2.7) ran 2 sweeps and reported 2.7;
+    # lln_experiment truncated grid and N values; a float replica count
+    # escaped as a bare TypeError
+    name, run = count_argument_calls()[call]
+    with pytest.raises(bm.InvalidArgumentError,
+                       match=f"^{name} must be an integer, got "):
+        run(value)

@@ -253,6 +253,16 @@ def test_color_graph_names_the_first_bad_edge(edges, message):
     assert str(info.value) == message
 
 
+def test_color_graph_checks_each_edge_before_the_next():
+    # a non-integer endpoint is an edge fault like the others: the first
+    # faulty edge in input order is named, whatever its fault
+    with pytest.raises(bm.InvalidArgumentError, match="^self-loop edge"):
+        bm.ColorGraph(3, [(0, 1), (1, 1), (0.5, 2)])
+    with pytest.raises(bm.InvalidArgumentError,
+                       match="^edge endpoint must be an integer, got 0.5"):
+        bm.ColorGraph(3, [(0, 1), (0.5, 2), (1, 1)])
+
+
 def reference_color_graph(K, edges):
     """The canonical edges by one check per edge in input order: a
     self-loop, then the range, then a repeat; the message of the first

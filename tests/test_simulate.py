@@ -858,3 +858,41 @@ def test_simulate_takes_one_state():
     g = bm.build_complete_peripheral([(1, 1)])
     with pytest.raises(bm.InvalidArgumentError, match="one state"):
         bm.simulate(g, SIS.central[0], [[0, 1], [1, 0]], 1.0, seed=1)
+
+
+def horizon_entry_points():
+    """Each library entry point that runs to a horizon T, as a call on T
+    alone."""
+    from blockmf import experiments
+
+    graph = bm.build_complete_peripheral([(2, 3), (2, 3)])
+    queue = bm.queue_spec(3, 1.0, 0.5, 0.4)
+    inits = [[0.5, 0.3, 0.2]] * 4
+    tiny = bm.build_complete_peripheral([(1, 2)])
+    return {
+        "count_farm": lambda T: _count_farm(
+            GroupTables(graph, SIS), [[[1, 1]] * 4], T, bm.substream(3)),
+        "simulate": lambda T: bm.simulate(graph, SIS, [0] * 10, T, 3),
+        "tagged_colors": lambda T: experiments.tagged_colors(
+            graph, queue, [0], T, 2, bm.substream(3), inits=inits),
+        "multichaos_test": lambda T: bm.multichaos_test(
+            graph, queue, [0, 4], T, 2, 3, inits=inits),
+        "lln_experiment": lambda T: bm.lln_experiment(
+            lambda N: graph, queue, bm.ProportionTargets.from_graph(graph),
+            inits, T, 5, [10], 2, 3),
+        "sample_reference_path": lambda T: bm.sample_reference_path(
+            queue.colors, 0, T, 3),
+        "master_equation_oracle": lambda T: bm.master_equation_oracle(
+            tiny, queue, [[0.5, 0.3, 0.2]] * 3, T),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(horizon_entry_points()))
+@pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
+def test_horizons_that_are_not_finite_and_nonnegative_fail_closed(entry, T):
+    # a nan horizon ran no jump (the farm) or never stopped (the reference
+    # walk); an infinite one never stopped on a chain that keeps jumping;
+    # the oracle called a nan horizon a capacity problem
+    with pytest.raises(bm.InvalidArgumentError,
+                       match=f"^T must be finite and >= 0, got {T}$"):
+        horizon_entry_points()[entry](T)

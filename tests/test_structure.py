@@ -5,9 +5,9 @@ the count chain has one event loop.
 count farms and the mean-field solvers. `rates.total_rate` evaluates the
 same rates from their definition for the product-space oracle only, so
 that the oracle shares no rate code with what it checks. Every jump time
-of the particle system is drawn in `simulate._count_farm`. These tests
-read the package's syntax trees and fail when any of these spreads
-further.
+of the particle system is drawn in `simulate._count_farm`, and every list
+of initial laws is checked in `rates.initial_laws`. These tests read the
+package's syntax trees and fail when any of these spreads further.
 
 The CLI imports at module level only what every subcommand needs, so
 that a call loads only its own engine; these tests also keep the engine
@@ -75,6 +75,15 @@ def functions_calling(name):
 def test_count_farm_is_the_one_event_loop():
     assert functions_calling("standard_exponential") == {
         ("simulate.py", "_count_farm")}
+
+
+def test_initial_laws_are_checked_in_one_place():
+    # the solvers and experiments read their initial laws through
+    # `rates.initial_laws`; the scenario loader and the distances check
+    # their own measures
+    assert functions_calling("validate_probability") == {
+        ("rates.py", "initial_laws"), ("metrics.py", "_check_pair"),
+        ("scenario.py", "build_inits")}
 
 
 def cli_imports():
