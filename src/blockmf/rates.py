@@ -87,8 +87,9 @@ def _integer(value, what) -> int:
 @dataclass(frozen=True)
 class ColorGraph:
     """Directed graph of allowed color transitions, colors 0..K-1. Besides
-    the canonical edge tuple it carries read-only int64 arrays `src` and
-    `dst` of the edge endpoints, in the same order."""
+    the canonical (sorted) edge tuple it carries read-only int64 arrays
+    `src` and `dst` of the edge endpoints, in the same order. A bad edge
+    list raises InvalidArgumentError naming its first faulty edge."""
 
     K: int
     edges: tuple
@@ -97,8 +98,6 @@ class ColorGraph:
         K = _integer(self.K, "K")
         if K < 1:
             raise InvalidArgumentError("need K >= 1 colors")
-        # the first fault in input order; for one edge, a non-integer
-        # endpoint, then a self-loop, then the range, then a repeat
         seen = set()
         for e in self.edges:
             z = _integer(e[0], "edge endpoint")
