@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import CENTRAL, BlockGraph, ProportionTargets, \
-    build_complete_peripheral, class_index
+    _component_of, build_complete_peripheral
 from .meanfield import solve_mckean_vlasov
 from .metrics import d_bl_of_differences
 from .rates import _check_horizon, _integer, initial_laws
@@ -78,13 +78,13 @@ class ConvergenceReport:
                     self.stderrs)
 
 
-def _svg_loglog(fp, xs, ys, errs, slope=-0.5):
+def _svg_loglog(fp, xs, ys, errs):
     if np.any(ys <= 0) or np.any(xs <= 0):
         raise InvalidArgumentError("log-log plot needs positive data")
     W, H = 640.0, 480.0
     ml, mr, mt, mb = 80.0, 24.0, 24.0, 56.0
     lx, ly = np.log10(xs), np.log10(ys)
-    ref = ly[0] + slope * (lx - lx[0])
+    ref = ly[0] - 0.5 * (lx - lx[0])  # the slope -1/2 guide
     # error bars clamp at 30% of the mean so a wide bar cannot wreck the scale
     bar_lo = np.log10(np.maximum(ys - errs, 0.3 * ys))
     bar_hi = np.log10(ys + errs)
@@ -275,14 +275,13 @@ def resolve_tagged(graph: BlockGraph, tagged_nodes):
             out.append(spec_)
             continue
         j, cls = spec_ if len(spec_) == 2 else (None, None)
-        cls = class_index(cls)
-        if (isinstance(j, bool) or not isinstance(j, (int, np.integer))
-                or not 0 <= j < graph.r or cls is None):
+        g = _component_of(j, cls, graph.r)
+        if g is None:
             raise InvalidArgumentError(
                 f"tagged {tuple(spec_)!r} names no class of a graph "
                 f"with {graph.r} blocks"
             )
-        nodes = (graph.central_nodes(j) if cls == CENTRAL
+        nodes = (graph.central_nodes(j) if g % 2 == CENTRAL
                  else graph.peripheral_nodes(j))
         out.append(nodes[0])
     out = list(_check_tagged(graph, out))

@@ -31,6 +31,7 @@ from .errors import (
     InvalidConfigurationError,
     WrongClassError,
 )
+from .rates import _integer
 
 CENTRAL, PERIPHERAL = 0, 1
 CLASS_LABELS = ("c", "p")  # each class's label in CSVs and scenarios
@@ -55,16 +56,20 @@ def class_index(cls):
     label; None when it names no class."""
     if isinstance(cls, str):
         return CLASS_LABELS.index(cls) if cls in CLASS_LABELS else None
-    return cls if cls in (CENTRAL, PERIPHERAL) else None
+    if isinstance(cls, bool) or not isinstance(cls, (int, np.integer)):
+        return None
+    return int(cls) if cls in (CENTRAL, PERIPHERAL) else None
 
 
-def _integer(value, what) -> int:
-    """value as an int; bools, floats and other non-integers raise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidConfigurationError(
-            f"{what} must be an integer, got {value!r}"
-        )
-    return int(value)
+def _component_of(block, cls, r: int):
+    """The component 2*block + class that a (block, class) pair names in
+    an r-block graph, the class read by `class_index`; None when the
+    pair names none."""
+    cls = class_index(cls)
+    if (cls is None or isinstance(block, bool)
+            or not isinstance(block, (int, np.integer)) or not 0 <= block < r):
+        return None
+    return 2 * int(block) + cls
 
 
 class BlockGraph:

@@ -23,9 +23,9 @@ from .errors import (
     NonConvergenceError,
     UnknownEdgeError,
 )
-from .graph import class_index
+from .graph import _component_of
 from .meanfield import MeanFieldFlow, flow_drift, flow_rates
-from .rates import ColorGraph, _check_horizon, as_block_rates
+from .rates import ColorGraph, _check_horizon, _integer, as_block_rates
 from .tables import write_cost
 
 __all__ = [
@@ -213,19 +213,20 @@ def _solve_or_lstsq(H, g):
         return np.linalg.lstsq(H, g, rcond=None)[0]
 
 
-def _newton(theta, w, src, dst, free, grad_tol, max_iter):
+def _newton(theta, w, src, dst, free):
     """Damped Newton ascent of Phi -> theta·Phi - sum_e w_e tau(dPhi_e)
     for each row of theta (n, K) and edge weights w (n, E), on one
     active-edge pattern (edges src -> dst, all weights > 0). Only the
     `free` colours move; the others stay pinned at zero.
 
-    Each row keeps its own exits: gradient norm below grad_tol; the
+    Each row keeps its own exits: gradient norm below GRAD_TOL; the
     Newton decrement below the resolution of the objective (a stall);
     the steepest-ascent fallback when the Newton step points downhill;
     +inf once the potential passes PHI_CAP. Rows leave the batch as they
     exit. Returns (values, [iterations, halvings, stall exits],
     failures), failures listing (row, gradient-norm history) for rows
-    whose line search failed or that ran out of iterations (value nan).
+    whose line search failed or that ran out of their MAX_NEWTON
+    iterations (value nan).
     """
     n, K = theta.shape
     E = src.size
@@ -258,7 +259,7 @@ def _newton(theta, w, src, dst, free, grad_tol, max_iter):
             failures.append((int(row), [float(gn[np.searchsorted(live, row)])
                                         for live, gn in hist]))
 
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON):
         if ids.size == 0:
             break
         ed = np.exp(phi[:, dst] - phi[:, src])
@@ -279,9 +280,9 @@ def _newton(theta, w, src, dst, free, grad_tol, max_iter):
         # Newton decrement: slope/2 bounds the remaining gain to first
         # order (concave objective), so once it is below the resolution
         # of F itself no double-precision step can improve the value.
-        # The raw gradient may still sit above grad_tol here.
+        # The raw gradient may still sit above GRAD_TOL here.
         stall = stall_scale * np.maximum(1.0, np.abs(F))
-        converged = gn < grad_tol
+        converged = gn < GRAD_TOL
         stalled = ~converged & (np.abs(slope) <= stall)
         downhill = ~converged & ~stalled & (slope < 0.0)
         if downhill.any():
@@ -331,9 +332,7 @@ def _newton(theta, w, src, dst, free, grad_tol, max_iter):
     return values, counts, failures
 
 
-def _variational_norms(theta, mu, lam, colors: ColorGraph, *,
-                       grad_tol: float = GRAD_TOL,
-                       max_iter: int = MAX_NEWTON):
+def _variational_norms(theta, mu, lam, colors: ColorGraph):
     """`variational_norm` of every row of theta (n, K), mu (n, K) and
     lam (n, E) on one colour graph. Rows are grouped by their active-edge
     pattern, which fixes the support components, the pinned roots and
@@ -365,7 +364,7 @@ def _variational_norms(theta, mu, lam, colors: ColorGraph, *,
         # zero, and the root (lowest color) of each component is pinned
         roots = _component_roots(K, src, dst)
         mass = theta[rows] @ (roots[:, None] == np.arange(K)).astype(float)
-        rows = rows[~np.any(np.abs(mass) > grad_tol, axis=1)]
+        rows = rows[~np.any(np.abs(mass) > GRAD_TOL, axis=1)]
         free = np.flatnonzero(roots != np.arange(K))
         if free.size == 0:
             out[rows] = 0.0
@@ -373,7 +372,7 @@ def _variational_norms(theta, mu, lam, colors: ColorGraph, *,
         for c in range(0, rows.size, _NEWTON_CHUNK):
             chunk = rows[c:c + _NEWTON_CHUNK]
             vals, cnt, fails = _newton(theta[chunk], w_all[chunk][:, pattern],
-                                       src, dst, free, grad_tol, max_iter)
+                                       src, dst, free)
             out[chunk] = vals
             counts += cnt
             failures += [(chunk[k], res) for k, res in fails]
@@ -386,16 +385,16 @@ def _variational_norms(theta, mu, lam, colors: ColorGraph, *,
     return out, counts
 
 
-def variational_norm(theta, mu_point, lambda_table, colors: ColorGraph, *,
-                     grad_tol: float = GRAD_TOL,
-                     max_iter: int = MAX_NEWTON) -> float:
+def variational_norm(theta, mu_point, lambda_table,
+                     colors: ColorGraph) -> float:
     """sup over potentials Phi of theta·Phi - sum_e tau(dPhi_e)·mu(src)·lam_e.
 
     Returns +inf when the flux theta is not realizable on the weighted
     support (in particular whenever sum(theta) exceeds 1e-10, the
     unbounded constant-shift direction). The smooth concave problem is
     solved by damped Newton with one potential pinned per support
-    component; stops at gradient norm below grad_tol. A batch of one
+    component; stops at gradient norm below GRAD_TOL, and raises
+    NonConvergenceError after MAX_NEWTON iterations. A batch of one
     through the solver `variational_cost` uses.
     """
     theta = np.asarray(theta, dtype=float)
@@ -407,8 +406,7 @@ def variational_norm(theta, mu_point, lambda_table, colors: ColorGraph, *,
     if lam.shape != (colors.n_edges,):
         raise InvalidArgumentError("lambda_table must have one entry per edge")
     values, _ = _variational_norms(theta[None], mu_point[None], lam[None],
-                                   colors, grad_tol=grad_tol,
-                                   max_iter=max_iter)
+                                   colors)
     return float(values[0])
 
 
@@ -471,15 +469,15 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
     edges of the current color of (lambda(t) - 1) dt. Jump-time rates
     interpolate the grid linearly; the time integral is exact for the
     interpolated rates. A jump along an edge the model gives rate 0 (or
-    that is not an edge at all) sends the density to -inf.
+    that is not an edge at all) sends the density to -inf. A path's
+    colors must be len(jump_times) + 1 integers in 0..K-1.
     """
     j, label = which
-    cls = class_index(label)
     family = as_block_rates(spec, targets.r)
-    if not 0 <= j < flow.r or cls is None:
+    g = _component_of(j, label, flow.r)
+    if g is None:
         raise InvalidArgumentError(
             f"no component (block={j}, class={label!r})")
-    g = 2 * j + cls
     colors = family.colors
     K = colors.K
     times = flow.times
@@ -491,6 +489,13 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
     for ip, path in enumerate(paths):
         if path.horizon > flow.T + 1e-9:
             raise InvalidArgumentError("path horizon exceeds the flow's")
+        seen = np.asarray(path.colors)
+        if (seen.dtype.kind not in "iu"
+                or seen.shape != (len(path.jump_times) + 1,)
+                or seen.min() < 0 or seen.max() >= K):
+            raise InvalidArgumentError(
+                f"path colors must be len(jump_times) + 1 integers in "
+                f"0..{K - 1}, got {path.colors!r}")
         jump_sum = 0.0
         for k, t_k in enumerate(path.jump_times):
             z_prev = int(path.colors[k])
@@ -556,6 +561,7 @@ def sample_reference_path(colors: ColorGraph, z0: int, T: float,
                           seed) -> ColorPath:
     """One path of the reference walk: every edge of the color graph
     fires at rate 1, independently of everything else."""
+    z0 = _integer(z0, "initial color")
     if not 0 <= z0 < colors.K:
         raise InvalidArgumentError(f"initial color {z0} out of range")
     _check_horizon(T)

@@ -28,7 +28,13 @@ from .errors import (
     NumericalBlowupError,
 )
 from .graph import ProportionTargets
-from .rates import _integer, affine_rows, as_block_rates, initial_laws
+from .rates import (
+    _check_horizon,
+    _integer,
+    affine_rows,
+    as_block_rates,
+    initial_laws,
+)
 from .tables import read_series, write_series
 
 log = logging.getLogger(__name__)
@@ -168,8 +174,10 @@ _MAX_POINTS = np.iinfo(np.intp).max // 8
 
 
 def _grid(T: float, dt: float):
-    if dt <= 0 or T <= 0:
-        raise InvalidArgumentError("need T > 0 and dt > 0")
+    _check_horizon(T)
+    if T == 0 or not 0 < dt < math.inf:
+        raise InvalidArgumentError(
+            f"need T > 0 and 0 < dt < inf, got T={T}, dt={dt}")
     if not T / dt < _MAX_POINTS - 1:
         raise InvalidArgumentError(
             f"T/dt = {T / dt:.3g} grid steps; numpy holds at most "

@@ -95,11 +95,10 @@ def master_equation_oracle(graph: BlockGraph, spec, init_dist,
                            T: float) -> StateDistribution:
     """Solve the forward equation exactly (to 1e-10) on the product space.
 
-    init_dist: either a length-K^N vector over encoded states, or an
-    (N, K) array of independent per-node distributions. Horizons with
-    large rate*T are split into chunks so the Poisson series never
-    underflows; more than MAX_CHUNKS chunks, or a non-finite rate*T, is
-    a CapacityError.
+    init_dist: the (N, K) array of independent per-node laws, row n the
+    law of node n's color. Horizons with large rate*T are split into
+    chunks so the Poisson series never underflows; more than MAX_CHUNKS
+    chunks, or a non-finite rate*T, is a CapacityError.
     """
     from scipy import sparse  # here, so importing blockmf loads no scipy
 
@@ -114,18 +113,14 @@ def master_equation_oracle(graph: BlockGraph, spec, init_dist,
     _check_horizon(T)
 
     init = np.asarray(init_dist, dtype=float)
-    if init.shape == (N, K):
-        # node 0 is the fastest digit, so it sits innermost in the kron
-        # and every later node wraps around it as a slower digit
-        probs = np.ones(1)
-        for n in range(N):
-            probs = np.kron(init[n], probs)
-    elif init.shape == (n_states,):
-        probs = init.copy()
-    else:
+    if init.shape != (N, K):
         raise InvalidArgumentError(
-            f"init_dist must be ({N},{K}) per-node or length {n_states}"
-        )
+            f"init_dist must be ({N},{K}) per-node laws, got {init.shape}")
+    # node 0 is the fastest digit, so it sits innermost in the kron and
+    # every later node wraps around it as a slower digit
+    probs = np.ones(1)
+    for n in range(N):
+        probs = np.kron(init[n], probs)
     if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-9:
         raise InvalidArgumentError("init_dist is not a distribution")
     probs = np.maximum(probs, 0.0)

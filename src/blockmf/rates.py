@@ -76,8 +76,8 @@ def _check_horizon(T):
 
 
 def _integer(value, what) -> int:
-    """A rate spec's integer field as an int; bools, floats, strings and
-    the rest raise instead of being truncated."""
+    """value as an int; bools, floats, strings and the rest raise
+    InvalidArgumentError instead of being truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidArgumentError(
             f"{what} must be an integer, got {value!r}")
@@ -126,8 +126,9 @@ class ColorGraph:
         return len(self.edges)
 
     def edge_index(self, z, zp) -> int:
+        z, zp = _integer(z, "edge endpoint"), _integer(zp, "edge endpoint")
         try:
-            return self.edges.index((int(z), int(zp)))
+            return self.edges.index((z, zp))
         except ValueError:
             raise UnknownEdgeError(f"({z},{zp}) not an allowed transition")
 

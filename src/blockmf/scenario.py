@@ -108,9 +108,9 @@ class Scenario:
             raise InvalidConfigurationError("horizon must be > 0")
         return T
 
-    def dt(self, default=0.01) -> float:
+    def dt(self) -> float:
         if "dt" not in self.raw:
-            return default
+            return 0.01
         v = _positive(self.raw["dt"], "dt")
         if v <= 0:
             raise InvalidConfigurationError("dt must be > 0")

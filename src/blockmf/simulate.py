@@ -423,9 +423,10 @@ def _group_tables(graph: BlockGraph, family) -> GroupTables:
 def simulate(graph: BlockGraph, spec, init, T: float, seed) -> Trajectory:
     """Exact sample of the N-particle jump process up to time T.
 
-    init: SystemState or a length-N color vector. The dynamics run on the
-    graph's own finite-N neighborhood proportions. seed: integer or a
-    numpy Generator (callers pass per-replica substreams).
+    init: the length-N integer color vector, node n's color init[n].
+    The dynamics run on the graph's own finite-N neighborhood
+    proportions. seed: integer or a numpy Generator (callers pass
+    per-replica substreams).
 
     The run is a count farm with one replica; then one gen.random(jumps)
     draw gives each jump of group g along edge z -> z' the member of g's
@@ -434,12 +435,7 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed) -> Trajectory:
     the final node colours, or InternalConsistencyError is raised.
     """
     family = as_block_rates(spec, graph.r)
-    if isinstance(init, SystemState):
-        state = init
-    else:
-        state = SystemState.from_colors(graph, init, family.colors.K)
-    if state.K != family.colors.K:
-        raise InvalidArgumentError("init state K does not match rate spec")
+    state = SystemState.from_colors(graph, init, family.colors.K)
     if state.colors.shape != (graph.n_total,):
         raise InvalidArgumentError(
             f"need one state of {graph.n_total} colors, got shape "

@@ -177,12 +177,9 @@ def reference_oracle(graph, spec, init_dist, T, unif_tol=1e-10,
                                                cols + list(range(S)))),
                           shape=(S, S))
     init = np.asarray(init_dist, dtype=float)
-    if init.shape == (N, K):
-        probs = np.ones(1)
-        for n in range(N):
-            probs = np.kron(init[n], probs)
-    else:
-        probs = init.copy()
+    probs = np.ones(1)
+    for n in range(N):
+        probs = np.kron(init[n], probs)
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum()
     lam_max = float(-diag.min())

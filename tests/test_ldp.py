@@ -433,6 +433,32 @@ def test_girsanov_argument_guards():
         bm.girsanov_log_densities([path], flow, R1_TARGETS, spec, (1, 0))
 
 
+@pytest.mark.parametrize("which", [(0.5, "c"), (0.0, 0), (False, "c"),
+                                   (0, 1.0), (0, True)],
+                         ids=["block-0.5", "block-0.0", "block-False",
+                              "class-1.0", "class-True"])
+def test_girsanov_non_integer_component_is_no_component(which):
+    spec, flow = unit_rate_setup()
+    path = bm.ColorPath(np.array([]), np.array([0]), flow.T)
+    with pytest.raises(bm.InvalidArgumentError, match="^no component"):
+        bm.girsanov_log_densities([path], flow, R1_TARGETS, spec, which)
+
+
+@pytest.mark.parametrize("colors", [
+    [0.4, 1.6],  # truncated, the path 0 -> 1
+    [-1, 0],     # read as colour K-1
+    [5, 0],      # past the rate table
+    [0, 2],
+    [0],         # one colour short of the jump
+    [0, 1, 0],   # one colour past it
+], ids=["float", "start-negative", "start-5", "jump-to-K", "short", "long"])
+def test_girsanov_bad_path_colors_fail_closed(colors):
+    spec, flow = unit_rate_setup()
+    path = bm.ColorPath(np.array([0.5]), np.array(colors), flow.T)
+    with pytest.raises(bm.InvalidArgumentError, match="^path colors must"):
+        bm.girsanov_log_densities([path], flow, R1_TARGETS, spec, (0, 0))
+
+
 @pytest.mark.parametrize("cls", ["x", "cp", "", 2, None])
 def test_bad_class_label_is_an_argument_error(small_graph, cls):
     # the labels are one map, read by the densities, the tagged-node
@@ -489,6 +515,14 @@ def test_sample_reference_path():
     cg2 = bm.ColorGraph(2, [(0, 1)])
     p = bm.sample_reference_path(cg2, 0, 50.0, seed=1)
     assert len(p.jump_times) <= 1
+
+
+@pytest.mark.parametrize("z0", [1.5, np.float64(1.0), True, "1"])
+def test_reference_path_start_color_is_an_integer(z0):
+    cg = bm.ColorGraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
+    with pytest.raises(bm.InvalidArgumentError,
+                       match="^initial color must be an integer, got "):
+        bm.sample_reference_path(cg, z0, 1.0, seed=0)
 
 
 # --------------------------------------------------------------------------
@@ -643,10 +677,13 @@ def test_variational_norm_matches_scalar_reference():
     assert (np.isfinite(want) & (want > 0.0)).sum() > 100
 
 
-def test_variational_norm_max_iter_one_raises():
+def test_variational_norm_max_iter_one_raises(monkeypatch):
+    from blockmf import ldp
+
     theta, mu, lam = mixed_rows(np.random.default_rng(5), 1)[0]
+    monkeypatch.setattr(ldp, "MAX_NEWTON", 1)
     with pytest.raises(bm.NonConvergenceError) as exc:
-        bm.variational_norm(theta, mu, lam, MIXED_CG, max_iter=1)
+        bm.variational_norm(theta, mu, lam, MIXED_CG)
     assert len(exc.value.residuals) == 1
     with pytest.raises(bm.NonConvergenceError):
         scalar_norm(theta, mu, lam, MIXED_CG, max_iter=1)
@@ -700,12 +737,13 @@ def test_batched_norms_match_scalar_reference(chunk, monkeypatch):
     got, counts = ldp._variational_norms(theta, mu, lam, MIXED_CG)
     assert_matches_reference(got, want)
     assert counts[0] > 0 and counts[2] > 0
-    # max_iter=1: rows whose zero potential is already optimal, or that
+    # MAX_NEWTON=1: rows whose zero potential is already optimal, or that
     # are infinite before any ascent, still return; the others run out
     # of iterations, and the error reports the first of them with its
     # one gradient norm
+    monkeypatch.setattr(ldp, "MAX_NEWTON", 1)
     with pytest.raises(bm.NonConvergenceError) as exc:
-        ldp._variational_norms(theta, mu, lam, MIXED_CG, max_iter=1)
+        ldp._variational_norms(theta, mu, lam, MIXED_CG)
     for row in rows:
         try:
             scalar_norm(*row, MIXED_CG, max_iter=1)

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -163,6 +164,23 @@ def test_grid_validation(sis2):
     # dt that does not divide T is shrunk so the grid still ends at T
     flow = bm.solve_mckean_vlasov(spec, targets, inits, 1.0, 0.3)
     assert flow.times[-1] == 1.0 and flow.times.size == 5
+
+
+@pytest.mark.parametrize("solver", [bm.solve_mckean_vlasov,
+                                    bm.picard_iterate])
+@pytest.mark.parametrize("T, dt, match", [
+    (math.nan, 0.1, "^T must be finite and >= 0, got nan"),
+    (math.inf, 0.1, "^T must be finite and >= 0, got inf"),
+    (-1.0, 0.1, "^T must be finite and >= 0, got -1.0"),
+    (1.0, math.nan, "^need T > 0 and 0 < dt < inf, got T=1.0, dt=nan"),
+    (1.0, math.inf, "^need T > 0 and 0 < dt < inf, got T=1.0, dt=inf"),
+], ids=["T-nan", "T-inf", "T-negative", "dt-nan", "dt-inf"])
+def test_grid_names_a_bad_horizon_or_step(sis2, solver, T, dt, match):
+    # a nan or infinite T or dt is not a grid-size problem, and an
+    # infinite dt would run one step of length T
+    spec, targets, inits = sis2
+    with pytest.raises(bm.InvalidArgumentError, match=match):
+        solver(spec, targets, inits, T, dt)
 
 
 # --------------------------------------------------------------------------

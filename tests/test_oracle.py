@@ -67,9 +67,11 @@ def test_product_init_matches_explicit_vector():
         per_node[0][z0] * per_node[1][z1]
         for z1 in range(2) for z0 in range(2)
     ])
-    d1 = master_equation_oracle(g, fam, per_node, 0.9)
-    d2 = master_equation_oracle(g, fam, explicit, 0.9)
-    assert np.allclose(d1.probs, d2.probs, atol=1e-12)
+    dist = master_equation_oracle(g, fam, per_node, 0.0)
+    assert np.allclose(dist.probs, explicit, atol=1e-12)
+    # the per-node laws are the only form
+    with pytest.raises(bm.InvalidArgumentError, match="per-node laws"):
+        master_equation_oracle(g, fam, explicit, 0.9)
 
 
 def test_long_horizon_chunks_conserve_mass():
@@ -254,8 +256,6 @@ def _oracle_cases():
         "k3_clamped": (bm.build_complete_peripheral([(1, 2), (1, 1)]),
                        _clamping_queue(), rng.dirichlet(np.ones(3), 5), 1.5),
         "no_cross_neighbours": (apart, sis2, inits2[apart.component], 1.2),
-        "full_vector": (bm.build_complete_peripheral([(2, 1)]), sis1,
-                        rng.dirichlet(np.ones(8)), 0.7),
     }
 
 

@@ -16,6 +16,16 @@ def test_color_graph_canonical_order_and_lookup():
         cg.edge_index(2, 1)
 
 
+def test_edge_index_takes_integer_colors():
+    # int(0.9), int(1.2) would look up the edge (0, 1)
+    cg = bm.ColorGraph(3, [(2, 0), (0, 1), (1, 2)])
+    assert cg.edge_index(np.int64(0), np.int64(1)) == 0
+    for z, zp in ((0.9, 1.2), (0, 1.0), (True, 2)):
+        with pytest.raises(bm.InvalidArgumentError,
+                           match="^edge endpoint must be an integer, got "):
+            cg.edge_index(z, zp)
+
+
 def test_out_edges_match_definition():
     # the one-pass index lists each colour's out-edges in canonical order
     gen = np.random.default_rng(4)

@@ -107,10 +107,10 @@ def test_simulate_zero_horizon_and_bad_args():
     assert tr.events == []
     with pytest.raises(bm.InvalidArgumentError):
         bm.simulate(g, SIS.central[0], [0, 1], -1.0, seed=3)
-    with pytest.raises(bm.InvalidArgumentError, match="K"):
-        q3 = bm.queue_spec(3, 1.0, 0.5, 0.4)
-        st = bm.SystemState.from_colors(g, [0, 1], 2)
-        bm.simulate(g, q3, st, 1.0, seed=3)
+    # the start is a colour vector, never a SystemState
+    st = bm.SystemState.from_colors(g, [0, 1], 2)
+    with pytest.raises(bm.InvalidArgumentError, match="must be integers"):
+        bm.simulate(g, SIS.central[0], st, 1.0, seed=3)
 
 
 def test_kernel_reuse_leaks_no_state():

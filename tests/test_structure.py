@@ -5,9 +5,10 @@ the count chain has one event loop.
 count farms and the mean-field solvers. `rates.total_rate` evaluates the
 same rates from their definition for the product-space oracle only, so
 that the oracle shares no rate code with what it checks. Every jump time
-of the particle system is drawn in `simulate._count_farm`, and every list
-of initial laws is checked in `rates.initial_laws`. These tests read the
-package's syntax trees and fail when any of these spreads further.
+of the particle system is drawn in `simulate._count_farm`, every list
+of initial laws is checked in `rates.initial_laws`, and every integer
+argument or field in `rates._integer`. These tests read the package's
+syntax trees and fail when any of these spreads further.
 
 The CLI imports at module level only what every subcommand needs, so
 that a call loads only its own engine; these tests also keep the engine
@@ -84,6 +85,14 @@ def test_initial_laws_are_checked_in_one_place():
     assert functions_calling("validate_probability") == {
         ("rates.py", "initial_laws"), ("metrics.py", "_check_pair"),
         ("scenario.py", "build_inits")}
+
+
+def test_integer_check_is_defined_once():
+    defined = {path.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_integer"}
+    assert defined == {"rates.py"}
 
 
 def cli_imports():
