@@ -470,14 +470,16 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
     interpolate the grid linearly; the time integral is exact for the
     interpolated rates. A jump along an edge the model gives rate 0 (or
     that is not an edge at all) sends the density to -inf. A path's
-    colors must be len(jump_times) + 1 integers in 0..K-1.
+    colors must be len(jump_times) + 1 integers in 0..K-1, its jump
+    times strictly increasing within (0, horizon], and its horizon within
+    [0, flow.T].
     """
-    j, label = which
     family = as_block_rates(spec, targets.r)
-    g = _component_of(j, label, flow.r)
+    pair = isinstance(which, (tuple, list)) and len(which) == 2
+    g = _component_of(*which, flow.r) if pair else None
     if g is None:
         raise InvalidArgumentError(
-            f"no component (block={j}, class={label!r})")
+            f"no component (block, class) = {which!r}")
     colors = family.colors
     K = colors.K
     times = flow.times
@@ -487,8 +489,17 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
 
     out = np.empty(len(paths))
     for ip, path in enumerate(paths):
-        if path.horizon > flow.T + 1e-9:
-            raise InvalidArgumentError("path horizon exceeds the flow's")
+        if not 0.0 <= path.horizon <= flow.T + 1e-9:
+            raise InvalidArgumentError(
+                f"path horizon must lie in [0, {flow.T:g}], the flow's, "
+                f"got {path.horizon!r}")
+        jumps = np.asarray(path.jump_times, dtype=float)
+        if (jumps.ndim != 1 or not np.all(jumps > 0.0)
+                or not np.all(jumps <= path.horizon)
+                or not np.all(np.diff(jumps) > 0.0)):
+            raise InvalidArgumentError(
+                f"path jump times must increase strictly within (0, "
+                f"horizon], got {path.jump_times!r}")
         seen = np.asarray(path.colors)
         if (seen.dtype.kind not in "iu"
                 or seen.shape != (len(path.jump_times) + 1,)
@@ -514,8 +525,8 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
             out[ip] = -math.inf
             continue
         comp = 0.0
-        seg_starts = np.concatenate(([0.0], path.jump_times))
-        seg_ends = np.concatenate((path.jump_times, [path.horizon]))
+        seg_starts = np.concatenate(([0.0], jumps))
+        seg_ends = np.concatenate((jumps, [path.horizon]))
         for k in range(seg_starts.size):
             z = int(path.colors[k])
             comp += _pl_integral(times, excess[:, z],

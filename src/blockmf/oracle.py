@@ -6,7 +6,7 @@ states, each node's neighbourhood through local_empirical and its rates
 through total_rate — the definition-style path, deliberately different
 code from the simulator's aggregated tables, so the two can cross-check
 each other. The forward equation is solved by uniformization to a hard
-absolute tolerance.
+absolute tolerance, on the generator's CSR arrays in numpy alone.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ log = logging.getLogger(__name__)
 STATE_CAP = 4096
 UNIF_TOL = 1e-10
 CHUNK_RATE = 50.0  # max uniformization rate*T per series chunk
-# A chunk takes about 110 series terms, 10-12 ms at STATE_CAP states on
-# 2 vCPUs (numpy 2.4, scipy 1.17), so the cap keeps a solve near a minute.
+# A chunk takes about 110 series terms of 110-115 us each, 14 ms at
+# STATE_CAP states on a 2-vCPU Intel Xeon (numpy 2.4), so the cap keeps a
+# solve near 70 s.
 MAX_CHUNKS = 5000
 
 
@@ -60,12 +61,12 @@ def _decode_states(K: int, N: int) -> np.ndarray:
 
 
 def _jump_matrix(graph, family):
-    """The generator on the product space as a CSR matrix: the rate of
-    every admissible one-node jump off the diagonal, minus the state's
-    total rate on it. Built node by node over the whole stack of states;
-    each state's diagonal subtracts its rates in node, then edge order."""
-    from scipy import sparse  # here, so importing blockmf loads no scipy
-
+    """The generator on the product space as CSR arrays (vals, cols,
+    indptr): row i holds vals[indptr[i]:indptr[i + 1]] at the columns
+    cols[indptr[i]:indptr[i + 1]], ascending, its diagonal among them.
+    Off the diagonal sits the rate of every admissible one-node jump; on
+    it, minus the state's total rate, its rates subtracted in node, then
+    edge order. Built node by node over the whole stack of states."""
     K = family.colors.K
     N = graph.n_total
     idx = np.arange(K ** N)
@@ -84,11 +85,61 @@ def _jump_matrix(graph, family):
             cols.append(idx[jump] + (zp - z) * K ** n)
             vals.append(lam[jump])
             diag[jump] -= lam[jump]
-    return sparse.csr_matrix(
-        (np.concatenate([diag, *vals]),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(idx.size, idx.size),
-    )
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(idx.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=idx.size), out=indptr[1:])
+    return np.concatenate([diag, *vals])[order], cols[order], indptr
+
+
+def _uniformize(probs, Q, T):
+    """The law probs e^{TQ} of a chain with generator Q, given as the CSR
+    arrays of `_jump_matrix`, to an absolute tolerance of UNIF_TOL, and
+    the series chunks and terms it took. Horizons with large rate*T are
+    split into chunks so the Poisson series never underflows; more than
+    MAX_CHUNKS chunks, or a non-finite rate*T, is a CapacityError.
+
+    Each term sums its products for a target in row order, as a CSR
+    vector-matrix product does."""
+    vals, cols, indptr = Q
+    counts = np.diff(indptr)
+    on_diag = cols == np.repeat(np.arange(counts.size), counts)
+    lam_max = float(-vals[on_diag].min())
+    if lam_max == 0.0:
+        return probs, 0, 0
+    rate_T = lam_max * T
+    if not math.isfinite(rate_T) or rate_T > CHUNK_RATE * MAX_CHUNKS:
+        raise CapacityError(
+            f"uniformization rate x T = {rate_T:.3g} needs more than "
+            f"{MAX_CHUNKS} series chunks of {CHUNK_RATE:g}"
+        )
+    n_chunks = max(1, int(math.ceil(rate_T / CHUNK_RATE)))
+    tau = T / n_chunks
+    a = lam_max * tau
+    P = vals * (1.0 / lam_max)  # the jump chain I + Q / lam_max
+    P[on_diag] += 1.0
+    p = probs
+    terms = 0
+    for _ in range(n_chunks):
+        weight = math.exp(-a)
+        acc = weight * p
+        term = p
+        k = 0
+        remaining = 1.0 - weight
+        while remaining > UNIF_TOL / n_chunks:
+            k += 1
+            term = np.bincount(cols, weights=np.repeat(term, counts) * P,
+                               minlength=counts.size)
+            weight *= a / k
+            acc = acc + weight * term
+            remaining -= weight
+            if k > 100_000:
+                raise CapacityError("uniformization series failed to settle")
+        p = acc
+        terms += k
+    p = np.maximum(p, 0.0)
+    p /= p.sum()
+    return p, n_chunks, terms
 
 
 def master_equation_oracle(graph: BlockGraph, spec, init_dist,
@@ -100,8 +151,6 @@ def master_equation_oracle(graph: BlockGraph, spec, init_dist,
     chunks so the Poisson series never underflows; more than MAX_CHUNKS
     chunks, or a non-finite rate*T, is a CapacityError.
     """
-    from scipy import sparse  # here, so importing blockmf loads no scipy
-
     family = as_block_rates(spec, graph.r)
     K = family.colors.K
     N = graph.n_total
@@ -129,42 +178,8 @@ def master_equation_oracle(graph: BlockGraph, spec, init_dist,
         return _counted(probs, K, N, n_states, 0, 0, 0)
 
     Q = _jump_matrix(graph, family)
-    lam_max = float(-Q.diagonal().min())
-    if lam_max == 0.0:
-        return _counted(probs, K, N, n_states, Q.nnz, 0, 0)
-
-    rate_T = lam_max * T
-    if not math.isfinite(rate_T) or rate_T > CHUNK_RATE * MAX_CHUNKS:
-        raise CapacityError(
-            f"uniformization rate x T = {rate_T:.3g} needs more than "
-            f"{MAX_CHUNKS} series chunks of {CHUNK_RATE:g}"
-        )
-    n_chunks = max(1, int(math.ceil(rate_T / CHUNK_RATE)))
-    tau = T / n_chunks
-    a = lam_max * tau
-    P = sparse.identity(n_states, format="csr") + Q.multiply(1.0 / lam_max)
-    p = probs
-    terms = 0
-    for _ in range(n_chunks):
-        weight = math.exp(-a)
-        acc = weight * p
-        term = p
-        k = 0
-        remaining = 1.0 - weight
-        while remaining > UNIF_TOL / n_chunks:
-            k += 1
-            term = term @ P
-            weight *= a / k
-            acc = acc + weight * term
-            remaining -= weight
-            if k > 100_000:
-                raise CapacityError("uniformization series failed to settle")
-        p = acc
-        terms += k
-    p = np.asarray(p).ravel()
-    p = np.maximum(p, 0.0)
-    p /= p.sum()
-    return _counted(p, K, N, n_states, Q.nnz, n_chunks, terms)
+    p, n_chunks, terms = _uniformize(probs, Q, T)
+    return _counted(p, K, N, n_states, Q[0].size, n_chunks, terms)
 
 
 def _counted(p, K, N, *counters) -> StateDistribution:

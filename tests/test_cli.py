@@ -415,13 +415,15 @@ def test_entry_point_declared_and_runs_as_module(tmp_path):
 
 
 def test_distribution_name_and_test_extra():
-    # the suite imports pytest and hypothesis; the `test` extra declares them
+    # the package needs numpy alone; the suite also imports pytest,
+    # hypothesis and scipy, and the `test` extra declares them
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
     assert project["name"] == "blockmf"
+    assert project["dependencies"] == ["numpy>=2.0"]
     assert sorted(project["optional-dependencies"]["test"]) == [
-        "hypothesis", "pytest"]
+        "hypothesis", "pytest", "scipy>=1.10"]
 
 
 def _without(section, key):

@@ -459,6 +459,36 @@ def test_girsanov_bad_path_colors_fail_closed(colors):
         bm.girsanov_log_densities([path], flow, R1_TARGETS, spec, (0, 0))
 
 
+@pytest.mark.parametrize("jump_times", [
+    [1.5, 0.5], [0.5, 0.5], [-1.0, 0.5], [0.0, 0.5], [0.5, 3.0],
+    [float("nan"), 0.5], [0.5, float("inf")],
+], ids=["out-of-order", "tie", "negative", "at-zero", "past-horizon", "nan",
+        "inf"])
+def test_girsanov_bad_jump_times_fail_closed(jump_times):
+    spec, flow = unit_rate_setup()
+    path = bm.ColorPath(np.array(jump_times), np.array([0, 1, 0]), flow.T)
+    with pytest.raises(bm.InvalidArgumentError, match="^path jump times"):
+        bm.girsanov_log_densities([path], flow, R1_TARGETS, spec, (0, 0))
+
+
+@pytest.mark.parametrize("horizon", [float("nan"), -1.0],
+                         ids=["nan", "negative"])
+def test_girsanov_bad_horizon_fails_closed(horizon):
+    spec, flow = unit_rate_setup()
+    path = bm.ColorPath(np.array([]), np.array([0]), horizon)
+    with pytest.raises(bm.InvalidArgumentError, match="^path horizon"):
+        bm.girsanov_log_densities([path], flow, R1_TARGETS, spec, (0, 0))
+
+
+@pytest.mark.parametrize("which", [0, (0,), (0, 0, 1), "c"],
+                         ids=["int", "single", "triple", "string"])
+def test_girsanov_which_not_a_pair_is_no_component(which):
+    spec, flow = unit_rate_setup()
+    path = bm.ColorPath(np.array([]), np.array([0]), flow.T)
+    with pytest.raises(bm.InvalidArgumentError, match="^no component"):
+        bm.girsanov_log_densities([path], flow, R1_TARGETS, spec, which)
+
+
 @pytest.mark.parametrize("cls", ["x", "cp", "", 2, None])
 def test_bad_class_label_is_an_argument_error(small_graph, cls):
     # the labels are one map, read by the densities, the tagged-node

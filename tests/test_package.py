@@ -96,21 +96,24 @@ LIMIT = {
 FOOTPRINT = """
 import json, sys
 from blockmf.cli import main
-argv = json.loads(sys.argv[1])
-assert not argv or main(argv) == 0
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
 print(json.dumps([m for m in sys.modules
-                  if m.startswith("blockmf") or m == "numpy.random"]))
+                  if m.split(".")[0] in ("blockmf", "scipy")
+                  or m == "numpy.random"]))
 """
 
 
-def loaded_after(argv):
-    proc = run_python(["-c", FOOTPRINT, json.dumps(argv)], timeout=120)
+def loaded_after(*argvs):
+    """The blockmf, scipy and numpy.random modules loaded in a fresh
+    interpreter that imports the CLI and runs each argv in turn."""
+    proc = run_python(["-c", FOOTPRINT, json.dumps(argvs)], timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_cli_import_loads_no_engine_and_no_numpy_random():
-    loaded = loaded_after([])
+    loaded = loaded_after()
     assert "blockmf.cli" in loaded
     assert not loaded & {"blockmf.experiments", "blockmf.oracle",
                          "blockmf.ldp", "blockmf.meanfield",
@@ -125,3 +128,17 @@ def test_limit_subcommands_load_no_particle_engine(tmp_path):
                                "--out", str(tmp_path)])
         assert not loaded & {"blockmf.experiments", "blockmf.oracle",
                              "blockmf.metrics", "numpy.random"}, cmd
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    # only the tests call scipy (their statistics and the CSR reference
+    # oracle), so no subcommand needs it installed or pays for its import
+    from blockmf.cli import _COMMANDS
+
+    scen = tmp_path / "particles.json"
+    scen.write_text(json.dumps({**TINY, "dt": 0.05, "n_list": [3, 6]}))
+    argvs = [[cmd, "--scenario", str(scen), "--out", str(tmp_path / cmd)]
+             for cmd in _COMMANDS]
+    loaded = loaded_after(*argvs)
+    assert "blockmf.oracle" in loaded
+    assert not {m for m in loaded if m.split(".")[0] == "scipy"}

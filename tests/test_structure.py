@@ -12,7 +12,8 @@ syntax trees and fail when any of these spreads further.
 
 The CLI imports at module level only what every subcommand needs, so
 that a call loads only its own engine; these tests also keep the engine
-imports inside the subcommands.
+imports inside the subcommands. numpy is the package's one dependency:
+no module imports scipy, which only the tests call.
 """
 
 import ast
@@ -110,3 +111,14 @@ def test_cli_imports_its_engines_inside_the_subcommands():
         "errors", "scenario", "tables"}
     assert {m for m, top in imports if not top} >= {
         "experiments", "ldp", "meanfield", "oracle", "simulate"}
+
+
+def test_the_package_imports_no_scipy():
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported and "scipy" not in imported
