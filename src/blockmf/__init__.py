@@ -45,7 +45,7 @@ _EXPORTS = {
         "neighborhood_proportions",
     ),
     "ldp": (
-        "ColorPath", "DeviationCost", "RateFamily", "girsanov_log_densities",
+        "ColorPath", "DeviationCost", "girsanov_log_densities",
         "h_functional", "legendre_cost", "sample_reference_path", "tau",
         "tau_star", "variational_cost", "variational_norm",
     ),

@@ -52,20 +52,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Mean sup-grid distance to the limiting flow per system size."""
+    """Mean sup-grid distance to the limiting flow per system size, with
+    its standard error over the replicas."""
 
     n_values: tuple
-    replicas: int
-    means: np.ndarray            # (n_N,)
-    stderrs: np.ndarray          # (n_N,)
     component_means: np.ndarray  # (n_N, 2r)
     distances: np.ndarray        # (n_N, replicas) raw per-replica sups
 
-    def __post_init__(self):
-        if list(self.n_values) != sorted(set(self.n_values)):
-            raise InvalidArgumentError("N values must be strictly increasing")
-        if np.any(self.stderrs < 0):
-            raise InvalidArgumentError("standard errors must be >= 0")
+    @property
+    def replicas(self) -> int:
+        return self.distances.shape[1]
+
+    @property
+    def means(self) -> np.ndarray:
+        return self.distances.mean(axis=1)
+
+    @property
+    def stderrs(self) -> np.ndarray:
+        return self.distances.std(axis=1, ddof=1) / math.sqrt(self.replicas)
 
     def to_csv(self, fp) -> None:
         write_table(fp, ("N", "replicas", "mean_dist", "stderr"),
@@ -177,9 +181,8 @@ def sample_block_colors(graph: BlockGraph, inits, gen) -> np.ndarray:
 
 
 def _seed_path(seed):
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(s) for s in seed)
-    return (int(seed),)
+    path = seed if isinstance(seed, (tuple, list)) else (seed,)
+    return tuple(_integer(s, "seed") for s in path)
 
 
 def _start_counts(tables: GroupTables, inits, replicas: int, gen):
@@ -238,8 +241,6 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
     seed_path = _seed_path(seed)
 
     r = targets.r
-    means = np.empty(len(N_list))
-    stderrs = np.empty(len(N_list))
     comp_means = np.empty((len(N_list), 2 * r))
     dists = np.empty((len(N_list), replicas))
     for n_idx, N in enumerate(N_list):
@@ -258,10 +259,7 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
         per_comp = d_bl_of_differences(emp - flow_grid).max(axis=1)
         dists[n_idx] = per_comp.max(axis=1)
         comp_means[n_idx] = per_comp.mean(axis=0)
-        means[n_idx] = dists[n_idx].mean()
-        stderrs[n_idx] = dists[n_idx].std(ddof=1) / math.sqrt(replicas)
-    return ConvergenceReport(tuple(N_list), replicas, means, stderrs,
-                             comp_means, dists)
+    return ConvergenceReport(tuple(N_list), comp_means, dists)
 
 
 def resolve_tagged(graph: BlockGraph, tagged_nodes):

@@ -3,7 +3,7 @@
 The convex pair tau / tau_star (log-Laplace transform of the centered
 unit Poisson and its conjugate), the weighted variational norm of a
 flux residual, the deviation cost of a flow in both its Legendre form
-(explicit perturbed rate family) and variational form (residual of the
+(explicit perturbed rates) and variational form (residual of the
 flow's own drift), and log densities of tagged-particle paths against
 the unit-rate-per-edge reference walk.
 """
@@ -32,7 +32,6 @@ __all__ = [
     "tau",
     "tau_star",
     "ColorPath",
-    "RateFamily",
     "DeviationCost",
     "legendre_cost",
     "variational_norm",
@@ -82,40 +81,6 @@ class ColorPath:
 
 
 @dataclass(frozen=True)
-class RateFamily:
-    """Perturbed jump rates on the flow grid: values[i, g, e] is the rate
-    of edge e for component g (= 2*block + class) at times[i]."""
-
-    times: np.ndarray
-    values: np.ndarray
-    r: int
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or values.ndim != 3:
-            raise InvalidArgumentError("times must be 1-d, values 3-d")
-        if values.shape[0] != times.size or values.shape[1] != 2 * self.r:
-            raise InvalidArgumentError(
-                f"values shape {values.shape} does not match "
-                f"{times.size} grid points and {2 * self.r} components"
-            )
-        if not np.all(np.isfinite(values)) or values.min() < 0.0:
-            raise InvalidArgumentError("rates must be finite and >= 0")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_edges(self) -> int:
-        return self.values.shape[2]
-
-    @classmethod
-    def from_model(cls, flow: MeanFieldFlow, spec, targets) -> "RateFamily":
-        """The model's own rates along the flow (the zero-cost family)."""
-        return cls(flow.times.copy(), flow_rates(flow, spec, targets), flow.r)
-
-
-@dataclass(frozen=True)
 class DeviationCost:
     """Cost of a flow: per-grid-point integrand per component, the time
     integrals per component, the class weights used, and the weighted
@@ -129,7 +94,6 @@ class DeviationCost:
     class_integrals: np.ndarray  # (2r,)
     weights: np.ndarray          # (2r,)
     total: float
-    r: int
     newton_iterations: int = field(default=0, compare=False)
     halvings: int = field(default=0, compare=False)
     stall_exits: int = field(default=0, compare=False)
@@ -139,44 +103,44 @@ class DeviationCost:
         write_cost(fp, self.times, self.integrand, self.total)
 
 
-def _class_weights(targets, r: int) -> np.ndarray:
-    w = np.empty(2 * r)
-    for j in range(r):
+def _class_weights(targets) -> np.ndarray:
+    w = np.empty(2 * targets.r)
+    for j in range(targets.r):
         w[2 * j] = targets.alpha[j] * targets.p_c[j]
         w[2 * j + 1] = targets.alpha[j] * targets.p_p[j]
     return w
 
 
-def _package_cost(times, integrand, targets, r, **counters) -> DeviationCost:
-    weights = _class_weights(targets, r)
+def _package_cost(times, integrand, targets, **counters) -> DeviationCost:
+    weights = _class_weights(targets)
     class_integrals = np.trapezoid(integrand, times, axis=0)
     total = float(weights @ class_integrals)
     return DeviationCost(times, integrand, class_integrals, weights,
-                         total, r, **counters)
+                         total, **counters)
 
 
 def legendre_cost(flow: MeanFieldFlow, targets, spec,
-                  rate_family: RateFamily) -> DeviationCost:
+                  rates) -> DeviationCost:
     """Cost of running the flow with rates l instead of the model's lam:
     integrate sum_e mu(src)·lam·tau*(l/lam - 1) per component, weight by
-    the limiting class proportions.
+    the limiting class proportions. `rates[i, g, e]`, finite and >= 0, is
+    the rate l of edge e for component g (= 2*block + class) at
+    flow.times[i], shaped like `flow_rates`.
 
     The model rates along the flow must stay above RATE_FLOOR on every
     edge (the dynamics are assumed uniformly elliptic); anything lower
     raises AssumptionViolationError.
     """
     family = as_block_rates(spec, targets.r)
-    if rate_family.r != flow.r:
-        raise InvalidArgumentError("rate family and flow disagree on r")
-    if rate_family.times.size != flow.times.size or not np.allclose(
-            rate_family.times, flow.times, rtol=0.0, atol=1e-12):
-        raise InvalidArgumentError("rate family and flow grids differ")
     lam = flow_rates(flow, spec, targets)  # (n, 2r, E)
-    if rate_family.values.shape != lam.shape:
+    rates = np.asarray(rates, dtype=float)
+    if rates.shape != lam.shape:
         raise InvalidArgumentError(
-            f"rate family has {rate_family.n_edges} edges, "
-            f"model has {lam.shape[2]}"
+            f"rates have shape {rates.shape}; the flow's model rates "
+            f"have {lam.shape}"
         )
+    if not np.all(np.isfinite(rates)) or rates.min() < 0.0:
+        raise InvalidArgumentError("rates must be finite and >= 0")
     if lam.min() < RATE_FLOOR:
         i, g, e = np.unravel_index(int(lam.argmin()), lam.shape)
         raise AssumptionViolationError(
@@ -185,9 +149,8 @@ def legendre_cost(flow: MeanFieldFlow, targets, spec,
         )
     mu = np.clip(flow.values, 0.0, None)       # (n, 2r, K)
     mu_src = mu[:, :, family.colors.src]       # (n, 2r, E)
-    integrand = np.sum(mu_src * lam * tau_star(rate_family.values / lam - 1.0),
-                       axis=2)
-    return _package_cost(flow.times, integrand, targets, flow.r)
+    integrand = np.sum(mu_src * lam * tau_star(rates / lam - 1.0), axis=2)
+    return _package_cost(flow.times, integrand, targets)
 
 
 def _component_roots(K, src, dst):
@@ -440,7 +403,7 @@ def variational_cost(flow: MeanFieldFlow, targets, spec) -> DeviationCost:
         log.debug("variational_cost: %d norms, %d Newton iterations, "
                   "%d halvings, %d stall exits, %d infinite", values.size,
                   *counts, infinite)
-    return _package_cost(times, integrand, targets, flow.r,
+    return _package_cost(times, integrand, targets,
                          newton_iterations=int(counts[0]),
                          halvings=int(counts[1]),
                          stall_exits=int(counts[2]), infinite=infinite)
@@ -546,9 +509,10 @@ def h_functional(path_sets, flow: MeanFieldFlow, targets, spec,
     have paths.
     """
     sizes = np.asarray(class_sizes, dtype=float)
-    if sizes.shape != (2 * flow.r,) or np.any(sizes < 0):
+    if (sizes.shape != (2 * flow.r,)
+            or not np.all(np.isfinite(sizes) & (sizes >= 0))):
         raise InvalidArgumentError(
-            f"class_sizes must be {2 * flow.r} nonnegative counts"
+            f"class_sizes must be {2 * flow.r} finite nonnegative counts"
         )
     if len(path_sets) != 2 * flow.r:
         raise InvalidArgumentError("path_sets must have one entry per "

@@ -56,7 +56,10 @@ class MeanFieldFlow:
 
     times: np.ndarray
     values: np.ndarray  # (n_times, 2r, K)
-    r: int
+
+    @property
+    def r(self) -> int:
+        return self.values.shape[1] // 2
 
     @property
     def K(self) -> int:
@@ -102,8 +105,6 @@ class _VectorField:
 
     def __init__(self, family, targets: ProportionTargets):
         family = as_block_rates(family, targets.r)
-        self.family = family
-        self.targets = targets
         cg = family.colors
         r, K, ne = targets.r, cg.K, cg.n_edges
         self.r, self.K, self.ne = r, K, ne
@@ -147,8 +148,9 @@ def _flow_states(flow: MeanFieldFlow, field: _VectorField) -> np.ndarray:
     block and colour counts must be the model's."""
     if flow.values.shape[1:] != (2 * field.r, field.K):
         raise InvalidArgumentError(
-            f"flow has r={flow.r}, K={flow.values.shape[-1]}; the model has "
-            f"r={field.r}, K={field.K}"
+            f"flow has {flow.values.shape[1]} components and "
+            f"K={flow.values.shape[-1]}; the model has r={field.r}, "
+            f"K={field.K}"
         )
     return np.maximum(flow.values, 0.0).reshape(flow.times.size, -1)
 
@@ -242,7 +244,7 @@ def solve_mckean_vlasov(spec, targets: ProportionTargets, init, T, dt,
                 t = times[a + 1 + np.argmin(finite)]
                 raise NumericalBlowupError(f"non-finite flow at t={t:.6g}",
                                            t=t)
-    return MeanFieldFlow(times, out.reshape(n + 1, 2 * r, K), r)
+    return MeanFieldFlow(times, out.reshape(n + 1, 2 * r, K))
 
 
 def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
@@ -329,8 +331,8 @@ def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
     from the constant-in-time flow at `init`. Returns (flow, residual
     history); the residual is the sup over grid points of the
     max-component L1 distance between sweeps."""
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be > 0")
+    if not 0 < tol < math.inf:
+        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
     max_iter = _integer(max_iter, "max_iter")
     if max_iter < 1:
         raise InvalidArgumentError("max_iter must be >= 1")
@@ -351,7 +353,7 @@ def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
         log.debug("picard_iterate: %d sweeps, last residual %.3e",
                   len(residuals), residuals[-1])
     if residuals[-1] < tol:
-        return MeanFieldFlow(times, frozen, r), residuals
+        return MeanFieldFlow(times, frozen), residuals
     raise NonConvergenceError(
         f"fixed-point iteration did not reach {tol} in {max_iter} sweeps "
         f"(last residual {residuals[-1]:.3e})",

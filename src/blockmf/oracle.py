@@ -128,8 +128,9 @@ def _uniformize(probs, Q, T):
         remaining = 1.0 - weight
         while remaining > UNIF_TOL / n_chunks:
             k += 1
-            term = np.bincount(cols, weights=np.repeat(term, counts) * P,
-                               minlength=counts.size)
+            w = np.repeat(term, counts)
+            w *= P
+            term = np.bincount(cols, weights=w, minlength=counts.size)
             weight *= a / k
             acc = acc + weight * term
             remaining -= weight
@@ -165,6 +166,8 @@ def master_equation_oracle(graph: BlockGraph, spec, init_dist,
     if init.shape != (N, K):
         raise InvalidArgumentError(
             f"init_dist must be ({N},{K}) per-node laws, got {init.shape}")
+    if not np.all(np.isfinite(init)):
+        raise InvalidArgumentError("init_dist has a non-finite entry")
     # node 0 is the fastest digit, so it sits innermost in the kron and
     # every later node wraps around it as a slower digit
     probs = np.ones(1)

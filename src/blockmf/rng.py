@@ -27,12 +27,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+from .rates import _integer
+
 __all__ = ["substream", "CHAOS", "MULTICHAOS", "ORACLE_CHECK", "SIMULATE"]
 
 CHAOS, MULTICHAOS, ORACLE_CHECK, SIMULATE = range(4)  # purpose words
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
-    """Generator for the substream identified by (master_seed, *path)."""
-    ss = np.random.SeedSequence([int(master_seed), *[int(p) for p in path]])
+    """Generator for the substream identified by (master_seed, *path),
+    words that are integers >= 0."""
+    words = [_integer(w, "seed word") for w in (master_seed, *path)]
+    if min(words) < 0:
+        raise InvalidArgumentError(f"seed words must be >= 0, got {words}")
+    ss = np.random.SeedSequence(words)
     return np.random.Generator(np.random.Philox(ss))

@@ -194,7 +194,6 @@ class GroupTables:
         family = as_block_rates(family, graph.r)
         cg = family.colors
         self.graph = graph
-        self.family = family
         self.K = K = cg.K
         self.n_edges = E = cg.n_edges
         self.members = [list(graph.central_nodes(j)) for j in range(graph.r)]
@@ -485,7 +484,6 @@ class EmpiricalSeries:
 
     times: np.ndarray
     values: np.ndarray  # (n_times, 2r, K)
-    r: int
 
     def to_csv(self, fp):
         write_series(fp, self.times, self.values)
@@ -537,4 +535,4 @@ def empirical_process(trajectory: Trajectory, graph: BlockGraph,
               + np.cumsum(landed[0, :-1], axis=0))
     out = (counts.reshape(grid.size, 2 * graph.r, K)
            / np.ravel(graph.block_sizes)[:, None])
-    return EmpiricalSeries(grid, out, graph.r)
+    return EmpiricalSeries(grid, out)

@@ -99,7 +99,7 @@ def _columns(rows):
 
 
 def read_series(fp):
-    """(times, values, r) of a flow: rows in any order, blank lines
+    """(times, values) of a flow: rows in any order, blank lines
     skipped. A bad header or row, a duplicate or missing cell or a
     non-uniform grid raise InvalidArgumentError. The rows are parsed
     CHUNK_ROWS lines at a time."""
@@ -153,4 +153,4 @@ def read_series(fp):
         np.abs(steps - steps[0]) > 1e-9 * max(1.0, steps[0])
     ):
         raise InvalidArgumentError("flow grid must be uniform")
-    return times, values.reshape(times.size, 2 * r, K), r
+    return times, values.reshape(times.size, 2 * r, K)

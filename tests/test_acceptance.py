@@ -162,7 +162,7 @@ def test_criterion_06_zero_cost(sis2):
     flow = bm.solve_mckean_vlasov(spec, targets, inits, 1.0, 0.01)
     vc = bm.variational_cost(flow, targets, spec)
     lc = bm.legendre_cost(flow, targets, spec,
-                          bm.RateFamily.from_model(flow, spec, targets))
+                          bm.flow_rates(flow, spec, targets))
     elapsed = time.perf_counter() - t0
     _report(6, vc.total <= 1e-5 and lc.total == 0.0 and elapsed < 10.0,
             f"variational cost of the solved flow = {vc.total:.1e} "

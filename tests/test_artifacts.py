@@ -60,16 +60,18 @@ def test_trajectory_csv_bytes(small_graph):
 
 @pytest.mark.parametrize("series", [bm.EmpiricalSeries, bm.MeanFieldFlow])
 def test_component_series_csv_bytes(series):
-    assert to_text(series(TIMES, VALUES, 2)) == SERIES_CSV
+    assert to_text(series(TIMES, VALUES)) == SERIES_CSV
 
 
 def test_convergence_csv_bytes():
+    # replicas, means and standard errors are read off the distances
     report = bm.ConvergenceReport(
-        (np.int64(10), 20), 30, np.array([1e-300, 1 / 3]),
-        np.array([-0.0, np.inf]), np.zeros((2, 4)), np.zeros((2, 30)))
+        (np.int64(10), 20), np.zeros((2, 4)),
+        np.array([[1e-300, 1e-300], [0.0, 2 / 3]]))
     assert to_text(report) == ("N,replicas,mean_dist,stderr\n"
-                               "10,30,1e-300,-0\n"
-                               "20,30,0.33333333333333331,inf\n")
+                               "10,2,1e-300,0\n"
+                               "20,2,0.33333333333333331,"
+                               "0.33333333333333331\n")
 
 
 @pytest.mark.parametrize("total, last", [(np.inf, "inf"), (-0.0, "-0"),
@@ -77,7 +79,7 @@ def test_convergence_csv_bytes():
 def test_cost_csv_bytes(total, last):
     cost = bm.DeviationCost(
         np.array([0.0, 0.5]), np.array([[-0.0, np.inf], [1e-300, 1 / 3]]),
-        np.zeros(2), np.ones(2), total, 1)
+        np.zeros(2), np.ones(2), total)
     assert to_text(cost) == ("t,block,class,integrand\n"
                              "0,0,c,-0\n0,0,p,inf\n"
                              "0.5,0,c,1e-300\n0.5,0,p,0.33333333333333331\n"
@@ -91,7 +93,7 @@ def run_cli(argv, capsys):
 
 
 def test_picard_csv_bytes(tmp_path, capsys, monkeypatch):
-    flow = bm.MeanFieldFlow(TIMES, VALUES, 2)
+    flow = bm.MeanFieldFlow(TIMES, VALUES)
     monkeypatch.setattr(meanfield, "picard_iterate",
                         lambda *a, **k: (flow, [0.5, 1e-300, 0.1 + 0.2]))
     run_cli(["picard", "--scenario", scen_path(tmp_path),
@@ -133,10 +135,10 @@ def test_chunking_changes_no_byte_and_no_line_number(monkeypatch, chunk):
     # rows are formatted and parsed a few at a time; the chunk size shows
     # neither in the bytes written nor in the lines named by an error
     monkeypatch.setattr(tables, "CHUNK_ROWS", chunk)
-    flow = bm.MeanFieldFlow(TIMES, VALUES, 2)
+    flow = bm.MeanFieldFlow(TIMES, VALUES)
     assert to_text(flow) == SERIES_CSV
     cost = bm.DeviationCost(TIMES, VALUES[:, :, 0], np.zeros(4), np.ones(4),
-                            np.inf, 2)
+                            np.inf)
     assert to_text(cost).splitlines()[1::8] == ["-0,0,c,-0", "S_total,inf"]
     header, *rows = SERIES_CSV.splitlines()
     text = "\n".join([header, "", *rows[:4], " ", *rows[4:]]) + "\n"

@@ -508,3 +508,48 @@ def test_count_arguments_take_true_integers(call, value):
     with pytest.raises(bm.InvalidArgumentError,
                        match=f"^{name} must be an integer, got "):
         run(value)
+
+
+def seed_calls():
+    """Call on a seed for each library entry point that takes one."""
+    targets = make_targets()
+    spec = bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7)
+    inits = [[0.6, 0.4]] * 4
+    fam = bm.proportional_family(targets)
+    graph = fam(12)
+    return {
+        "substream": lambda s: bm.substream(s),
+        "substream-path": lambda s: bm.substream(5, s),
+        "simulate": lambda s: bm.simulate(graph, spec, [0] * 12, 1.0, s),
+        "lln_experiment": lambda s: bm.lln_experiment(
+            fam, spec, targets, inits, 1.0, 11, [12], 2, s),
+        "lln_experiment-path": lambda s: bm.lln_experiment(
+            fam, spec, targets, inits, 1.0, 11, [12], 2, (5, s)),
+        "multichaos_test": lambda s: bm.multichaos_test(
+            graph, spec, [0, 1], 1.0, 4, s, inits=inits),
+        "sample_reference_path": lambda s: bm.sample_reference_path(
+            spec.colors, 0, 1.0, s),
+    }
+
+
+@pytest.mark.parametrize("call", sorted(seed_calls()))
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "must be an integer, got 1.5"),
+    (np.float64(1.0), "must be an integer, got "),
+    (True, "must be an integer, got True"),
+    ("1", "must be an integer, got '1'"),
+    (-1, "must be >= 0"),
+], ids=["float", "numpy-float", "bool", "string", "negative"])
+def test_seeds_are_integers_not_truncated(call, seed, message):
+    # seed=1.5 and seed=True replayed seed=1; a negative word escaped as
+    # numpy's bare ValueError
+    with pytest.raises(bm.InvalidArgumentError, match=message):
+        seed_calls()[call](seed)
+
+
+def test_integer_seed_streams_stay_put():
+    for path in [(17,), (17, 2, 5), (np.int64(17), np.uint8(2), 5),
+                 (2 ** 70, 0, 0, bm.rng.SIMULATE)]:
+        want = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence([int(w) for w in path])))
+        assert np.array_equal(bm.substream(*path).random(5), want.random(5))

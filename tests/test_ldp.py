@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ def test_variational_norm_two_components_add_up():
 
 
 # --------------------------------------------------------------------------
-# rate families and the Legendre form
+# perturbed rates and the Legendre form
 
 
 def model_flow(T=1.0, dt=0.01):
@@ -241,20 +242,25 @@ def model_flow(T=1.0, dt=0.01):
 
 
 def test_rate_family_validation():
+    # the perturbed rates are an array shaped like the flow's model rates,
+    # finite and >= 0
     fam, flow = model_flow()
-    rf = bm.RateFamily.from_model(flow, fam, R1_TARGETS)
-    assert rf.n_edges == 2
-    assert rf.values.shape == (flow.times.size, 2, 2)
-    with pytest.raises(bm.InvalidArgumentError):
-        bm.RateFamily(flow.times, -rf.values, 1)
-    with pytest.raises(bm.InvalidArgumentError):
-        bm.RateFamily(flow.times[:-1], rf.values, 1)
+    lam = bm.flow_rates(flow, fam, R1_TARGETS)
+    assert lam.shape == (flow.times.size, 2, 2)
+    for bad, match in [(-lam, "finite and >= 0"),
+                       (np.where(lam > lam.mean(), np.nan, lam),
+                        "finite and >= 0"),
+                       (np.full_like(lam, np.inf), "finite and >= 0"),
+                       (lam[:-1], "shape"), (lam[:, :1], "shape"),
+                       (lam[..., None], "shape")]:
+        with pytest.raises(bm.InvalidArgumentError, match=match):
+            bm.legendre_cost(flow, R1_TARGETS, fam, bad)
 
 
 def test_legendre_cost_zero_at_model_rates():
     fam, flow = model_flow()
-    rf = bm.RateFamily.from_model(flow, fam, R1_TARGETS)
-    cost = bm.legendre_cost(flow, R1_TARGETS, fam, rf)
+    lam = bm.flow_rates(flow, fam, R1_TARGETS)
+    cost = bm.legendre_cost(flow, R1_TARGETS, fam, lam)
     assert cost.total == 0.0
     assert np.all(cost.integrand == 0.0)
     # class weights are alpha_j p_c / alpha_j p_p
@@ -266,8 +272,7 @@ def test_legendre_cost_switched_off_rates():
     # the total model flux out of each component
     fam, flow = model_flow(T=0.5, dt=0.05)
     lam = bm.flow_rates(flow, fam, R1_TARGETS)
-    rf = bm.RateFamily(flow.times, np.zeros_like(lam), 1)
-    cost = bm.legendre_cost(flow, R1_TARGETS, fam, rf)
+    cost = bm.legendre_cost(flow, R1_TARGETS, fam, np.zeros_like(lam))
     mu = np.clip(flow.values, 0.0, None)
     src = [z for z, _ in fam.colors.edges]
     want = (mu[:, :, src] * lam).sum(axis=2)
@@ -276,18 +281,14 @@ def test_legendre_cost_switched_off_rates():
 
 
 def test_legendre_cost_guards():
-    fam, flow = model_flow(T=0.5, dt=0.05)
-    rf = bm.RateFamily.from_model(flow, fam, R1_TARGETS)
-    with pytest.raises(bm.InvalidArgumentError, match="grids"):
-        bad = bm.RateFamily(flow.times + 0.5, rf.values, 1)
-        bm.legendre_cost(flow, R1_TARGETS, fam, bad)
+    fam, _ = model_flow(T=0.5, dt=0.05)
     # an absorbing init zeroes the infection rate: ellipticity violated
     dead = bm.solve_mckean_vlasov(
         fam, R1_TARGETS, [np.array([1.0, 0.0]), np.array([1.0, 0.0])],
         0.5, 0.05)
-    rf2 = bm.RateFamily.from_model(dead, fam, R1_TARGETS)
+    lam = bm.flow_rates(dead, fam, R1_TARGETS)
     with pytest.raises(bm.AssumptionViolationError):
-        bm.legendre_cost(dead, R1_TARGETS, fam, rf2)
+        bm.legendre_cost(dead, R1_TARGETS, fam, lam)
 
 
 # --------------------------------------------------------------------------
@@ -322,8 +323,8 @@ def test_perturbed_flow_legendre_equals_variational():
                            tuple(scale(s) for s in base.peripheral))
     inits = [np.array([0.7, 0.3]), np.array([0.6, 0.4])]
     flow = bm.solve_mckean_vlasov(tilted, R1_TARGETS, inits, 1.0, 0.004)
-    rf = bm.RateFamily.from_model(flow, tilted, R1_TARGETS)
-    lc = bm.legendre_cost(flow, R1_TARGETS, base, rf)
+    lc = bm.legendre_cost(flow, R1_TARGETS, base,
+                          bm.flow_rates(flow, tilted, R1_TARGETS))
     vc = bm.variational_cost(flow, R1_TARGETS, base)
     assert lc.total > 1e-3                       # genuinely tilted
     assert vc.total == pytest.approx(lc.total, rel=2e-4)
@@ -333,15 +334,14 @@ def test_perturbed_flow_legendre_equals_variational():
 
 def test_time_reversed_flow_costs():
     fam, flow = model_flow(T=1.0, dt=0.01)
-    rev = bm.MeanFieldFlow(flow.times, flow.values[::-1].copy(), flow.r)
+    rev = bm.MeanFieldFlow(flow.times, flow.values[::-1].copy())
     assert bm.variational_cost(rev, R1_TARGETS, fam).total > 1e-3
 
 
 def test_deviation_cost_csv():
     fam, flow = model_flow(T=0.2, dt=0.1)
-    rf = bm.RateFamily.from_model(flow, fam, R1_TARGETS)
-    rf = bm.RateFamily(rf.times, rf.values * 1.3, rf.r)
-    cost = bm.legendre_cost(flow, R1_TARGETS, fam, rf)
+    rates = bm.flow_rates(flow, fam, R1_TARGETS) * 1.3
+    cost = bm.legendre_cost(flow, R1_TARGETS, fam, rates)
     buf = io.StringIO()
     cost.to_csv(buf)
     lines = buf.getvalue().splitlines()
@@ -363,7 +363,7 @@ def unit_rate_setup(T=2.0):
                        beta=(1.0, 1.0))
     times = np.linspace(0.0, T, 21)
     vals = np.tile(np.array([[0.6, 0.4], [0.5, 0.5]]), (21, 1, 1))
-    return spec, bm.MeanFieldFlow(times, vals, 1)
+    return spec, bm.MeanFieldFlow(times, vals)
 
 
 def test_girsanov_reference_rates_give_zero():
@@ -380,7 +380,7 @@ def test_girsanov_no_jump_closed_form():
     spec = bm.RateSpec(cg, [(0.0, 0.0)], [(0.0, 0.0)], beta=(s,))
     times = np.linspace(0.0, T, 11)
     vals = np.tile(np.array([[0.6, 0.4], [0.5, 0.5]]), (11, 1, 1))
-    flow = bm.MeanFieldFlow(times, vals, 1)
+    flow = bm.MeanFieldFlow(times, vals)
     still = bm.ColorPath(np.array([]), np.array([0]), T)
     h = bm.girsanov_log_densities([still], flow, R1_TARGETS, spec, (0, 0))[0]
     assert h == pytest.approx(-(s - 1.0) * T, abs=1e-12)
@@ -525,6 +525,21 @@ def test_h_functional_weighting():
         bm.h_functional([[], []], flow, R1_TARGETS, spec, (30, 70))
     with pytest.raises(bm.InvalidArgumentError):
         bm.h_functional([paths_c, paths_p], flow, R1_TARGETS, spec, (0, 0))
+
+
+@pytest.mark.parametrize("sizes", [(np.nan, 70), (30, np.inf)],
+                         ids=["nan", "inf"])
+def test_h_functional_rejects_non_finite_sizes(sizes):
+    # a nan or infinite size passed the sign check and made h nan, with a
+    # RuntimeWarning
+    spec, flow = unit_rate_setup()
+    paths = [bm.sample_reference_path(spec.colors, 0, flow.T, seed=s)
+             for s in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(bm.InvalidArgumentError,
+                           match="finite nonnegative counts"):
+            bm.h_functional([paths, paths], flow, R1_TARGETS, spec, sizes)
 
 
 def test_sample_reference_path():
@@ -737,7 +752,7 @@ def test_variational_cost_matches_scalar_reference(seed):
     vals[empty] = 0.0
     vals /= vals.sum(axis=2, keepdims=True)
     vals[n // 2, 1] *= 1.0 + 1e-6                 # net mass at one point
-    bent = bm.MeanFieldFlow(flow.times, vals, r)
+    bent = bm.MeanFieldFlow(flow.times, vals)
 
     got = bm.variational_cost(bent, targets, fam).integrand
     dmu = np.empty_like(vals)
@@ -788,7 +803,7 @@ def test_variational_cost_counters(caplog):
     import logging
 
     fam, flow = model_flow(T=1.0, dt=0.01)
-    rev = bm.MeanFieldFlow(flow.times, flow.values[::-1].copy(), flow.r)
+    rev = bm.MeanFieldFlow(flow.times, flow.values[::-1].copy())
     with caplog.at_level(logging.DEBUG, logger="blockmf.ldp"):
         cost = bm.variational_cost(rev, R1_TARGETS, fam)
     n = cost.integrand.size

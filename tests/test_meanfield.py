@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ R1_TARGETS = bm.ProportionTargets((0.5,), (0.4,), ((0.6,),), (1.0,))
 def constant_flow(*components):
     """A two-point flow that sits at the given component measures."""
     values = np.array([components, components], dtype=float)
-    return bm.MeanFieldFlow(np.array([0.0, 1.0]), values, len(components) // 2)
+    return bm.MeanFieldFlow(np.array([0.0, 1.0]), values)
 
 
 def test_central_rates_worked_number():
@@ -88,13 +89,16 @@ def test_picard_matches_rk4(sis2):
     assert np.abs(nxt - flow.values).sum(axis=2).max() < 1e-7
 
 
-@pytest.mark.parametrize("shape", [(101, 2, 2), (101, 4, 3), (101, 8)])
+@pytest.mark.parametrize("shape", [(101, 2, 2), (101, 4, 3), (101, 8),
+                                   (101, 3, 2)])
 def test_flow_with_other_layout_fails_closed(sis2, shape):
     spec, targets, _ = sis2
-    flow = bm.MeanFieldFlow(np.linspace(0.0, 1.0, 101),
-                            np.full(shape, 0.5), shape[1] // 2)
-    with pytest.raises(bm.InvalidArgumentError,
-                       match="the model has r=2, K=2"):
+    flow = bm.MeanFieldFlow(np.linspace(0.0, 1.0, 101), np.full(shape, 0.5))
+    # the message counts the flow's components, which `r` (half the
+    # count) does not show for an odd count
+    with pytest.raises(bm.InvalidArgumentError, match=re.escape(
+            f"flow has {shape[1]} components and K={shape[-1]}; the model "
+            f"has r=2, K=2")):
         bm.flow_rates(flow, spec, targets)
 
 
@@ -109,7 +113,7 @@ def test_picard_nonconvergence(sis2):
 def test_flow_interpolation_and_clipping():
     times = np.array([0.0, 1.0, 2.0])
     vals = np.array([[[1.0, 0.0]], [[0.5, 0.5]], [[-1e-15, 1.0]]])
-    flow = bm.MeanFieldFlow(times, vals, r=None)
+    flow = bm.MeanFieldFlow(times, vals)
     mid = flow.at(0.5)
     assert np.allclose(mid, [[0.75, 0.25]])
     assert np.array_equal(flow.at(2.0), [[0.0, 1.0]])  # clipped on read
@@ -125,7 +129,10 @@ def test_flow_csv_round_trip(sis2):
     flow.to_csv(buf)
     buf.seek(0)
     back = bm.MeanFieldFlow.from_csv(buf)
-    assert back.r == flow.r
+    # r is read off the values: the 2-block flow reads back as one, and
+    # the variational cost takes it
+    assert back.r == flow.r == 2 and back.K == flow.K == 2
+    assert bm.variational_cost(back, targets, spec).integrand.shape == (11, 4)
     assert np.allclose(back.times, flow.times)
     assert np.allclose(back.values, flow.values)
     with pytest.raises(bm.InvalidArgumentError, match="header"):
@@ -417,8 +424,15 @@ def test_picard_logs_sweeps(sis2, caplog):
         _, res = bm.picard_iterate(spec, targets, inits, 1.0, 0.05, tol=1e-9)
     assert caplog.messages == [
         f"picard_iterate: {len(res)} sweeps, last residual {res[-1]:.3e}"]
-    with pytest.raises(bm.InvalidArgumentError, match="max_iter"):
-        bm.picard_iterate(spec, targets, inits, 1.0, 0.05, max_iter=0)
+    # tol=inf returned after one sweep as if converged; tol=nan ran every
+    # sweep and reported that it did not reach nan
+    for kw, match in [({"max_iter": 0}, "max_iter"),
+                      ({"tol": 0.0}, "^tol must be finite and > 0, got 0.0"),
+                      ({"tol": -1.0}, "got -1.0"),
+                      ({"tol": math.inf}, "got inf"),
+                      ({"tol": math.nan}, "got nan")]:
+        with pytest.raises(bm.InvalidArgumentError, match=match):
+            bm.picard_iterate(spec, targets, inits, 1.0, 0.05, **kw)
 
 
 def definition_rates(family, targets, flow):
@@ -466,7 +480,7 @@ def test_limit_rates_match_definition(sis2):
     for spec, targets, inits in models:
         family = bm.as_block_rates(spec, targets.r)
         full = bm.solve_mckean_vlasov(family, targets, inits, 1.0, 0.01)
-        flow = bm.MeanFieldFlow(full.times[::5], full.values[::5], full.r)
+        flow = bm.MeanFieldFlow(full.times[::5], full.values[::5])
         want = definition_rates(family, targets, flow)
         got = bm.flow_rates(flow, family, targets)
         assert got.shape == want.shape

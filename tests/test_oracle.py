@@ -115,6 +115,16 @@ def test_capacity_and_argument_errors():
         master_equation_oracle(g2, fam, np.full((2, 2), 0.5), -1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_init_dist_fails_closed(bad):
+    # a nan entry passed both distribution checks (comparisons with nan are
+    # false) and the solve returned an all-nan law
+    g = bm.build_complete_peripheral([(1, 1)])
+    fam = bm.sis_spec(1, 1.0, 0.5, 0.8, 0.6)
+    with pytest.raises(bm.InvalidArgumentError, match="non-finite"):
+        master_equation_oracle(g, fam, [[0.5, 0.5], [bad, 0.0]], 1.0)
+
+
 def test_oracle_vs_simulator_small_sis():
     # the two implementations share no rate-evaluation code: aggregated
     # kernel tables vs per-node definition path on the product space

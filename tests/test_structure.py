@@ -10,6 +10,10 @@ of initial laws is checked in `rates.initial_laws`, and every integer
 argument or field in `rates._integer`. These tests read the package's
 syntax trees and fail when any of these spreads further.
 
+A result type holds only what it measures: a value its arrays already
+hold (a block count, a replica count, a mean) is a property, not a
+field, so it cannot disagree with them.
+
 The CLI imports at module level only what every subcommand needs, so
 that a call loads only its own engine; these tests also keep the engine
 imports inside the subcommands. numpy is the package's one dependency:
@@ -17,6 +21,7 @@ no module imports scipy, which only the tests call.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import blockmf as bm
@@ -122,3 +127,19 @@ def test_the_package_imports_no_scipy():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert "numpy" in imported and "scipy" not in imported
+
+
+def test_result_types_hold_no_field_their_arrays_hold():
+    fields = {cls.__name__: tuple(f.name for f in dataclasses.fields(cls))
+              for cls in (bm.MeanFieldFlow, bm.EmpiricalSeries,
+                          bm.DeviationCost, bm.ConvergenceReport)}
+    assert fields == {
+        "MeanFieldFlow": ("times", "values"),
+        "EmpiricalSeries": ("times", "values"),
+        "DeviationCost": ("times", "integrand", "class_integrals", "weights",
+                          "total", "newton_iterations", "halvings",
+                          "stall_exits", "infinite"),
+        "ConvergenceReport": ("n_values", "component_means", "distances"),
+    }
+    # perturbed rates are an array shaped like `flow_rates`, not a type
+    assert modules_referencing("RateFamily") == set()
