@@ -20,13 +20,10 @@ import sys
 import numpy as np
 
 from .errors import InvalidConfigurationError, NumericalError, ValidationError
-from .scenario import load_scenario
+from .scenario import _NUMBERS, load_scenario
 from .tables import write_table
 
 log = logging.getLogger("blockmf")
-
-_COMMANDS = ("simulate", "meanfield", "picard", "chaos", "multichaos",
-             "ldp-cost", "oracle-check", "validate")
 
 
 def _setup_logging():
@@ -72,10 +69,10 @@ def _resolve(args, *, need_seed=True):
     # checks, also where the subcommand does not use them
     if args.grid is not None:
         sc.raw["grid"] = args.grid
-        sc.grid()
+        sc.number("grid")
     if args.seed is not None:
         sc.raw["seed"] = args.seed
-    seed = sc.seed
+    seed = sc.number("seed") if "seed" in sc.raw else None
     if need_seed and seed is None:
         raise InvalidConfigurationError(
             "no seed: set one in the scenario or pass --seed"
@@ -169,18 +166,9 @@ def cmd_validate(args):
     if "init" in sc.raw and targets is not None:
         sc.build_inits(targets.r, K)
         checked.append("init")
-    numeric_checks = {
-        "horizon": lambda: sc.horizon,
-        "dt": sc.dt,
-        "grid": sc.grid,
-        "replicas": sc.replicas,
-        "n_list": lambda: sc.n_list,
-        "picard_tol": lambda: sc.picard_tol,
-        "picard_max_iter": lambda: sc.picard_max_iter,
-    }
-    for field, check in numeric_checks.items():
-        if field in sc.raw:
-            check()
+    for field in _NUMBERS:
+        if field in sc.raw and field != "seed":  # _resolve read the seed
+            sc.n_list if field == "n_list" else sc.number(field)
             checked.append(field)
     if "flow_csv" in sc.raw:
         flow = _read_flow(sc.flow_csv)
@@ -215,8 +203,8 @@ def cmd_simulate(args):
 
     sc, seed, out_dir = _resolve(args)
     graph, spec, inits = _particle_model(sc)
-    T = sc.horizon
-    grid = np.linspace(0.0, T, sc.grid())
+    T = sc.number("horizon")
+    grid = np.linspace(0.0, T, sc.number("grid"))
     gen = substream(seed, 0, 0, SIMULATE)
     colors = sample_block_colors(graph, inits, gen)
     traj = simulate(graph, spec, colors, T, gen)
@@ -232,7 +220,8 @@ def cmd_meanfield(args):
 
     sc, seed, out_dir = _resolve(args, need_seed=False)
     spec, targets, inits = _limit_model(sc)
-    flow = solve_mckean_vlasov(spec, targets, inits, sc.horizon, sc.dt())
+    flow = solve_mckean_vlasov(spec, targets, inits, sc.number("horizon"),
+                               sc.number("dt"))
     _write(out_dir, "flow.csv", flow.to_csv)
     drift = np.abs(flow.values.sum(axis=2) - 1.0).max()
     return (f"meanfield: {flow.times.size} grid points, max mass drift "
@@ -245,8 +234,8 @@ def cmd_picard(args):
     sc, seed, out_dir = _resolve(args, need_seed=False)
     spec, targets, inits = _limit_model(sc)
     flow, residuals = picard_iterate(
-        spec, targets, inits, sc.horizon, sc.dt(),
-        tol=sc.picard_tol, max_iter=sc.picard_max_iter,
+        spec, targets, inits, sc.number("horizon"), sc.number("dt"),
+        tol=sc.number("picard_tol"), max_iter=sc.number("picard_max_iter"),
     )
     _write(out_dir, "flow_picard.csv", flow.to_csv)
     _write(out_dir, "residuals.csv", write_table, ("iter", "residual"),
@@ -262,9 +251,9 @@ def cmd_chaos(args):
     spec, targets, inits = _limit_model(sc)
     _n_list_sizes(sc, targets)
     report = lln_experiment(
-        proportional_family(targets), spec, targets, inits, sc.horizon,
-        sc.grid(31), sc.n_list, sc.replicas(),
-        seed, dt=sc.dt(),
+        proportional_family(targets), spec, targets, inits,
+        sc.number("horizon"), sc.number("grid", 31), sc.n_list,
+        sc.number("replicas"), seed, dt=sc.number("dt"),
     )
     _write(out_dir, "convergence.csv", report.to_csv)
     _write(out_dir, "chaos_convergence.svg", report.to_svg)
@@ -283,12 +272,12 @@ def cmd_multichaos(args):
     tagged = sc.tagged(targets.r)
     _resolve_tagged_for_every_n(tagged, sc.n_list, sizes)
     family = proportional_family(targets)
-    replicas = sc.replicas()
+    T, replicas = sc.number("horizon"), sc.number("replicas")
     tvs = []
     for idx, N in enumerate(sc.n_list):
         graph = family(N)
-        _, _, tv = multichaos_test(graph, spec, tagged, sc.horizon,
-                                   replicas, (seed, idx), inits=inits)
+        _, _, tv = multichaos_test(graph, spec, tagged, T, replicas,
+                                   (seed, idx), inits=inits)
         tvs.append(tv)
         log.info("multichaos N=%d tv=%.5g", N, tv)
     _write(out_dir, "multichaos.csv", write_table,
@@ -310,7 +299,8 @@ def cmd_ldp_cost(args):
         source = flow_path
     else:
         inits = sc.build_inits(targets.r, spec.colors.K)
-        flow = solve_mckean_vlasov(spec, targets, inits, sc.horizon, sc.dt())
+        flow = solve_mckean_vlasov(spec, targets, inits,
+                                   sc.number("horizon"), sc.number("dt"))
         source = "fresh mean-field solve"
     cost = variational_cost(flow, targets, spec)
     _write(out_dir, "cost.csv", cost.to_csv)
@@ -325,8 +315,8 @@ def cmd_oracle_check(args):
 
     sc, seed, out_dir = _resolve(args)
     graph, spec, inits = _particle_model(sc)
-    T = sc.horizon
-    replicas = sc.replicas(default=20000)
+    T = sc.number("horizon")
+    replicas = sc.number("replicas", 20000)
     N, K = graph.n_total, inits[0].size
     init_mat = np.asarray(inits)[graph.component]
     dist = master_equation_oracle(graph, spec, init_mat, T)
@@ -360,6 +350,7 @@ _DISPATCH = {
     "oracle-check": cmd_oracle_check,
     "validate": cmd_validate,
 }
+_COMMANDS = tuple(_DISPATCH)
 
 
 def main(argv=None) -> int:

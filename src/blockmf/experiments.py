@@ -233,8 +233,7 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
         raise InvalidArgumentError("N_list must be strictly increasing")
     if _integer(replicas, "replicas") < 2:
         raise InvalidArgumentError("need at least 2 replicas")
-    T = float(T)
-    _check_horizon(T)
+    T = _check_horizon(T)
     grid_times = _check_grid(np.linspace(0.0, T, _integer(grid, "grid")), T)
     flow = solve_mckean_vlasov(spec, targets, inits, T, dt)
     flow_grid = np.stack([flow.at(t) for t in grid_times])
@@ -302,7 +301,7 @@ def tagged_colors(graph: BlockGraph, spec, tagged, T, replicas, gen, *,
         raise InvalidArgumentError("need at least 1 replica")
     tables = GroupTables(graph, spec, tagged)
     run = _count_farm(tables, _start_counts(tables, inits, replicas, gen),
-                      float(T), gen)
+                      T, gen)
     _log_farm("tagged_colors", graph.n_total, run)
     # the singleton groups come last, one count each
     return run.final[:, tables.n_groups - len(tables.tagged):].argmax(axis=2)

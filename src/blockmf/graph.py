@@ -20,7 +20,6 @@ node to it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ from .errors import (
     InvalidConfigurationError,
     WrongClassError,
 )
-from .rates import _integer
+from .rates import _integer, _is_integer, _reals
 
 CENTRAL, PERIPHERAL = 0, 1
 CLASS_LABELS = ("c", "p")  # each class's label in CSVs and scenarios
@@ -56,9 +55,8 @@ def class_index(cls):
     label; None when it names no class."""
     if isinstance(cls, str):
         return CLASS_LABELS.index(cls) if cls in CLASS_LABELS else None
-    if isinstance(cls, bool) or not isinstance(cls, (int, np.integer)):
-        return None
-    return int(cls) if cls in (CENTRAL, PERIPHERAL) else None
+    return int(cls) if _is_integer(cls) and cls in (CENTRAL, PERIPHERAL) \
+        else None
 
 
 def _component_of(block, cls, r: int):
@@ -66,8 +64,7 @@ def _component_of(block, cls, r: int):
     an r-block graph, the class read by `class_index`; None when the
     pair names none."""
     cls = class_index(cls)
-    if (cls is None or isinstance(block, bool)
-            or not isinstance(block, (int, np.integer)) or not 0 <= block < r):
+    if cls is None or not _is_integer(block) or not 0 <= block < r:
         return None
     return 2 * int(block) + cls
 
@@ -285,13 +282,6 @@ class BlockGraph:
             raise InvalidConfigurationError(f"malformed blocks field: {exc}")
         return cls(blocks, obj.get("peripheral_edges", []))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":")) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_json_obj(json.loads(text))
-
 
 def build_complete_peripheral(block_sizes) -> BlockGraph:
     """All pairs of peripheral nodes (any blocks) adjacent: one twin class
@@ -320,9 +310,9 @@ def build_regular_peripheral(block_sizes, cross_degree_fractions) -> BlockGraph:
     graph = BlockGraph.__new__(BlockGraph)
     graph._layout(block_sizes)
     sizes, r = graph.block_sizes, graph.r
-    f = np.asarray(cross_degree_fractions, dtype=float)
+    f = _reals(cross_degree_fractions, "cross_degree_fractions")
     if f.ndim == 0:
-        f = np.full((r, r), float(f))
+        f = np.full((r, r), f)
     if f.shape != (r, r):
         raise InvalidConfigurationError(
             f"cross_degree_fractions must be scalar or {r}x{r}"
@@ -436,20 +426,18 @@ class ProportionTargets:
     alpha: tuple
 
     def __post_init__(self):
-        r = len(self.p_c)
-        object.__setattr__(self, "p_c", tuple(float(x) for x in self.p_c))
-        object.__setattr__(
-            self, "alpha_c", tuple(float(x) for x in self.alpha_c)
-        )
-        object.__setattr__(
-            self, "q", tuple(tuple(float(x) for x in row) for row in self.q)
-        )
-        object.__setattr__(self, "alpha", tuple(float(x) for x in self.alpha))
-        if not (len(self.alpha_c) == len(self.alpha) == len(self.q) == r):
+        vectors = {name: _reals(getattr(self, name), name)
+                   for name in ("p_c", "alpha_c", "alpha")}
+        q = _reals(self.q, "q")
+        r = vectors["p_c"].size
+        if any(v.shape != (r,) for v in vectors.values()):
             raise InvalidArgumentError("target arrays disagree on block count")
+        if q.shape != (r, r):
+            raise InvalidArgumentError("q must be r x r")
+        for name, v in vectors.items():
+            object.__setattr__(self, name, tuple(v.tolist()))
+        object.__setattr__(self, "q", tuple(map(tuple, q.tolist())))
         for j in range(r):
-            if len(self.q[j]) != r:
-                raise InvalidArgumentError("q must be r x r")
             if not (0.0 < self.p_c[j] < 1.0):
                 raise InvalidArgumentError(
                     f"p_c[{j}]={self.p_c[j]} outside (0,1)"

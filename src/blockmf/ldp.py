@@ -25,7 +25,14 @@ from .errors import (
 )
 from .graph import _component_of
 from .meanfield import MeanFieldFlow, flow_drift, flow_rates
-from .rates import ColorGraph, _check_horizon, _integer, as_block_rates
+from .rates import (
+    ColorGraph,
+    _check_horizon,
+    _integer,
+    _real,
+    _reals,
+    as_block_rates,
+)
 from .tables import write_cost
 
 __all__ = [
@@ -133,7 +140,7 @@ def legendre_cost(flow: MeanFieldFlow, targets, spec,
     """
     family = as_block_rates(spec, targets.r)
     lam = flow_rates(flow, spec, targets)  # (n, 2r, E)
-    rates = np.asarray(rates, dtype=float)
+    rates = _reals(rates, "rates")
     if rates.shape != lam.shape:
         raise InvalidArgumentError(
             f"rates have shape {rates.shape}; the flow's model rates "
@@ -360,9 +367,9 @@ def variational_norm(theta, mu_point, lambda_table,
     NonConvergenceError after MAX_NEWTON iterations. A batch of one
     through the solver `variational_cost` uses.
     """
-    theta = np.asarray(theta, dtype=float)
-    mu_point = np.asarray(mu_point, dtype=float)
-    lam = np.asarray(lambda_table, dtype=float)
+    theta = _reals(theta, "theta")
+    mu_point = _reals(mu_point, "mu_point")
+    lam = _reals(lambda_table, "lambda_table")
     K = colors.K
     if theta.shape != (K,) or mu_point.shape != (K,):
         raise InvalidArgumentError("theta and mu_point must have length K")
@@ -452,13 +459,14 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
 
     out = np.empty(len(paths))
     for ip, path in enumerate(paths):
-        if not 0.0 <= path.horizon <= flow.T + 1e-9:
+        horizon = _real(path.horizon, "path horizon")
+        if not 0.0 <= horizon <= flow.T + 1e-9:
             raise InvalidArgumentError(
                 f"path horizon must lie in [0, {flow.T:g}], the flow's, "
                 f"got {path.horizon!r}")
-        jumps = np.asarray(path.jump_times, dtype=float)
+        jumps = _reals(path.jump_times, "path jump times")
         if (jumps.ndim != 1 or not np.all(jumps > 0.0)
-                or not np.all(jumps <= path.horizon)
+                or not np.all(jumps <= horizon)
                 or not np.all(np.diff(jumps) > 0.0)):
             raise InvalidArgumentError(
                 f"path jump times must increase strictly within (0, "
@@ -471,7 +479,7 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
                 f"path colors must be len(jump_times) + 1 integers in "
                 f"0..{K - 1}, got {path.colors!r}")
         jump_sum = 0.0
-        for k, t_k in enumerate(path.jump_times):
+        for k, t_k in enumerate(jumps):
             z_prev = int(path.colors[k])
             z_new = int(path.colors[k + 1])
             try:
@@ -489,7 +497,7 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
             continue
         comp = 0.0
         seg_starts = np.concatenate(([0.0], jumps))
-        seg_ends = np.concatenate((jumps, [path.horizon]))
+        seg_ends = np.concatenate((jumps, [horizon]))
         for k in range(seg_starts.size):
             z = int(path.colors[k])
             comp += _pl_integral(times, excess[:, z],
@@ -508,7 +516,7 @@ def h_functional(path_sets, flow: MeanFieldFlow, targets, spec,
     empirical average is taken as empty); at least one component must
     have paths.
     """
-    sizes = np.asarray(class_sizes, dtype=float)
+    sizes = _reals(class_sizes, "class_sizes")
     if (sizes.shape != (2 * flow.r,)
             or not np.all(np.isfinite(sizes) & (sizes >= 0))):
         raise InvalidArgumentError(
@@ -539,7 +547,7 @@ def sample_reference_path(colors: ColorGraph, z0: int, T: float,
     z0 = _integer(z0, "initial color")
     if not 0 <= z0 < colors.K:
         raise InvalidArgumentError(f"initial color {z0} out of range")
-    _check_horizon(T)
+    T = _check_horizon(T)
     gen = seed if isinstance(seed, np.random.Generator) \
         else _rng.substream(seed)
     t = 0.0

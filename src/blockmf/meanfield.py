@@ -31,6 +31,7 @@ from .graph import ProportionTargets
 from .rates import (
     _check_horizon,
     _integer,
+    _real,
     affine_rows,
     as_block_rates,
     initial_laws,
@@ -175,8 +176,8 @@ def flow_drift(flow: MeanFieldFlow, spec, targets) -> np.ndarray:
 _MAX_POINTS = np.iinfo(np.intp).max // 8
 
 
-def _grid(T: float, dt: float):
-    _check_horizon(T)
+def _grid(T, dt):
+    T, dt = _check_horizon(T), _real(dt, "dt")
     if T == 0 or not 0 < dt < math.inf:
         raise InvalidArgumentError(
             f"need T > 0 and 0 < dt < inf, got T={T}, dt={dt}")
@@ -209,7 +210,7 @@ def solve_mckean_vlasov(spec, targets: ProportionTargets, init, T, dt,
     the error names the first non-finite grid point."""
     field = _VectorField(spec, targets)
     r, K = field.r, field.K
-    times, dt = _grid(float(T), float(dt))
+    times, dt = _grid(T, dt)
     n = times.size - 1
     out = np.empty((n + 1, 2 * r * K))
     out[0] = initial_laws(init, r, K).ravel()
@@ -331,6 +332,7 @@ def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
     from the constant-in-time flow at `init`. Returns (flow, residual
     history); the residual is the sup over grid points of the
     max-component L1 distance between sweeps."""
+    tol = _real(tol, "tol")
     if not 0 < tol < math.inf:
         raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
     max_iter = _integer(max_iter, "max_iter")
@@ -338,7 +340,7 @@ def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
         raise InvalidArgumentError("max_iter must be >= 1")
     field = _VectorField(spec, targets)
     r, K = field.r, field.K
-    times, dt = _grid(float(T), float(dt))
+    times, dt = _grid(T, dt)
     y0 = initial_laws(init, r, K)
     frozen = np.broadcast_to(y0, (times.size, 2 * r, K)).copy()
     residuals = []

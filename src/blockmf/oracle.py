@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError
 from .graph import BlockGraph
-from .rates import _check_horizon, as_block_rates, total_rate
+from .rates import _check_horizon, _reals, as_block_rates, total_rate
 from .simulate import SystemState, local_empirical
 
 __all__ = ["StateDistribution", "master_equation_oracle"]
@@ -160,9 +160,9 @@ def master_equation_oracle(graph: BlockGraph, spec, init_dist,
         raise CapacityError(
             f"K^N = {n_states} exceeds the oracle cap {STATE_CAP}"
         )
-    _check_horizon(T)
+    T = _check_horizon(T)
 
-    init = np.asarray(init_dist, dtype=float)
+    init = _reals(init_dist, "init_dist")
     if init.shape != (N, K):
         raise InvalidArgumentError(
             f"init_dist must be ({N},{K}) per-node laws, got {init.shape}")

@@ -19,7 +19,6 @@ tables use a BlockRates family: one RateSpec per (block, class).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,10 +40,7 @@ __all__ = [
 
 
 def validate_probability(x, K=None):
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"measure must be numbers, got {x!r}")
+    arr = _reals(x, "measure")
     if arr.ndim != 1 or (K is not None and arr.shape[0] != K):
         want = "1-d" if K is None else f"length-{K}"
         raise InvalidArgumentError(
@@ -68,20 +64,61 @@ def initial_laws(inits, r: int, K=None) -> np.ndarray:
     return np.array([validate_probability(m, K) for m in inits])
 
 
-def _check_horizon(T):
-    """Raise unless the time horizon T is finite and >= 0: a run to a nan
-    or infinite horizon would never stop, or stop at once."""
+def _check_horizon(T) -> float:
+    """T as a float; raise unless it is one number, finite and >= 0: a
+    run to a nan or infinite horizon would never stop, or stop at once."""
+    T = _real(T, "T")
     if not 0 <= T < math.inf:
         raise InvalidArgumentError(f"T must be finite and >= 0, got {T}")
+    return T
+
+
+# every number the package is given is read by `_integer`, `_real` or
+# `_reals`; none of them converts a string or a bool
+def _is_integer(value) -> bool:
+    """Whether value is an int (a numpy one too) and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _integer(value, what) -> int:
     """value as an int; bools, floats, strings and the rest raise
     InvalidArgumentError instead of being truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise InvalidArgumentError(
             f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def _real(value, what) -> float:
+    """value, exactly one number, as a float; anything else, or an int
+    beyond float range, raises InvalidArgumentError."""
+    try:
+        if _is_real(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise InvalidArgumentError(f"{what} must be a number, got {value!r}")
+
+
+def _reals(value, what) -> np.ndarray:
+    """value, a number or a rectangular nesting of lists of numbers, as a
+    float array. Strings, bools (also inside a list), ragged lists and
+    other objects raise InvalidArgumentError instead of being converted;
+    a numeric numpy array passes as it is."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return np.asarray(value, dtype=float)
+    try:
+        arr = np.array(value, dtype=object)
+        if all(map(_is_real, arr.flat)):
+            return arr.astype(float)
+    except (ValueError, OverflowError):  # ragged; an int beyond float
+        pass
+    raise InvalidArgumentError(f"{what} must be numbers, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +200,7 @@ class RateSpec:
         ne, K = self.colors.n_edges, self.colors.K
 
         def canon_table(tab, name):
-            arr = np.asarray(tab, dtype=float)
+            arr = _reals(tab, name)
             if arr.shape != (ne, K):
                 raise InvalidArgumentError(
                     f"{name} must be ({ne},{K}) — one length-{K} row per edge"
@@ -177,7 +214,7 @@ class RateSpec:
         if self.beta is None:
             object.__setattr__(self, "beta", tuple(0.0 for _ in range(ne)))
         else:
-            b = np.asarray(self.beta, dtype=float)
+            b = _reals(self.beta, "beta")
             if b.shape != (ne,):
                 raise InvalidArgumentError(f"beta must be length {ne}")
             if not np.all(np.isfinite(b)):
@@ -204,26 +241,21 @@ class RateSpec:
     def from_json_obj(cls, obj):
         if not isinstance(obj, dict):
             raise InvalidArgumentError("rate spec must be a JSON dict")
-        unknown = set(obj) - {"colors", "edges", "gamma_c", "gamma_p", "beta",
-                              "base"}
+        unknown = set(obj) - {"colors", "edges", "gamma_c", "gamma_p", "beta"}
         if unknown:
             raise InvalidArgumentError(
                 f"unknown rate spec fields: {sorted(unknown)}"
             )
-        base = _integer(obj.get("base", 0), "base")
-        if base not in (0, 1):
-            raise InvalidArgumentError("base must be 0 or 1")
         try:
             K = obj["colors"]
             pairs = [(a, b) for a, b in obj["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidArgumentError(f"malformed colors/edges: {exc}")
         cg = ColorGraph(_integer(K, "colors"),
-                        [(_integer(a, "edges endpoint") - base,
-                          _integer(b, "edges endpoint") - base)
-                         for a, b in pairs])
+                        [(_integer(a, "edges endpoint"),
+                          _integer(b, "edges endpoint")) for a, b in pairs])
 
-        keys = [f"{z + base},{zp + base}" for z, zp in cg.edges]
+        keys = [f"{z},{zp}" for z, zp in cg.edges]
 
         def read_table(name, default=None):
             """One value per edge from an object keyed "z,z'"; an edge
@@ -251,14 +283,6 @@ class RateSpec:
         gp = read_table("gamma_p")
         beta = read_table("beta", 0.0) if "beta" in obj else None
         return cls(cg, gc, gp, beta)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str):
-        return cls.from_json_obj(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -384,9 +408,15 @@ def sis_spec(r, gamma, nu, eta, zeta) -> BlockRates:
     a*nu[j]*mu_c(1) + sum_i b_i*eta*mu_i^p(1); both cure at rate zeta[j].
     """
 
+    r = _integer(r, "r")
+    if r < 1:
+        raise InvalidArgumentError(f"r must be >= 1, got {r}")
+
     def per_block(x, name):
+        # read outside the try: a ValidationError is a ValueError
+        x = _reals(x, name)
         try:
-            return [float(v) for v in np.broadcast_to(x, (r,))]
+            return np.broadcast_to(x, (r,)).tolist()
         except ValueError:
             raise InvalidArgumentError(
                 f"{name} must be scalar or length {r}"
@@ -395,7 +425,7 @@ def sis_spec(r, gamma, nu, eta, zeta) -> BlockRates:
     gamma = per_block(gamma, "gamma")
     nu = per_block(nu, "nu")
     zeta = per_block(zeta, "zeta")
-    eta = float(eta)
+    eta = _real(eta, "eta")
     if min(*gamma, *nu, *zeta, eta) < 0:
         raise InvalidArgumentError("SIS parameters must be >= 0")
     cg = ColorGraph(2, [(0, 1), (1, 0)])
@@ -429,12 +459,13 @@ def queue_spec(K, zeta, vartheta, h_coefficient) -> RateSpec:
     K = _integer(K, "colors")
     if K < 2:
         raise InvalidArgumentError("queue needs K >= 2 colors")
+    zeta, vartheta = _reals(zeta, "zeta"), _reals(vartheta, "vartheta")
     try:
-        zeta = np.broadcast_to(np.asarray(zeta, dtype=float), (K,))
-        vartheta = np.broadcast_to(np.asarray(vartheta, dtype=float), (K,))
+        zeta = np.broadcast_to(zeta, (K,))
+        vartheta = np.broadcast_to(vartheta, (K,))
     except ValueError:
         raise InvalidArgumentError("zeta/vartheta must be scalar or length K")
-    c0 = float(h_coefficient)
+    c0 = _real(h_coefficient, "c0")
     if zeta.min() < 0 or vartheta.min() < 0 or c0 < 0:
         raise InvalidArgumentError("queue parameters must be >= 0")
     # one array, made first: a table too large to hold fails at once

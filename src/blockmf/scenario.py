@@ -8,11 +8,10 @@ never defaults to the clock; it comes from the file or the --seed flag.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidConfigurationError, ValidationError
 from .graph import (
@@ -24,17 +23,37 @@ from .graph import (
     build_complete_peripheral,
     build_regular_peripheral,
 )
-from .rates import RateSpec, queue_spec, sis_spec, validate_probability
+from .rates import (
+    RateSpec,
+    _integer,
+    _is_integer,
+    _real,
+    queue_spec,
+    sis_spec,
+    validate_probability,
+)
 
 __all__ = ["Scenario", "load_scenario"]
 
 SCHEMA = "blockmf/1"
 
-_TOP_FIELDS = {
-    "schema", "seed", "out", "graph", "rates", "targets", "init",
-    "horizon", "dt", "grid", "replicas", "n_list", "tagged",
-    "picard_tol", "picard_max_iter", "flow_csv",
+# The numeric top-level fields, the seed first, then the rest in the
+# order `validate` reports them: whether each is an integer, its bound
+# (an integer is >= it, a real is finite and > it) and its default
+# (None: the field has none). Each n_list entry is read as one number.
+_NUMBERS = {
+    "seed": (True, 0, None),
+    "horizon": (False, 0, None),
+    "dt": (False, 0, 0.01),
+    "grid": (True, 2, 51),
+    "replicas": (True, 1, None),
+    "n_list": (True, 2, None),
+    "picard_tol": (False, 0, 1e-8),
+    "picard_max_iter": (True, 1, 50),
 }
+
+_TOP_FIELDS = {"schema", "out", "graph", "rates", "targets", "init", "tagged",
+               "flow_csv", *_NUMBERS}
 
 
 def _reject_unknown(obj, allowed, where):
@@ -59,18 +78,21 @@ def _section(where):
         raise InvalidConfigurationError(f"malformed {where}: {exc}") from None
 
 
-def _positive(value, name, *, integer=False, minimum=None):
-    if integer:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InvalidConfigurationError(f"{name} must be an integer")
-    else:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise InvalidConfigurationError(f"{name} must be a number")
-        value = float(value)
-        if not np.isfinite(value):
-            raise InvalidConfigurationError(f"{name} must be finite")
-    if minimum is not None and value < minimum:
-        raise InvalidConfigurationError(f"{name} must be >= {minimum}")
+def _number(name, value):
+    """value checked as the numeric field `name` of _NUMBERS says."""
+    integer, bound, _ = _NUMBERS[name]
+    try:
+        value = _integer(value, name) if integer else _real(value, name)
+    except ValidationError as exc:
+        raise InvalidConfigurationError(str(exc)) from None
+    if integer and value < bound:
+        raise InvalidConfigurationError(
+            f"{name} must be >= {bound}, got {value}")
+    if not integer and not bound < value < math.inf:
+        raise InvalidConfigurationError(
+            f"{name} must be finite and > {bound}, got {value}")
+    if name == "seed" and value >= 2 ** 64:
+        raise InvalidConfigurationError("seed must fit in 64 bits")
     return value
 
 
@@ -83,48 +105,19 @@ class Scenario:
     base_dir: str
     path: str
 
-    # --- fields with light validation ---------------------------------
-
-    @property
-    def seed(self):
-        s = self.raw.get("seed")
-        if s is None:
-            return None
-        s = _positive(s, "seed", integer=True, minimum=0)
-        if s >= 2 ** 64:
-            raise InvalidConfigurationError("seed must fit in 64 bits")
-        return s
+    def number(self, name, default=None):
+        """The numeric field `name` of _NUMBERS, checked as its entry says;
+        when absent, `default`, else the entry's default."""
+        if name in self.raw:
+            return _number(name, self.raw[name])
+        default = _NUMBERS[name][2] if default is None else default
+        if default is None:
+            raise InvalidConfigurationError(f"scenario needs {name}")
+        return default
 
     @property
     def out(self):
         return self.raw.get("out")
-
-    @property
-    def horizon(self) -> float:
-        if "horizon" not in self.raw:
-            raise InvalidConfigurationError("scenario needs a horizon")
-        T = _positive(self.raw["horizon"], "horizon")
-        if T <= 0:
-            raise InvalidConfigurationError("horizon must be > 0")
-        return T
-
-    def dt(self) -> float:
-        if "dt" not in self.raw:
-            return 0.01
-        v = _positive(self.raw["dt"], "dt")
-        if v <= 0:
-            raise InvalidConfigurationError("dt must be > 0")
-        return v
-
-    def grid(self, default=51) -> int:
-        return _positive(self.raw.get("grid", default), "grid",
-                         integer=True, minimum=2)
-
-    def replicas(self, default=None) -> int:
-        v = self.raw.get("replicas", default)
-        if v is None:
-            raise InvalidConfigurationError("scenario needs replicas")
-        return _positive(v, "replicas", integer=True, minimum=1)
 
     @property
     def n_list(self):
@@ -133,25 +126,12 @@ class Scenario:
             raise InvalidConfigurationError("scenario needs n_list")
         if not isinstance(v, list) or not v:
             raise InvalidConfigurationError("n_list must be a nonempty list")
-        out = [_positive(n, "n_list entry", integer=True, minimum=2)
-               for n in v]
+        out = [_number("n_list", n) for n in v]
         if out != sorted(set(out)):
             raise InvalidConfigurationError(
                 "n_list must be strictly increasing"
             )
         return out
-
-    @property
-    def picard_tol(self) -> float:
-        v = _positive(self.raw.get("picard_tol", 1e-8), "picard_tol")
-        if v <= 0:
-            raise InvalidConfigurationError("picard_tol must be > 0")
-        return v
-
-    @property
-    def picard_max_iter(self) -> int:
-        return _positive(self.raw.get("picard_max_iter", 50),
-                         "picard_max_iter", integer=True, minimum=1)
 
     @property
     def flow_csv(self):
@@ -172,12 +152,11 @@ class Scenario:
             raise InvalidConfigurationError("tagged must be a nonempty list")
         out = []
         for item in v:
-            if isinstance(item, int) and not isinstance(item, bool):
+            if _is_integer(item):
                 out.append(item)
                 continue
             if (isinstance(item, list) and len(item) == 2
-                    and isinstance(item[0], int)
-                    and not isinstance(item[0], bool)
+                    and _is_integer(item[0])
                     and 0 <= item[0] < r and item[1] in CLASS_LABELS):
                 out.append((item[0], item[1]))
                 continue
@@ -245,10 +224,8 @@ class Scenario:
             if model == "sis":
                 _reject_unknown(obj, {"model", "r", "gamma", "nu", "eta",
                                       "zeta"}, "rates")
-                r = _positive(obj.get("r", 1), "rates.r", integer=True,
-                              minimum=1)
-                return sis_spec(r, obj["gamma"], obj["nu"], obj["eta"],
-                                obj["zeta"])
+                return sis_spec(obj.get("r", 1), obj["gamma"], obj["nu"],
+                                obj["eta"], obj["zeta"])
             if model == "queue":
                 _reject_unknown(obj, {"model", "colors", "zeta", "vartheta",
                                       "c0"}, "rates")

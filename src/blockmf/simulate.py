@@ -35,7 +35,7 @@ from .errors import (
     NumericalBlowupError,
 )
 from .graph import CENTRAL, PERIPHERAL, BlockGraph, neighborhood_proportions
-from .rates import _check_horizon, affine_rows, as_block_rates
+from .rates import _check_horizon, _is_integer, affine_rows, as_block_rates
 from .tables import write_series, write_table
 
 __all__ = [
@@ -272,8 +272,7 @@ def _check_tagged(graph: BlockGraph, tagged) -> tuple:
     """`tagged` as a tuple of distinct node ids of `graph`."""
     out = []
     for n in tagged:
-        if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                or not 0 <= n < graph.n_total):
+        if not _is_integer(n) or not 0 <= n < graph.n_total:
             raise InvalidArgumentError(
                 f"tagged node {n!r} is no node id in 0..{graph.n_total - 1}")
         out.append(int(n))
@@ -351,7 +350,7 @@ def _count_farm(tables: GroupTables, counts, T: float, gen,
     and the picked (group, edge) rows g*E + e. A replica that has
     stopped reads time +inf and pick 0. T must be finite and >= 0.
     """
-    _check_horizon(T)
+    T = _check_horizon(T)
     R = len(counts)
     GK = tables.n_groups * tables.K
     # the flat counts, then the constant-one column that beta is read from;
@@ -449,8 +448,9 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed) -> Trajectory:
         for node in members:
             own[colors[node]].append(node)
     start = [[len(b) for b in own] for own in buckets]
+    T = _check_horizon(T)
     blocks = []
-    run = _count_farm(tables, [start], float(T), gen,
+    run = _count_farm(tables, [start], T, gen,
                       lambda times, picks: blocks.append((times, picks)))
     events = []
     if blocks:
@@ -474,7 +474,7 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed) -> Trajectory:
     if not np.array_equal(run.final[0], counts):
         raise InternalConsistencyError(
             "count table drifted from the node colors")
-    return Trajectory(state, events, float(T))
+    return Trajectory(state, events, T)
 
 
 @dataclass

@@ -498,8 +498,8 @@ BAD_FILES = {
     (_with_tables(gamma_c=[[0, 1]]), "gamma_c must be a JSON object"),
     (_with_tables(colors=3.7), "colors must be an integer"),
     (_with_tables(colors="3"), "colors must be an integer"),
-    (_with_tables(base=0.5), "base must be an integer"),
-    (_with_tables(base="1"), "base must be an integer"),
+    (_with_tables(base=0.5), "unknown rate spec fields"),
+    (_with_tables(base="1"), "unknown rate spec fields"),
     (_with_tables(edges=[[0.9, 1.2], [1, 0]]),
      "edges endpoint must be an integer"),
     (_with_queue(3.5), "colors must be an integer"),
@@ -737,8 +737,8 @@ def _paths(obj, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
-def _mutated(path, value):
-    scen = copy.deepcopy(FUZZ_SCEN)
+def _mutated(path, value, base=FUZZ_SCEN):
+    scen = copy.deepcopy(base)
     parent = scen
     for key in path[:-1]:
         parent = parent[key]
@@ -768,3 +768,67 @@ def test_mutated_scenario_runs_or_fails_closed(tmp_path_factory, path,
         if code == 1:
             assert len(lines) == 1 and lines[0].startswith("error: "), \
                 (sub, err.getvalue())
+
+
+# SCEN on a regular design with targets written out (the design's, but
+# for p_c 1/3), without n_list, and a queue variant: together they hold
+# a numeric leaf of every kind the rates, targets, init and
+# graph.regular sections read
+LEAF_SCEN = {
+    **{k: v for k, v in SCEN.items() if k != "n_list"},
+    "graph": {"regular": {"blocks": [[2, 4], [2, 4]], "fractions": 0.5}},
+    "targets": {"p_c": [0.25, 0.25], "alpha_c": [0.25, 0.25],
+                "q": [[0.5, 0.25], [0.25, 0.5]], "alpha": [0.5, 0.5]},
+}
+QUEUE_LEAF_SCEN = {**LEAF_SCEN, "rates": {
+    "model": "queue", "colors": 2, "zeta": [1.0, 0.5], "vartheta": 0.5,
+    "c0": 0.3}}
+LEAF_SECTIONS = ("rates", "targets", "init", "graph")
+
+
+def _numeric_leaves():
+    """(scenario name, path, value) of each number in LEAF_SECTIONS."""
+    for name, scen in (("sis", LEAF_SCEN), ("queue", QUEUE_LEAF_SCEN)):
+        for path in _paths({k: scen[k] for k in LEAF_SECTIONS}):
+            if name == "queue" and path[0] != "rates":
+                continue
+            value = scen
+            for key in path:
+                value = value[key]
+            if type(value) in (int, float):
+                yield name, path, value
+
+
+LEAVES = list(_numeric_leaves())
+
+
+def run_main(scenario, sub, tmp_path):
+    """`main` on one subcommand, writing to tmp_path/out: (exit code,
+    stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([sub, "--scenario", scenario,
+                     "--out", str(tmp_path / "out")])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name, path, value", LEAVES, ids=[
+    f"{name}-{'.'.join(map(str, path))}" for name, path, _ in LEAVES])
+def test_numeric_leaf_that_is_not_a_number_fails_closed(tmp_path, name,
+                                                         path, value):
+    # each case ran as the number float() made of it: true as 1, "0.5"
+    # as 0.5; the fuzz test accepts a run, so it let them through
+    scen = {"sis": LEAF_SCEN, "queue": QUEUE_LEAF_SCEN}[name]
+    for sub in ("validate", "meanfield", "simulate"):
+        code, _, _ = run_main(scen_path(tmp_path, scen), sub, tmp_path)
+        assert code == 0, (sub, path)
+    shutil.rmtree(tmp_path / "out")
+    for bad in (True, str(value)):
+        sp = scen_path(tmp_path, _mutated(path, bad, scen))
+        for sub in ("validate", "meanfield", "simulate"):
+            code, out, err = run_main(sp, sub, tmp_path)
+            lines = err.splitlines()
+            assert code == 1 and out == "", (sub, path, bad, out)
+            assert len(lines) == 1 and lines[0].startswith("error: "), \
+                (sub, path, bad, err)
+            assert not (tmp_path / "out").exists()

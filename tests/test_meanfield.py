@@ -181,7 +181,11 @@ def test_grid_validation(sis2):
     (-1.0, 0.1, "^T must be finite and >= 0, got -1.0"),
     (1.0, math.nan, "^need T > 0 and 0 < dt < inf, got T=1.0, dt=nan"),
     (1.0, math.inf, "^need T > 0 and 0 < dt < inf, got T=1.0, dt=inf"),
-], ids=["T-nan", "T-inf", "T-negative", "dt-nan", "dt-inf"])
+    ("1", 0.1, "^T must be a number, got '1'$"),
+    (True, 0.1, "^T must be a number, got True$"),
+    (1.0, "0.1", "^dt must be a number, got '0.1'$"),
+], ids=["T-nan", "T-inf", "T-negative", "dt-nan", "dt-inf", "T-string",
+        "T-bool", "dt-string"])
 def test_grid_names_a_bad_horizon_or_step(sis2, solver, T, dt, match):
     # a nan or infinite T or dt is not a grid-size problem, and an
     # infinite dt would run one step of length T
@@ -430,7 +434,8 @@ def test_picard_logs_sweeps(sis2, caplog):
                       ({"tol": 0.0}, "^tol must be finite and > 0, got 0.0"),
                       ({"tol": -1.0}, "got -1.0"),
                       ({"tol": math.inf}, "got inf"),
-                      ({"tol": math.nan}, "got nan")]:
+                      ({"tol": math.nan}, "got nan"),
+                      ({"tol": "1e-8"}, "^tol must be a number, got '1e-8'$")]:
         with pytest.raises(bm.InvalidArgumentError, match=match):
             bm.picard_iterate(spec, targets, inits, 1.0, 0.05, **kw)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -137,28 +139,33 @@ def test_as_block_rates():
 def test_rate_spec_json_round_trip():
     q = bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.5,
                       h_coefficient=0.4)
-    q2 = bm.RateSpec.from_json(q.to_json())
-    assert q2 == q
+    def round_trip(spec):
+        return bm.RateSpec.from_json_obj(
+            json.loads(json.dumps(spec.to_json_obj())))
+
+    assert round_trip(q) == q
     plain = bm.RateSpec(bm.ColorGraph(2, [(0, 1)]), [(0.0, 1.5)], [(2.0, 0.0)])
     assert "beta" not in plain.to_json_obj()
-    assert bm.RateSpec.from_json(plain.to_json()) == plain
+    assert round_trip(plain) == plain
 
 
-def test_rate_spec_json_one_based_and_errors():
+def test_rate_spec_json_errors():
     obj = {
         "colors": 2,
-        "edges": [[1, 2], [2, 1]],
-        "gamma_c": {"1,2": [0.0, 1.0], "2,1": [0.0, 0.0]},
-        "gamma_p": {"1,2": [0.0, 0.5], "2,1": [0.0, 0.0]},
-        "beta": {"2,1": 0.9},
-        "base": 1,
+        "edges": [[0, 1], [1, 0]],
+        "gamma_c": {"0,1": [0.0, 1.0], "1,0": [0.0, 0.0]},
+        "gamma_p": {"0,1": [0.0, 0.5], "1,0": [0.0, 0.0]},
+        "beta": {"1,0": 0.9},
     }
     spec = bm.RateSpec.from_json_obj(obj)
     assert spec.colors.edges == ((0, 1), (1, 0))
     assert spec.gamma_c[0] == (0.0, 1.0)
     assert spec.beta == (0.0, 0.9)
-    with pytest.raises(bm.InvalidArgumentError, match="unknown rate spec"):
-        bm.RateSpec.from_json_obj({**obj, "extra": 1})
+    # edge keys are 0-based, and no field makes them otherwise
+    for extra in ({"extra": 1}, {"base": 1}):
+        with pytest.raises(bm.InvalidArgumentError,
+                           match="unknown rate spec"):
+            bm.RateSpec.from_json_obj({**obj, **extra})
     missing = {k: v for k, v in obj.items() if k != "gamma_p"}
     with pytest.raises(bm.InvalidArgumentError, match="gamma_p"):
         bm.RateSpec.from_json_obj(missing)
@@ -177,18 +184,14 @@ def test_rate_spec_json_one_based_and_errors():
     ("colors", 3.7, "colors"),
     ("colors", "3", "colors"),
     ("colors", True, "colors"),
-    ("base", 0.5, "base"),
-    ("base", "1", "base"),
-    ("base", True, "base"),
     ("edges", [[0.9, 1.2], [1, 0]], "edges"),
     ("edges", [[0, "1"], [1, 0]], "edges"),
     ("edges", [[False, 1], [1, 0]], "edges"),
-], ids=["colors-float", "colors-string", "colors-bool", "base-float",
-        "base-string", "base-bool", "edge-floats", "edge-string",
-        "edge-bool"])
+], ids=["colors-float", "colors-string", "colors-bool", "edge-floats",
+        "edge-string", "edge-bool"])
 def test_rate_spec_json_integer_fields(field, value, needle):
     # truncated with int(), each would load as another spec: colors 3.7
-    # as K = 3, base 0.5 as 0, the edge [0.9, 1.2] as (0, 1)
+    # as K = 3, the edge [0.9, 1.2] as (0, 1)
     obj = {
         "colors": 2,
         "edges": [[0, 1], [1, 0]],
@@ -206,6 +209,9 @@ def test_sis_spec_parameter_validation():
         bm.sis_spec(2, gamma=[1.0, 2.0, 3.0], nu=0.5, eta=0.6, zeta=0.9)
     with pytest.raises(bm.InvalidArgumentError, match=">= 0"):
         bm.sis_spec(2, gamma=1.0, nu=-0.5, eta=0.6, zeta=0.9)
+    # an int beyond float range raised a bare OverflowError
+    with pytest.raises(bm.InvalidArgumentError, match="^gamma must be num"):
+        bm.sis_spec(2, gamma=[1.0, 10 ** 400], nu=0.5, eta=0.6, zeta=0.9)
 
 
 def test_queue_spec_validation():

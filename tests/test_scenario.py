@@ -27,10 +27,10 @@ def write(tmp_path, obj, name="scen.json"):
 
 def test_load_and_build_sections(tmp_path):
     sc = load_scenario(write(tmp_path, BASE))
-    assert sc.seed == 7
-    assert sc.horizon == 1.0
-    assert sc.dt() == 0.01          # default
-    assert sc.grid() == 51
+    assert sc.number("seed") == 7
+    assert sc.number("horizon") == 1.0
+    assert sc.number("dt") == 0.01          # default
+    assert sc.number("grid") == 51
     g = sc.build_graph()
     assert g.block_sizes == ((2, 3), (2, 3))
     fam = sc.build_rates()
@@ -80,25 +80,29 @@ def test_schema_and_json_errors(tmp_path):
 def test_numeric_field_validation(tmp_path):
     sc = load_scenario(write(tmp_path, {**BASE, "seed": 2 ** 64}))
     with pytest.raises(bm.InvalidConfigurationError, match="64 bits"):
-        sc.seed
+        sc.number("seed")
     sc = load_scenario(write(tmp_path, {**BASE, "seed": -1}))
     with pytest.raises(bm.InvalidConfigurationError):
-        sc.seed
+        sc.number("seed")
     sc = load_scenario(write(tmp_path, {**BASE, "horizon": 0}))
     with pytest.raises(bm.InvalidConfigurationError, match="horizon"):
-        sc.horizon
+        sc.number("horizon")
+    # an int beyond float range raised a bare OverflowError
+    sc = load_scenario(write(tmp_path, {**BASE, "horizon": 10 ** 400}))
+    with pytest.raises(bm.InvalidConfigurationError, match="horizon"):
+        sc.number("horizon")
     sc = load_scenario(write(tmp_path, {**BASE, "dt": "fine"}))
     with pytest.raises(bm.InvalidConfigurationError, match="dt"):
-        sc.dt()
+        sc.number("dt")
     sc = load_scenario(write(tmp_path, {**BASE, "grid": 1}))
     with pytest.raises(bm.InvalidConfigurationError, match="grid"):
-        sc.grid()
+        sc.number("grid")
     sc = load_scenario(write(tmp_path, {**BASE, "replicas": True}))
     with pytest.raises(bm.InvalidConfigurationError, match="replicas"):
-        sc.replicas()
+        sc.number("replicas")
     sc = load_scenario(write(tmp_path, BASE))
     with pytest.raises(bm.InvalidConfigurationError, match="replicas"):
-        sc.replicas()
+        sc.number("replicas")
     sc = load_scenario(write(tmp_path, {**BASE, "n_list": [20, 10]}))
     with pytest.raises(bm.InvalidConfigurationError, match="increasing"):
         sc.n_list
@@ -118,7 +122,7 @@ def test_graph_variants(tmp_path):
         **BASE, "graph": g_ref.to_json_obj()}, "inline.json"))
     assert inline.build_graph() == g_ref
     gfile = tmp_path / "graph.json"
-    gfile.write_text(g_ref.to_json())
+    gfile.write_text(json.dumps(g_ref.to_json_obj()))
     sc2 = load_scenario(write(tmp_path, {
         **BASE, "graph": {"file": "graph.json"}}, "wrap.json"))
     assert sc2.build_graph() == g_ref

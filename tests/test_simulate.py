@@ -888,11 +888,14 @@ def horizon_entry_points():
 
 
 @pytest.mark.parametrize("entry", sorted(horizon_entry_points()))
-@pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("T", [np.nan, np.inf, -1.0, "1", True])
 def test_horizons_that_are_not_finite_and_nonnegative_fail_closed(entry, T):
     # a nan horizon ran no jump (the farm) or never stopped (the reference
     # walk); an infinite one never stopped on a chain that keeps jumping;
-    # the oracle called a nan horizon a capacity problem
-    with pytest.raises(bm.InvalidArgumentError,
-                       match=f"^T must be finite and >= 0, got {T}$"):
+    # the oracle called a nan horizon a capacity problem. A string or a
+    # bool ran as the number float() made of it, or raised a TypeError.
+    match = (f"^T must be a number, got {T!r}$"
+             if isinstance(T, (str, bool))
+             else f"^T must be finite and >= 0, got {T}$")
+    with pytest.raises(bm.InvalidArgumentError, match=match):
         horizon_entry_points()[entry](T)

@@ -6,8 +6,9 @@ count farms and the mean-field solvers. `rates.total_rate` evaluates the
 same rates from their definition for the product-space oracle only, so
 that the oracle shares no rate code with what it checks. Every jump time
 of the particle system is drawn in `simulate._count_farm`, every list
-of initial laws is checked in `rates.initial_laws`, and every integer
-argument or field in `rates._integer`. These tests read the package's
+of initial laws is checked in `rates.initial_laws`, and every number
+the package is given in `rates`: an integer in `_integer`, one real in
+`_real`, an array of reals in `_reals`. These tests read the package's
 syntax trees and fail when any of these spreads further.
 
 A result type holds only what it measures: a value its arrays already
@@ -94,11 +95,27 @@ def test_initial_laws_are_checked_in_one_place():
 
 
 def test_integer_check_is_defined_once():
-    defined = {path.name for path in SRC.glob("*.py")
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.FunctionDef)
-               and node.name == "_integer"}
-    assert defined == {"rates.py"}
+    # and so are the checks of one real and of an array of reals
+    for name in ("_integer", "_real", "_reals"):
+        defined = [path.name for path in SRC.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == name]
+        assert defined == ["rates.py"], name
+
+
+def test_only_rates_tells_a_bool_from_a_number():
+    # a module that tests for bools itself is reading numbers itself
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and "bool" in {n.id for n in ast.walk(node.args[1])
+                                   if isinstance(n, ast.Name)}):
+                found.add(path.name)
+    assert found == {"rates.py"}
 
 
 def cli_imports():
