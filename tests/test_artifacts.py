@@ -152,6 +152,40 @@ def test_chunking_changes_no_byte_and_no_line_number(monkeypatch, chunk):
         bm.MeanFieldFlow.from_csv(io.StringIO(repeat))
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 1024])
+@pytest.mark.parametrize("r, K", [(1, 1), (1, 2), (1, 6), (3, 1), (3, 2),
+                                  (3, 6)])
+def test_series_round_trips_bit_exactly(monkeypatch, chunk, r, K):
+    # what write_series writes, read_series gives back bit for bit: the
+    # rows shuffled, with blank, all-space, CRLF and tab-padded lines;
+    # signed zero, subnormal, tiny and huge values (.17g's exponent form)
+    monkeypatch.setattr(tables, "CHUNK_ROWS", chunk)
+    gen = np.random.default_rng(100 * r + 10 * K + chunk)
+    n = 7
+    times = gen.uniform(-1.0, 1.0) + gen.uniform(0.001, 1.0) * np.arange(n)
+    values = gen.standard_normal((n, 2 * r, K)) * 10.0 ** gen.integers(
+        -300, 300, (n, 2 * r, K))
+    flat = values.reshape(-1)
+    flat[gen.choice(flat.size, 4, replace=False)] = [-0.0, 5e-324, 1e-300,
+                                                     1e300]
+    buf = io.StringIO()
+    tables.write_series(buf, times, values)
+    header, *rows = buf.getvalue().splitlines()
+    rows = [rows[i] for i in gen.permutation(len(rows))]
+    pick = gen.choice(len(rows), 6, replace=False)
+    for i in pick[:4]:  # tab-padded, the last two with CRLF endings
+        rows[i] = "\t" + rows[i] + "\t"
+    rows = [row + ("\r\n" if i in pick[2:] else "\n")
+            for i, row in enumerate(rows)]
+    for at, line in ((0, "\n"), (len(rows) // 2, "  \t \n"),
+                     (len(rows), "\r\n")):
+        rows.insert(at, line)
+    got_t, got_v = tables.read_series(io.StringIO(header + "\n"
+                                                  + "".join(rows)))
+    assert got_t.tobytes() == times.tobytes()
+    assert got_v.tobytes() == values.tobytes()
+
+
 def reference_write_cells(fp, header, times, values, chunk):
     """Rows (t, block, class, [color,] value) as object columns zipped
     `chunk` rows at a time: the reference the cell writer must reproduce

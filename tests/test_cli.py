@@ -681,9 +681,17 @@ def test_flow_csv_rows_in_any_order_and_blank_lines(tmp_path, capsys):
     (_flow_lines()[:-1], "missing"),
     (_flow_lines(K=3), "flow"),
     (_flow_lines(r=1), "flow"),
+    (_with_line_8("0,1.0,p,0,0.5"), "flow line 8"),
+    (_with_line_8("0,1,p,1e0,0.5"), "flow line 8"),
+    (_with_line_8("0,1,p,0,0.5,"), "flow line 8"),
+    (_with_line_8('0,1,"p",0,0.5'), "flow line 8"),
+    (_with_line_8("0,1,ccc,0,0.5"), "flow line 8"),
+    (_with_line_8(",,,,"), "flow line 8"),
 ], ids=["class-x", "block-negative", "mass-not-numeric", "four-fields",
         "mass-nan", "class-pp", "comment-line", "duplicate-cell",
-        "missing-cell", "three-colors", "one-block"])
+        "missing-cell", "three-colors", "one-block", "block-float",
+        "color-exponent", "trailing-comma", "class-quoted", "class-ccc",
+        "empty-fields"])
 def test_malformed_flow_csv_fails_closed(tmp_path, lines, needle):
     (tmp_path / "flow.csv").write_text("\n".join(lines) + "\n")
     scen = scen_path(tmp_path, {**SCEN, "flow_csv": "flow.csv"})
