@@ -20,6 +20,7 @@ tables use a BlockRates family: one RateSpec per (block, class).
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,17 @@ def _check_horizon(T) -> float:
     return T
 
 
+_SHORT = reprlib.Repr()
+_SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 80
+
+
+def _quoted(value) -> str:
+    """The repr of a refused value from outside, long ones cut in the
+    middle (strings, ints and other objects to 80 characters, lists to
+    their first items), so an error stays one short line."""
+    return _SHORT.repr(value)
+
+
 # every number the package is given is read by `_integer`, `_real` or
 # `_reals`; none of them converts a string or a bool
 def _is_integer(value) -> bool:
@@ -85,7 +97,7 @@ def _integer(value, what) -> int:
     InvalidArgumentError instead of being truncated."""
     if not _is_integer(value):
         raise InvalidArgumentError(
-            f"{what} must be an integer, got {value!r}")
+            f"{what} must be an integer, got {_quoted(value)}")
     return int(value)
 
 
@@ -102,7 +114,8 @@ def _real(value, what) -> float:
             return float(value)
     except OverflowError:
         pass
-    raise InvalidArgumentError(f"{what} must be a number, got {value!r}")
+    raise InvalidArgumentError(
+        f"{what} must be a number, got {_quoted(value)}")
 
 
 def _reals(value, what) -> np.ndarray:
@@ -118,7 +131,8 @@ def _reals(value, what) -> np.ndarray:
             return arr.astype(float)
     except (ValueError, OverflowError):  # ragged; an int beyond float
         pass
-    raise InvalidArgumentError(f"{what} must be numbers, got {value!r}")
+    raise InvalidArgumentError(
+        f"{what} must be numbers, got {_quoted(value)}")
 
 
 @dataclass(frozen=True)

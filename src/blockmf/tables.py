@@ -6,6 +6,7 @@ component series (empirical measures, flows) is the table
 A series or cost writer builds the rows of one time point, with every
 cell's block, class and colour fields, as one format string per file,
 and fills in times and values a chunk of whole time points at a time.
+The flow reader hands each chunk of rows to numpy's C text reader.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .graph import CENTRAL, CLASS_LABELS, PERIPHERAL
+from .rates import _quoted
 
 SERIES_HEADER = ("t", "block", "class", "color", "mass")
 CHUNK_ROWS = 1024  # rows formatted per write: no file is built as one string
@@ -71,26 +73,22 @@ def write_cost(fp, times, integrand, total) -> None:
     write_table(fp, None, [["S_total"], [total]])
 
 
-def _parse(column, convert):
-    """`convert` over a column of strings, once per distinct string."""
-    value = {s: convert(s) for s in set(column)}
-    return np.array(list(map(value.__getitem__, column)))
+# a series row; a label longer than one character keeps two and fails
+# the label check
+_ROW = np.dtype([("t", "f8"), ("block", "i8"), ("class", "U2"),
+                 ("color", "i8"), ("mass", "f8")])
 
 
 def _columns(rows):
-    """The t, component, colour and mass columns of stripped series rows;
+    """The t, component, colour and mass columns of series rows (lines of
+    text), parsed by numpy's C reader: floats as Python's float reads
+    them, integers as int64, both in ASCII digits without `_`.
     ValueError unless every row is t,block,class,color,mass with block
     and colour >= 0, a class label, t and mass finite."""
-    # one field list, with a "\n" field between rows: every row has five
-    # fields exactly when every sixth field is "\n"
-    fields = ",\n,".join(rows).split(",")
-    if (len(fields) != 6 * len(rows) - 1
-            or fields[5::6].count("\n") != len(rows) - 1):
-        raise ValueError("not five fields")
-    t, j, z = (_parse(fields[k::6], convert)
-               for k, convert in ((0, float), (1, int), (3, int)))
-    label = np.array(fields[2::6], dtype=object)
-    m = np.array(list(map(float, fields[4::6])))
+    if "\0" in "".join(rows):  # a U2 field drops a label's trailing NULs
+        raise ValueError("NUL in a row")
+    row = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1, dtype=_ROW)
+    t, j, label, z, m = (row[name] for name in _ROW.names)
     peripheral = label == CLASS_LABELS[PERIPHERAL]
     if not np.all((peripheral | (label == CLASS_LABELS[CENTRAL]))
                   & (j >= 0) & (z >= 0) & np.isfinite(t) & np.isfinite(m)):
@@ -102,14 +100,18 @@ def read_series(fp):
     """(times, values) of a flow: rows in any order, blank lines
     skipped. A bad header or row, a duplicate or missing cell or a
     non-uniform grid raise InvalidArgumentError. The rows are parsed
-    CHUNK_ROWS lines at a time."""
+    CHUNK_ROWS lines at a time, by `_columns`."""
     header = fp.readline().strip()
     if header != ",".join(SERIES_HEADER):
-        raise InvalidArgumentError(f"unexpected flow header {header!r}")
+        raise InvalidArgumentError(
+            f"unexpected flow header {_quoted(header)}")
     parts, lineno, first = [], [], 2  # first: file line of the chunk's start
-    while lines := list(map(str.strip, itertools.islice(fp, CHUNK_ROWS))):
-        rows = [line for line in lines if line]
-        lineno.append(first + np.flatnonzero(list(map(bool, lines))))
+    while lines := list(itertools.islice(fp, CHUNK_ROWS)):
+        rows = [line for line in lines if not line.isspace()]
+        kept = np.arange(len(lines))  # the file line of each row
+        if len(rows) < len(lines):
+            kept = np.flatnonzero([not line.isspace() for line in lines])
+        lineno.append(first + kept)
         first += len(lines)
         if not rows:
             continue
@@ -128,7 +130,7 @@ def read_series(fp):
                 f"flow line {lineno[-1][lo]}: expected t,block,class,color,"
                 f"mass with block and color >= 0, class "
                 f"{' or '.join(CLASS_LABELS)}, t and mass finite, got "
-                f"{rows[lo]!r}"
+                f"{_quoted(rows[lo].strip())}"
             ) from None
     if not parts:
         raise InvalidArgumentError("empty flow file")

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from blockmf import MeanFieldFlow
 from blockmf.cli import main
+from blockmf.errors import InvalidArgumentError
 from blockmf.experiments import tagged_colors
 from blockmf.rng import ORACLE_CHECK, substream
 from blockmf.scenario import load_scenario
@@ -687,17 +688,50 @@ def test_flow_csv_rows_in_any_order_and_blank_lines(tmp_path, capsys):
     (_with_line_8('0,1,"p",0,0.5'), "flow line 8"),
     (_with_line_8("0,1,ccc,0,0.5"), "flow line 8"),
     (_with_line_8(",,,,"), "flow line 8"),
+    # forms Python's int and float read but numpy's parser refuses
+    (_with_line_8("0,1,p,0,1_0"), "flow line 8"),
+    (_with_line_8("0,1,p,0,1_0.5"), "flow line 8"),
+    (_with_line_8("0,\u0661,p,0,0.5"), "flow line 8"),
 ], ids=["class-x", "block-negative", "mass-not-numeric", "four-fields",
         "mass-nan", "class-pp", "comment-line", "duplicate-cell",
         "missing-cell", "three-colors", "one-block", "block-float",
         "color-exponent", "trailing-comma", "class-quoted", "class-ccc",
-        "empty-fields"])
+        "empty-fields", "underscore-int", "underscore-float",
+        "non-ascii-digit"])
 def test_malformed_flow_csv_fails_closed(tmp_path, lines, needle):
     (tmp_path / "flow.csv").write_text("\n".join(lines) + "\n")
     scen = scen_path(tmp_path, {**SCEN, "flow_csv": "flow.csv"})
     proc = run_blockmf_module(["ldp-cost", "--scenario", scen,
                                "--out", str(tmp_path / "out")])
     assert_fails_closed(proc, tmp_path / "out" / "cost.csv", needle)
+
+
+def test_carriage_return_inside_a_row_fails():
+    # a stream that does not translate newlines can hold a CR before a
+    # row's end; in a file opened as text it would end the line there
+    with pytest.raises(InvalidArgumentError, match="flow line 8:"):
+        _read_flow(_with_line_8("0,1,p,0,0.5\r\t"))
+
+
+@pytest.mark.parametrize("field, value, needle", [
+    ("horizon", 10 ** 400, "horizon must be a number"),
+    ("seed", [0] * 10000, "seed must be an integer"),
+    ("rates", {**SCEN["rates"], "gamma": ["x" * 10000, 1.0]},
+     "gamma must be numbers"),
+    ("flow_csv", "row.csv", "flow line 8"),
+    ("flow_csv", "header.csv", "unexpected flow header"),
+], ids=["huge-int", "long-list", "long-string", "long-row", "long-header"])
+def test_refused_value_is_quoted_short(tmp_path, field, value, needle):
+    # the error line quotes a long refused value cut to a few dozen
+    # characters, not whole
+    (tmp_path / "row.csv").write_text(
+        "\n".join(_with_line_8("0,1,p,0," + "9" * 10 ** 5)) + "\n")
+    (tmp_path / "header.csv").write_text("t,block" + "x" * 10 ** 5 + "\n")
+    scen = scen_path(tmp_path, {**SCEN, field: value})
+    proc = run_blockmf_module(["validate", "--scenario", scen,
+                               "--out", str(tmp_path / "out")])
+    assert_fails_closed(proc, tmp_path / "out" / "cost.csv", needle)
+    assert len(proc.stderr) < 250, proc.stderr
 
 
 @pytest.mark.parametrize("field, value, sub, artifact, needle", [
