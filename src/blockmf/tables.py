@@ -108,7 +108,7 @@ def read_series(fp):
     parts, lineno, first = [], [], 2  # first: file line of the chunk's start
     while lines := list(itertools.islice(fp, CHUNK_ROWS)):
         rows = [line for line in lines if not line.isspace()]
-        kept = np.arange(len(lines))  # the file line of each row
+        kept = np.arange(len(lines))  # each row's place in the chunk
         if len(rows) < len(lines):
             kept = np.flatnonzero([not line.isspace() for line in lines])
         lineno.append(first + kept)

@@ -688,6 +688,7 @@ def test_flow_csv_rows_in_any_order_and_blank_lines(tmp_path, capsys):
     (_with_line_8('0,1,"p",0,0.5'), "flow line 8"),
     (_with_line_8("0,1,ccc,0,0.5"), "flow line 8"),
     (_with_line_8(",,,,"), "flow line 8"),
+    (_with_line_8("0,1,p\0,0,0.5"), "flow line 8"),
     # forms Python's int and float read but numpy's parser refuses
     (_with_line_8("0,1,p,0,1_0"), "flow line 8"),
     (_with_line_8("0,1,p,0,1_0.5"), "flow line 8"),
@@ -696,7 +697,7 @@ def test_flow_csv_rows_in_any_order_and_blank_lines(tmp_path, capsys):
         "mass-nan", "class-pp", "comment-line", "duplicate-cell",
         "missing-cell", "three-colors", "one-block", "block-float",
         "color-exponent", "trailing-comma", "class-quoted", "class-ccc",
-        "empty-fields", "underscore-int", "underscore-float",
+        "empty-fields", "class-nul", "underscore-int", "underscore-float",
         "non-ascii-digit"])
 def test_malformed_flow_csv_fails_closed(tmp_path, lines, needle):
     (tmp_path / "flow.csv").write_text("\n".join(lines) + "\n")
