@@ -289,6 +289,36 @@ def resolve_tagged(graph: BlockGraph, tagged_nodes):
     return out
 
 
+def tagged_law(tables: GroupTables, counts, nodes) -> np.ndarray:
+    """The joint law of the colours of `nodes` (distinct node ids), shape
+    (K,) * len(nodes), averaged over the group colour counts `counts` of
+    `tables`' groups, shape (replicas, G, K).
+
+    Twins are exchangeable: given the counts n, every arrangement of a
+    group's colours over its members is equally likely (Diaconis and
+    Freedman, "Finite exchangeable sequences", 1980). So node i of group
+    g takes colour a_i, given the colours of the nodes before it, with
+    probability (n[g, a_i] - g's earlier nodes of colour a_i) / (n_g -
+    g's earlier nodes), and the law given n is the product of these."""
+    counts = np.asarray(counts, dtype=float)
+    R, k, K = len(counts), len(nodes), tables.K
+    law = np.ones((R,) + (1,) * k)
+    earlier = []  # (axis, group) of each node before this one
+    for axis, node in enumerate(nodes):
+        g = next(g for g, m in enumerate(tables.members) if node in m)
+        shape = [R] + [1] * k
+        shape[1 + axis] = K
+        factor = counts[:, g].reshape(shape)
+        same = [a for a, h in earlier if h == g]
+        for a in same:
+            pair = [1] * (k + 1)
+            pair[1 + a] = pair[1 + axis] = K
+            factor = factor - np.eye(K).reshape(pair)
+        law = law * factor / (tables.sizes[g] - len(same))
+        earlier.append((axis, g))
+    return law.mean(axis=0)
+
+
 def tagged_colors(graph: BlockGraph, spec, tagged, T, replicas, gen, *,
                   inits) -> np.ndarray:
     """The colours at time T of the nodes `tagged` (distinct node ids) in

@@ -319,6 +319,46 @@ def test_count_farm_tagged_law_matches_oracle():
         assert np.all(np.abs(joint.sum(axis=others) - p) <= 5 * marg_se)
 
 
+EXACT_LAW_DESIGNS = {
+    # (design, rates, initial laws, T, node sets): nodes of one group, of
+    # two groups, centrals with peripherals
+    "complete": (bm.build_complete_peripheral([(2, 3), (2, 3)]), SIS2, INITS2,
+                 1.5, [[9], [0, 1], [2, 3, 8], [2, 3, 4], [0, 1, 5], [3, 8]]),
+    "regular": (bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5), SIS2,
+                INITS2, 1.0, [[0], [0, 1], [1, 2], [1, 3], [0, 1, 6],
+                              [1, 2, 3], [2, 3, 7]]),
+    # the clamped K=3 queue of test_oracle_vs_simulator_clamped_queue
+    "clamped-queue3": (bm.build_complete_peripheral([(1, 2), (1, 1)]),
+                       bm.queue_spec(3, zeta=(0.5, 0.2, 0.0), vartheta=0.6,
+                                     h_coefficient=1.2),
+                       [[0.3, 0.7, 0.0], [0.6, 0.4, 0.0], [0.5, 0.5, 0.0],
+                        [0.8, 0.1, 0.1]], 1.5,
+                       [[1, 2], [0, 1, 2], [4, 3, 1], [2]]),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_LAW_DESIGNS)
+def test_tagged_law_from_group_counts_is_exact(name):
+    # the formula read off the product oracle's law lumped to group
+    # counts, against the oracle's own joint law of the nodes
+    graph, family, inits, T, node_sets = EXACT_LAW_DESIGNS[name]
+    dist = bm.master_equation_oracle(
+        graph, family, np.asarray(inits)[graph.component], T)
+    tables = GroupTables(graph, family)
+    colors = _decode_states(dist.K, dist.n_nodes)
+    counts = np.stack([(colors[:, m, None] == np.arange(dist.K)).sum(axis=1)
+                       for m in tables.members], axis=1)
+    lumped, which = np.unique(counts, axis=0, return_inverse=True)
+    probs = np.bincount(which.ravel(), weights=dist.probs)
+    for nodes in node_sets:
+        exact = np.zeros((dist.K,) * len(nodes))
+        np.add.at(exact, tuple(colors[:, nodes].T), dist.probs)
+        got = sum(p * experiments.tagged_law(tables, n[None], nodes)
+                  for p, n in zip(probs, lumped))
+        np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-13,
+                                   err_msg=str(nodes))
+
+
 def test_count_farm_is_pinned():
     # a farm over tables split by two tagged nodes: its seeded grid counts
     # and the tagged colours read from the singletons, pinned by sha256 of
