@@ -309,7 +309,7 @@ def cmd_ldp_cost(args):
 
 
 def cmd_oracle_check(args):
-    from .experiments import tagged_colors
+    from .experiments import final_group_counts, tagged_law
     from .oracle import master_equation_oracle
     from .rng import ORACLE_CHECK, substream
 
@@ -321,12 +321,12 @@ def cmd_oracle_check(args):
     init_mat = np.asarray(inits)[graph.component]
     dist = master_equation_oracle(graph, spec, init_mat, T)
     oracle_p = np.stack([dist.node_marginal(n) for n in range(N)])
-    # every node a singleton group of one count farm on one stream
-    final = tagged_colors(graph, spec, range(N), T, replicas,
-                          substream(seed, 0, 0, ORACLE_CHECK), inits=inits)
-    counts = np.bincount((np.arange(N) * K + final).ravel(),
-                         minlength=N * K).reshape(N, K)
-    mc_p = counts / replicas
+    # a node's law given the counts is its group's colour fractions, in
+    # [0, 1] with mean p, so `se` bounds the standard error of their mean
+    tables, counts = final_group_counts(
+        graph, spec, T, replicas, substream(seed, 0, 0, ORACLE_CHECK),
+        inits=inits)
+    mc_p = np.stack([tagged_law(tables, counts, [n]) for n in range(N)])
     se = np.sqrt(oracle_p * (1.0 - oracle_p) / replicas)
     diff = np.abs(mc_p - oracle_p)
     with np.errstate(invalid="ignore", divide="ignore"):

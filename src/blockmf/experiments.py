@@ -7,10 +7,11 @@ Kurtz's density-dependent chain on group colour counts. Both
 experiments run it as the count farm of `simulate`: all replicas of one
 N advance together in numpy arrays, one jump per replica per lock-step,
 in the calling process. `lln_experiment` lands the farm's jump record on
-its grid. To follow single nodes (`tagged_colors`: the joint law here,
-every node's marginal law in `oracle-check`), the nodes are singleton
-groups of split tables, so the farm follows them with no bookkeeping of
-its own.
+its grid. Single nodes need no farm of their own: the members of a group
+are exchangeable, so the joint law of a few nodes at time T is a
+function of their groups' colour counts (`tagged_law`), averaged over
+the farm's replicas. `multichaos_test` reads the joint law of its tagged
+nodes so, and `oracle-check` every node's marginal law.
 
 Each farm draws from one stream keyed by its seed path and a purpose
 word, so results are a pure function of the seed and the replica count;
@@ -30,10 +31,10 @@ from .graph import CENTRAL, BlockGraph, ProportionTargets, \
     _component_of, build_complete_peripheral
 from .meanfield import solve_mckean_vlasov
 from .metrics import d_bl_of_differences
-from .rates import _check_horizon, _integer, initial_laws
+from .rates import _check_horizon, _integer, _is_integer, _quoted, \
+    initial_laws
 from .rng import CHAOS, MULTICHAOS, substream
-from .simulate import FarmRun, GroupTables, _check_grid, _check_tagged, \
-    _count_farm, _land
+from .simulate import FarmRun, GroupTables, _check_grid, _count_farm, _land
 from .tables import write_table
 
 log = logging.getLogger(__name__)
@@ -45,7 +46,8 @@ __all__ = [
     "resolve_tagged",
     "sample_block_colors",
     "lln_experiment",
-    "tagged_colors",
+    "final_group_counts",
+    "tagged_law",
     "multichaos_test",
 ]
 
@@ -188,8 +190,7 @@ def _seed_path(seed):
 def _start_counts(tables: GroupTables, inits, replicas: int, gen):
     """Group colour counts of `replicas` iid starts with law
     inits[2*block + class], shape (replicas, G, K): one multinomial per
-    group, so a singleton group of split tables draws its node's
-    colour."""
+    group."""
     law = initial_laws(inits, tables.graph.r, tables.K)
     return gen.multinomial(tables.sizes, law[tables.component],
                            size=(replicas, tables.n_groups))
@@ -264,24 +265,25 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
 def resolve_tagged(graph: BlockGraph, tagged_nodes):
     """One to three distinct node ids from raw node ids or (block, class)
     pairs; a pair picks the first node of that class (exchangeability
-    makes the choice neutral). Anything but a pair must be a node id, as
-    `simulate._check_tagged` checks."""
+    makes the choice neutral). Anything but a pair must be a node id."""
     out = []
     for spec_ in tagged_nodes:
-        if not isinstance(spec_, (tuple, list)):
-            out.append(spec_)
-            continue
-        j, cls = spec_ if len(spec_) == 2 else (None, None)
-        g = _component_of(j, cls, graph.r)
-        if g is None:
+        if isinstance(spec_, (tuple, list)):
+            j, cls = spec_ if len(spec_) == 2 else (None, None)
+            g = _component_of(j, cls, graph.r)
+            if g is None:
+                raise InvalidArgumentError(
+                    f"tagged {_quoted(tuple(spec_))} names no class of a "
+                    f"graph with {graph.r} blocks")
+            spec_ = (graph.central_nodes(j) if g % 2 == CENTRAL
+                     else graph.peripheral_nodes(j))[0]
+        if not _is_integer(spec_) or not 0 <= spec_ < graph.n_total:
             raise InvalidArgumentError(
-                f"tagged {tuple(spec_)!r} names no class of a graph "
-                f"with {graph.r} blocks"
-            )
-        nodes = (graph.central_nodes(j) if g % 2 == CENTRAL
-                 else graph.peripheral_nodes(j))
-        out.append(nodes[0])
-    out = list(_check_tagged(graph, out))
+                f"tagged node {_quoted(spec_)} is no node id in "
+                f"0..{graph.n_total - 1}")
+        out.append(int(spec_))
+    if len(out) != len(set(out)):
+        raise InvalidArgumentError("tagged nodes must be distinct")
     if not 1 <= len(out) <= 3:
         raise InvalidArgumentError(
             f"need 1 to 3 tagged nodes, got {len(out)}"
@@ -289,52 +291,44 @@ def resolve_tagged(graph: BlockGraph, tagged_nodes):
     return out
 
 
-def tagged_law(tables: GroupTables, counts, nodes) -> np.ndarray:
-    """The joint law of the colours of `nodes` (distinct node ids), shape
-    (K,) * len(nodes), averaged over the group colour counts `counts` of
-    `tables`' groups, shape (replicas, G, K).
-
-    Twins are exchangeable: given the counts n, every arrangement of a
-    group's colours over its members is equally likely (Diaconis and
-    Freedman, "Finite exchangeable sequences", 1980). So node i of group
-    g takes colour a_i, given the colours of the nodes before it, with
-    probability (n[g, a_i] - g's earlier nodes of colour a_i) / (n_g -
-    g's earlier nodes), and the law given n is the product of these."""
-    counts = np.asarray(counts, dtype=float)
-    R, k, K = len(counts), len(nodes), tables.K
-    law = np.ones((R,) + (1,) * k)
-    earlier = []  # (axis, group) of each node before this one
-    for axis, node in enumerate(nodes):
-        g = next(g for g, m in enumerate(tables.members) if node in m)
-        shape = [R] + [1] * k
-        shape[1 + axis] = K
-        factor = counts[:, g].reshape(shape)
-        same = [a for a, h in earlier if h == g]
-        for a in same:
-            pair = [1] * (k + 1)
-            pair[1 + a] = pair[1 + axis] = K
-            factor = factor - np.eye(K).reshape(pair)
-        law = law * factor / (tables.sizes[g] - len(same))
-        earlier.append((axis, g))
-    return law.mean(axis=0)
-
-
-def tagged_colors(graph: BlockGraph, spec, tagged, T, replicas, gen, *,
-                  inits) -> np.ndarray:
-    """The colours at time T of the nodes `tagged` (distinct node ids) in
-    `replicas` runs from iid initial colours with law inits[2*block +
-    class], shape (replicas, len(tagged)). All runs are one count farm
-    drawing from `gen`, on tables in which each tagged node is a
-    singleton group; its lock-steps and replica jumps are logged on
+def final_group_counts(graph: BlockGraph, spec, T, replicas, gen, *,
+                       inits) -> tuple[GroupTables, np.ndarray]:
+    """The design's group tables, and the group colour counts at time T
+    of `replicas` runs from iid initial colours with law inits[2*block +
+    class], shape (replicas, G, K). All runs are one count farm drawing
+    from `gen`; its lock-steps and replica jumps are logged on
     `blockmf.experiments` at debug level."""
     if _integer(replicas, "replicas") < 1:
         raise InvalidArgumentError("need at least 1 replica")
-    tables = GroupTables(graph, spec, tagged)
+    tables = GroupTables(graph, spec)
     run = _count_farm(tables, _start_counts(tables, inits, replicas, gen),
                       T, gen)
-    _log_farm("tagged_colors", graph.n_total, run)
-    # the singleton groups come last, one count each
-    return run.final[:, tables.n_groups - len(tables.tagged):].argmax(axis=2)
+    _log_farm("final_group_counts", graph.n_total, run)
+    return tables, run.final
+
+
+def tagged_law(tables: GroupTables, counts, nodes) -> np.ndarray:
+    """The joint law of the colours of `nodes` (distinct node ids), shape
+    (K,) * len(nodes), averaged over group colour counts of `tables`'
+    groups, shape (replicas, G, K). Given the counts n, every arrangement
+    of a group's colours over its exchangeable members is equally likely,
+    so node i of group g takes colour a_i, given the nodes before it, with
+    probability (n[g, a_i] - g's earlier nodes of colour a_i) / (n_g -
+    g's earlier nodes)."""
+    counts = np.asarray(counts, dtype=float)
+    k = len(nodes)
+    group = [next(g for g, m in enumerate(tables.members) if n in m)
+             for n in nodes]
+    law = np.ones((len(counts),) + (1,) * k)
+    for axis, g in enumerate(group):
+        factor = np.expand_dims(counts[:, g], [1 + a for a in range(k)
+                                               if a != axis])
+        same = [a for a in range(axis) if group[a] == g]
+        for a in same:  # one fewer of a's colour left for this node
+            factor = factor - np.expand_dims(np.eye(tables.K), [0] + [
+                1 + b for b in range(k) if b not in (a, axis)])
+        law = law * factor / (tables.sizes[g] - len(same))
+    return law.mean(axis=0)
 
 
 def multichaos_test(graph: BlockGraph, spec, tagged_nodes, T, replicas,
@@ -345,14 +339,11 @@ def multichaos_test(graph: BlockGraph, spec, tagged_nodes, T, replicas,
     (resolved to the first node of the class). The dynamics run on the
     graph's own proportions."""
     tagged = resolve_tagged(graph, tagged_nodes)
-    final = tagged_colors(graph, spec, tagged, T, replicas,
-                          substream(*_seed_path(seed), MULTICHAOS),
-                          inits=inits)
-    K = len(inits[0])  # the farm checked each law against the spec's K
-    m = len(tagged)
-    joint = np.zeros((K,) * m)
-    np.add.at(joint, tuple(final.T), 1.0)
-    joint /= replicas
+    tables, counts = final_group_counts(
+        graph, spec, T, replicas, substream(*_seed_path(seed), MULTICHAOS),
+        inits=inits)
+    joint = tagged_law(tables, counts, tagged)
+    K, m = tables.K, len(tagged)
     product = np.ones(())
     for axis in range(m):
         marg = joint.sum(axis=tuple(a for a in range(m) if a != axis))

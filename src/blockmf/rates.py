@@ -74,7 +74,15 @@ def _check_horizon(T) -> float:
     return T
 
 
-_SHORT = reprlib.Repr()
+class _Short(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            return f"<int of {x.bit_length()} bits>"
+
+
+_SHORT = _Short()
 _SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 80
 
 

@@ -27,6 +27,7 @@ from .rates import (
     RateSpec,
     _integer,
     _is_integer,
+    _quoted,
     _real,
     queue_spec,
     sis_spec,
@@ -162,7 +163,7 @@ class Scenario:
                 continue
             raise InvalidConfigurationError(
                 f"tagged entries are node ids or [block, \"c\"|\"p\"] "
-                f"with block in 0..{r - 1}: {item!r}"
+                f"with block in 0..{r - 1}: {_quoted(item)}"
             )
         return out
 
@@ -235,7 +236,8 @@ class Scenario:
                 _reject_unknown(obj, {"model", "spec"}, "rates")
                 return RateSpec.from_json_obj(obj["spec"])
         raise InvalidConfigurationError(
-            f"unknown rate model {model!r}; choose sis, queue or tables"
+            f"unknown rate model {_quoted(model)}; choose sis, queue or "
+            f"tables"
         )
 
     def build_targets(self, graph=None):
@@ -284,16 +286,25 @@ def load_scenario(path) -> Scenario:
             raw = json.load(fp)
     except FileNotFoundError:
         raise InvalidConfigurationError(f"scenario file not found: {path}")
+    except OSError as exc:
+        raise InvalidConfigurationError(f"cannot read scenario: {exc}")
     except json.JSONDecodeError as exc:
         raise InvalidConfigurationError(
             f"scenario is not valid JSON: line {exc.lineno} column "
             f"{exc.colno}: {exc.msg}"
         )
+    except UnicodeDecodeError:
+        raise InvalidConfigurationError("scenario is not UTF-8 text")
+    except ValueError:  # an integer of more digits than int() reads
+        raise InvalidConfigurationError("scenario holds a too long integer")
+    except RecursionError:
+        raise InvalidConfigurationError("scenario JSON nests too deeply")
     if not isinstance(raw, dict):
         raise InvalidConfigurationError("scenario must be a JSON object")
     if raw.get("schema") != SCHEMA:
         raise InvalidConfigurationError(
-            f"scenario schema must be {SCHEMA!r}, got {raw.get('schema')!r}"
+            f"scenario schema must be {SCHEMA!r}, got "
+            f"{_quoted(raw.get('schema'))}"
         )
     _reject_unknown(raw, _TOP_FIELDS, "scenario")
     return Scenario(raw, os.path.dirname(os.path.abspath(path)), str(path))

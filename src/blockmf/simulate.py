@@ -35,7 +35,7 @@ from .errors import (
     NumericalBlowupError,
 )
 from .graph import CENTRAL, PERIPHERAL, BlockGraph, neighborhood_proportions
-from .rates import _check_horizon, _is_integer, affine_rows, as_block_rates
+from .rates import _check_horizon, affine_rows, as_block_rates
 from .tables import write_series, write_table
 
 __all__ = [
@@ -165,16 +165,12 @@ class GroupTables:
     Groups: one per block's centrals (0..r-1), then the graph's
     peripheral twin classes in order of their first node. A closed
     neighbourhood is a union of twin classes (the graph's twin links), so
-    each group reads whole groups. Each node of `tagged` (distinct node
-    ids) then leaves its group for a singleton group of its own, added
-    after the others in the order given; a group may be left empty.
-    `base[g]` is the unsplit group that group g came from. A singleton
-    jumps at its old group's rates, and every read of an old group reads
-    all its nonempty parts with the same weight, so the split chain
-    lumps exactly to the unsplit one; an emptied group has nothing to
-    jump and reads nothing. With n[h*K + x] the count of colour x in
-    group h, edge e of group g fires, for each member of g in the
-    edge's source colour, at rate
+    each group reads whole groups, and every group has members: each
+    block has a central and a peripheral node. The members of a group are
+    exchangeable, so the joint law of any nodes is a function of the law
+    of the group counts (`experiments.tagged_law`). With n[h*K + x] the
+    count of colour x in group h, edge e of group g fires, for each
+    member of g in the edge's source colour, at rate
 
         max(0, beta[g, e] + sum over i with row[i] == g*E + e
                             of weight[i] * n[col[i]]).
@@ -190,7 +186,7 @@ class GroupTables:
     e of `move` (G*E rows, G*K + 1 columns) is that jump's count change.
     """
 
-    def __init__(self, graph: BlockGraph, family, tagged=()):
+    def __init__(self, graph: BlockGraph, family):
         family = as_block_rates(family, graph.r)
         cg = family.colors
         self.graph = graph
@@ -200,15 +196,6 @@ class GroupTables:
         self.members += [list(c) for c in graph.twin_classes]
         self.meta = [(graph.block_of(m[0]), graph.class_of(m[0]))
                      for m in self.members]
-        self._first = [m[0] for m in self.members]
-        self.tagged = _check_tagged(graph, tagged)
-        self.base = list(range(len(self.members)))
-        for node in self.tagged:
-            g = self._unsplit_group(node)
-            self.members[g].remove(node)
-            self.members.append([node])
-            self.meta.append(self.meta[g])
-            self.base.append(g)
         self.n_groups = G = len(self.members)
         self.sizes = np.array([len(m) for m in self.members], dtype=np.int64)
         self.component = np.array([2 * j + cls for j, cls in self.meta],
@@ -237,48 +224,19 @@ class GroupTables:
         (streamed: on sparse designs the dicts would outweigh the rows).
         Every node weighs each neighbour by 1/(neighbourhood size); the
         members of one group share that weight, so a group's count vector
-        enters once with it. A group reads what its unsplit group reads,
-        and a read of an unsplit group reads each of its nonempty parts;
-        an emptied group has no members to jump and reads nothing. Central
-        groups are 0..r-1."""
+        enters once with it. Central groups are 0..r-1."""
         graph, r = self.graph, self.graph.r
-        parts = [[h] if self.sizes[h] else [] for h in range(len(self._first))]
-        for g in range(len(parts), self.n_groups):
-            parts[self.base[g]].append(g)
         for g, (j, cls) in enumerate(self.meta):
-            if not self.sizes[g]:
-                yield (j, cls), {}
-                continue
             if cls == CENTRAL:
                 w = 1.0 / graph.block_size(j)
-                seen = [h for h in range(r, len(parts))
+                seen = [h for h in range(r, self.n_groups)
                         if self.meta[h] == (j, PERIPHERAL)]
             else:
-                b = self.base[g]
-                w = 1.0 / (graph.degree(self._first[b]) + 1)
-                seen = [r + d for d in graph.twin_links[b - r]]
-            reads = {p: (w, PERIPHERAL) for h in seen for p in parts[h]}
-            reads.update((p, (w, CENTRAL)) for p in parts[j])
+                w = 1.0 / (graph.degree(self.members[g][0]) + 1)
+                seen = [r + d for d in graph.twin_links[g - r]]
+            reads = dict.fromkeys(seen, (w, PERIPHERAL))
+            reads[j] = (w, CENTRAL)
             yield (j, cls), reads
-
-    def _unsplit_group(self, node: int) -> int:
-        graph = self.graph
-        if graph.is_peripheral(node):
-            return graph.r + graph._twin(node)
-        return graph.block_of(node)
-
-
-def _check_tagged(graph: BlockGraph, tagged) -> tuple:
-    """`tagged` as a tuple of distinct node ids of `graph`."""
-    out = []
-    for n in tagged:
-        if not _is_integer(n) or not 0 <= n < graph.n_total:
-            raise InvalidArgumentError(
-                f"tagged node {n!r} is no node id in 0..{graph.n_total - 1}")
-        out.append(int(n))
-    if len(out) != len(set(out)):
-        raise InvalidArgumentError("tagged nodes must be distinct")
-    return tuple(out)
 
 
 # --------------------------------------------------------------------------

@@ -84,14 +84,15 @@ def _columns(rows):
     text), parsed by numpy's C reader: floats as Python's float reads
     them, integers as int64, both in ASCII digits without `_`.
     ValueError unless every row is t,block,class,color,mass with block
-    and colour >= 0, a class label, t and mass finite."""
+    in [0, 2^62), colour >= 0, a class label, t and mass finite."""
     if "\0" in "".join(rows):  # a U2 field drops a label's trailing NULs
         raise ValueError("NUL in a row")
     row = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1, dtype=_ROW)
     t, j, label, z, m = (row[name] for name in _ROW.names)
     peripheral = label == CLASS_LABELS[PERIPHERAL]
     if not np.all((peripheral | (label == CLASS_LABELS[CENTRAL]))
-                  & (j >= 0) & (z >= 0) & np.isfinite(t) & np.isfinite(m)):
+                  & (j >= 0) & (j < 2 ** 62)  # so 2 * j + 1 is an int64
+                  & (z >= 0) & np.isfinite(t) & np.isfinite(m)):
         raise ValueError("field out of range")
     return t, 2 * j + peripheral, z, m
 
@@ -128,7 +129,7 @@ def read_series(fp):
                     hi = mid
             raise InvalidArgumentError(
                 f"flow line {lineno[-1][lo]}: expected t,block,class,color,"
-                f"mass with block and color >= 0, class "
+                f"mass with block in [0, 2^62) and color >= 0, class "
                 f"{' or '.join(CLASS_LABELS)}, t and mass finite, got "
                 f"{_quoted(rows[lo].strip())}"
             ) from None

@@ -117,8 +117,8 @@ def test_oracle_check_csv_bytes(tmp_path, capsys, monkeypatch):
     marginals = np.array([[0.5, 0.5], [1.0, -0.0], [1e-300, 1.0]])
     monkeypatch.setattr(oracle, "master_equation_oracle", lambda *a: (
         SimpleNamespace(node_marginal=lambda n: marginals[n])))
-    monkeypatch.setattr(experiments, "tagged_colors", lambda *a, **k: np.array(
-        [[rep % 2, 0, 1] for rep in range(4)]))
+    monkeypatch.setattr(experiments, "tagged_law", lambda tables, counts, n: (
+        np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])[n[0]]))
     sp = scen_path(tmp_path, {**ORACLE_SCEN, "replicas": 4})
     run_cli(["oracle-check", "--scenario", sp, "--out", str(tmp_path)],
             capsys)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from blockmf import MeanFieldFlow
 from blockmf.cli import main
 from blockmf.errors import InvalidArgumentError
-from blockmf.experiments import tagged_colors
+from blockmf.experiments import final_group_counts
 from blockmf.rng import ORACLE_CHECK, substream
 from blockmf.scenario import load_scenario
 from conftest import reference_marginals, reference_oracle, run_blockmf_module
@@ -350,8 +350,9 @@ K3_ORACLE_SCEN = {
                          ids=["complete", "regular", "k3-tables"])
 def test_oracle_check_csv_matches_reference(tmp_path, capsys, scen):
     # the whole file against a reference built here: the exact law from
-    # the per-state assembly, the Monte Carlo column from the count farm,
-    # every node tagged, on the subcommand's own stream
+    # the per-state assembly, the Monte Carlo column from the count farm
+    # on the subcommand's own stream, each node's the mean colour
+    # fractions of its group
     sp = scen_path(tmp_path, scen, "oracle.json")
     code, _, err = run(["oracle-check", "--scenario", sp, "--out",
                         str(tmp_path)], capsys)
@@ -364,13 +365,14 @@ def test_oracle_check_csv_matches_reference(tmp_path, capsys, scen):
                                    np.asarray(inits)[graph.component],
                                    scen["horizon"])
     oracle_p = reference_marginals(probs, K, N)
-    final = tagged_colors(graph, spec, range(N), scen["horizon"], R,
-                          substream(scen["seed"], 0, 0, ORACLE_CHECK),
-                          inits=inits)
-    assert final.shape == (R, N)
-    counts = np.zeros((N, K))
-    np.add.at(counts, (np.arange(N), final), 1.0)
-    mc_p = counts / R
+    tables, counts = final_group_counts(
+        graph, spec, scen["horizon"], R,
+        substream(scen["seed"], 0, 0, ORACLE_CHECK), inits=inits)
+    assert counts.shape == (R, tables.n_groups, K)
+    group = {n: g for g, members in enumerate(tables.members)
+             for n in members}
+    mc_p = np.array([(counts[:, group[n]] / tables.sizes[group[n]]).mean(
+        axis=0) for n in range(N)])
     se = np.sqrt(oracle_p * (1.0 - oracle_p) / R)
     want = "node,color,oracle_p,mc_p,stderr\n" + "".join(
         f"{n},{z},{oracle_p[n, z]:.17g},{mc_p[n, z]:.17g},"
@@ -693,12 +695,14 @@ def test_flow_csv_rows_in_any_order_and_blank_lines(tmp_path, capsys):
     (_with_line_8("0,1,p,0,1_0"), "flow line 8"),
     (_with_line_8("0,1,p,0,1_0.5"), "flow line 8"),
     (_with_line_8("0,\u0661,p,0,0.5"), "flow line 8"),
+    # 2 * block + 1 wrapped in int64, and the row read as a repeat
+    (_with_line_8(f"0,{2 ** 62},p,0,0.5"), "flow line 8: expected"),
 ], ids=["class-x", "block-negative", "mass-not-numeric", "four-fields",
         "mass-nan", "class-pp", "comment-line", "duplicate-cell",
         "missing-cell", "three-colors", "one-block", "block-float",
         "color-exponent", "trailing-comma", "class-quoted", "class-ccc",
         "empty-fields", "class-nul", "underscore-int", "underscore-float",
-        "non-ascii-digit"])
+        "non-ascii-digit", "block-past-2-62"])
 def test_malformed_flow_csv_fails_closed(tmp_path, lines, needle):
     (tmp_path / "flow.csv").write_text("\n".join(lines) + "\n")
     scen = scen_path(tmp_path, {**SCEN, "flow_csv": "flow.csv"})
@@ -721,7 +725,9 @@ def test_carriage_return_inside_a_row_fails():
      "gamma must be numbers"),
     ("flow_csv", "row.csv", "flow line 8"),
     ("flow_csv", "header.csv", "unexpected flow header"),
-], ids=["huge-int", "long-list", "long-string", "long-row", "long-header"])
+    ("schema", "x" * 100_000, "scenario schema must be"),
+], ids=["huge-int", "long-list", "long-string", "long-row", "long-header",
+        "long-schema"])
 def test_refused_value_is_quoted_short(tmp_path, field, value, needle):
     # the error line quotes a long refused value cut to a few dozen
     # characters, not whole
@@ -730,6 +736,27 @@ def test_refused_value_is_quoted_short(tmp_path, field, value, needle):
     (tmp_path / "header.csv").write_text("t,block" + "x" * 10 ** 5 + "\n")
     scen = scen_path(tmp_path, {**SCEN, field: value})
     proc = run_blockmf_module(["validate", "--scenario", scen,
+                               "--out", str(tmp_path / "out")])
+    assert_fails_closed(proc, tmp_path / "out" / "cost.csv", needle)
+    assert len(proc.stderr) < 250, proc.stderr
+
+
+@pytest.mark.parametrize("content, needle", [
+    (b'{"schema": "blockmf/1", "seed": \xff}', "not UTF-8 text"),
+    (b'{"schema": "blockmf/1", "seed": ' + b"9" * 5000 + b"}",
+     "too long integer"),
+    (b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "too deeply"),
+    (None, "cannot read scenario"),
+], ids=["not-utf8", "int-past-str-limit", "deep-nesting", "directory"])
+def test_unreadable_scenario_fails_closed(tmp_path, content, needle):
+    # each ended in a traceback: UnicodeDecodeError, ValueError,
+    # RecursionError and IsADirectoryError
+    path = tmp_path / "scen.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    proc = run_blockmf_module(["validate", "--scenario", str(path),
                                "--out", str(tmp_path / "out")])
     assert_fails_closed(proc, tmp_path / "out" / "cost.csv", needle)
     assert len(proc.stderr) < 250, proc.stderr

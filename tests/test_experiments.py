@@ -143,14 +143,15 @@ def test_farm_counters_are_logged(caplog):
         small_lln()
         bm.multichaos_test(graph, spec, [(0, "c"), (1, "p")], 1.0, 6, 3,
                            inits=inits)
-    tables = GroupTables(graph, spec, tagged=[0, graph.peripheral_nodes(1)[0]])
+    tables = GroupTables(graph, spec)
     gen = bm.substream(3, bm.rng.MULTICHAOS)
     run = _count_farm(tables, experiments._start_counts(tables, inits, 6, gen),
                       1.0, gen)
     assert [m.split(":")[0] for m in caplog.messages] == [
-        "lln_experiment N=12", "lln_experiment N=24", "tagged_colors N=24"]
+        "lln_experiment N=12", "lln_experiment N=24",
+        "final_group_counts N=24"]
     assert caplog.messages[-1] == (
-        f"tagged_colors N=24: {run.lock_steps} lock-steps, "
+        f"final_group_counts N=24: {run.lock_steps} lock-steps, "
         f"{run.jumps} replica jumps")
     assert 0 < run.lock_steps <= run.jumps <= 6 * run.lock_steps
 
@@ -256,6 +257,20 @@ def test_resolve_tagged_rejects_what_is_no_request():
                            0.5, 10, 3, inits=[[0.6, 0.4]] * 4)
 
 
+def test_resolve_tagged_rejects_bad_node_ids():
+    graph = bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5)
+    for bad in ([0, 0], [3, 5, 3], [-1], [graph.n_total], [1.0], ["0"],
+                [True]):
+        with pytest.raises(bm.InvalidArgumentError, match="tagged"):
+            experiments.resolve_tagged(graph, bad)
+    assert experiments.resolve_tagged(graph, [np.int64(2)]) == [2]
+    # a refused value from outside is quoted short
+    for bad in (["x" * 100_000], [10 ** 5000], [("p" * 100_000, "c")]):
+        with pytest.raises(bm.InvalidArgumentError, match="tagged") as info:
+            experiments.resolve_tagged(graph, bad)
+        assert len(str(info.value)) < 200
+
+
 SIS2 = bm.sis_spec(2, gamma=[0.8, 1.1], nu=[0.5, 0.4], eta=0.6,
                    zeta=[0.9, 0.7])
 INITS2 = [[0.7, 0.3], [0.6, 0.4], [0.8, 0.2], [0.5, 0.5]]
@@ -319,6 +334,18 @@ def test_count_farm_tagged_law_matches_oracle():
         assert np.all(np.abs(joint.sum(axis=others) - p) <= 5 * marg_se)
 
 
+@pytest.mark.parametrize("N, exact", [(40, 0.02219), (80, 0.01175)])
+def test_multichaos_tv_matches_its_exact_value(N, exact):
+    # criterion 5's design, rates, horizon, replicas and seeds: the
+    # counts-based TV has a spread of about 0.0007 over seeds at 2,000
+    # replicas; the exact values come from the count chain's law
+    spec = bm.sis_spec(2, gamma=1.0, nu=3.0, eta=3.0, zeta=2.0)
+    _, _, tv = bm.multichaos_test(
+        bm.proportional_family(make_targets())(N), spec, [(0, "c"), (1, "p")],
+        3.0, 2000, (20260815, N), inits=[[0.75, 0.25]] * 4)
+    assert abs(tv - exact) <= 3 * 0.0007
+
+
 EXACT_LAW_DESIGNS = {
     # (design, rates, initial laws, T, node sets): nodes of one group, of
     # two groups, centrals with peripherals
@@ -359,26 +386,6 @@ def test_tagged_law_from_group_counts_is_exact(name):
                                    err_msg=str(nodes))
 
 
-def test_count_farm_is_pinned():
-    # a farm over tables split by two tagged nodes: its seeded grid counts
-    # and the tagged colours read from the singletons, pinned by sha256 of
-    # their bytes, and its work counters
-    graph = bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5)
-    tables = GroupTables(graph, bm.sis_spec(
-        2, gamma=[1.8, 2.1], nu=[1.5, 1.4], eta=1.6, zeta=[0.9, 0.7]),
-        tagged=[0, 3])
-    run, counts = experiments._farm_on_grid(
-        tables, INITS2, 2.0, 50, bm.substream(41, 0), np.linspace(0.0, 2.0, 5))
-    final = run.final[:, -2:].argmax(axis=2)
-    assert counts.shape == (50, 5, 8, 2) and final.dtype == np.int64
-    assert np.array_equal(counts[:, -1], run.final)
-    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
-        "4ce8156873409425e3d9241cf2bfee626ef63b3032c1581e3fe7a8509e28dc9c")
-    assert hashlib.sha256(final.tobytes()).hexdigest() == (
-        "560d85b9d1ea797730b23a74f074f60bf102b2a4ca787e4516dd6de9cd71f6f2")
-    assert (run.lock_steps, run.jumps) == (25, 662)
-
-
 @pytest.mark.parametrize("graph, digest", [
     (bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
      "dbb6fa3535916a3a790a4e857dede52ef360a4792d4d1523268677a7becb2a4d"),
@@ -402,10 +409,10 @@ def test_untagged_count_farm_is_pinned(graph, digest, record_steps,
 
 
 def oracle_design_farm(replicas):
-    """The oracle-check design with every node tagged, sis2 rates, and
-    iid starts with law INITS2."""
+    """The oracle-check design with sis2 rates and iid starts with law
+    INITS2."""
     graph = bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5)
-    tables = GroupTables(graph, SIS2, tagged=range(graph.n_total))
+    tables = GroupTables(graph, SIS2)
     gen = bm.substream(23, 1)
     start = experiments._start_counts(tables, INITS2, replicas, gen)
     return tables, start, 1.0, gen
@@ -426,17 +433,17 @@ def absorbed_farm():
 
 @pytest.mark.parametrize("farm, pins", [
     (lambda: oracle_design_farm(300), (
-        "7e4fc12fe16367e1e49899c79ee52d604ac23bf339dcf710df51c696a18793cc",
-        "5942acad66c2ee01da584e09fb81e0174f4011da8546f5389d292877b30510c6",
-        11, 1092)),
+        "d7dcd1b67f137cb3ce84d744a6d07e7da744ad6f566f7e82ea91a26a9f5e1de4",
+        "fd652031c4c20c5f0d8aa5dfdaf8abbe8f31cb3da78d3233b6ee03f4e7caef89",
+        12, 1026)),
     (absorbed_farm, (
         "460b0465a0c9b4b8df75fef8bcc70fff89b23f754c590458f98b2077cf68dab1",
         "77a1130b15075bb34a3a9722e1c4043777564b1f7c61d5a106aa4931bb1f31b1",
         62, 381)),
     (lambda: oracle_design_farm(1), (
-        "d81a5bc46af06ee82480cf3df863fe9d92b25750ba92012cd92cd9a2fd5fc404",
-        "6985493f9285b85e5124772d1665ea10219d978d48c85e8135b825d5de4af970",
-        3, 3)),
+        "91ac76ddcbf11a415c55602f05d2ebe18031c58865c9b344dc3008ec835def7a",
+        "1e0b62bbe6219ff969a5f870c8d2b090dca08f756dfe379663211884061fe503",
+        5, 5)),
 ], ids=["oracle-design", "absorbed", "one-replica"])
 def test_count_farm_with_stopping_replicas_is_pinned(farm, pins):
     # farms whose replicas stop at many different lock-steps (or at the
@@ -483,8 +490,8 @@ def initial_law_entry_points():
             spec, targets, inits, 1.0, 0.1),
         "sample_block_colors": lambda inits: bm.sample_block_colors(
             graph, inits, bm.substream(5)),
-        "tagged_colors": lambda inits: experiments.tagged_colors(
-            graph, spec, [0], 1.0, 4, bm.substream(5), inits=inits),
+        "final_group_counts": lambda inits: experiments.final_group_counts(
+            graph, spec, 1.0, 4, bm.substream(5), inits=inits),
         "lln_experiment": lambda inits: bm.lln_experiment(
             bm.proportional_family(targets), spec, targets, inits, 1.0, 11,
             [12], 4, 5),
@@ -526,10 +533,9 @@ def count_argument_calls():
         "lln_experiment-N_list": ("N_list entry",
                                   lambda v: lln(N_list=[v, 24])),
         "lln_experiment-replicas": ("replicas", lambda v: lln(replicas=v)),
-        "tagged_colors-replicas": ("replicas",
-                                   lambda v: experiments.tagged_colors(
-                                       graph, spec, [0], 1.0, v,
-                                       bm.substream(5), inits=inits)),
+        "final_group_counts-replicas": (
+            "replicas", lambda v: experiments.final_group_counts(
+                graph, spec, 1.0, v, bm.substream(5), inits=inits)),
         "multichaos_test-replicas": ("replicas",
                                      lambda v: bm.multichaos_test(
                                          graph, spec, [0, 1], 1.0, v, 5,

@@ -565,87 +565,6 @@ def test_group_tables_match_list_compile(builder):
                             for row, b in zip(own, b_own)]
 
 
-def affine_rates(tables, cnt):
-    """Every (group, edge) rate at the flat counts cnt, shape (G, E), from
-    the tables' arrays."""
-    GE = tables.n_groups * tables.n_edges
-    v = np.bincount(tables.row, tables.weight * cnt[tables.col],
-                    minlength=GE)
-    return np.maximum(tables.beta + v.reshape(tables.beta.shape), 0.0)
-
-
-def group_counts(tables, colors):
-    return np.array([np.bincount(colors[m], minlength=tables.K)
-                     for m in tables.members], dtype=float).ravel()
-
-
-SPLIT_DESIGNS = {
-    # (design, tagged): one central, two twins of one peripheral class,
-    # the two twins and a central, a central that empties its group, and
-    # every node, which empties every unsplit group
-    "central": (lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
-                lambda g: [g.central_nodes(1)[0]]),
-    "twins": (lambda: bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
-              lambda g: list(g.twin_classes[1])),
-    "twins-central": (
-        lambda: bm.build_regular_peripheral([(2, 4), (3, 6)], 0.5),
-        lambda g: [*g.twin_classes[2][:2], g.central_nodes(0)[1]]),
-    "emptied": (lambda: bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5),
-                lambda g: [0, g.peripheral_nodes(1)[0]]),
-    "complete": (lambda: bm.build_complete_peripheral([(2, 3), (3, 4)]),
-                 lambda g: [g.peripheral_nodes(0)[1], 0,
-                            g.peripheral_nodes(1)[0]]),
-    "all": (lambda: bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5),
-            lambda g: list(range(g.n_total))),
-}
-
-
-@pytest.mark.parametrize("family", [SIS, QUEUE3], ids=["sis", "queue3"])
-@pytest.mark.parametrize("name", SPLIT_DESIGNS)
-def test_split_tables_lump_exactly(name, family):
-    # tagged nodes as singleton groups: on random count states, for every
-    # unsplit group and edge, the parts' count-weighted rates add up to
-    # the unsplit tables' value
-    builder, pick = SPLIT_DESIGNS[name]
-    graph = builder()
-    tagged = pick(graph)
-    whole = GroupTables(graph, family)
-    split = GroupTables(graph, family, tagged=tagged)
-    G, m = whole.n_groups, len(tagged)
-    assert split.n_groups == G + m
-    assert split.members[G:] == [[n] for n in tagged]
-    group_of = {n: g for g, ms in enumerate(whole.members) for n in ms}
-    assert split.base == list(range(G)) + [group_of[n] for n in tagged]
-    assert split.sizes[:G].tolist() == [
-        len(ms) - sum(group_of[n] == g for n in tagged)
-        for g, ms in enumerate(whole.members)]
-    if name == "emptied":
-        assert split.sizes[0] == 0
-    if name == "all":
-        assert not split.sizes[:G].any()
-    src = np.array([z for z, _ in family.colors.edges])
-    gen = np.random.default_rng(5)
-    for _ in range(20):
-        colors = gen.integers(0, whole.K, graph.n_total)
-        cnt, cnt_split = group_counts(whole, colors), group_counts(split,
-                                                                    colors)
-        flow = cnt.reshape(G, -1)[:, src] * affine_rates(whole, cnt)
-        parts = (cnt_split.reshape(G + m, -1)[:, src]
-                 * affine_rates(split, cnt_split))
-        lumped = np.zeros_like(flow)
-        np.add.at(lumped, split.base, parts)
-        np.testing.assert_allclose(lumped, flow, rtol=1e-12, atol=0.0)
-
-
-def test_split_tables_reject_bad_tagged():
-    graph = bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5)
-    for bad in ([0, 0], [3, 5, 3], [-1], [graph.n_total], [1.0], ["0"],
-                [True]):
-        with pytest.raises(bm.InvalidArgumentError, match="tagged"):
-            GroupTables(graph, SIS, tagged=bad)
-    assert GroupTables(graph, SIS, tagged=[np.int64(2)]).tagged == (2,)
-
-
 def test_kernel_group_totals():
     graph = bm.build_complete_peripheral([(2, 3), (2, 3)])
     gen = np.random.default_rng(9)
@@ -873,8 +792,8 @@ def horizon_entry_points():
         "count_farm": lambda T: _count_farm(
             GroupTables(graph, SIS), [[[1, 1]] * 4], T, bm.substream(3)),
         "simulate": lambda T: bm.simulate(graph, SIS, [0] * 10, T, 3),
-        "tagged_colors": lambda T: experiments.tagged_colors(
-            graph, queue, [0], T, 2, bm.substream(3), inits=inits),
+        "final_group_counts": lambda T: experiments.final_group_counts(
+            graph, queue, T, 2, bm.substream(3), inits=inits),
         "multichaos_test": lambda T: bm.multichaos_test(
             graph, queue, [0, 4], T, 2, 3, inits=inits),
         "lln_experiment": lambda T: bm.lln_experiment(

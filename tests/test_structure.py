@@ -11,6 +11,10 @@ the package is given in `rates`: an integer in `_integer`, one real in
 `_real`, an array of reals in `_reals`. These tests read the package's
 syntax trees and fail when any of these spreads further.
 
+A tagged node's law is read off the group counts by one helper,
+`experiments.tagged_law`, for `multichaos_test` and `oracle-check`; no
+second chain splits tagged nodes out of their groups.
+
 A result type holds only what it measures: a value its arrays already
 hold (a block count, a replica count, a mean) is a property, not a
 field, so it cannot disagree with them.
@@ -83,6 +87,14 @@ def functions_calling(name):
 def test_count_farm_is_the_one_event_loop():
     assert functions_calling("standard_exponential") == {
         ("simulate.py", "_count_farm")}
+
+
+def test_tagged_laws_come_from_group_counts():
+    assert functions_calling("tagged_law") == {
+        ("experiments.py", "multichaos_test"), ("cli.py", "cmd_oracle_check")}
+    assert modules_referencing("tagged_law") == {"experiments.py", "cli.py"}
+    for gone in ("tagged_colors", "_unsplit_group"):
+        assert modules_referencing(gone) == set(), gone
 
 
 def test_initial_laws_are_checked_in_one_place():
