@@ -61,7 +61,7 @@ def _reject_unknown(obj, allowed, where):
     unknown = set(obj) - set(allowed)
     if unknown:
         raise InvalidConfigurationError(
-            f"unknown field(s) in {where}: {sorted(unknown)}"
+            f"unknown field(s) in {where}: {_quoted(sorted(unknown))}"
         )
 
 
@@ -237,7 +237,7 @@ class Scenario:
                 return RateSpec.from_json_obj(obj["spec"])
         raise InvalidConfigurationError(
             f"unknown rate model {_quoted(model)}; choose sis, queue or "
-            f"tables"
+            "tables"
         )
 
     def build_targets(self, graph=None):
@@ -296,7 +296,7 @@ def load_scenario(path) -> Scenario:
     except UnicodeDecodeError:
         raise InvalidConfigurationError("scenario is not UTF-8 text")
     except ValueError:  # an integer of more digits than int() reads
-        raise InvalidConfigurationError("scenario holds a too long integer")
+        raise InvalidConfigurationError("scenario has too long an integer")
     except RecursionError:
         raise InvalidConfigurationError("scenario JSON nests too deeply")
     if not isinstance(raw, dict):

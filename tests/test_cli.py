@@ -726,8 +726,9 @@ def test_carriage_return_inside_a_row_fails():
     ("flow_csv", "row.csv", "flow line 8"),
     ("flow_csv", "header.csv", "unexpected flow header"),
     ("schema", "x" * 100_000, "scenario schema must be"),
+    ("x" * 100_000, 1, "unknown field(s) in scenario"),
 ], ids=["huge-int", "long-list", "long-string", "long-row", "long-header",
-        "long-schema"])
+        "long-schema", "long-unknown-field"])
 def test_refused_value_is_quoted_short(tmp_path, field, value, needle):
     # the error line quotes a long refused value cut to a few dozen
     # characters, not whole
@@ -744,7 +745,7 @@ def test_refused_value_is_quoted_short(tmp_path, field, value, needle):
 @pytest.mark.parametrize("content, needle", [
     (b'{"schema": "blockmf/1", "seed": \xff}', "not UTF-8 text"),
     (b'{"schema": "blockmf/1", "seed": ' + b"9" * 5000 + b"}",
-     "too long integer"),
+     "too long an integer"),
     (b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "too deeply"),
     (None, "cannot read scenario"),
 ], ids=["not-utf8", "int-past-str-limit", "deep-nesting", "directory"])
