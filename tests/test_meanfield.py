@@ -323,6 +323,24 @@ def test_rk4_matches_stepwise_reference(model, steps, request):
     assert np.array_equal(got.values, want)
 
 
+@pytest.mark.parametrize("dt", [0.004, 5e-4])
+@pytest.mark.parametrize("model", ["sis2", "queue6"])
+def test_limit_flows_conserve_mass(model, dt, request):
+    # the generator moves mass between colours and creates none, so each
+    # component's mass is a linear invariant that RK4 keeps to roundoff;
+    # at the fine grid a drift would first trip the variational norm's
+    # net-mass test and turn the cost of the solver's own flow infinite
+    spec, targets, inits = (request.getfixturevalue("sis2")
+                            if model == "sis2" else queue6_model())
+    direct = bm.solve_mckean_vlasov(spec, targets, inits, 5.0, dt)
+    fixed, _ = bm.picard_iterate(spec, targets, inits, 5.0, dt)
+    for flow in (direct, fixed):
+        assert np.abs(flow.values.sum(axis=2) - 1.0).max() <= 1e-12
+    cost = bm.variational_cost(direct, targets, spec)
+    assert cost.infinite == 0
+    assert cost.total <= 1e-5
+
+
 @pytest.mark.parametrize("zeta, row", [(280.0, 156), (279.0, 406)])
 def test_rk4_overflow_raises(sis2, zeta, row):
     # a stiff cure rate (dt * zeta about 2.8, past RK4's stability edge)
