@@ -31,8 +31,10 @@ def _setup_logging():
     levels = {"error": logging.ERROR, "info": logging.INFO,
               "debug": logging.DEBUG}
     if name not in levels:
+        from .rates import _quoted
+
         raise InvalidConfigurationError(
-            f"BLOCKMF_LOG must be one of {sorted(levels)}, got {name!r}"
+            f"BLOCKMF_LOG must be one of {sorted(levels)}, got {_quoted(name)}"
         )
     logging.basicConfig(level=levels[name],
                         format="%(levelname)s %(name)s: %(message)s")

@@ -31,8 +31,8 @@ from .graph import CENTRAL, BlockGraph, ProportionTargets, \
     _component_of, build_complete_peripheral
 from .meanfield import solve_mckean_vlasov
 from .metrics import d_bl_of_differences
-from .rates import _check_horizon, _integer, _is_integer, _quoted, \
-    initial_laws
+from .rates import _check_entries, _check_horizon, _integer, _is_integer, \
+    _quoted, initial_laws
 from .rng import CHAOS, MULTICHAOS, substream
 from .simulate import FarmRun, GroupTables, _check_grid, _count_farm, _land
 from .tables import write_table
@@ -192,6 +192,7 @@ def _start_counts(tables: GroupTables, inits, replicas: int, gen):
     inits[2*block + class], shape (replicas, G, K): one multinomial per
     group."""
     law = initial_laws(inits, tables.graph.r, tables.K)
+    _check_entries(replicas * tables.n_groups * tables.K, "replicas")
     return gen.multinomial(tables.sizes, law[tables.component],
                            size=(replicas, tables.n_groups))
 
@@ -203,6 +204,7 @@ def _farm_on_grid(tables: GroupTables, inits, T: float, replicas: int, gen,
     passed), shape (replicas, len(grid), G, K): the state after the last
     jump at or before that time, landed from the farm's jump record."""
     G, K = tables.n_groups, tables.K
+    _check_entries(replicas * (grid.size + 1) * G * K, "replicas x grid")
     start = _start_counts(tables, inits, replicas, gen)
     landed = np.zeros((replicas, grid.size + 1, G * K), dtype=np.int64)
 
@@ -232,10 +234,16 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
     N_list = [_integer(n, "N_list entry") for n in N_list]
     if N_list != sorted(set(N_list)):
         raise InvalidArgumentError("N_list must be strictly increasing")
-    if _integer(replicas, "replicas") < 2:
+    replicas = _integer(replicas, "replicas")
+    if replicas < 2:
         raise InvalidArgumentError("need at least 2 replicas")
     T = _check_horizon(T)
-    grid_times = _check_grid(np.linspace(0.0, T, _integer(grid, "grid")), T)
+    grid = _integer(grid, "grid")
+    if grid < 1:
+        raise InvalidArgumentError("need at least 1 grid point")
+    _check_entries(grid, "grid")
+    _check_entries(len(N_list) * replicas, "replicas")
+    grid_times = _check_grid(np.linspace(0.0, T, grid), T)
     flow = solve_mckean_vlasov(spec, targets, inits, T, dt)
     flow_grid = np.stack([flow.at(t) for t in grid_times])
     seed_path = _seed_path(seed)
@@ -298,7 +306,8 @@ def final_group_counts(graph: BlockGraph, spec, T, replicas, gen, *,
     class], shape (replicas, G, K). All runs are one count farm drawing
     from `gen`; its lock-steps and replica jumps are logged on
     `blockmf.experiments` at debug level."""
-    if _integer(replicas, "replicas") < 1:
+    replicas = _integer(replicas, "replicas")
+    if replicas < 1:
         raise InvalidArgumentError("need at least 1 replica")
     tables = GroupTables(graph, spec)
     run = _count_farm(tables, _start_counts(tables, inits, replicas, gen),

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .graph import ProportionTargets
 from .rates import (
+    _check_entries,
     _check_horizon,
     _integer,
     _real,
@@ -52,8 +53,9 @@ __all__ = [
 @dataclass
 class MeanFieldFlow:
     """Measure vector on a uniform time grid; values[t, g, z] with
-    g = 2*block + class. Raw values may carry O(1e-16) negatives from
-    the integrator; accessors clip reads at zero."""
+    g = 2*block + class. Accessors clip reads at zero: RK4 can undershoot
+    a colour near zero by roundoff, and a flow read from `flow_csv` may
+    hold any value."""
 
     times: np.ndarray
     values: np.ndarray  # (n_times, 2r, K)
@@ -172,29 +174,14 @@ def flow_drift(flow: MeanFieldFlow, spec, targets) -> np.ndarray:
     return out.reshape(flow.values.shape)
 
 
-# most float64 grid points numpy can hold in one array (bytes fit in intp)
-_MAX_POINTS = np.iinfo(np.intp).max // 8
-
-
 def _grid(T, dt):
     T, dt = _check_horizon(T), _real(dt, "dt")
     if T == 0 or not 0 < dt < math.inf:
         raise InvalidArgumentError(
             f"need T > 0 and 0 < dt < inf, got T={T}, dt={dt}")
-    if not T / dt < _MAX_POINTS - 1:
-        raise InvalidArgumentError(
-            f"T/dt = {T / dt:.3g} grid steps; numpy holds at most "
-            f"{_MAX_POINTS - 1} in one array"
-        )
+    _check_entries(T / dt + 1, "T/dt grid steps")
     n = max(1, int(math.ceil(T / dt - 1e-9)))
     return np.linspace(0.0, T, n + 1), T / n
-
-
-def _renormalize(y: np.ndarray, K: int):
-    """Subtract each component's mass drift in place; y holds whole
-    components of K colours, in any contiguous shape."""
-    comps = y.reshape(-1, K)
-    comps -= ((comps.sum(axis=1) - 1.0) / K)[:, None]
 
 
 _STEP_CHUNK = 256  # grid steps per finiteness check; per propagator batch
@@ -204,10 +191,11 @@ _SUB_BLOCK = 16  # grid steps per running product of the Picard sweep
 def solve_mckean_vlasov(spec, targets: ProportionTargets, init, T, dt,
                         ) -> MeanFieldFlow:
     """Classical RK4 on the coupled system; dt is shrunk if needed so the
-    grid lands exactly on T. Mass drift is subtracted after every step
-    (it is zero up to roundoff — the generator preserves mass). The
-    output is checked for non-finite values _STEP_CHUNK steps at a time;
-    the error names the first non-finite grid point."""
+    grid lands exactly on T. Each component's mass is a linear invariant
+    of the forward equation, which RK4 keeps up to roundoff, so no
+    projection follows a step. The output is checked for non-finite
+    values _STEP_CHUNK steps at a time; the error names the first
+    non-finite grid point."""
     field = _VectorField(spec, targets)
     r, K = field.r, field.K
     times, dt = _grid(T, dt)
@@ -239,7 +227,6 @@ def solve_mckean_vlasov(spec, targets: ProportionTargets, init, T, dt,
                 k1 += k4
                 k1 *= sixth
                 np.add(y, k1, out=out[i + 1])
-                _renormalize(out[i + 1], K)
             finite = np.isfinite(out[a + 1:b + 1]).all(axis=1)
             if not finite.all():
                 t = times[a + 1 + np.argmin(finite)]
@@ -265,8 +252,9 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
     as a blocked prefix product: each run of _SUB_BLOCK steps is folded
     in place into its running products (_SUB_BLOCK - 1 matmuls batched
     over the chunk's sub-blocks), then one product per sub-block carries
-    the state from its first grid point to the rest. The mass drift is
-    subtracted once from the output."""
+    the state from its first grid point to the rest. The generators'
+    columns sum to zero, so every P keeps each component's mass up to
+    roundoff."""
     n1 = frozen.shape[0]
     r, K = field.r, field.K
     flat = frozen.reshape(n1, 2 * r * K)
@@ -321,7 +309,6 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
             if not np.all(np.isfinite(out[a + 1:b + 1])):
                 raise NumericalBlowupError(
                     "non-finite flow in fixed-point sweep")
-    _renormalize(out[1:], K)
     return out
 
 

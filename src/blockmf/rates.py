@@ -109,6 +109,21 @@ def _integer(value, what) -> int:
     return int(value)
 
 
+# most 8-byte entries numpy can hold in one array (bytes fit in intp)
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
+
+def _check_entries(n, what):
+    """Raise InvalidArgumentError unless numpy can shape an array of n
+    8-byte entries; past that it raises a bare ValueError or IndexError.
+    A count that sizes arrays is checked at the first and largest of
+    them; a smaller one still too large to allocate is a MemoryError."""
+    if not n <= _MAX_ENTRIES:
+        raise InvalidArgumentError(
+            f"{what}: an array of {_quoted(n)} entries; numpy holds at "
+            f"most {_MAX_ENTRIES} in one array")
+
+
 def _is_real(value) -> bool:
     return (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool))

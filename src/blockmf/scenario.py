@@ -25,6 +25,7 @@ from .graph import (
 )
 from .rates import (
     RateSpec,
+    _check_entries,
     _integer,
     _is_integer,
     _quoted,
@@ -84,6 +85,8 @@ def _number(name, value):
     integer, bound, _ = _NUMBERS[name]
     try:
         value = _integer(value, name) if integer else _real(value, name)
+        if name in ("grid", "replicas"):  # each sizes arrays
+            _check_entries(value, name)
     except ValidationError as exc:
         raise InvalidConfigurationError(str(exc)) from None
     if integer and value < bound:

@@ -3,9 +3,11 @@ import copy
 import importlib
 import io
 import json
+import math
 import resource
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +387,11 @@ def test_log_level_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BLOCKMF_LOG", "loud")
     code, _, err = run(["validate", "--scenario", sp], capsys)
     assert code == 1 and "BLOCKMF_LOG" in err
+    # a long value is quoted short: 5,000 characters made a 5,069-byte line
+    monkeypatch.setenv("BLOCKMF_LOG", "x" * 5000)
+    code, _, err = run(["validate", "--scenario", sp], capsys)
+    assert code == 1 and err.startswith("error: BLOCKMF_LOG must be one of")
+    assert len(err.splitlines()) == 1 and len(err) < 250, err
     monkeypatch.setenv("BLOCKMF_LOG", "info")
     code, _, _ = run(["validate", "--scenario", sp], capsys)
     assert code == 0
@@ -586,11 +593,13 @@ def _cap_address_space():
     ("chaos", "replicas", 10 ** 12, "convergence.csv"),
     ("multichaos", "replicas", 10 ** 12, "multichaos.csv"),
     ("chaos", "grid", 10 ** 11, "convergence.csv"),
+    ("simulate", "grid", 10 ** 11, "trajectory.csv"),
     ("meanfield", "dt", 1e-13, "flow.csv"),
     ("meanfield", "rates", {"model": "queue", "colors": 10 ** 5, "zeta": 1.0,
                             "vartheta": 0.5, "c0": 0.4}, "flow.csv"),
 ], ids=["oracle-check-replicas", "chaos-replicas", "multichaos-replicas",
-        "chaos-grid", "meanfield-dt", "meanfield-queue-colors"])
+        "chaos-grid", "simulate-grid", "meanfield-dt",
+        "meanfield-queue-colors"])
 def test_huge_sizes_fail_closed(tmp_path, sub, field, value, artifact):
     # each size asks numpy for one array of 149 GiB to 73 TiB, which
     # fails at once: one error line, no traceback, no artifact
@@ -607,15 +616,31 @@ def test_huge_sizes_fail_closed(tmp_path, sub, field, value, artifact):
     ("picard", "horizon", 1e300, "flow_picard.csv"),
     ("chaos", "horizon", 1e300, "convergence.csv"),
     ("ldp-cost", "dt", 1e-300, "cost.csv"),
+    ("chaos", "replicas", 2 ** 62, "convergence.csv"),
+    ("chaos", "replicas", 2 ** 63, "convergence.csv"),
+    ("multichaos", "replicas", 2 ** 62, "multichaos.csv"),
+    ("multichaos", "replicas", 2 ** 63, "multichaos.csv"),
+    ("oracle-check", "replicas", 2 ** 62, "oracle_check.csv"),
+    ("oracle-check", "replicas", 2 ** 63, "oracle_check.csv"),
+    ("chaos", "grid", 2 ** 61, "convergence.csv"),
+    ("chaos", "grid", 2 ** 63, "convergence.csv"),
+    ("simulate", "grid", 2 ** 61, "trajectory.csv"),
+    ("simulate", "grid", 2 ** 63, "trajectory.csv"),
+    ("chaos", "--grid", 2 ** 63, "convergence.csv"),
+    ("simulate", "--grid", 2 ** 63, "trajectory.csv"),
 ])
 def test_time_grid_past_numpy_fails_closed(tmp_path, sub, field, value,
                                            artifact):
-    # a step count T/dt that no numpy array can hold is bad input
-    scen = scen_path(tmp_path, {**SCEN, field: value})
+    # a step count T/dt, or a replica or grid count, that no numpy array
+    # can hold is bad input; the counts ended in numpy's ValueError or
+    # IndexError
+    flags = [field, str(value)] if field.startswith("--") else []
+    scen = scen_path(tmp_path, SCEN if flags else {**SCEN, field: value})
     proc = run_blockmf_module([sub, "--scenario", scen,
-                               "--out", str(tmp_path / "out")],
+                               "--out", str(tmp_path / "out"), *flags],
                               preexec_fn=_cap_address_space)
-    assert_fails_closed(proc, tmp_path / "out" / artifact, "grid steps")
+    needle = "grid steps" if field in ("horizon", "dt") else field.lstrip("-")
+    assert_fails_closed(proc, tmp_path / "out" / artifact, needle)
 
 
 def _flow_lines(r=2, K=2):
@@ -903,3 +928,61 @@ def test_numeric_leaf_that_is_not_a_number_fails_closed(tmp_path, name,
             assert len(lines) == 1 and lines[0].startswith("error: "), \
                 (sub, path, bad, err)
             assert not (tmp_path / "out").exists()
+
+
+# Item alphabet of the property gate below: a deleted key, the JSON
+# scalars that are no valid number, counts past what numpy can shape,
+# and containers where a scalar belongs
+GATE_VALUES = [DELETE, None, True, "x", "x" * 300, math.nan, math.inf, 1e308,
+               2 ** 62, -2 ** 62, 2 ** 63, -2 ** 63, [], [[0.5, 0.5]], {}]
+GATE_FLOW_FILES = {
+    "scen.json": json.dumps({**SCEN, "flow_csv": "flow.csv"}).encode(),
+    "flow.csv": ("\n".join(_flow_lines()) + "\n").encode(),
+}
+GATE_CASES = st.one_of(
+    # the limit subcommands read every section
+    st.tuples(st.just(("validate", "meanfield")),
+              st.sampled_from(list(_paths(SCEN))),
+              st.sampled_from(GATE_VALUES)),
+    # the particle subcommands, on the counts that size their arrays
+    st.tuples(st.just(("chaos", "multichaos", "oracle-check", "simulate")),
+              st.sampled_from([("replicas",), ("grid",)]),
+              st.sampled_from(GATE_VALUES)),
+    # ldp-cost on raw bytes of its scenario and of its flow_csv
+    st.tuples(st.just(("ldp-cost",)), st.sampled_from(sorted(GATE_FLOW_FILES)),
+              st.lists(st.tuples(st.integers(0, 10 ** 4),
+                                 st.integers(0, 255)),
+                       min_size=1, max_size=3)),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(case=GATE_CASES)
+def test_mutated_input_runs_or_fails_closed(tmp_path_factory, case):
+    # the fail-closed contract: exit 0 with nothing on stderr, or exit 1
+    # (2 for a numerical failure) with one short `error:` (`numerical
+    # error:`) line; no exception and no warning escapes
+    subs, where, change = case
+    tmp = tmp_path_factory.mktemp("gate")
+    if subs == ("ldp-cost",):
+        for name, content in GATE_FLOW_FILES.items():
+            data = bytearray(content)
+            if name == where:
+                for pos, byte in change:
+                    data[pos % len(data)] = byte
+            (tmp / name).write_bytes(bytes(data))
+        sp = str(tmp / "scen.json")
+    else:
+        sp = scen_path(tmp, _mutated(where, change, SCEN))
+    for sub in subs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_main(sp, sub, tmp)
+        assert not caught, (sub, [str(w.message) for w in caught])
+        if code == 0:
+            assert err == "", (sub, err)
+            continue
+        prefix = {1: "error: ", 2: "numerical error: "}[code]
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), (sub, err)
+        assert len(lines[0]) < 300, (sub, err)

@@ -556,6 +556,20 @@ def test_count_arguments_take_true_integers(call, value):
         run(value)
 
 
+@pytest.mark.parametrize("call, value", [
+    ("lln_experiment-grid", -1),
+    ("lln_experiment-grid", 2 ** 63),
+    ("lln_experiment-replicas", 2 ** 63),
+    ("final_group_counts-replicas", 2 ** 63),
+    ("multichaos_test-replicas", 2 ** 63),
+])
+def test_count_arguments_past_numpy_fail_closed(call, value):
+    # each escaped as numpy's bare ValueError or IndexError
+    name, run = count_argument_calls()[call]
+    with pytest.raises(bm.InvalidArgumentError, match=name.split()[0]):
+        run(value)
+
+
 def seed_calls():
     """Call on a seed for each library entry point that takes one."""
     targets = make_targets()

@@ -230,6 +230,48 @@ def test_variational_norm_two_components_add_up():
         assert bm.variational_norm(moved, mu, lam, cg) == math.inf
 
 
+@pytest.mark.parametrize("force", ["batched-solve-fails",
+                                   "every-solve-fails",
+                                   "first-step-downhill"])
+def test_newton_fallbacks_reach_the_same_value(monkeypatch, force):
+    # the ascent's fallbacks, forced through `np.linalg.solve`: one solve
+    # per row after the batched solve fails, lstsq when a row's solve
+    # fails too, and the steepest-ascent step when a Newton step points
+    # downhill; each must land on the unforced value
+    import blockmf.ldp as ldp
+
+    cg = bm.ColorGraph(4, [(z, zp) for z in range(4) for zp in range(4)
+                           if z != zp])
+    mu = np.array([0.1, 0.2, 0.3, 0.4])
+    lam = np.linspace(0.3, 2.5, cg.n_edges)
+    theta = np.array([0.15, -0.05, -0.2, 0.1])
+    want = bm.variational_norm(theta, mu, lam, cg)
+    solve, lstsq = np.linalg.solve, np.linalg.lstsq
+    seen = []
+
+    def forced_solve(a, b):
+        seen.append(("solve", np.ndim(a)))
+        if force == "first-step-downhill":
+            step = solve(a, b)
+            return -step if len(seen) == 1 else step
+        if np.ndim(a) == 3 or force == "every-solve-fails":
+            raise np.linalg.LinAlgError("forced")
+        return solve(a, b)
+
+    def spied_lstsq(a, b, rcond):
+        seen.append(("lstsq", np.ndim(a)))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(ldp.np.linalg, "solve", forced_solve)
+    monkeypatch.setattr(ldp.np.linalg, "lstsq", spied_lstsq)
+    got = bm.variational_norm(theta, mu, lam, cg)
+    assert want > 0.0 and abs(got - want) <= 1e-12
+    per_row = {"batched-solve-fails": ("solve", 2),
+               "every-solve-fails": ("lstsq", 2),
+               "first-step-downhill": ("solve", 3)}[force]
+    assert per_row in seen
+
+
 # --------------------------------------------------------------------------
 # perturbed rates and the Legendre form
 

@@ -199,9 +199,8 @@ def test_grid_names_a_bad_horizon_or_step(sis2, solver, T, dt, match):
 
 
 def stepwise_frozen_solve(field, frozen, y0, dt):
-    """One sweep as a plain RK4 loop with a `drift` call per stage and the
-    mass renormalised after every step: the reference the batched sweep
-    must reproduce."""
+    """One sweep as a plain RK4 loop with a `drift` call per stage: the
+    reference the batched sweep must reproduce."""
     n1 = frozen.shape[0]
     r, K = field.r, field.K
     flat = frozen.reshape(n1, 2 * r * K)
@@ -227,9 +226,7 @@ def stepwise_frozen_solve(field, frozen, y0, dt):
         if not np.all(np.isfinite(y)):
             raise bm.NumericalBlowupError("non-finite flow in fixed-point "
                                           "sweep")
-        comps = y.reshape(2 * r, K)
-        comps -= ((comps.sum(axis=1) - 1.0) / K)[:, None]
-        out[i + 1] = comps
+        out[i + 1] = y.reshape(2 * r, K)
     return out
 
 
@@ -277,9 +274,9 @@ def test_frozen_sweep_matches_stepwise_reference(model, steps, request):
 
 
 def stepwise_mckean_vlasov(spec, targets, inits, T, dt):
-    """RK4 as a plain loop, one `rates` and one `drift` call per stage, the
-    finiteness checked and the mass renormalised after every step: the
-    reference the solver must reproduce bit for bit."""
+    """RK4 as a plain loop, one `rates` and one `drift` call per stage and
+    the finiteness checked after every step: the reference the solver
+    must reproduce bit for bit."""
     from blockmf.meanfield import _grid
 
     field = _VectorField(spec, targets)
@@ -302,9 +299,7 @@ def stepwise_mckean_vlasov(spec, targets, inits, T, dt):
                 raise bm.NumericalBlowupError(
                     f"non-finite flow at t={times[i + 1]:.6g}", t=times[i + 1]
                 )
-            comps = y.reshape(2 * r, K)
-            comps -= ((comps.sum(axis=1) - 1.0) / K)[:, None]
-            out[i + 1] = comps
+            out[i + 1] = y.reshape(2 * r, K)
     return times, out
 
 
