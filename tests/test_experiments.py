@@ -566,7 +566,7 @@ def test_count_arguments_take_true_integers(call, value):
 def test_count_arguments_past_numpy_fail_closed(call, value):
     # each escaped as numpy's bare ValueError or IndexError
     name, run = count_argument_calls()[call]
-    with pytest.raises(bm.InvalidArgumentError, match=name.split()[0]):
+    with pytest.raises(bm.InvalidArgumentError, match=name):
         run(value)
 
 
