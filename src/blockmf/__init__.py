@@ -36,7 +36,7 @@ _EXPORTS = {
     ),
     "experiments": (
         "ConvergenceReport", "lln_experiment", "multichaos_test",
-        "proportional_family", "sample_block_colors",
+        "proportional_family",
     ),
     "graph": (
         "CENTRAL", "PERIPHERAL", "BlockGraph", "ProportionTargets",
@@ -63,7 +63,8 @@ _EXPORTS = {
     "scenario": ("Scenario", "load_scenario"),
     "simulate": (
         "EmpiricalSeries", "LocalMeasure", "SystemState", "Trajectory",
-        "empirical_process", "local_empirical", "simulate",
+        "empirical_process", "local_empirical", "sample_block_colors",
+        "simulate",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -53,7 +53,7 @@ def _build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--out", help="output directory (overrides scenario)")
+        p.add_argument("--out", help="output directory (default: .)")
         p.add_argument("--seed", type=int,
                        help="master seed (overrides scenario)")
         p.add_argument("--threads", type=int,
@@ -81,7 +81,7 @@ def _resolve(args, *, need_seed=True):
         )
     if args.threads < 1:
         raise InvalidConfigurationError("--threads must be >= 1")
-    return sc, seed, args.out or sc.out or "."
+    return sc, seed, args.out or "."
 
 
 def _write(out_dir, name, write, *args):
@@ -131,8 +131,9 @@ def _n_list_sizes(sc, targets):
     n_list, found without building the graphs."""
     from .experiments import proportional_sizes
 
+    n_list = sc.n_list  # names itself when refused
     try:
-        return [proportional_sizes(targets, N) for N in sc.n_list]
+        return [proportional_sizes(targets, N) for N in n_list]
     except ValidationError as exc:
         raise InvalidConfigurationError(f"n_list: {exc}") from None
 
@@ -199,9 +200,8 @@ def cmd_validate(args):
 
 
 def cmd_simulate(args):
-    from .experiments import sample_block_colors
     from .rng import SIMULATE, substream
-    from .simulate import empirical_process, simulate
+    from .simulate import empirical_process, sample_block_colors, simulate
 
     sc, seed, out_dir = _resolve(args)
     graph, spec, inits = _particle_model(sc)

@@ -44,7 +44,6 @@ __all__ = [
     "proportional_family",
     "proportional_sizes",
     "resolve_tagged",
-    "sample_block_colors",
     "lln_experiment",
     "final_group_counts",
     "tagged_law",
@@ -171,15 +170,6 @@ def proportional_family(targets: ProportionTargets):
         return build_complete_peripheral(proportional_sizes(targets, N))
 
     return build
-
-
-def sample_block_colors(graph: BlockGraph, inits, gen) -> np.ndarray:
-    """iid initial colors, one distribution per component 2*block+class,
-    from one gen.random(N) draw: a node's colour is the number of entries
-    of its law's cdf at or below its uniform."""
-    cdf = np.cumsum(initial_laws(inits, graph.r), axis=1)[graph.component]
-    u = gen.random(len(cdf))
-    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
 
 
 def _seed_path(seed):

@@ -30,7 +30,7 @@ from .errors import (
     InvalidConfigurationError,
     WrongClassError,
 )
-from .rates import _integer, _is_integer, _reals
+from .rates import _check_entries, _integer, _is_integer, _quoted, _reals
 
 CENTRAL, PERIPHERAL = 0, 1
 CLASS_LABELS = ("c", "p")  # each class's label in CSVs and scenarios
@@ -104,6 +104,7 @@ class BlockGraph:
         self.r = len(sizes)
         self.block_sizes = tuple(sizes)
         self.n_total = sum(nc + npp for nc, npp in sizes)
+        _check_entries(self.n_total, "graph node count")
 
         # component g holds nodes _bounds[g] .. _bounds[g + 1] - 1
         self._bounds = (0, *np.cumsum(np.ravel(sizes)).tolist())
@@ -274,7 +275,7 @@ class BlockGraph:
         unknown = set(obj) - {"blocks", "peripheral_edges"}
         if unknown:
             raise InvalidConfigurationError(
-                f"unknown graph fields: {sorted(unknown)}"
+                f"unknown graph fields: {_quoted(sorted(unknown))}"
             )
         try:
             blocks = [(b["central"], b["peripheral"]) for b in obj["blocks"]]

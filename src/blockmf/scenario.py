@@ -3,6 +3,8 @@
 Fail-closed: the "schema" field must read "blockmf/1" and every field
 must be known — typos are errors, not silently ignored knobs. The seed
 never defaults to the clock; it comes from the file or the --seed flag.
+A scenario is one self-contained document: it names no file except
+`flow_csv`, and where artifacts go is the --out flag's alone.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ _NUMBERS = {
     "picard_max_iter": (True, 1, 50),
 }
 
-_TOP_FIELDS = {"schema", "out", "graph", "rates", "targets", "init", "tagged",
+_TOP_FIELDS = {"schema", "graph", "rates", "targets", "init", "tagged",
                "flow_csv", *_NUMBERS}
 
 
@@ -85,7 +87,7 @@ def _number(name, value):
     integer, bound, _ = _NUMBERS[name]
     try:
         value = _integer(value, name) if integer else _real(value, name)
-        if name in ("grid", "replicas"):  # each sizes arrays
+        if name in ("grid", "replicas", "n_list"):  # each sizes arrays
             _check_entries(value, name)
     except ValidationError as exc:
         raise InvalidConfigurationError(str(exc)) from None
@@ -107,7 +109,6 @@ class Scenario:
 
     raw: dict
     base_dir: str
-    path: str
 
     def number(self, name, default=None):
         """The numeric field `name` of _NUMBERS, checked as its entry says;
@@ -118,10 +119,6 @@ class Scenario:
         if default is None:
             raise InvalidConfigurationError(f"scenario needs {name}")
         return default
-
-    @property
-    def out(self):
-        return self.raw.get("out")
 
     @property
     def n_list(self):
@@ -142,7 +139,13 @@ class Scenario:
         v = self.raw.get("flow_csv")
         if v is None:
             return None
-        return self._resolve_file(v, "flow_csv")
+        if not isinstance(v, str):
+            raise InvalidConfigurationError("flow_csv must be a path string")
+        path = os.path.join(self.base_dir, v)
+        if not os.path.isfile(path):
+            raise InvalidConfigurationError(
+                f"flow_csv file not found: {path}")
+        return path
 
     def tagged(self, r: int):
         """Tagged-node requests for the joint-law test; defaults to the
@@ -172,14 +175,6 @@ class Scenario:
 
     # --- section builders ----------------------------------------------
 
-    def _resolve_file(self, rel, name):
-        if not isinstance(rel, str):
-            raise InvalidConfigurationError(f"{name} must be a path string")
-        path = os.path.join(self.base_dir, rel)
-        if not os.path.isfile(path):
-            raise InvalidConfigurationError(f"{name} file not found: {path}")
-        return path
-
     def build_graph(self):
         obj = self.raw.get("graph")
         if obj is None:
@@ -187,10 +182,6 @@ class Scenario:
         if not isinstance(obj, dict):
             raise InvalidConfigurationError("graph must be a JSON object")
         with _section("graph"):
-            if "file" in obj:
-                _reject_unknown(obj, {"file"}, "graph")
-                with open(self._resolve_file(obj["file"], "graph")) as fp:
-                    return BlockGraph.from_json_obj(json.load(fp))
             if "complete_blocks" in obj:
                 _reject_unknown(obj, {"complete_blocks"}, "graph")
                 return build_complete_peripheral(
@@ -206,24 +197,13 @@ class Scenario:
                 )
             return BlockGraph.from_json_obj(obj)
 
-    def build_rates(self, obj=None):
-        if obj is None:
-            obj = self.raw.get("rates")
+    def build_rates(self):
+        obj = self.raw.get("rates")
         if obj is None:
             raise InvalidConfigurationError("scenario needs a rates section")
         if not isinstance(obj, dict):
             raise InvalidConfigurationError("rates must be a JSON object")
         with _section("rates"):
-            if "file" in obj:
-                _reject_unknown(obj, {"file"}, "rates")
-                with open(self._resolve_file(obj["file"], "rates")) as fp:
-                    inner = json.load(fp)
-                # one level deep, as graph files are
-                if isinstance(inner, dict) and "file" in inner:
-                    raise InvalidConfigurationError(
-                        "a rates file may not name another file"
-                    )
-                return self.build_rates(inner)
             model = obj.get("model")
             if model == "sis":
                 _reject_unknown(obj, {"model", "r", "gamma", "nu", "eta",
@@ -310,4 +290,4 @@ def load_scenario(path) -> Scenario:
             f"{_quoted(raw.get('schema'))}"
         )
     _reject_unknown(raw, _TOP_FIELDS, "scenario")
-    return Scenario(raw, os.path.dirname(os.path.abspath(path)), str(path))
+    return Scenario(raw, os.path.dirname(os.path.abspath(path)))

@@ -35,7 +35,8 @@ from .errors import (
     NumericalBlowupError,
 )
 from .graph import CENTRAL, PERIPHERAL, BlockGraph, neighborhood_proportions
-from .rates import _check_horizon, affine_rows, as_block_rates
+from .rates import _check_horizon, affine_rows, as_block_rates, \
+    initial_laws
 from .tables import write_series, write_table
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "LocalMeasure",
     "EmpiricalSeries",
     "local_empirical",
+    "sample_block_colors",
     "simulate",
     "empirical_process",
 ]
@@ -374,6 +376,15 @@ def _group_tables(graph: BlockGraph, family) -> GroupTables:
     if last is None or last[0] != key:
         last = _last_tables = (key, GroupTables(graph, family))
     return last[1]
+
+
+def sample_block_colors(graph: BlockGraph, inits, gen) -> np.ndarray:
+    """iid initial colors, one distribution per component 2*block+class,
+    from one gen.random(N) draw: a node's colour is the number of entries
+    of its law's cdf at or below its uniform."""
+    cdf = np.cumsum(initial_laws(inits, graph.r), axis=1)[graph.component]
+    u = gen.random(len(cdf))
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), cdf.shape[1] - 1)
 
 
 def simulate(graph: BlockGraph, spec, init, T: float, seed) -> Trajectory:

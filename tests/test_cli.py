@@ -469,22 +469,14 @@ def assert_fails_closed(proc, artifact, needle):
     assert not artifact.exists()
 
 
-# Files for the cases below. Each graph file is a valid two-block
-# complete design once its one non-integer field is truncated; the rates
-# file names itself.
+# A two-block complete design in the inline graph form; two cases below
+# replace one of its integers.
 _PERIPHERAL_PAIRS = [[1, 2], [1, 4], [1, 5], [2, 4], [2, 5], [4, 5]]
-BAD_FILES = {
-    "self-rates.json": {"file": "self-rates.json"},
-    "edge-float.json": {
-        "blocks": [{"central": 1, "peripheral": 2}] * 2,
-        "peripheral_edges": [[1.9, 2]] + _PERIPHERAL_PAIRS[1:],
-    },
-    "central-bool.json": {
-        "blocks": [{"central": True, "peripheral": 2},
-                   {"central": 1, "peripheral": 2}],
-        "peripheral_edges": _PERIPHERAL_PAIRS,
-    },
-}
+_INLINE = {"blocks": [{"central": 1, "peripheral": 2}] * 2,
+           "peripheral_edges": _PERIPHERAL_PAIRS}
+# Valid graph and rates files: a scenario that names one is refused for
+# naming a file, not for naming a missing or bad one.
+NAMED_FILES = {"g.json": _INLINE, "r.json": SCEN["rates"]}
 
 
 @pytest.mark.parametrize("sub", ["validate", "simulate"])
@@ -498,12 +490,14 @@ BAD_FILES = {
     ({**SCEN, "init": {**SCEN["init"], "c": [[1.0], [0.8, 0.2]]}}, "init"),
     ({**SCEN, "init": {**SCEN["init"], "c": [[0.5, 0.3, 0.2], [0.8, 0.2]]}},
      "init"),
-    ({**SCEN, "graph": {"file": "edge-float.json"}}, "integer"),
-    ({**SCEN, "graph": {"file": "central-bool.json"}}, "integer"),
+    ({**SCEN, "graph": {**_INLINE, "peripheral_edges":
+                        [[1.9, 2]] + _PERIPHERAL_PAIRS[1:]}}, "integer"),
+    ({**SCEN, "graph": {**_INLINE, "blocks": [
+        {"central": True, "peripheral": 2},
+        {"central": 1, "peripheral": 2}]}}, "integer"),
     ({**SCEN, "graph": {"regular": {"blocks": [[1, 4.9], [1, 4]],
                                     "fractions": 0.5}}}, "integer"),
     ({**SCEN, "graph": {"complete_blocks": [[2.5, 3], [2, 3]]}}, "integer"),
-    ({**SCEN, "rates": {"file": "self-rates.json"}}, "rates file"),
     (_with_tables(beta=[1]), "beta must be a JSON object"),
     (_with_tables(gamma_c=[[0, 1]]), "gamma_c must be a JSON object"),
     (_with_tables(colors=3.7), "colors must be an integer"),
@@ -515,16 +509,23 @@ BAD_FILES = {
     (_with_queue(3.5), "colors must be an integer"),
     (_with_queue("3"), "colors must be an integer"),
     (_with_queue(True), "colors must be an integer"),
+    # a scenario is one document: the output directory is --out's alone,
+    # and the graph and rates are given inline
+    ({**SCEN, "out": "o"}, "['out']"),
+    ({**SCEN, "out": 5}, "['out']"),
+    ({**SCEN, "graph": {"file": "g.json"}}, "graph"),
+    ({**SCEN, "rates": {"file": "r.json"}}, "rate model"),
 ], ids=["rates-missing-gamma", "graph-not-a-list", "init-not-numeric",
         "init-not-a-probability", "init-row-too-short", "init-row-too-long",
-        "graph-file-edge-float", "graph-file-central-bool",
-        "regular-size-float", "complete-size-float", "rates-file-nested",
+        "graph-inline-edge-float", "graph-inline-central-bool",
+        "regular-size-float", "complete-size-float",
         "tables-beta-a-list", "tables-gamma-c-a-list", "tables-colors-float",
         "tables-colors-string", "tables-base-float", "tables-base-string",
         "tables-edge-floats", "queue-colors-float", "queue-colors-string",
-        "queue-colors-bool"])
+        "queue-colors-bool", "out-field", "out-field-not-a-path",
+        "graph-file", "rates-file"])
 def test_malformed_scenario_fails_closed(tmp_path, sub, scen, needle):
-    for name, obj in BAD_FILES.items():
+    for name, obj in NAMED_FILES.items():
         (tmp_path / name).write_text(json.dumps(obj))
     proc = run_blockmf_module([sub, "--scenario", scen_path(tmp_path, scen),
                                "--out", str(tmp_path / "out")])
@@ -628,18 +629,25 @@ def test_huge_sizes_fail_closed(tmp_path, sub, field, value, artifact):
     ("simulate", "grid", 2 ** 63, "trajectory.csv"),
     ("chaos", "--grid", 2 ** 63, "convergence.csv"),
     ("simulate", "--grid", 2 ** 63, "trajectory.csv"),
+    ("validate", "n_list", [10, 2 ** 62], "convergence.csv"),
+    ("chaos", "n_list", [10, 2 ** 62], "convergence.csv"),
+    ("multichaos", "n_list", [10, 2 ** 62], "multichaos.csv"),
+    ("simulate", "graph", {"complete_blocks": [[2 ** 62, 3], [2, 3]]},
+     "trajectory.csv"),
 ])
 def test_time_grid_past_numpy_fails_closed(tmp_path, sub, field, value,
                                            artifact):
-    # a step count T/dt, or a replica or grid count, that no numpy array
-    # can hold is bad input; the counts ended in numpy's ValueError or
-    # IndexError
+    # a step count T/dt, or a replica, grid or node count, that no numpy
+    # array can hold is bad input; the counts ended in numpy's ValueError
+    # or IndexError (chaos after its first N had run), and validate passed
+    # the node counts
     flags = [field, str(value)] if field.startswith("--") else []
     scen = scen_path(tmp_path, SCEN if flags else {**SCEN, field: value})
     proc = run_blockmf_module([sub, "--scenario", scen,
                                "--out", str(tmp_path / "out"), *flags],
                               preexec_fn=_cap_address_space)
-    needle = "grid steps" if field in ("horizon", "dt") else field.lstrip("-")
+    needle = {"horizon": "grid steps", "dt": "grid steps",
+              "graph": "graph node count"}.get(field, field.lstrip("-"))
     assert_fails_closed(proc, tmp_path / "out" / artifact, needle)
 
 
@@ -752,8 +760,9 @@ def test_carriage_return_inside_a_row_fails():
     ("flow_csv", "header.csv", "unexpected flow header"),
     ("schema", "x" * 100_000, "scenario schema must be"),
     ("x" * 100_000, 1, "unknown field(s) in scenario"),
+    ("graph", {**_INLINE, "x" * 100_000: 1}, "unknown graph fields"),
 ], ids=["huge-int", "long-list", "long-string", "long-row", "long-header",
-        "long-schema", "long-unknown-field"])
+        "long-schema", "long-unknown-field", "long-unknown-graph-field"])
 def test_refused_value_is_quoted_short(tmp_path, field, value, needle):
     # the error line quotes a long refused value cut to a few dozen
     # characters, not whole

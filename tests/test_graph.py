@@ -161,6 +161,20 @@ def test_block_graph_rejects_bad_edges():
         bm.BlockGraph([(2, 1)], [(2, 9)])   # out of range
 
 
+@pytest.mark.parametrize("build", [
+    lambda sizes: build_complete_peripheral(sizes),
+    lambda sizes: build_regular_peripheral(sizes, 1.0),
+    lambda sizes: bm.BlockGraph(sizes, []),
+], ids=["complete", "regular", "edges"])
+@pytest.mark.parametrize("sizes", [[(2 ** 62, 1)], [(2, 3), (2 ** 63, 3)]],
+                         ids=["2-62", "2-63"])
+def test_node_count_past_numpy_is_refused(build, sizes):
+    # numpy raised a bare ValueError (or a casting TypeError at 2^63)
+    # for the node -> component table
+    with pytest.raises(bm.InvalidArgumentError, match="graph node count"):
+        build(sizes)
+
+
 def _complete_reference_edges(block_sizes):
     """All pairs of peripheral nodes, listed pair by pair."""
     perips, pos = [], 0

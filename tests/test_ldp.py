@@ -434,6 +434,22 @@ def test_girsanov_no_jump_closed_form():
     assert h1 == pytest.approx(math.log(s) - (s - 1.0) * t0, abs=1e-12)
 
 
+def test_girsanov_jump_at_the_horizon_closed_form():
+    # the last jump sits at the horizon, so the compensator's last
+    # segment [T, T] is empty and adds nothing, although its colour has
+    # an out-edge
+    s, u, T, t0 = 1.7, 0.6, 1.3, 0.4
+    cg = bm.ColorGraph(2, [(0, 1), (1, 0)])
+    spec = bm.RateSpec(cg, [(0.0, 0.0)] * 2, [(0.0, 0.0)] * 2, beta=(s, u))
+    times = np.linspace(0.0, T, 11)
+    vals = np.tile(np.array([[0.6, 0.4], [0.5, 0.5]]), (11, 1, 1))
+    flow = bm.MeanFieldFlow(times, vals)
+    path = bm.ColorPath(np.array([t0, T]), np.array([0, 1, 0]), T)
+    h = bm.girsanov_log_densities([path], flow, R1_TARGETS, spec, (0, 0))[0]
+    assert h == pytest.approx(math.log(s * u) - (s - 1.0) * t0
+                              - (u - 1.0) * (T - t0), abs=1e-12)
+
+
 def test_girsanov_impossible_jumps():
     spec, flow = unit_rate_setup()
     back = bm.ColorPath(np.array([0.5]), np.array([1, 0]), flow.T)

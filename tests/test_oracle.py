@@ -59,6 +59,20 @@ def test_oracle_counters(caplog):
     assert again == bm.StateDistribution(again.probs, 2, 2)
 
 
+def test_zero_rates_leave_the_start_law():
+    # SIS with every rate zero: the generator is zero, so the series is
+    # skipped and the law at T is the start law, bit for bit
+    g = bm.build_complete_peripheral([(1, 2)])
+    spec = bm.sis_spec(1, gamma=0.0, nu=0.0, eta=0.0, zeta=0.0)
+    init = [[0.7, 0.3], [0.6, 0.4], [0.2, 0.8]]
+    dist = master_equation_oracle(g, spec, init, 2.0)
+    start = master_equation_oracle(g, spec, init, 0.0)
+    assert np.array_equal(dist.probs, start.probs)
+    assert np.allclose(dist.probs, np.kron(init[2], np.kron(init[1], init[0])),
+                       rtol=0, atol=1e-15)
+    assert (dist.states, dist.chunks, dist.series_terms) == (8, 0, 0)
+
+
 def test_product_init_matches_explicit_vector():
     g = bm.build_complete_peripheral([(1, 1)])
     fam = bm.sis_spec(1, gamma=1.0, nu=0.5, eta=0.8, zeta=0.6)

@@ -130,6 +130,17 @@ def test_limit_subcommands_load_no_particle_engine(tmp_path):
                              "blockmf.metrics", "numpy.random"}, cmd
 
 
+def test_simulate_loads_no_experiment_or_limit_code(tmp_path):
+    # the node-level run seeds its colours in `blockmf.simulate` itself
+    scen = tmp_path / "tiny.json"
+    scen.write_text(json.dumps(TINY))
+    loaded = loaded_after(["simulate", "--scenario", str(scen),
+                           "--out", str(tmp_path)])
+    assert "blockmf.simulate" in loaded
+    assert not loaded & {"blockmf.experiments", "blockmf.meanfield",
+                         "blockmf.metrics", "blockmf.oracle", "blockmf.ldp"}
+
+
 def test_no_subcommand_loads_scipy(tmp_path):
     # only the tests call scipy (their statistics and the CSR reference
     # oracle), so no subcommand needs it installed or pays for its import

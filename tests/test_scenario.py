@@ -117,19 +117,10 @@ def test_graph_variants(tmp_path):
         "graph": {"regular": {"blocks": [[2, 4], [2, 4]],
                               "fractions": 0.5}}}))
     assert sc.build_graph() == g_ref
-    # inline object form and file form resolve to the same graph
+    # the inline object form resolves to the same graph
     inline = load_scenario(write(tmp_path, {
         **BASE, "graph": g_ref.to_json_obj()}, "inline.json"))
     assert inline.build_graph() == g_ref
-    gfile = tmp_path / "graph.json"
-    gfile.write_text(json.dumps(g_ref.to_json_obj()))
-    sc2 = load_scenario(write(tmp_path, {
-        **BASE, "graph": {"file": "graph.json"}}, "wrap.json"))
-    assert sc2.build_graph() == g_ref
-    sc3 = load_scenario(write(tmp_path, {
-        **BASE, "graph": {"file": "nope.json"}}, "wrap2.json"))
-    with pytest.raises(bm.InvalidConfigurationError, match="not found"):
-        sc3.build_graph()
 
 
 def test_rates_variants(tmp_path):
@@ -141,12 +132,6 @@ def test_rates_variants(tmp_path):
     sc2 = load_scenario(write(tmp_path, {
         **BASE, "rates": {"model": "tables", "spec": q.to_json_obj()}}))
     assert sc2.build_rates() == q
-    rfile = tmp_path / "rates.json"
-    rfile.write_text(json.dumps({"model": "queue", "colors": 3, "zeta": 1.0,
-                                 "vartheta": 0.5, "c0": 0.4}))
-    sc3 = load_scenario(write(tmp_path, {
-        **BASE, "rates": {"file": "rates.json"}}, "rfile.json"))
-    assert sc3.build_rates() == q
     sc4 = load_scenario(write(tmp_path, {
         **BASE, "rates": {"model": "lorenz"}}))
     with pytest.raises(bm.InvalidConfigurationError, match="lorenz"):

@@ -15,6 +15,11 @@ A tagged node's law is read off the group counts by one helper,
 `experiments.tagged_law`, for `multichaos_test` and `oracle-check`; no
 second chain splits tagged nodes out of their groups.
 
+JSON is read by one function, `scenario.load_scenario`, and files are
+opened only by it, by the CLI's flow reader and by its artifact writer:
+a scenario names no graph or rates file, so no second reader skips the
+loader's checks.
+
 A result type holds only what it measures: a value its arrays already
 hold (a block count, a replica count, a mean) is a property, not a
 field, so it cannot disagree with them.
@@ -95,6 +100,13 @@ def test_tagged_laws_come_from_group_counts():
     assert modules_referencing("tagged_law") == {"experiments.py", "cli.py"}
     for gone in ("tagged_colors", "_unsplit_group"):
         assert modules_referencing(gone) == set(), gone
+
+
+def test_load_scenario_is_the_one_json_reader():
+    assert functions_calling("load") == {("scenario.py", "load_scenario")}
+    assert functions_calling("open") == {
+        ("scenario.py", "load_scenario"), ("cli.py", "_read_flow"),
+        ("cli.py", "_write")}
 
 
 def test_initial_laws_are_checked_in_one_place():
