@@ -513,8 +513,8 @@ NAMED_FILES = {"g.json": _INLINE, "r.json": SCEN["rates"]}
     # and the graph and rates are given inline
     ({**SCEN, "out": "o"}, "['out']"),
     ({**SCEN, "out": 5}, "['out']"),
-    ({**SCEN, "graph": {"file": "g.json"}}, "graph"),
-    ({**SCEN, "rates": {"file": "r.json"}}, "rate model"),
+    ({**SCEN, "graph": {"file": "g.json"}}, "unknown graph fields"),
+    ({**SCEN, "rates": {"file": "r.json"}}, "unknown rate model"),
 ], ids=["rates-missing-gamma", "graph-not-a-list", "init-not-numeric",
         "init-not-a-probability", "init-row-too-short", "init-row-too-long",
         "graph-inline-edge-float", "graph-inline-central-bool",
