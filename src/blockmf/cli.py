@@ -138,21 +138,20 @@ def _n_list_sizes(sc, targets):
         raise InvalidConfigurationError(f"n_list: {exc}") from None
 
 
-def _resolve_tagged_for_every_n(tagged, n_list, sizes):
+def _resolve_tagged_for_every_n(tagged, n_list, graphs):
     """Resolve the tagged requests on the graph of every N, so that a
     request that some N cannot honour fails before any run."""
     from .experiments import resolve_tagged
-    from .graph import build_complete_peripheral
 
-    for N, s in zip(n_list, sizes):
+    for N, graph in zip(n_list, graphs):
         try:
-            resolve_tagged(build_complete_peripheral(s), tagged)
+            resolve_tagged(graph, tagged)
         except ValidationError as exc:
             raise InvalidConfigurationError(f"N={N}: {exc}") from None
 
 
 def cmd_validate(args):
-    from .graph import check_regularity
+    from .graph import build_complete_peripheral, check_regularity
 
     sc, seed, _ = _resolve(args, need_seed=False)
     checked = ["schema"]
@@ -190,7 +189,9 @@ def cmd_validate(args):
     if "tagged" in sc.raw and targets is not None:
         tagged = sc.tagged(targets.r)
         if sizes is not None:
-            _resolve_tagged_for_every_n(tagged, sc.n_list, sizes)
+            _resolve_tagged_for_every_n(
+                tagged, sc.n_list,
+                [build_complete_peripheral(s) for s in sizes])
         checked.append("tagged")
     extra = ""
     if graph is not None and targets is not None:
@@ -266,21 +267,19 @@ def cmd_chaos(args):
 
 
 def cmd_multichaos(args):
-    from .experiments import multichaos_test, proportional_family
+    from .experiments import multichaos_test
+    from .graph import build_complete_peripheral
 
     sc, seed, out_dir = _resolve(args)
     spec, targets, inits = _limit_model(sc)
-    sizes = _n_list_sizes(sc, targets)
+    graphs = [build_complete_peripheral(s) for s in _n_list_sizes(sc, targets)]
     tagged = sc.tagged(targets.r)
-    _resolve_tagged_for_every_n(tagged, sc.n_list, sizes)
-    family = proportional_family(targets)
+    _resolve_tagged_for_every_n(tagged, sc.n_list, graphs)
     T, replicas = sc.number("horizon"), sc.number("replicas")
-    tvs = []
-    for idx, N in enumerate(sc.n_list):
-        graph = family(N)
-        _, _, tv = multichaos_test(graph, spec, tagged, T, replicas,
-                                   (seed, idx), inits=inits)
-        tvs.append(tv)
+    tvs = [tv for _, _, tv in multichaos_test(
+        graphs, spec, tagged, T, replicas,
+        [(seed, idx) for idx in range(len(graphs))], inits=inits)]
+    for N, tv in zip(sc.n_list, tvs):
         log.info("multichaos N=%d tv=%.5g", N, tv)
     _write(out_dir, "multichaos.csv", write_table,
            ("N", "replicas", "tv_distance"),
@@ -325,8 +324,8 @@ def cmd_oracle_check(args):
     oracle_p = np.stack([dist.node_marginal(n) for n in range(N)])
     # a node's law given the counts is its group's colour fractions, in
     # [0, 1] with mean p, so `se` bounds the standard error of their mean
-    tables, counts = final_group_counts(
-        graph, spec, T, replicas, substream(seed, 0, 0, ORACLE_CHECK),
+    [(tables, counts)] = final_group_counts(
+        [graph], spec, T, replicas, [substream(seed, 0, 0, ORACLE_CHECK)],
         inits=inits)
     mc_p = np.stack([tagged_law(tables, counts, [n]) for n in range(N)])
     se = np.sqrt(oracle_p * (1.0 - oracle_p) / replicas)

@@ -4,18 +4,23 @@ mean-field flow, and factorization of tagged-node joint laws.
 On every design, each member of a group (a block's centrals, a
 peripheral twin class) jumps at the same rates, so the system is
 Kurtz's density-dependent chain on group colour counts. Both
-experiments run it as the count farm of `simulate`: all replicas of one
-N advance together in numpy arrays, one jump per replica per lock-step,
-in the calling process. `lln_experiment` lands the farm's jump record on
-its grid. Single nodes need no farm of their own: the members of a group
-are exchangeable, so the joint law of a few nodes at time T is a
-function of their groups' colour counts (`tagged_law`), averaged over
-the farm's replicas. `multichaos_test` reads the joint law of its tagged
-nodes so, and `oracle-check` every node's marginal law.
+experiments run it as the count farm of `simulate`, in the calling
+process: the replicas of every N whose designs share one structure (on
+a complete proportional family, all N) advance together in numpy
+arrays, one jump per replica per lock-step, so a run takes as many
+lock-steps as its longest N needs. `lln_experiment` lands the farm's
+jump record on its grid. Single nodes need no farm of their own: the
+members of a group are exchangeable, so the joint law of a few nodes at
+time T is a function of their groups' colour counts (`tagged_law`),
+averaged over the farm's replicas. `multichaos_test` reads the joint
+law of its tagged nodes so, and `oracle-check` every node's marginal
+law.
 
-Each farm draws from one stream keyed by its seed path and a purpose
-word, so results are a pure function of the seed and the replica count;
-a replica's draws depend on how many replicas share its stream.
+Each N draws from its own stream, keyed by its seed path and a purpose
+word, and reads it as a farm of that N alone would, so results are a
+pure function of the seed and the replica count, whatever other N share
+the farm; a replica's draws depend on how many replicas share its
+stream.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from .metrics import d_bl_of_differences
 from .rates import _check_entries, _check_horizon, _integer, _is_integer, \
     _quoted, initial_laws
 from .rng import CHAOS, MULTICHAOS, substream
-from .simulate import FarmRun, GroupTables, _check_grid, _count_farm, _land
+from .simulate import FarmRun, GroupTables, _check_grid, _count_farm, \
+    _land, _same_structure
 from .tables import write_table
 
 log = logging.getLogger(__name__)
@@ -177,34 +183,57 @@ def _seed_path(seed):
     return tuple(_integer(s, "seed") for s in path)
 
 
-def _start_counts(tables: GroupTables, inits, replicas: int, gen):
+def _start_counts(designs, inits, replicas: int, gens):
     """Group colour counts of `replicas` iid starts with law
-    inits[2*block + class], shape (replicas, G, K): one multinomial per
-    group."""
-    law = initial_laws(inits, tables.graph.r, tables.K)
-    _check_entries(replicas * tables.n_groups * tables.K, "replicas")
-    return gen.multinomial(tables.sizes, law[tables.component],
-                           size=(replicas, tables.n_groups))
+    inits[2*block + class] for each design, drawn from its entry of
+    `gens`: one array of shape (replicas, G, K) per design, one
+    multinomial per group. The farm stacks them into one array, so their
+    sum is checked as that array's size."""
+    laws = [initial_laws(inits, t.graph.r, t.K)[t.component] for t in designs]
+    _check_entries(len(designs) * replicas * designs[0].n_groups
+                   * designs[0].K, "replicas")
+    return [gen.multinomial(t.sizes, law, size=(replicas, t.n_groups))
+            for t, law, gen in zip(designs, laws, gens)]
 
 
-def _farm_on_grid(tables: GroupTables, inits, T: float, replicas: int, gen,
-                  grid) -> tuple[FarmRun, np.ndarray]:
-    """A count farm of `replicas` iid starts (`_start_counts`) to time T,
-    and its group counts at each time of `grid` (a grid `_check_grid`
-    passed), shape (replicas, len(grid), G, K): the state after the last
-    jump at or before that time, landed from the farm's jump record."""
-    G, K = tables.n_groups, tables.K
-    _check_entries(replicas * (grid.size + 1) * G * K, "replicas x grid")
-    start = _start_counts(tables, inits, replicas, gen)
-    landed = np.zeros((replicas, grid.size + 1, G * K), dtype=np.int64)
+def _by_structure(designs):
+    """The indices of `designs` grouped by structure (`_same_structure`),
+    each group in order and the groups in order of their first member:
+    one count farm each."""
+    farms = []
+    for i, tables in enumerate(designs):
+        farm = next((f for f in farms
+                     if _same_structure(designs[f[0]], tables)), None)
+        if farm is None:
+            farms.append([i])
+        else:
+            farm.append(i)
+    return farms
+
+
+def _farm_on_grid(designs, inits, T: float, replicas: int, gens,
+                  grid) -> tuple[list, np.ndarray]:
+    """One count farm of `replicas` iid starts (`_start_counts`) for each
+    of `designs`, GroupTables of one structure, to time T, and their
+    group counts at each time of `grid` (a grid `_check_grid` passed):
+    one array of shape (len(designs) * replicas, len(grid), G, K), design
+    after design, the state after the last jump at or before that time,
+    landed from the farm's jump record. Returns the farm's FarmRuns and
+    that array."""
+    G, K = designs[0].n_groups, designs[0].K
+    R = len(designs) * replicas
+    _check_entries(R * grid.size * G * K, "replicas x grid")
+    starts = _start_counts(designs, inits, replicas, gens)
+    start = np.concatenate(starts).reshape(R, 1, G * K)
+    landed = np.zeros((R, grid.size, G * K), dtype=np.int64)
+    src, dst = designs[0].src, designs[0].dst
 
     def record(times, picks):
-        _land(landed, grid, times, tables.src[picks], tables.dst[picks])
+        _land(landed, grid, times, src[picks], dst[picks])
 
-    run = _count_farm(tables, start, T, gen, record)
-    counts = (start.reshape(replicas, 1, G * K).astype(float)
-              + np.cumsum(landed[:, :-1], axis=1))
-    return run, counts.reshape(replicas, grid.size, G, K)
+    runs = _count_farm(designs, starts, T, gens, record)
+    counts = start.astype(float) + np.cumsum(landed, axis=1)
+    return runs, counts.reshape(R, grid.size, G, K)
 
 
 def _log_farm(caller, N, run: FarmRun):
@@ -219,8 +248,10 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
     """For each N: sample iid initial colors, simulate, and take the sup
     over a uniform grid of `grid` points on [0, T] of the max-component
     BL distance between the empirical measures and the limiting flow.
-    Reports mean and standard error over replicas per N. All replicas of
-    one N run as one count farm."""
+    Reports mean and standard error over replicas per N. Every N's design
+    is built first; the replicas of all N whose designs share a structure
+    run as one count farm, each N on its own stream, and are landed on
+    one grid array."""
     N_list = [_integer(n, "N_list entry") for n in N_list]
     if N_list != sorted(set(N_list)):
         raise InvalidArgumentError("N_list must be strictly increasing")
@@ -239,24 +270,29 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
     seed_path = _seed_path(seed)
 
     r = targets.r
-    comp_means = np.empty((len(N_list), 2 * r))
-    dists = np.empty((len(N_list), replicas))
-    for n_idx, N in enumerate(N_list):
+    designs = []
+    for N in N_list:
         graph = graph_family(N)
         if graph.r != r:
             raise InvalidArgumentError("graph family disagrees with targets")
-        tables = GroupTables(graph, spec)
-        run, counts = _farm_on_grid(tables, inits, T, replicas,
-                                    substream(*seed_path, n_idx, CHAOS),
-                                    grid_times)
-        _log_farm("lln_experiment", N, run)
-        to_component = np.zeros((2 * r, tables.n_groups))
-        to_component[tables.component, np.arange(tables.n_groups)] = 1.0
-        emp = ((to_component @ counts)
-               / np.ravel(graph.block_sizes)[:, None])  # (R, grid, 2r, K)
-        per_comp = d_bl_of_differences(emp - flow_grid).max(axis=1)
-        dists[n_idx] = per_comp.max(axis=1)
-        comp_means[n_idx] = per_comp.mean(axis=0)
+        designs.append(GroupTables(graph, spec))
+    per_comp = [None] * len(N_list)  # (replicas, 2r) per N
+    for farm in _by_structure(designs):
+        runs, counts = _farm_on_grid(
+            [designs[i] for i in farm], inits, T, replicas,
+            [substream(*seed_path, i, CHAOS) for i in farm], grid_times)
+        for i, run, n_counts in zip(farm, runs, np.split(counts, len(farm))):
+            _log_farm("lln_experiment", N_list[i], run)
+            tables = designs[i]
+            to_component = np.zeros((2 * r, tables.n_groups))
+            to_component[tables.component, np.arange(tables.n_groups)] = 1.0
+            emp = ((to_component @ n_counts)
+                   / np.ravel(tables.graph.block_sizes)[:, None])
+            per_comp[i] = d_bl_of_differences(emp - flow_grid).max(axis=1)
+    comp_means = np.reshape([p.mean(axis=0) for p in per_comp],
+                            (len(N_list), 2 * r))
+    dists = np.reshape([p.max(axis=1) for p in per_comp],
+                       (len(N_list), replicas))
     return ConvergenceReport(tuple(N_list), comp_means, dists)
 
 
@@ -289,21 +325,32 @@ def resolve_tagged(graph: BlockGraph, tagged_nodes):
     return out
 
 
-def final_group_counts(graph: BlockGraph, spec, T, replicas, gen, *,
-                       inits) -> tuple[GroupTables, np.ndarray]:
-    """The design's group tables, and the group colour counts at time T
-    of `replicas` runs from iid initial colours with law inits[2*block +
-    class], shape (replicas, G, K). All runs are one count farm drawing
-    from `gen`; its lock-steps and replica jumps are logged on
-    `blockmf.experiments` at debug level."""
+def final_group_counts(graphs, spec, T, replicas, gens, *,
+                       inits) -> list:
+    """For each of `graphs`, its group tables and the group colour counts
+    at time T of `replicas` runs from iid initial colours with law
+    inits[2*block + class], shape (replicas, G, K), drawing from its
+    entry of `gens`. The runs on graphs whose designs share a structure
+    are one count farm; each graph's lock-steps and replica jumps are
+    logged on `blockmf.experiments` at debug level."""
     replicas = _integer(replicas, "replicas")
     if replicas < 1:
         raise InvalidArgumentError("need at least 1 replica")
-    tables = GroupTables(graph, spec)
-    run = _count_farm(tables, _start_counts(tables, inits, replicas, gen),
-                      T, gen)
-    _log_farm("final_group_counts", graph.n_total, run)
-    return tables, run.final
+    if len(gens) != len(graphs):
+        raise InvalidArgumentError(
+            f"need one generator per graph, got {len(gens)} for "
+            f"{len(graphs)}")
+    designs = [GroupTables(graph, spec) for graph in graphs]
+    out = [None] * len(designs)
+    for farm in _by_structure(designs):
+        group, farm_gens = [designs[i] for i in farm], [gens[i] for i in farm]
+        runs = _count_farm(
+            group, _start_counts(group, inits, replicas, farm_gens), T,
+            farm_gens)
+        for i, run in zip(farm, runs):
+            _log_farm("final_group_counts", graphs[i].n_total, run)
+            out[i] = (designs[i], run.final)
+    return out
 
 
 def tagged_law(tables: GroupTables, counts, nodes) -> np.ndarray:
@@ -330,24 +377,32 @@ def tagged_law(tables: GroupTables, counts, nodes) -> np.ndarray:
     return law.mean(axis=0)
 
 
-def multichaos_test(graph: BlockGraph, spec, tagged_nodes, T, replicas,
-                    seed, *, inits):
-    """Estimate the joint law of the tagged nodes' colors at time T, the
-    product of its marginals, and the total-variation distance between
-    the two. tagged_nodes entries are node ids or (block, class) pairs
-    (resolved to the first node of the class). The dynamics run on the
-    graph's own proportions."""
-    tagged = resolve_tagged(graph, tagged_nodes)
-    tables, counts = final_group_counts(
-        graph, spec, T, replicas, substream(*_seed_path(seed), MULTICHAOS),
-        inits=inits)
-    joint = tagged_law(tables, counts, tagged)
-    K, m = tables.K, len(tagged)
-    product = np.ones(())
-    for axis in range(m):
-        marg = joint.sum(axis=tuple(a for a in range(m) if a != axis))
-        shape = [1] * m
-        shape[axis] = K
-        product = product * marg.reshape(shape)
-    tv = 0.5 * float(np.abs(joint - product).sum())
-    return joint, product, tv
+def multichaos_test(graphs, spec, tagged_nodes, T, replicas, seeds, *,
+                    inits) -> list:
+    """For each of `graphs`, estimate the joint law of the tagged nodes'
+    colors at time T, the product of its marginals, and the
+    total-variation distance between the two: one (joint, product, tv)
+    per graph. tagged_nodes entries are node ids or (block, class) pairs
+    (resolved to the first node of the class), resolved on every graph
+    before any run. seeds: one seed or seed path per graph. The dynamics
+    run on each graph's own proportions; the runs on graphs of one
+    structure are one count farm (`final_group_counts`)."""
+    tagged = [resolve_tagged(graph, tagged_nodes) for graph in graphs]
+    if not isinstance(seeds, (list, tuple)) or len(seeds) != len(graphs):
+        raise InvalidArgumentError(
+            f"need a list of one seed per graph, {len(graphs)} in all")
+    gens = [substream(*_seed_path(seed), MULTICHAOS) for seed in seeds]
+    out = []
+    for nodes, (tables, counts) in zip(tagged, final_group_counts(
+            graphs, spec, T, replicas, gens, inits=inits)):
+        joint = tagged_law(tables, counts, nodes)
+        K, m = tables.K, len(nodes)
+        product = np.ones(())
+        for axis in range(m):
+            marg = joint.sum(axis=tuple(a for a in range(m) if a != axis))
+            shape = [1] * m
+            shape[axis] = K
+            product = product * marg.reshape(shape)
+        tv = 0.5 * float(np.abs(joint - product).sum())
+        out.append((joint, product, tv))
+    return out

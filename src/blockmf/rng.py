@@ -5,9 +5,12 @@ Philox is counter-based, so `substream(seed, k)` is a pure function of
 
 The CLI keys every stream by its seed path and ends the key with a
 purpose word:
-- `chaos`: (seed, N index, CHAOS), one stream per N. All replicas of
-  that N run as one count farm in the calling process and draw from it
-  in lock-step, so a replica's draws depend on the replica count.
+- `chaos`: (seed, N index, CHAOS), one stream per N. The replicas of
+  every N run in one count farm in the calling process, one lock-step
+  loop for all N; each N's replicas draw from its own stream in
+  lock-step, and that N draws nothing once its last replica stops, so
+  the stream is read as in a farm of that N alone. A replica's draws
+  depend on the replica count, not on the other N.
 - `multichaos`: (seed, N index, MULTICHAOS), likewise.
 - `oracle-check`: (seed, 0, 0, ORACLE_CHECK), the one stream of its
   count farm, likewise.

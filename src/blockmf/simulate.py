@@ -242,8 +242,8 @@ class GroupTables:
 
 
 # --------------------------------------------------------------------------
-# the count farm: replicas of the count chain of one design's GroupTables,
-# one jump per replica per lock-step
+# the count farm: replicas of the count chains of designs that share one
+# structure, one jump per replica per lock-step
 
 
 # The farm hands its record of jump times and edges to its caller every
@@ -254,33 +254,47 @@ RECORD_STEPS = 64
 
 
 class FarmRun(NamedTuple):
-    """What `_count_farm` returns: the group counts at T, shape
-    (replicas, G, K), and the work counters, lock-steps (the loop's
-    passes that moved a replica) and replica jumps (over all replicas)."""
+    """What `_count_farm` returns for each design: the group counts at T,
+    shape (replicas, G, K), and the work counters, lock-steps (the passes
+    that moved one of the design's replicas) and replica jumps (over all
+    of its replicas)."""
 
     final: np.ndarray
     lock_steps: int
     jumps: int
 
 
-def _farm_rates(tables: GroupTables, n) -> np.ndarray:
-    """The rate max(0, beta + A n) of every (group, edge), shape (R, G*E),
-    at the flat counts n of shape (R, G*K + 1), each row ending in the
-    constant 1 that beta is read from."""
+def _same_structure(a: GroupTables, b: GroupTables) -> bool:
+    """Whether two designs' count chains read the same cells, row by row,
+    and jump between the same cells: then only their weights (and so
+    their betas) differ. `move` follows from `src`, `dst` and the sizes."""
+    return ((a.n_groups, a.K, a.n_edges) == (b.n_groups, b.K, b.n_edges)
+            and all(np.array_equal(getattr(a, k), getattr(b, k))
+                    for k in ("gather_col", "starts", "src", "dst")))
+
+
+def _farm_rates(tables: GroupTables, n, spans) -> np.ndarray:
+    """The rate max(0, beta + A n) of every (group, edge), shape (rows,
+    G*E), at the flat counts n of shape (rows, G*K + 1), each row ending
+    in the constant 1 that beta is read from. Rows gather the cells of
+    `tables`; for each (rows, weights) of `spans`, which cover n, those
+    rows weigh them with `weights`, their design's `gather_weight`."""
     rate = n[:, tables.gather_col]
-    rate *= tables.gather_weight
+    for rows, weights in spans:
+        part = rate[rows]
+        part *= weights
     rate = np.add.reduceat(rate, tables.starts, axis=1)
     np.maximum(rate, 0.0, out=rate)
     return rate
 
 
-def _farm_picks(tables: GroupTables, n, u):
+def _farm_picks(tables: GroupTables, n, spans, u):
     """The total rate of each row of the flat counts n (as `_farm_rates`
     reads them) and the (group, edge) row g*E + e it picks with its
     uniform in u: the first whose cumulated rate exceeds u * total. u < 1
     keeps u * total below the last cumulated rate, total, so a row with a
     positive total picks an edge of positive rate."""
-    rate = _farm_rates(tables, n)
+    rate = _farm_rates(tables, n, spans)
     rate *= n[:, tables.src]
     # in place, so one (rows, G*E) array outlives the rates
     cum = np.add.accumulate(rate, axis=1, out=rate)
@@ -290,59 +304,95 @@ def _farm_picks(tables: GroupTables, n, u):
     return total, (cum > (u * total)[:, None]).argmax(axis=1)
 
 
-def _count_farm(tables: GroupTables, counts, T: float, gen,
-                record=None) -> FarmRun:
-    """Run copies of the count chain of `tables` to time T in lock-step,
-    one from each start in `counts`, the group colour counts of shape
-    (replicas, G, K).
+def _count_farm(designs, counts, T: float, gens, record=None) -> list:
+    """Run copies of the count chains of `designs`, GroupTables of one
+    structure (`_same_structure`), to time T in one lock-step loop: for
+    each design, one copy from each start in its entry of `counts`, group
+    colour counts of shape (replicas, G, K), drawing from its entry of
+    `gens`. Returns one FarmRun per design. Designs of different
+    structures raise InvalidArgumentError.
 
-    Each lock-step draws one exponential and then one uniform for every
-    replica, running or not, so no replica's draws depend on when the
-    others stop. Only the running replicas have their rates computed
+    The replicas of all designs are the rows of one stack, design after
+    design; a row reads its design's weights. Each lock-step, every design
+    with a running replica draws one exponential and then one uniform for
+    each of its replicas, running or not, so no replica's draws depend on
+    when the others stop, and a design's stream is read as in a farm of
+    its own. Only the running replicas have their rates computed
     (`_farm_rates`), take their draws to pick the jump time and the
     (group, edge), and apply the jump, one row of the move table. A
     replica whose next jump time passes T, or whose total rate is 0,
     stops: its counts go into the result and its row leaves the working
-    arrays.
+    arrays. A replica's jumps are the lock-steps before it stopped; a
+    design's lock-steps are the most jumps of its replicas.
 
     record: called with each block of at most RECORD_STEPS lock-steps as
-    (times, picks), both of shape (lock-steps, replicas): the jump times
-    and the picked (group, edge) rows g*E + e. A replica that has
-    stopped reads time +inf and pick 0. T must be finite and >= 0.
+    (times, picks), both of shape (lock-steps, replicas), one column per
+    replica in design order: the jump times and the picked (group, edge)
+    rows g*E + e. A replica that has stopped reads time +inf and pick 0.
+    T must be finite and >= 0.
     """
     T = _check_horizon(T)
-    R = len(counts)
-    GK = tables.n_groups * tables.K
+    first = designs[0]
+    if not all(_same_structure(first, d) for d in designs[1:]):
+        raise InvalidArgumentError(
+            "the designs of one count farm must share their groups and "
+            "rate structure")
+    GK = first.n_groups * first.K
+    # design d's replicas are rows bounds[d]..bounds[d+1] - 1
+    bounds = np.cumsum([0, *(len(c) for c in counts)]).tolist()
+    R = bounds[-1]
     # the flat counts, then the constant-one column that beta is read from;
     # `final` holds every replica's counts, `n` the running replicas' rows,
     # which are final's own rows until the first replica stops
-    final = n = np.concatenate((np.reshape(counts, (R, GK)), np.ones((R, 1))),
-                               axis=1)
-    del counts  # a caller that passed its only reference frees it here
-    move = tables.move
+    final = n = np.ones((R, GK + 1))
+    np.concatenate([np.reshape(c, (len(c), GK)) for c in counts],
+                   out=final[:, :GK])
+    del counts  # a caller that passed its only references frees them here
+    move = first.move
     running = np.arange(R)
+    e, u = np.empty(R), np.empty(R)
+    stopped_at = np.zeros(R, dtype=np.int64)
     t = np.zeros(R)
-    lock_steps = jumps = 0
+    step = 0
+
+    def split():
+        """For each design with running replicas: its generator with its
+        replicas' entries of e and u, and its running replicas' working
+        rows with its weights."""
+        cut = np.searchsorted(running, bounds).tolist()
+        active = [i for i in range(len(designs)) if cut[i] < cut[i + 1]]
+        return ([(gens[i], e[bounds[i]:bounds[i + 1]],
+                  u[bounds[i]:bounds[i + 1]]) for i in active],
+                [(slice(cut[i], cut[i + 1]), designs[i].gather_weight)
+                 for i in active])
+
+    draws, spans = split()
     # an overflowing rate (inf, or inf x 0 = nan) is caught by
     # `_farm_picks`, not reported by numpy; a zero total rate puts the
     # next jump at +inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while running.size:
-            e = gen.standard_exponential(R)[running]
-            total, k = _farm_picks(tables, n, gen.random(R)[running])
-            t_next = t + e / total
+            for gen, e_rows, u_rows in draws:
+                gen.standard_exponential(out=e_rows)
+                gen.random(out=u_rows)
+            total, k = _farm_picks(first, n, spans, u[running])
+            t_next = t + e[running] / total
             live = t_next <= T
             moved = np.count_nonzero(live)
             if moved < running.size:
                 if not moved:
                     break
-                final[running[~live]] = n[~live]
+                stop = ~live
+                final[running[stop]] = n[stop]
+                stopped_at[running[stop]] = step
                 running, n, k, t_next = (a[live]
                                          for a in (running, n, k, t_next))
+                if len(designs) > 1:  # one design's span is every row
+                    draws, spans = split()
             n += move[k]
             if record is not None:
                 # a fresh block every RECORD_STEPS lock-steps, handed on full
-                j = lock_steps % RECORD_STEPS
+                j = step % RECORD_STEPS
                 if not j:
                     times = np.full((RECORD_STEPS, R), np.inf)
                     picks = np.zeros((RECORD_STEPS, R), dtype=k.dtype)
@@ -350,16 +400,19 @@ def _count_farm(tables: GroupTables, counts, T: float, gen,
                 picks[j][running] = k
                 if j == RECORD_STEPS - 1:
                     record(times, picks)
-            lock_steps += 1
-            jumps += moved
+            step += 1
             t = t_next
     # the replicas that stopped together at the last lock-step
     final[running] = n
-    j = lock_steps % RECORD_STEPS
+    stopped_at[running] = step
+    j = step % RECORD_STEPS
     if record is not None and j:
         record(times[:j], picks[:j])
-    return FarmRun(final[:, :GK].reshape(R, tables.n_groups, tables.K),
-                   lock_steps, jumps)
+    return [FarmRun(final[lo:hi, :GK].reshape(hi - lo, first.n_groups,
+                                              first.K),
+                    int(stopped_at[lo:hi].max(initial=0)),
+                    int(stopped_at[lo:hi].sum()))
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 _last_tables = None  # (key, tables) of the last design simulated
@@ -419,8 +472,8 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed) -> Trajectory:
     start = [[len(b) for b in own] for own in buckets]
     T = _check_horizon(T)
     blocks = []
-    run = _count_farm(tables, [start], T, gen,
-                      lambda times, picks: blocks.append((times, picks)))
+    [run] = _count_farm([tables], [[start]], T, [gen],
+                        lambda times, picks: blocks.append((times, picks)))
     events = []
     if blocks:
         times, picks = (np.concatenate(b).ravel().tolist()
@@ -472,20 +525,23 @@ def _check_grid(grid, T: float) -> np.ndarray:
 
 def _land(landed, grid, times, source, target):
     """Add jumps to `landed`, the count changes per (replica, grid row,
-    cell), shape (replicas, len(grid) + 1, cells). times, source and
-    target have replicas as their last axis: a jump at times[..., r]
-    moves one count of replica r from cell source[..., r] to cell
-    target[..., r]. Each jump lands on the first grid time at or after
-    it, so counts accumulated along the grid give the states there
+    cell), shape (replicas, len(grid), cells), a C-contiguous array.
+    times, source and target have replicas as their last axis: a jump at
+    times[..., r] moves one count of replica r from cell source[..., r]
+    to cell target[..., r]. Each jump lands on the first grid time at or
+    after it, so counts accumulated along the grid give the states there
     (right-continuous: a grid time on a jump sees the post-jump state);
-    jumps after the last grid time land in an extra row that is cut off.
-    """
+    jumps after the last grid time, and a stopped replica's +inf, land
+    nowhere. Only the jumps that land are touched, so a record with many
+    stopped replicas costs no more than its jumps."""
     R, rows, cells = landed.shape
-    at = np.searchsorted(grid, times, side="left")
-    at = (at + rows * np.arange(R)) * cells
-    landed += (np.bincount((at + target).ravel(), minlength=landed.size)
-               - np.bincount((at + source).ravel(), minlength=landed.size)
-               ).reshape(landed.shape)
+    keep = times <= grid[-1]
+    replica = np.broadcast_to(np.arange(R), np.shape(times))[keep]
+    at = (np.searchsorted(grid, times[keep], side="left")
+          + rows * replica) * cells
+    flat = landed.reshape(-1)  # a view, so the adds land in `landed`
+    np.add.at(flat, at + target[keep], 1)
+    np.subtract.at(flat, at + source[keep], 1)
 
 
 def empirical_process(trajectory: Trajectory, graph: BlockGraph,
@@ -495,13 +551,13 @@ def empirical_process(trajectory: Trajectory, graph: BlockGraph,
     grid = _check_grid(time_grid, trajectory.horizon)
     K = trajectory.initial.K
     width = 2 * graph.r * K
-    landed = np.zeros((1, grid.size + 1, width), dtype=np.int64)
+    landed = np.zeros((1, grid.size, width), dtype=np.int64)
     if trajectory.events:
         t, node, z, zp = (np.asarray(col) for col in zip(*trajectory.events))
         cell = graph.component[node] * K
         _land(landed, grid, t, cell + z, cell + zp)
     counts = (trajectory.initial.counts.reshape(width)
-              + np.cumsum(landed[0, :-1], axis=0))
+              + np.cumsum(landed[0], axis=0))
     out = (counts.reshape(grid.size, 2 * graph.r, K)
            / np.ravel(graph.block_sizes)[:, None])
     return EmpiricalSeries(grid, out)

@@ -145,11 +145,10 @@ def test_criterion_04_chaos_scaling():
 def test_criterion_05_multichaos():
     t0 = time.perf_counter()
     family = bm.proportional_family(CHAOS_TARGETS)
-    tv = {}
-    for N in (40, 640):
-        _, _, tv[N] = bm.multichaos_test(
-            family(N), CHAOS_SPEC, [(0, "c"), (1, "p")],
-            3.0, 2000, (20260815, N), inits=CHAOS_INITS)
+    runs = bm.multichaos_test(
+        [family(40), family(640)], CHAOS_SPEC, [(0, "c"), (1, "p")],
+        3.0, 2000, [(20260815, 40), (20260815, 640)], inits=CHAOS_INITS)
+    tv = {N: run[2] for N, run in zip((40, 640), runs)}
     elapsed = time.perf_counter() - t0
     _report(5, tv[40] > tv[640] and tv[640] < 0.1 and elapsed < 300.0,
             f"TV(joint, product) {tv[40]:.4f} @ N=40 -> {tv[640]:.4f} "

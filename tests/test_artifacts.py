@@ -104,9 +104,9 @@ def test_picard_csv_bytes(tmp_path, capsys, monkeypatch):
 
 
 def test_multichaos_csv_bytes(tmp_path, capsys, monkeypatch):
-    tvs = iter([-0.0, 1e-300])
     monkeypatch.setattr(experiments, "multichaos_test",
-                        lambda *a, **k: (None, None, next(tvs)))
+                        lambda *a, **k: [(None, None, -0.0),
+                                         (None, None, 1e-300)])
     run_cli(["multichaos", "--scenario", scen_path(tmp_path),
              "--out", str(tmp_path)], capsys)
     assert (tmp_path / "multichaos.csv").read_text() == (

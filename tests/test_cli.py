@@ -367,9 +367,9 @@ def test_oracle_check_csv_matches_reference(tmp_path, capsys, scen):
                                    np.asarray(inits)[graph.component],
                                    scen["horizon"])
     oracle_p = reference_marginals(probs, K, N)
-    tables, counts = final_group_counts(
-        graph, spec, scen["horizon"], R,
-        substream(scen["seed"], 0, 0, ORACLE_CHECK), inits=inits)
+    [(tables, counts)] = final_group_counts(
+        [graph], spec, scen["horizon"], R,
+        [substream(scen["seed"], 0, 0, ORACLE_CHECK)], inits=inits)
     assert counts.shape == (R, tables.n_groups, K)
     group = {n: g for g, members in enumerate(tables.members)
              for n in members}
@@ -634,6 +634,10 @@ def test_huge_sizes_fail_closed(tmp_path, sub, field, value, artifact):
     ("multichaos", "n_list", [10, 2 ** 62], "multichaos.csv"),
     ("simulate", "graph", {"complete_blocks": [[2 ** 62, 3], [2, 3]]},
      "trajectory.csv"),
+    # one farm runs both N: each N's grid counts fit one array, the
+    # stacked ones do not, and neither do multichaos's stacked starts
+    ("chaos", "replicas", 5 * 10 ** 15, "convergence.csv"),
+    ("multichaos", "replicas", 10 ** 17, "multichaos.csv"),
 ])
 def test_time_grid_past_numpy_fails_closed(tmp_path, sub, field, value,
                                            artifact):

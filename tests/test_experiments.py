@@ -141,12 +141,12 @@ def test_farm_counters_are_logged(caplog):
     graph = bm.proportional_family(targets)(24)
     with caplog.at_level(logging.DEBUG, logger="blockmf.experiments"):
         small_lln()
-        bm.multichaos_test(graph, spec, [(0, "c"), (1, "p")], 1.0, 6, 3,
+        bm.multichaos_test([graph], spec, [(0, "c"), (1, "p")], 1.0, 6, [3],
                            inits=inits)
     tables = GroupTables(graph, spec)
     gen = bm.substream(3, bm.rng.MULTICHAOS)
-    run = _count_farm(tables, experiments._start_counts(tables, inits, 6, gen),
-                      1.0, gen)
+    [run] = _count_farm([tables], experiments._start_counts(
+        [tables], inits, 6, [gen]), 1.0, [gen])
     assert [m.split(":")[0] for m in caplog.messages] == [
         "lln_experiment N=12", "lln_experiment N=24",
         "final_group_counts N=24"]
@@ -190,9 +190,9 @@ def test_multichaos_joint_and_tv():
     spec = bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7)
     inits = [np.array([0.6, 0.4])] * 4
     g = bm.proportional_family(targets)(48)
-    joint, product, tv = bm.multichaos_test(
-        g, spec, [(0, "c"), (1, "p")], T=1.0, replicas=400,
-        seed=17, inits=inits)
+    [(joint, product, tv)] = bm.multichaos_test(
+        [g], spec, [(0, "c"), (1, "p")], T=1.0, replicas=400,
+        seeds=[17], inits=inits)
     assert joint.shape == (2, 2) and product.shape == (2, 2)
     assert joint.sum() == pytest.approx(1.0)
     assert product.sum() == pytest.approx(1.0)
@@ -200,9 +200,9 @@ def test_multichaos_joint_and_tv():
     # the tagged nodes in a 48-node system are already nearly independent
     assert tv < 0.2
     # a second run with the same seed repeats the first
-    j2, p2, tv2 = bm.multichaos_test(
-        g, spec, [(0, "c"), (1, "p")], T=1.0, replicas=400,
-        seed=17, inits=inits)
+    [(j2, p2, tv2)] = bm.multichaos_test(
+        [g], spec, [(0, "c"), (1, "p")], T=1.0, replicas=400,
+        seeds=[17], inits=inits)
     assert np.array_equal(joint, j2)
     assert tv == tv2
 
@@ -213,26 +213,26 @@ def test_multichaos_tagged_resolution():
     inits = [np.array([0.6, 0.4])] * 4
     g = bm.proportional_family(targets)(24)
     # node ids and (block, class) requests resolve to the same nodes
-    a = bm.multichaos_test(g, spec, [(0, "c"), (1, "p")], 0.5,
-                           50, 3, inits=inits)
+    [a] = bm.multichaos_test([g], spec, [(0, "c"), (1, "p")], 0.5,
+                             50, [3], inits=inits)
     first_p1 = list(g.peripheral_nodes(1))[0]
-    b = bm.multichaos_test(g, spec, [0, first_p1], 0.5,
-                           50, 3, inits=inits)
+    [b] = bm.multichaos_test([g], spec, [0, first_p1], 0.5,
+                             50, [3], inits=inits)
     assert np.array_equal(a[0], b[0])
     with pytest.raises(bm.InvalidArgumentError, match="distinct"):
-        bm.multichaos_test(g, spec, [0, (0, "c")], 0.5, 50, 3,
+        bm.multichaos_test([g], spec, [0, (0, "c")], 0.5, 50, [3],
                            inits=inits)
     with pytest.raises(bm.InvalidArgumentError):
-        bm.multichaos_test(g, spec, [g.n_total], 0.5, 50, 3,
+        bm.multichaos_test([g], spec, [g.n_total], 0.5, 50, [3],
                            inits=inits)
     # a (block, class) request must name a block of the graph and a class
     for bad in ((-1, "p"), (2, "p"), (0, "x")):
         with pytest.raises(bm.InvalidArgumentError, match="names no class"):
-            bm.multichaos_test(g, spec, [0, bad], 0.5, 50, 3,
+            bm.multichaos_test([g], spec, [0, bad], 0.5, 50, [3],
                                inits=inits)
     # three tagged nodes produce a rank-3 joint table
-    j3, p3, _ = bm.multichaos_test(
-        g, spec, [0, (0, "p"), (1, "p")], 0.5, 50, 3, inits=inits)
+    [(j3, p3, _)] = bm.multichaos_test(
+        [g], spec, [0, (0, "p"), (1, "p")], 0.5, 50, [3], inits=inits)
     assert j3.shape == (2, 2, 2)
     assert p3.sum() == pytest.approx(1.0)
 
@@ -253,8 +253,8 @@ def test_resolve_tagged_rejects_what_is_no_request():
         with pytest.raises(bm.InvalidArgumentError, match=match):
             experiments.resolve_tagged(g, bad)
     with pytest.raises(bm.InvalidArgumentError, match="no node id"):
-        bm.multichaos_test(g, bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7), [True, 0],
-                           0.5, 10, 3, inits=[[0.6, 0.4]] * 4)
+        bm.multichaos_test([g], bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7),
+                           [True, 0], 0.5, 10, [3], inits=[[0.6, 0.4]] * 4)
 
 
 def test_resolve_tagged_rejects_bad_node_ids():
@@ -285,8 +285,8 @@ def test_count_farm_matches_per_node_simulation(graph):
     # farm's replicas against independent per-node kernel runs
     T, reps = 1.5, 2000
     tables = GroupTables(graph, SIS2)
-    _, counts = experiments._farm_on_grid(tables, INITS2, T, reps,
-                                          bm.substream(41, 0), np.array([T]))
+    _, counts = experiments._farm_on_grid([tables], INITS2, T, reps,
+                                          [bm.substream(41, 0)], np.array([T]))
     farm = counts[:, 0, :, 1]
     node = np.empty_like(farm)
     for rep in range(reps):
@@ -317,8 +317,8 @@ def test_count_farm_tagged_law_matches_oracle():
     graph = bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5)
     T, reps = 1.0, 20000
     tagged = [0, (0, "p"), (1, "p")]
-    joint, _, _ = bm.multichaos_test(graph, SIS2, tagged, T, reps, 23,
-                                     inits=INITS2)
+    [(joint, _, _)] = bm.multichaos_test([graph], SIS2, tagged, T, reps,
+                                         [23], inits=INITS2)
     dist = bm.master_equation_oracle(
         graph, SIS2, np.asarray(INITS2)[graph.component], T)
     nodes = experiments.resolve_tagged(graph, tagged)
@@ -340,9 +340,10 @@ def test_multichaos_tv_matches_its_exact_value(N, exact):
     # counts-based TV has a spread of about 0.0007 over seeds at 2,000
     # replicas; the exact values come from the count chain's law
     spec = bm.sis_spec(2, gamma=1.0, nu=3.0, eta=3.0, zeta=2.0)
-    _, _, tv = bm.multichaos_test(
-        bm.proportional_family(make_targets())(N), spec, [(0, "c"), (1, "p")],
-        3.0, 2000, (20260815, N), inits=[[0.75, 0.25]] * 4)
+    [(_, _, tv)] = bm.multichaos_test(
+        [bm.proportional_family(make_targets())(N)], spec,
+        [(0, "c"), (1, "p")], 3.0, 2000, [(20260815, N)],
+        inits=[[0.75, 0.25]] * 4)
     assert abs(tv - exact) <= 3 * 0.0007
 
 
@@ -403,7 +404,8 @@ def test_untagged_count_farm_is_pinned(graph, digest, record_steps,
     tables = GroupTables(graph, bm.sis_spec(
         2, gamma=[1.8, 2.1], nu=[1.5, 1.4], eta=1.6, zeta=[0.9, 0.7]))
     _, counts = experiments._farm_on_grid(
-        tables, INITS2, 2.0, 50, bm.substream(41, 0), np.linspace(0.0, 2.0, 5))
+        [tables], INITS2, 2.0, 50, [bm.substream(41, 0)],
+        np.linspace(0.0, 2.0, 5))
     assert counts.shape == (50, 5, tables.n_groups, 2)
     assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
 
@@ -414,7 +416,7 @@ def oracle_design_farm(replicas):
     graph = bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5)
     tables = GroupTables(graph, SIS2)
     gen = bm.substream(23, 1)
-    start = experiments._start_counts(tables, INITS2, replicas, gen)
+    [start] = experiments._start_counts([tables], INITS2, replicas, [gen])
     return tables, start, 1.0, gen
 
 
@@ -425,7 +427,8 @@ def absorbed_farm():
     tables = GroupTables(graph, bm.sis_spec(2, gamma=1.0, nu=3.0, eta=3.0,
                                             zeta=2.0))
     gen = bm.substream(23, 2)
-    start = experiments._start_counts(tables, [[0.75, 0.25]] * 4, 24, gen)
+    [start] = experiments._start_counts([tables], [[0.75, 0.25]] * 4, 24,
+                                        [gen])
     start[::3] = 0
     start[::3, :, 0] = tables.sizes
     return tables, start, 3.0, gen
@@ -452,8 +455,8 @@ def test_count_farm_with_stopping_replicas_is_pinned(farm, pins):
     # replica's record entries after it stopped lie past T.
     tables, start, T, gen = farm()
     blocks = []
-    run = _count_farm(tables, start, T, gen,
-                      lambda times, picks: blocks.append((times, picks)))
+    [run] = _count_farm([tables], [start], T, [gen],
+                        lambda times, picks: blocks.append((times, picks)))
     times, picks = (np.concatenate(b) for b in zip(*blocks))
     jumped = times <= T
     assert times.shape == picks.shape == (run.lock_steps, len(start))
@@ -466,15 +469,82 @@ def test_count_farm_with_stopping_replicas_is_pinned(farm, pins):
     assert got == pins
 
 
+def farm_record(designs, starts, T, seeds):
+    """A farm of `designs` from `starts`, each design drawing from
+    bm.substream(*its seed): its runs, its jump record stacked over the
+    blocks (times, picks), and its generators after the farm."""
+    gens = [bm.substream(*seed) for seed in seeds]
+    blocks = []
+    runs = _count_farm(designs, starts, T, gens,
+                       lambda times, picks: blocks.append((times, picks)))
+    times, picks = (np.concatenate(b) for b in zip(*blocks))
+    return runs, times, picks, gens
+
+
+@pytest.mark.parametrize("record_steps", [1, 3, simulate_module.RECORD_STEPS])
+def test_multi_design_farm_matches_each_design_alone(record_steps,
+                                                     monkeypatch):
+    # complete designs at three N in one farm, against each design's farm
+    # of its own: the final counts, counters and jump record of every
+    # design, bit for bit, and each generator left where its own farm
+    # leaves it. In the N=24 design every third replica starts
+    # all-susceptible, where its total rate is 0.
+    monkeypatch.setattr(simulate_module, "RECORD_STEPS", record_steps)
+    family = bm.proportional_family(make_targets())
+    spec = bm.sis_spec(2, gamma=1.0, nu=3.0, eta=3.0, zeta=2.0)
+    designs = [GroupTables(family(N), spec) for N in (12, 24, 48)]
+    seeds = [(29, i) for i in range(3)]
+    starts = experiments._start_counts(
+        designs, [[0.75, 0.25]] * 4, 9, [bm.substream(31, i)
+                                         for i in range(3)])
+    starts = [start[:R] for start, R in zip(starts, (5, 7, 9))]
+    starts[1][::3] = 0
+    starts[1][::3, :, 0] = designs[1].sizes
+    T = 3.0
+    runs, times, picks, gens = farm_record(designs, starts, T, seeds)
+    assert times.shape == picks.shape == (
+        max(run.lock_steps for run in runs), 21)
+    lo = 0
+    for tables, start, seed, run, gen in zip(designs, starts, seeds, runs,
+                                             gens):
+        [alone], a_times, a_picks, [a_gen] = farm_record(
+            [tables], [start], T, [seed])
+        hi = lo + len(start)
+        assert run.final.tobytes() == alone.final.tobytes()
+        assert (run.lock_steps, run.jumps) == (alone.lock_steps, alone.jumps)
+        assert 0 < run.lock_steps <= run.jumps
+        steps = run.lock_steps
+        assert times[:steps, lo:hi].tobytes() == a_times.tobytes()
+        assert picks[:steps, lo:hi].tobytes() == a_picks.tobytes()
+        # after its last replica stopped, a design's columns read no jump
+        assert np.all(times[steps:, lo:hi] == np.inf)
+        assert np.all(picks[steps:, lo:hi] == 0)
+        assert repr(gen.bit_generator.state) == repr(
+            a_gen.bit_generator.state)
+        lo = hi
+
+
+def test_count_farm_refuses_designs_of_different_structures():
+    complete = GroupTables(bm.build_complete_peripheral([(3, 5), (4, 4)]),
+                           SIS2)
+    regular = GroupTables(bm.build_regular_peripheral([(2, 4), (2, 4)], 0.5),
+                          SIS2)
+    gens = [bm.substream(41, 0), bm.substream(41, 1)]
+    starts = experiments._start_counts([complete], INITS2, 2, gens[:1]) + \
+        experiments._start_counts([regular], INITS2, 2, gens[1:])
+    with pytest.raises(bm.InvalidArgumentError, match="structure"):
+        _count_farm([complete, regular], starts, 1.0, gens)
+
+
 def test_count_farm_rejects_non_finite_rates():
     graph = bm.build_complete_peripheral([(3, 5), (4, 4)])
     tables = GroupTables(graph, SIS2)
     tables.gather_weight = np.full_like(tables.gather_weight, np.inf)
     gen = bm.substream(41, 0)
-    start = experiments._start_counts(tables, INITS2, 4, gen)
+    start = experiments._start_counts([tables], INITS2, 4, [gen])
     # inf times a zero count is nan: the farm says so without a warning
     with pytest.raises(bm.NumericalBlowupError, match="non-finite"):
-        _count_farm(tables, start, 1.0, gen)
+        _count_farm([tables], start, 1.0, [gen])
 
 
 def initial_law_entry_points():
@@ -491,7 +561,7 @@ def initial_law_entry_points():
         "sample_block_colors": lambda inits: bm.sample_block_colors(
             graph, inits, bm.substream(5)),
         "final_group_counts": lambda inits: experiments.final_group_counts(
-            graph, spec, 1.0, 4, bm.substream(5), inits=inits),
+            [graph], spec, 1.0, 4, [bm.substream(5)], inits=inits),
         "lln_experiment": lambda inits: bm.lln_experiment(
             bm.proportional_family(targets), spec, targets, inits, 1.0, 11,
             [12], 4, 5),
@@ -535,10 +605,10 @@ def count_argument_calls():
         "lln_experiment-replicas": ("replicas", lambda v: lln(replicas=v)),
         "final_group_counts-replicas": (
             "replicas", lambda v: experiments.final_group_counts(
-                graph, spec, 1.0, v, bm.substream(5), inits=inits)),
+                [graph], spec, 1.0, v, [bm.substream(5)], inits=inits)),
         "multichaos_test-replicas": ("replicas",
                                      lambda v: bm.multichaos_test(
-                                         graph, spec, [0, 1], 1.0, v, 5,
+                                         [graph], spec, [0, 1], 1.0, v, [5],
                                          inits=inits)),
     }
 
@@ -560,11 +630,14 @@ def test_count_arguments_take_true_integers(call, value):
     ("lln_experiment-grid", -1),
     ("lln_experiment-grid", 2 ** 63),
     ("lln_experiment-replicas", 2 ** 63),
+    # each N's grid counts fit one array, both N's together do not
+    ("lln_experiment-replicas", 10 ** 16),
     ("final_group_counts-replicas", 2 ** 63),
     ("multichaos_test-replicas", 2 ** 63),
 ])
 def test_count_arguments_past_numpy_fail_closed(call, value):
-    # each escaped as numpy's bare ValueError or IndexError
+    # each escaped as numpy's bare ValueError or IndexError; the farm of
+    # all N stacks their replicas, so their sum sizes its arrays
     name, run = count_argument_calls()[call]
     with pytest.raises(bm.InvalidArgumentError, match=name):
         run(value)
@@ -586,7 +659,7 @@ def seed_calls():
         "lln_experiment-path": lambda s: bm.lln_experiment(
             fam, spec, targets, inits, 1.0, 11, [12], 2, (5, s)),
         "multichaos_test": lambda s: bm.multichaos_test(
-            graph, spec, [0, 1], 1.0, 4, s, inits=inits),
+            [graph], spec, [0, 1], 1.0, 4, [s], inits=inits),
         "sample_reference_path": lambda s: bm.sample_reference_path(
             spec.colors, 0, 1.0, s),
     }

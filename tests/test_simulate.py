@@ -91,9 +91,9 @@ def test_simulate_checks_farm_counts_against_node_colors(monkeypatch):
     module = sys.modules["blockmf.simulate"]
 
     def drifting(*args, **kwargs):
-        run = _count_farm(*args, **kwargs)
-        run.final[0, 0, 0] += 1.0
-        return run
+        runs = _count_farm(*args, **kwargs)
+        runs[0].final[0, 0, 0] += 1.0
+        return runs
 
     monkeypatch.setattr(module, "_count_farm", drifting)
     g = bm.build_complete_peripheral([(2, 3), (2, 3)])
@@ -218,11 +218,17 @@ def farm_runs(tables, seeds, T=2.0, replicas=3):
         start = start_counts(tables, gen.integers(
             0, tables.K, (replicas, tables.graph.n_total)))
         blocks = []
-        run = _count_farm(tables, start, T, gen, lambda times, picks:
-                          blocks.append((times.tolist(), picks.tolist())))
+        [run] = _count_farm([tables], [start], T, [gen], lambda times, picks:
+                            blocks.append((times.tolist(), picks.tolist())))
         out.append((start.tolist(), blocks, run.final.tolist(),
                     run.lock_steps, run.jumps))
     return out
+
+
+def farm_rates(tables, n):
+    """`_farm_rates` on rows that all weigh with the tables' own
+    weights."""
+    return _farm_rates(tables, n, [(slice(None), tables.gather_weight)])
 
 
 def with_one(cnt):
@@ -265,10 +271,10 @@ def test_memo_matches_fresh_rates(name):
         assert (steps, moves) == (lock_steps, jumps)
         assert n.reshape(np.shape(final)).tolist() == final
     stack = with_one(np.concatenate(visited))
-    rates = _farm_rates(tables, stack)
+    rates = farm_rates(tables, stack)
     assert len(stack) > 600
     for state, rate in zip(stack, rates):
-        assert _farm_rates(tables, state[None])[0].tobytes() == rate.tobytes()
+        assert farm_rates(tables, state[None])[0].tobytes() == rate.tobytes()
 
 
 @pytest.mark.parametrize("name", MEMO_DESIGNS)
@@ -298,8 +304,9 @@ def test_memo_stays_within_its_bound():
     n_events = {}
 
     def worker(s):
-        n_events[s] = _count_farm(tables, start, 8.0,
-                                  np.random.default_rng(s)).jumps
+        [run] = _count_farm([tables], [start], 8.0,
+                            [np.random.default_rng(s)])
+        n_events[s] = run.jumps
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -316,9 +323,10 @@ def test_memo_stays_within_its_bound():
     assert sum(n_events.values()) > 4 * tables.n_groups * tables.n_edges
     assert table_state(tables) == built
     for s in (2, 3):
-        used = _count_farm(tables, start, 1.0, np.random.default_rng(s))
-        fresh = _count_farm(GroupTables(graph, family), start, 1.0,
-                            np.random.default_rng(s))
+        [used] = _count_farm([tables], [start], 1.0,
+                             [np.random.default_rng(s)])
+        [fresh] = _count_farm([GroupTables(graph, family)], [start], 1.0,
+                              [np.random.default_rng(s)])
         assert used.final.tobytes() == fresh.final.tobytes()
         assert used[1:] == fresh[1:]
     assert table_state(tables) == built
@@ -376,7 +384,7 @@ def farm_rates_at(tables, colors):
     """The farm's rate of every (group, edge) at the node colours
     `colors`, shape (G, E)."""
     n = with_one(start_counts(tables, np.asarray(colors)).ravel()[None])
-    return _farm_rates(tables, n).reshape(tables.n_groups, tables.n_edges)
+    return farm_rates(tables, n).reshape(tables.n_groups, tables.n_edges)
 
 
 def kernel_definition_gap(graph, family, colors):
@@ -574,7 +582,7 @@ def test_kernel_group_totals():
     rate = farm_rates_at(tables, st.colors)
     # the farm's per-group totals: rate times the source colour's count
     n = with_one(start_counts(tables, st.colors).ravel()[None])
-    flow = _farm_rates(tables, n) * n[:, tables.src]
+    flow = farm_rates(tables, n) * n[:, tables.src]
     group_total = flow.reshape(tables.n_groups, -1).sum(axis=1)
     cg = SIS.colors
     for g, members in enumerate(tables.members):
@@ -790,12 +798,12 @@ def horizon_entry_points():
     tiny = bm.build_complete_peripheral([(1, 2)])
     return {
         "count_farm": lambda T: _count_farm(
-            GroupTables(graph, SIS), [[[1, 1]] * 4], T, bm.substream(3)),
+            [GroupTables(graph, SIS)], [[[[1, 1]] * 4]], T, [bm.substream(3)]),
         "simulate": lambda T: bm.simulate(graph, SIS, [0] * 10, T, 3),
         "final_group_counts": lambda T: experiments.final_group_counts(
-            graph, queue, T, 2, bm.substream(3), inits=inits),
+            [graph], queue, T, 2, [bm.substream(3)], inits=inits),
         "multichaos_test": lambda T: bm.multichaos_test(
-            graph, queue, [0, 4], T, 2, 3, inits=inits),
+            [graph], queue, [0, 4], T, 2, [3], inits=inits),
         "lln_experiment": lambda T: bm.lln_experiment(
             lambda N: graph, queue, bm.ProportionTargets.from_graph(graph),
             inits, T, 5, [10], 2, 3),

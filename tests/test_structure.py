@@ -11,6 +11,10 @@ the package is given in `rates`: an integer in `_integer`, one real in
 `_real`, an array of reals in `_reals`. These tests read the package's
 syntax trees and fail when any of these spreads further.
 
+The farm runs every design of one structure in one loop, so it has
+three callers: `simulate`, the chaos grid (`experiments._farm_on_grid`)
+and `experiments.final_group_counts`; none of them loops it over N.
+
 A tagged node's law is read off the group counts by one helper,
 `experiments.tagged_law`, for `multichaos_test` and `oracle-check`; no
 second chain splits tagged nodes out of their groups.
@@ -92,6 +96,15 @@ def functions_calling(name):
 def test_count_farm_is_the_one_event_loop():
     assert functions_calling("standard_exponential") == {
         ("simulate.py", "_count_farm")}
+
+
+def test_count_farm_runs_from_three_callers():
+    # one farm for every design of a run: simulate's one replica, the
+    # chaos grid and the final counts of multichaos and oracle-check; no
+    # caller loops the farm over N
+    assert functions_calling("_count_farm") == {
+        ("simulate.py", "simulate"), ("experiments.py", "_farm_on_grid"),
+        ("experiments.py", "final_group_counts")}
 
 
 def test_tagged_laws_come_from_group_counts():
