@@ -126,32 +126,34 @@ def _particle_model(sc):
     return graph, spec, sc.build_inits(graph.r, spec.colors.K)
 
 
-def _n_list_sizes(sc, targets):
-    """Block sizes of the graph chaos and multichaos build for each N of
-    n_list, found without building the graphs."""
-    from .experiments import proportional_sizes
+def _n_list_graphs(sc, targets):
+    """The graph chaos and multichaos run for each N of n_list: the
+    complete design of `proportional_family(targets)`."""
+    from .experiments import proportional_family
 
     n_list = sc.n_list  # names itself when refused
+    build = proportional_family(targets)
     try:
-        return [proportional_sizes(targets, N) for N in n_list]
+        return [build(N) for N in n_list]
     except ValidationError as exc:
         raise InvalidConfigurationError(f"n_list: {exc}") from None
 
 
-def _resolve_tagged_for_every_n(tagged, n_list, graphs):
+def _resolve_tagged_for_every_n(tagged, graphs):
     """Resolve the tagged requests on the graph of every N, so that a
     request that some N cannot honour fails before any run."""
     from .experiments import resolve_tagged
 
-    for N, graph in zip(n_list, graphs):
+    for graph in graphs:
         try:
             resolve_tagged(graph, tagged)
         except ValidationError as exc:
-            raise InvalidConfigurationError(f"N={N}: {exc}") from None
+            raise InvalidConfigurationError(
+                f"N={graph.n_total}: {exc}") from None
 
 
 def cmd_validate(args):
-    from .graph import build_complete_peripheral, check_regularity
+    from .graph import check_regularity
 
     sc, seed, _ = _resolve(args, need_seed=False)
     checked = ["schema"]
@@ -183,15 +185,13 @@ def cmd_validate(args):
             raise InvalidConfigurationError(
                 "flow_csv: flow needs at least 3 grid points")
         checked.append("flow_csv")
-    sizes = None
+    graphs = None
     if "n_list" in sc.raw and targets is not None:
-        sizes = _n_list_sizes(sc, targets)
+        graphs = _n_list_graphs(sc, targets)
     if "tagged" in sc.raw and targets is not None:
         tagged = sc.tagged(targets.r)
-        if sizes is not None:
-            _resolve_tagged_for_every_n(
-                tagged, sc.n_list,
-                [build_complete_peripheral(s) for s in sizes])
+        if graphs is not None:
+            _resolve_tagged_for_every_n(tagged, graphs)
         checked.append("tagged")
     extra = ""
     if graph is not None and targets is not None:
@@ -248,15 +248,15 @@ def cmd_picard(args):
 
 
 def cmd_chaos(args):
-    from .experiments import lln_experiment, proportional_family
+    from .experiments import lln_experiment
 
     sc, seed, out_dir = _resolve(args)
     spec, targets, inits = _limit_model(sc)
-    _n_list_sizes(sc, targets)
+    graphs = _n_list_graphs(sc, targets)
     report = lln_experiment(
-        proportional_family(targets), spec, targets, inits,
-        sc.number("horizon"), sc.number("grid", 31), sc.n_list,
-        sc.number("replicas"), seed, dt=sc.number("dt"),
+        graphs, spec, targets, inits, sc.number("horizon"),
+        sc.number("grid", 31), sc.number("replicas"),
+        [(seed, idx) for idx in range(len(graphs))], dt=sc.number("dt"),
     )
     _write(out_dir, "convergence.csv", report.to_csv)
     _write(out_dir, "chaos_convergence.svg", report.to_svg)
@@ -268,13 +268,12 @@ def cmd_chaos(args):
 
 def cmd_multichaos(args):
     from .experiments import multichaos_test
-    from .graph import build_complete_peripheral
 
     sc, seed, out_dir = _resolve(args)
     spec, targets, inits = _limit_model(sc)
-    graphs = [build_complete_peripheral(s) for s in _n_list_sizes(sc, targets)]
+    graphs = _n_list_graphs(sc, targets)
     tagged = sc.tagged(targets.r)
-    _resolve_tagged_for_every_n(tagged, sc.n_list, graphs)
+    _resolve_tagged_for_every_n(tagged, graphs)
     T, replicas = sc.number("horizon"), sc.number("replicas")
     tvs = [tv for _, _, tv in multichaos_test(
         graphs, spec, tagged, T, replicas,

@@ -1,26 +1,27 @@
 """Statistical experiments: empirical-measure convergence to the
 mean-field flow, and factorization of tagged-node joint laws.
 
-On every design, each member of a group (a block's centrals, a
-peripheral twin class) jumps at the same rates, so the system is
-Kurtz's density-dependent chain on group colour counts. Both
-experiments run it as the count farm of `simulate`, in the calling
-process: the replicas of every N whose designs share one structure (on
-a complete proportional family, all N) advance together in numpy
-arrays, one jump per replica per lock-step, so a run takes as many
-lock-steps as its longest N needs. `lln_experiment` lands the farm's
-jump record on its grid. Single nodes need no farm of their own: the
-members of a group are exchangeable, so the joint law of a few nodes at
-time T is a function of their groups' colour counts (`tagged_law`),
-averaged over the farm's replicas. `multichaos_test` reads the joint
-law of its tagged nodes so, and `oracle-check` every node's marginal
-law.
+Both experiments take a list of graphs, designs of growing N, and one
+seed or seed path per graph. On every design, each member of a group
+(a block's centrals, a peripheral twin class) jumps at the same rates,
+so the system is Kurtz's density-dependent chain on group colour
+counts. One runner, `_run_farms`, runs it as the count farm of
+`simulate`, in the calling process: the replicas of every graph whose
+designs share one structure (on a complete proportional family, all N)
+advance together in numpy arrays, one jump per replica per lock-step,
+so a run takes as many lock-steps as its longest N needs.
+`lln_experiment` has the runner land the farm's jump record on its
+grid. Single nodes need no farm of their own: the members of a group
+are exchangeable, so the joint law of a few nodes at time T is a
+function of their groups' colour counts (`tagged_law`), averaged over
+the farm's replicas. `multichaos_test` reads the joint law of its
+tagged nodes so, and `oracle-check` every node's marginal law.
 
-Each N draws from its own stream, keyed by its seed path and a purpose
-word, and reads it as a farm of that N alone would, so results are a
-pure function of the seed and the replica count, whatever other N share
-the farm; a replica's draws depend on how many replicas share its
-stream.
+Each graph draws from its own stream, keyed by its seed path and a
+purpose word, and reads it as a farm of that graph alone would, so
+results are a pure function of the seeds and the replica count,
+whatever other graphs share the farm; a replica's draws depend on how
+many replicas share its stream.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .metrics import d_bl_of_differences
 from .rates import _check_entries, _check_horizon, _integer, _is_integer, \
     _quoted, initial_laws
 from .rng import CHAOS, MULTICHAOS, substream
-from .simulate import FarmRun, GroupTables, _check_grid, _count_farm, \
-    _land, _same_structure
+from .simulate import GroupTables, _check_grid, _count_farm, _land, \
+    _same_structure
 from .tables import write_table
 
 log = logging.getLogger(__name__)
@@ -178,9 +179,15 @@ def proportional_family(targets: ProportionTargets):
     return build
 
 
-def _seed_path(seed):
-    path = seed if isinstance(seed, (tuple, list)) else (seed,)
-    return tuple(_integer(s, "seed") for s in path)
+def _streams(seeds, graphs, purpose):
+    """One generator per graph, keyed by its entry of `seeds`, a seed or a
+    seed path, and the purpose word."""
+    if not isinstance(seeds, (list, tuple)) or len(seeds) != len(graphs):
+        raise InvalidArgumentError(
+            f"need a list of one seed per graph, {len(graphs)} in all")
+    paths = [s if isinstance(s, (tuple, list)) else (s,) for s in seeds]
+    return [substream(*(_integer(w, "seed") for w in path), purpose)
+            for path in paths]
 
 
 def _start_counts(designs, inits, replicas: int, gens):
@@ -211,50 +218,62 @@ def _by_structure(designs):
     return farms
 
 
-def _farm_on_grid(designs, inits, T: float, replicas: int, gens,
-                  grid) -> tuple[list, np.ndarray]:
-    """One count farm of `replicas` iid starts (`_start_counts`) for each
-    of `designs`, GroupTables of one structure, to time T, and their
-    group counts at each time of `grid` (a grid `_check_grid` passed):
-    one array of shape (len(designs) * replicas, len(grid), G, K), design
-    after design, the state after the last jump at or before that time,
-    landed from the farm's jump record. Returns the farm's FarmRuns and
-    that array."""
-    G, K = designs[0].n_groups, designs[0].K
-    R = len(designs) * replicas
-    _check_entries(R * grid.size * G * K, "replicas x grid")
-    starts = _start_counts(designs, inits, replicas, gens)
-    start = np.concatenate(starts).reshape(R, 1, G * K)
-    landed = np.zeros((R, grid.size, G * K), dtype=np.int64)
-    src, dst = designs[0].src, designs[0].dst
+def _run_farms(caller, designs, inits, T: float, replicas: int, gens,
+               grid=None) -> list:
+    """Run `replicas` iid starts (`_start_counts`) of each of `designs`,
+    GroupTables, to time T, each design drawing from its entry of `gens`,
+    in one count farm per structure (`_by_structure`). Each design's
+    lock-steps and replica jumps are logged as `caller`'s on
+    `blockmf.experiments` at debug level. Returns one FarmRun per design;
+    given a grid (one `_check_grid` passed), each design's group counts
+    at its times instead, shape (replicas, len(grid), G, K): the state
+    after the last jump at or before that time, landed from the farm's
+    jump record."""
+    out = [None] * len(designs)
+    for farm in _by_structure(designs):
+        group, farm_gens = [designs[i] for i in farm], [gens[i] for i in farm]
+        G, K = group[0].n_groups, group[0].K
+        R = len(farm) * replicas
+        if grid is None:
+            record = None
+        else:
+            _check_entries(R * grid.size * G * K, "replicas x grid")
+            landed = np.zeros((R, grid.size, G * K), dtype=np.int64)
+            src, dst = group[0].src, group[0].dst
 
-    def record(times, picks):
-        _land(landed, grid, times, src[picks], dst[picks])
+            def record(times, picks):
+                _land(landed, grid, times, src[picks], dst[picks])
+        starts = _start_counts(group, inits, replicas, farm_gens)
+        runs = _count_farm(group, starts, T, farm_gens, record)
+        if grid is not None:
+            start = np.concatenate(starts).reshape(R, 1, G * K)
+            counts = start.astype(float) + np.cumsum(landed, axis=1)
+            on_grid = np.split(counts.reshape(R, grid.size, G, K), len(farm))
+        for k, (i, run) in enumerate(zip(farm, runs)):
+            if log.isEnabledFor(logging.DEBUG):
+                log.debug("%s N=%d: %d lock-steps, %d replica jumps", caller,
+                          designs[i].graph.n_total, run.lock_steps, run.jumps)
+            out[i] = run if grid is None else on_grid[k]
+    return out
 
-    runs = _count_farm(designs, starts, T, gens, record)
-    counts = start.astype(float) + np.cumsum(landed, axis=1)
-    return runs, counts.reshape(R, grid.size, G, K)
 
-
-def _log_farm(caller, N, run: FarmRun):
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("%s N=%d: %d lock-steps, %d replica jumps", caller, N,
-                  run.lock_steps, run.jumps)
-
-
-def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
-                   T, grid, N_list, replicas, seed, *,
-                   dt=0.01) -> ConvergenceReport:
-    """For each N: sample iid initial colors, simulate, and take the sup
-    over a uniform grid of `grid` points on [0, T] of the max-component
-    BL distance between the empirical measures and the limiting flow.
-    Reports mean and standard error over replicas per N. Every N's design
-    is built first; the replicas of all N whose designs share a structure
-    run as one count farm, each N on its own stream, and are landed on
-    one grid array."""
-    N_list = [_integer(n, "N_list entry") for n in N_list]
-    if N_list != sorted(set(N_list)):
-        raise InvalidArgumentError("N_list must be strictly increasing")
+def lln_experiment(graphs, spec, targets: ProportionTargets, inits, T, grid,
+                   replicas, seeds, *, dt=0.01) -> ConvergenceReport:
+    """For each of `graphs`, of strictly increasing N: sample iid initial
+    colors, simulate, and take the sup over a uniform grid of `grid`
+    points on [0, T] of the max-component BL distance between the
+    empirical measures and the limiting flow. Reports mean and standard
+    error over replicas per N. seeds: one seed or seed path per graph.
+    The replicas of all graphs whose designs share a structure run as one
+    count farm, each graph on its own stream, and are landed on one grid
+    array."""
+    n_values = [graph.n_total for graph in graphs]
+    if n_values != sorted(set(n_values)):
+        raise InvalidArgumentError("graph sizes N must strictly increase")
+    r = targets.r
+    if any(graph.r != r for graph in graphs):
+        raise InvalidArgumentError("a graph disagrees with the targets' "
+                                   f"{r} blocks")
     replicas = _integer(replicas, "replicas")
     if replicas < 2:
         raise InvalidArgumentError("need at least 2 replicas")
@@ -263,37 +282,26 @@ def lln_experiment(graph_family, spec, targets: ProportionTargets, inits,
     if grid < 1:
         raise InvalidArgumentError("need at least 1 grid point")
     _check_entries(grid, "grid")
-    _check_entries(len(N_list) * replicas, "replicas")
+    _check_entries(len(graphs) * replicas, "replicas")
+    gens = _streams(seeds, graphs, CHAOS)
     grid_times = _check_grid(np.linspace(0.0, T, grid), T)
     flow = solve_mckean_vlasov(spec, targets, inits, T, dt)
     flow_grid = np.stack([flow.at(t) for t in grid_times])
-    seed_path = _seed_path(seed)
 
-    r = targets.r
-    designs = []
-    for N in N_list:
-        graph = graph_family(N)
-        if graph.r != r:
-            raise InvalidArgumentError("graph family disagrees with targets")
-        designs.append(GroupTables(graph, spec))
-    per_comp = [None] * len(N_list)  # (replicas, 2r) per N
-    for farm in _by_structure(designs):
-        runs, counts = _farm_on_grid(
-            [designs[i] for i in farm], inits, T, replicas,
-            [substream(*seed_path, i, CHAOS) for i in farm], grid_times)
-        for i, run, n_counts in zip(farm, runs, np.split(counts, len(farm))):
-            _log_farm("lln_experiment", N_list[i], run)
-            tables = designs[i]
-            to_component = np.zeros((2 * r, tables.n_groups))
-            to_component[tables.component, np.arange(tables.n_groups)] = 1.0
-            emp = ((to_component @ n_counts)
-                   / np.ravel(tables.graph.block_sizes)[:, None])
-            per_comp[i] = d_bl_of_differences(emp - flow_grid).max(axis=1)
+    designs = [GroupTables(graph, spec) for graph in graphs]
+    per_comp = []  # (replicas, 2r) per N
+    for tables, counts in zip(designs, _run_farms(
+            "lln_experiment", designs, inits, T, replicas, gens, grid_times)):
+        to_component = np.zeros((2 * r, tables.n_groups))
+        to_component[tables.component, np.arange(tables.n_groups)] = 1.0
+        emp = ((to_component @ counts)
+               / np.ravel(tables.graph.block_sizes)[:, None])
+        per_comp.append(d_bl_of_differences(emp - flow_grid).max(axis=1))
     comp_means = np.reshape([p.mean(axis=0) for p in per_comp],
-                            (len(N_list), 2 * r))
+                            (len(graphs), 2 * r))
     dists = np.reshape([p.max(axis=1) for p in per_comp],
-                       (len(N_list), replicas))
-    return ConvergenceReport(tuple(N_list), comp_means, dists)
+                       (len(graphs), replicas))
+    return ConvergenceReport(tuple(n_values), comp_means, dists)
 
 
 def resolve_tagged(graph: BlockGraph, tagged_nodes):
@@ -341,16 +349,8 @@ def final_group_counts(graphs, spec, T, replicas, gens, *,
             f"need one generator per graph, got {len(gens)} for "
             f"{len(graphs)}")
     designs = [GroupTables(graph, spec) for graph in graphs]
-    out = [None] * len(designs)
-    for farm in _by_structure(designs):
-        group, farm_gens = [designs[i] for i in farm], [gens[i] for i in farm]
-        runs = _count_farm(
-            group, _start_counts(group, inits, replicas, farm_gens), T,
-            farm_gens)
-        for i, run in zip(farm, runs):
-            _log_farm("final_group_counts", graphs[i].n_total, run)
-            out[i] = (designs[i], run.final)
-    return out
+    runs = _run_farms("final_group_counts", designs, inits, T, replicas, gens)
+    return [(tables, run.final) for tables, run in zip(designs, runs)]
 
 
 def tagged_law(tables: GroupTables, counts, nodes) -> np.ndarray:
@@ -388,10 +388,7 @@ def multichaos_test(graphs, spec, tagged_nodes, T, replicas, seeds, *,
     run on each graph's own proportions; the runs on graphs of one
     structure are one count farm (`final_group_counts`)."""
     tagged = [resolve_tagged(graph, tagged_nodes) for graph in graphs]
-    if not isinstance(seeds, (list, tuple)) or len(seeds) != len(graphs):
-        raise InvalidArgumentError(
-            f"need a list of one seed per graph, {len(graphs)} in all")
-    gens = [substream(*_seed_path(seed), MULTICHAOS) for seed in seeds]
+    gens = _streams(seeds, graphs, MULTICHAOS)
     out = []
     for nodes, (tables, counts) in zip(tagged, final_group_counts(
             graphs, spec, T, replicas, gens, inits=inits)):

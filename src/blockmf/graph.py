@@ -99,7 +99,7 @@ class BlockGraph:
             if nc < 1 or npp < 1:
                 raise InvalidConfigurationError(
                     f"block {j}: every block needs >=1 central and >=1 "
-                    f"peripheral node, got ({nc},{npp})"
+                    f"peripheral node, got ({_quoted(nc)},{_quoted(npp)})"
                 )
         self.r = len(sizes)
         self.block_sizes = tuple(sizes)
@@ -119,9 +119,11 @@ class BlockGraph:
             a = _integer(a, "peripheral edge endpoint")
             b = _integer(b, "peripheral edge endpoint")
             if a == b:
-                raise InvalidConfigurationError(f"self-loop at node {a}")
+                raise InvalidConfigurationError(
+                    f"self-loop at node {_quoted(a)}")
             if not (0 <= a < self.n_total and 0 <= b < self.n_total):
-                raise InvalidConfigurationError(f"edge ({a},{b}) out of range")
+                raise InvalidConfigurationError(
+                    f"edge ({_quoted(a)},{_quoted(b)}) out of range")
             if not (self.is_peripheral(a) and self.is_peripheral(b)):
                 raise InvalidConfigurationError(
                     f"edge ({a},{b}) touches a central node"

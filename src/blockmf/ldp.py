@@ -29,6 +29,7 @@ from .rates import (
     ColorGraph,
     _check_horizon,
     _integer,
+    _quoted,
     _real,
     _reals,
     as_block_rates,
@@ -449,7 +450,7 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
     g = _component_of(*which, flow.r) if pair else None
     if g is None:
         raise InvalidArgumentError(
-            f"no component (block, class) = {which!r}")
+            f"no component (block, class) = {_quoted(which)}")
     colors = family.colors
     K = colors.K
     times = flow.times
@@ -463,21 +464,21 @@ def girsanov_log_densities(paths, flow: MeanFieldFlow, targets, spec,
         if not 0.0 <= horizon <= flow.T + 1e-9:
             raise InvalidArgumentError(
                 f"path horizon must lie in [0, {flow.T:g}], the flow's, "
-                f"got {path.horizon!r}")
+                f"got {_quoted(path.horizon)}")
         jumps = _reals(path.jump_times, "path jump times")
         if (jumps.ndim != 1 or not np.all(jumps > 0.0)
                 or not np.all(jumps <= horizon)
                 or not np.all(np.diff(jumps) > 0.0)):
             raise InvalidArgumentError(
                 f"path jump times must increase strictly within (0, "
-                f"horizon], got {path.jump_times!r}")
+                f"horizon], got {_quoted(path.jump_times)}")
         seen = np.asarray(path.colors)
         if (seen.dtype.kind not in "iu"
                 or seen.shape != (len(path.jump_times) + 1,)
                 or seen.min() < 0 or seen.max() >= K):
             raise InvalidArgumentError(
                 f"path colors must be len(jump_times) + 1 integers in "
-                f"0..{K - 1}, got {path.colors!r}")
+                f"0..{K - 1}, got {_quoted(path.colors)}")
         jump_sum = 0.0
         for k, t_k in enumerate(jumps):
             z_prev = int(path.colors[k])
@@ -546,7 +547,8 @@ def sample_reference_path(colors: ColorGraph, z0: int, T: float,
     fires at rate 1, independently of everything else."""
     z0 = _integer(z0, "initial color")
     if not 0 <= z0 < colors.K:
-        raise InvalidArgumentError(f"initial color {z0} out of range")
+        raise InvalidArgumentError(
+            f"initial color {_quoted(z0)} out of range")
     T = _check_horizon(T)
     gen = seed if isinstance(seed, np.random.Generator) \
         else _rng.substream(seed)

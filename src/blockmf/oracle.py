@@ -155,11 +155,13 @@ def master_equation_oracle(graph: BlockGraph, spec, init_dist,
     family = as_block_rates(spec, graph.r)
     K = family.colors.K
     N = graph.n_total
-    n_states = K ** N
-    if n_states > STATE_CAP:
+    # K >= 2 colours give at least 2^N states, past the cap from
+    # N = STATE_CAP.bit_length() on: K^N is formed only for smaller N
+    if K > 1 and N >= STATE_CAP.bit_length() or K ** N > STATE_CAP:
         raise CapacityError(
-            f"K^N = {n_states} exceeds the oracle cap {STATE_CAP}"
-        )
+            f"K^N states for K={K} colours and N={N} nodes exceed the "
+            f"oracle cap {STATE_CAP}")
+    n_states = K ** N
     T = _check_horizon(T)
 
     init = _reals(init_dist, "init_dist")

@@ -84,13 +84,18 @@ class _Short(reprlib.Repr):
 
 _SHORT = _Short()
 _SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 80
+_QUOTE_HALF = 60
 
 
 def _quoted(value) -> str:
     """The repr of a refused value from outside, long ones cut in the
     middle (strings, ints and other objects to 80 characters, lists to
-    their first items), so an error stays one short line."""
-    return _SHORT.repr(value)
+    their first items, and the whole to 123), so an error stays one
+    short line."""
+    text = _SHORT.repr(value)
+    if len(text) > 2 * _QUOTE_HALF + 3:
+        text = f"{text[:_QUOTE_HALF]}...{text[-_QUOTE_HALF:]}"
+    return text
 
 
 # every number the package is given is read by `_integer`, `_real` or
@@ -177,11 +182,15 @@ class ColorGraph:
             z = _integer(e[0], "edge endpoint")
             zp = _integer(e[1], "edge endpoint")
             if z == zp:
-                raise InvalidArgumentError(f"self-loop edge ({z},{zp})")
+                raise InvalidArgumentError(
+                    f"self-loop edge ({_quoted(z)},{_quoted(zp)})")
             if not (0 <= z < K and 0 <= zp < K):
-                raise InvalidArgumentError(f"edge ({z},{zp}) outside 0..{K-1}")
+                raise InvalidArgumentError(
+                    f"edge ({_quoted(z)},{_quoted(zp)}) outside "
+                    f"0..{_quoted(K - 1)}")
             if (z, zp) in seen:
-                raise InvalidArgumentError(f"duplicate edge ({z},{zp})")
+                raise InvalidArgumentError(
+                    f"duplicate edge ({_quoted(z)},{_quoted(zp)})")
             seen.add((z, zp))
         edges = tuple(sorted(seen))
         object.__setattr__(self, "K", K)
@@ -447,7 +456,7 @@ def sis_spec(r, gamma, nu, eta, zeta) -> BlockRates:
 
     r = _integer(r, "r")
     if r < 1:
-        raise InvalidArgumentError(f"r must be >= 1, got {r}")
+        raise InvalidArgumentError(f"r must be >= 1, got {_quoted(r)}")
 
     def per_block(x, name):
         # read outside the try: a ValidationError is a ValueError

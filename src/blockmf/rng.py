@@ -5,12 +5,14 @@ Philox is counter-based, so `substream(seed, k)` is a pure function of
 
 The CLI keys every stream by its seed path and ends the key with a
 purpose word:
-- `chaos`: (seed, N index, CHAOS), one stream per N. The replicas of
-  every N run in one count farm in the calling process, one lock-step
-  loop for all N; each N's replicas draw from its own stream in
-  lock-step, and that N draws nothing once its last replica stops, so
-  the stream is read as in a farm of that N alone. A replica's draws
-  depend on the replica count, not on the other N.
+- `chaos`: (seed, N index, CHAOS), one stream per N: the CLI hands
+  `lln_experiment` the seed path (seed, N index) for each N's graph,
+  and the experiment appends the word. The replicas of every N run in
+  one count farm in the calling process, one lock-step loop for all N;
+  each N's replicas draw from its own stream in lock-step, and that N
+  draws nothing once its last replica stops, so the stream is read as
+  in a farm of that N alone. A replica's draws depend on the replica
+  count, not on the other N.
 - `multichaos`: (seed, N index, MULTICHAOS), likewise.
 - `oracle-check`: (seed, 0, 0, ORACLE_CHECK), the one stream of its
   count farm, likewise.
@@ -31,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .rates import _integer
+from .rates import _integer, _quoted
 
 __all__ = ["substream", "CHAOS", "MULTICHAOS", "ORACLE_CHECK", "SIMULATE"]
 
@@ -43,6 +45,7 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     words that are integers >= 0."""
     words = [_integer(w, "seed word") for w in (master_seed, *path)]
     if min(words) < 0:
-        raise InvalidArgumentError(f"seed words must be >= 0, got {words}")
+        raise InvalidArgumentError(
+            f"seed words must be >= 0, got {_quoted(words)}")
     ss = np.random.SeedSequence(words)
     return np.random.Generator(np.random.Philox(ss))

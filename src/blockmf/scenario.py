@@ -93,7 +93,7 @@ def _number(name, value):
         raise InvalidConfigurationError(str(exc)) from None
     if integer and value < bound:
         raise InvalidConfigurationError(
-            f"{name} must be >= {bound}, got {value}")
+            f"{name} must be >= {bound}, got {_quoted(value)}")
     if not integer and not bound < value < math.inf:
         raise InvalidConfigurationError(
             f"{name} must be finite and > {bound}, got {value}")

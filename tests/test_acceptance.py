@@ -129,10 +129,11 @@ def test_criterion_03_picard_agreement():
 def test_criterion_04_chaos_scaling():
     t0 = time.perf_counter()
     family = bm.proportional_family(CHAOS_TARGETS)
-    report = bm.lln_experiment(family, CHAOS_SPEC, CHAOS_TARGETS,
-                               CHAOS_INITS, T=3.0, grid=31,
-                               N_list=[40, 160, 640], replicas=100,
-                               seed=20260815, dt=0.01)
+    report = bm.lln_experiment([family(N) for N in (40, 160, 640)],
+                               CHAOS_SPEC, CHAOS_TARGETS, CHAOS_INITS, T=3.0,
+                               grid=31, replicas=100,
+                               seeds=[(20260815, i) for i in range(3)],
+                               dt=0.01)
     decreasing = all(report.means[i + 1] < report.means[i] for i in range(2))
     ratio = float(report.means[0] / report.means[-1])
     elapsed = time.perf_counter() - t0

@@ -611,6 +611,22 @@ def test_huge_sizes_fail_closed(tmp_path, sub, field, value, artifact):
     assert_fails_closed(proc, tmp_path / "out" / artifact, "memory")
 
 
+@pytest.mark.parametrize("blocks", [[[5000, 5000]], [[10000, 10000]]],
+                         ids=["N-10000", "N-20000"])
+def test_oracle_check_past_its_cap_fails_closed(tmp_path, blocks):
+    # the cap formed K^N and printed it: a 3,053-character error line at
+    # N = 10,000, and past Python's 4,300-digit limit on turning an int
+    # into a string a ValueError traceback at N = 20,000
+    scen = scen_path(tmp_path, {**ORACLE_SCEN,
+                                "graph": {"complete_blocks": blocks}})
+    proc = run_blockmf_module(["oracle-check", "--scenario", scen,
+                               "--out", str(tmp_path / "out")])
+    N = 2 * blocks[0][0]
+    assert_fails_closed(proc, tmp_path / "out" / "oracle_check.csv",
+                        f"K=2 colours and N={N} nodes exceed the oracle cap")
+    assert len(proc.stderr) < 250, proc.stderr
+
+
 @pytest.mark.parametrize("sub, field, value, artifact", [
     ("meanfield", "horizon", 1e300, "flow.csv"),
     ("meanfield", "dt", 1e-300, "flow.csv"),
@@ -765,8 +781,27 @@ def test_carriage_return_inside_a_row_fails():
     ("schema", "x" * 100_000, "scenario schema must be"),
     ("x" * 100_000, 1, "unknown field(s) in scenario"),
     ("graph", {**_INLINE, "x" * 100_000: 1}, "unknown graph fields"),
+    # an integer of 4,001 digits below a bound, each value once
+    ("replicas", -10 ** 4000, "replicas must be >= 1"),
+    ("seed", -10 ** 4000, "seed must be >= 0"),
+    ("grid", -10 ** 4000, "grid must be >= 2"),
+    ("picard_max_iter", -10 ** 4000, "picard_max_iter must be >= 1"),
+    ("n_list", [-10 ** 4000], "n_list must be >= 2"),
+    ("graph", {"complete_blocks": [[-10 ** 4000, 3], [2, 3]]},
+     "every block needs"),
+    ("graph", {**_INLINE, "peripheral_edges":
+               [[1, -10 ** 4000]] + _PERIPHERAL_PAIRS[1:]}, "out of range"),
+    ("rates", _with_tables(edges=[[0, 1], [-10 ** 4000, 0]])["rates"],
+     "outside 0..1"),
+    ("rates", {**SCEN["rates"], "r": -10 ** 4000}, "r must be >= 1"),
+    # a list of them, each item cut to 80 characters, 527 in all
+    ("seed", [-10 ** 4000] * 10, "seed must be an integer"),
 ], ids=["huge-int", "long-list", "long-string", "long-row", "long-header",
-        "long-schema", "long-unknown-field", "long-unknown-graph-field"])
+        "long-schema", "long-unknown-field", "long-unknown-graph-field",
+        "replicas-below-bound", "seed-below-bound", "grid-below-bound",
+        "picard-max-iter-below-bound", "n-list-below-bound",
+        "complete-blocks-below-bound", "inline-edge-out-of-range",
+        "tables-edge-out-of-range", "sis-r-below-bound", "list-of-huge-ints"])
 def test_refused_value_is_quoted_short(tmp_path, field, value, needle):
     # the error line quotes a long refused value cut to a few dozen
     # characters, not whole
@@ -944,10 +979,11 @@ def test_numeric_leaf_that_is_not_a_number_fails_closed(tmp_path, name,
 
 
 # Item alphabet of the property gate below: a deleted key, the JSON
-# scalars that are no valid number, counts past what numpy can shape,
-# and containers where a scalar belongs
+# scalars that are no valid number, counts past what numpy can shape, an
+# integer of 4,001 digits, and containers where a scalar belongs
 GATE_VALUES = [DELETE, None, True, "x", "x" * 300, math.nan, math.inf, 1e308,
-               2 ** 62, -2 ** 62, 2 ** 63, -2 ** 63, [], [[0.5, 0.5]], {}]
+               2 ** 62, -2 ** 62, 2 ** 63, -2 ** 63, -10 ** 4000, [],
+               [[0.5, 0.5]], {}]
 GATE_FLOW_FILES = {
     "scen.json": json.dumps({**SCEN, "flow_csv": "flow.csv"}).encode(),
     "flow.csv": ("\n".join(_flow_lines()) + "\n").encode(),

@@ -111,10 +111,11 @@ def small_lln(n_list=(12, 24), replicas=6):
     targets = make_targets()
     spec = bm.sis_spec(2, gamma=0.8, nu=0.5, eta=0.6, zeta=0.7)
     inits = [np.array([0.6, 0.4])] * 4
+    family = bm.proportional_family(targets)
     return bm.lln_experiment(
-        bm.proportional_family(targets), spec, targets, inits,
-        T=1.0, grid=11, N_list=list(n_list), replicas=replicas,
-        seed=902, dt=0.01)
+        [family(N) for N in n_list], spec, targets, inits,
+        T=1.0, grid=11, replicas=replicas,
+        seeds=[(902, i) for i in range(len(n_list))], dt=0.01)
 
 
 def test_lln_experiment_shrinks_with_n():
@@ -162,11 +163,11 @@ def test_lln_experiment_validation():
     inits = [np.array([0.6, 0.4])] * 4
     fam = bm.proportional_family(targets)
     with pytest.raises(bm.InvalidArgumentError):
-        bm.lln_experiment(fam, spec, targets, inits, 1.0, 11, [24, 12],
-                          6, 1)
+        bm.lln_experiment([fam(24), fam(12)], spec, targets, inits, 1.0, 11,
+                          6, [(1, 0), (1, 1)])
     with pytest.raises(bm.InvalidArgumentError):
-        bm.lln_experiment(fam, spec, targets, inits, 1.0, 11, [12, 24],
-                          1, 1)
+        bm.lln_experiment([fam(12), fam(24)], spec, targets, inits, 1.0, 11,
+                          1, [(1, 0), (1, 1)])
 
 
 def test_convergence_report_csv_and_svg():
@@ -285,8 +286,8 @@ def test_count_farm_matches_per_node_simulation(graph):
     # farm's replicas against independent per-node kernel runs
     T, reps = 1.5, 2000
     tables = GroupTables(graph, SIS2)
-    _, counts = experiments._farm_on_grid([tables], INITS2, T, reps,
-                                          [bm.substream(41, 0)], np.array([T]))
+    [counts] = experiments._run_farms("test", [tables], INITS2, T, reps,
+                                      [bm.substream(41, 0)], np.array([T]))
     farm = counts[:, 0, :, 1]
     node = np.empty_like(farm)
     for rep in range(reps):
@@ -403,8 +404,8 @@ def test_untagged_count_farm_is_pinned(graph, digest, record_steps,
     monkeypatch.setattr(simulate_module, "RECORD_STEPS", record_steps)
     tables = GroupTables(graph, bm.sis_spec(
         2, gamma=[1.8, 2.1], nu=[1.5, 1.4], eta=1.6, zeta=[0.9, 0.7]))
-    _, counts = experiments._farm_on_grid(
-        [tables], INITS2, 2.0, 50, [bm.substream(41, 0)],
+    [counts] = experiments._run_farms(
+        "test", [tables], INITS2, 2.0, 50, [bm.substream(41, 0)],
         np.linspace(0.0, 2.0, 5))
     assert counts.shape == (50, 5, tables.n_groups, 2)
     assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
@@ -563,8 +564,7 @@ def initial_law_entry_points():
         "final_group_counts": lambda inits: experiments.final_group_counts(
             [graph], spec, 1.0, 4, [bm.substream(5)], inits=inits),
         "lln_experiment": lambda inits: bm.lln_experiment(
-            bm.proportional_family(targets), spec, targets, inits, 1.0, 11,
-            [12], 4, 5),
+            [graph], spec, targets, inits, 1.0, 11, 4, [(5, 0)]),
     }
 
 
@@ -592,16 +592,14 @@ def count_argument_calls():
     graph = fam(12)
 
     def lln(**kw):
-        args = dict(grid=11, N_list=[12, 24], replicas=4) | kw
-        return bm.lln_experiment(fam, spec, targets, inits, 1.0,
-                                 seed=5, **args)
+        args = dict(grid=11, replicas=4) | kw
+        return bm.lln_experiment([graph, fam(24)], spec, targets, inits, 1.0,
+                                 seeds=[(5, 0), (5, 1)], **args)
 
     return {
         "picard_iterate-max_iter": ("max_iter", lambda v: bm.picard_iterate(
             spec, targets, inits, 1.0, 0.1, tol=1e-30, max_iter=v)),
         "lln_experiment-grid": ("grid", lambda v: lln(grid=v)),
-        "lln_experiment-N_list": ("N_list entry",
-                                  lambda v: lln(N_list=[v, 24])),
         "lln_experiment-replicas": ("replicas", lambda v: lln(replicas=v)),
         "final_group_counts-replicas": (
             "replicas", lambda v: experiments.final_group_counts(
@@ -655,9 +653,9 @@ def seed_calls():
         "substream-path": lambda s: bm.substream(5, s),
         "simulate": lambda s: bm.simulate(graph, spec, [0] * 12, 1.0, s),
         "lln_experiment": lambda s: bm.lln_experiment(
-            fam, spec, targets, inits, 1.0, 11, [12], 2, s),
+            [graph], spec, targets, inits, 1.0, 11, 2, [(s, 0)]),
         "lln_experiment-path": lambda s: bm.lln_experiment(
-            fam, spec, targets, inits, 1.0, 11, [12], 2, (5, s)),
+            [graph], spec, targets, inits, 1.0, 11, 2, [(5, s, 0)]),
         "multichaos_test": lambda s: bm.multichaos_test(
             [graph], spec, [0, 1], 1.0, 4, [s], inits=inits),
         "sample_reference_path": lambda s: bm.sample_reference_path(

@@ -538,6 +538,46 @@ def test_girsanov_bad_horizon_fails_closed(horizon):
         bm.girsanov_log_densities([path], flow, R1_TARGETS, spec, (0, 0))
 
 
+def test_refused_library_value_is_quoted_short():
+    # each message held the whole value: 4,033 characters for a seed word
+    # of 4,001 digits, 160,978 for 5,000 jump times
+    huge = -10 ** 4000
+    spec, flow = unit_rate_setup()
+    colors = bm.ColorGraph(2, [(0, 1), (1, 0)])
+    times = np.linspace(0.0001, 0.5, 5000)
+
+    def densities(which=(0, 0), jump_times=(), path_colors=(0,),
+                  horizon=flow.T):
+        path = bm.ColorPath(jump_times, path_colors, horizon)
+        return bm.girsanov_log_densities([path], flow, R1_TARGETS, spec,
+                                         which)
+
+    for call, needle in (
+            (lambda: bm.substream(5, huge), "seed words must be >= 0"),
+            (lambda: bm.sample_reference_path(colors, huge, 1.0, 0),
+             "initial color"),
+            (lambda: densities(which=(huge, "c")), "no component"),
+            (lambda: densities(which=[huge] * 5000), "no component"),
+            (lambda: densities(horizon=huge), "path horizon"),
+            (lambda: densities(horizon=1e300), "path horizon"),
+            (lambda: densities(jump_times=times[::-1].tolist(),
+                               path_colors=[0, 1] * 2500 + [0]),
+             "path jump times"),
+            (lambda: densities(jump_times=times.tolist(),
+                               path_colors=[0, 1] * 2500 + [2]),
+             "path colors"),
+            (lambda: bm.ColorGraph(2, [(0, huge)]), "outside 0..1"),
+            (lambda: bm.ColorGraph(2, [(huge, huge)]), "self-loop edge"),
+            (lambda: bm.BlockGraph([(2, 3)], [(2, huge)]), "out of range"),
+            (lambda: bm.BlockGraph([(2, 3)], [(huge, huge)]), "self-loop"),
+            (lambda: bm.build_complete_peripheral([(huge, 3)]),
+             "every block needs"),
+            (lambda: bm.sis_spec(huge, 0.8, 0.5, 0.6, 0.7), "r must be")):
+        with pytest.raises(bm.ValidationError, match=needle) as info:
+            call()
+        assert len(str(info.value)) < 200, (needle, len(str(info.value)))
+
+
 @pytest.mark.parametrize("which", [0, (0,), (0, 0, 1), "c"],
                          ids=["int", "single", "triple", "string"])
 def test_girsanov_which_not_a_pair_is_no_component(which):

@@ -805,8 +805,8 @@ def horizon_entry_points():
         "multichaos_test": lambda T: bm.multichaos_test(
             [graph], queue, [0, 4], T, 2, [3], inits=inits),
         "lln_experiment": lambda T: bm.lln_experiment(
-            lambda N: graph, queue, bm.ProportionTargets.from_graph(graph),
-            inits, T, 5, [10], 2, 3),
+            [graph], queue, bm.ProportionTargets.from_graph(graph),
+            inits, T, 5, 2, [(3, 0)]),
         "sample_reference_path": lambda T: bm.sample_reference_path(
             queue.colors, 0, T, 3),
         "master_equation_oracle": lambda T: bm.master_equation_oracle(

@@ -11,9 +11,10 @@ the package is given in `rates`: an integer in `_integer`, one real in
 `_real`, an array of reals in `_reals`. These tests read the package's
 syntax trees and fail when any of these spreads further.
 
-The farm runs every design of one structure in one loop, so it has
-three callers: `simulate`, the chaos grid (`experiments._farm_on_grid`)
-and `experiments.final_group_counts`; none of them loops it over N.
+The farm runs every design of one structure in one loop, so it has two
+callers: `simulate` and the experiments' one runner
+(`experiments._run_farms`), which alone groups the designs and draws
+their starts; none of them loops the farm over N.
 
 A tagged node's law is read off the group counts by one helper,
 `experiments.tagged_law`, for `multichaos_test` and `oracle-check`; no
@@ -98,13 +99,15 @@ def test_count_farm_is_the_one_event_loop():
         ("simulate.py", "_count_farm")}
 
 
-def test_count_farm_runs_from_three_callers():
-    # one farm for every design of a run: simulate's one replica, the
-    # chaos grid and the final counts of multichaos and oracle-check; no
-    # caller loops the farm over N
+def test_count_farm_runs_from_two_callers():
+    # one farm for every design of a run: simulate's one replica, and the
+    # runner of the chaos grid and of the final counts of multichaos and
+    # oracle-check; no caller loops the farm over N
     assert functions_calling("_count_farm") == {
-        ("simulate.py", "simulate"), ("experiments.py", "_farm_on_grid"),
-        ("experiments.py", "final_group_counts")}
+        ("simulate.py", "simulate"), ("experiments.py", "_run_farms")}
+    for helper in ("_start_counts", "_by_structure"):
+        assert functions_calling(helper) == {
+            ("experiments.py", "_run_farms")}, helper
 
 
 def test_tagged_laws_come_from_group_counts():
