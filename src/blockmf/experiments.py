@@ -344,27 +344,28 @@ def final_group_counts(graphs, spec, T, replicas, gens, *,
     replicas = _integer(replicas, "replicas")
     if replicas < 1:
         raise InvalidArgumentError("need at least 1 replica")
-    if len(gens) != len(graphs):
+    if not (isinstance(gens, list) and len(gens) == len(graphs) and all(
+            isinstance(gen, np.random.Generator) for gen in gens)):
         raise InvalidArgumentError(
-            f"need one generator per graph, got {len(gens)} for "
-            f"{len(graphs)}")
+            f"gens must be a list of one numpy Generator per graph, "
+            f"{len(graphs)} in all, got {_quoted(gens)}")
     designs = [GroupTables(graph, spec) for graph in graphs]
     runs = _run_farms("final_group_counts", designs, inits, T, replicas, gens)
     return [(tables, run.final) for tables, run in zip(designs, runs)]
 
 
 def tagged_law(tables: GroupTables, counts, nodes) -> np.ndarray:
-    """The joint law of the colours of `nodes` (distinct node ids), shape
-    (K,) * len(nodes), averaged over group colour counts of `tables`'
-    groups, shape (replicas, G, K). Given the counts n, every arrangement
-    of a group's colours over its exchangeable members is equally likely,
-    so node i of group g takes colour a_i, given the nodes before it, with
-    probability (n[g, a_i] - g's earlier nodes of colour a_i) / (n_g -
-    g's earlier nodes)."""
+    """The joint law of the colours of `nodes` (1 to 3 distinct nodes, as
+    `resolve_tagged` reads them), shape (K,) * len(nodes), averaged over
+    group colour counts of `tables`' groups, shape (replicas, G, K).
+    Given the counts n, every arrangement of a group's colours over its
+    exchangeable members is equally likely, so node i of group g takes
+    colour a_i, given the nodes before it, with probability (n[g, a_i] -
+    g's earlier nodes of colour a_i) / (n_g - g's earlier nodes)."""
     counts = np.asarray(counts, dtype=float)
+    nodes = resolve_tagged(tables.graph, nodes)
     k = len(nodes)
-    group = [next(g for g, m in enumerate(tables.members) if n in m)
-             for n in nodes]
+    group = tables.graph.group[nodes].tolist()
     law = np.ones((len(counts),) + (1,) * k)
     for axis, g in enumerate(group):
         factor = np.expand_dims(counts[:, g], [1 + a for a in range(k)

@@ -15,7 +15,7 @@ Node ids are global, contiguous, 0-based: block 0 centrals, block 0
 peripherals, block 1 centrals, ... so they run in component order, where
 component g = 2*block + class (class 0 central, 1 peripheral) is the
 index every per-(block, class) table uses. `BlockGraph.component` maps a
-node to it.
+node to it, and `BlockGraph.group` to its group, the one node-to-group map.
 """
 
 from __future__ import annotations
@@ -76,10 +76,11 @@ class BlockGraph:
     contain every intra-block peripheral pair (clique property) and no
     self-loops or central endpoints.
 
-    twin_classes[c]: the peripherals of one block sharing a closed
-    neighbourhood, members ascending, classes in order of first node.
-    twin_links[c]: the classes whose union is class c's closed
-    neighbourhood. These two are the stored form of the design.
+    group[n]: read-only int64 array, node n's group: block j's centrals
+    are group j, peripheral twin class c (the peripherals of one block
+    sharing a closed neighbourhood, in order of first node) group r + c;
+    firsts[g] is group g's first node. twin_links[c]: the classes whose
+    union is class c's closed neighbourhood. These two are the stored form.
 
     component[n]: read-only int64 array, node n's component 2*block +
     class; non-decreasing, since ids run in component order.
@@ -87,7 +88,7 @@ class BlockGraph:
 
     def _layout(self, block_sizes):
         """Sizes and the node -> component table; the builders lay out a
-        bare instance, then hand `_quotient` their own key and adjacency."""
+        bare instance, then hand `_quotient` their labels and adjacency."""
         sizes = [
             (_integer(nc, f"block {j} central size"),
              _integer(npp, f"block {j} peripheral size"))
@@ -130,37 +131,45 @@ class BlockGraph:
                 )
             closed[a].add(b)
             closed[b].add(a)
-        classes = []
-        for j in range(self.r):
-            groups = {}
-            for n in self.peripheral_nodes(j):
-                groups.setdefault(frozenset(closed[n]), []).append(n)
-            classes += groups.values()
-        self._quotient(classes, lambda m, n: n in closed[m])
+        labels = [{} for _ in range(self.r)]
+        self._quotient(
+            [labels[j].setdefault(frozenset(closed[n]), len(labels[j]))
+             for j in range(self.r) for n in self.peripheral_nodes(j)],
+            lambda m, n: n in closed[m])
 
-    def _quotient(self, classes, adjacent):
-        """Store the twin classes (each block's peripherals grouped by
-        closed neighbourhood, members ascending, classes in order of first
-        node) and link classes c, d when adjacent(first of c, first of d).
-        A closed neighbourhood is a union of whole classes, so a first
-        node stands for its class; adjacent must hold within a block (the
-        clique)."""
-        self.twin_classes = tuple(tuple(c) for c in classes)
-        firsts = [c[0] for c in classes]
+    def _quotient(self, label, adjacent):
+        """Store the group map and the twin quotient. label[i] is the twin
+        class of the i-th peripheral node in id order within its block
+        (the block's peripherals grouped by closed neighbourhood), each
+        block's classes numbered from 0 in order of first node. Classes
+        c, d are linked when adjacent(first of c, first of d). A closed
+        neighbourhood is a union of whole classes, so a first node stands
+        for its class; adjacent must hold within a block (the clique)."""
+        r, label = self.r, np.asarray(label, dtype=np.int64)
+        self.group = self.component // 2  # right for the centrals
+        firsts = []
+        for mid, hi in zip(self._bounds[1::2], self._bounds[2::2]):
+            own = self.group[mid:hi]
+            np.add(label[:hi - mid], r + len(firsts), out=own)
+            label = label[hi - mid:]
+            # unique lists the classes by number, so by first node
+            firsts += (np.unique(own, return_index=True)[1] + mid).tolist()
+        # counted before the flag: bincount copies a read-only array
+        size = np.bincount(self.group)[r:].tolist()
+        self.group.flags.writeable = False
+        self.firsts = (*self._bounds[0:-1:2], *firsts)
         self.twin_links = tuple(
             tuple(d for d, n in enumerate(firsts) if adjacent(m, n))
             for m in firsts
         )
-        self._twin_of = np.full(self.n_total, -1, dtype=np.int64)
         # M_i^n per class: neighbour count in each block, own block counted
         # as N_j^p (self included), which holds iff the block is a clique
         blocks = [self.block_of(n) for n in firsts]
         cross = []
         for c, links in enumerate(self.twin_links):
-            self._twin_of[classes[c]] = c
-            counts = [0] * self.r
+            counts = [0] * r
             for d in links:
-                counts[blocks[d]] += len(classes[d])
+                counts[blocks[d]] += size[d]
             j = blocks[c]
             if counts[j] != self.block_sizes[j][1]:
                 raise InvalidConfigurationError(
@@ -185,6 +194,7 @@ class BlockGraph:
         # pickling drops the flag; an unpickled copy stays read-only too
         self.__dict__.update(state)
         self.component.flags.writeable = False
+        self.group.flags.writeable = False
 
     # --- queries -----------------------------------------------------
 
@@ -209,12 +219,14 @@ class BlockGraph:
     def _twin(self, n) -> int:
         if not self.is_peripheral(n):
             raise WrongClassError(f"node {n} is central")
-        return int(self._twin_of[n])
+        return int(self.group[n]) - self.r
 
     def peripheral_neighbors(self, n):
         """Peripheral neighbours of peripheral node n, ascending."""
-        return sorted(m for d in self.twin_links[self._twin(n)]
-                      for m in self.twin_classes[d] if m != n)
+        linked = np.zeros(len(self.firsts), dtype=bool)
+        linked[[self.r + d for d in self.twin_links[self._twin(n)]]] = True
+        near = np.flatnonzero(linked[self.group])
+        return near[near != n].tolist()
 
     @property
     def peripheral_edges(self):
@@ -246,17 +258,17 @@ class BlockGraph:
         return (
             isinstance(other, BlockGraph)
             and self.block_sizes == other.block_sizes
-            and self.twin_classes == other.twin_classes
             and self.twin_links == other.twin_links
+            and np.array_equal(self.group, other.group)
         )
 
     def __hash__(self):
-        return hash((self.block_sizes, self.twin_classes, self.twin_links))
+        return hash((self.block_sizes, self.firsts, self.twin_links))
 
     def __repr__(self):
         return (
             f"BlockGraph(r={self.r}, sizes={list(self.block_sizes)}, "
-            f"twin_classes={len(self.twin_classes)})"
+            f"twin_classes={len(self.twin_links)})"
         )
 
     # --- serialization ------------------------------------------------
@@ -291,8 +303,8 @@ def build_complete_peripheral(block_sizes) -> BlockGraph:
     per block, each linked to all."""
     graph = BlockGraph.__new__(BlockGraph)
     graph._layout(block_sizes)
-    graph._quotient([list(graph.peripheral_nodes(j)) for j in range(graph.r)],
-                    lambda m, n: True)
+    perips = sum(npp for _, npp in graph.block_sizes)
+    graph._quotient(np.zeros(perips, dtype=np.int64), lambda m, n: True)
     return graph
 
 
@@ -357,26 +369,18 @@ def build_regular_peripheral(block_sizes, cross_degree_fractions) -> BlockGraph:
     # g = gcd(mu, v), so a column's rows are fixed by its g-aligned chunk
     # b // g. Peripherals with equal keys over all pairs are twins;
     # distinct keys see distinct sets unless mu == v.
-    classes = []
+    labels = []
     for j in range(r):
-        nodes = graph.peripheral_nodes(j)
-        a = np.arange(len(nodes), dtype=np.int64)
+        a = np.arange(sizes[j][1], dtype=np.int64)
         keys = [a * mu % v if j == lo else a // g
                 for (lo, hi), (mu, v, g) in runs.items()
-                if j in (lo, hi) and mu < v]
-        if not keys:
-            classes.append(list(nodes))
-            continue
+                if j in (lo, hi) and mu < v] or [0 * a]  # keyless: 1 class
         _, first, label = np.unique(np.stack(keys, axis=1), axis=0,
                                     return_index=True, return_inverse=True)
         # renumber the classes in order of their first node
         rank = np.empty_like(first)
         rank[np.argsort(first)] = np.arange(first.size)
-        label = rank[label.reshape(-1)]
-        by_class = np.argsort(label, kind="stable") + nodes.start
-        bounds = np.cumsum(np.bincount(label)).tolist()
-        classes += [by_class[lo:hi].tolist()
-                    for lo, hi in zip([0] + bounds, bounds)]
+        labels.append(rank[label.reshape(-1)])
 
     def local(n):
         j = graph.block_of(n)
@@ -389,7 +393,7 @@ def build_regular_peripheral(block_sizes, cross_degree_fractions) -> BlockGraph:
         mu, v, _ = runs[j, i]
         return (b - a * mu) % v < mu
 
-    graph._quotient(classes, adjacent)
+    graph._quotient(np.concatenate(labels), adjacent)
     return graph
 
 
@@ -541,8 +545,8 @@ def check_regularity(graph: BlockGraph, targets: ProportionTargets):
             share_res, abs((nc + npp) / graph.n_total - targets.alpha[j])
         )
         # twins share their ratios, so a class's first node stands for it
-        for n in (c[0] for c in graph.twin_classes
-                  if graph.block_of(c[0]) == j):
+        for n in (n for n in graph.firsts[graph.r:]
+                  if graph.block_of(n) == j):
             denom = graph.degree(n) + 1
             alpha_c_res = max(alpha_c_res, abs(nc / denom - targets.alpha_c[j]))
             counts = graph.cross_counts(n)

@@ -164,13 +164,14 @@ class GroupTables:
     every array is read-only, so threads and the `_group_tables` cache
     share the tables. The count farm reads them.
 
-    Groups: one per block's centrals (0..r-1), then the graph's
-    peripheral twin classes in order of their first node. A closed
-    neighbourhood is a union of twin classes (the graph's twin links), so
-    each group reads whole groups, and every group has members: each
-    block has a central and a peripheral node. The members of a group are
-    exchangeable, so the joint law of any nodes is a function of the law
-    of the group counts (`experiments.tagged_law`). With n[h*K + x] the
+    Groups are the graph's (`BlockGraph.group`), with their `sizes` and
+    `component`s: one per block's centrals (0..r-1), then the peripheral
+    twin classes in order of their first node. A closed neighbourhood is
+    a union of twin classes (the graph's twin links), so each group reads
+    whole groups, and every group has members: each block has a central
+    and a peripheral node. The members of a group are exchangeable, so
+    the joint law of any nodes is a function of the law of the group
+    counts (`experiments.tagged_law`). With n[h*K + x] the
     count of colour x in group h, edge e of group g fires, for each
     member of g in the edge's source colour, at rate
 
@@ -194,14 +195,9 @@ class GroupTables:
         self.graph = graph
         self.K = K = cg.K
         self.n_edges = E = cg.n_edges
-        self.members = [list(graph.central_nodes(j)) for j in range(graph.r)]
-        self.members += [list(c) for c in graph.twin_classes]
-        self.meta = [(graph.block_of(m[0]), graph.class_of(m[0]))
-                     for m in self.members]
-        self.n_groups = G = len(self.members)
-        self.sizes = np.array([len(m) for m in self.members], dtype=np.int64)
-        self.component = np.array([2 * j + cls for j, cls in self.meta],
-                                  dtype=np.int64)
+        self.n_groups = G = len(graph.firsts)
+        self.sizes = np.bincount(graph.group, minlength=G)
+        self.component = graph.component[list(graph.firsts)]
         self.row, self.col, self.weight, self.beta = affine_rows(
             family, self._readers())
 
@@ -228,13 +224,14 @@ class GroupTables:
         members of one group share that weight, so a group's count vector
         enters once with it. Central groups are 0..r-1."""
         graph, r = self.graph, self.graph.r
-        for g, (j, cls) in enumerate(self.meta):
+        for g, first in enumerate(graph.firsts):
+            j, cls = graph.block_of(first), graph.class_of(first)
             if cls == CENTRAL:
                 w = 1.0 / graph.block_size(j)
                 seen = [h for h in range(r, self.n_groups)
-                        if self.meta[h] == (j, PERIPHERAL)]
+                        if graph.block_of(graph.firsts[h]) == j]
             else:
-                w = 1.0 / (graph.degree(self.members[g][0]) + 1)
+                w = 1.0 / (graph.degree(first) + 1)
                 seen = [r + d for d in graph.twin_links[g - r]]
             reads = dict.fromkeys(seen, (w, PERIPHERAL))
             reads[j] = (w, CENTRAL)
@@ -463,16 +460,16 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed) -> Trajectory:
         )
     gen = seed if isinstance(seed, np.random.Generator) else _rng.substream(seed)
     tables = _group_tables(graph, family)
-    K, E = tables.K, tables.n_edges
+    K, E, GK = tables.K, tables.n_edges, tables.n_groups * tables.K
     colors = state.colors.tolist()
-    buckets = [[[] for _ in range(K)] for _ in tables.members]
-    for own, members in zip(buckets, tables.members):
-        for node in members:
-            own[colors[node]].append(node)
-    start = [[len(b) for b in own] for own in buckets]
+    # bucket g*K + z: group g's nodes of colour z, ascending (a stable sort)
+    cell = graph.group * K + state.colors
+    start = np.bincount(cell, minlength=GK)
+    buckets = [b.tolist() for b in np.split(np.argsort(cell, kind="stable"),
+                                            np.cumsum(start[:-1]))]
     T = _check_horizon(T)
     blocks = []
-    [run] = _count_farm([tables], [[start]], T, [gen],
+    [run] = _count_farm([tables], [start[None]], T, [gen],
                         lambda times, picks: blocks.append((times, picks)))
     events = []
     if blocks:
@@ -482,18 +479,17 @@ def simulate(graph: BlockGraph, spec, init, T: float, seed) -> Trajectory:
         for t, k, u in zip(times, picks, gen.random(run.jumps).tolist()):
             g, e = divmod(k, E)
             z, zp = edges[e]
-            bucket = buckets[g][z]
+            bucket = buckets[g * K + z]
             i = min(int(u * len(bucket)), len(bucket) - 1)
             node = bucket[i]
             bucket[i] = bucket[-1]
             bucket.pop()
-            buckets[g][zp].append(node)
+            buckets[g * K + zp].append(node)
             colors[node] = zp
             events.append((t, node, z, zp))
     log.debug("simulate: %d events", len(events))
-    final = np.asarray(colors, dtype=np.int64)
-    counts = [np.bincount(final[m], minlength=K) for m in tables.members]
-    if not np.array_equal(run.final[0], counts):
+    counts = np.bincount(graph.group * K + colors, minlength=GK)
+    if not np.array_equal(run.final[0].ravel(), counts):
         raise InternalConsistencyError(
             "count table drifted from the node colors")
     return Trajectory(state, events, T)

@@ -371,8 +371,7 @@ def test_oracle_check_csv_matches_reference(tmp_path, capsys, scen):
         [graph], spec, scen["horizon"], R,
         [substream(scen["seed"], 0, 0, ORACLE_CHECK)], inits=inits)
     assert counts.shape == (R, tables.n_groups, K)
-    group = {n: g for g, members in enumerate(tables.members)
-             for n in members}
+    group = graph.group
     mc_p = np.array([(counts[:, group[n]] / tables.sizes[group[n]]).mean(
         axis=0) for n in range(N)])
     se = np.sqrt(oracle_p * (1.0 - oracle_p) / R)

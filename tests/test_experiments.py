@@ -294,7 +294,8 @@ def test_count_farm_matches_per_node_simulation(graph):
         gen = bm.substream(41, 1, rep)
         colors = bm.sample_block_colors(graph, INITS2, gen)
         final = bm.simulate(graph, SIS2, colors, T, gen).final_colors
-        node[rep] = [final[m].sum() for m in tables.members]
+        node[rep] = np.bincount(graph.group, weights=final,
+                                minlength=tables.n_groups)
     # means of each group's count, then the law of the total count
     z = (farm.mean(0) - node.mean(0)) / np.sqrt(
         (farm.var(0, ddof=1) + node.var(0, ddof=1)) / reps)
@@ -375,8 +376,9 @@ def test_tagged_law_from_group_counts_is_exact(name):
         graph, family, np.asarray(inits)[graph.component], T)
     tables = GroupTables(graph, family)
     colors = _decode_states(dist.K, dist.n_nodes)
-    counts = np.stack([(colors[:, m, None] == np.arange(dist.K)).sum(axis=1)
-                       for m in tables.members], axis=1)
+    counts = np.stack([(colors[:, graph.group == g, None]
+                        == np.arange(dist.K)).sum(axis=1)
+                       for g in range(tables.n_groups)], axis=1)
     lumped, which = np.unique(counts, axis=0, return_inverse=True)
     probs = np.bincount(which.ravel(), weights=dist.probs)
     for nodes in node_sets:
@@ -535,6 +537,38 @@ def test_count_farm_refuses_designs_of_different_structures():
         experiments._start_counts([regular], INITS2, 2, gens[1:])
     with pytest.raises(bm.InvalidArgumentError, match="structure"):
         _count_farm([complete, regular], starts, 1.0, gens)
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([True], r"^tagged node True is no node id in 0\.\.11$"),
+    ([1.0], r"^tagged node 1\.0 is no node id in 0\.\.11$"),
+    ([99], r"^tagged node 99 is no node id in 0\.\.11$"),
+    ([-1], r"^tagged node -1 is no node id in 0\.\.11$"),
+    ([3, 3], "^tagged nodes must be distinct$"),
+], ids=["bool", "float", "past-the-end", "negative", "repeated"])
+def test_tagged_law_fails_closed_on_node_ids(nodes, message):
+    # [True] and [1.0] read node 1; past-the-end and negative ids raised a
+    # bare StopIteration; a repeated node read as two distinct ones
+    graph = bm.proportional_family(make_targets())(12)
+    tables = GroupTables(graph, bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7))
+    counts = np.ones((1, tables.n_groups, tables.K))
+    with pytest.raises(bm.InvalidArgumentError, match=message):
+        experiments.tagged_law(tables, counts, nodes)
+
+
+@pytest.mark.parametrize("gens", [
+    None, 5, [3], [], [np.random.default_rng(5)] * 2,
+    (np.random.default_rng(5),),
+], ids=["none", "int", "list-of-int", "empty", "two-for-one", "tuple"])
+def test_final_group_counts_fails_closed_on_gens(gens):
+    # None and 5 raised a bare TypeError, [3] a bare AttributeError
+    graph = bm.proportional_family(make_targets())(12)
+    with pytest.raises(bm.InvalidArgumentError,
+                       match="^gens must be a list of one numpy Generator "
+                             "per graph, 1 in all, got "):
+        experiments.final_group_counts(
+            [graph], bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7), 1.0, 4, gens,
+            inits=[[0.6, 0.4]] * 4)
 
 
 def test_count_farm_rejects_non_finite_rates():

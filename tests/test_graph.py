@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,12 +23,18 @@ def test_complete_peripheral_layout():
     assert not g.is_peripheral(1)
     assert g.is_peripheral(9)
     assert g.is_complete_peripheral
-    # node -> 2*block + class, in id order, read-only even after a pickle
+    # node -> 2*block + class and node -> group, in id order, read-only
+    # even after a pickle
     assert g.component.tolist() == [0, 0, 1, 1, 1, 2, 2, 2, 2, 3]
     assert g.component.dtype == np.int64
+    assert g.group.tolist() == [0, 0, 2, 2, 2, 1, 1, 1, 1, 3]
+    assert g.group.dtype == np.int64
+    assert g.firsts == (0, 5, 2, 9)
     for h in (g, pickle.loads(pickle.dumps(g))):
-        with pytest.raises(ValueError):
-            h.component[0] = 1
+        assert np.array_equal(h.group, g.group) and h == g
+        for table in (h.component, h.group):
+            with pytest.raises(ValueError):
+                table[0] = 1
     # every peripheral pair adjacent, both directions visible
     perips = list(g.peripheral_nodes_all())
     for n in perips:
@@ -149,7 +156,22 @@ def test_large_design_is_stored_as_its_quotient(build):
     # N=2560: the 1.4-1.8 million peripheral edges are not stored
     g = build()
     assert len(pickle.dumps(g)) < 1_000_000
-    assert len(g.twin_classes) == (2 if g.is_complete_peripheral else 4)
+    assert len(g.twin_links) == (2 if g.is_complete_peripheral else 4)
+
+
+def test_complete_design_builds_in_bounded_memory():
+    # N = 10^6: the graph's two per-node arrays (component and group) take
+    # 16 MB; the build and the group tables add at most 16 MB to them
+    # (per-node Python lists of the group partition took 60 MB in all)
+    tracemalloc.start()
+    try:
+        graph = build_complete_peripheral([(250000, 250000)] * 2)
+        GroupTables(graph, bm.sis_spec(2, gamma=0.8, nu=0.5, eta=0.6,
+                                       zeta=0.9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32_000_000
 
 
 def test_block_graph_rejects_bad_edges():
@@ -240,7 +262,8 @@ def test_builders_match_reference_edges(kind, sizes, fractions):
     ref = bm.BlockGraph(sizes, edges)
     assert built.peripheral_edges == ref.peripheral_edges
     assert built.peripheral_edges == tuple(sorted(set(edges)))
-    assert built.twin_classes == ref.twin_classes
+    assert np.array_equal(built.group, ref.group)
+    assert built.firsts == ref.firsts
     assert built.cross_degree_matrix == ref.cross_degree_matrix
     assert built.is_complete_peripheral == ref.is_complete_peripheral
     assert built == ref and hash(built) == hash(ref)
@@ -255,9 +278,8 @@ def test_builders_match_reference_edges(kind, sizes, fractions):
                 bm.queue_spec(3, zeta=(1.0, 0.8, 0.0), vartheta=0.6,
                               h_coefficient=0.4)):
         a, b = GroupTables(built, fam), GroupTables(ref, fam)
-        assert (a.members, a.meta) == (b.members, b.meta)
-        for attr in ("gather_col", "gather_weight", "starts", "src", "dst",
-                     "move"):
+        for attr in ("sizes", "component", "gather_col", "gather_weight",
+                     "starts", "src", "dst", "move"):
             assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
 
 
@@ -318,7 +340,12 @@ def test_regular_quotient_matches_per_node_keys(sizes, fractions):
     # are the ones a key per peripheral node gives
     g = build_regular_peripheral(sizes, fractions)
     classes, links = _per_node_quotient(sizes, fractions)
-    starts = [g.peripheral_nodes(j).start for j in range(g.r)]
-    assert g.twin_classes == tuple(tuple(starts[j] + a for j, a in c)
-                                   for c in classes)
+    want = [None] * g.n_total  # node -> group: centrals, then classes
+    for j in range(g.r):
+        for n in g.central_nodes(j):
+            want[n] = j
+    for c, members in enumerate(classes):
+        for j, a in members:
+            want[g.peripheral_nodes(j)[a]] = g.r + c
+    assert g.group.tolist() == want
     assert g.twin_links == tuple(links)

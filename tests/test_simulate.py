@@ -205,8 +205,10 @@ def design_tables(name):
 def start_counts(tables, colors):
     """Group colour counts of a stack of node colour vectors, shape
     (..., G, K)."""
-    return np.stack([(colors[..., m, None] == np.arange(tables.K)).sum(-2)
-                     for m in tables.members], axis=-2)
+    group = tables.graph.group
+    return np.stack([(colors[..., group == g, None]
+                      == np.arange(tables.K)).sum(-2)
+                     for g in range(tables.n_groups)], axis=-2)
 
 
 def farm_runs(tables, seeds, T=2.0, replicas=3):
@@ -242,7 +244,7 @@ def table_state(tables):
     """What the farm reads of a design's tables, and their attributes."""
     arrays = {k: (v.dtype, v.shape, v.tobytes())
               for k, v in vars(tables).items() if isinstance(v, np.ndarray)}
-    return sorted(vars(tables)), tables.members, tables.meta, arrays
+    return sorted(vars(tables)), arrays
 
 
 @pytest.mark.parametrize("name", MEMO_DESIGNS)
@@ -393,13 +395,12 @@ def kernel_definition_gap(graph, family, colors):
     st = bm.SystemState.from_colors(graph, colors, family.colors.K)
     tables = GroupTables(graph, family)
     rate = farm_rates_at(tables, st.colors)
-    group = {n: g for g, members in enumerate(tables.members) for n in members}
     worst = 0.0
     for n in range(graph.n_total):
         j, cls = graph.block_of(n), graph.class_of(n)
         spec = family.spec_for(j, cls)
         lm = local_empirical(st, graph, n)
-        g = group[n]
+        g = graph.group[n]
         for e in range(family.colors.n_edges):
             ref = total_rate(spec, e, lm.proportions[0], lm.parts[0],
                              lm.proportions[1:], lm.parts[1:])
@@ -453,8 +454,7 @@ def test_kernel_rates_match_limit_field(fam):
             for j in range(graph.r) for cls in (0, 1)
         ])
         want = field.rates(y)
-        for g, (j, cls) in enumerate(tables.meta):
-            comp = 2 * j + cls
+        for g, comp in enumerate(tables.component):
             assert np.abs(rate[g]
                           - want[comp * ne:(comp + 1) * ne]).max() <= 1e-12
 
@@ -477,15 +477,17 @@ def test_kernel_groups_are_twin_classes(builder, n_groups):
         return tuple(sorted([*graph.peripheral_neighbors(n), n]))
 
     seen = set()
-    for g, members in enumerate(tables.members):
+    for g in range(tables.n_groups):
+        members = np.flatnonzero(graph.group == g).tolist()
         keys = {(graph.block_of(n), graph.class_of(n), closed(n))
                 for n in members}
         assert len(keys) == 1
-        assert tables.meta[g] == next(iter(keys))[:2]
+        assert divmod(int(tables.component[g]), 2) == next(iter(keys))[:2]
+        assert graph.firsts[g] == members[0]
+        assert tables.sizes[g] == len(members)
         seen |= keys
     assert len(seen) == n_groups
-    assert sorted(n for m in tables.members for n in m) == list(
-        range(graph.n_total))
+    assert tables.sizes.sum() == graph.n_total
 
 
 def reference_tables(graph, family):
@@ -493,7 +495,9 @@ def reference_tables(graph, family):
     members, (block, class), coefficient rows and beta. The reference
     `GroupTables` must reproduce."""
     members = [list(graph.central_nodes(j)) for j in range(graph.r)]
-    members += [list(c) for c in graph.twin_classes]
+    members += [[n for n in graph.peripheral_nodes_all()
+                 if graph.group[n] == graph.r + c]
+                for c in range(len(graph.twin_links))]
     meta = [(graph.block_of(m[0]), graph.class_of(m[0])) for m in members]
 
     def readers():
@@ -554,8 +558,7 @@ def test_group_tables_match_list_compile(builder):
         family = bm.as_block_rates(fam, graph.r)
         members, meta, coef, beta = reference_tables(graph, family)
         tables = GroupTables(graph, family)
-        assert tables.members == members
-        assert tables.meta == meta
+        assert list(graph.firsts) == [m[0] for m in members]
         E = family.colors.n_edges
         nonzeros = [(g * E + e, col, w) for g, own in enumerate(coef)
                     for e, row in enumerate(own) for col, w in row]
@@ -585,7 +588,8 @@ def test_kernel_group_totals():
     flow = farm_rates(tables, n) * n[:, tables.src]
     group_total = flow.reshape(tables.n_groups, -1).sum(axis=1)
     cg = SIS.colors
-    for g, members in enumerate(tables.members):
+    for g in range(tables.n_groups):
+        members = np.flatnonzero(graph.group == g)
         expect = sum(
             rate[g][e]
             for n in members

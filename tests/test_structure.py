@@ -20,6 +20,10 @@ A tagged node's law is read off the group counts by one helper,
 `experiments.tagged_law`, for `multichaos_test` and `oracle-check`; no
 second chain splits tagged nodes out of their groups.
 
+Which group a node is in is recorded once, in `BlockGraph.group`, which
+only `graph.py` builds: no per-class member tuples, per-node twin index
+or per-group member lists stand beside it.
+
 JSON is read by one function, `scenario.load_scenario`, and files are
 opened only by it, by the CLI's flow reader and by its artifact writer:
 a scenario names no graph or rates file, so no second reader skips the
@@ -40,6 +44,7 @@ import dataclasses
 from pathlib import Path
 
 import blockmf as bm
+from blockmf.simulate import GroupTables
 
 SRC = Path(bm.__file__).resolve().parent
 
@@ -116,6 +121,24 @@ def test_tagged_laws_come_from_group_counts():
     assert modules_referencing("tagged_law") == {"experiments.py", "cli.py"}
     for gone in ("tagged_colors", "_unsplit_group"):
         assert modules_referencing(gone) == set(), gone
+
+
+def modules_storing(attr):
+    """File names of the package modules that assign the attribute
+    `attr` of some object."""
+    return {path.name for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.ctx, ast.Store)}
+
+
+def test_the_graph_alone_records_the_groups():
+    assert modules_storing("group") == {"graph.py"}
+    for gone in ("_twin_of", "twin_classes", "members", "meta"):
+        assert modules_referencing(gone) == set(), gone
+    graph = bm.build_complete_peripheral([(2, 3), (2, 3)])
+    tables = GroupTables(graph, bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7))
+    assert not hasattr(tables, "members") and not hasattr(tables, "meta")
 
 
 def test_load_scenario_is_the_one_json_reader():
