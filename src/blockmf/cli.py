@@ -1,9 +1,11 @@
 """Command-line front end: scenario in, CSV/SVG artifacts out.
 
 Every subcommand is a pure function of (scenario, flags): rerunning
-with the same inputs rewrites identical files. Exit codes: 0 success,
-1 validation problem (also a size too large to allocate), 2 numerical
-failure.
+with the same inputs rewrites identical files. The flags are --scenario,
+--out, --seed (which overrides the scenario's) and --threads (accepted,
+without effect); every other setting comes from the scenario. Exit
+codes: 0 success, 1 validation problem (also a bad command line or a
+size too large to allocate), 2 numerical failure.
 
 Each subcommand imports the modules it runs in its own body: a call
 loads only its own engine, and `numpy.random` only if it draws.
@@ -40,11 +42,20 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals are configuration errors: one
+    `error:` line and exit 1, not argparse's usage block and exit 2.
+    Its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise InvalidConfigurationError(message)
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process: parse_args leaves it
     unchanged, and every subcommand call would otherwise pay for it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blockmf",
         description="Simulate and analyze multiclass jump processes on "
                     "block-structured networks.",
@@ -60,18 +71,13 @@ def _build_parser():
                        default=os.cpu_count() or 1,
                        help="accepted for compatibility; has no effect "
                             "(every subcommand runs in one process)")
-        p.add_argument("--grid", type=int,
-                       help="time-grid size (overrides scenario)")
     return parser
 
 
 def _resolve(args, *, need_seed=True):
     sc = load_scenario(args.scenario)
-    # --seed and --grid override the scenario's fields and pass their
-    # checks, also where the subcommand does not use them
-    if args.grid is not None:
-        sc.raw["grid"] = args.grid
-        sc.number("grid")
+    # --seed overrides the scenario's seed and passes its check, also
+    # where the subcommand does not use it
     if args.seed is not None:
         sc.raw["seed"] = args.seed
     seed = sc.number("seed") if "seed" in sc.raw else None
@@ -236,10 +242,8 @@ def cmd_picard(args):
 
     sc, seed, out_dir = _resolve(args, need_seed=False)
     spec, targets, inits = _limit_model(sc)
-    flow, residuals = picard_iterate(
-        spec, targets, inits, sc.number("horizon"), sc.number("dt"),
-        tol=sc.number("picard_tol"), max_iter=sc.number("picard_max_iter"),
-    )
+    flow, residuals = picard_iterate(spec, targets, inits,
+                                     sc.number("horizon"), sc.number("dt"))
     _write(out_dir, "flow_picard.csv", flow.to_csv)
     _write(out_dir, "residuals.csv", write_table, ("iter", "residual"),
            [range(1, len(residuals) + 1), residuals])

@@ -366,7 +366,9 @@ def variational_norm(theta, mu_point, lambda_table,
     solved by damped Newton with one potential pinned per support
     component; stops at gradient norm below GRAD_TOL, and raises
     NonConvergenceError after MAX_NEWTON iterations. A batch of one
-    through the solver `variational_cost` uses.
+    through the solver `variational_cost` uses. theta must be finite,
+    mu_point and lambda_table finite and >= 0; `variational_cost` builds
+    its batch from a flow and does not repeat these checks.
     """
     theta = _reals(theta, "theta")
     mu_point = _reals(mu_point, "mu_point")
@@ -376,6 +378,15 @@ def variational_norm(theta, mu_point, lambda_table,
         raise InvalidArgumentError("theta and mu_point must have length K")
     if lam.shape != (colors.n_edges,):
         raise InvalidArgumentError("lambda_table must have one entry per edge")
+    for name, arr, nonneg in (("theta", theta, False),
+                              ("mu_point", mu_point, True),
+                              ("lambda_table", lam, True)):
+        ok = np.isfinite(arr) & (arr >= 0.0) if nonneg else np.isfinite(arr)
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            raise InvalidArgumentError(
+                f"{name}[{bad[0]}] = {float(arr[bad[0]])}: entries must be "
+                f"finite" + (" and >= 0" if nonneg else ""))
     values, _ = _variational_norms(theta[None], mu_point[None], lam[None],
                                    colors)
     return float(values[0])

@@ -31,7 +31,6 @@ from .graph import ProportionTargets
 from .rates import (
     _check_entries,
     _check_horizon,
-    _integer,
     _real,
     affine_rows,
     as_block_rates,
@@ -49,16 +48,33 @@ __all__ = [
     "flow_drift",
 ]
 
+PICARD_TOL = 1e-8  # sup-norm residual at which the fixed point is reached
+PICARD_MAX_ITER = 50
+
 
 @dataclass
 class MeanFieldFlow:
     """Measure vector on a uniform time grid; values[t, g, z] with
     g = 2*block + class. Accessors clip reads at zero: RK4 can undershoot
     a colour near zero by roundoff, and a flow read from `flow_csv` may
-    hold any value."""
+    hold any value. The grid is checked on construction: 1-d, at least
+    two times, one per row of values, and uniform: increasing, each step
+    within 1e-9 * max(1, first step) of the first."""
 
     times: np.ndarray
     values: np.ndarray  # (n_times, 2r, K)
+
+    def __post_init__(self):
+        n = np.shape(self.times)
+        if len(n) != 1 or n[0] < 2 or np.shape(self.values)[:1] != n:
+            raise InvalidArgumentError(
+                f"flow needs a 1-d grid of at least 2 times, one per row of "
+                f"values; got times of shape {n} and values of shape "
+                f"{np.shape(self.values)}")
+        steps = np.diff(self.times)
+        if not np.all((steps > 0) & (np.abs(steps - steps[0])
+                                     <= 1e-9 * max(1.0, steps[0]))):
+            raise InvalidArgumentError("flow grid must be uniform")
 
     @property
     def r(self) -> int:
@@ -312,39 +328,34 @@ def _frozen_solve(field: _VectorField, frozen: np.ndarray, y0: np.ndarray,
     return out
 
 
-def picard_iterate(spec, targets: ProportionTargets, init, T, dt, tol=1e-8,
-                   max_iter=50):
+def picard_iterate(spec, targets: ProportionTargets, init, T, dt):
     """Fixed-point iteration for the mean-field system: repeatedly solve
     the linear equations with rates frozen to the previous flow, starting
     from the constant-in-time flow at `init`. Returns (flow, residual
     history); the residual is the sup over grid points of the
-    max-component L1 distance between sweeps."""
-    tol = _real(tol, "tol")
-    if not 0 < tol < math.inf:
-        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
-    max_iter = _integer(max_iter, "max_iter")
-    if max_iter < 1:
-        raise InvalidArgumentError("max_iter must be >= 1")
+    max-component L1 distance between sweeps. Stops once a residual is
+    below PICARD_TOL, and raises NonConvergenceError after
+    PICARD_MAX_ITER sweeps; both are read at call time."""
     field = _VectorField(spec, targets)
     r, K = field.r, field.K
     times, dt = _grid(T, dt)
     y0 = initial_laws(init, r, K)
     frozen = np.broadcast_to(y0, (times.size, 2 * r, K)).copy()
     residuals = []
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         nxt = _frozen_solve(field, frozen, y0, dt)
         res = float(np.abs(nxt - frozen).sum(axis=2).max())
         residuals.append(res)
         frozen = nxt
-        if res < tol:
+        if res < PICARD_TOL:
             break
     if log.isEnabledFor(logging.DEBUG):
         log.debug("picard_iterate: %d sweeps, last residual %.3e",
                   len(residuals), residuals[-1])
-    if residuals[-1] < tol:
+    if residuals[-1] < PICARD_TOL:
         return MeanFieldFlow(times, frozen), residuals
     raise NonConvergenceError(
-        f"fixed-point iteration did not reach {tol} in {max_iter} sweeps "
-        f"(last residual {residuals[-1]:.3e})",
+        f"fixed-point iteration did not reach {PICARD_TOL} in "
+        f"{PICARD_MAX_ITER} sweeps (last residual {residuals[-1]:.3e})",
         residuals=residuals,
     )

@@ -19,7 +19,13 @@ import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError
 from .graph import BlockGraph
-from .rates import _check_horizon, _reals, as_block_rates, total_rate
+from .rates import (
+    _check_horizon,
+    _reals,
+    as_block_rates,
+    total_rate,
+    validate_probability,
+)
 from .simulate import SystemState, local_empirical
 
 __all__ = ["StateDistribution", "master_equation_oracle"]
@@ -38,16 +44,20 @@ MAX_CHUNKS = 5000
 @dataclass
 class StateDistribution:
     """Distribution over the full color-tuple space. The solver's work
-    counters take no part in equality: states, nonzeros of the generator,
-    series chunks and series terms summed over the chunks."""
+    counters take no part in equality: nonzeros of the generator, series
+    chunks and series terms summed over the chunks; the state count is
+    read off `probs`."""
 
     probs: np.ndarray  # length K^N
     K: int
     n_nodes: int
-    states: int = field(default=0, compare=False)
     nonzeros: int = field(default=0, compare=False)
     chunks: int = field(default=0, compare=False)
     series_terms: int = field(default=0, compare=False)
+
+    @property
+    def states(self) -> int:
+        return self.probs.size
 
     def node_marginal(self, n: int) -> np.ndarray:
         digit = (np.arange(self.probs.size) // self.K ** n) % self.K
@@ -148,9 +158,10 @@ def master_equation_oracle(graph: BlockGraph, spec, init_dist,
     """Solve the forward equation exactly (to 1e-10) on the product space.
 
     init_dist: the (N, K) array of independent per-node laws, row n the
-    law of node n's color. Horizons with large rate*T are split into
-    chunks so the Poisson series never underflows; more than MAX_CHUNKS
-    chunks, or a non-finite rate*T, is a CapacityError.
+    law of node n's color; `validate_probability` checks each row, and
+    the error names the first bad one. Horizons with large rate*T are
+    split into chunks so the Poisson series never underflows; more than
+    MAX_CHUNKS chunks, or a non-finite rate*T, is a CapacityError.
     """
     family = as_block_rates(spec, graph.r)
     K = family.colors.K
@@ -161,35 +172,35 @@ def master_equation_oracle(graph: BlockGraph, spec, init_dist,
         raise CapacityError(
             f"K^N states for K={K} colours and N={N} nodes exceed the "
             f"oracle cap {STATE_CAP}")
-    n_states = K ** N
     T = _check_horizon(T)
 
     init = _reals(init_dist, "init_dist")
     if init.shape != (N, K):
         raise InvalidArgumentError(
             f"init_dist must be ({N},{K}) per-node laws, got {init.shape}")
-    if not np.all(np.isfinite(init)):
-        raise InvalidArgumentError("init_dist has a non-finite entry")
+    for n, law in enumerate(init):
+        try:
+            validate_probability(law)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(
+                f"init_dist row {n} is not a distribution: {exc}") from None
     # node 0 is the fastest digit, so it sits innermost in the kron and
     # every later node wraps around it as a slower digit
     probs = np.ones(1)
     for n in range(N):
         probs = np.kron(init[n], probs)
-    if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-9:
-        raise InvalidArgumentError("init_dist is not a distribution")
-    probs = np.maximum(probs, 0.0)
     probs /= probs.sum()
     if T == 0:
-        return _counted(probs, K, N, n_states, 0, 0, 0)
+        return _counted(probs, K, N, 0, 0, 0)
 
     Q = _jump_matrix(graph, family)
     p, n_chunks, terms = _uniformize(probs, Q, T)
-    return _counted(p, K, N, n_states, Q[0].size, n_chunks, terms)
+    return _counted(p, K, N, Q[0].size, n_chunks, terms)
 
 
 def _counted(p, K, N, *counters) -> StateDistribution:
     """The distribution with its counters, which are logged on
-    `blockmf.oracle` at debug level."""
+    `blockmf.oracle` at debug level with its state count."""
     log.debug("oracle: %d states, %d nonzeros, %d chunks, %d series terms",
-              *counters)
+              p.size, *counters)
     return StateDistribution(p, K, N, *counters)

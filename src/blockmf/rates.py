@@ -179,8 +179,13 @@ class ColorGraph:
             raise InvalidArgumentError("need K >= 1 colors")
         seen = set()
         for e in self.edges:
-            z = _integer(e[0], "edge endpoint")
-            zp = _integer(e[1], "edge endpoint")
+            try:
+                z, zp = e
+            except (TypeError, ValueError):
+                raise InvalidArgumentError(
+                    f"edge {_quoted(e)} is not a (from, to) pair") from None
+            z = _integer(z, "edge endpoint")
+            zp = _integer(zp, "edge endpoint")
             if z == zp:
                 raise InvalidArgumentError(
                     f"self-loop edge ({_quoted(z)},{_quoted(zp)})")

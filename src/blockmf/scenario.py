@@ -4,7 +4,9 @@ Fail-closed: the "schema" field must read "blockmf/1" and every field
 must be known — typos are errors, not silently ignored knobs. The seed
 never defaults to the clock; it comes from the file or the --seed flag.
 A scenario is one self-contained document: it names no file except
-`flow_csv`, and where artifacts go is the --out flag's alone.
+`flow_csv`, and where artifacts go is the --out flag's alone. The time
+grid is the scenario's alone too, and the Picard stopping rule is no
+field: it is `meanfield.PICARD_TOL` and `PICARD_MAX_ITER`.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ _NUMBERS = {
     "grid": (True, 2, 51),
     "replicas": (True, 1, None),
     "n_list": (True, 2, None),
-    "picard_tol": (False, 0, 1e-8),
-    "picard_max_iter": (True, 1, 50),
 }
 
 _TOP_FIELDS = {"schema", "graph", "rates", "targets", "init", "tagged",

@@ -99,9 +99,10 @@ def _columns(rows):
 
 def read_series(fp):
     """(times, values) of a flow: rows in any order, blank lines
-    skipped. A bad header or row, a duplicate or missing cell or a
-    non-uniform grid raise InvalidArgumentError. The rows are parsed
-    CHUNK_ROWS lines at a time, by `_columns`."""
+    skipped, times ascending. A bad header or row or a duplicate or
+    missing cell raise InvalidArgumentError; `MeanFieldFlow` checks the
+    grid. The rows are parsed CHUNK_ROWS lines at a time, by
+    `_columns`."""
     header = fp.readline().strip()
     if header != ",".join(SERIES_HEADER):
         raise InvalidArgumentError(
@@ -151,9 +152,4 @@ def read_series(fp):
         )
     values = np.empty(cell.size)
     values[cell] = m
-    steps = np.diff(times)
-    if times.size < 2 or np.any(
-        np.abs(steps - steps[0]) > 1e-9 * max(1.0, steps[0])
-    ):
-        raise InvalidArgumentError("flow grid must be uniform")
     return times, values.reshape(times.size, 2 * r, K)

@@ -105,13 +105,16 @@ def test_criterion_02_meanfield_conservation():
 
 
 def test_criterion_03_picard_agreement():
+    from blockmf import meanfield
+
+    # the sweeps stop at a residual of 1e-8 and give up after 50
+    assert (meanfield.PICARD_TOL, meanfield.PICARD_MAX_ITER) == (1e-8, 50)
     worst_sup = 0.0
     monotone = True
     failed = None
     for i, (fam, targets, inits) in enumerate(_get_instances()):
         try:
-            pic, res = bm.picard_iterate(fam, targets, inits, 5.0, 0.002,
-                                         tol=1e-8, max_iter=50)
+            pic, res = bm.picard_iterate(fam, targets, inits, 5.0, 0.002)
         except bm.NonConvergenceError:
             failed = i
             break

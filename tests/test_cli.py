@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blockmf.meanfield as meanfield
 from blockmf import MeanFieldFlow
 from blockmf.cli import main
 from blockmf.errors import InvalidArgumentError
@@ -112,12 +113,11 @@ def test_parser_is_built_once_and_keeps_no_arguments(tmp_path, capsys):
 
     assert _build_parser() is _build_parser()
     first = _build_parser().parse_args(
-        ["picard", "--scenario", "a.json", "--seed", "3", "--grid", "5",
-         "--out", "o"])
-    assert (first.seed, first.grid, first.out) == (3, 5, "o")
+        ["picard", "--scenario", "a.json", "--seed", "3", "--out", "o"])
+    assert (first.seed, first.out) == (3, "o")
     second = _build_parser().parse_args(["meanfield", "--scenario", "b"])
-    assert (second.command, second.seed, second.grid, second.out) == (
-        "meanfield", None, None, None)
+    assert (second.command, second.seed, second.out) == (
+        "meanfield", None, None)
     sp = scen_path(tmp_path, {k: v for k, v in SCEN.items() if k != "seed"})
     code, _, err = run(["simulate", "--scenario", sp, "--seed", "4",
                         "--out", str(tmp_path / "s")], capsys)
@@ -127,12 +127,19 @@ def test_parser_is_built_once_and_keeps_no_arguments(tmp_path, capsys):
 
 
 def test_grid_override(tmp_path, capsys):
-    sp = scen_path(tmp_path)
+    # the scenario's grid is the one source of the time grid: there is
+    # no --grid flag to override it, and passing one is refused
+    sp = scen_path(tmp_path, {**SCEN, "grid": 5})
     d = tmp_path / "g"
-    code, _, _ = run(["simulate", "--scenario", sp, "--out", str(d),
-                      "--grid", "5"], capsys)
+    code, _, _ = run(["simulate", "--scenario", sp, "--out", str(d)], capsys)
     assert code == 0
     assert len((d / "empirical.csv").read_text().splitlines()) == 1 + 5 * 8
+    code, out, err = run(["simulate", "--scenario", scen_path(tmp_path),
+                          "--out", str(tmp_path / "h"), "--grid", "5"],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: unrecognized arguments: --grid 5\n"
+    assert not (tmp_path / "h").exists()
 
 
 def test_meanfield_then_ldp_cost(tmp_path, capsys):
@@ -147,7 +154,8 @@ def test_meanfield_then_ldp_cost(tmp_path, capsys):
     assert float(last.split(",")[1]) <= 1e-5
 
 
-def test_picard_artifacts_and_nonconvergence(tmp_path, capsys):
+def test_picard_artifacts_and_nonconvergence(tmp_path, capsys,
+                                             monkeypatch):
     sp = scen_path(tmp_path)
     d = tmp_path / "p"
     code, out, _ = run(["picard", "--scenario", sp, "--out", str(d)], capsys)
@@ -156,10 +164,9 @@ def test_picard_artifacts_and_nonconvergence(tmp_path, capsys):
     assert lines[0] == "iter,residual"
     res = [float(l.split(",")[1]) for l in lines[1:]]
     assert res[-1] < 1e-8
-    stuck = scen_path(tmp_path, {**SCEN, "picard_max_iter": 1,
-                                 "picard_tol": 1e-14}, "stuck.json")
-    code, _, err = run(["picard", "--scenario", stuck, "--out", str(d)],
-                       capsys)
+    monkeypatch.setattr(meanfield, "PICARD_MAX_ITER", 1)
+    monkeypatch.setattr(meanfield, "PICARD_TOL", 1e-14)
+    code, _, err = run(["picard", "--scenario", sp, "--out", str(d)], capsys)
     assert code == 2 and "numerical error" in err
 
 
@@ -574,11 +581,24 @@ def test_n_list_off_the_target_sizes_fails_closed(tmp_path, sub, artifact):
 @pytest.mark.parametrize("flag, value", [
     ("--seed", "-1"), ("--seed", str(2 ** 64)), ("--grid", "-3"),
     ("--grid", "1"), ("--threads", "-2"), ("--threads", "0"),
+    # refused by the parser: a value of the wrong type, an unknown flag,
+    # the removed --grid, no --scenario (value None drops it) and an
+    # unknown subcommand (flag "command" names it in place of `sub`);
+    # each printed argparse's usage block and exited 2
+    ("--seed", "abc"), ("--bogus", "1"), ("--grid", "5"),
+    ("--scenario", None), ("command", "bogus"),
 ])
 def test_bad_flag_fails_closed(tmp_path, sub, artifact, flag, value):
     # checked also where the subcommand does not use the flag
-    proc = run_blockmf_module([sub, "--scenario", scen_path(tmp_path),
-                               "--out", str(tmp_path / "out"), flag, value])
+    argv = [sub, "--scenario", scen_path(tmp_path),
+            "--out", str(tmp_path / "out")]
+    if flag == "command":
+        argv[0] = value
+    elif value is None:  # flag is "--scenario"
+        del argv[1:3]
+    else:
+        argv += [flag, value]
+    proc = run_blockmf_module(argv)
     assert_fails_closed(proc, tmp_path / "out" / artifact, flag.lstrip("-"))
 
 
@@ -642,6 +662,7 @@ def test_oracle_check_past_its_cap_fails_closed(tmp_path, blocks):
     ("chaos", "grid", 2 ** 63, "convergence.csv"),
     ("simulate", "grid", 2 ** 61, "trajectory.csv"),
     ("simulate", "grid", 2 ** 63, "trajectory.csv"),
+    # --grid is no flag any more: refused before the scenario is read
     ("chaos", "--grid", 2 ** 63, "convergence.csv"),
     ("simulate", "--grid", 2 ** 63, "trajectory.csv"),
     ("validate", "n_list", [10, 2 ** 62], "convergence.csv"),
@@ -784,7 +805,6 @@ def test_carriage_return_inside_a_row_fails():
     ("replicas", -10 ** 4000, "replicas must be >= 1"),
     ("seed", -10 ** 4000, "seed must be >= 0"),
     ("grid", -10 ** 4000, "grid must be >= 2"),
-    ("picard_max_iter", -10 ** 4000, "picard_max_iter must be >= 1"),
     ("n_list", [-10 ** 4000], "n_list must be >= 2"),
     ("graph", {"complete_blocks": [[-10 ** 4000, 3], [2, 3]]},
      "every block needs"),
@@ -798,7 +818,7 @@ def test_carriage_return_inside_a_row_fails():
 ], ids=["huge-int", "long-list", "long-string", "long-row", "long-header",
         "long-schema", "long-unknown-field", "long-unknown-graph-field",
         "replicas-below-bound", "seed-below-bound", "grid-below-bound",
-        "picard-max-iter-below-bound", "n-list-below-bound",
+        "n-list-below-bound",
         "complete-blocks-below-bound", "inline-edge-out-of-range",
         "tables-edge-out-of-range", "sis-r-below-bound", "list-of-huge-ints"])
 def test_refused_value_is_quoted_short(tmp_path, field, value, needle):
@@ -836,6 +856,8 @@ def test_unreadable_scenario_fails_closed(tmp_path, content, needle):
 
 
 @pytest.mark.parametrize("field, value, sub, artifact, needle", [
+    # the Picard stopping rule is meanfield's constants, not a field: a
+    # scenario that names either is refused as naming an unknown field
     ("picard_tol", -1, "picard", "flow_picard.csv", "picard_tol"),
     ("picard_max_iter", 0, "picard", "flow_picard.csv", "picard_max_iter"),
     ("flow_csv", "nope.csv", "ldp-cost", "cost.csv", "flow_csv"),

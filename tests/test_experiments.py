@@ -631,8 +631,6 @@ def count_argument_calls():
                                  seeds=[(5, 0), (5, 1)], **args)
 
     return {
-        "picard_iterate-max_iter": ("max_iter", lambda v: bm.picard_iterate(
-            spec, targets, inits, 1.0, 0.1, tol=1e-30, max_iter=v)),
         "lln_experiment-grid": ("grid", lambda v: lln(grid=v)),
         "lln_experiment-replicas": ("replicas", lambda v: lln(replicas=v)),
         "final_group_counts-replicas": (
@@ -649,7 +647,6 @@ def count_argument_calls():
 @pytest.mark.parametrize("value", [12.7, np.float64(12.0), True, "12"],
                          ids=["float", "numpy-float", "bool", "string"])
 def test_count_arguments_take_true_integers(call, value):
-    # picard_iterate(max_iter=2.7) ran 2 sweeps and reported 2.7;
     # lln_experiment truncated grid and N values; a float replica count
     # escaped as a bare TypeError
     name, run = count_argument_calls()[call]

@@ -89,6 +89,25 @@ def test_variational_norm_trivia():
         bm.variational_norm(np.zeros(2), mu, lam[:1], cg)
 
 
+@pytest.mark.parametrize("theta, mu, lam, message", [
+    ([-0.1, 0.1], [0.5, 0.5], [-1.0, 2.0], "lambda_table[0] = -1.0"),
+    ([-0.1, 0.1], [-0.5, 1.5], [1.0, 2.0], "mu_point[0] = -0.5"),
+    ([-0.1, 0.1], [0.5, 0.5], [1.0, math.nan], "lambda_table[1] = nan"),
+    ([-0.1, 0.1], [0.5, math.inf], [1.0, 2.0], "mu_point[1] = inf"),
+    ([math.nan, 0.1], [0.5, 0.5], [1.0, 2.0], "theta[0] = nan"),
+    ([-math.inf, 0.1], [0.5, 0.5], [1.0, 2.0], "theta[0] = -inf"),
+], ids=["negative-rate", "negative-mass", "nan-rate", "inf-mass",
+        "nan-theta", "inf-theta"])
+def test_variational_norm_fails_closed_on_its_inputs(theta, mu, lam,
+                                                     message):
+    # a negative rate or mass and a nan rate gave a finite value, and a
+    # nan theta ended in NonConvergenceError, a numerical failure
+    cg = bm.ColorGraph(2, [(0, 1), (1, 0)])
+    with pytest.raises(bm.InvalidArgumentError) as info:
+        bm.variational_norm(theta, mu, lam, cg)
+    assert str(info.value).startswith(message + ": entries must be finite")
+
+
 def test_variational_norm_detached_mass_is_infinite():
     cg = bm.ColorGraph(3, [(0, 1), (1, 0)])
     mu = np.array([0.4, 0.4, 0.2])

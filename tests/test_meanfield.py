@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import blockmf as bm
+import blockmf.meanfield as meanfield
 from blockmf.meanfield import _frozen_solve, _VectorField
 from blockmf.rates import total_rate
 from conftest import (list_affine_rows, random_inits, random_rate_family,
@@ -73,11 +74,11 @@ def test_non_interacting_closed_form():
         assert flow.values[-1, g, 1] == pytest.approx(want, abs=1e-10)
 
 
-def test_picard_matches_rk4(sis2):
+def test_picard_matches_rk4(sis2, monkeypatch):
     spec, targets, inits = sis2
+    monkeypatch.setattr(meanfield, "PICARD_TOL", 1e-9)
     direct = bm.solve_mckean_vlasov(spec, targets, inits, 2.0, 0.01)
-    flow, residuals = bm.picard_iterate(spec, targets, inits, 2.0, 0.01,
-                                        tol=1e-9)
+    flow, residuals = bm.picard_iterate(spec, targets, inits, 2.0, 0.01)
     assert np.abs(flow.values - direct.values).max() <= 1e-6
     assert residuals[-1] < 1e-9
     # contraction: strictly decreasing after the first sweep
@@ -102,12 +103,32 @@ def test_flow_with_other_layout_fails_closed(sis2, shape):
         bm.flow_rates(flow, spec, targets)
 
 
-def test_picard_nonconvergence(sis2):
+def test_picard_nonconvergence(sis2, monkeypatch):
     spec, targets, inits = sis2
-    with pytest.raises(bm.NonConvergenceError) as exc:
-        bm.picard_iterate(spec, targets, inits, 2.0, 0.05, tol=1e-14,
-                          max_iter=2)
+    monkeypatch.setattr(meanfield, "PICARD_TOL", 1e-14)
+    monkeypatch.setattr(meanfield, "PICARD_MAX_ITER", 2)
+    with pytest.raises(bm.NonConvergenceError,
+                       match="did not reach 1e-14 in 2 sweeps") as exc:
+        bm.picard_iterate(spec, targets, inits, 2.0, 0.05)
     assert len(exc.value.residuals) == 2
+
+
+@pytest.mark.parametrize("times, rows, match", [
+    ([0.0, 0.1, 0.3], 3, "^flow grid must be uniform$"),
+    ([0.0, 0.2, 0.1], 3, "^flow grid must be uniform$"),
+    ([0.0, -0.1, -0.2], 3, "^flow grid must be uniform$"),
+    ([1.0, 1.0, 1.0], 3, "^flow grid must be uniform$"),
+    ([0.0, math.nan, 2.0], 3, "^flow grid must be uniform$"),
+    ([[0.0, 1.0]], 1, "^flow needs a 1-d grid"),
+    ([0.0], 1, "^flow needs a 1-d grid"),
+    ([0.0, 1.0, 2.0], 2, "^flow needs a 1-d grid"),
+], ids=["uneven", "backwards-step", "decreasing", "constant", "nan",
+        "2-d", "one-time", "rows-differ"])
+def test_flow_checks_its_grid(times, rows, match):
+    # only the CSV reader checked the grid: variational_cost on a flow
+    # built with uneven times differentiated with its first step
+    with pytest.raises(bm.InvalidArgumentError, match=match):
+        bm.MeanFieldFlow(np.array(times), np.full((rows, 4, 2), 0.5))
 
 
 def test_flow_interpolation_and_clipping():
@@ -140,6 +161,12 @@ def test_flow_csv_round_trip(sis2):
     partial = "t,block,class,color,mass\n0,0,c,0,1.0\n"
     with pytest.raises(bm.InvalidArgumentError):
         bm.MeanFieldFlow.from_csv(io.StringIO(partial))
+    # the flow type checks the grid it is given, also from a file
+    uneven = buf.getvalue().replace("\n0.10000000000000001,",
+                                    "\n0.125,")
+    with pytest.raises(bm.InvalidArgumentError,
+                       match="^flow grid must be uniform$"):
+        bm.MeanFieldFlow.from_csv(io.StringIO(uneven))
 
 
 def test_flow_rates_and_drift(sis2):
@@ -433,24 +460,15 @@ def test_frozen_sweep_overflow_at_one_grid_point_raises():
             _frozen_solve(field, frozen, y0, 0.004)
 
 
-def test_picard_logs_sweeps(sis2, caplog):
+def test_picard_logs_sweeps(sis2, caplog, monkeypatch):
     import logging
 
     spec, targets, inits = sis2
+    monkeypatch.setattr(meanfield, "PICARD_TOL", 1e-9)
     with caplog.at_level(logging.DEBUG, logger="blockmf.meanfield"):
-        _, res = bm.picard_iterate(spec, targets, inits, 1.0, 0.05, tol=1e-9)
+        _, res = bm.picard_iterate(spec, targets, inits, 1.0, 0.05)
     assert caplog.messages == [
         f"picard_iterate: {len(res)} sweeps, last residual {res[-1]:.3e}"]
-    # tol=inf returned after one sweep as if converged; tol=nan ran every
-    # sweep and reported that it did not reach nan
-    for kw, match in [({"max_iter": 0}, "max_iter"),
-                      ({"tol": 0.0}, "^tol must be finite and > 0, got 0.0"),
-                      ({"tol": -1.0}, "got -1.0"),
-                      ({"tol": math.inf}, "got inf"),
-                      ({"tol": math.nan}, "got nan"),
-                      ({"tol": "1e-8"}, "^tol must be a number, got '1e-8'$")]:
-        with pytest.raises(bm.InvalidArgumentError, match=match):
-            bm.picard_iterate(spec, targets, inits, 1.0, 0.05, **kw)
 
 
 def definition_rates(family, targets, flow):

@@ -89,6 +89,22 @@ def test_product_init_matches_explicit_vector():
         master_equation_oracle(g, fam, explicit, 0.9)
 
 
+@pytest.mark.parametrize("init, message", [
+    ([[2.0, 0.0], [0.25, 0.25]], "row 0 is not a distribution: probability "
+                                 "vector sums to 2.0, not 1"),
+    ([[0.5, 0.5], [1.5, -0.5]], "row 1 is not a distribution: measure "
+                                "entries must be finite and >= 0"),
+], ids=["rows-off-one", "negative"])
+def test_oracle_checks_each_per_node_law(init, message):
+    # only the product was checked: rows [2, 0] and [0.25, 0.25] multiply
+    # to a distribution and were accepted
+    g = bm.build_complete_peripheral([(1, 1)])
+    fam = bm.sis_spec(1, gamma=1.0, nu=0.5, eta=0.8, zeta=0.6)
+    with pytest.raises(bm.InvalidArgumentError) as info:
+        master_equation_oracle(g, fam, init, 0.5)
+    assert str(info.value) == "init_dist " + message
+
+
 def test_long_horizon_chunks_conserve_mass():
     # rate * T far above the single-chunk budget exercises chunking
     a, b = 30.0, 25.0
@@ -104,6 +120,7 @@ def test_decode_expect_mean_empirical():
     dist = bm.StateDistribution(
         np.array([0.0] * 5 + [1.0] + [0.0] * 2), 2, 3
     )
+    assert dist.states == 8  # read off probs; a counter field read 0
     colors = _decode_states(2, 3)
     assert colors[5].tolist() == [1, 0, 1]   # 5 = 1 + 0*2 + 1*4
     assert dist.node_marginal(0)[1] == 1.0
@@ -135,7 +152,8 @@ def test_non_finite_init_dist_fails_closed(bad):
     # false) and the solve returned an all-nan law
     g = bm.build_complete_peripheral([(1, 1)])
     fam = bm.sis_spec(1, 1.0, 0.5, 0.8, 0.6)
-    with pytest.raises(bm.InvalidArgumentError, match="non-finite"):
+    with pytest.raises(bm.InvalidArgumentError,
+                       match="row 1 is not a distribution: .* finite"):
         master_equation_oracle(g, fam, [[0.5, 0.5], [bad, 0.0]], 1.0)
 
 

@@ -258,9 +258,13 @@ def test_color_graph_rejects_non_integers(K, edges, needle):
     ([(1, 2), (5, 1), (5, 1)], "edge (5,1) outside 0..2"),
     ([(0, 2**70), (0, 1), (0, 1)], f"edge (0,{2**70}) outside 0..2"),
     ([(2, 0), (np.int64(2), np.int64(0))], "duplicate edge (2,0)"),
+    # read as (0, 1), and a bare IndexError
+    ([(0, 1, 9), (1, 0)], "edge (0, 1, 9) is not a (from, to) pair"),
+    ([(0,), (1, 0)], "edge (0,) is not a (from, to) pair"),
+    ([(1, 0), 2], "edge 2 is not a (from, to) pair"),
 ], ids=["self-loop-first", "range-first", "duplicate-first",
         "negative", "self-loop-outside", "outside-repeated", "past-int64",
-        "numpy-duplicate"])
+        "numpy-duplicate", "triple", "single", "scalar"])
 def test_color_graph_names_the_first_bad_edge(edges, message):
     # the first offending edge in input order; for an edge with several
     # faults the self-loop, then the range, then the duplicate

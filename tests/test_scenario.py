@@ -47,6 +47,11 @@ def test_load_and_build_sections(tmp_path):
 def test_fail_closed_unknown_fields(tmp_path):
     with pytest.raises(bm.InvalidConfigurationError, match="unknown field"):
         load_scenario(write(tmp_path, {**BASE, "replcias": 10}))
+    # the Picard stopping rule is no field
+    for name in ("picard_tol", "picard_max_iter"):
+        with pytest.raises(bm.InvalidConfigurationError,
+                           match=f"unknown field.*{name}"):
+            load_scenario(write(tmp_path, {**BASE, name: 1}))
     sc = load_scenario(write(tmp_path, {
         **BASE, "graph": {"complete_blocks": [[2, 3]], "bogus": 1}}))
     with pytest.raises(bm.InvalidConfigurationError, match="graph"):

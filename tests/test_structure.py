@@ -150,11 +150,13 @@ def test_load_scenario_is_the_one_json_reader():
 
 def test_initial_laws_are_checked_in_one_place():
     # the solvers and experiments read their initial laws through
-    # `rates.initial_laws`; the scenario loader and the distances check
-    # their own measures
+    # `rates.initial_laws`; the scenario loader, the distances and the
+    # oracle (one law per node, not per component) check their own
+    # measures
     assert functions_calling("validate_probability") == {
         ("rates.py", "initial_laws"), ("metrics.py", "_check_pair"),
-        ("scenario.py", "build_inits")}
+        ("scenario.py", "build_inits"),
+        ("oracle.py", "master_equation_oracle")}
 
 
 def test_integer_check_is_defined_once():
@@ -212,9 +214,12 @@ def test_the_package_imports_no_scipy():
 def test_result_types_hold_no_field_their_arrays_hold():
     fields = {cls.__name__: tuple(f.name for f in dataclasses.fields(cls))
               for cls in (bm.MeanFieldFlow, bm.EmpiricalSeries,
-                          bm.DeviationCost, bm.ConvergenceReport)}
+                          bm.DeviationCost, bm.ConvergenceReport,
+                          bm.StateDistribution)}
     assert fields == {
         "MeanFieldFlow": ("times", "values"),
+        "StateDistribution": ("probs", "K", "n_nodes", "nonzeros", "chunks",
+                              "series_terms"),
         "EmpiricalSeries": ("times", "values"),
         "DeviationCost": ("times", "integrand", "class_integrals", "weights",
                           "total", "newton_iterations", "halvings",
