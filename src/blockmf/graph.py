@@ -3,13 +3,14 @@
 A graph is r blocks; every block is a clique over its own nodes. Each
 block splits into central nodes (no links outside the block) and
 peripheral nodes (additionally linked to peripheral nodes of other
-blocks). Central adjacency is implicit. The peripherals are stored as
-their twin quotient: the twin classes (peripherals of one block sharing a
-closed neighbourhood) and, per class, the classes its neighbourhood is
-made of. Its size depends on the design's fractions, not on N; the
-peripheral edge list is expanded from it on request. Intra-block
-peripheral pairs must be present (the block is a clique); cross-block
-pairs are whatever the design says.
+blocks). Central adjacency is implicit. The graph is stored as its
+quotient: the groups (a block's centrals; a twin class, the peripherals
+of one block sharing a closed neighbourhood), their sizes and, per
+group, the groups its closed neighbourhood is made of. Its size depends
+on the design's fractions, not on N; the peripheral edge list is
+expanded from it on request. Intra-block peripheral pairs must be
+present (the block is a clique); cross-block pairs are whatever the
+design says.
 
 Node ids are global, contiguous, 0-based: block 0 centrals, block 0
 peripherals, block 1 centrals, ... so they run in component order, where
@@ -77,10 +78,13 @@ class BlockGraph:
     self-loops or central endpoints.
 
     group[n]: read-only int64 array, node n's group: block j's centrals
-    are group j, peripheral twin class c (the peripherals of one block
-    sharing a closed neighbourhood, in order of first node) group r + c;
-    firsts[g] is group g's first node. twin_links[c]: the classes whose
-    union is class c's closed neighbourhood. These two are the stored form.
+    are group j, then come the twin classes in order of first node;
+    firsts[g] is group g's first node, sizes[g] (read-only) its member
+    count. links[g]: the groups whose union is group g's closed
+    neighbourhood, its block's central group (numbered as the block)
+    first, then the block's classes (for a central group) or the classes
+    adjacent to it (for a class), ascending. group, sizes and links are
+    the stored form.
 
     component[n]: read-only int64 array, node n's component 2*block +
     class; non-decreasing, since ids run in component order.
@@ -138,7 +142,7 @@ class BlockGraph:
             lambda m, n: n in closed[m])
 
     def _quotient(self, label, adjacent):
-        """Store the group map and the twin quotient. label[i] is the twin
+        """Store the group map, sizes and links. label[i] is the twin
         class of the i-th peripheral node in id order within its block
         (the block's peripherals grouped by closed neighbourhood), each
         block's classes numbered from 0 in order of first node. Classes
@@ -155,36 +159,30 @@ class BlockGraph:
             # unique lists the classes by number, so by first node
             firsts += (np.unique(own, return_index=True)[1] + mid).tolist()
         # counted before the flag: bincount copies a read-only array
-        size = np.bincount(self.group)[r:].tolist()
-        self.group.flags.writeable = False
+        self.sizes = np.bincount(self.group)
+        for table in (self.group, self.sizes):
+            table.flags.writeable = False
         self.firsts = (*self._bounds[0:-1:2], *firsts)
-        self.twin_links = tuple(
-            tuple(d for d, n in enumerate(firsts) if adjacent(m, n))
-            for m in firsts
+        blocks = [self.block_of(m) for m in firsts]
+        self.links = (
+            *((j, *(r + c for c, i in enumerate(blocks) if i == j))
+              for j in range(r)),
+            *((j, *(r + d for d, n in enumerate(firsts) if adjacent(m, n)))
+              for j, m in zip(blocks, firsts)),
         )
         # M_i^n per class: neighbour count in each block, own block counted
         # as N_j^p (self included), which holds iff the block is a clique
-        blocks = [self.block_of(n) for n in firsts]
-        cross = []
-        for c, links in enumerate(self.twin_links):
-            counts = [0] * r
-            for d in links:
-                counts[blocks[d]] += size[d]
-            j = blocks[c]
-            if counts[j] != self.block_sizes[j][1]:
+        cross = [self.cross_counts(m) for m in firsts]
+        for j, m, row in zip(blocks, firsts, cross):
+            if row[j] != self.block_sizes[j][1]:
                 raise InvalidConfigurationError(
-                    f"block {j} peripheral {firsts[c]} is not adjacent to "
-                    "its whole block; intra-block peripheral pairs are "
+                    f"block {j} peripheral {m} is not adjacent to its "
+                    "whole block; intra-block peripheral pairs are "
                     "mandatory"
                 )
-            cross.append(tuple(counts))
-        self._cross = tuple(cross)
-
-        perips = tuple(npp for _, npp in self.block_sizes)
-        self.is_complete_peripheral = all(row == perips for row in cross)
         # realized cross-degree matrix when the design is regular, else None
         rows = [{row for row, i in zip(cross, blocks) if i == j}
-                for j in range(self.r)]
+                for j in range(r)]
         self.cross_degree_matrix = (
             tuple(s.pop() for s in rows) if all(len(s) == 1 for s in rows)
             else None
@@ -193,8 +191,8 @@ class BlockGraph:
     def __setstate__(self, state):
         # pickling drops the flag; an unpickled copy stays read-only too
         self.__dict__.update(state)
-        self.component.flags.writeable = False
-        self.group.flags.writeable = False
+        for table in (self.component, self.group, self.sizes):
+            table.flags.writeable = False
 
     # --- queries -----------------------------------------------------
 
@@ -216,22 +214,24 @@ class BlockGraph:
     def peripheral_nodes_all(self):
         return [n for j in range(self.r) for n in self.peripheral_nodes(j)]
 
-    def _twin(self, n) -> int:
+    def _peripheral_links(self, n):
+        """The twin classes that make up peripheral node n's peripheral
+        neighbourhood, its own included."""
         if not self.is_peripheral(n):
             raise WrongClassError(f"node {n} is central")
-        return int(self.group[n]) - self.r
+        return self.links[self.group[n]][1:]
 
     def peripheral_neighbors(self, n):
         """Peripheral neighbours of peripheral node n, ascending."""
-        linked = np.zeros(len(self.firsts), dtype=bool)
-        linked[[self.r + d for d in self.twin_links[self._twin(n)]]] = True
+        linked = np.zeros(len(self.links), dtype=bool)
+        linked[list(self._peripheral_links(n))] = True
         near = np.flatnonzero(linked[self.group])
         return near[near != n].tolist()
 
     @property
     def peripheral_edges(self):
         """Every adjacent peripheral pair (a, b), a < b, ascending; the
-        intra-block cliques included. Expanded from the twin quotient."""
+        intra-block cliques included. Expanded from the quotient."""
         return tuple((a, b) for a in self.peripheral_nodes_all()
                      for b in self.peripheral_neighbors(a) if a < b)
 
@@ -242,33 +242,31 @@ class BlockGraph:
     def cross_counts(self, n):
         """Per-block peripheral neighbor counts of peripheral node n, own
         block counted with self (so entry j equals N_j^p)."""
-        return self._cross[self._twin(n)]
+        counts = [0] * self.r
+        for h in self._peripheral_links(n):
+            counts[self.links[h][0]] += int(self.sizes[h])
+        return tuple(counts)
 
     def degree(self, n) -> int:
-        """Graph degree: block clique plus cross-block peripheral links."""
-        j = self.block_of(n)
-        if not self.is_peripheral(n):
-            return self.block_size(j) - 1
-        cross = sum(
-            c for i, c in enumerate(self.cross_counts(n)) if i != j
-        )
-        return self.block_size(j) - 1 + cross
+        """Graph degree: the closed neighbourhood's size, less the node."""
+        closed = self.links[self.group[n]]
+        return int(self.sizes[list(closed)].sum()) - 1
 
     def __eq__(self, other):
         return (
             isinstance(other, BlockGraph)
             and self.block_sizes == other.block_sizes
-            and self.twin_links == other.twin_links
+            and self.links == other.links
             and np.array_equal(self.group, other.group)
         )
 
     def __hash__(self):
-        return hash((self.block_sizes, self.firsts, self.twin_links))
+        return hash((self.block_sizes, self.firsts, self.links))
 
     def __repr__(self):
         return (
             f"BlockGraph(r={self.r}, sizes={list(self.block_sizes)}, "
-            f"twin_classes={len(self.twin_links)})"
+            f"groups={len(self.links)})"
         )
 
     # --- serialization ------------------------------------------------
@@ -382,8 +380,8 @@ def build_regular_peripheral(block_sizes, cross_degree_fractions) -> BlockGraph:
         rank[np.argsort(first)] = np.arange(first.size)
         labels.append(rank[label.reshape(-1)])
 
-    def local(n):
-        j = graph.block_of(n)
+    def local(n):  # n is a class's first node, so no id check
+        j = int(graph.component[n]) // 2
         return j, n - graph.peripheral_nodes(j).start
 
     def adjacent(m, n):

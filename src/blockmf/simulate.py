@@ -164,15 +164,15 @@ class GroupTables:
     every array is read-only, so threads and the `_group_tables` cache
     share the tables. The count farm reads them.
 
-    Groups are the graph's (`BlockGraph.group`), with their `sizes` and
-    `component`s: one per block's centrals (0..r-1), then the peripheral
-    twin classes in order of their first node. A closed neighbourhood is
-    a union of twin classes (the graph's twin links), so each group reads
-    whole groups, and every group has members: each block has a central
-    and a peripheral node. The members of a group are exchangeable, so
-    the joint law of any nodes is a function of the law of the group
-    counts (`experiments.tagged_law`). With n[h*K + x] the
-    count of colour x in group h, edge e of group g fires, for each
+    Groups are the graph's (`BlockGraph.group`), with their `component`s
+    and `sizes` (the graph's array): one per block's centrals (0..r-1),
+    then the peripheral twin classes in order of their first node. A
+    closed neighbourhood is a union of groups (the graph's `links`), so
+    each group reads whole groups, and every group has members: each
+    block has a central and a peripheral node. The members of a group
+    are exchangeable, so the joint law of any nodes is a function of the
+    law of the group counts (`experiments.tagged_law`). With n[h*K + x]
+    the count of colour x in group h, edge e of group g fires, for each
     member of g in the edge's source colour, at rate
 
         max(0, beta[g, e] + sum over i with row[i] == g*E + e
@@ -196,7 +196,7 @@ class GroupTables:
         self.K = K = cg.K
         self.n_edges = E = cg.n_edges
         self.n_groups = G = len(graph.firsts)
-        self.sizes = np.bincount(graph.group, minlength=G)
+        self.sizes = graph.sizes
         self.component = graph.component[list(graph.firsts)]
         self.row, self.col, self.weight, self.beta = affine_rows(
             family, self._readers())
@@ -220,22 +220,15 @@ class GroupTables:
     def _readers(self):
         """Yield, group by group, the groups it reads with their weights
         (streamed: on sparse designs the dicts would outweigh the rows).
-        Every node weighs each neighbour by 1/(neighbourhood size); the
-        members of one group share that weight, so a group's count vector
-        enters once with it. Central groups are 0..r-1."""
+        A group reads its closed neighbourhood, the graph's links; every
+        node weighs each neighbour by 1/(neighbourhood size), which the
+        members of a group share, so a group's count vector enters once
+        with it. Central groups are 0..r-1."""
         graph, r = self.graph, self.graph.r
-        for g, first in enumerate(graph.firsts):
-            j, cls = graph.block_of(first), graph.class_of(first)
-            if cls == CENTRAL:
-                w = 1.0 / graph.block_size(j)
-                seen = [h for h in range(r, self.n_groups)
-                        if graph.block_of(graph.firsts[h]) == j]
-            else:
-                w = 1.0 / (graph.degree(first) + 1)
-                seen = [r + d for d in graph.twin_links[g - r]]
-            reads = dict.fromkeys(seen, (w, PERIPHERAL))
-            reads[j] = (w, CENTRAL)
-            yield (j, cls), reads
+        for g, closed in enumerate(graph.links):
+            w = 1.0 / int(graph.sizes[list(closed)].sum())
+            yield divmod(int(self.component[g]), 2), {
+                h: (w, CENTRAL if h < r else PERIPHERAL) for h in closed}
 
 
 # --------------------------------------------------------------------------

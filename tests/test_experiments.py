@@ -28,7 +28,7 @@ def test_proportional_family_sizes():
     build = bm.proportional_family(make_targets())
     g = build(40)
     assert g.block_sizes == ((10, 10), (10, 10))
-    assert g.is_complete_peripheral
+    assert g.cross_degree_matrix == ((10, 10), (10, 10))
     with pytest.raises(bm.InvalidArgumentError, match="N=30"):
         build(30)   # 30 splits into blocks of 15, not into equal classes
 

@@ -22,17 +22,21 @@ def test_complete_peripheral_layout():
     assert g.block_of(4) == 0 and g.block_of(5) == 1
     assert not g.is_peripheral(1)
     assert g.is_peripheral(9)
-    assert g.is_complete_peripheral
+    # every group's closed neighbourhood, its block's centrals first
+    assert g.links == ((0, 2), (1, 3), (0, 2, 3), (1, 2, 3))
+    assert g.cross_degree_matrix == ((3, 1), (3, 1))
     # node -> 2*block + class and node -> group, in id order, read-only
     # even after a pickle
     assert g.component.tolist() == [0, 0, 1, 1, 1, 2, 2, 2, 2, 3]
     assert g.component.dtype == np.int64
     assert g.group.tolist() == [0, 0, 2, 2, 2, 1, 1, 1, 1, 3]
     assert g.group.dtype == np.int64
+    assert g.sizes.tolist() == [2, 4, 3, 1]
+    assert g.sizes.dtype == np.int64
     assert g.firsts == (0, 5, 2, 9)
     for h in (g, pickle.loads(pickle.dumps(g))):
         assert np.array_equal(h.group, g.group) and h == g
-        for table in (h.component, h.group):
+        for table in (h.component, h.group, h.sizes):
             with pytest.raises(ValueError):
                 table[0] = 1
     # every peripheral pair adjacent, both directions visible
@@ -66,7 +70,7 @@ def test_regular_design_cross_degrees():
     assert M[0][1] == 2 and M[1][0] == 2
     for n in g.peripheral_nodes(0):
         assert g.cross_counts(n)[1] == 2
-    assert not g.is_complete_peripheral
+    assert M == ((4, 2), (2, 4))
 
 
 def test_regular_design_infeasible():
@@ -156,7 +160,8 @@ def test_large_design_is_stored_as_its_quotient(build):
     # N=2560: the 1.4-1.8 million peripheral edges are not stored
     g = build()
     assert len(pickle.dumps(g)) < 1_000_000
-    assert len(g.twin_links) == (2 if g.is_complete_peripheral else 4)
+    complete = g.cross_degree_matrix == ((960, 960),) * 2
+    assert len(g.links) == g.r + (2 if complete else 4)
 
 
 def test_complete_design_builds_in_bounded_memory():
@@ -265,7 +270,8 @@ def test_builders_match_reference_edges(kind, sizes, fractions):
     assert np.array_equal(built.group, ref.group)
     assert built.firsts == ref.firsts
     assert built.cross_degree_matrix == ref.cross_degree_matrix
-    assert built.is_complete_peripheral == ref.is_complete_peripheral
+    assert built.links == ref.links
+    assert np.array_equal(built.sizes, ref.sizes)
     assert built == ref and hash(built) == hash(ref)
     for n in range(ref.n_total):
         assert built.degree(n) == ref.degree(n)
@@ -348,4 +354,8 @@ def test_regular_quotient_matches_per_node_keys(sizes, fractions):
         for j, a in members:
             want[g.peripheral_nodes(j)[a]] = g.r + c
     assert g.group.tolist() == want
-    assert g.twin_links == tuple(links)
+    block = [members[0][0] for members in classes]
+    assert g.links == (
+        *((j, *(g.r + c for c, i in enumerate(block) if i == j))
+          for j in range(g.r)),
+        *((i, *(g.r + d for d in row)) for i, row in zip(block, links)))

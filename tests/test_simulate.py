@@ -497,7 +497,7 @@ def reference_tables(graph, family):
     members = [list(graph.central_nodes(j)) for j in range(graph.r)]
     members += [[n for n in graph.peripheral_nodes_all()
                  if graph.group[n] == graph.r + c]
-                for c in range(len(graph.twin_links))]
+                for c in range(len(graph.links) - graph.r)]
     meta = [(graph.block_of(m[0]), graph.class_of(m[0])) for m in members]
 
     def readers():
@@ -507,7 +507,7 @@ def reference_tables(graph, family):
                 seen = [h for h, m in enumerate(meta) if m == (j, PERIPHERAL)]
             else:
                 w = 1.0 / (graph.degree(members[g][0]) + 1)
-                seen = [graph.r + d for d in graph.twin_links[g - graph.r]]
+                seen = graph.links[g][1:]
             reads = dict.fromkeys(seen, (w, PERIPHERAL))
             reads[j] = (w, CENTRAL)
             yield (j, cls), reads

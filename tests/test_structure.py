@@ -133,12 +133,23 @@ def modules_storing(attr):
 
 
 def test_the_graph_alone_records_the_groups():
+    # the graph stores the quotient once, indexed by group: its map, sizes
+    # and closed neighbourhoods; the tables read the graph's sizes
     assert modules_storing("group") == {"graph.py"}
-    for gone in ("_twin_of", "twin_classes", "members", "meta"):
+    for gone in ("_twin_of", "twin_classes", "members", "meta", "twin_links",
+                 "_cross", "is_complete_peripheral", "_twin"):
         assert modules_referencing(gone) == set(), gone
     graph = bm.build_complete_peripheral([(2, 3), (2, 3)])
     tables = GroupTables(graph, bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7))
     assert not hasattr(tables, "members") and not hasattr(tables, "meta")
+    assert tables.sizes is graph.sizes
+    # a central group reads its block's twin classes, a class its block's
+    # centrals, then the classes adjacent to it, ascending
+    assert graph.links == ((0, 2), (1, 3), (0, 2, 3), (1, 2, 3))
+    regular = bm.build_regular_peripheral([(1, 4), (1, 4)], 0.5)
+    assert regular.sizes.tolist() == [1, 1, 2, 2, 2, 2]
+    assert regular.links == ((0, 2, 3), (1, 4, 5), (0, 2, 3, 4),
+                             (0, 2, 3, 5), (1, 2, 4, 5), (1, 3, 4, 5))
 
 
 def test_load_scenario_is_the_one_json_reader():
