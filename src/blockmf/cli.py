@@ -44,11 +44,14 @@ def _setup_logging():
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose refusals are configuration errors: one
-    `error:` line and exit 1, not argparse's usage block and exit 2.
-    Its subcommand parsers are of this class too."""
+    short `error:` line and exit 1, not argparse's usage block and exit
+    2. Its subcommand parsers are of this class too."""
 
     def error(self, message):
-        raise InvalidConfigurationError(message)
+        # argparse quotes the refused arguments whole
+        from .rates import _cut
+
+        raise InvalidConfigurationError(_cut(message))
 
 
 @functools.cache

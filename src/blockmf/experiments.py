@@ -38,7 +38,7 @@ from .graph import CENTRAL, BlockGraph, ProportionTargets, \
 from .meanfield import solve_mckean_vlasov
 from .metrics import d_bl_of_differences
 from .rates import _check_entries, _check_horizon, _integer, _is_integer, \
-    _quoted, initial_laws
+    _quoted, _reals, initial_laws
 from .rng import CHAOS, MULTICHAOS, substream
 from .simulate import GroupTables, _check_grid, _count_farm, _land, \
     _same_structure
@@ -361,9 +361,23 @@ def tagged_law(tables: GroupTables, counts, nodes) -> np.ndarray:
     Given the counts n, every arrangement of a group's colours over its
     exchangeable members is equally likely, so node i of group g takes
     colour a_i, given the nodes before it, with probability (n[g, a_i] -
-    g's earlier nodes of colour a_i) / (n_g - g's earlier nodes)."""
-    counts = np.asarray(counts, dtype=float)
+    g's earlier nodes of colour a_i) / (n_g - g's earlier nodes). The
+    counts must be whole, >= 0 and sum to each group's size."""
     nodes = resolve_tagged(tables.graph, nodes)
+    counts = _reals(counts, "counts")
+    shape = (tables.n_groups, tables.K)
+    if counts.ndim != 3 or counts.shape[1:] != shape or not len(counts):
+        raise InvalidArgumentError(
+            f"counts must have shape (replicas >= 1, {shape[0]}, "
+            f"{shape[1]}), got {counts.shape}")
+    bad = ((counts < 0) | (counts != np.floor(counts))).any(axis=2)
+    bad |= counts.sum(axis=2) != tables.sizes
+    if bad.any():
+        i, g = np.argwhere(bad)[0]
+        raise InvalidArgumentError(
+            f"counts of replica {i}, group {g} must be whole numbers >= 0 "
+            f"summing to the group's size {tables.sizes[g]}, got "
+            f"{_quoted(counts[i, g].tolist())}")
     k = len(nodes)
     group = tables.graph.group[nodes].tolist()
     law = np.ones((len(counts),) + (1,) * k)

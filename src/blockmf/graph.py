@@ -70,6 +70,15 @@ def _component_of(block, cls, r: int):
     return 2 * int(block) + cls
 
 
+def _node_id(n, n_nodes) -> int:
+    """n as the id of one of n_nodes nodes; anything else raises."""
+    n = _integer(n, "node id")
+    if not 0 <= n < n_nodes:
+        raise InvalidArgumentError(
+            f"node {_quoted(n)} is not in 0..{n_nodes - 1}")
+    return n
+
+
 class BlockGraph:
     """Immutable block graph; see module docstring for the node layout.
 
@@ -197,10 +206,10 @@ class BlockGraph:
     # --- queries -----------------------------------------------------
 
     def block_of(self, n) -> int:
-        return int(self.component[n]) // 2
+        return int(self.component[_node_id(n, self.n_total)]) // 2
 
     def class_of(self, n) -> int:
-        return int(self.component[n]) % 2
+        return int(self.component[_node_id(n, self.n_total)]) % 2
 
     def is_peripheral(self, n) -> bool:
         return self.class_of(n) == PERIPHERAL
@@ -249,7 +258,7 @@ class BlockGraph:
 
     def degree(self, n) -> int:
         """Graph degree: the closed neighbourhood's size, less the node."""
-        closed = self.links[self.group[n]]
+        closed = self.links[self.group[_node_id(n, self.n_total)]]
         return int(self.sizes[list(closed)].sum()) - 1
 
     def __eq__(self, other):

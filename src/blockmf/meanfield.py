@@ -57,9 +57,10 @@ class MeanFieldFlow:
     """Measure vector on a uniform time grid; values[t, g, z] with
     g = 2*block + class. Accessors clip reads at zero: RK4 can undershoot
     a colour near zero by roundoff, and a flow read from `flow_csv` may
-    hold any value. The grid is checked on construction: 1-d, at least
-    two times, one per row of values, and uniform: increasing, each step
-    within 1e-9 * max(1, first step) of the first."""
+    hold any finite value. Both are checked on construction: the grid is
+    1-d, at least two times, one per row of values, and uniform:
+    increasing, each step within 1e-9 * max(1, first step) of the first;
+    the values are a finite (times, 2r, K) array with r, K >= 1."""
 
     times: np.ndarray
     values: np.ndarray  # (n_times, 2r, K)
@@ -75,6 +76,13 @@ class MeanFieldFlow:
         if not np.all((steps > 0) & (np.abs(steps - steps[0])
                                      <= 1e-9 * max(1.0, steps[0]))):
             raise InvalidArgumentError("flow grid must be uniform")
+        shape = np.shape(self.values)
+        if len(shape) != 3 or shape[1] % 2 or 0 in shape[1:]:
+            raise InvalidArgumentError(
+                f"flow values must have shape (times, 2r, K) with r, K >= "
+                f"1; got {shape}")
+        if not np.isfinite(self.values).all():
+            raise InvalidArgumentError("flow values must be finite")
 
     @property
     def r(self) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, InvalidArgumentError
-from .graph import BlockGraph
+from .graph import BlockGraph, _node_id
 from .rates import (
     _check_horizon,
     _reals,
@@ -60,6 +60,7 @@ class StateDistribution:
         return self.probs.size
 
     def node_marginal(self, n: int) -> np.ndarray:
+        n = _node_id(n, self.n_nodes)
         digit = (np.arange(self.probs.size) // self.K ** n) % self.K
         return np.bincount(digit, weights=self.probs, minlength=self.K)
 

@@ -87,15 +87,19 @@ _SHORT.maxstring = _SHORT.maxlong = _SHORT.maxother = 80
 _QUOTE_HALF = 60
 
 
-def _quoted(value) -> str:
-    """The repr of a refused value from outside, long ones cut in the
-    middle (strings, ints and other objects to 80 characters, lists to
-    their first items, and the whole to 123), so an error stays one
-    short line."""
-    text = _SHORT.repr(value)
+def _cut(text: str) -> str:
+    """text, cut in the middle to 123 characters when it is longer."""
     if len(text) > 2 * _QUOTE_HALF + 3:
         text = f"{text[:_QUOTE_HALF]}...{text[-_QUOTE_HALF:]}"
     return text
+
+
+def _quoted(value) -> str:
+    """The repr of a refused value from outside, long ones cut in the
+    middle (strings, ints and other objects to 80 characters, lists to
+    their first items, and the whole by `_cut`), so an error stays one
+    short line."""
+    return _cut(_SHORT.repr(value))
 
 
 # every number the package is given is read by `_integer`, `_real` or

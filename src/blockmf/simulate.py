@@ -35,7 +35,7 @@ from .errors import (
     NumericalBlowupError,
 )
 from .graph import CENTRAL, PERIPHERAL, BlockGraph, neighborhood_proportions
-from .rates import _check_horizon, affine_rows, as_block_rates, \
+from .rates import _check_horizon, _quoted, affine_rows, as_block_rates, \
     initial_laws
 from .tables import write_series, write_table
 
@@ -536,9 +536,15 @@ def _land(landed, grid, times, source, target):
 def empirical_process(trajectory: Trajectory, graph: BlockGraph,
                       time_grid) -> EmpiricalSeries:
     """Empirical measure vector along the grid, right-continuous in time
-    (a grid point lying exactly on a jump time sees the post-jump state)."""
+    (a grid point lying exactly on a jump time sees the post-jump state).
+    The trajectory must have run on `graph`'s block sizes."""
     grid = _check_grid(time_grid, trajectory.horizon)
-    K = trajectory.initial.K
+    start, K = trajectory.initial.counts, trajectory.initial.K
+    sizes, ran = np.ravel(graph.block_sizes).tolist(), start.sum(-1).tolist()
+    if start.shape != (2 * graph.r, K) or ran != sizes:
+        raise InvalidArgumentError(
+            f"the trajectory ran on components of sizes {_quoted(ran)}, not "
+            f"on this graph's {sizes}")
     width = 2 * graph.r * K
     landed = np.zeros((1, grid.size, width), dtype=np.int64)
     if trajectory.events:

@@ -556,6 +556,43 @@ def test_tagged_law_fails_closed_on_node_ids(nodes, message):
         experiments.tagged_law(tables, counts, nodes)
 
 
+def _four_groups(fill):
+    """Valid counts (one member of colour 0 per group) of the 4-group
+    design of `test_tagged_law_fails_closed_on_counts`, 2 replicas, with
+    group 2 of replica 1 set to `fill`."""
+    counts = np.zeros((2, 4, 2))
+    counts[..., 0] = 1
+    counts[1, 2] = fill
+    return counts
+
+
+@pytest.mark.parametrize("counts, message", [
+    (np.ones((1, 4, 3)), r"^counts must have shape \(replicas >= 1, 4, 2\), "
+                         r"got \(1, 4, 3\)$"),
+    (np.ones((4, 2)), r"^counts must have shape .*, got \(4, 2\)$"),
+    (np.ones((0, 4, 2)), r"^counts must have shape .*, got \(0, 4, 2\)$"),
+    ([[["1", "0"]] * 4], "^counts must be numbers"),
+    (_four_groups(-0.5), r"^counts of replica 1, group 2 must be whole "
+                         r"numbers >= 0 summing to the group's size 1, got "
+                         r"\[-0.5, -0.5\]$"),
+    (_four_groups(np.nan), r"^counts of replica 1, group 2 .*\[nan, nan\]$"),
+    (_four_groups(np.inf), r"^counts of replica 1, group 2 .*\[inf, inf\]$"),
+    (_four_groups(0.5), r"^counts of replica 1, group 2 .*\[0.5, 0.5\]$"),
+    (_four_groups(2.5), r"^counts of replica 1, group 2 .*\[2.5, 2.5\]$"),
+    (_four_groups([2, 0]), r"^counts of replica 1, group 2 .*\[2.0, 0.0\]$"),
+], ids=["extra-colour", "2-d", "no-replicas", "strings", "negative", "nan",
+        "inf", "fraction", "sum-off", "whole-sum-off"])
+def test_tagged_law_fails_closed_on_counts(counts, message):
+    # a K+1-colour table gave a 3-entry law, and negative, NaN or
+    # off-size counts a "law" of -0.5, NaN or 2.5 entries
+    graph = bm.build_complete_peripheral([(1, 1), (1, 1)])
+    tables = GroupTables(graph, bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7))
+    assert experiments.tagged_law(tables, _four_groups([1, 0]), [0]).tolist() \
+        == [1.0, 0.0]
+    with pytest.raises(bm.InvalidArgumentError, match=message):
+        experiments.tagged_law(tables, counts, [0])
+
+
 @pytest.mark.parametrize("gens", [
     None, 5, [3], [], [np.random.default_rng(5)] * 2,
     (np.random.default_rng(5),),

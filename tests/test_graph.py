@@ -8,7 +8,7 @@ import pytest
 
 import blockmf as bm
 from blockmf.graph import build_complete_peripheral, build_regular_peripheral
-from blockmf.simulate import GroupTables
+from blockmf.simulate import GroupTables, SystemState, local_empirical
 
 
 def test_complete_peripheral_layout():
@@ -60,6 +60,38 @@ def test_degree_and_cross_counts():
     assert np.allclose(props, [2 / 8, 3 / 8, 3 / 8])
     with pytest.raises(bm.WrongClassError):
         bm.neighborhood_proportions(g, 0)
+
+
+_ID_GRAPH = build_complete_peripheral([(2, 3), (2, 3)])
+_ID_STATE = SystemState.from_colors(_ID_GRAPH, [0] * 10, 2)
+NODE_QUERIES = {
+    "block_of": _ID_GRAPH.block_of,
+    "class_of": _ID_GRAPH.class_of,
+    "is_peripheral": _ID_GRAPH.is_peripheral,
+    "degree": _ID_GRAPH.degree,
+    "cross_counts": _ID_GRAPH.cross_counts,
+    "peripheral_neighbors": _ID_GRAPH.peripheral_neighbors,
+    "neighborhood_proportions":
+        lambda n: bm.neighborhood_proportions(_ID_GRAPH, n),
+    "local_empirical": lambda n: local_empirical(_ID_STATE, _ID_GRAPH, n),
+}
+BAD_NODE_IDS = {
+    "minus-one": (-1, "node -1 is not in 0..9"),
+    "N": (10, "node 10 is not in 0..9"),
+    "float": (1.0, "node id must be an integer, got 1.0"),
+    "bool": (True, "node id must be an integer, got True"),
+    "huge": (10 ** 30, f"node {10 ** 30} is not in 0..9"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_NODE_IDS)
+@pytest.mark.parametrize("query", NODE_QUERIES)
+def test_node_queries_check_the_id(query, bad):
+    # -1 answered for node N-1 and N raised a bare IndexError
+    node, message = BAD_NODE_IDS[bad]
+    with pytest.raises(bm.InvalidArgumentError) as info:
+        NODE_QUERIES[query](node)
+    assert str(info.value) == message
 
 
 def test_regular_design_cross_degrees():

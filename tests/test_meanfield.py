@@ -90,17 +90,33 @@ def test_picard_matches_rk4(sis2, monkeypatch):
     assert np.abs(nxt - flow.values).sum(axis=2).max() < 1e-7
 
 
-@pytest.mark.parametrize("shape", [(101, 2, 2), (101, 4, 3), (101, 8),
-                                   (101, 3, 2)])
+@pytest.mark.parametrize("shape", [(101, 2, 2), (101, 4, 3)])
 def test_flow_with_other_layout_fails_closed(sis2, shape):
     spec, targets, _ = sis2
     flow = bm.MeanFieldFlow(np.linspace(0.0, 1.0, 101), np.full(shape, 0.5))
-    # the message counts the flow's components, which `r` (half the
-    # count) does not show for an odd count
     with pytest.raises(bm.InvalidArgumentError, match=re.escape(
             f"flow has {shape[1]} components and K={shape[-1]}; the model "
             f"has r=2, K=2")):
         bm.flow_rates(flow, spec, targets)
+
+
+@pytest.mark.parametrize("shape, fill, match", [
+    ((3, 4, 2), math.nan, "^flow values must be finite$"),
+    ((3, 4, 2), math.inf, "^flow values must be finite$"),
+    ((3, 4, 2), -math.inf, "^flow values must be finite$"),
+    ((3, 8), 0.5, r"^flow values must have shape \(times, 2r, K\)"),
+    ((3, 3, 2), 0.5, r"^flow values must have shape \(times, 2r, K\)"),
+    ((3, 0, 2), 0.5, r"^flow values must have shape \(times, 2r, K\)"),
+    ((3, 4, 0), 0.5, r"^flow values must have shape \(times, 2r, K\)"),
+], ids=["nan", "inf", "minus-inf", "2-d", "odd-components",
+        "no-components", "no-colours"])
+def test_flow_checks_its_values(shape, fill, match):
+    # a flow of NaNs got a variational cost of 0.0, and a 2-d or
+    # odd-component array passed until a solver read it
+    values = np.full(shape, 0.5)
+    values[-1, ...] = fill
+    with pytest.raises(bm.InvalidArgumentError, match=match):
+        bm.MeanFieldFlow(np.linspace(0.0, 1.0, 3), values)
 
 
 def test_picard_nonconvergence(sis2, monkeypatch):
@@ -133,11 +149,12 @@ def test_flow_checks_its_grid(times, rows, match):
 
 def test_flow_interpolation_and_clipping():
     times = np.array([0.0, 1.0, 2.0])
-    vals = np.array([[[1.0, 0.0]], [[0.5, 0.5]], [[-1e-15, 1.0]]])
+    vals = np.array([[[1.0, 0.0]] * 2, [[0.5, 0.5]] * 2,
+                     [[-1e-15, 1.0]] * 2])
     flow = bm.MeanFieldFlow(times, vals)
     mid = flow.at(0.5)
-    assert np.allclose(mid, [[0.75, 0.25]])
-    assert np.array_equal(flow.at(2.0), [[0.0, 1.0]])  # clipped on read
+    assert np.allclose(mid, [[0.75, 0.25]] * 2)
+    assert np.array_equal(flow.at(2.0), [[0.0, 1.0]] * 2)  # clipped on read
     assert flow.at(-1e-13) is not None  # tolerance at the ends
     with pytest.raises(bm.InvalidArgumentError):
         flow.at(2.5)

@@ -105,6 +105,21 @@ def test_oracle_checks_each_per_node_law(init, message):
     assert str(info.value) == "init_dist " + message
 
 
+@pytest.mark.parametrize("node, message", [
+    (-1, "node -1 is not in 0..2"),
+    (3, "node 3 is not in 0..2"),
+    (1.0, "node id must be an integer, got 1.0"),
+    (True, "node id must be an integer, got True"),
+    (10 ** 30, f"node {10 ** 30} is not in 0..2"),
+], ids=["minus-one", "N", "float", "bool", "huge"])
+def test_node_marginal_checks_the_id(node, message):
+    # 99 raised OverflowError and -1 TypeError
+    dist = bm.StateDistribution(np.full(8, 1 / 8), 2, 3)
+    with pytest.raises(bm.InvalidArgumentError) as info:
+        dist.node_marginal(node)
+    assert str(info.value) == message
+
+
 def test_long_horizon_chunks_conserve_mass():
     # rate * T far above the single-chunk budget exercises chunking
     a, b = 30.0, 25.0

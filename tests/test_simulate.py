@@ -2,6 +2,7 @@ import hashlib
 import io
 import logging
 import pickle
+import re
 import sys
 import threading
 
@@ -697,6 +698,22 @@ def test_empirical_process_matches_event_replay(builder, fam):
     grid = [0.0, 0.0, 1.0, T]
     assert np.array_equal(bm.empirical_process(quiet, graph, grid).values,
                           replay_empirical(quiet, graph, grid))
+
+
+@pytest.mark.parametrize("other, ran", [
+    ([(3, 2)], [3, 2]),
+    ([(2, 3), (2, 3)], [2, 3, 2, 3]),
+], ids=["other-sizes", "other-r"])
+def test_empirical_process_refuses_another_graph(other, ran):
+    # read on (3, 2) the run on (2, 3) gave component masses of 2/3 and
+    # 3/2, and read on two blocks it raised a bare ValueError
+    g = bm.build_complete_peripheral([(2, 3)])
+    tr = bm.simulate(g, SIS.central[0], [0, 1, 0, 1, 1], 1.0, seed=3)
+    with pytest.raises(bm.InvalidArgumentError, match=re.escape(
+            f"the trajectory ran on components of sizes [2, 3], not on "
+            f"this graph's {ran}")):
+        bm.empirical_process(tr, bm.build_complete_peripheral(other),
+                             [0.0, 1.0])
 
 
 def test_empirical_process_grid_validation():
