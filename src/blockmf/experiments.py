@@ -370,10 +370,11 @@ def tagged_law(tables: GroupTables, counts, nodes) -> np.ndarray:
         raise InvalidArgumentError(
             f"counts must have shape (replicas >= 1, {shape[0]}, "
             f"{shape[1]}), got {counts.shape}")
-    bad = ((counts < 0) | (counts != np.floor(counts))).any(axis=2)
-    bad |= counts.sum(axis=2) != tables.sizes
-    if bad.any():
-        i, g = np.argwhere(bad)[0]
+    # einsum sums the last axis of few colours far faster than sum(axis=2)
+    off = np.einsum("igk->ig", counts) != tables.sizes
+    bad = (counts < 0) | (counts != np.floor(counts))
+    if off.any() or bad.any():
+        i, g = np.argwhere(off | bad.any(axis=2))[0]
         raise InvalidArgumentError(
             f"counts of replica {i}, group {g} must be whole numbers >= 0 "
             f"summing to the group's size {tables.sizes[g]}, got "
