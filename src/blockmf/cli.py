@@ -148,19 +148,6 @@ def _n_list_graphs(sc, targets):
         raise InvalidConfigurationError(f"n_list: {exc}") from None
 
 
-def _resolve_tagged_for_every_n(tagged, graphs):
-    """Resolve the tagged requests on the graph of every N, so that a
-    request that some N cannot honour fails before any run."""
-    from .experiments import resolve_tagged
-
-    for graph in graphs:
-        try:
-            resolve_tagged(graph, tagged)
-        except ValidationError as exc:
-            raise InvalidConfigurationError(
-                f"N={graph.n_total}: {exc}") from None
-
-
 def cmd_validate(args):
     from .graph import check_regularity
 
@@ -198,9 +185,11 @@ def cmd_validate(args):
     if "n_list" in sc.raw and targets is not None:
         graphs = _n_list_graphs(sc, targets)
     if "tagged" in sc.raw and targets is not None:
+        from .experiments import resolve_tagged
+
         tagged = sc.tagged(targets.r)
-        if graphs is not None:
-            _resolve_tagged_for_every_n(tagged, graphs)
+        for graph in graphs or ():
+            resolve_tagged(graph, tagged)
         checked.append("tagged")
     extra = ""
     if graph is not None and targets is not None:
@@ -280,8 +269,8 @@ def cmd_multichaos(args):
     spec, targets, inits = _limit_model(sc)
     graphs = _n_list_graphs(sc, targets)
     tagged = sc.tagged(targets.r)
-    _resolve_tagged_for_every_n(tagged, graphs)
     T, replicas = sc.number("horizon"), sc.number("replicas")
+    # multichaos_test resolves the request on every graph before a draw
     tvs = [tv for _, _, tv in multichaos_test(
         graphs, spec, tagged, T, replicas,
         [(seed, idx) for idx in range(len(graphs))], inits=inits)]
@@ -316,6 +305,8 @@ def cmd_ldp_cost(args):
 
 
 def cmd_oracle_check(args):
+    """Each node's law at T: the exact solve's, node by node, against
+    the count farm's, one `tagged_law` per group spread to its members."""
     from .experiments import final_group_counts, tagged_law
     from .oracle import master_equation_oracle
     from .rng import ORACLE_CHECK, substream
@@ -329,11 +320,13 @@ def cmd_oracle_check(args):
     dist = master_equation_oracle(graph, spec, init_mat, T)
     oracle_p = np.stack([dist.node_marginal(n) for n in range(N)])
     # a node's law given the counts is its group's colour fractions, in
-    # [0, 1] with mean p, so `se` bounds the standard error of their mean
+    # [0, 1] with mean p, so `se` bounds the standard error of their mean;
+    # the members of a group share that law, read once off its first node
     [(tables, counts)] = final_group_counts(
         [graph], spec, T, replicas, [substream(seed, 0, 0, ORACLE_CHECK)],
         inits=inits)
-    mc_p = np.stack([tagged_law(tables, counts, [n]) for n in range(N)])
+    mc_p = np.stack([tagged_law(tables, counts, [m])
+                     for m in graph.firsts])[graph.group]
     se = np.sqrt(oracle_p * (1.0 - oracle_p) / replicas)
     diff = np.abs(mc_p - oracle_p)
     with np.errstate(invalid="ignore", divide="ignore"):

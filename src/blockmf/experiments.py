@@ -15,7 +15,7 @@ grid. Single nodes need no farm of their own: the members of a group
 are exchangeable, so the joint law of a few nodes at time T is a
 function of their groups' colour counts (`tagged_law`), averaged over
 the farm's replicas. `multichaos_test` reads the joint law of its
-tagged nodes so, and `oracle-check` every node's marginal law.
+tagged nodes so, and `oracle-check` one marginal law per group.
 
 Each graph draws from its own stream, keyed by its seed path and a
 purpose word, and reads it as a farm of that graph alone would, so
@@ -26,6 +26,7 @@ many replicas share its stream.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -307,29 +308,29 @@ def lln_experiment(graphs, spec, targets: ProportionTargets, inits, T, grid,
 def resolve_tagged(graph: BlockGraph, tagged_nodes):
     """One to three distinct node ids from raw node ids or (block, class)
     pairs; a pair picks the first node of that class (exchangeability
-    makes the choice neutral). Anything but a pair must be a node id."""
+    makes the choice neutral). Anything but a pair must be a node id.
+    Every refusal starts with `N=<graph.n_total>: `."""
+    def refuse(message):
+        return InvalidArgumentError(f"N={graph.n_total}: {message}")
+
     out = []
     for spec_ in tagged_nodes:
         if isinstance(spec_, (tuple, list)):
             j, cls = spec_ if len(spec_) == 2 else (None, None)
             g = _component_of(j, cls, graph.r)
             if g is None:
-                raise InvalidArgumentError(
-                    f"tagged {_quoted(tuple(spec_))} names no class of a "
-                    f"graph with {graph.r} blocks")
+                raise refuse(f"tagged {_quoted(tuple(spec_))} names no class "
+                             f"of a graph with {graph.r} blocks")
             spec_ = (graph.central_nodes(j) if g % 2 == CENTRAL
                      else graph.peripheral_nodes(j))[0]
         if not _is_integer(spec_) or not 0 <= spec_ < graph.n_total:
-            raise InvalidArgumentError(
-                f"tagged node {_quoted(spec_)} is no node id in "
-                f"0..{graph.n_total - 1}")
+            raise refuse(f"tagged node {_quoted(spec_)} is no node id in "
+                         f"0..{graph.n_total - 1}")
         out.append(int(spec_))
     if len(out) != len(set(out)):
-        raise InvalidArgumentError("tagged nodes must be distinct")
+        raise refuse("tagged nodes must be distinct")
     if not 1 <= len(out) <= 3:
-        raise InvalidArgumentError(
-            f"need 1 to 3 tagged nodes, got {len(out)}"
-        )
+        raise refuse(f"need 1 to 3 tagged nodes, got {len(out)}")
     return out
 
 
@@ -344,8 +345,10 @@ def final_group_counts(graphs, spec, T, replicas, gens, *,
     replicas = _integer(replicas, "replicas")
     if replicas < 1:
         raise InvalidArgumentError("need at least 1 replica")
+    # a Generator shared by two graphs would not read as either's alone
     if not (isinstance(gens, list) and len(gens) == len(graphs) and all(
-            isinstance(gen, np.random.Generator) for gen in gens)):
+            isinstance(gen, np.random.Generator) for gen in gens)
+            and len(set(map(id, gens))) == len(gens)):
         raise InvalidArgumentError(
             f"gens must be a list of one numpy Generator per graph, "
             f"{len(graphs)} in all, got {_quoted(gens)}")
@@ -400,22 +403,20 @@ def multichaos_test(graphs, spec, tagged_nodes, T, replicas, seeds, *,
     total-variation distance between the two: one (joint, product, tv)
     per graph. tagged_nodes entries are node ids or (block, class) pairs
     (resolved to the first node of the class), resolved on every graph
-    before any run. seeds: one seed or seed path per graph. The dynamics
-    run on each graph's own proportions; the runs on graphs of one
-    structure are one count farm (`final_group_counts`)."""
+    before any draw: the one pass before a run, which names the N that
+    refuses. seeds: one seed or seed path per graph. The dynamics run on
+    each graph's own proportions; the runs on graphs of one structure
+    are one count farm (`final_group_counts`)."""
     tagged = [resolve_tagged(graph, tagged_nodes) for graph in graphs]
     gens = _streams(seeds, graphs, MULTICHAOS)
     out = []
     for nodes, (tables, counts) in zip(tagged, final_group_counts(
             graphs, spec, T, replicas, gens, inits=inits)):
         joint = tagged_law(tables, counts, nodes)
-        K, m = tables.K, len(nodes)
-        product = np.ones(())
-        for axis in range(m):
-            marg = joint.sum(axis=tuple(a for a in range(m) if a != axis))
-            shape = [1] * m
-            shape[axis] = K
-            product = product * marg.reshape(shape)
+        m = len(nodes)
+        product = functools.reduce(np.multiply.outer, [
+            joint.sum(axis=tuple(a for a in range(m) if a != axis))
+            for axis in range(m)])
         tv = 0.5 * float(np.abs(joint - product).sum())
         out.append((joint, product, tv))
     return out

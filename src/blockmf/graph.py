@@ -244,10 +244,6 @@ class BlockGraph:
         return tuple((a, b) for a in self.peripheral_nodes_all()
                      for b in self.peripheral_neighbors(a) if a < b)
 
-    def block_size(self, j) -> int:
-        nc, npp = self.block_sizes[j]
-        return nc + npp
-
     def cross_counts(self, n):
         """Per-block peripheral neighbor counts of peripheral node n, own
         block counted with self (so entry j equals N_j^p)."""

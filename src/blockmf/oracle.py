@@ -21,6 +21,7 @@ from .errors import CapacityError, InvalidArgumentError
 from .graph import BlockGraph, _node_id
 from .rates import (
     _check_horizon,
+    _integer,
     _reals,
     as_block_rates,
     total_rate,
@@ -54,6 +55,21 @@ class StateDistribution:
     nonzeros: int = field(default=0, compare=False)
     chunks: int = field(default=0, compare=False)
     series_terms: int = field(default=0, compare=False)
+
+    def __post_init__(self):
+        K, n = _integer(self.K, "K"), _integer(self.n_nodes, "n_nodes")
+        if K < 1 or n < 1:
+            raise InvalidArgumentError(
+                f"need K >= 1 and n_nodes >= 1, got K={K}, n_nodes={n}")
+        size = np.size(self.probs)
+        # K >= 2 gives at least 2^n states, more than `size` from
+        # n = size.bit_length() on: K^n is formed only for smaller n
+        if np.ndim(self.probs) != 1 or K > 1 and n >= size.bit_length() \
+                or K ** n != size:
+            raise InvalidArgumentError(
+                f"probs must be 1-d with K^n_nodes entries for K={K}, "
+                f"n_nodes={n}, got shape {np.shape(self.probs)}")
+        self.K, self.n_nodes = K, n
 
     @property
     def states(self) -> int:

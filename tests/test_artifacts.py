@@ -117,16 +117,20 @@ def test_oracle_check_csv_bytes(tmp_path, capsys, monkeypatch):
     marginals = np.array([[0.5, 0.5], [1.0, -0.0], [1e-300, 1.0]])
     monkeypatch.setattr(oracle, "master_equation_oracle", lambda *a: (
         SimpleNamespace(node_marginal=lambda n: marginals[n])))
+    # the law is read once per group, off its first node: node 0 is the
+    # central group, nodes 1 and 2 the peripheral twins, read off node 1
+    asked = []
     monkeypatch.setattr(experiments, "tagged_law", lambda tables, counts, n: (
-        np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])[n[0]]))
+        asked.append(n) or np.array([[0.5, 0.5], [1.0, 0.0]])[n[0]]))
     sp = scen_path(tmp_path, {**ORACLE_SCEN, "replicas": 4})
     run_cli(["oracle-check", "--scenario", sp, "--out", str(tmp_path)],
             capsys)
+    assert asked == [[0], [1]]
     assert (tmp_path / "oracle_check.csv").read_text() == (
         "node,color,oracle_p,mc_p,stderr\n"
         "0,0,0.5,0.5,0.25\n0,1,0.5,0.5,0.25\n"
         "1,0,1,1,0\n1,1,-0,0,-0\n"
-        "2,0,1e-300,0,5e-151\n2,1,1,1,0\n")
+        "2,0,1e-300,1,5e-151\n2,1,1,0,0\n")
 
 
 

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import blockmf.experiments as experiments
 import blockmf.meanfield as meanfield
-from blockmf import MeanFieldFlow
+from blockmf import MeanFieldFlow, build_regular_peripheral
 from blockmf.cli import main
 from blockmf.errors import InvalidArgumentError
 from blockmf.experiments import final_group_counts
@@ -547,22 +548,61 @@ def test_nested_init_row_without_rates_fails_closed(tmp_path):
     assert_fails_closed(proc, tmp_path / "out", "must be a 1-d vector")
 
 
+_REFUSED_ENTRY = 'tagged entries are node ids or [block, "c"|"p"] with ' \
+    "block in 0..1: "
+
+
 @pytest.mark.parametrize("sub", ["validate", "multichaos"])
-@pytest.mark.parametrize("tagged", [[[0, "c"], [-1, "p"]],
-                                    [[0, "c"], [7, "p"]],
-                                    [0, 999],
-                                    [0, 1, 2, 3],
-                                    # node 4 is block 0's first
-                                    # peripheral at N=20, not at N=10
-                                    [4, [0, "p"]]],
-                         ids=["negative-block", "block-past-r",
-                              "node-past-n", "four-nodes",
-                              "same-node-at-larger-n"])
-def test_tagged_outside_blocks_fails_closed(tmp_path, sub, tagged):
+@pytest.mark.parametrize("tagged, line", [
+    ([[0, "c"], [-1, "p"]], _REFUSED_ENTRY + "[-1, 'p']"),
+    ([[0, "c"], [7, "p"]], _REFUSED_ENTRY + "[7, 'p']"),
+    ([0, 999], "N=10: tagged node 999 is no node id in 0..9"),
+    ([0, 1, 2, 3], "N=10: need 1 to 3 tagged nodes, got 4"),
+    # node 4 is block 0's first peripheral at N=20, not at N=10
+    ([4, [0, "p"]], "N=20: tagged nodes must be distinct"),
+    # nodes 15 and 12 exist at N=20 only
+    ([15, [0, "c"]], "N=10: tagged node 15 is no node id in 0..9"),
+    ([[1, "p"], 12], "N=10: tagged node 12 is no node id in 0..9"),
+], ids=["negative-block", "block-past-r", "node-past-n", "four-nodes",
+        "same-node-at-larger-n", "node-past-smallest-n",
+        "pair-then-node-past-smallest-n"])
+def test_tagged_outside_blocks_fails_closed(tmp_path, sub, tagged, line):
+    # a request is resolved on every N before any run, by the library,
+    # which names the N that refused it
     scen = scen_path(tmp_path, {**SCEN, "tagged": tagged})
     proc = run_blockmf_module([sub, "--scenario", scen,
                                "--out", str(tmp_path / "out")])
     assert_fails_closed(proc, tmp_path / "out" / "multichaos.csv", "tagged")
+    assert proc.stderr == f"error: {line}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_tagged_requests_and_laws_are_read_once(tmp_path, capsys,
+                                                monkeypatch):
+    # multichaos resolves its request twice per graph: its pass before
+    # the run and tagged_law's entry check; oracle-check reads one law
+    # per group, not one per node
+    resolved, laws = [], []
+    resolve, law = experiments.resolve_tagged, experiments.tagged_law
+    monkeypatch.setattr(experiments, "resolve_tagged", lambda graph, nodes: (
+        resolved.append(graph.n_total) or resolve(graph, nodes)))
+    monkeypatch.setattr(experiments, "tagged_law", lambda tables, c, nodes: (
+        laws.append(nodes) or law(tables, c, nodes)))
+    scen = {**SCEN, "n_list": [10, 20, 30], "horizon": 0.3, "replicas": 4}
+    code, _, err = run(["multichaos", "--scenario", scen_path(tmp_path, scen),
+                        "--out", str(tmp_path / "m")], capsys)
+    assert code == 0, err
+    assert resolved == [10, 20, 30] * 2 and len(laws) == 3
+    laws.clear()
+    oracle = {**REGULAR_ORACLE_SCEN, "replicas": 20, "graph": {
+        "regular": {"blocks": [[1, 4], [1, 4]], "fractions": 0.5}}}
+    code, _, err = run(["oracle-check", "--scenario",
+                        scen_path(tmp_path, oracle, "oracle.json"), "--out",
+                        str(tmp_path / "o")], capsys)
+    assert code == 0, err
+    graph = build_regular_peripheral([(1, 4), (1, 4)], 0.5)
+    assert graph.sizes.size == 6 < graph.n_total
+    assert laws == [[m] for m in graph.firsts]
 
 
 @pytest.mark.parametrize("sub, artifact", [("validate", "convergence.csv"),

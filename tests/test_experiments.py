@@ -540,11 +540,11 @@ def test_count_farm_refuses_designs_of_different_structures():
 
 
 @pytest.mark.parametrize("nodes, message", [
-    ([True], r"^tagged node True is no node id in 0\.\.11$"),
-    ([1.0], r"^tagged node 1\.0 is no node id in 0\.\.11$"),
-    ([99], r"^tagged node 99 is no node id in 0\.\.11$"),
-    ([-1], r"^tagged node -1 is no node id in 0\.\.11$"),
-    ([3, 3], "^tagged nodes must be distinct$"),
+    ([True], r"^N=12: tagged node True is no node id in 0\.\.11$"),
+    ([1.0], r"^N=12: tagged node 1\.0 is no node id in 0\.\.11$"),
+    ([99], r"^N=12: tagged node 99 is no node id in 0\.\.11$"),
+    ([-1], r"^N=12: tagged node -1 is no node id in 0\.\.11$"),
+    ([3, 3], "^N=12: tagged nodes must be distinct$"),
 ], ids=["bool", "float", "past-the-end", "negative", "repeated"])
 def test_tagged_law_fails_closed_on_node_ids(nodes, message):
     # [True] and [1.0] read node 1; past-the-end and negative ids raised a
@@ -593,19 +593,22 @@ def test_tagged_law_fails_closed_on_counts(counts, message):
         experiments.tagged_law(tables, counts, [0])
 
 
-@pytest.mark.parametrize("gens", [
-    None, 5, [3], [], [np.random.default_rng(5)] * 2,
-    (np.random.default_rng(5),),
-], ids=["none", "int", "list-of-int", "empty", "two-for-one", "tuple"])
-def test_final_group_counts_fails_closed_on_gens(gens):
-    # None and 5 raised a bare TypeError, [3] a bare AttributeError
+@pytest.mark.parametrize("n_graphs, gens", [
+    (1, None), (1, 5), (1, [3]), (1, []), (1, [np.random.default_rng(5)] * 2),
+    (1, (np.random.default_rng(5),)), (2, [np.random.default_rng(5)] * 2),
+], ids=["none", "int", "list-of-int", "empty", "two-for-one", "tuple",
+        "two-graphs-one-gen"])
+def test_final_group_counts_fails_closed_on_gens(n_graphs, gens):
+    # None and 5 raised a bare TypeError, [3] a bare AttributeError; one
+    # Generator for two graphs ran, and graph 0's counts then differed
+    # from those of its own farm on a fresh Generator of the same key
     graph = bm.proportional_family(make_targets())(12)
     with pytest.raises(bm.InvalidArgumentError,
                        match="^gens must be a list of one numpy Generator "
-                             "per graph, 1 in all, got "):
+                             f"per graph, {n_graphs} in all, got "):
         experiments.final_group_counts(
-            [graph], bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7), 1.0, 4, gens,
-            inits=[[0.6, 0.4]] * 4)
+            [graph] * n_graphs, bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7), 1.0, 4,
+            gens, inits=[[0.6, 0.4]] * 4)
 
 
 def test_count_farm_rejects_non_finite_rates():

@@ -120,6 +120,36 @@ def test_node_marginal_checks_the_id(node, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("probs, K, n_nodes, message", [
+    (np.full(8, 1 / 8), 2, 5, "for K=2, n_nodes=5, got shape (8,)"),
+    (np.full(8, 1 / 8), 3, 2, "for K=3, n_nodes=2, got shape (8,)"),
+    (np.full((2, 4), 1 / 8), 2, 3, "for K=2, n_nodes=3, got shape (2, 4)"),
+    (np.full(8, 1 / 8), 2, 10 ** 30,
+     f"for K=2, n_nodes={10 ** 30}, got shape (8,)"),
+], ids=["too-few-states", "too-many-states", "2-d", "huge-n"])
+def test_state_distribution_checks_its_sizes(probs, K, n_nodes, message):
+    # (8 states, K=2, 5 nodes) read node 4 as [1, 0], and (K=3, 2 nodes)
+    # read node 1 as [0.375, 0.375, 0.25]
+    with pytest.raises(bm.InvalidArgumentError) as info:
+        bm.StateDistribution(probs, K, n_nodes)
+    assert str(info.value) == "probs must be 1-d with K^n_nodes entries " \
+        + message
+
+
+@pytest.mark.parametrize("K, n_nodes, message", [
+    (True, 3, "K must be an integer, got True"),
+    (2.0, 3, "K must be an integer, got 2.0"),
+    (2, 0, "need K >= 1 and n_nodes >= 1, got K=2, n_nodes=0"),
+], ids=["bool-K", "float-K", "no-nodes"])
+def test_state_distribution_reads_whole_sizes(K, n_nodes, message):
+    with pytest.raises(bm.InvalidArgumentError) as info:
+        bm.StateDistribution(np.full(8, 1 / 8), K, n_nodes)
+    assert str(info.value) == message
+    dist = bm.StateDistribution(np.full(8, 1 / 8), np.int64(2), 3)
+    assert type(dist.K) is int and dist.node_marginal(2).tolist() == [0.5,
+                                                                      0.5]
+
+
 def test_long_horizon_chunks_conserve_mass():
     # rate * T far above the single-chunk budget exercises chunking
     a, b = 30.0, 25.0

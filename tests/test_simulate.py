@@ -504,7 +504,7 @@ def reference_tables(graph, family):
     def readers():
         for g, (j, cls) in enumerate(meta):
             if cls == CENTRAL:
-                w = 1.0 / graph.block_size(j)
+                w = 1.0 / sum(graph.block_sizes[j])
                 seen = [h for h, m in enumerate(meta) if m == (j, PERIPHERAL)]
             else:
                 w = 1.0 / (graph.degree(members[g][0]) + 1)

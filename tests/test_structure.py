@@ -18,7 +18,9 @@ their starts; none of them loops the farm over N.
 
 A tagged node's law is read off the group counts by one helper,
 `experiments.tagged_law`, for `multichaos_test` and `oracle-check`; no
-second chain splits tagged nodes out of their groups.
+second chain splits tagged nodes out of their groups. A tagged request
+is resolved before a run by `multichaos_test` alone, and checked by
+`validate`; the CLI keeps no pass of its own.
 
 Which group a node is in is recorded once, in `BlockGraph.group`, which
 only `graph.py` builds: no per-class member tuples, per-node twin index
@@ -123,6 +125,15 @@ def test_tagged_laws_come_from_group_counts():
         assert modules_referencing(gone) == set(), gone
 
 
+def test_tagged_requests_resolve_in_one_pass():
+    # one pass before the run, which names the refusing N itself, and
+    # tagged_law's entry check; validate checks the request on every N
+    assert functions_calling("resolve_tagged") == {
+        ("experiments.py", "multichaos_test"),
+        ("experiments.py", "tagged_law"), ("cli.py", "cmd_validate")}
+    assert modules_referencing("_resolve_tagged_for_every_n") == set()
+
+
 def modules_storing(attr):
     """File names of the package modules that assign the attribute
     `attr` of some object."""
@@ -137,7 +148,7 @@ def test_the_graph_alone_records_the_groups():
     # and closed neighbourhoods; the tables read the graph's sizes
     assert modules_storing("group") == {"graph.py"}
     for gone in ("_twin_of", "twin_classes", "members", "meta", "twin_links",
-                 "_cross", "is_complete_peripheral", "_twin"):
+                 "_cross", "is_complete_peripheral", "_twin", "block_size"):
         assert modules_referencing(gone) == set(), gone
     graph = bm.build_complete_peripheral([(2, 3), (2, 3)])
     tables = GroupTables(graph, bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7))
