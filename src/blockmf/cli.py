@@ -181,14 +181,14 @@ def cmd_validate(args):
             raise InvalidConfigurationError(
                 "flow_csv: flow needs at least 3 grid points")
         checked.append("flow_csv")
-    graphs = None
+    graphs = []
     if "n_list" in sc.raw and targets is not None:
         graphs = _n_list_graphs(sc, targets)
     if "tagged" in sc.raw and targets is not None:
         from .experiments import resolve_tagged
 
         tagged = sc.tagged(targets.r)
-        for graph in graphs or ():
+        for graph in graphs:
             resolve_tagged(graph, tagged)
         checked.append("tagged")
     extra = ""

@@ -208,6 +208,38 @@ def test_multichaos_joint_and_tv():
     assert tv == tv2
 
 
+def reference_product(joint):
+    """The product of the marginals of `joint`, one axis at a time."""
+    m, K = joint.ndim, joint.shape[0]
+    product = np.ones(())
+    for axis in range(m):
+        marg = joint.sum(axis=tuple(a for a in range(m) if a != axis))
+        shape = [1] * m
+        shape[axis] = K
+        product = product * marg.reshape(shape)
+    return product
+
+
+@pytest.mark.parametrize("K", [2, 3, 6])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_multichaos_product_matches_the_loop(monkeypatch, m, K):
+    # the outer-product fold gives the loop's bytes on 20 random joints
+    rng = np.random.default_rng(10 * m + K)
+    joints = iter(rng.dirichlet(np.ones(K ** m), size=20).reshape(
+        (20,) + (K,) * m))
+    monkeypatch.setattr(experiments, "tagged_law",
+                        lambda tables, counts, nodes: next(joints))
+    graph = bm.proportional_family(make_targets())(12)
+    out = bm.multichaos_test([graph] * 20, bm.queue_spec(K, 1.0, 1.0, 0.3),
+                             [0, 1, 2][:m], 0.1, 1, list(range(20)),
+                             inits=[np.full(K, 1 / K)] * 4)
+    for joint, product, tv in out:
+        expected = reference_product(joint)
+        assert product.shape == expected.shape
+        assert product.tobytes() == expected.tobytes()
+        assert tv == 0.5 * float(np.abs(joint - expected).sum())
+
+
 def test_multichaos_tagged_resolution():
     targets = make_targets()
     spec = bm.sis_spec(2, 0.8, 0.5, 0.6, 0.7)
